@@ -106,7 +106,7 @@ def house(m: int, prefix: str = "h") -> BaseGraph:
 
 
 def random_connected(v: int, extra: int, rng: random.Random, prefix: str = "r") -> BaseGraph:
-    """Random spanning tree plus ``extra`` chords, as in the test suite's helper."""
+    """Random spanning tree plus ``extra`` chords; the test suite's helper draws the same graph."""
     edges = set()
     for i in range(1, v):
         p = rng.randrange(i)
@@ -289,19 +289,18 @@ def _reversibility_case(w: Writer, cid: str, doc: dict, g: BaseGraph, k: int,
     )
 
 
-# Slot pattern of one exact-sweep round: (ring size, reversible, wide).
-# A quarter of the points are engineered reversible and a quarter are
-# wide-magnitude; wide points sit on C5 only, because a wide C6 point
-# takes 12-50 s in the dense exact solve on a 2-core machine.
+# Slot pattern of one exact-sweep round: (ring size, reversible), then
+# one wide-magnitude C5 point, reversible in even rounds. A run has two
+# rounds, 48 cases: 30 moderate C5 points (about 0.2 s each on a 2-core
+# machine), where the median falls; 16 moderate C6 points (0.6-1.2 s),
+# where the case with ten beyond it falls; and two wide points (1.6 s
+# irreversible, 4.4 s reversible). Wide points sit on C5 only, because a
+# wide C6 point takes 12-50 s in the dense exact solve.
 EXACT_SLOTS = (
-    (5, False, False),
-    (6, True, False),
-    (5, False, True),
-    (6, False, False),
-    (5, True, True),
-    (6, False, False),
-    (5, False, False),
-    (6, False, False),
+    (5, False), (6, False), (5, True), (5, False), (6, True), (5, False),
+    (5, False), (6, False), (5, True), (5, False), (6, False), (5, False),
+    (5, True), (6, False), (5, False), (5, False), (6, True), (5, False),
+    (5, False), (6, False), (5, True), (5, False), (6, False),
 )
 
 
@@ -312,7 +311,9 @@ def exact_sweep(w: Writer, seed: int, rounds: int) -> tuple[list[list[Case]], Ca
     out = []
     for r in range(rounds):
         row = []
-        for s, (n, reversible, wide) in enumerate(EXACT_SLOTS):
+        slots = [(n, reversible, False) for n, reversible in EXACT_SLOTS]
+        slots.append((5, r % 2 == 0, True))
+        for s, (n, reversible, wide) in enumerate(slots):
             doc, expected = ring_point(bases[n], k, rng, reversible, wide)
             tags = {"wide"} if wide else set()
             cid = f"exact-r{r}s{s}-C{n}{'-wide' if wide else ''}"
@@ -324,23 +325,29 @@ def exact_sweep(w: Writer, seed: int, rounds: int) -> tuple[list[list[Case]], Ca
 
 
 def float_ladder(w: Writer, seed: int, rounds: int) -> tuple[list[list[Case]], Case]:
-    """C8 and random connected bases, all at k=4: 330, 715, 1365 and 2380 states."""
+    """C7, C8 and random connected bases, all at k=4: 210, 330, 715, 1365 and 2380 states."""
     rng = random.Random(f"float-ladder/{seed}")
     k = 4
-    c8 = cycle(8, "p")
-    # Eight slots a round: C8 five times, then one freshly drawn base of
-    # 715, 1365 and 2380 states. The median case falls inside the C8
-    # block, whose two specs cost about the same; the larger bases carry
-    # most of the time. Specs alternate by slot and round, so every base
-    # gets both; the wide slot rotates, one model in eight.
-    sizes = ((10, 6), (12, 8), (14, 10))
+    c7, c8 = cycle(7, "p"), cycle(8, "p")
+    # A round is a run: 71 cases, 48 on C7 (about 0.12 s each on a 2-core
+    # machine), where the median falls; 20 on C8 (0.15-0.27 s), where the
+    # case with ten beyond it falls; then one model each on the random
+    # bases of 715, 1365 and 2380 states (1, 2 and 4 s), which carry 40%
+    # of the time. Those bases are the ROADMAP ladder's (10,6,seed 1),
+    # (12,8,2) and (14,10,3), the same for every workload seed: drawn per
+    # seed, they gave cases_per_s a spread of 0.12 over ten seeds.
+    # Specs alternate by slot, so every size gets both; one model in
+    # eight is wide-magnitude.
+    sizes = ((10, 6, 1), (12, 8, 2), (14, 10, 3))
+    large = [random_connected(v, extra, random.Random(g), prefix="q") for v, extra, g in sizes]
+    unit = [c7, c7, c8, c7, c7, c7, c8, c7, c7, c8, c7, c7, c7, c8, c7, c7, c8]
     out = []
     for r in range(rounds):
         row = []
-        bases = [c8] * 5 + [random_connected(v, extra, rng, prefix="q") for v, extra in sizes]
+        bases = unit * 4 + large
         for s, g in enumerate(bases):
             reversible = (r + s) % 2 == 0
-            wide = s == r % len(bases)
+            wide = (r + s) % 8 == 0
             doc = potential_spec(g, k, rng, reversible, wide)
             tags = {"wide"} if wide else set()
             cid = f"float-r{r}s{s}-{g.name}-{'rev' if reversible else 'irr'}{'-wide' if wide else ''}"
@@ -381,11 +388,13 @@ def basis_audit(w: Writer, seed: int, rounds: int) -> tuple[list[list[Case]], Ca
     rng = random.Random(f"basis-audit/{seed}")
     out = []
     for r in range(rounds):
-        # Sixteen slots in four cost blocks: four cheap; five square
-        # checks of one size, where the median case falls; four around
-        # 0.2 s, where p75 falls; three dear (K5 k=5 and B(8,3) k=5
-        # powers, the C8 k=4 survey row). Within a block costs are close,
-        # so the two order statistics do not jump between case kinds.
+        # Fifteen slots in three cost blocks: five cheap (under 0.06 s on
+        # a 2-core machine); nine of 0.1-0.25 s (square checks, C8 k=4
+        # powers, the T(9,5) basis, the B(7,3) survey row); one dear
+        # (2-2.8 s), the B(8,3) k=5 power in even rounds and the C8 k=4
+        # survey row in odd ones. Over a six-round run both the median and
+        # the case with ten beyond it fall inside the middle block, 54
+        # cases of similar cost, so neither jumps between case kinds.
         slots = [
             ("mcb", random_bipartite(10, 6, rng, "bq"), 2),
             ("survey", complete(4, "kx"), 3),
@@ -400,9 +409,9 @@ def basis_audit(w: Writer, seed: int, rounds: int) -> tuple[list[list[Case]], Ca
             ("mcb", random_with_triangle(9, 5, rng, "tr"), 4),
             ("survey", random_bipartite(7, 3, rng, "bs"), 3),
             ("power", cycle(8, "loop"), 4),
-            ("power", complete(5, "kn"), 5),
-            ("power", random_bipartite(8, 3, rng, "bp"), 5),
-            ("survey", cycle(8, "cy"), 4),
+            ("power", complete(5, "kn"), 4),
+            ("power", random_bipartite(8, 3, rng, "bp"), 5) if r % 2 == 0
+            else ("survey", cycle(8, "cy"), 4),
         ]
         out.append([
             _graph_case(w, f"audit-r{r}s{s}-{cmd}-{g.name}-k{k}", cmd, g, k)
@@ -418,11 +427,12 @@ WORKLOADS = {
     "basis-audit": basis_audit,
 }
 
-# Wall seconds of one round on the reference machine (2 cores, Python
-# 3.11, one BLAS thread). A run measures seconds / ROUND_SECONDS whole
-# rounds, so every run of a workload does the same work in the same mix.
+# Nominal seconds of one round, in the reference seconds of run.py. A
+# run measures round(seconds / ROUND_SECONDS) whole rounds, so every run
+# of a workload does the same work in the same mix: at --seconds 25, two
+# exact-sweep rounds, one float-ladder round and six basis-audit rounds.
 ROUND_SECONDS = {
-    "exact-sweep": 11.0,
-    "float-ladder": 9.5,
-    "basis-audit": 8.0,
+    "exact-sweep": 11.5,
+    "float-ladder": 17.0,
+    "basis-audit": 4.2,
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The redpow benchmark: one workload per process, timed end to end or per layer.
 
-    python3 perfbench/run.py --workload exact-sweep --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload exact-sweep --seed 1 --seconds 25 --trace 0
 
 Run from the repository root; the package is imported from ``src/``.
 Each invocation runs one workload as a single-threaded closed loop:
@@ -11,10 +11,16 @@ rounds that take ``--seconds`` on the reference machine, so every run of
 a workload does the same work in the same mix, and a slower program
 takes longer rather than doing less. Every output is checked.
 
-``--trace 0`` prints the end-to-end metrics. ``--trace 1`` alternates
-untraced and traced rounds over the same cases, derives per-layer
-numbers from the traced ones and reports the slowdown between the two
-as ``trace_overhead_frac``. The last line of stdout is the result
+End-to-end times are reported in reference seconds: each case is timed
+between two runs of a fixed pure-Python loop, and its wall time is
+scaled by how much slower than ``CAL_REF_S`` the faster of the two ran.
+On a shared machine whose speed drifts by up to 1.5x within minutes this
+cancels most of the drift; the raw wall times are in the record.
+
+``--trace 0`` prints the end-to-end metrics. ``--trace 1`` runs each
+case of half as many rounds untraced and traced, back to back, derives
+per-layer numbers from the traced runs and reports the slowdown between
+the two as ``trace_overhead_frac``. The last line of stdout is the result
 object; the line before it is the full record with provenance.
 """
 
@@ -23,7 +29,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import resource
@@ -37,9 +42,10 @@ from time import perf_counter
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-ROUNDS = 8  # rounds generated per run; longer runs cycle through them
 SETUP_REPEATS = 4  # extra set-ups, each in a fresh process, behind the setup_s median
-TAIL_LADDER = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
+TAIL_BEYOND = 10  # samples beyond the order statistic reported as case_s_tail
+CAL_LOOP = 100_000  # iterations of the speed-calibration loop
+CAL_REF_S = 0.008  # its wall time on the reference machine (2 cores, Python 3.11)
 
 
 def nproc() -> int:
@@ -57,8 +63,29 @@ def limit_blas_threads() -> None:
         os.environ[var] = "1"
 
 
-def setup(workload: str, seed: int, workdir: Path):
-    """Import, generate inputs, run one untimed warm-up case; returns (redpow, rounds, seconds)."""
+def calibrate() -> float:
+    """Wall seconds of a fixed pure-Python loop: the machine's current speed."""
+    t0 = perf_counter()
+    acc = 0
+    for i in range(CAL_LOOP):
+        acc += i * i % 7
+    return perf_counter() - t0
+
+
+def round_count(workload: str, seconds: float, trace: int) -> int:
+    """Whole rounds a run measures; a traced run runs each round twice, so half as many."""
+    from inputs import ROUND_SECONDS
+
+    n = max(1, round(seconds / ROUND_SECONDS[workload]))
+    return max(1, n // 2) if trace else n
+
+
+def setup(workload: str, seed: int, workdir: Path, n_rounds: int):
+    """Import, generate inputs, run one untimed warm-up case.
+
+    Returns (redpow, rounds, wall seconds, reference seconds).
+    """
+    cal = calibrate()
     t0 = perf_counter()
     sys.path.insert(0, str(SRC))
     import redpow
@@ -69,72 +96,80 @@ def setup(workload: str, seed: int, workdir: Path):
     import execute
     from inputs import WORKLOADS, Writer
 
-    rounds, warm = WORKLOADS[workload](Writer(workdir), seed, ROUNDS)
+    rounds, warm = WORKLOADS[workload](Writer(workdir), seed, n_rounds)
     warm_outcome = execute.run(warm, redpow)
     if warm_outcome.failed:
         raise SystemExit(f"error: warm-up case {warm.id} failed: {warm_outcome.error}")
-    return redpow, rounds, perf_counter() - t0
+    wall = perf_counter() - t0
+    return redpow, rounds, wall, wall * CAL_REF_S / min(cal, calibrate())
 
 
-def child_setups(args, workdir: Path) -> list[float]:
+def child_setups(args, workdir: Path) -> list[tuple[float, float]]:
+    """(wall, reference) seconds of SETUP_REPEATS set-ups, each in a fresh process."""
     times = []
     for i in range(SETUP_REPEATS):
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-             "--seed", str(args.seed), "--setup-only", str(workdir / f"setup{i}")],
+             "--seed", str(args.seed), "--seconds", str(args.seconds),
+             "--setup-only", str(workdir / f"setup{i}")],
             capture_output=True, text=True, timeout=120, cwd=ROOT,
         )
         if proc.returncode != 0:
             raise SystemExit(f"error: set-up process failed: {proc.stderr.strip()}")
-        times.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+        times.append(tuple(json.loads(proc.stdout.strip().splitlines()[-1])))
     return times
 
 
-def run_rounds(rounds, redpow, count: int, tracer=None):
-    """Closed loop over ``count`` whole rounds.
+def run_rounds(rounds, redpow, tracer=None):
+    """Closed loop over every round.
 
-    Without a tracer, returns outcomes; with one, every round runs
-    untraced and traced, the order alternating, and the outcomes come
-    as (traced, outcome) pairs. Also returns the timed wall seconds.
+    Without a tracer, returns (outcome, reference seconds) pairs; with
+    one, every case runs untraced and traced back to back, the order
+    alternating from case to case, so a drift in the machine's speed
+    does not land on one side; the outcomes come as (traced, outcome)
+    pairs. Also returns the timed wall seconds.
     """
     import execute
 
     outcomes = []
     t0 = perf_counter()
-    for r in range(count):
-        row = rounds[r % len(rounds)]
+    for row in rounds:
         if tracer is None:
-            outcomes.extend(execute.run(case, redpow) for case in row)
+            cal = calibrate()
+            for case in row:
+                o = execute.run(case, redpow)
+                after = calibrate()
+                outcomes.append((o, o.seconds * CAL_REF_S / min(cal, after)))
+                cal = after
             continue
-        for traced in ((False, True) if r % 2 == 0 else (True, False)):
-            if traced:
-                tracer.install()
-            try:
-                for case in row:
+        for i, case in enumerate(row):
+            for traced in ((False, True) if i % 2 == 0 else (True, False)):
+                if traced:
+                    tracer.install()
+                try:
                     o = execute.run(case, redpow, tracer.run_case if traced else None)
-                    if traced and case.out is not None:
-                        tracer.note(case.id, "report_bytes", o.report_bytes)
-                    outcomes.append((traced, o))
-            finally:
-                tracer.uninstall()
+                finally:
+                    tracer.uninstall()
+                if traced and case.out is not None:
+                    tracer.note(case.id, "report_bytes", o.report_bytes)
+                outcomes.append((traced, o))
     return outcomes, perf_counter() - t0
 
 
 def tail(times: list[float]) -> tuple[float, float, int]:
-    """Highest ladder percentile with at least 10 samples beyond it.
+    """The highest percentile with TAIL_BEYOND samples beyond it: (value, percentile, beyond).
 
-    Percentiles interpolate linearly between the two nearest ranks, as
-    ``statistics.median`` does for p50. Below 20 samples no percentile
-    qualifies; the median stands in and the record shows fewer than 10
-    samples beyond it.
+    That is the sample with exactly TAIL_BEYOND larger ones, at
+    percentile 100 * rank / (n - 1). Where that rank is not above the
+    median (fewer than 22 samples), the median stands in and the record
+    shows how many samples lie beyond it.
     """
     xs = sorted(times)
     n = len(xs)
-    p = next((q for q in TAIL_LADDER if n - 1 - math.floor((n - 1) * q / 100) >= 10), 50.0)
-    h = (n - 1) * p / 100
-    lo = math.floor(h)
-    hi = min(lo + 1, n - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (h - lo), p, n - 1 - lo
+    rank = n - 1 - TAIL_BEYOND
+    if 2 * rank <= n - 1:
+        return statistics.median(xs), 50.0, n // 2
+    return xs[rank], 100 * rank / (n - 1), TAIL_BEYOND
 
 
 def shares(cases) -> dict:
@@ -190,24 +225,35 @@ def blas_threads() -> int | None:
     return None
 
 
-def end_to_end(outcomes, wall: float, setup_times: list[float]) -> tuple[dict, dict]:
-    times = [o.seconds for o in outcomes]
+def end_to_end(timed, wall: float, setups: list[tuple[float, float]]) -> tuple[dict, dict]:
+    """End-to-end metrics in reference seconds, with the raw wall figures in the detail."""
+    raw = [o.seconds for o, _ in timed]
+    times = [t for _, t in timed]
     tail_s, p, beyond = tail(times)
-    ok = sum(not o.failed for o in outcomes)
+    ok = sum(not o.failed for o, _ in timed)
+    setup_ref = [ref for _, ref in setups]
     metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
+        "setup_s": (statistics.median(setup_ref), "s"),
         "case_s_p50": (statistics.median(times), "s"),
         "case_s_tail": (tail_s, "s"),
-        "cases_per_s": (ok / wall, "1/s"),
+        "cases_per_s": (ok / sum(times), "1/s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"),
     }
     detail = {
-        "samples": {"setup_s": len(setup_times), "case_s_p50": len(times),
+        "samples": {"setup_s": len(setups), "case_s_p50": len(times),
                     "case_s_tail": len(times), "cases_per_s": ok, "peak_rss_mb": 1},
-        "setup_s_samples": setup_times,
+        "setup_s_samples": setup_ref,
         "tail_percentile": p,
         "tail_samples_beyond": beyond,
-        "timed_wall_s": wall,
+        "case_ref_seconds": times,
+        "wall": {
+            "setup_s": statistics.median(w for w, _ in setups),
+            "case_s_p50": statistics.median(raw),
+            "case_s_tail": tail(raw)[0],
+            "cases_per_s": ok / sum(raw),
+            "timed_s": wall,
+            "speed": sum(raw) / sum(times),
+        },
     }
     return metrics, detail
 
@@ -230,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("exact-sweep", "float-ladder", "basis-audit"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", type=Path, metavar="DIR",
                         help="set up in DIR, print the set-up time and exit")
@@ -242,32 +288,31 @@ def main(argv: list[str] | None = None) -> int:
     limit_blas_threads()
     sys.path.insert(0, str(HERE))
 
-    from inputs import ROUND_SECONDS
-
+    n_rounds = round_count(args.workload, args.seconds, args.trace)
     if args.setup_only is not None:
         try:
-            _, _, seconds = setup(args.workload, args.seed, args.setup_only)
+            _, _, wall, ref = setup(args.workload, args.seed, args.setup_only, n_rounds)
         finally:
             shutil.rmtree(args.setup_only, ignore_errors=True)
-        print(json.dumps({"setup_s": seconds}))
+        print(json.dumps([wall, ref]))
         return 0
 
     workdir = HERE / "_work" / f"{args.workload}-{args.seed}-{os.getpid()}"
     try:
-        redpow, rounds, own_setup = setup(args.workload, args.seed, workdir / "inputs")
+        redpow, rounds, *own_setup = setup(args.workload, args.seed, workdir / "inputs", n_rounds)
         if args.trace:
             from layertrace import Tracer
 
             tracer = Tracer()
-            # each round runs twice, so half as many keep the run near --seconds
-            n_rounds = max(1, round(args.seconds / ROUND_SECONDS[args.workload] / 2))
-            pairs, wall = run_rounds(rounds, redpow, n_rounds, tracer)
+            pairs, wall = run_rounds(rounds, redpow, tracer)
             outcomes = [o for _, o in pairs]
-            traced = sum(o.seconds for t, o in pairs if t)
-            untraced = sum(o.seconds for t, o in pairs if not t)
+            # the median over cases of traced over untraced time: a sum
+            # would be set by the noise on the few dearest cases
+            seconds = {(o.case.id, t): o.seconds for t, o in pairs}
+            ratios = [seconds[cid, True] / seconds[cid, False] for cid, t in seconds if t]
             values, samples, account = tracer.layer_metrics()
-            values["trace_overhead_frac"] = traced / untraced - 1
-            samples["trace_overhead_frac"] = sum(t for t, _ in pairs)
+            values["trace_overhead_frac"] = statistics.median(ratios) - 1
+            samples["trace_overhead_frac"] = len(ratios)
             metrics = {
                 name: (value, LAYER_UNITS.get(name, "s")) for name, value in values.items()
             }
@@ -278,9 +323,10 @@ def main(argv: list[str] | None = None) -> int:
             detail = {"samples": samples, "account": account,
                       "spans_file": str(spans_file.relative_to(ROOT))}
         else:
-            n_rounds = max(1, round(args.seconds / ROUND_SECONDS[args.workload]))
-            outcomes, wall = run_rounds(rounds, redpow, n_rounds)
-            metrics, detail = end_to_end(outcomes, wall, [own_setup] + child_setups(args, workdir))
+            timed, wall = run_rounds(rounds, redpow)
+            outcomes = [o for o, _ in timed]
+            setups = [tuple(own_setup)] + child_setups(args, workdir)
+            metrics, detail = end_to_end(timed, wall, setups)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
