@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", type=Path, metavar="DIR",
-                        help="set up in DIR, print the set-up time and exit")
+                        help="set up in DIR, print its wall and reference seconds and exit")
     args = parser.parse_args(argv)
 
     if not (SRC / "redpow" / "__init__.py").is_file():
