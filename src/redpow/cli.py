@@ -4,10 +4,6 @@ Subcommands build reduced powers, construct and verify cycle bases,
 and run the reversibility checks on coupled-automaton models. Exit
 codes: 0 success (and checks passed), 2 a check ran and failed, 1 bad
 input or internal failure.
-
-The environment variable REDPOW_SEED is reserved for seeding future
-randomized features; every current code path is deterministic and
-ignores it.
 """
 
 from __future__ import annotations
@@ -15,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import RedpowError
@@ -31,7 +25,7 @@ from .power import (
 from .cyclespace import CycleBasis, greedy_mcb
 from .squares import decomposition_basis, verify_square_space
 from .ctmc import (
-    build_master,
+    MasterChain,
     detailed_balance_check,
     kolmogorov_check,
     load_model,
@@ -39,30 +33,13 @@ from .ctmc import (
     steady_state,
 )
 
-__all__ = ["RunConfig", "main", "entry"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, one field per command-line option."""
-
-    command: str
-    graph: Path | None = None
-    model: Path | None = None
-    k: int | None = None
-    root: str | None = None
-    out: Path | None = None
-    dot: Path | None = None
-    exact: bool = False
-    budget: int = 10**6
+__all__ = ["main", "entry"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redpow",
         description="Reduced graph powers, cycle bases, and reversibility checks.",
-        epilog="REDPOW_SEED is reserved for future randomized features; "
-        "all current commands are deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,20 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        graph=getattr(args, "graph", None),
-        model=getattr(args, "model", None),
-        k=getattr(args, "k", None),
-        root=getattr(args, "root", None),
-        out=getattr(args, "out", None),
-        dot=getattr(args, "dot", None),
-        exact=getattr(args, "exact", False),
-        budget=getattr(args, "budget", 10**6),
-    )
-
-
 def _write_json(doc: dict, out: Path | None) -> None:
     if out is not None:
         Path(out).write_text(json.dumps(doc, indent=2) + "\n")
@@ -145,36 +108,36 @@ def _basis_doc(basis: CycleBasis, labels: tuple[str, ...]) -> dict:
     }
 
 
-def cmd_power(cfg: RunConfig) -> int:
-    g = load_graph(cfg.graph)
-    rp = build_reduced_power(g, cfg.k)
+def cmd_power(args: argparse.Namespace) -> int:
+    g = load_graph(args.graph)
+    rp = build_reduced_power(g, args.k)
     v, e = g.num_vertices, g.num_edges
     print(
-        f"states={rp.num_states} (formula {vertex_count(v, cfg.k)}) "
-        f"edges={rp.num_edges} (formula {edge_count(e, v, cfg.k)})"
+        f"states={rp.num_states} (formula {vertex_count(v, args.k)}) "
+        f"edges={rp.num_edges} (formula {edge_count(e, v, args.k)})"
     )
-    if v**cfg.k <= cfg.budget:
-        oracle = quotient_by_symmetry(cartesian_power(g, cfg.k, cfg.budget), g, cfg.k)
-        if oracle != rp:
+    if v**args.k <= args.budget:
+        oracle = quotient_by_symmetry(cartesian_power(g, args.k, args.budget), g, args.k)
+        if oracle != rp or oracle.annotations != rp.annotations:
             raise RedpowError("product/quotient cross-check disagrees with direct build")
         print("cross-check: quotient of the Cartesian power agrees")
     else:
-        print(f"cross-check: skipped ({v}^{cfg.k} states exceed budget {cfg.budget})")
-    if cfg.out is not None:
-        Path(cfg.out).write_text(graph_to_json(rp.graph))
-    if cfg.dot is not None:
-        Path(cfg.dot).write_text(graph_to_dot(rp.graph))
+        print(f"cross-check: skipped ({v}^{args.k} states exceed budget {args.budget})")
+    if args.out is not None:
+        Path(args.out).write_text(graph_to_json(rp.graph))
+    if args.dot is not None:
+        Path(args.dot).write_text(graph_to_dot(rp.graph))
     return 0
 
 
-def cmd_mcb(cfg: RunConfig) -> int:
-    g = load_graph(cfg.graph)
-    root = _root_index(g, cfg.root)
-    if cfg.k == 1:
+def cmd_mcb(args: argparse.Namespace) -> int:
+    g = load_graph(args.graph)
+    root = _root_index(g, args.root)
+    if args.k == 1:
         basis = greedy_mcb(g)
         labels = g.labels
     else:
-        basis = decomposition_basis(g, cfg.k, root=root)
+        basis = decomposition_basis(g, args.k, root=root)
         labels = basis.host.graph.labels
     doc = _basis_doc(basis, labels)
     print(
@@ -182,32 +145,32 @@ def cmd_mcb(cfg: RunConfig) -> int:
         f"total_length={doc['total_length']} "
         f"certified_minimum={str(doc['certified_minimum']).lower()}"
     )
-    _write_json(doc, cfg.out)
+    _write_json(doc, args.out)
     return 0
 
 
-def cmd_verify_squares(cfg: RunConfig) -> int:
-    g = load_graph(cfg.graph)
-    tree = bfs_spanning_tree(g, _root_index(g, cfg.root))
-    report = verify_square_space(g, tree, cfg.k)
+def cmd_verify_squares(args: argparse.Namespace) -> int:
+    g = load_graph(args.graph)
+    tree = bfs_spanning_tree(g, _root_index(g, args.root))
+    report = verify_square_space(g, tree, args.k)
     doc = report.as_dict()
     for key in ("counts_match", "independent", "projects_to_zero", "spans_kernel", "direct_sum"):
         print(f"{key}: {'ok' if doc[key] else 'FAIL'}")
     print(f"square space: {'PASS' if report.passed else 'FAIL'}")
-    _write_json(doc, cfg.out)
+    _write_json(doc, args.out)
     return 0 if report.passed else 2
 
 
-def cmd_check_reversibility(cfg: RunConfig) -> int:
-    g, k, spec = load_model(cfg.model)
+def cmd_check_reversibility(args: argparse.Namespace) -> int:
+    g, k, spec = load_model(args.model)
     single = single_automaton_check(g, spec)
-    mc = build_master(g, k, spec)
     if k == 1:
-        basis = greedy_mcb(mc.rp)
+        basis = greedy_mcb(build_reduced_power(g, 1))
     else:
-        basis = decomposition_basis(g, k, root=_root_index(g, cfg.root))
+        basis = decomposition_basis(g, k, root=_root_index(g, args.root))
+    mc = MasterChain(basis.host, spec)
     kolmogorov = kolmogorov_check(mc, basis)
-    ss = steady_state(mc, mode="exact" if cfg.exact else "float")
+    ss = steady_state(mc, mode="exact" if args.exact else "float")
     balance = detailed_balance_check(ss, mc)
 
     if kolmogorov.passed != balance.balanced:
@@ -235,19 +198,19 @@ def cmd_check_reversibility(cfg: RunConfig) -> int:
         "detailed_balance": balance.as_dict(),
         "reversible": kolmogorov.passed,
     }
-    _write_json(doc, cfg.out)
+    _write_json(doc, args.out)
     return 0 if kolmogorov.passed else 2
 
 
-def cmd_check_single(cfg: RunConfig) -> int:
-    g, _, spec = load_model(cfg.model)
+def cmd_check_single(args: argparse.Namespace) -> int:
+    g, _, spec = load_model(args.model)
     report = single_automaton_check(g, spec)
     n_bad = len(report.violations())
     print(
         f"single-automaton criterion: {'pass' if report.passed else 'fail'} "
         f"({len(report.checks)} cycles, {n_bad} violations)"
     )
-    _write_json(report.as_dict(), cfg.out)
+    _write_json(report.as_dict(), args.out)
     return 0 if report.passed else 2
 
 
@@ -263,12 +226,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.k is not None and cfg.k < 1:
+    if getattr(args, "k", 1) < 1:
         print("error: --k must be a positive integer", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except RedpowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

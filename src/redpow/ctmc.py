@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class RateSpec:
 
     so a token never counts itself. Both directions of every base edge
     must be specified. Coupling coefficients may be negative; the
-    evaluated rate must come out positive, which build_master checks
+    evaluated rate must come out positive, which MasterChain checks
     state by state.
     """
 
@@ -138,80 +138,79 @@ class RateSpec:
 
 
 def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
-    """Per-token rate for a hop i -> j in the given occupancy state."""
+    """Per-token rate for a hop i -> j in the given occupancy state.
+
+    Summing the coupling over the k tokens of the state and taking the
+    mover's own term back out equals the RateSpec formula.
+    """
     if state.exponents[i] < 1:
         raise ModelError(
             f"no token on {spec.graph.labels[i]!r} to move in state {state.exponents}"
         )
-    rate = spec.base_rate(i, j)
-    for l, coeff in enumerate(spec.coupling_vector(i, j)):
-        if coeff:
-            occ = state.exponents[l] - (1 if l == i else 0)
-            rate += coeff * occ
-    return rate
+    coupling = spec.coupling_vector(i, j)
+    return spec.base_rate(i, j) - coupling[i] + sum(coupling[l] for l in state.word())
 
 
 class MasterChain:
     """Continuous-time Markov chain of k tokens on the base graph.
 
-    States are those of the k-th reduced power; ``rate(x, y)`` is the
-    exact transition rate between adjacent state indices and zero for
-    non-adjacent pairs.
+    States are those of the reduced power ``rp``. For edge ``e = (x, y)``
+    of ``rp.graph.edges`` (so x < y, and x holds the token on the lower
+    end of the base edge the annotation names), ``forward[e]`` is the
+    exact rate from x to y and ``backward[e]`` the rate from y to x.
+    ``rate(x, y)`` reads them and is zero for non-adjacent pairs.
+
+    Every transition rate is checked to be strictly positive, which
+    keeps the chain irreducible on the connected state space.
     """
 
-    __slots__ = ("rp", "spec", "_rates")
+    __slots__ = ("rp", "spec", "forward", "backward")
 
-    def __init__(self, rp: ReducedPowerGraph, spec: RateSpec, rates: dict[tuple[int, int], Fraction]):
+    def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
+        if spec.graph != rp.base:
+            raise ModelError("rate specification is for a different graph")
+        forward: list[Fraction] = []
+        backward: list[Fraction] = []
+        for (x, y), (i, j, _) in zip(rp.graph.edges, rp.annotations):
+            sx, sy = rp.states[x], rp.states[y]
+            fwd = sx.exponents[i] * eval_rate(spec, i, j, sx)
+            bwd = sy.exponents[j] * eval_rate(spec, j, i, sy)
+            for val, src, a, b in ((fwd, x, i, j), (bwd, y, j, i)):
+                if val <= 0:
+                    raise ModelError(
+                        f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates to "
+                        f"{val} in state {rp.label(src)!r}; master rates must be positive"
+                    )
+            forward.append(fwd)
+            backward.append(bwd)
         self.rp = rp
         self.spec = spec
-        self._rates = rates
+        self.forward = tuple(forward)
+        self.backward = tuple(backward)
 
     @property
     def num_states(self) -> int:
         return self.rp.num_states
 
-    def labels(self) -> tuple[str, ...]:
-        return self.rp.graph.labels
-
     def rate(self, x: int, y: int) -> Fraction:
-        return self._rates.get((x, y), Fraction(0))
+        e = self.rp.graph.edge_index.get((x, y) if x < y else (y, x))
+        if e is None:
+            return Fraction(0)
+        return self.forward[e] if x < y else self.backward[e]
 
-    def transitions(self) -> list[tuple[int, int, Fraction]]:
-        return [(x, y, r) for (x, y), r in sorted(self._rates.items())]
+    def transitions(self) -> Iterator[tuple[int, int, Fraction]]:
+        """Every transition (source, target, rate), edge by edge, forward first."""
+        for (x, y), fwd, bwd in zip(self.rp.graph.edges, self.forward, self.backward):
+            yield x, y, fwd
+            yield y, x, bwd
 
     def exit_rate(self, x: int) -> Fraction:
-        return sum(
-            (self._rates[(x, y)] for y in self.rp.graph.adjacency(x)),
-            Fraction(0),
-        )
+        return sum((self.rate(x, y) for y in self.rp.graph.adjacency(x)), Fraction(0))
 
 
 def build_master(base: Graph, k: int, spec: RateSpec) -> MasterChain:
-    """Assemble the master chain of k coupled tokens.
-
-    Every transition rate is checked to be strictly positive, which
-    keeps the chain irreducible on the connected state space.
-    """
-    if spec.graph != base:
-        raise ModelError("rate specification is for a different graph")
-    rp = build_reduced_power(base, k)
-    rates: dict[tuple[int, int], Fraction] = {}
-    for e in range(rp.num_edges):
-        i, j, f = rp.annotation(e)
-        x = rp.state_index(f.times(i))
-        y = rp.state_index(f.times(j))
-        sx, sy = rp.states[x], rp.states[y]
-        fwd = sx.exponents[i] * eval_rate(spec, i, j, sx)
-        bwd = sy.exponents[j] * eval_rate(spec, j, i, sy)
-        for val, src, a, b in ((fwd, x, i, j), (bwd, y, j, i)):
-            if val <= 0:
-                raise ModelError(
-                    f"rate {base.labels[a]}->{base.labels[b]} evaluates to "
-                    f"{val} in state {rp.label(src)!r}; master rates must be positive"
-                )
-        rates[(x, y)] = fwd
-        rates[(y, x)] = bwd
-    return MasterChain(rp, spec, rates)
+    """Master chain of k coupled tokens on the k-th reduced power of ``base``."""
+    return MasterChain(build_reduced_power(base, k), spec)
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,6 @@ class CycleCheck:
     index: int
     tag: str
     vertices: tuple[str, ...]
-    forward_factors: tuple[Fraction, ...]
-    backward_factors: tuple[Fraction, ...]
     forward: Fraction
     backward: Fraction
     base_edges: tuple[tuple[str, str], ...]
@@ -278,21 +275,14 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
     labels = mc.rp.graph.labels
     checks = []
     for idx, seq in enumerate(basis.cycles):
-        fwd_factors = []
-        bwd_factors = []
-        n = len(seq)
-        for t in range(n):
-            x, y = seq[t], seq[(t + 1) % n]
-            fwd_factors.append(mc.rate(x, y))
-            bwd_factors.append(mc.rate(y, x))
-        if any(r == 0 for r in fwd_factors + bwd_factors):
-            raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
-        fwd = Fraction(1)
-        for r in fwd_factors:
-            fwd *= r
-        bwd = Fraction(1)
-        for r in bwd_factors:
-            bwd *= r
+        fwd = bwd = Fraction(1)
+        for t in range(len(seq)):
+            x, y = seq[t], seq[(t + 1) % len(seq)]
+            qxy, qyx = mc.rate(x, y), mc.rate(y, x)
+            if not qxy or not qyx:
+                raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
+            fwd *= qxy
+            bwd *= qyx
         info = basis.info[idx] if basis.info else None
         base_edges = tuple(
             (mc.rp.base.labels[i], mc.rp.base.labels[j])
@@ -303,8 +293,6 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
                 index=idx,
                 tag=info.tag if info else basis.kind,
                 vertices=tuple(labels[s] for s in seq),
-                forward_factors=tuple(fwd_factors),
-                backward_factors=tuple(bwd_factors),
                 forward=fwd,
                 backward=bwd,
                 base_edges=base_edges,
@@ -354,7 +342,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     n = mc.num_states
     if mode == "float":
         a = np.zeros((n, n))
-        for (x, y), r in mc._rates.items():
+        for x, y, r in mc.transitions():
             a[y, x] += float(r)
             a[x, x] -= float(r)
         a[-1, :] = 1.0
@@ -385,7 +373,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
                 f"exact mode supports up to {_EXACT_STATE_LIMIT} states, got {n}"
             )
         a = [[Fraction(0)] * n for _ in range(n)]
-        for (x, y), r in mc._rates.items():
+        for x, y, r in mc.transitions():
             a[y][x] += r
             a[x][x] -= r
         for col in range(n):
@@ -472,8 +460,7 @@ def detailed_balance_check(
     if len(ss.probabilities) != mc.num_states:
         raise ModelError("steady state does not match the chain's state count")
     violations = []
-    for x, y in mc.rp.graph.edges:
-        qxy, qyx = mc.rate(x, y), mc.rate(y, x)
+    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
         if ss.mode == "exact":
             lhs = ss.probabilities[x] * qxy
             rhs = ss.probabilities[y] * qyx

@@ -13,12 +13,11 @@ space needs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CycleSpaceError
-from .graph import Graph, RootedTree, betti, check_spanning_tree
+from .graph import Graph, RootedTree, _bfs, betti, check_spanning_tree
 from .power import Monomial, ReducedPowerGraph
 
 __all__ = [
@@ -240,13 +239,6 @@ class CycleBasis:
     def total_length(self) -> int:
         return sum(x.size for x in self.elements)
 
-    def coordinates(self, x: EdgeVector) -> int | None:
-        """Membership test helper: residue of x against the basis span."""
-        span = Gf2Span()
-        for el in self.elements:
-            span.add(el.bits)
-        return span.reduce(x.bits)
-
 
 def total_length(basis: CycleBasis) -> int:
     return basis.total_length
@@ -296,22 +288,6 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     )
 
 
-def _bfs_parents(g: Graph, src: int) -> list[int | None]:
-    """Parent array of the BFS tree from src, ascending-index tie-break."""
-    parent: list[int | None] = [None] * g.num_vertices
-    seen = [False] * g.num_vertices
-    seen[src] = True
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for nbr in g.adjacency(cur):
-            if not seen[nbr]:
-                seen[nbr] = True
-                parent[nbr] = cur
-                queue.append(nbr)
-    return parent
-
-
 def greedy_mcb(host) -> CycleBasis:
     """Minimum cycle basis by matroid greedy over shortest-path cycles.
 
@@ -325,7 +301,7 @@ def greedy_mcb(host) -> CycleBasis:
     if dim == 0:
         return CycleBasis(host, (), "greedy-mcb", (), certified_minimum=True, info=())
 
-    parents = [_bfs_parents(g, s) for s in range(g.num_vertices)]
+    parents = [_bfs(g, s)[0] for s in range(g.num_vertices)]
 
     def path(src: int, dst: int) -> list[int] | None:
         out = [dst]

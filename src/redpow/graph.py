@@ -10,7 +10,6 @@ enumeration) reproducible across runs.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -133,6 +132,8 @@ class Graph:
     # --- value semantics ---
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self.labels == other.labels and self.edges == other.edges
@@ -144,34 +145,42 @@ class Graph:
         return f"Graph(v={self.num_vertices}, e={self.num_edges})"
 
 
-def _unreached_vertex(g: Graph, root: int = 0) -> int | None:
-    """Index of some vertex not reachable from ``root``, or None."""
+def _bfs(g: Graph, root: int = 0) -> tuple[list[int | None], list[int]]:
+    """Breadth-first search from ``root`` with ascending-index tie-breaks.
+
+    Returns the parent of every vertex (None for the root and for
+    vertices ``root`` cannot reach) and the vertices in discovery order.
+    """
+    parent: list[int | None] = [None] * g.num_vertices
     seen = [False] * g.num_vertices
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
+    order = [root]
+    for cur in order:  # the list grows while it is walked, so it is the queue
         for nbr in g.adjacency(cur):
             if not seen[nbr]:
                 seen[nbr] = True
-                queue.append(nbr)
-    for i, ok in enumerate(seen):
-        if not ok:
-            return i
-    return None
+                parent[nbr] = cur
+                order.append(nbr)
+    return parent, order
+
+
+def _require_connected(g: Graph, order: list[int]) -> None:
+    """Raise unless the BFS ``order`` reached every vertex of ``g``."""
+    if len(order) != g.num_vertices:
+        reached = set(order)
+        missing = next(i for i in range(g.num_vertices) if i not in reached)
+        raise GraphError(
+            f"graph must be connected: vertex {g.labels[missing]!r} is unreachable"
+        )
 
 
 def is_connected(g: Graph) -> bool:
-    return _unreached_vertex(g) is None
+    return len(_bfs(g)[1]) == g.num_vertices
 
 
 def betti(g: Graph) -> int:
     """Cycle-space dimension ``e - v + 1`` of a connected graph."""
-    missing = _unreached_vertex(g)
-    if missing is not None:
-        raise GraphError(
-            f"graph must be connected: vertex {g.labels[missing]!r} is unreachable"
-        )
+    _require_connected(g, _bfs(g)[1])
     return g.num_edges - g.num_vertices + 1
 
 
@@ -233,24 +242,11 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     """Breadth-first spanning tree with ascending-index tie-breaks."""
     if not 0 <= root < g.num_vertices:
         raise GraphError(f"root index {root} out of range")
-    parent: dict[int, int] = {}
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nbr in g.adjacency(cur):
-            if nbr not in seen:
-                seen.add(nbr)
-                parent[nbr] = cur
-                order.append(nbr)
-                queue.append(nbr)
-    if len(order) != g.num_vertices:
-        missing = next(i for i in range(g.num_vertices) if i not in seen)
-        raise GraphError(
-            f"graph must be connected: vertex {g.labels[missing]!r} is unreachable"
-        )
-    return RootedTree(root=root, parent=parent, order=tuple(order))
+    parent, order = _bfs(g, root)
+    _require_connected(g, order)
+    return RootedTree(
+        root=root, parent={v: parent[v] for v in order[1:]}, order=tuple(order)
+    )
 
 
 def check_spanning_tree(g: Graph, t: RootedTree) -> None:
@@ -299,11 +295,7 @@ def graph_from_dict(data: object, require_connected: bool = True) -> Graph:
         pairs.append((item[0], item[1]))
     g = Graph(vertices, pairs)
     if require_connected:
-        missing = _unreached_vertex(g)
-        if missing is not None:
-            raise GraphError(
-                f"graph must be connected: vertex {g.labels[missing]!r} is unreachable"
-            )
+        _require_connected(g, _bfs(g)[1])
     return g
 
 
@@ -335,11 +327,16 @@ def dump_graph(g: Graph, path: str | Path) -> None:
     Path(path).write_text(graph_to_json(g))
 
 
+def _dot_id(label: str) -> str:
+    """Quoted DOT identifier; backslashes and quotes are escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for lab in g.labels:
-        lines.append(f'  "{lab}";')
+        lines.append(f"  {_dot_id(lab)};")
     for i, j in g.edges:
-        lines.append(f'  "{g.labels[i]}" -- "{g.labels[j]}";')
+        lines.append(f"  {_dot_id(g.labels[i])} -- {_dot_id(g.labels[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

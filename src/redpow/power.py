@@ -99,7 +99,8 @@ class ReducedPowerGraph:
     monomial strings). ``annotations[e]`` records, for edge ``e`` of
     that graph, the base edge ``(i, j)`` the moving token crosses and
     the degree-(k-1) monomial of the tokens that stay put. The edge
-    joins states ``f * i`` and ``f * j``.
+    joins states ``f * i`` and ``f * j``; since ``i < j``, ``f * i`` is
+    its lower-indexed end.
     """
 
     __slots__ = ("base", "k", "states", "graph", "annotations", "_index")

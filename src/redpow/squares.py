@@ -122,8 +122,9 @@ def _monomials_over(vertices: list[int], degree: int, size: int):
 def _tree_edges_in_order(t: RootedTree) -> list[tuple[int, int]]:
     """Tree edges keyed by their deeper endpoint, in tree order.
 
-    Entry p (p >= 1) is the edge oriented (parent, child) whose child
-    is the p-th vertex of the tree order; index 0 is None padding.
+    Entry p - 1 (p >= 1) is the edge oriented (parent, child) whose
+    child is the p-th vertex of the tree order, so callers read the edge
+    at tree-order position j as ``edges[j - 1]``.
     """
     return [(t.parent[v], v) for v in t.order[1:]]
 
@@ -197,10 +198,6 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
     return EdgeVector.from_edges(rp, list(zip(states, states[1:])) + [(states[-1], states[0])])
 
 
-def _embedded_states(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> tuple[int, ...]:
-    return tuple(rp.state_index(f.times(c)) for c in cycle)
-
-
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     """Cycle basis of the k-th reduced power from base MCB plus squares.
 
@@ -217,24 +214,17 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     base_mcb = greedy_mcb(base)
     f_root = Monomial.from_word((root,) * (k - 1), base.num_vertices)
 
-    elements: list[EdgeVector] = []
     cycles: list[tuple[int, ...]] = []
     infos: list[ElementInfo] = []
-
     for seq in base_mcb.cycles:
-        states = _canonical_cycle(_embedded_states(rp, seq, f_root))
-        elements.append(cycle_edge_vector(rp, states))
-        cycles.append(states)
-        infos.append(ElementInfo(tag="embedded", base_edges=(), f=f_root))
-
+        cycles.append(_canonical_cycle([rp.state_index(f_root.times(c)) for c in seq]))
+        infos.append(ElementInfo(tag="embedded", f=f_root))
     for tag, family in (
         ("tree-square", tree_pair_squares(base, tree, k)),
         ("chord-square", chord_pair_squares(base, tree, k)),
     ):
         for sq in family:
-            states = _canonical_cycle(sq.states(rp))
-            elements.append(sq.edge_vector(rp))
-            cycles.append(states)
+            cycles.append(_canonical_cycle(sq.states(rp)))
             infos.append(
                 ElementInfo(
                     tag=tag,
@@ -248,7 +238,7 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
 
     return CycleBasis(
         host=rp,
-        elements=tuple(elements),
+        elements=tuple(cycle_edge_vector(rp, seq) for seq in cycles),
         kind="decomposition",
         cycles=tuple(cycles),
         certified_minimum=not has_triangles(base),
@@ -326,12 +316,10 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
             zero_proj = False
     rank_squares = span.rank
 
+    # the square span grows into the span of squares plus embedded base MCB
     f_root = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
-    full = Gf2Span()
-    for sq in tsq + csq:
-        full.add(sq.edge_vector(rp).bits)
     for seq in greedy_mcb(base).cycles:
-        full.add(embed_cycle(rp, seq, f_root).bits)
+        span.add(embed_cycle(rp, seq, f_root).bits)
 
     return SquareSpaceReport(
         k=k,
@@ -349,5 +337,5 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
         independent=rank_squares == len(tsq) + len(csq),
         projects_to_zero=zero_proj,
         spans_kernel=rank_squares == beta_power - beta_base,
-        direct_sum=full.rank == beta_power,
+        direct_sum=span.rank == beta_power,
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from redpow import graph_from_dict, load_graph
+from redpow import ReducedPowerGraph, cli, graph_from_dict, load_graph
 from redpow.cli import main
 
 PENTAGON = {
@@ -61,6 +61,19 @@ def test_power_skips_crosscheck_over_budget(tmp_path, graph_file, capsys):
     code = main(["power", "--graph", str(graph_file), "--k", "3", "--budget", "10"])
     assert code == 0
     assert "cross-check: skipped" in capsys.readouterr().out
+
+
+def test_power_crosscheck_compares_annotations(graph_file, capsys, monkeypatch):
+    quotient = cli.quotient_by_symmetry
+
+    def one_annotation_wrong(power, base, k):
+        rp = quotient(power, base, k)
+        wrong = (rp.annotations[1],) + rp.annotations[1:]
+        return ReducedPowerGraph(rp.base, rp.k, rp.states, rp.graph, wrong)
+
+    monkeypatch.setattr("redpow.cli.quotient_by_symmetry", one_annotation_wrong)
+    assert main(["power", "--graph", str(graph_file), "--k", "2"]) == 1
+    assert "cross-check disagrees" in capsys.readouterr().err
 
 
 def test_power_rejects_disconnected(tmp_path, capsys):

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redpow import (
     CycleBasis,
     Graph,
+    MasterChain,
     ModelError,
     Monomial,
     RateSpec,
@@ -95,6 +97,23 @@ def test_eval_rate_requires_a_token():
         eval_rate(spec, 0, 1, Monomial((0, 1, 1, 1, 0)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_rate_matches_the_rate_spec_formula(data):
+    g = pentagon()
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    base = {pair: data.draw(rational) for pair in pairs}
+    coupling = {pair: tuple(data.draw(rational) for _ in range(5)) for pair in pairs}
+    spec = RateSpec(g, base, coupling)
+    exps = data.draw(st.lists(st.integers(0, 3), min_size=5, max_size=5).filter(any))
+    i = data.draw(st.sampled_from([l for l in range(5) if exps[l]]))
+    j = data.draw(st.sampled_from(g.adjacency(i)))
+    c = coupling[(i, j)]
+    expected = base[(i, j)] + sum(c[l] * (exps[l] - (l == i)) for l in range(5))
+    assert eval_rate(spec, i, j, Monomial(tuple(exps))) == expected
+
+
 # --- master chain construction ---
 
 
@@ -150,6 +169,27 @@ def test_k1_master_equals_base_rates():
     mc = build_master(pentagon(), 1, spec)
     for i, j in spec.directed_pairs():
         assert mc.rate(i, j) == spec.base_rate(i, j)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pentagon_spec(32, 1, 2), pentagon_spec(32, 1, 2, alpha=1, beta=3, gamma=5)],
+)
+def test_master_chain_on_basis_host_matches_build_master(spec):
+    g = pentagon()
+    basis = decomposition_basis(g, 3)
+    shared = MasterChain(basis.host, spec)
+    separate = build_master(g, 3, spec)
+    assert separate.rp is not basis.host
+    for x, y in shared.rp.graph.edges:
+        assert shared.rate(x, y) == separate.rate(x, y)
+        assert shared.rate(y, x) == separate.rate(y, x)
+    on_shared = kolmogorov_check(shared, basis)
+    on_separate = kolmogorov_check(separate, basis)
+    assert on_shared.passed == on_separate.passed
+    assert [(c.forward, c.backward) for c in on_shared.checks] == [
+        (c.forward, c.backward) for c in on_separate.checks
+    ]
 
 
 # --- cycle criterion ---

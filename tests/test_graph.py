@@ -195,6 +195,12 @@ def test_dot_export():
     assert dot == 'graph G {\n  "a";\n  "b";\n  "a" -- "b";\n}\n'
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    g = Graph(['a"b', "c\\d"], [('a"b', "c\\d")])
+    dot = graph_to_dot(g)
+    assert dot == 'graph G {\n  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -- "c\\\\d";\n}\n'
+
+
 def test_graph_to_dict_round_trip():
     g = cycle_graph(6)
     assert graph_from_dict(graph_to_dict(g)) == g
