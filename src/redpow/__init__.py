@@ -76,6 +76,7 @@ from .ctmc import (
     model_from_dict,
     model_to_dict,
     parse_rational,
+    reversible_steady_state,
     single_automaton_check,
     steady_state,
 )

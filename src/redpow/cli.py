@@ -29,6 +29,7 @@ from .ctmc import (
     detailed_balance_check,
     kolmogorov_check,
     load_model,
+    reversible_steady_state,
     single_automaton_check,
     steady_state,
 )
@@ -172,6 +173,13 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
     kolmogorov = kolmogorov_check(mc, basis)
     ss = steady_state(mc, mode="exact" if args.exact else "float")
     balance = detailed_balance_check(ss, mc)
+    if kolmogorov.passed and not balance.balanced:
+        # The float balance test can miss its relative tolerance on chains
+        # whose stationary law spans many orders of magnitude; the exact
+        # tree potential settles it.
+        exact = reversible_steady_state(mc)
+        if exact is not None:
+            balance = detailed_balance_check(exact, mc)
 
     if kolmogorov.passed != balance.balanced:
         raise RedpowError(
@@ -185,7 +193,7 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
         f"cycle criterion: {'pass' if kolmogorov.passed else 'fail'} "
         f"({len(kolmogorov.checks)} cycles, {n_bad} violations)"
     )
-    print(f"detailed balance ({ss.mode}): {'pass' if balance.balanced else 'fail'}")
+    print(f"detailed balance ({balance.mode}): {'pass' if balance.balanced else 'fail'}")
     verdict = "reversible" if kolmogorov.passed else "not reversible"
     print(f"verdict: {verdict}")
 

@@ -10,8 +10,11 @@ of tokens available to move.
 Reversibility is decided two independent ways. The cycle route checks
 the Kolmogorov criterion (forward and backward rate products agree) on
 every element of a cycle basis, which settles all cycles by linearity.
-The steady-state route solves pi Q = 0 and tests detailed balance edge
-by edge. All rate arithmetic is exact over the rationals; only the
+The steady-state route finds the stationary law and tests detailed
+balance edge by edge. Exactly, a reversible chain's law is the potential
+of ratios q(x,y)/q(y,x) along a spanning tree of the state graph, found
+and checked in O(E); any other chain is solved by sparse rational
+elimination. All rate arithmetic is exact over the rationals; only the
 optional float steady-state solve rounds.
 """
 
@@ -26,7 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ModelError, SolverError
-from .graph import Graph, graph_from_dict, graph_to_dict
+from .graph import Graph, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
 from .cyclespace import CycleBasis, greedy_mcb, host_graph
 
@@ -41,6 +44,7 @@ __all__ = [
     "single_automaton_check",
     "SteadyState",
     "steady_state",
+    "reversible_steady_state",
     "BalanceReport",
     "detailed_balance_check",
     "parse_rational",
@@ -334,10 +338,16 @@ _EXACT_STATE_LIMIT = 400
 def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> SteadyState:
     """Solve pi Q = 0 with sum(pi) = 1.
 
-    The transpose system with its last row replaced by ones is square
-    and nonsingular for an irreducible generator, so a direct solve
-    suffices. Float mode uses LAPACK and verifies the residual; exact
-    mode eliminates over the rationals and verifies pi Q = 0 exactly.
+    Float mode solves the transpose system with its last row replaced by
+    ones through LAPACK and verifies the residual against ``tol``.
+
+    Exact mode first tries the spanning-tree potential
+    (:func:`reversible_steady_state`), which exists exactly when the chain
+    satisfies detailed balance and then is the stationary law. Otherwise
+    it pins ``pi_0 = 1``, drops the balance equation of state 0 (the
+    rest is nonsingular for an irreducible chain) and solves the sparse
+    system over the rationals, then normalises. Either way pi Q = 0,
+    sum one and positivity are verified exactly.
     """
     n = mc.num_states
     if mode == "float":
@@ -372,49 +382,115 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             raise SolverError(
                 f"exact mode supports up to {_EXACT_STATE_LIMIT} states, got {n}"
             )
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for x, y, r in mc.transitions():
-            a[y][x] += r
-            a[x][x] -= r
-        for col in range(n):
-            a[n - 1][col] = Fraction(1)
-        rhs = [Fraction(0)] * n
-        rhs[n - 1] = Fraction(1)
-        pi = _solve_exact(a, rhs)
-        for x in range(n):
-            acc = -mc.exit_rate(x) * pi[x]
-            for y in mc.rp.graph.adjacency(x):
-                acc += pi[y] * mc.rate(y, x)
-            if acc != 0:
-                raise SolverError("exact steady state fails pi Q = 0")
-        if sum(pi) != 1:
-            raise SolverError("exact steady state does not sum to one")
-        if min(pi) <= 0:
-            raise SolverError("exact steady state has a non-positive probability")
-        return SteadyState(tuple(pi), "exact", 0.0, 0.0)
+        return reversible_steady_state(mc) or _checked_exact(mc, _solve_sparse(mc))
 
     raise SolverError(f"unknown steady-state mode {mode!r}")
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals with row pivoting."""
-    n = len(a)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
+    """Exact stationary law of a detailed-balanced chain, else None.
+
+    Sets ``pi_0 = 1`` and ``pi_y = pi_x q(x,y) / q(y,x)`` along a BFS
+    spanning tree of the state graph, then tests ``pi_x q(x,y) = pi_y
+    q(y,x)`` on every edge. Any detailed-balanced law agrees with this
+    potential on the tree, so the first failing edge proves there is
+    none; when every edge holds, pi is stationary, and by irreducibility
+    the unique stationary law. O(E) rational operations; the cycle basis
+    is never read, so this stays independent of :func:`kolmogorov_check`.
+    """
+    tree = bfs_spanning_tree(mc.rp.graph)
+    pi = [Fraction(0)] * mc.num_states
+    pi[tree.root] = Fraction(1)
+    for y in tree.order[1:]:
+        x = tree.parent[y]
+        pi[y] = pi[x] * mc.rate(x, y) / mc.rate(y, x)
+    for (x, y), fwd, bwd in zip(mc.rp.graph.edges, mc.forward, mc.backward):
+        if pi[x] * fwd != pi[y] * bwd:
+            return None
+    total = sum(pi)
+    return _checked_exact(mc, [p / total for p in pi])
+
+
+def _solve_sparse(mc: MasterChain) -> list[Fraction]:
+    """Normalised solution of pi Q = 0 by sparse rational elimination.
+
+    Unknowns are pi_1..pi_{n-1} with pi_0 = 1 moved to the right-hand
+    side; equation y (for y >= 1) is the balance of state y. Rows are
+    column -> coefficient dicts with a column -> rows index. Each step
+    pivots on the active column with the fewest nonzeros, in its row
+    with the fewest nonzeros (Markowitz), which keeps fill low on the
+    sparse state graphs; exact cancellations are dropped from the
+    structure. Back-substitution runs in reverse pivot order.
+    """
+    n = mc.num_states
+    rows: dict[int, dict[int, Fraction]] = {y: {y: Fraction(0)} for y in range(1, n)}
+    rhs = {y: Fraction(0) for y in range(1, n)}
+    for x, y, r in mc.transitions():
+        if x == 0:
+            rhs[y] -= r
+            continue
+        rows[x][x] -= r
+        if y:
+            rows[y][x] = r
+    cols: dict[int, set[int]] = {c: set() for c in range(1, n)}
+    for y, row in rows.items():
+        for c in row:
+            cols[c].add(y)
+
+    pivots: list[tuple[int, int, Fraction]] = []
+    while cols:
+        c = min(cols, key=lambda col: len(cols[col]))
+        candidates = cols.pop(c)
+        if not candidates:
             raise SolverError("singular system in exact steady-state solve")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
-    return b
+        r = min(candidates, key=lambda row: len(rows[row]))
+        candidates.discard(r)
+        prow = rows[r]
+        pivot = prow.pop(c)
+        for col in prow:
+            cols[col].discard(r)
+        for r2 in candidates:
+            row2 = rows[r2]
+            factor = row2.pop(c) / pivot
+            for col, val in prow.items():
+                old = row2.get(col)
+                if old is None:
+                    row2[col] = -factor * val
+                    cols[col].add(r2)
+                elif new := old - factor * val:
+                    row2[col] = new
+                else:
+                    del row2[col]
+                    cols[col].discard(r2)
+            if rhs[r]:
+                rhs[r2] -= factor * rhs[r]
+        pivots.append((r, c, pivot))
+
+    pi = [Fraction(0)] * n
+    pi[0] = Fraction(1)
+    for r, c, pivot in reversed(pivots):
+        acc = rhs[r]
+        for col, val in rows[r].items():
+            acc -= val * pi[col]
+        pi[c] = acc / pivot
+    total = sum(pi)
+    return [p / total for p in pi]
+
+
+def _checked_exact(mc: MasterChain, pi: list[Fraction]) -> SteadyState:
+    """Wrap an exact pi after verifying pi Q = 0, sum one and positivity."""
+    balance = [Fraction(0)] * mc.num_states
+    for x, y, r in mc.transitions():
+        flow = pi[x] * r
+        balance[y] += flow
+        balance[x] -= flow
+    if any(balance):
+        raise SolverError("exact steady state fails pi Q = 0")
+    if sum(pi) != 1:
+        raise SolverError("exact steady state does not sum to one")
+    if min(pi) <= 0:
+        raise SolverError("exact steady state has a non-positive probability")
+    return SteadyState(tuple(pi), "exact", 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -209,3 +209,30 @@ def test_bad_model_file_exits_1(tmp_path, capsys):
 def test_unknown_root_label(tmp_path, graph_file, capsys):
     assert main(["mcb", "--graph", str(graph_file), "--k", "2", "--root", "z"]) == 1
     assert "unknown vertex" in capsys.readouterr().err
+
+
+def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsys):
+    # Potential rates i->j = phi(j) with one coupling shared by every
+    # vertex: tokens move independently, so the chain is reversible. Its
+    # stationary law spans so many orders of magnitude that the float
+    # detailed-balance test misses its 1e-9 relative tolerance on two edges.
+    phi = dict(zip("abcde", [
+        "630472594943/89429611671", "36504427417/1729493974",
+        "158915730057/647091878453", "810716869869/349495062578",
+        "24782561914/538042141349",
+    ]))
+    shared = {lab: "218192565591/960912280771" for lab in "abcde"}
+    rates = {}
+    for src, dst in PENTAGON["edges"]:
+        for a, b in ((src, dst), (dst, src)):
+            rates[f"{a}->{b}"] = {"base": phi[b], "coupling": shared}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"graph": PENTAGON, "k": 5, "rates": rates}))
+    out = tmp_path / "report.json"
+    code = main(["check-reversibility", "--model", str(model), "--out", str(out)])
+    assert code == 0
+    assert "detailed balance (exact): pass" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["reversible"] is True
+    assert doc["steady_state"]["mode"] == "float"
+    assert doc["detailed_balance"] == {"balanced": True, "mode": "exact", "violations": []}

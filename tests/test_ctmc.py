@@ -29,11 +29,19 @@ from redpow import (
     model_from_dict,
     model_to_dict,
     parse_rational,
+    reversible_steady_state,
     single_automaton_check,
     steady_state,
 )
+from redpow.ctmc import _solve_sparse
 
-from conftest import complete_graph, cycle_graph, pentagon, pentagon_spec
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    pentagon,
+    pentagon_spec,
+    random_connected_graph,
+)
 
 F = Fraction
 
@@ -328,6 +336,109 @@ def test_steady_state_rejects_unknown_mode_and_large_exact():
     assert big.num_states == 495
     with pytest.raises(SolverError, match="up to 400 states"):
         steady_state(big, mode="exact")
+
+
+WIDE = 10**12
+
+
+def _rational(rng, wide, lo=1):
+    top = WIDE if wide else 9
+    return F(rng.randint(lo, top), rng.randint(1, top))
+
+
+def _ring_chain(n, k, rng, reversible, wide):
+    """C_n ring: forward mu, backward nu, first forward edge lam + couplings.
+
+    Reversible exactly when the couplings are equal and
+    (lam + c (k-1)) mu^(n-1) = nu^n.
+    """
+    g = cycle_graph(n)
+    mu, nu = _rational(rng, wide), _rational(rng, wide)
+    if reversible:
+        total = nu**n / mu ** (n - 1)
+        alpha = total / rng.randint(2 * k - 1, 4 * k)
+        lam, coup = total - (k - 1) * alpha, (alpha,) * n
+    else:
+        lam = _rational(rng, wide)
+        coup = tuple(_rational(rng, wide, lo=0) for _ in range(n))
+    base = {}
+    for i in range(n):
+        base[(i, (i + 1) % n)], base[((i + 1) % n, i)] = mu, nu
+    base[(0, 1)] = lam
+    return build_master(g, k, RateSpec(g, base, {(0, 1): coup}))
+
+
+def _potential_chain(g, k, rng, wide):
+    """Rates i->j = s_ij phi(j), s symmetric and no coupling: reversible."""
+    phi = [_rational(rng, wide) for _ in range(g.num_vertices)]
+    base = {}
+    for i, j in g.edges:
+        s = _rational(rng, wide)
+        base[(i, j)], base[(j, i)] = s * phi[j], s * phi[i]
+    return build_master(g, k, RateSpec(g, base))
+
+
+def _random_chain(g, k, rng, wide):
+    """Independent random rates and couplings on every directed edge."""
+    v = g.num_vertices
+    base, coupling = {}, {}
+    for i, j in g.edges:
+        for pair in ((i, j), (j, i)):
+            base[pair] = _rational(rng, wide)
+            coupling[pair] = tuple(_rational(rng, wide, lo=0) for _ in range(v))
+    return build_master(g, k, RateSpec(g, base, coupling))
+
+
+def _exact_balance_residual(mc, pi):
+    acc = [F(0)] * mc.num_states
+    for x, y, r in mc.transitions():
+        acc[y] += pi[x] * r
+        acc[x] -= pi[x] * r
+    return acc
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_tree_potential_equals_sparse_elimination_on_reversible_chains(wide):
+    rng = random.Random(303 + wide)
+    chains = [_ring_chain(5, 2, rng, True, wide), _ring_chain(4, 3, rng, True, wide)]
+    chains += [
+        _potential_chain(random_connected_graph(5, 3, seed), 2, rng, wide)
+        for seed in range(3)
+    ]
+    for mc in chains:
+        tree = reversible_steady_state(mc)
+        assert tree is not None
+        assert _solve_sparse(mc) == list(tree.probabilities)
+        assert steady_state(mc, mode="exact") == tree
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_sparse_elimination_on_irreversible_chains(wide):
+    rng = random.Random(404 + wide)
+    chains = [_ring_chain(5, 2, rng, False, wide), _ring_chain(4, 3, rng, False, wide)]
+    chains += [
+        _random_chain(random_connected_graph(5, 2, seed), 2, rng, wide)
+        for seed in range(3)
+    ]
+    for mc in chains:
+        assert reversible_steady_state(mc) is None
+        pi = _solve_sparse(mc)
+        assert not any(_exact_balance_residual(mc, pi))
+        assert sum(pi) == 1
+        approx = steady_state(mc, mode="float").probabilities
+        assert max(abs(float(p) - q) for p, q in zip(pi, approx)) < 1e-12
+        assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_exact_oracles_agree_on_wide_c6_ring(reversible):
+    rng = random.Random(606 + reversible)
+    mc = _ring_chain(6, 3, rng, reversible, wide=True)
+    assert mc.num_states == 56
+    basis = decomposition_basis(mc.rp.base, 3)
+    kol = kolmogorov_check(MasterChain(basis.host, mc.spec), basis)
+    bal = detailed_balance_check(steady_state(mc, mode="exact"), mc)
+    assert kol.passed == bal.balanced == reversible
 
 
 # --- detailed balance ---
