@@ -15,14 +15,25 @@ balance edge by edge. Exactly, a reversible chain's law is the potential
 of ratios q(x,y)/q(y,x) along a spanning tree of the state graph, found
 and checked in O(E); any other chain is solved by sparse rational
 elimination. All rate arithmetic is exact over the rationals; only the
-optional float steady-state solve rounds.
+optional float steady-state solve rounds, and its residual is summed from
+per-transition flows in O(E).
+
+The exact kernels work on integers. The master chain scales each
+directed pair's base rate and coupling vector to integers over one
+denominator, so a transition costs a few int operations and one
+``Fraction``; the cycle check multiplies integer numerators and
+denominators along a cycle and builds one ``Fraction`` per product.
+:func:`eval_rate` keeps the per-token rate in its defining form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -155,6 +166,19 @@ def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
     return spec.base_rate(i, j) - coupling[i] + sum(coupling[l] for l in state.word())
 
 
+def _scaled_pair(spec: RateSpec, i: int, j: int) -> tuple[int, tuple[int, ...], int]:
+    """Base rate and coupling vector of ``i -> j`` as integers over one denominator.
+
+    Returns ``(base, coupling, den)``; an all-zero coupling comes back
+    empty, so the dot product with it costs nothing.
+    """
+    base = spec.base_rate(i, j)
+    coupling = spec.coupling_vector(i, j)
+    den = math.lcm(base.denominator, *(c.denominator for c in coupling))
+    scaled = tuple(c.numerator * (den // c.denominator) for c in coupling)
+    return base.numerator * (den // base.denominator), scaled if any(scaled) else (), den
+
+
 class MasterChain:
     """Continuous-time Markov chain of k tokens on the base graph.
 
@@ -173,24 +197,33 @@ class MasterChain:
     def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
         if spec.graph != rp.base:
             raise ModelError("rate specification is for a different graph")
-        forward: list[Fraction] = []
-        backward: list[Fraction] = []
-        for (x, y), (i, j, _) in zip(rp.graph.edges, rp.annotations):
-            sx, sy = rp.states[x], rp.states[y]
-            fwd = sx.exponents[i] * eval_rate(spec, i, j, sx)
-            bwd = sy.exponents[j] * eval_rate(spec, j, i, sy)
-            for val, src, a, b in ((fwd, x, i, j), (bwd, y, j, i)):
-                if val <= 0:
-                    raise ModelError(
-                        f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates to "
-                        f"{val} in state {rp.label(src)!r}; master rates must be positive"
-                    )
-            forward.append(fwd)
-            backward.append(bwd)
+        # An edge annotated (i, j, f) joins x = f*i and y = f*j, so the
+        # tokens that stay put are exactly f: the per-token rate of a hop
+        # i -> j is base(i,j) + coupling(i,j) . f, with f_i + 1 tokens
+        # able to make it. Each pair's rates are scaled to integers over
+        # one denominator, so an edge costs a few int operations.
+        scaled = {pair: _scaled_pair(spec, *pair) for pair in spec.directed_pairs()}
+        made: dict[tuple[int, int], Fraction] = {}  # few distinct values; share them
+        rates: list[Fraction] = []
+        for (x, y), (i, j, f) in zip(rp.graph.edges, rp.annotations):
+            others = f.exponents
+            for a, b, src in ((i, j, x), (j, i, y)):
+                base, coupling, den = scaled[(a, b)]
+                num = (others[a] + 1) * (base + sum(map(mul, coupling, others)))
+                rate = made.get((num, den))
+                if rate is None:
+                    rate = made[(num, den)] = Fraction(num, den)
+                    if num <= 0:
+                        raise ModelError(
+                            f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates "
+                            f"to {rate} in state {rp.label(src)!r}; "
+                            "master rates must be positive"
+                        )
+                rates.append(rate)
         self.rp = rp
         self.spec = spec
-        self.forward = tuple(forward)
-        self.backward = tuple(backward)
+        self.forward = tuple(rates[0::2])
+        self.backward = tuple(rates[1::2])
 
     @property
     def num_states(self) -> int:
@@ -251,7 +284,7 @@ class KolmogorovReport:
     checks: tuple[CycleCheck, ...]
     basis_kind: str
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -276,27 +309,34 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
     """
     if host_graph(basis.host) != mc.rp.graph:
         raise ModelError("cycle basis lives on a different state graph")
-    labels = mc.rp.graph.labels
+    labels, base_labels = mc.rp.graph.labels, mc.rp.base.labels
+    edge_index = mc.rp.graph.edge_index
+    # Products run over integer numerators and denominators, with one
+    # Fraction per product. Transition 2e runs along edge e, 2e + 1 against it.
+    nums = [r.numerator for _, _, r in mc.transitions()]
+    dens = [r.denominator for _, _, r in mc.transitions()]
     checks = []
     for idx, seq in enumerate(basis.cycles):
-        fwd = bwd = Fraction(1)
-        for t in range(len(seq)):
-            x, y = seq[t], seq[(t + 1) % len(seq)]
-            qxy, qyx = mc.rate(x, y), mc.rate(y, x)
-            if not qxy or not qyx:
+        fnum = fden = bnum = bden = 1
+        for x, y in zip(seq, seq[1:] + seq[:1]):
+            e = edge_index.get((x, y) if x < y else (y, x))
+            if e is None:
                 raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
-            fwd *= qxy
-            bwd *= qyx
+            t = 2 * e + (x > y)
+            fnum *= nums[t]
+            fden *= dens[t]
+            bnum *= nums[t ^ 1]
+            bden *= dens[t ^ 1]
+        fwd, bwd = Fraction(fnum, fden), Fraction(bnum, bden)
         info = basis.info[idx] if basis.info else None
         base_edges = tuple(
-            (mc.rp.base.labels[i], mc.rp.base.labels[j])
-            for i, j in (info.base_edges if info else ())
+            [(base_labels[i], base_labels[j]) for i, j in (info.base_edges if info else ())]
         )
         checks.append(
             CycleCheck(
                 index=idx,
                 tag=info.tag if info else basis.kind,
-                vertices=tuple(labels[s] for s in seq),
+                vertices=tuple(map(labels.__getitem__, seq)),
                 forward=fwd,
                 backward=bwd,
                 base_edges=base_edges,
@@ -338,8 +378,13 @@ _EXACT_STATE_LIMIT = 400
 def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> SteadyState:
     """Solve pi Q = 0 with sum(pi) = 1.
 
-    Float mode solves the transpose system with its last row replaced by
-    ones through LAPACK and verifies the residual against ``tol``.
+    Float mode converts every rate to a float once (SolverError if one
+    overflows or underflows to zero; exact mode still works there), fills
+    the dense transpose system from that array, replaces its last row by
+    ones and solves it through LAPACK. ``residual_inf`` is the largest
+    |(pi Q)_x|, summed from the per-transition flows ``pi_x q(x,y)`` in
+    O(E) without a second dense matrix; it and ``|sum(pi) - 1|`` are
+    verified against ``tol``.
 
     Exact mode first tries the spanning-tree potential
     (:func:`reversible_steady_state`), which exists exactly when the chain
@@ -351,10 +396,16 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     """
     n = mc.num_states
     if mode == "float":
+        rates = _float_rates(mc)
+        # transition t = 2e (forward) or 2e + 1 (backward) of edge e
+        ends = np.array(mc.rp.graph.edges, dtype=np.intp).reshape(-1, 2)
+        src, dst = ends.ravel(), ends[:, ::-1].ravel()
         a = np.zeros((n, n))
-        for x, y, r in mc.transitions():
-            a[y, x] += float(r)
-            a[x, x] -= float(r)
+        a[dst, src] = rates
+        # ufunc.at subtracts in index order, as a loop over transitions would
+        diag = np.zeros(n)
+        np.subtract.at(diag, src, rates)
+        np.fill_diagonal(a, diag)
         a[-1, :] = 1.0
         b = np.zeros(n)
         b[-1] = 1.0
@@ -362,12 +413,9 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             pi = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"steady-state solve failed: {exc}") from None
-        residual = 0.0
-        for x in range(n):
-            acc = -float(mc.exit_rate(x)) * pi[x]
-            for y in mc.rp.graph.adjacency(x):
-                acc += pi[y] * float(mc.rate(y, x))
-            residual = max(residual, abs(acc))
+        flow = pi[src] * rates
+        balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
+        residual = float(np.abs(balance).max())
         sum_err = abs(pi.sum() - 1.0)
         if residual > tol or sum_err > tol:
             raise SolverError(
@@ -385,6 +433,31 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
         return reversible_steady_state(mc) or _checked_exact(mc, _solve_sparse(mc))
 
     raise SolverError(f"unknown steady-state mode {mode!r}")
+
+
+def _float_rates(mc: MasterChain) -> np.ndarray:
+    """Every rate as a float, in :meth:`MasterChain.transitions` order.
+
+    Raises SolverError on the first rate that overflows or underflows to
+    zero, since the float solve cannot use it.
+    """
+    rates = []
+    for t, (x, _, rate) in enumerate(mc.transitions()):
+        try:
+            value = float(rate)
+        except OverflowError:
+            value = math.inf
+        if not 0 < value < math.inf:
+            i, j, _ = mc.rp.annotations[t // 2]
+            a, b = (i, j) if t % 2 == 0 else (j, i)
+            magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
+            raise SolverError(
+                f"rate {mc.rp.base.labels[a]}->{mc.rp.base.labels[b]} in state "
+                f"{mc.rp.label(x)!r} is about 1e{round(magnitude):+d}, outside the "
+                "float range; rerun with --exact"
+            )
+        rates.append(value)
+    return np.array(rates)
 
 
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:

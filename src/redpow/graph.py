@@ -290,8 +290,12 @@ def graph_from_dict(data: object, require_connected: bool = True) -> Graph:
         raise GraphError("'edges' must be a list of two-element lists")
     pairs = []
     for item in edges:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise GraphError(f"edge entry {item!r} must be a pair of labels")
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not all(isinstance(end, str) for end in item)
+        ):
+            raise GraphError(f"edge entry {item!r} must be a pair of labels (strings)")
         pairs.append((item[0], item[1]))
     g = Graph(vertices, pairs)
     if require_connected:

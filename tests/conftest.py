@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from redpow import Graph, RateSpec
 
@@ -96,3 +97,29 @@ def suite() -> list[Graph]:
 @pytest.fixture(scope="session")
 def c5() -> Graph:
     return pentagon()
+
+
+# --- JSON-shaped documents for loader fuzzing ---
+
+LABELS = st.sampled_from(["a", "b", "c", "d"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def graph_docs():
+    """JSON-shaped graph documents: mostly well formed, with stray values."""
+    endpoint = LABELS | JSON_VALUES
+    edge = st.lists(endpoint, min_size=2, max_size=2) | st.lists(endpoint, max_size=3)
+    doc = st.fixed_dictionaries(
+        {
+            "vertices": st.lists(LABELS, min_size=1, max_size=4, unique=True)
+            | st.lists(LABELS | JSON_VALUES, max_size=4)
+            | JSON_VALUES,
+            "edges": st.lists(edge, max_size=5) | JSON_VALUES,
+        }
+    )
+    return doc | JSON_VALUES

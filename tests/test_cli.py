@@ -236,3 +236,23 @@ def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsy
     assert doc["reversible"] is True
     assert doc["steady_state"]["mode"] == "float"
     assert doc["detailed_balance"] == {"balanced": True, "mode": "exact", "violations": []}
+
+
+def test_check_reversibility_float_rejects_rates_outside_the_float_range(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(pentagon_model(lam="1e400")))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: rate a->b in state 'a^3' is about 1e+400, outside the float range; "
+        "rerun with --exact\n"
+    )
+    assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
+    assert "verdict: not reversible" in capsys.readouterr().out
+
+
+def test_graph_file_with_a_list_endpoint_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": ["a", "b"], "edges": [[["a"], "b"]]}))
+    assert main(["power", "--graph", str(bad), "--k", "2"]) == 1
+    assert "edge entry [['a'], 'b'] must be a pair of labels" in capsys.readouterr().err

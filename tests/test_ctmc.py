@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from redpow import (
     ModelError,
     Monomial,
     RateSpec,
+    RedpowError,
     SolverError,
     betti,
     build_master,
@@ -36,6 +40,8 @@ from redpow import (
 from redpow.ctmc import _solve_sparse
 
 from conftest import (
+    JSON_VALUES,
+    LABELS,
     complete_graph,
     cycle_graph,
     pentagon,
@@ -545,3 +551,215 @@ def test_model_from_dict_rejects(mutate, message):
     mutate(doc)
     with pytest.raises((ModelError, Exception), match=message):
         model_from_dict(doc)
+
+
+# --- exact-rate kernels against their spec-level definitions ---
+
+
+def _wide(signs):
+    """Rationals a/b * 10^e of magnitude about 1e-12..1e12, signed from ``signs``."""
+    return st.builds(
+        lambda s, a, b, e: s * F(a, b) * F(10) ** e,
+        st.sampled_from(signs),
+        st.integers(1, 999),
+        st.integers(1, 999),
+        st.integers(-12, 12),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_master_rates_match_eval_rate(data):
+    g = data.draw(
+        st.sampled_from(
+            [cycle_graph(3), cycle_graph(4), random_connected_graph(4, 1, seed=5)]
+        )
+    )
+    k = data.draw(st.integers(2, 4))
+    v = g.num_vertices
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    base = {pair: data.draw(_wide([1])) for pair in pairs}
+    coupling = {
+        pair: tuple(data.draw(_wide([-1, 0, 1])) for _ in range(v))
+        for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    }
+    spec = RateSpec(g, base, coupling)
+    rp = build_reduced_power(g, k)
+    expected = []
+    for (x, y), (i, j, _) in zip(rp.graph.edges, rp.annotations):
+        sx, sy = rp.states[x], rp.states[y]
+        expected.append(
+            (
+                (sx.exponents[i] * eval_rate(spec, i, j, sx), x, i, j),
+                (sy.exponents[j] * eval_rate(spec, j, i, sy), y, j, i),
+            )
+        )
+    bad = [t for pair in expected for t in pair if t[0] <= 0]
+    if not bad:
+        mc = MasterChain(rp, spec)
+        assert mc.forward == tuple(fwd[0] for fwd, _ in expected)
+        assert mc.backward == tuple(bwd[0] for _, bwd in expected)
+        return
+    val, src, a, b = bad[0]
+    labels = g.labels
+    with pytest.raises(ModelError) as info:
+        MasterChain(rp, spec)
+    assert str(info.value) == (
+        f"rate {labels[a]}->{labels[b]} evaluates to {val} in state "
+        f"{rp.label(src)!r}; master rates must be positive"
+    )
+
+
+def _plain_products(mc, seq):
+    fwd = bwd = F(1)
+    for x, y in zip(seq, seq[1:] + seq[:1]):
+        fwd *= mc.rate(x, y)
+        bwd *= mc.rate(y, x)
+    return fwd, bwd
+
+
+def test_kolmogorov_products_equal_plain_rate_products():
+    rng = random.Random(707)
+    chains = [
+        build_master(pentagon(), 3, pentagon_spec(32, 1, 2, 1, 3, 5, 7, 11)),
+        _ring_chain(6, 3, rng, True, wide=True),
+        _ring_chain(6, 3, rng, False, wide=True),
+        _potential_chain(random_connected_graph(5, 3, 1), 2, rng, wide=True),
+        _random_chain(random_connected_graph(5, 2, 2), 3, rng, wide=False),
+    ]
+    for mc in chains:
+        rp = mc.rp
+        bases = [
+            decomposition_basis(rp.base, rp.k),
+            greedy_mcb(rp),
+            fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0)),
+        ]
+        for basis in bases:
+            report = kolmogorov_check(mc, basis)
+            assert len(report.checks) == len(basis.cycles)
+            for check, seq in zip(report.checks, basis.cycles):
+                assert (check.forward, check.backward) == _plain_products(mc, seq)
+
+
+def test_kolmogorov_check_rejects_missing_transitions():
+    g = pentagon()
+    mc = build_master(g, 2, pentagon_spec(1, 1, 1))
+    # CycleBasis validates its cycles, so a stand-in carries the bad walk
+    # a^2 -> c^2 -> a^2 through two states that are not adjacent
+    x = mc.rp.state_index(Monomial((2, 0, 0, 0, 0)))
+    y = mc.rp.state_index(Monomial((0, 0, 2, 0, 0)))
+    bogus = SimpleNamespace(host=mc.rp, cycles=((x, y),), info=None, kind="walk")
+    with pytest.raises(ModelError, match="basis cycle 0 uses a transition the chain lacks"):
+        kolmogorov_check(mc, bogus)
+
+
+def test_kolmogorov_report_passed_is_computed_once():
+    g = pentagon()
+    mc = build_master(g, 2, pentagon_spec(32, 1, 2, 1, 1, 2, 1, 1))
+    report = kolmogorov_check(mc, decomposition_basis(g, 2))
+    assert "passed" not in report.__dict__
+    assert report.passed is False
+    assert report.__dict__["passed"] is False
+    assert report.as_dict()["passed"] is False
+
+
+def _dense_float_reference(mc):
+    """pi from the generator filled transition by transition, as a plain loop would."""
+    n = mc.num_states
+    a = np.zeros((n, n))
+    for x, y, r in mc.transitions():
+        a[y, x] += float(r)
+        a[x, x] -= float(r)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return tuple(np.linalg.solve(a, b))
+
+
+def test_float_steady_state_equals_dense_reference():
+    rng = random.Random(808)
+    edge = Graph("ab", [("a", "b")])
+    chains = [
+        _ring_chain(7, 4, rng, True, wide=False),
+        _ring_chain(7, 4, rng, False, wide=True),
+        _potential_chain(random_connected_graph(6, 4, 3), 3, rng, wide=True),
+        _random_chain(random_connected_graph(6, 3, 4), 3, rng, wide=False),
+        build_master(edge, 1, RateSpec(edge, {(0, 1): F(3), (1, 0): F(5)})),
+    ]
+    for mc in chains:
+        ss = steady_state(mc, mode="float")
+        assert ss.probabilities == _dense_float_reference(mc)
+        assert 0 <= ss.residual_inf <= 1e-10
+
+
+@pytest.mark.parametrize("rate,magnitude", [(F(10) ** 400, "1e+400"), (F(1, 10**400), "1e-400")])
+def test_float_steady_state_rejects_rates_outside_the_float_range(rate, magnitude):
+    spec = pentagon_spec(rate, 1, 2)
+    mc = build_master(pentagon(), 2, spec)
+    with pytest.raises(SolverError) as info:
+        steady_state(mc, mode="float")
+    assert str(info.value) == (
+        f"rate a->b in state 'a^2' is about {magnitude}, outside the float range; "
+        "rerun with --exact"
+    )
+    assert detailed_balance_check(steady_state(mc, mode="exact"), mc).balanced is False
+
+
+# --- model documents from arbitrary JSON ---
+
+
+GRAPH_DOCS = [
+    {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+    {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]},
+    {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+]
+RATE_TEXT = st.integers(1, 10**6) | st.sampled_from(["1/3", "7/2", "-1", "0", "1e400", "1e-400"])
+
+
+@st.composite
+def model_docs(draw):
+    """A well-formed model document, then up to three slots overwritten or dropped."""
+    graph = draw(st.sampled_from(GRAPH_DOCS))
+    rates = {}
+    for a, b in graph["edges"]:
+        for src, dst in ((a, b), (b, a)):
+            entry = {"base": draw(RATE_TEXT)}
+            coupling = draw(st.dictionaries(st.sampled_from(graph["vertices"]), RATE_TEXT))
+            if coupling:
+                entry["coupling"] = coupling
+            rates[f"{src}->{dst}"] = entry
+    doc = {"graph": json.loads(json.dumps(graph)), "k": draw(st.integers(1, 3)), "rates": rates}
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(_slots(doc)))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(LABELS | JSON_VALUES)
+    return doc
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    return [slot for key, child in items for slot in [(node, key), *_slots(child)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_docs() | JSON_VALUES)
+def test_model_from_dict_raises_only_redpow_errors(doc):
+    try:
+        g, k, spec = model_from_dict(doc)
+    except RedpowError:
+        return
+    if k > 3:  # a mutated k can be huge; the power of it would not fit in memory
+        return
+    # an accepted model builds and solves, or is refused with a RedpowError
+    try:
+        steady_state(build_master(g, k, spec), mode="float")
+    except RedpowError:
+        pass

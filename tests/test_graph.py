@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from redpow import (
     Graph,
     GraphError,
+    RedpowError,
     RootedTree,
     betti,
     bfs_spanning_tree,
@@ -24,7 +25,13 @@ from redpow import (
 )
 from redpow.graph import check_spanning_tree
 
-from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    graph_docs,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def test_edges_are_canonical():
@@ -204,3 +211,20 @@ def test_dot_export_escapes_quotes_and_backslashes():
 def test_graph_to_dict_round_trip():
     g = cycle_graph(6)
     assert graph_from_dict(graph_to_dict(g)) == g
+
+
+def test_graph_from_dict_rejects_non_string_endpoints():
+    for item in ([["a"], "b"], ["a", {"b": 1}], ["a", 1], [None, "b"]):
+        with pytest.raises(GraphError, match="pair of labels") as info:
+            graph_from_dict({"vertices": ["a", "b"], "edges": [item]})
+        assert repr(item) in str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_docs(), st.booleans())
+def test_graph_from_dict_raises_only_redpow_errors(doc, connected):
+    try:
+        g = graph_from_dict(doc, require_connected=connected)
+    except RedpowError:
+        return
+    assert graph_from_dict(json.loads(graph_to_json(g)), require_connected=connected) == g
