@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,14 +66,25 @@ __all__ = [
 ]
 
 
+# Python's default digit limit for int strings; a larger decimal exponent
+# would spell a longer number than digits may, and Fraction expands it in full
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def parse_rational(value: object, where: str) -> Fraction:
-    """Exact rational from an int or a string like '3' or '1/3'."""
+    """Exact rational from an int or a string like '3', '1/3' or '2.5e-3'."""
     if isinstance(value, bool):
         raise ModelError(f"{where}: booleans are not rates")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exp = _EXPONENT.search(value)
+            if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
+                raise ModelError(
+                    f"{where}: exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude"
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"{where}: cannot parse rational {value!r}: {exc}") from None

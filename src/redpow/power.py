@@ -10,6 +10,10 @@ by the coordinate-permuting action of the symmetric group.
 States are enumerated in ascending multiset-word order, the order
 ``itertools.combinations_with_replacement`` produces over vertex
 indices. For k = 1 this reproduces the base graph exactly.
+
+A state is keyed by its word, the sorted tuple of the vertex indices
+its tokens occupy (``ReducedPowerGraph.state_of``); ``Monomial`` is the
+public view, built once per state and per stationary monomial.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ __all__ = [
     "cartesian_power",
     "quotient_by_symmetry",
 ]
+
+# a power's moves: {(x, y) with x < y: (i, j, stay_word)}
+_Moves = dict[tuple[int, int], tuple[int, int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class ReducedPowerGraph:
         self.states = states
         self.graph = graph
         self.annotations = annotations
-        self._index = {m: i for i, m in enumerate(states)}
+        self._index = {m.word(): i for i, m in enumerate(states)}
 
     @property
     def num_states(self) -> int:
@@ -128,11 +135,17 @@ class ReducedPowerGraph:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
-    def state_index(self, m: Monomial) -> int:
+    def state_of(self, tokens: tuple[int, ...]) -> int:
+        """Index of the state whose tokens sit on ``tokens``, in any order."""
         try:
-            return self._index[m]
+            return self._index[tuple(sorted(tokens))]
         except KeyError:
-            raise PowerError(f"{m.exponents} is not a state of this power") from None
+            raise PowerError(f"tokens {tokens} are not a state of this power") from None
+
+    def state_index(self, m: Monomial) -> int:
+        if len(m.exponents) != self.base.num_vertices:
+            raise PowerError(f"{m.exponents} is not a state of this power")
+        return self.state_of(m.word())
 
     def label(self, i: int) -> str:
         return self.graph.labels[i]
@@ -180,20 +193,27 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
         raise PowerError("k must be >= 1")
     v = base.num_vertices
     words = list(combinations_with_replacement(range(v), k))
-    states = tuple(Monomial.from_word(w, v) for w in words)
     word_index = {w: i for i, w in enumerate(words)}
-    labels = tuple(m.to_string(base.labels) for m in states)
 
-    edge_ann: dict[tuple[int, int], tuple[int, int, Monomial]] = {}
+    moves: _Moves = {}
     for i, j in base.edges:
         for fw in combinations_with_replacement(range(v), k - 1):
             x = word_index[tuple(sorted(fw + (i,)))]
             y = word_index[tuple(sorted(fw + (j,)))]
-            pair = (x, y) if x < y else (y, x)
-            edge_ann[pair] = (i, j, Monomial.from_word(fw, v))
+            moves[(x, y) if x < y else (y, x)] = (i, j, fw)
+    return _assemble(base, k, words, moves)
 
-    graph = Graph(labels, ((labels[x], labels[y]) for x, y in sorted(edge_ann)))
-    annotations = tuple(edge_ann[pair] for pair in graph.edges)
+
+def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
+    """Power from its state words and moves; one ``Monomial`` per stay word."""
+    v = base.num_vertices
+    states = tuple(Monomial.from_word(w, v) for w in words)
+    labels = tuple(m.to_string(base.labels) for m in states)
+    stays = {fw: Monomial.from_word(fw, v) for fw in {move[2] for move in moves.values()}}
+    graph = Graph(labels, ((labels[x], labels[y]) for x, y in sorted(moves)))
+    annotations = tuple(
+        (i, j, stays[fw]) for i, j, fw in (moves[pair] for pair in graph.edges)
+    )
     return ReducedPowerGraph(base, k, states, graph, annotations)
 
 
@@ -264,11 +284,9 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         )
 
     words = sorted({tuple(sorted(t)) for t in tuples})
-    states = tuple(Monomial.from_word(w, v) for w in words)
     word_index = {w: i for i, w in enumerate(words)}
-    labels = tuple(m.to_string(base.labels) for m in states)
 
-    edge_ann: dict[tuple[int, int], tuple[int, int, Monomial]] = {}
+    moves: _Moves = {}
     for pi, pj in power.edges:
         tx, ty = tuples[pi], tuples[pj]
         diff = [pos for pos in range(k) if tx[pos] != ty[pos]]
@@ -283,14 +301,9 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         if x == y:
             raise PowerError("product edge collapses to a single state")
         pair = (x, y) if x < y else (y, x)
-        stay = list(tx)
-        stay.pop(pos)
-        ann = (min(a, b), max(a, b), Monomial.from_word(tuple(stay), v))
-        prev = edge_ann.get(pair)
-        if prev is not None and prev != ann:
+        move = (min(a, b), max(a, b), tuple(sorted(tx[:pos] + tx[pos + 1 :])))
+        prev = moves.get(pair)
+        if prev is not None and prev != move:
             raise PowerError("inconsistent annotations for a quotient edge")
-        edge_ann[pair] = ann
-
-    graph = Graph(labels, ((labels[x], labels[y]) for x, y in sorted(edge_ann)))
-    annotations = tuple(edge_ann[pair] for pair in graph.edges)
-    return ReducedPowerGraph(base, k, states, graph, annotations)
+        moves[pair] = move
+    return _assemble(base, k, words, moves)

@@ -25,7 +25,7 @@ that could replace it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -74,27 +74,16 @@ class CartesianSquare:
             raise PowerError("a Cartesian square needs two distinct edges")
 
     def states(self, rp: ReducedPowerGraph) -> tuple[int, int, int, int]:
-        if self.f.degree != rp.k - 2:
-            raise PowerError(
-                f"stationary monomial has degree {self.f.degree}, need {rp.k - 2}"
-            )
+        fw = _stationary_word(rp, self.f, rp.k - 2)
         for pair in (self.edge1, self.edge2):
             if not rp.base.has_edge(*pair):
                 raise PowerError(f"{pair} is not an edge of the base graph")
         a, b = self.edge1
         c, d = self.edge2
-        fc = self.f.times(c)
-        fd = self.f.times(d)
-        return (
-            rp.state_index(fc.times(a)),
-            rp.state_index(fc.times(b)),
-            rp.state_index(fd.times(b)),
-            rp.state_index(fd.times(a)),
-        )
+        return tuple(rp.state_of(fw + pair) for pair in ((c, a), (c, b), (d, b), (d, a)))
 
     def edge_vector(self, rp: ReducedPowerGraph) -> EdgeVector:
-        s = self.states(rp)
-        return EdgeVector.from_edges(rp, list(zip(s, s[1:])) + [(s[-1], s[0])])
+        return cycle_edge_vector(rp, self.states(rp))
 
     def describe(self, labels: tuple[str, ...]) -> str:
         a, b = self.edge1
@@ -103,20 +92,36 @@ class CartesianSquare:
         return f"({labels[a]}{labels[b]} x {labels[c]}{labels[d]}) f={fs}"
 
 
-def _check_square_tree(g: Graph, t: RootedTree) -> None:
+def _squares_exist(g: Graph, t: RootedTree, k: int) -> bool:
+    """Check the tree for the square families; False (with a warning) for k < 2."""
     check_spanning_tree(g, t)
     if not t.is_depth_ordered():
         raise GraphError("tree order must be non-decreasing in depth")
+    if k < 2:
+        warnings.warn("no Cartesian squares exist for k < 2", stacklevel=3)
+    return k >= 2
 
 
-def _monomials_over(vertices: list[int], degree: int, size: int):
-    """Monomials of the given degree supported on a vertex subset.
+def _stationary_word(rp: ReducedPowerGraph, f: Monomial, degree: int) -> tuple[int, ...]:
+    """Word of a stationary monomial, checked against the power's base and k."""
+    if f.degree != degree:
+        raise PowerError(f"stationary monomial has degree {f.degree}, need {degree}")
+    if len(f.exponents) != rp.base.num_vertices:
+        raise PowerError(f"{f.exponents} is not a monomial over the base vertices")
+    return f.word()
 
-    Enumeration follows combinations with replacement over the subset
-    in the order given, so square families are reproducible.
+
+def _prefix_monomials(t: RootedTree, degree: int) -> list[list[Monomial]]:
+    """Entry j: the monomials of the given degree on the first j+1 tree vertices.
+
+    Enumeration follows combinations with replacement over the prefix
+    in tree order, so square families are reproducible.
     """
-    for combo in combinations_with_replacement(vertices, degree):
-        yield Monomial.from_word(tuple(sorted(combo)), size)
+    v = len(t.order)
+    return [
+        [Monomial.from_word(w, v) for w in combinations_with_replacement(t.order[: j + 1], degree)]
+        for j in range(v)
+    ]
 
 
 def _tree_edges_in_order(t: RootedTree) -> list[tuple[int, int]]:
@@ -136,18 +141,14 @@ def tree_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]:
     the shallower edge ranges over positions 1..j-1 and f over degree
     k-2 monomials on the first j+1 vertices in tree order.
     """
-    _check_square_tree(g, t)
-    if k < 2:
-        warnings.warn("no Cartesian squares exist for k < 2", stacklevel=2)
+    if not _squares_exist(g, t, k):
         return []
-    v = g.num_vertices
+    fs = _prefix_monomials(t, k - 2)
     edges = _tree_edges_in_order(t)
     out: list[CartesianSquare] = []
-    for j in range(2, v):
-        prefix = list(t.order[: j + 1])
+    for j in range(2, g.num_vertices):
         for i in range(1, j):
-            for f in _monomials_over(prefix, k - 2, v):
-                out.append(CartesianSquare(edges[i - 1], edges[j - 1], f))
+            out.extend(CartesianSquare(edges[i - 1], edges[j - 1], f) for f in fs[j])
     return out
 
 
@@ -158,20 +159,16 @@ def chord_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]
     over degree k-2 monomials on the first j+1 vertices in tree order;
     chords iterate in ascending edge-index order.
     """
-    _check_square_tree(g, t)
-    if k < 2:
-        warnings.warn("no Cartesian squares exist for k < 2", stacklevel=2)
+    if not _squares_exist(g, t, k):
         return []
-    v = g.num_vertices
+    fs = _prefix_monomials(t, k - 2)
     tree_pairs = t.tree_pairs()
     chords = [pair for pair in g.edges if pair not in tree_pairs]
     edges = _tree_edges_in_order(t)
     out: list[CartesianSquare] = []
     for chord in chords:
-        for j in range(1, v):
-            prefix = list(t.order[: j + 1])
-            for f in _monomials_over(prefix, k - 2, v):
-                out.append(CartesianSquare(chord, edges[j - 1], f))
+        for j in range(1, g.num_vertices):
+            out.extend(CartesianSquare(chord, edges[j - 1], f) for f in fs[j])
     return out
 
 
@@ -191,11 +188,9 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
     ``cycle`` is a simple cycle of the base graph as a vertex sequence;
     ``f`` must have degree k-1. Base vertex c maps to state c*f.
     """
-    if f.degree != rp.k - 1:
-        raise PowerError(f"stationary monomial has degree {f.degree}, need {rp.k - 1}")
+    fw = _stationary_word(rp, f, rp.k - 1)
     cycle_edge_vector(rp.base, cycle)  # validates the base cycle
-    states = [rp.state_index(f.times(c)) for c in cycle]
-    return EdgeVector.from_edges(rp, list(zip(states, states[1:])) + [(states[-1], states[0])])
+    return cycle_edge_vector(rp, [rp.state_of(fw + (c,)) for c in cycle])
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -212,12 +207,13 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     rp = build_reduced_power(base, k)
     tree = bfs_spanning_tree(base, root)
     base_mcb = greedy_mcb(base)
-    f_root = Monomial.from_word((root,) * (k - 1), base.num_vertices)
+    parked = (root,) * (k - 1)
+    f_root = Monomial.from_word(parked, base.num_vertices)
 
     cycles: list[tuple[int, ...]] = []
     infos: list[ElementInfo] = []
     for seq in base_mcb.cycles:
-        cycles.append(_canonical_cycle([rp.state_index(f_root.times(c)) for c in seq]))
+        cycles.append(_canonical_cycle([rp.state_of(parked + (c,)) for c in seq]))
         infos.append(ElementInfo(tag="embedded", f=f_root))
     for tag, family in (
         ("tree-square", tree_pair_squares(base, tree, k)),
@@ -225,16 +221,8 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     ):
         for sq in family:
             cycles.append(_canonical_cycle(sq.states(rp)))
-            infos.append(
-                ElementInfo(
-                    tag=tag,
-                    base_edges=(
-                        tuple(sorted(sq.edge1)),
-                        tuple(sorted(sq.edge2)),
-                    ),
-                    f=sq.f,
-                )
-            )
+            edges = (tuple(sorted(sq.edge1)), tuple(sorted(sq.edge2)))
+            infos.append(ElementInfo(tag=tag, base_edges=edges, f=sq.f))
 
     return CycleBasis(
         host=rp,
@@ -275,22 +263,7 @@ class SquareSpaceReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "tree_squares": self.tree_squares,
-            "chord_squares": self.chord_squares,
-            "tree_squares_formula": self.tree_squares_formula,
-            "chord_squares_formula": self.chord_squares_formula,
-            "betti_base": self.betti_base,
-            "betti_power": self.betti_power,
-            "rank_squares": self.rank_squares,
-            "counts_match": self.counts_match,
-            "independent": self.independent,
-            "projects_to_zero": self.projects_to_zero,
-            "spans_kernel": self.spans_kernel,
-            "direct_sum": self.direct_sum,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceReport:
@@ -315,6 +288,8 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
         if not project_to_base(vec).is_zero:
             zero_proj = False
     rank_squares = span.rank
+    tsq_formula = tree_square_count(base.num_vertices, k)
+    csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
     # the square span grows into the span of squares plus embedded base MCB
     f_root = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
@@ -325,15 +300,12 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
         k=k,
         tree_squares=len(tsq),
         chord_squares=len(csq),
-        tree_squares_formula=tree_square_count(base.num_vertices, k),
-        chord_squares_formula=chord_square_count(beta_base, base.num_vertices, k),
+        tree_squares_formula=tsq_formula,
+        chord_squares_formula=csq_formula,
         betti_base=beta_base,
         betti_power=beta_power,
         rank_squares=rank_squares,
-        counts_match=(
-            len(tsq) == tree_square_count(base.num_vertices, k)
-            and len(csq) == chord_square_count(beta_base, base.num_vertices, k)
-        ),
+        counts_match=len(tsq) == tsq_formula and len(csq) == csq_formula,
         independent=rank_squares == len(tsq) + len(csq),
         projects_to_zero=zero_proj,
         spans_kernel=rank_squares == beta_power - beta_base,

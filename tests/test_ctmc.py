@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -763,3 +764,33 @@ def test_model_from_dict_raises_only_redpow_errors(doc):
         steady_state(build_master(g, k, spec), mode="float")
     except RedpowError:
         pass
+
+
+# --- exponent bound in rational strings ---
+
+
+@pytest.mark.parametrize("rate", ["1e10000000", "1e-10000000"])
+@pytest.mark.parametrize("field", ["base", "coupling"])
+def test_model_from_dict_rejects_huge_exponents(rate, field):
+    doc = model_doc()
+    entry = doc["rates"]["a->b"]
+    if field == "base":
+        entry["base"] = rate
+        where = "rates['a->b'].base"
+    else:
+        entry["coupling"]["b"] = rate
+        where = "rates['a->b'].coupling['b']"
+    with pytest.raises(ModelError, match=re.escape(f"{where}: exponent of '{rate}'")):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["base", "coupling"])
+def test_model_from_dict_keeps_moderate_exponents(field):
+    for rate, value in (("1e400", F(10) ** 400), ("1e-400", F(1, 10**400))):
+        doc = model_doc()
+        if field == "base":
+            doc["rates"]["a->b"]["base"] = rate
+            assert model_from_dict(doc)[2].base_rate(0, 1) == value
+        else:
+            doc["rates"]["a->b"]["coupling"]["b"] = rate
+            assert model_from_dict(doc)[2].coupling_vector(0, 1)[1] == value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -185,3 +187,39 @@ def test_state_index_rejects_foreign_monomial():
 def test_quotient_oracle_property(v, extra, k, seed):
     g = random_connected_graph(v, extra, seed)
     assert quotient_by_symmetry(cartesian_power(g, k), g, k) == build_reduced_power(g, k)
+
+
+# --- the word key ---
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(0, 10**6),
+)
+def test_state_of_agrees_with_state_index(v, extra, k, seed):
+    g = random_connected_graph(v, extra, seed)
+    rp = build_reduced_power(g, k)
+    for (x, y), (i, j, f) in zip(rp.graph.edges, rp.annotations):
+        assert rp.state_of(f.word() + (i,)) == rp.state_index(f.times(i)) == x
+        assert rp.state_of(f.word() + (j,)) == rp.state_index(f.times(j)) == y
+        for tokens in set(permutations(f.word() + (i,))):
+            assert rp.state_of(tokens) == x
+
+
+@pytest.mark.parametrize("tokens", [(), (0,), (0, 1, 2), (0, 4), (-1, 0), (9, 9)])
+def test_state_of_rejects_non_states(tokens):
+    rp = build_reduced_power(cycle_graph(4), 2)
+    with pytest.raises(PowerError, match=re.escape(f"tokens {tokens} are not a state")):
+        rp.state_of(tokens)
+
+
+def test_state_index_rejects_monomials_of_another_size():
+    rp = build_reduced_power(cycle_graph(4), 2)
+    # both words, (0, 1) and (0, 0), are states of the power
+    with pytest.raises(PowerError, match="not a state"):
+        rp.state_index(Monomial((1, 1, 0, 0, 0)))
+    with pytest.raises(PowerError, match="not a state"):
+        rp.state_index(Monomial((2,)))

@@ -251,3 +251,14 @@ def test_every_square_projects_to_zero(suite):
         rp = build_reduced_power(g, 2)
         for sq in tree_pair_squares(g, t, 2) + chord_pair_squares(g, t, 2):
             assert project_to_base(sq.edge_vector(rp)).is_zero
+
+
+def test_stationary_monomial_must_cover_the_base_vertices():
+    # the words of these monomials alone would name states of the power
+    rp = build_reduced_power(cycle_graph(5, "abcde"), 3)
+    with pytest.raises(PowerError, match="base vertices"):
+        CartesianSquare((0, 1), (2, 3), Monomial((1, 0, 0, 0, 0, 0))).states(rp)
+    with pytest.raises(PowerError, match="base vertices"):
+        CartesianSquare((0, 1), (2, 3), Monomial((1,))).states(rp)
+    with pytest.raises(PowerError, match="base vertices"):
+        embed_cycle(rp, (0, 1, 2, 3, 4), Monomial((2,)))
