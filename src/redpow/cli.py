@@ -90,7 +90,15 @@ def _root_index(g, root: str | None) -> int:
     return g.index_of(root) if root is not None else 0
 
 
-def _basis_doc(basis: CycleBasis, labels: tuple[str, ...]) -> dict:
+def _basis_for(g, k: int, root: int) -> CycleBasis:
+    """Cycle basis on the k-th power: greedy MCB for k = 1, else the decomposition."""
+    if k == 1:
+        return greedy_mcb(build_reduced_power(g, 1))
+    return decomposition_basis(g, k, root=root)
+
+
+def _basis_doc(basis: CycleBasis) -> dict:
+    labels = basis.host.graph.labels
     elements = []
     for idx, seq in enumerate(basis.cycles):
         entry = {
@@ -133,14 +141,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_mcb(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    root = _root_index(g, args.root)
-    if args.k == 1:
-        basis = greedy_mcb(g)
-        labels = g.labels
-    else:
-        basis = decomposition_basis(g, args.k, root=root)
-        labels = basis.host.graph.labels
-    doc = _basis_doc(basis, labels)
+    doc = _basis_doc(_basis_for(g, args.k, _root_index(g, args.root)))
     print(
         f"kind={doc['kind']} elements={doc['element_count']} "
         f"total_length={doc['total_length']} "
@@ -164,11 +165,9 @@ def cmd_verify_squares(args: argparse.Namespace) -> int:
 
 def cmd_check_reversibility(args: argparse.Namespace) -> int:
     g, k, spec = load_model(args.model)
+    root = _root_index(g, args.root)
     single = single_automaton_check(g, spec)
-    if k == 1:
-        basis = greedy_mcb(build_reduced_power(g, 1))
-    else:
-        basis = decomposition_basis(g, k, root=_root_index(g, args.root))
+    basis = _basis_for(g, k, root)
     mc = MasterChain(basis.host, spec)
     kolmogorov = kolmogorov_check(mc, basis)
     ss = steady_state(mc, mode="exact" if args.exact else "float")

@@ -204,7 +204,7 @@ class MasterChain:
     keeps the chain irreducible on the connected state space.
     """
 
-    __slots__ = ("rp", "spec", "forward", "backward")
+    __slots__ = ("rp", "spec", "forward", "backward", "_floats")
 
     def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
         if spec.graph != rp.base:
@@ -236,6 +236,7 @@ class MasterChain:
         self.spec = spec
         self.forward = tuple(rates[0::2])
         self.backward = tuple(rates[1::2])
+        self._floats: np.ndarray | None = None  # filled by _float_rates
 
     @property
     def num_states(self) -> int:
@@ -390,8 +391,8 @@ _EXACT_STATE_LIMIT = 400
 def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> SteadyState:
     """Solve pi Q = 0 with sum(pi) = 1.
 
-    Float mode converts every rate to a float once (SolverError if one
-    overflows or underflows to zero; exact mode still works there), fills
+    Float mode converts every rate to a float once per chain (SolverError
+    if one overflows or underflows to zero; exact mode still works there), fills
     the dense transpose system from that array, replaces its last row by
     ones and solves it through LAPACK. ``residual_inf`` is the largest
     |(pi Q)_x|, summed from the per-transition flows ``pi_x q(x,y)`` in
@@ -450,9 +451,12 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
 def _float_rates(mc: MasterChain) -> np.ndarray:
     """Every rate as a float, in :meth:`MasterChain.transitions` order.
 
-    Raises SolverError on the first rate that overflows or underflows to
-    zero, since the float solve cannot use it.
+    Converted once per chain and kept read-only on it, for the float
+    solve and the float balance test. Raises SolverError on the first
+    rate that overflows or underflows to zero, since neither can use it.
     """
+    if mc._floats is not None:
+        return mc._floats
     rates = []
     for t, (x, _, rate) in enumerate(mc.transitions()):
         try:
@@ -469,7 +473,9 @@ def _float_rates(mc: MasterChain) -> np.ndarray:
                 "float range; rerun with --exact"
             )
         rates.append(value)
-    return np.array(rates)
+    mc._floats = np.array(rates)
+    mc._floats.flags.writeable = False
+    return mc._floats
 
 
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
@@ -616,19 +622,24 @@ def detailed_balance_check(
     """Test pi_x q(x,y) = pi_y q(y,x) on every transition.
 
     Exact steady states compare exactly; float ones use a relative
-    tolerance on the larger flow.
+    tolerance on the larger flow, with the chain's float rates (a
+    SolverError if one lies outside the float range).
     """
     if len(ss.probabilities) != mc.num_states:
         raise ModelError("steady state does not match the chain's state count")
+    exact = ss.mode == "exact"
+    if exact:
+        fwd, bwd = mc.forward, mc.backward
+    else:
+        floats = _float_rates(mc).tolist()
+        fwd, bwd = floats[0::2], floats[1::2]
     violations = []
-    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
-        if ss.mode == "exact":
-            lhs = ss.probabilities[x] * qxy
-            rhs = ss.probabilities[y] * qyx
+    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, fwd, bwd):
+        lhs = ss.probabilities[x] * qxy
+        rhs = ss.probabilities[y] * qyx
+        if exact:
             ok = lhs == rhs
         else:
-            lhs = ss.probabilities[x] * float(qxy)
-            rhs = ss.probabilities[y] * float(qyx)
             ok = abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs), 1e-300)
         if not ok:
             labels = mc.rp.graph.labels

@@ -161,15 +161,21 @@ def rank(vectors: Sequence[EdgeVector]) -> int:
     return span.rank
 
 
-def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
-    """Edge vector of a closed vertex walk with no repeated vertices."""
-    g = host_graph(host)
+def _walk_bits(g: Graph, seq: Sequence[int]) -> int:
+    """Edge bitset of a closed walk on at least three distinct vertices."""
     if len(seq) < 3:
         raise CycleSpaceError("a simple cycle needs at least three vertices")
     if len(set(seq)) != len(seq):
         raise CycleSpaceError("cycle sequence repeats a vertex")
-    pairs = list(zip(seq, seq[1:])) + [(seq[-1], seq[0])]
-    return EdgeVector.from_edges(host, pairs)
+    bits = 0
+    for i, j in zip(seq, (*seq[1:], seq[0])):
+        bits ^= 1 << g.edge_position(i, j)
+    return bits
+
+
+def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
+    """Edge vector of a closed vertex walk with no repeated vertices."""
+    return EdgeVector(host, _walk_bits(host_graph(host), seq))
 
 
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
@@ -228,10 +234,10 @@ class CycleBasis:
         for x, seq in zip(self.elements, self.cycles):
             if host_graph(x.host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
-            if cycle_edge_vector(self.host, seq).bits != x.bits:
+            # a walk on n >= 3 distinct vertices crosses n distinct edges,
+            # so a traced element is a single simple cycle
+            if _walk_bits(g, seq) != x.bits:
                 raise CycleSpaceError("vertex sequence does not trace its element")
-            if x.size != len(seq):
-                raise CycleSpaceError("element is not a single simple cycle")
             if not span.add(x.bits):
                 raise CycleSpaceError("basis elements are linearly dependent")
 
@@ -322,12 +328,11 @@ def greedy_mcb(host) -> CycleBasis:
                 continue
             if set(pu) & set(pw) != {x}:
                 continue
+            # the two paths meet only at x, so seq repeats no vertex
             seq = pu + pw[:0:-1]
-            if len(seq) < 3 or len(set(seq)) != len(seq):
+            if len(seq) < 3:
                 continue
             vec = cycle_edge_vector(host, seq)
-            if vec.size != len(seq):
-                continue
             if vec.bits not in candidates:
                 # edge_indices() is ascending, so the tie-break key is canonical
                 key = (vec.size, tuple(vec.edge_indices()))

@@ -86,6 +86,10 @@ class Monomial:
         return Monomial(tuple(exps))
 
     def to_string(self, labels: tuple[str, ...]) -> str:
+        return self._render(labels, "")
+
+    def _render(self, labels: tuple[str, ...], sep: str) -> str:
+        """The factors ``lab`` or ``lab^e`` in vertex order, joined by ``sep``."""
         if len(labels) != len(self.exponents):
             raise PowerError("label tuple does not match exponent length")
         if self.degree == 0:
@@ -96,14 +100,15 @@ class Monomial:
                 parts.append(lab)
             elif e > 1:
                 parts.append(f"{lab}^{e}")
-        return "".join(parts)
+        return sep.join(parts)
 
 
 class ReducedPowerGraph:
     """A reduced power together with its state and edge annotations.
 
     ``graph`` is the plain labeled graph of the power (labels are the
-    monomial strings). ``annotations[e]`` records, for edge ``e`` of
+    monomial strings, with ``*`` between factors if the plain strings of
+    two states coincide). ``annotations[e]`` records, for edge ``e`` of
     that graph, the base edge ``(i, j)`` the moving token crosses and
     the degree-(k-1) monomial of the tokens that stay put. The edge
     joins states ``f * i`` and ``f * j``; since ``i < j``, ``f * i`` is
@@ -204,11 +209,30 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     return _assemble(base, k, words, moves)
 
 
+def _state_labels(base: Graph, states: tuple[Monomial, ...]) -> tuple[str, ...]:
+    """Plain state labels, or with ``*`` between factors when plain ones collide.
+
+    Multi-character base labels can run together: on labels a, bc, ab, c
+    the states a*bc and ab*c both render plainly as 'abc'.
+    """
+    labels = tuple(m.to_string(base.labels) for m in states)
+    if len(set(labels)) == len(labels):
+        return labels
+    seen: dict[str, Monomial] = {}
+    for m in states:
+        lab = m._render(base.labels, "*")
+        if lab in seen:
+            names = [tuple(base.labels[i] for i in s.word()) for s in (seen[lab], m)]
+            raise PowerError(f"states {names[0]} and {names[1]} both render as {lab!r}")
+        seen[lab] = m
+    return tuple(seen)
+
+
 def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
     """Power from its state words and moves; one ``Monomial`` per stay word."""
     v = base.num_vertices
     states = tuple(Monomial.from_word(w, v) for w in words)
-    labels = tuple(m.to_string(base.labels) for m in states)
+    labels = _state_labels(base, states)
     stays = {fw: Monomial.from_word(fw, v) for fw in {move[2] for move in moves.values()}}
     graph = Graph(labels, ((labels[x], labels[y]) for x, y in sorted(moves)))
     annotations = tuple(

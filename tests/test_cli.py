@@ -256,3 +256,48 @@ def test_graph_file_with_a_list_endpoint_exits_1(tmp_path, capsys):
     bad.write_text(json.dumps({"vertices": ["a", "b"], "edges": [[["a"], "b"]]}))
     assert main(["power", "--graph", str(bad), "--k", "2"]) == 1
     assert "edge entry [['a'], 'b'] must be a pair of labels" in capsys.readouterr().err
+
+
+def test_check_reversibility_k1_rejects_unknown_root(tmp_path, capsys):
+    doc = pentagon_model()
+    doc["k"] = 1
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["check-reversibility", "--model", str(model), "--root", "z"]) == 1
+    assert capsys.readouterr().err == "error: unknown vertex label 'z'\n"
+
+
+OVERLAPPING_PATH = {
+    "vertices": ["a", "bc", "ab", "c"],
+    "edges": [["a", "bc"], ["bc", "ab"], ["ab", "c"]],
+}
+
+
+def test_power_of_overlapping_labels_passes_the_crosscheck(tmp_path, capsys):
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps(OVERLAPPING_PATH))
+    out = tmp_path / "p.json"
+    assert main(["power", "--graph", str(graph), "--k", "2", "--out", str(out)]) == 0
+    assert "cross-check: quotient of the Cartesian power agrees" in capsys.readouterr().out
+    assert {"a*bc", "ab*c"} <= set(load_graph(out).labels)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_check_reversibility_on_overlapping_labels(tmp_path, capsys, coupled):
+    rates = {}
+    for src, dst in OVERLAPPING_PATH["edges"]:
+        rates[f"{src}->{dst}"] = {"base": "2", "coupling": {"c": "1" if coupled else "0"}}
+        rates[f"{dst}->{src}"] = {"base": "3"}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"graph": OVERLAPPING_PATH, "k": 3, "rates": rates}))
+    out = tmp_path / "report.json"
+    code = main(["check-reversibility", "--model", str(model), "--exact", "--out", str(out)])
+    assert code == (2 if coupled else 0)
+    verdict = "not reversible" if coupled else "reversible"
+    assert f"verdict: {verdict}\n" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["states"] == 20
+    assert doc["detailed_balance"]["balanced"] is not coupled
+    violations = doc["kolmogorov"]["violations"]
+    assert bool(violations) is coupled
+    assert coupled == any("*" in lab for v in violations for lab in v["vertices"])

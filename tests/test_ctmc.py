@@ -21,6 +21,7 @@ from redpow import (
     RateSpec,
     RedpowError,
     SolverError,
+    SteadyState,
     betti,
     build_master,
     build_reduced_power,
@@ -794,3 +795,63 @@ def test_model_from_dict_keeps_moderate_exponents(field):
         else:
             doc["rates"]["a->b"]["coupling"]["b"] = rate
             assert model_from_dict(doc)[2].coupling_vector(0, 1)[1] == value
+
+
+# --- float detailed balance on the chain's float rates ---
+
+
+def _float_balance_reference(ss, mc, rel_tol=1e-9):
+    """Per-edge float(Fraction) form of the float detailed-balance test."""
+    flags, bad = [], []
+    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
+        lhs = ss.probabilities[x] * float(qxy)
+        rhs = ss.probabilities[y] * float(qyx)
+        ok = abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs), 1e-300)
+        flags.append(ok)
+        if not ok:
+            bad.append((mc.rp.label(x), mc.rp.label(y), lhs, rhs))
+    return all(flags), bad
+
+
+def test_float_detailed_balance_equals_per_edge_float_reference():
+    rng = random.Random(909)
+    chains = [
+        _ring_chain(6, 3, rng, True, wide=False),
+        _ring_chain(6, 3, rng, False, wide=False),
+        _ring_chain(7, 3, rng, True, wide=True),
+        _ring_chain(7, 3, rng, False, wide=True),
+        _potential_chain(random_connected_graph(6, 4, 5), 3, rng, wide=True),
+        _random_chain(random_connected_graph(5, 3, 6), 3, rng, wide=True),
+    ]
+    outcomes = set()
+    for mc in chains:
+        ss = steady_state(mc, mode="float")
+        rep = detailed_balance_check(ss, mc)
+        balanced, bad = _float_balance_reference(ss, mc)
+        assert rep.mode == "float"
+        assert rep.balanced == balanced
+        assert [(v.x, v.y, v.flow_xy, v.flow_yx) for v in rep.violations] == bad
+        outcomes.add(balanced)
+    assert outcomes == {True, False}
+
+
+def test_float_rates_are_converted_once_per_chain(monkeypatch):
+    mc = build_master(pentagon(), 3, pentagon_spec(33, 1, 2, beta=1))
+    calls = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda q: calls.append(q) or to_float(q))
+    ss = steady_state(mc, mode="float")
+    assert not detailed_balance_check(ss, mc).balanced
+    assert not detailed_balance_check(ss, mc).balanced
+    assert len(calls) == 2 * mc.rp.num_edges
+
+
+def test_float_detailed_balance_rejects_rates_outside_the_float_range():
+    mc = build_master(pentagon(), 2, pentagon_spec(F(10) ** 400, 1, 2))
+    uniform = SteadyState((1 / mc.num_states,) * mc.num_states, "float", 0.0, 0.0)
+    with pytest.raises(SolverError) as info:
+        detailed_balance_check(uniform, mc)
+    assert str(info.value) == (
+        "rate a->b in state 'a^2' is about 1e+400, outside the float range; "
+        "rerun with --exact"
+    )

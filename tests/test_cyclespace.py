@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redpow import (
+    CycleBasis,
     CycleSpaceError,
     EdgeVector,
     Gf2Span,
     Graph,
+    GraphError,
     Monomial,
     RootedTree,
     betti,
@@ -20,6 +22,7 @@ from redpow import (
     build_reduced_power,
     cycle_decomposition,
     cycle_edge_vector,
+    decomposition_basis,
     enumerate_simple_cycles,
     fundamental_cycles,
     greedy_mcb,
@@ -340,3 +343,53 @@ def test_enumerate_canonical_orientation():
         assert seq == _canonical_cycle(seq)
         assert seq[0] == min(seq)
         assert seq[1] < seq[-1]
+
+
+# --- basis validation ---
+
+
+def _with_cycles(basis: CycleBasis, cycles) -> CycleBasis:
+    return CycleBasis(
+        host=basis.host,
+        elements=basis.elements,
+        kind=basis.kind,
+        cycles=tuple(cycles),
+        certified_minimum=basis.certified_minimum,
+        info=basis.info,
+    )
+
+
+def test_basis_rejects_a_walk_tracing_another_cycle():
+    basis = greedy_mcb(complete_graph(4))
+    swapped = (basis.cycles[1], basis.cycles[0]) + basis.cycles[2:]
+    with pytest.raises(CycleSpaceError, match="does not trace its element"):
+        _with_cycles(basis, swapped)
+    # a longer cycle in place of a triangle
+    square = next(seq for seq in enumerate_simple_cycles(complete_graph(4)) if len(seq) == 4)
+    with pytest.raises(CycleSpaceError, match="does not trace its element"):
+        _with_cycles(basis, (square,) + basis.cycles[1:])
+
+
+def test_basis_rejects_walks_through_non_edges_and_bad_walks():
+    basis = greedy_mcb(cycle_graph(5))
+    with pytest.raises(GraphError):
+        _with_cycles(basis, [(0, 2, 1, 3, 4)])
+    with pytest.raises(GraphError):
+        cycle_edge_vector(cycle_graph(5), (0, 2, 4))
+    with pytest.raises(CycleSpaceError, match="three vertices"):
+        _with_cycles(basis, [(0, 1)])
+    with pytest.raises(CycleSpaceError, match="repeats"):
+        _with_cycles(basis, [(0, 1, 2, 1, 0)])
+
+
+def test_builders_pass_the_edge_vectors_of_their_walks(suite):
+    for g in suite:
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            bases = [fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0)), greedy_mcb(rp)]
+            if k >= 2:
+                bases.append(decomposition_basis(g, k))
+            for basis in bases:
+                for x, seq in zip(basis.elements, basis.cycles):
+                    assert x == cycle_edge_vector(basis.host, seq)
+                    assert x.size == len(seq)

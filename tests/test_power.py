@@ -223,3 +223,42 @@ def test_state_index_rejects_monomials_of_another_size():
         rp.state_index(Monomial((1, 1, 0, 0, 0)))
     with pytest.raises(PowerError, match="not a state"):
         rp.state_index(Monomial((2,)))
+
+
+# --- labels of multi-character base vertices ---
+
+
+OVERLAPPING = ["a", "bc", "ab", "c"]  # a with bc and ab with c both spell 'abc'
+
+
+def _labelled_path(labels: list[str]) -> Graph:
+    return Graph(labels, list(zip(labels, labels[1:])))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_overlapping_labels_get_separated_states(k):
+    g = _labelled_path(OVERLAPPING)
+    rp = build_reduced_power(g, k)
+    labels = rp.graph.labels
+    assert len(set(labels)) == rp.num_states == vertex_count(4, k)
+    assert all("*" in lab or lab.endswith(f"^{k}") for lab in labels)
+    assert rp.label(rp.state_of((0, 1) + (3,) * (k - 2))) == "a*bc" + "*c" * (k - 2)
+    assert rp.label(rp.state_of((2, 3) + (3,) * (k - 2))) == ("ab*c" if k == 2 else "ab*c^2")
+    oracle = quotient_by_symmetry(cartesian_power(g, k), g, k)
+    assert oracle == rp
+    assert oracle.annotations == rp.annotations
+
+
+def test_distinct_plain_labels_stay_plain():
+    g = _labelled_path(["a", "bc", "d"])
+    assert build_reduced_power(g, 2).graph.labels == (
+        "a^2", "abc", "ad", "bc^2", "bcd", "d^2"
+    )
+    assert build_reduced_power(_labelled_path(OVERLAPPING), 1).graph.labels == tuple(OVERLAPPING)
+
+
+def test_labels_that_collide_even_separated_are_refused():
+    g = _labelled_path(["a", "ab", "a*b", "bc", "b*c", "c"])
+    with pytest.raises(PowerError) as info:
+        build_reduced_power(g, 2)
+    assert str(info.value) == "states ('a', 'b*c') and ('a*b', 'c') both render as 'a*b*c'"
