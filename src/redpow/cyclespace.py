@@ -14,6 +14,7 @@ space needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import CycleSpaceError
@@ -79,13 +80,7 @@ class EdgeVector:
         return self.bits == 0
 
     def edge_indices(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return _bit_indices(self.bits)
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         g = host_graph(self.host)
@@ -159,6 +154,16 @@ def rank(vectors: Sequence[EdgeVector]) -> int:
             raise CycleSpaceError("edge vectors live on different hosts")
         span.add(x.bits)
     return span.rank
+
+
+def _bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def _walk_bits(g: Graph, seq: Sequence[int]) -> int:
@@ -319,7 +324,7 @@ def greedy_mcb(host) -> CycleBasis:
         out.reverse()
         return out
 
-    candidates: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+    candidates: dict[int, list[int]] = {}
     for x in range(g.num_vertices):
         for u, w in g.edges:
             pu = path(x, u)
@@ -330,33 +335,21 @@ def greedy_mcb(host) -> CycleBasis:
                 continue
             # the two paths meet only at x, so seq repeats no vertex
             seq = pu + pw[:0:-1]
-            if len(seq) < 3:
-                continue
-            vec = cycle_edge_vector(host, seq)
-            if vec.bits not in candidates:
-                # edge_indices() is ascending, so the tie-break key is canonical
-                key = (vec.size, tuple(vec.edge_indices()))
-                candidates[vec.bits] = (key[0], key[1], _canonical_cycle(seq))
+            if len(seq) >= 3:
+                candidates.setdefault(_walk_bits(g, seq), seq)
 
-    ordered = sorted(candidates.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+    ordered = sorted(candidates, key=lambda bits: (bits.bit_count(), _bit_indices(bits)))
     span = Gf2Span()
-    elements = []
-    cycles = []
-    for bits, (_, _, seq) in ordered:
-        if span.add(bits):
-            elements.append(EdgeVector(host, bits))
-            cycles.append(seq)
-            if len(elements) == dim:
-                break
-    if len(elements) != dim:
+    kept = list(islice(filter(span.add, ordered), dim))  # each independent of those before
+    if len(kept) != dim:
         raise CycleSpaceError("shortest-path candidates failed to span the cycle space")
     return CycleBasis(
         host=host,
-        elements=tuple(elements),
+        elements=tuple(EdgeVector(host, bits) for bits in kept),
         kind="greedy-mcb",
-        cycles=tuple(cycles),
+        cycles=tuple(_canonical_cycle(candidates[bits]) for bits in kept),
         certified_minimum=True,
-        info=tuple(ElementInfo(tag="greedy") for _ in elements),
+        info=tuple(ElementInfo(tag="greedy") for _ in kept),
     )
 
 

@@ -25,6 +25,7 @@ that could replace it.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -92,16 +93,6 @@ class CartesianSquare:
         return f"({labels[a]}{labels[b]} x {labels[c]}{labels[d]}) f={fs}"
 
 
-def _squares_exist(g: Graph, t: RootedTree, k: int) -> bool:
-    """Check the tree for the square families; False (with a warning) for k < 2."""
-    check_spanning_tree(g, t)
-    if not t.is_depth_ordered():
-        raise GraphError("tree order must be non-decreasing in depth")
-    if k < 2:
-        warnings.warn("no Cartesian squares exist for k < 2", stacklevel=3)
-    return k >= 2
-
-
 def _stationary_word(rp: ReducedPowerGraph, f: Monomial, degree: int) -> tuple[int, ...]:
     """Word of a stationary monomial, checked against the power's base and k."""
     if f.degree != degree:
@@ -111,27 +102,48 @@ def _stationary_word(rp: ReducedPowerGraph, f: Monomial, degree: int) -> tuple[i
     return f.word()
 
 
-def _prefix_monomials(t: RootedTree, degree: int) -> list[list[Monomial]]:
-    """Entry j: the monomials of the given degree on the first j+1 tree vertices.
+def _square_words(g: Graph, t: RootedTree, k: int) -> list[tuple]:
+    """Both square families, tree pairs first, as (tag, edge1, edge2, sorted stay word).
 
-    Enumeration follows combinations with replacement over the prefix
-    in tree order, so square families are reproducible.
+    Checks the tree once; for k < 2 it warns and returns no squares.
+    Each tree edge is oriented (parent, child), and its stay words are
+    built once per tree-order position.
     """
-    v = len(t.order)
-    return [
-        [Monomial.from_word(w, v) for w in combinations_with_replacement(t.order[: j + 1], degree)]
-        for j in range(v)
+    check_spanning_tree(g, t)
+    if not t.is_depth_ordered():
+        raise GraphError("tree order must be non-decreasing in depth")
+    if k < 2:
+        warnings.warn("no Cartesian squares exist for k < 2", stacklevel=4)
+        return []
+    levels = []  # (tree edge, stay words) at tree-order positions 1, 2, ...
+    for j in range(1, len(t.order)):
+        v = t.order[j]
+        words = combinations_with_replacement(t.order[: j + 1], k - 2)
+        levels.append(((t.parent[v], v), [tuple(sorted(w)) for w in words]))
+    tree_pairs = t.tree_pairs()
+    out = [
+        ("tree-square", low, high, w)
+        for j, (high, words) in enumerate(levels)
+        for low, _ in levels[:j]
+        for w in words
     ]
+    out.extend(
+        ("chord-square", chord, edge, w)
+        for chord in g.edges
+        if chord not in tree_pairs
+        for edge, words in levels
+        for w in words
+    )
+    return out
 
 
-def _tree_edges_in_order(t: RootedTree) -> list[tuple[int, int]]:
-    """Tree edges keyed by their deeper endpoint, in tree order.
-
-    Entry p - 1 (p >= 1) is the edge oriented (parent, child) whose
-    child is the p-th vertex of the tree order, so callers read the edge
-    at tree-order position j as ``edges[j - 1]``.
-    """
-    return [(t.parent[v], v) for v in t.order[1:]]
+def _family(g: Graph, t: RootedTree, k: int, tag: str) -> list[CartesianSquare]:
+    v = g.num_vertices
+    return [
+        CartesianSquare(e1, e2, Monomial.from_word(w, v))
+        for sq_tag, e1, e2, w in _square_words(g, t, k)
+        if sq_tag == tag
+    ]
 
 
 def tree_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]:
@@ -141,15 +153,7 @@ def tree_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]:
     the shallower edge ranges over positions 1..j-1 and f over degree
     k-2 monomials on the first j+1 vertices in tree order.
     """
-    if not _squares_exist(g, t, k):
-        return []
-    fs = _prefix_monomials(t, k - 2)
-    edges = _tree_edges_in_order(t)
-    out: list[CartesianSquare] = []
-    for j in range(2, g.num_vertices):
-        for i in range(1, j):
-            out.extend(CartesianSquare(edges[i - 1], edges[j - 1], f) for f in fs[j])
-    return out
+    return _family(g, t, k, "tree-square")
 
 
 def chord_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]:
@@ -159,17 +163,7 @@ def chord_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]
     over degree k-2 monomials on the first j+1 vertices in tree order;
     chords iterate in ascending edge-index order.
     """
-    if not _squares_exist(g, t, k):
-        return []
-    fs = _prefix_monomials(t, k - 2)
-    tree_pairs = t.tree_pairs()
-    chords = [pair for pair in g.edges if pair not in tree_pairs]
-    edges = _tree_edges_in_order(t)
-    out: list[CartesianSquare] = []
-    for chord in chords:
-        for j in range(1, g.num_vertices):
-            out.extend(CartesianSquare(chord, edges[j - 1], f) for f in fs[j])
-    return out
+    return _family(g, t, k, "chord-square")
 
 
 def tree_square_count(v: int, k: int) -> int:
@@ -193,6 +187,33 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
     return cycle_edge_vector(rp, [rp.state_of(fw + (c,)) for c in cycle])
 
 
+def _structured_cycles(
+    base: Graph, tree: RootedTree, k: int
+) -> tuple[ReducedPowerGraph, list[tuple[int, ...]], list[ElementInfo]]:
+    """The power, with the canonical walks and records of its structured cycles.
+
+    First one embedded copy of a greedy minimum cycle basis of the base,
+    the k-1 stationary tokens parked on the tree's root; then the tree
+    pair and chord pair squares of the tree in enumeration order.
+    """
+    rp = build_reduced_power(base, k)
+    squares = _square_words(base, tree, k)
+    parked = (tree.root,) * (k - 1)
+    f_root = Monomial.from_word(parked, base.num_vertices)
+    cycles = []
+    infos = []
+    for seq in greedy_mcb(base).cycles:
+        cycles.append(_canonical_cycle([rp.state_of(parked + (c,)) for c in seq]))
+        infos.append(ElementInfo(tag="embedded", f=f_root))
+    fs = {w: Monomial.from_word(w, base.num_vertices) for w in {sq[3] for sq in squares}}
+    for tag, (a, b), (c, d), w in squares:
+        walk = [rp.state_of(w + pair) for pair in ((c, a), (c, b), (d, b), (d, a))]
+        cycles.append(_canonical_cycle(walk))
+        edges = (tuple(sorted((a, b))), tuple(sorted((c, d))))
+        infos.append(ElementInfo(tag=tag, base_edges=edges, f=fs[w]))
+    return rp, cycles, infos
+
+
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     """Cycle basis of the k-th reduced power from base MCB plus squares.
 
@@ -204,26 +225,7 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     """
     if k < 2:
         raise PowerError("the decomposition basis needs k >= 2")
-    rp = build_reduced_power(base, k)
-    tree = bfs_spanning_tree(base, root)
-    base_mcb = greedy_mcb(base)
-    parked = (root,) * (k - 1)
-    f_root = Monomial.from_word(parked, base.num_vertices)
-
-    cycles: list[tuple[int, ...]] = []
-    infos: list[ElementInfo] = []
-    for seq in base_mcb.cycles:
-        cycles.append(_canonical_cycle([rp.state_of(parked + (c,)) for c in seq]))
-        infos.append(ElementInfo(tag="embedded", f=f_root))
-    for tag, family in (
-        ("tree-square", tree_pair_squares(base, tree, k)),
-        ("chord-square", chord_pair_squares(base, tree, k)),
-    ):
-        for sq in family:
-            cycles.append(_canonical_cycle(sq.states(rp)))
-            edges = (tuple(sorted(sq.edge1)), tuple(sorted(sq.edge2)))
-            infos.append(ElementInfo(tag=tag, base_edges=edges, f=sq.f))
-
+    rp, cycles, infos = _structured_cycles(base, bfs_spanning_tree(base, root), k)
     return CycleBasis(
         host=rp,
         elements=tuple(cycle_edge_vector(rp, seq) for seq in cycles),
@@ -274,39 +276,36 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     square projects to zero in the base cycle space, and together with
     an embedded base MCB they span the full cycle space of the power.
     """
-    rp = build_reduced_power(base, k)
-    tsq = tree_pair_squares(base, tree, k)
-    csq = chord_pair_squares(base, tree, k)
+    rp, cycles, infos = _structured_cycles(base, tree, k)
+    tags = Counter(info.tag for info in infos)
+    n_tree, n_chord, n_embedded = tags["tree-square"], tags["chord-square"], tags["embedded"]
     beta_base = betti(base)
     beta_power = betti(rp.graph)
-
-    span = Gf2Span()
-    zero_proj = True
-    for sq in tsq + csq:
-        vec = sq.edge_vector(rp)
-        span.add(vec.bits)
-        if not project_to_base(vec).is_zero:
-            zero_proj = False
-    rank_squares = span.rank
     tsq_formula = tree_square_count(base.num_vertices, k)
     csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
+    span = Gf2Span()
+    zero_proj = True
+    for seq in cycles[n_embedded:]:
+        vec = cycle_edge_vector(rp, seq)
+        span.add(vec.bits)
+        zero_proj = zero_proj and project_to_base(vec).is_zero
+    rank_squares = span.rank
     # the square span grows into the span of squares plus embedded base MCB
-    f_root = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
-    for seq in greedy_mcb(base).cycles:
-        span.add(embed_cycle(rp, seq, f_root).bits)
+    for seq in cycles[:n_embedded]:
+        span.add(cycle_edge_vector(rp, seq).bits)
 
     return SquareSpaceReport(
         k=k,
-        tree_squares=len(tsq),
-        chord_squares=len(csq),
+        tree_squares=n_tree,
+        chord_squares=n_chord,
         tree_squares_formula=tsq_formula,
         chord_squares_formula=csq_formula,
         betti_base=beta_base,
         betti_power=beta_power,
         rank_squares=rank_squares,
-        counts_match=len(tsq) == tsq_formula and len(csq) == csq_formula,
-        independent=rank_squares == len(tsq) + len(csq),
+        counts_match=n_tree == tsq_formula and n_chord == csq_formula,
+        independent=rank_squares == n_tree + n_chord,
         projects_to_zero=zero_proj,
         spans_kernel=rank_squares == beta_power - beta_base,
         direct_sum=span.rank == beta_power,

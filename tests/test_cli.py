@@ -301,3 +301,51 @@ def test_check_reversibility_on_overlapping_labels(tmp_path, capsys, coupled):
     violations = doc["kolmogorov"]["violations"]
     assert bool(violations) is coupled
     assert coupled == any("*" in lab for v in violations for lab in v["vertices"])
+
+
+def test_check_reversibility_k1_builds_one_power(tmp_path, capsys, monkeypatch):
+    from redpow import ctmc, squares
+
+    built = []
+
+    def counting(base, k):
+        built.append(k)
+        return original(base, k)
+
+    original = cli.build_reduced_power
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", counting)
+    doc = pentagon_model(couplings={"c": "1"})
+    doc["k"] = 1
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["check-reversibility", "--model", str(model), "--out", str(out)]) == 0
+    assert built == [1]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "single-automaton criterion: pass",
+        "cycle criterion: pass (1 cycles, 0 violations)",
+    ]
+    report = json.loads(out.read_text())
+    assert report["single_automaton"] == report["kolmogorov"]
+
+    built.clear()
+    doc["k"] = 2
+    model.write_text(json.dumps(doc))
+    assert main(["check-reversibility", "--model", str(model)]) == 2
+    assert sorted(built) == [1, 2]
+
+
+def test_power_skips_crosscheck_on_comma_labels(tmp_path, capsys):
+    graph = tmp_path / "comma.json"
+    graph.write_text(json.dumps({"vertices": ["a,1", "b"], "edges": [["a,1", "b"]]}))
+    out = tmp_path / "p.json"
+    assert main(["power", "--graph", str(graph), "--k", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "states=3 (formula 3) edges=2 (formula 2)\n"
+        "cross-check: skipped (base labels contain ',')\n"
+    )
+    assert captured.err == ""
+    assert set(load_graph(out).labels) == {"a,1^2", "a,1b", "b^2"}

@@ -393,3 +393,11 @@ def test_builders_pass_the_edge_vectors_of_their_walks(suite):
                 for x, seq in zip(basis.elements, basis.cycles):
                     assert x == cycle_edge_vector(basis.host, seq)
                     assert x.size == len(seq)
+
+
+def test_greedy_mcb_orders_by_length_then_edge_indices(suite):
+    hosts = list(suite) + [build_reduced_power(g, k) for g in suite[:7] for k in (2, 3)]
+    hosts.append(build_reduced_power(cycle_graph(8), 3))
+    for host in hosts:
+        keys = [(x.size, x.edge_indices()) for x in greedy_mcb(host).elements]
+        assert all(a < b for a, b in zip(keys, keys[1:])), host

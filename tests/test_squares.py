@@ -262,3 +262,107 @@ def test_stationary_monomial_must_cover_the_base_vertices():
         CartesianSquare((0, 1), (2, 3), Monomial((1,))).states(rp)
     with pytest.raises(PowerError, match="base vertices"):
         embed_cycle(rp, (0, 1, 2, 3, 4), Monomial((2,)))
+
+
+# --- reference constructions from the public square families ---
+
+
+def _reference_structured(g, tree, k):
+    """Walks and records of the embedded base MCB and both families, built square by square."""
+    from redpow import ElementInfo
+    from redpow.cyclespace import _canonical_cycle
+
+    rp = build_reduced_power(g, k)
+    f_root = Monomial.from_word((tree.root,) * (k - 1), g.num_vertices)
+    cycles, infos = [], []
+    for seq in greedy_mcb(g).cycles:
+        cycles.append(_canonical_cycle([rp.state_index(f_root.times(c)) for c in seq]))
+        infos.append(ElementInfo(tag="embedded", f=f_root))
+    for tag, family in (
+        ("tree-square", tree_pair_squares(g, tree, k)),
+        ("chord-square", chord_pair_squares(g, tree, k)),
+    ):
+        for sq in family:
+            cycles.append(_canonical_cycle(sq.states(rp)))
+            edges = (tuple(sorted(sq.edge1)), tuple(sorted(sq.edge2)))
+            infos.append(ElementInfo(tag=tag, base_edges=edges, f=sq.f))
+    return rp, cycles, infos
+
+
+def _reference_report(g, tree, k):
+    from redpow import SquareSpaceReport, cycle_edge_vector
+
+    rp, cycles, infos = _reference_structured(g, tree, k)
+    tags = [info.tag for info in infos]
+    n_tree, n_chord = tags.count("tree-square"), tags.count("chord-square")
+    vectors = [cycle_edge_vector(rp, seq) for seq in cycles]
+    squares = [x for x, tag in zip(vectors, tags) if tag != "embedded"]
+    b, v = betti(g), g.num_vertices
+    rank_squares = rank(squares)
+    return SquareSpaceReport(
+        k=k,
+        tree_squares=n_tree,
+        chord_squares=n_chord,
+        tree_squares_formula=tree_square_count(v, k),
+        chord_squares_formula=chord_square_count(b, v, k),
+        betti_base=b,
+        betti_power=betti(rp.graph),
+        rank_squares=rank_squares,
+        counts_match=(n_tree, n_chord) == (tree_square_count(v, k), chord_square_count(b, v, k)),
+        independent=rank_squares == len(squares),
+        projects_to_zero=all(project_to_base(x).is_zero for x in squares),
+        spans_kernel=rank_squares == betti(rp.graph) - b,
+        direct_sum=rank(vectors) == betti(rp.graph),
+    )
+
+
+def test_decomposition_equals_the_square_by_square_reference(suite):
+    for g in suite:
+        for k in (2, 3, 4):
+            for root in range(g.num_vertices):
+                basis = decomposition_basis(g, k, root=root)
+                _, cycles, infos = _reference_structured(g, bfs_spanning_tree(g, root), k)
+                assert basis.cycles == tuple(cycles), (g, k, root)
+                assert basis.info == tuple(infos), (g, k, root)
+
+
+def test_verify_square_space_equals_the_reference_report(suite):
+    trees = [(g, bfs_spanning_tree(g, r)) for g in suite for r in (0, g.num_vertices - 1)]
+    trees += [(g, path_tree(n)) for g, n in ((cycle_graph(n), n) for n in (3, 4, 5, 6))]
+    trees += [(path_graph(4), path_tree(4)), (complete_graph(4), path_tree(4))]
+    for g, tree in trees:
+        for k in (1, 2, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert verify_square_space(g, tree, k) == _reference_report(g, tree, k), (g, k)
+
+
+def test_verify_square_space_k1_warns_once():
+    g = cycle_graph(5, "abcde")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify_square_space(g, bfs_spanning_tree(g, 0), 1)
+    assert [str(w.message) for w in caught] == ["no Cartesian squares exist for k < 2"]
+    assert report.passed
+    assert (report.tree_squares, report.chord_squares, report.rank_squares) == (0, 0, 0)
+
+
+def test_square_families_follow_the_documented_order(suite):
+    from itertools import combinations_with_replacement
+
+    for g in suite:
+        t = bfs_spanning_tree(g, g.num_vertices - 1)
+        edge = {p: (t.parent[v], v) for p, v in enumerate(t.order) if p}
+        chords = [pair for pair in g.edges if pair not in t.tree_pairs()]
+        for k in (2, 3, 4):
+            fs = {
+                j: [Monomial.from_word(w, g.num_vertices) for w in
+                    combinations_with_replacement(t.order[: j + 1], k - 2)]
+                for j in edge
+            }
+            tree = [(edge[i], edge[j], f) for j in edge for i in range(1, j) for f in fs[j]]
+            chord = [(c, edge[j], f) for c in chords for j in edge for f in fs[j]]
+            got = [(sq.edge1, sq.edge2, sq.f) for sq in tree_pair_squares(g, t, k)]
+            assert got == tree
+            got = [(sq.edge1, sq.edge2, sq.f) for sq in chord_pair_squares(g, t, k)]
+            assert got == chord
