@@ -690,8 +690,9 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
                 val, f"rates[{key!r}].coupling[{lab!r}]"
             )
         coupling[pair] = tuple(coeffs)
-        for extra in set(entry) - {"base", "coupling"}:
-            raise ModelError(f"rates[{key!r}] has unknown field {extra!r}")
+        for extra in entry:
+            if extra not in ("base", "coupling"):
+                raise ModelError(f"rates[{key!r}] has unknown field {extra!r}")
 
     return graph, k, RateSpec(graph, base, coupling)
 

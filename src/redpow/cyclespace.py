@@ -255,6 +255,21 @@ def total_length(basis: CycleBasis) -> int:
     return basis.total_length
 
 
+def _tree_cycle(parent, depth, u: int, w: int) -> list[int]:
+    """Walk ``u -> ... -> meet -> ... -> w`` along a rooted tree.
+
+    Climbs the deeper end (``u`` on ties) until both ends reach their
+    meeting vertex; with the edge ``{u, w}`` the walk closes a cycle.
+    """
+    left, right = [u], [w]
+    while left[-1] != right[-1]:
+        if depth[left[-1]] >= depth[right[-1]]:
+            left.append(parent[left[-1]])
+        else:
+            right.append(parent[right[-1]])
+    return left + right[-2::-1]
+
+
 def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     """Fundamental cycle basis of a spanning tree.
 
@@ -265,37 +280,19 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     g = host_graph(host)
     check_spanning_tree(g, tree)
     tree_pairs = tree.tree_pairs()
-
-    def path_to_root(v: int) -> list[int]:
-        out = [v]
-        while out[-1] != tree.root:
-            out.append(tree.parent[out[-1]])
-        return out
-
-    elements = []
-    cycles = []
-    infos = []
-    for i, j in g.edges:
-        if (i, j) in tree_pairs:
-            continue
-        left, right = path_to_root(i), path_to_root(j)
-        # drop the shared tail above the meeting vertex
-        while len(left) > 1 and len(right) > 1 and left[-2] == right[-2]:
-            left.pop()
-            right.pop()
-        assert left[-1] == right[-1]
-        seq = left + right[-2::-1]
-        seq = _canonical_cycle(seq)
-        elements.append(cycle_edge_vector(host, seq))
-        cycles.append(seq)
-        infos.append(ElementInfo(tag="fundamental"))
+    depth = tree.depths()
+    cycles = tuple(
+        _canonical_cycle(_tree_cycle(tree.parent, depth, i, j))
+        for i, j in g.edges
+        if (i, j) not in tree_pairs
+    )
     return CycleBasis(
         host=host,
-        elements=tuple(elements),
+        elements=tuple(cycle_edge_vector(host, seq) for seq in cycles),
         kind="fundamental",
-        cycles=tuple(cycles),
+        cycles=cycles,
         certified_minimum=False,
-        info=tuple(infos),
+        info=tuple(ElementInfo(tag="fundamental") for _ in cycles),
     )
 
 
@@ -306,37 +303,35 @@ def greedy_mcb(host) -> CycleBasis:
     common vertex to the endpoints of an edge, over all vertex and edge
     choices. Candidates are sorted by length with a lexicographic
     edge-index tie-break and inserted greedily while independent.
+
+    One BFS tree per source ``x`` gives every vertex the edge bitset of
+    its tree path from ``x`` and its first hop below ``x``. An edge
+    ``{u, w}`` with ``x`` at neither end closes a candidate exactly when
+    the first hops differ: tree paths that part at ``x`` never meet
+    again, so the candidate is the disjoint union of both paths and the
+    edge.
     """
     g = host_graph(host)
     dim = betti(g)
     if dim == 0:
         return CycleBasis(host, (), "greedy-mcb", (), certified_minimum=True, info=())
 
-    parents = [_bfs(g, s)[0] for s in range(g.num_vertices)]
-
-    def path(src: int, dst: int) -> list[int] | None:
-        out = [dst]
-        while out[-1] != src:
-            p = parents[src][out[-1]]
-            if p is None:
-                return None
-            out.append(p)
-        out.reverse()
-        return out
-
     candidates: dict[int, list[int]] = {}
     for x in range(g.num_vertices):
-        for u, w in g.edges:
-            pu = path(x, u)
-            pw = path(x, w)
-            if pu is None or pw is None:
-                continue
-            if set(pu) & set(pw) != {x}:
-                continue
-            # the two paths meet only at x, so seq repeats no vertex
-            seq = pu + pw[:0:-1]
-            if len(seq) >= 3:
-                candidates.setdefault(_walk_bits(g, seq), seq)
+        parent, order = _bfs(g, x)
+        path_bits = [0] * g.num_vertices
+        hop = [x] * g.num_vertices
+        depth = [0] * g.num_vertices
+        for v in order[1:]:
+            p = parent[v]
+            path_bits[v] = path_bits[p] | 1 << g.edge_position(p, v)
+            hop[v] = v if p == x else hop[p]
+            depth[v] = depth[p] + 1
+        for e, (u, w) in enumerate(g.edges):
+            if u != x != w and hop[u] != hop[w]:
+                bits = path_bits[u] | path_bits[w] | 1 << e
+                if bits not in candidates:
+                    candidates[bits] = _tree_cycle(parent, depth, w, u)
 
     ordered = sorted(candidates, key=lambda bits: (bits.bit_count(), _bit_indices(bits)))
     span = Gf2Span()

@@ -349,3 +349,43 @@ def test_power_skips_crosscheck_on_comma_labels(tmp_path, capsys):
     )
     assert captured.err == ""
     assert set(load_graph(out).labels) == {"a,1^2", "a,1b", "b^2"}
+
+
+def nearly_reversible_model(tmp_path):
+    # Every rate is 1 but a->b, which is off by one part in 10^12: the
+    # cycle criterion fails exactly, while the float balance test passes
+    # under its 1e-9 relative tolerance.
+    doc = pentagon_model()
+    doc["k"] = 2
+    for rate in doc["rates"].values():
+        rate["base"] = "1"
+    doc["rates"]["a->b"]["base"] = "1000000000001/1000000000000"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+def test_check_reversibility_float_defers_to_exact_balance_on_a_nearly_reversible_chain(
+    tmp_path, capsys
+):
+    out = tmp_path / "report.json"
+    code = main(["check-reversibility", "--model", str(nearly_reversible_model(tmp_path)),
+                 "--out", str(out)])
+    assert code == 2
+    assert "detailed balance (exact): fail" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["reversible"] is False
+    assert report["steady_state"]["mode"] == "float"
+    assert report["detailed_balance"]["balanced"] is False
+    assert report["detailed_balance"]["mode"] == "exact"
+
+
+def test_check_reversibility_exact_balance_retest_keeps_the_state_limit(
+    tmp_path, capsys, monkeypatch
+):
+    # an irreversible chain has no tree potential, so the re-test needs the
+    # exact solve, which refuses chains over its state limit
+    monkeypatch.setattr("redpow.ctmc._EXACT_STATE_LIMIT", 10)
+    model = nearly_reversible_model(tmp_path)
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: exact mode supports up to 10 states, got 15\n"

@@ -855,3 +855,31 @@ def test_float_detailed_balance_rejects_rates_outside_the_float_range():
         "rate a->b in state 'a^2' is about 1e+400, outside the float range; "
         "rerun with --exact"
     )
+
+
+def test_unknown_rate_field_error_names_the_first_field_under_every_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import redpow
+
+    doc = model_doc()
+    doc["rates"]["a->b"].update(zeta=1, alpha=1)
+    script = (
+        "import json, sys\n"
+        "from redpow import ModelError, model_from_dict\n"
+        "try:\n"
+        "    model_from_dict(json.loads(sys.stdin.read()))\n"
+        "except ModelError as exc:\n"
+        "    print(exc)\n"
+    )
+    messages = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": str(Path(redpow.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], input=json.dumps(doc),
+                             capture_output=True, text=True, env=env, check=True)
+        messages.add(run.stdout)
+    assert messages == {"rates['a->b'] has unknown field 'zeta'\n"}

@@ -11,6 +11,7 @@ from redpow import (
     CycleBasis,
     CycleSpaceError,
     EdgeVector,
+    ElementInfo,
     Gf2Span,
     Graph,
     GraphError,
@@ -26,12 +27,14 @@ from redpow import (
     enumerate_simple_cycles,
     fundamental_cycles,
     greedy_mcb,
+    host_graph,
     is_cycle,
     project_to_base,
     rank,
     total_length,
 )
 from redpow.cyclespace import _canonical_cycle
+from redpow.graph import _bfs
 
 from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
 
@@ -401,3 +404,100 @@ def test_greedy_mcb_orders_by_length_then_edge_indices(suite):
     for host in hosts:
         keys = [(x.size, x.edge_indices()) for x in greedy_mcb(host).elements]
         assert all(a < b for a, b in zip(keys, keys[1:])), host
+
+
+# --- reference copies of the earlier all-pairs builders ---
+
+
+def _reference_greedy_mcb(host):
+    """Shortest-path candidates from an all-pairs BFS parent table.
+
+    Rebuilds both tree paths for every (source, edge) pair, keeps the
+    pairs whose paths share only the source, and traces the first walk
+    of every distinct edge set; returns the greedy picks and their walks.
+    """
+    g = host_graph(host)
+    parents = [_bfs(g, s)[0] for s in range(g.num_vertices)]
+
+    def path(src, dst):
+        out = [dst]
+        while out[-1] != src:
+            out.append(parents[src][out[-1]])
+        return out[::-1]
+
+    candidates = {}
+    for x in range(g.num_vertices):
+        for u, w in g.edges:
+            pu, pw = path(x, u), path(x, w)
+            seq = pu + pw[:0:-1]
+            if set(pu) & set(pw) == {x} and len(seq) >= 3:
+                candidates.setdefault(cycle_edge_vector(host, seq).bits, seq)
+    ordered = sorted(candidates, key=lambda b: (b.bit_count(), EdgeVector(host, b).edge_indices()))
+    span = Gf2Span()
+    kept = [bits for bits in ordered if span.add(bits)]
+    return (
+        tuple(EdgeVector(host, bits) for bits in kept),
+        tuple(_canonical_cycle(candidates[bits]) for bits in kept),
+    )
+
+
+def _reference_fundamental_cycles(host, tree):
+    """Fundamental cycles from both full paths to the root, shared tail trimmed."""
+    g = host_graph(host)
+
+    def path_to_root(v):
+        out = [v]
+        while out[-1] != tree.root:
+            out.append(tree.parent[out[-1]])
+        return out
+
+    tree_pairs = tree.tree_pairs()
+    cycles = []
+    for i, j in g.edges:
+        if (i, j) in tree_pairs:
+            continue
+        left, right = path_to_root(i), path_to_root(j)
+        while len(left) > 1 and len(right) > 1 and left[-2] == right[-2]:
+            left.pop()
+            right.pop()
+        cycles.append(_canonical_cycle(left + right[-2::-1]))
+    return tuple(cycle_edge_vector(host, seq) for seq in cycles), tuple(cycles)
+
+
+def _assert_greedy_matches_reference(host):
+    basis = greedy_mcb(host)
+    assert (basis.elements, basis.cycles) == _reference_greedy_mcb(host), host
+    assert basis.kind == "greedy-mcb" and basis.certified_minimum
+    assert basis.info == tuple(ElementInfo(tag="greedy") for _ in basis.elements)
+
+
+def test_greedy_mcb_equals_the_all_pairs_reference(suite):
+    hosts = list(suite)
+    for g in suite:
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            hosts += [rp, rp.graph]
+    hosts.append(build_reduced_power(cycle_graph(8), 3))
+    for host in hosts:
+        _assert_greedy_matches_reference(host)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 6), st.integers(1, 3), st.integers(0, 10**6))
+def test_greedy_mcb_equals_the_all_pairs_reference_on_random_powers(v, extra, k, seed):
+    _assert_greedy_matches_reference(build_reduced_power(random_connected_graph(v, extra, seed), k))
+
+
+def test_fundamental_cycles_equal_the_path_to_root_reference(suite):
+    cases = []
+    for g in suite:
+        for host in (g, build_reduced_power(g, 2)):
+            n = host_graph(host).num_vertices
+            cases += [(host, bfs_spanning_tree(host_graph(host), r)) for r in range(n)]
+    for n in (3, 4, 5, 6):
+        cases.append((cycle_graph(n), RootedTree(0, {i: i - 1 for i in range(1, n)}, tuple(range(n)))))
+    cases.append((complete_graph(4), RootedTree(0, {1: 0, 2: 1, 3: 2}, (0, 1, 2, 3))))
+    for host, tree in cases:
+        basis = fundamental_cycles(host, tree)
+        assert (basis.elements, basis.cycles) == _reference_fundamental_cycles(host, tree)
+        assert basis.info == tuple(ElementInfo(tag="fundamental") for _ in basis.elements)
