@@ -255,44 +255,33 @@ def total_length(basis: CycleBasis) -> int:
     return basis.total_length
 
 
-def _tree_cycle(parent, depth, u: int, w: int) -> list[int]:
-    """Walk ``u -> ... -> meet -> ... -> w`` along a rooted tree.
-
-    Climbs the deeper end (``u`` on ties) until both ends reach their
-    meeting vertex; with the edge ``{u, w}`` the walk closes a cycle.
-    """
-    left, right = [u], [w]
-    while left[-1] != right[-1]:
-        if depth[left[-1]] >= depth[right[-1]]:
-            left.append(parent[left[-1]])
-        else:
-            right.append(parent[right[-1]])
-    return left + right[-2::-1]
-
-
 def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     """Fundamental cycle basis of a spanning tree.
 
     Each non-tree edge closes exactly one cycle through the tree; the
     resulting vectors are independent because each contains a non-tree
-    edge no other vector touches.
+    edge no other vector touches. A chord's cycle is the chord plus the
+    symmetric difference of its ends' tree paths to the root; its walk is
+    read off that bitset by :func:`cycle_decomposition`.
     """
     g = host_graph(host)
     check_spanning_tree(g, tree)
     tree_pairs = tree.tree_pairs()
-    depth = tree.depths()
-    cycles = tuple(
-        _canonical_cycle(_tree_cycle(tree.parent, depth, i, j))
-        for i, j in g.edges
+    path = [0] * g.num_vertices
+    for v in sorted(tree.parent, key=tree.depths().__getitem__):  # parents first
+        path[v] = path[tree.parent[v]] | 1 << g.edge_position(v, tree.parent[v])
+    elements = tuple(
+        EdgeVector(host, path[i] ^ path[j] | 1 << e)
+        for e, (i, j) in enumerate(g.edges)
         if (i, j) not in tree_pairs
     )
     return CycleBasis(
         host=host,
-        elements=tuple(cycle_edge_vector(host, seq) for seq in cycles),
+        elements=elements,
         kind="fundamental",
-        cycles=cycles,
+        cycles=tuple(cycle_decomposition(x)[0] for x in elements),
         certified_minimum=False,
-        info=tuple(ElementInfo(tag="fundamental") for _ in cycles),
+        info=tuple(ElementInfo(tag="fundamental") for _ in elements),
     )
 
 
@@ -309,40 +298,42 @@ def greedy_mcb(host) -> CycleBasis:
     ``{u, w}`` with ``x`` at neither end closes a candidate exactly when
     the first hops differ: tree paths that part at ``x`` never meet
     again, so the candidate is the disjoint union of both paths and the
-    edge.
+    edge. While ranking, edge ``e`` sits at bit ``top - e``: of two
+    equal-length sets the one whose first differing edge index is lower
+    is then the larger int, so ``(size, -bits)`` is the edge-index
+    order. Only the kept sets are mapped back, and their walks are read
+    off them by :func:`cycle_decomposition`.
     """
     g = host_graph(host)
     dim = betti(g)
     if dim == 0:
         return CycleBasis(host, (), "greedy-mcb", (), certified_minimum=True, info=())
 
-    candidates: dict[int, list[int]] = {}
+    top = g.num_edges - 1
+    candidates: set[int] = set()
     for x in range(g.num_vertices):
         parent, order = _bfs(g, x)
         path_bits = [0] * g.num_vertices
         hop = [x] * g.num_vertices
-        depth = [0] * g.num_vertices
         for v in order[1:]:
             p = parent[v]
-            path_bits[v] = path_bits[p] | 1 << g.edge_position(p, v)
+            path_bits[v] = path_bits[p] | 1 << top - g.edge_position(p, v)
             hop[v] = v if p == x else hop[p]
-            depth[v] = depth[p] + 1
         for e, (u, w) in enumerate(g.edges):
             if u != x != w and hop[u] != hop[w]:
-                bits = path_bits[u] | path_bits[w] | 1 << e
-                if bits not in candidates:
-                    candidates[bits] = _tree_cycle(parent, depth, w, u)
+                candidates.add(path_bits[u] | path_bits[w] | 1 << top - e)
 
-    ordered = sorted(candidates, key=lambda bits: (bits.bit_count(), _bit_indices(bits)))
+    ordered = sorted(candidates, key=lambda bits: (bits.bit_count(), -bits))
     span = Gf2Span()
     kept = list(islice(filter(span.add, ordered), dim))  # each independent of those before
     if len(kept) != dim:
         raise CycleSpaceError("shortest-path candidates failed to span the cycle space")
+    elements = tuple(EdgeVector(host, sum(1 << top - i for i in _bit_indices(r))) for r in kept)
     return CycleBasis(
         host=host,
-        elements=tuple(EdgeVector(host, bits) for bits in kept),
+        elements=elements,
         kind="greedy-mcb",
-        cycles=tuple(_canonical_cycle(candidates[bits]) for bits in kept),
+        cycles=tuple(cycle_decomposition(x)[0] for x in elements),
         certified_minimum=True,
         info=tuple(ElementInfo(tag="greedy") for _ in kept),
     )
@@ -362,7 +353,7 @@ def project_to_base(x: EdgeVector) -> EdgeVector:
         i, j, _ = rp.annotation(e)
         bits ^= 1 << rp.base.edge_position(i, j)
     out = EdgeVector(rp.base, bits)
-    if is_cycle(x) and not is_cycle(out):
+    if not is_cycle(out) and is_cycle(x):
         raise CycleSpaceError("projection of a cycle failed to be a cycle")
     return out
 

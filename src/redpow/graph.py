@@ -205,9 +205,18 @@ class RootedTree:
     parent: Mapping[int, int]
     order: tuple[int, ...]
 
+    def _check_indices(self, n: int) -> None:
+        """Raise GraphError unless order and parent map index vertices ``0..n-1``."""
+        if sorted(self.order) != list(range(n)):
+            raise GraphError(f"tree order must list every vertex exactly once, got {self.order}")
+        for child, par in self.parent.items():
+            if not (0 <= child < n and 0 <= par < n):
+                raise GraphError(f"tree parent entry {child} -> {par} is out of range")
+
     def depths(self) -> tuple[int, ...]:
         """Depth of every vertex, indexed by vertex."""
         n = len(self.order)
+        self._check_indices(n)
         depth: dict[int, int] = {self.root: 0}
         for v in self.order:
             if v in depth:
@@ -256,14 +265,12 @@ def check_spanning_tree(g: Graph, t: RootedTree) -> None:
     every parent edge must exist in the graph. Acyclicity follows from
     the depth computation, which rejects cyclic parent maps.
     """
-    n = g.num_vertices
-    if sorted(t.order) != list(range(n)):
-        raise GraphError("tree order must list every vertex exactly once")
+    t._check_indices(g.num_vertices)
     if not t.order or t.order[0] != t.root:
         raise GraphError("tree order must start at the root")
     if t.root in t.parent:
         raise GraphError("root must not have a parent")
-    if len(t.parent) != n - 1:
+    if len(t.parent) != g.num_vertices - 1:
         raise GraphError("parent map must cover every non-root vertex")
     for child, par in t.parent.items():
         if not g.has_edge(child, par):

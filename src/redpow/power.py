@@ -307,8 +307,10 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
 
-    words = sorted({tuple(sorted(t)) for t in tuples})
+    vertex_words = [tuple(sorted(t)) for t in tuples]
+    words = sorted(set(vertex_words))
     word_index = {w: i for i, w in enumerate(words)}
+    state = [word_index[w] for w in vertex_words]
 
     moves: _Moves = {}
     for pi, pj in power.edges:
@@ -320,8 +322,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         a, b = tx[pos], ty[pos]
         if not base.has_edge(a, b):
             raise PowerError("product edge does not project onto a base edge")
-        x = word_index[tuple(sorted(tx))]
-        y = word_index[tuple(sorted(ty))]
+        x, y = state[pi], state[pj]
         if x == y:
             raise PowerError("product edge collapses to a single state")
         pair = (x, y) if x < y else (y, x)

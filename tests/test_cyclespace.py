@@ -501,3 +501,12 @@ def test_fundamental_cycles_equal_the_path_to_root_reference(suite):
         basis = fundamental_cycles(host, tree)
         assert (basis.elements, basis.cycles) == _reference_fundamental_cycles(host, tree)
         assert basis.info == tuple(ElementInfo(tag="fundamental") for _ in basis.elements)
+
+
+def test_fundamental_cycles_on_a_tree_order_that_lists_children_first():
+    host = cycle_graph(4)
+    tree = RootedTree(0, {1: 0, 2: 1, 3: 2}, (0, 3, 2, 1))
+    assert not tree.is_depth_ordered()
+    basis = fundamental_cycles(host, tree)
+    assert (basis.elements, basis.cycles) == _reference_fundamental_cycles(host, tree)
+    assert basis.cycles == ((0, 1, 2, 3),)

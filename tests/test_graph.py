@@ -228,3 +228,47 @@ def test_graph_from_dict_raises_only_redpow_errors(doc, connected):
     except RedpowError:
         return
     assert graph_from_dict(json.loads(graph_to_json(g)), require_connected=connected) == g
+
+
+def test_tree_checks_name_out_of_range_entries():
+    g = Graph(["a", "b"], [("a", "b")])
+    for parent, entry in (({5: 0}, "5 -> 0"), ({1: 7}, "1 -> 7")):
+        with pytest.raises(GraphError, match=f"parent entry {entry} is out of range"):
+            check_spanning_tree(g, RootedTree(0, parent, (0, 1)))
+    tree = RootedTree(0, {2: 0}, (0, 2))
+    for method in (tree.depths, tree.is_depth_ordered):
+        with pytest.raises(GraphError, match=r"every vertex exactly once, got \(0, 2\)"):
+            method()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 4), st.integers(0, 10**6), st.data())
+def test_check_spanning_tree_raises_only_graph_errors(v, extra, seed, data):
+    g = random_connected_graph(v, extra, seed)
+    index = st.integers(-1, v + 1)
+    start = bfs_spanning_tree(g, data.draw(st.integers(0, v - 1)))
+    parent = dict(start.parent)
+    for child, par in data.draw(st.lists(st.tuples(index, index), max_size=3)):
+        parent[child] = par
+    for child in data.draw(st.lists(index, max_size=2)):
+        parent.pop(child, None)
+    order = data.draw(
+        st.one_of(
+            st.just(start.order),
+            st.permutations(range(v)),
+            st.lists(index, max_size=v + 2),
+        ).map(tuple)
+    )
+    tree = RootedTree(data.draw(st.one_of(st.just(start.root), index)), parent, order)
+    for probe in (tree.depths, tree.is_depth_ordered):
+        try:
+            probe()
+        except GraphError:
+            pass
+    try:
+        check_spanning_tree(g, tree)
+    except GraphError:
+        return
+    depths = tree.depths()
+    for child, par in tree.parent.items():
+        assert g.has_edge(child, par) and depths[child] == depths[par] + 1
