@@ -47,43 +47,45 @@ class Graph:
         labels = tuple(labels)
         if not labels:
             raise GraphError("graph needs at least one vertex")
-        if len(set(labels)) != len(labels):
+        for lab in labels:
+            if not isinstance(lab, str) or not lab:
+                raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
+        label_index = dict(zip(labels, range(len(labels))))
+        if len(label_index) != len(labels):
             seen: set[str] = set()
             for lab in labels:
                 if lab in seen:
                     raise GraphError(f"duplicate vertex label {lab!r}")
                 seen.add(lab)
-        for lab in labels:
-            if not isinstance(lab, str) or not lab:
-                raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
-        label_index = {lab: i for i, lab in enumerate(labels)}
 
-        pairs: list[tuple[int, int]] = []
-        pair_set: set[tuple[int, int]] = set()
-        for x, y in edges:
-            for end in (x, y):
-                if end not in label_index:
-                    raise GraphError(f"edge endpoint {end!r} is not a vertex")
-            i, j = label_index[x], label_index[y]
-            if i == j:
-                raise GraphError(f"loop at vertex {x!r} is not allowed")
-            pair = (i, j) if i < j else (j, i)
-            if pair in pair_set:
-                raise GraphError(f"duplicate edge {x!r}-{y!r}")
-            pair_set.add(pair)
-            pairs.append(pair)
+        edges = list(edges)
+        get = label_index.get
+        try:
+            # None marks a loop; comparing the None of an unknown endpoint, hashing
+            # an unhashable one or unpacking a malformed entry raises
+            pairs = [
+                (i, j) if (i := get(x)) < (j := get(y)) else (j, i) if j < i else None
+                for x, y in edges
+            ]
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or None in pairs:
+            _raise_edge_fault(edges, label_index)
         pairs.sort()
+        edge_index = dict(zip(pairs, range(len(pairs))))
+        if len(edge_index) != len(pairs):
+            _raise_edge_fault(edges, label_index)
 
         adj: list[list[int]] = [[] for _ in labels]
-        for i, j in pairs:
+        for i, j in pairs:  # pairs are sorted, so every list comes out ascending
             adj[i].append(j)
             adj[j].append(i)
 
         self.labels: tuple[str, ...] = labels
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._label_index = label_index
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._edge_index = {pair: e for e, pair in enumerate(self.edges)}
+        self._adj = tuple(map(tuple, adj))
+        self._edge_index = edge_index
 
     # --- accessors ---
 
@@ -143,6 +145,26 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(v={self.num_vertices}, e={self.num_edges})"
+
+
+def _raise_edge_fault(edges: list, label_index: dict[str, int]) -> None:
+    """Raise GraphError for the first edge that names a non-vertex, loops or repeats.
+
+    The slow path of ``Graph.__init__``, run only once a fault is known,
+    so the message names the first faulty edge in input order.
+    """
+    pair_set: set[tuple[int, int]] = set()
+    for x, y in edges:
+        for end in (x, y):
+            if not isinstance(end, str) or end not in label_index:
+                raise GraphError(f"edge endpoint {end!r} is not a vertex")
+        i, j = label_index[x], label_index[y]
+        if i == j:
+            raise GraphError(f"loop at vertex {x!r} is not allowed")
+        pair = (i, j) if i < j else (j, i)
+        if pair in pair_set:
+            raise GraphError(f"duplicate edge {x!r}-{y!r}")
+        pair_set.add(pair)
 
 
 def _bfs(g: Graph, root: int = 0) -> tuple[list[int | None], list[int]]:

@@ -14,13 +14,21 @@ indices. For k = 1 this reproduces the base graph exactly.
 A state is keyed by its word, the sorted tuple of the vertex indices
 its tokens occupy (``ReducedPowerGraph.state_of``); ``Monomial`` is the
 public view, built once per state and per stationary monomial.
+
+The independent oracle, :func:`cartesian_power` followed by
+:func:`quotient_by_symmetry`, runs as array kernels: the product's edges
+come from arithmetic on mixed-radix vertex indices, and each quotient
+check is one array operation over all product edges, so no Python code
+runs once per product edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
+
+import numpy as np
 
 from .errors import PowerError
 from .graph import Graph
@@ -255,25 +263,36 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     Vertices are comma-joined k-tuples of base labels; edges join tuples
     differing in one coordinate by a base edge. Raises when the v**k
     state count would exceed ``budget``.
+
+    Tuple ``t`` is vertex number ``t``, its mixed-radix code over ``v``,
+    so the edge that moves coordinate ``pos`` along base edge ``(a, b)``
+    joins ``t`` to ``t + (b - a) * v**(k - 1 - pos)``: every edge end is
+    computed as one array over all tuples with digit ``a`` at ``pos``.
     """
     if k < 1:
         raise PowerError("k must be >= 1")
     v = base.num_vertices
-    if v**k > budget:
+    n = v**k
+    if n > budget:
         raise PowerError(f"cartesian power has {v}^{k} vertices, over budget {budget}")
     if any("," in lab for lab in base.labels):
         raise PowerError("base labels must not contain ',' for product labeling")
 
-    tuples = list(product(range(v), repeat=k))
-    labels = [",".join(base.labels[i] for i in tup) for tup in tuples]
-    edges: list[tuple[str, str]] = []
-    for ti, tup in enumerate(tuples):
-        for pos in range(k):
-            for nbr in base.adjacency(tup[pos]):
-                if nbr > tup[pos]:
-                    other = tup[:pos] + (nbr,) + tup[pos + 1 :]
-                    edges.append((labels[ti], ",".join(base.labels[i] for i in other)))
-    return Graph(labels, edges)
+    labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
+    ends = np.array(base.edges, dtype=np.int64).reshape(-1, 2)
+    lo, step = ends[:, :1], ends[:, 1:] - ends[:, :1]
+    lows, highs = [], []
+    for pos in range(k):
+        stride = v ** (k - 1 - pos)
+        # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
+        low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
+        lows.append(low.ravel())
+        highs.append((low + step * stride).ravel())
+    src, dst = np.concatenate(lows), np.concatenate(highs)
+    del lows, highs
+    order = np.argsort(src * n + dst)  # the canonical edge order, so Graph's sort is one pass
+    names = np.array(labels, dtype=object)
+    return Graph(labels, zip(names[src[order]].tolist(), names[dst[order]].tolist()))
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:
@@ -283,22 +302,36 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     at monomial arithmetic, only at the tuple structure of the product
     graph. Raises PowerError if ``power`` is not the k-fold Cartesian
     power of ``base`` produced by :func:`cartesian_power`.
+
+    The labels are parsed into one digit row per product vertex; every
+    check then runs as an array operation over all product edges, one
+    check after another, and only the distinct quotient edges come back
+    to Python.
     """
     if k < 1:
         raise PowerError("k must be >= 1")
     v = base.num_vertices
-    if power.num_vertices != v**k:
+    n = v**k
+    if power.num_vertices != n:
         raise PowerError(
             f"power has {power.num_vertices} vertices, expected {v}^{k} = {v**k}"
         )
 
-    tuples: list[tuple[int, ...]] = []
+    digit_of = dict(zip(base.labels, range(v)))
+    flat: list[int | None] = []
     for lab in power.labels:
         parts = lab.split(",")
         if len(parts) != k:
             raise PowerError(f"vertex label {lab!r} is not a {k}-tuple of base labels")
-        tuples.append(tuple(base.index_of(p) for p in parts))
-    if len(set(tuples)) != len(tuples):
+        flat.extend(map(digit_of.get, parts))
+    if None in flat:
+        at = flat.index(None)
+        base.index_of(power.labels[at // k].split(",")[at % k])  # raises GraphError
+    digits = np.array(flat, dtype=np.min_scalar_type(v)).reshape(n, k)
+    del flat
+    covered = np.zeros(n, dtype=bool)
+    covered[_codes(digits, v)] = True
+    if not covered.all():  # n codes below n cover them all exactly when distinct
         raise PowerError("product vertices are not distinct tuples")
 
     expected_edges = k * base.num_edges * v ** (k - 1)
@@ -306,29 +339,57 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         raise PowerError(
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
+    m = power.num_edges
+    ends = np.fromiter(chain.from_iterable(power.edges), np.min_scalar_type(n), 2 * m)
+    tx, ty = digits[ends[0::2]], digits[ends[1::2]]
+    changed = tx != ty
+    if not (changed.sum(axis=1) == 1).all():
+        raise PowerError("product edge changes more than one coordinate")
+    # one changed coordinate per row, so masking keeps one entry per edge, in edge order
+    a, b = tx[changed], ty[changed]
+    stays = np.sort(tx[~changed].reshape(m, k - 1), axis=1)
+    del tx, ty, changed
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    del a, b
+    moved = lo.astype(np.int64) * v + hi
+    if not np.isin(moved, [i * v + j for i, j in base.edges]).all():
+        raise PowerError("product edge does not project onto a base edge")
 
-    vertex_words = [tuple(sorted(t)) for t in tuples]
-    words = sorted(set(vertex_words))
-    word_index = {w: i for i, w in enumerate(words)}
-    state = [word_index[w] for w in vertex_words]
+    words = np.sort(digits, axis=1)
+    codes, first, state = np.unique(_codes(words, v), return_index=True, return_inverse=True)
+    x, y = state[ends[0::2]], state[ends[1::2]]
+    del ends, state
+    if (x == y).any():
+        raise PowerError("product edge collapses to a single state")
+    num_states = len(codes)
+    pairs = np.minimum(x, y) * num_states + np.maximum(x, y)
+    del x, y
+    move_keys = moved * v ** (k - 1) + _codes(stays, v)
+    del moved
+    order = np.argsort(pairs)
+    pairs, move_keys = pairs[order], move_keys[order]
+    repeat = pairs[1:] == pairs[:-1]
+    if (repeat & (move_keys[1:] != move_keys[:-1])).any():
+        raise PowerError("inconsistent annotations for a quotient edge")
+    first_of_pair = np.ones(m, dtype=bool)
+    first_of_pair[1:] = ~repeat
+    kept = order[first_of_pair]
 
-    moves: _Moves = {}
-    for pi, pj in power.edges:
-        tx, ty = tuples[pi], tuples[pj]
-        diff = [pos for pos in range(k) if tx[pos] != ty[pos]]
-        if len(diff) != 1:
-            raise PowerError("product edge changes more than one coordinate")
-        pos = diff[0]
-        a, b = tx[pos], ty[pos]
-        if not base.has_edge(a, b):
-            raise PowerError("product edge does not project onto a base edge")
-        x, y = state[pi], state[pj]
-        if x == y:
-            raise PowerError("product edge collapses to a single state")
-        pair = (x, y) if x < y else (y, x)
-        move = (min(a, b), max(a, b), tuple(sorted(tx[:pos] + tx[pos + 1 :])))
-        prev = moves.get(pair)
-        if prev is not None and prev != move:
-            raise PowerError("inconsistent annotations for a quotient edge")
-        moves[pair] = move
-    return _assemble(base, k, words, moves)
+    moves: _Moves = {
+        divmod(pair, num_states): (i, j, tuple(fw))
+        for pair, i, j, fw in zip(
+            pairs[first_of_pair].tolist(),
+            lo[kept].tolist(),
+            hi[kept].tolist(),
+            stays[kept].tolist(),
+        )
+    }
+    return _assemble(base, k, [tuple(w) for w in words[first].tolist()], moves)
+
+
+def _codes(rows: np.ndarray, v: int) -> np.ndarray:
+    """Mixed-radix code over ``v`` of each row of digits, first digit most significant."""
+    code = np.zeros(len(rows), dtype=np.min_scalar_type(v ** rows.shape[1]))
+    for column in rows.T:
+        code = code * v + column
+    return code

@@ -272,3 +272,22 @@ def test_check_spanning_tree_raises_only_graph_errors(v, extra, seed, data):
     depths = tree.depths()
     for child, par in tree.parent.items():
         assert g.has_edge(child, par) and depths[child] == depths[par] + 1
+
+
+@pytest.mark.parametrize(
+    "labels,edges,message",
+    [
+        (["a", ["b"]], [], "vertex labels must be non-empty strings, got ['b']"),
+        (["a", "b"], [("a", ["b"])], "edge endpoint ['b'] is not a vertex"),
+        (["a", "b"], [("a", 1)], "edge endpoint 1 is not a vertex"),
+        ("abc", [("a", "b"), ("c", "b"), ("b", "c"), ("b", "a")], "duplicate edge 'b'-'c'"),
+        ("abc", iter([("a", "b"), ("c", "b"), ("b", "a")]), "duplicate edge 'b'-'a'"),
+        ("abc", [("a", "b"), ("a", "z"), ("b", "b")], "edge endpoint 'z' is not a vertex"),
+        ("abc", [("a", "b"), ("c", "c"), ("a", "z")], "loop at vertex 'c' is not allowed"),
+        ("abc", [("a", "b"), ("b", "a"), ("c", "c")], "duplicate edge 'b'-'a'"),
+    ],
+)
+def test_constructor_names_the_first_fault(labels, edges, message):
+    with pytest.raises(GraphError) as info:
+        Graph(labels, edges)
+    assert str(info.value) == message

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from redpow import (
     Graph,
+    GraphError,
     Monomial,
     PowerError,
     betti,
@@ -22,6 +23,7 @@ from redpow import (
     quotient_by_symmetry,
     vertex_count,
 )
+from redpow.power import _assemble
 
 from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
 
@@ -262,3 +264,118 @@ def test_labels_that_collide_even_separated_are_refused():
     with pytest.raises(PowerError) as info:
         build_reduced_power(g, 2)
     assert str(info.value) == "states ('a', 'b*c') and ('a*b', 'c') both render as 'a*b*c'"
+
+
+# --- the array oracle: its refusals and the tuple-by-tuple reference ---
+
+
+def _relabelled(power: Graph, labels: list[str]) -> Graph:
+    return Graph(labels, [(labels[i], labels[j]) for i, j in power.edges])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_quotient_rejects_labels_that_are_not_k_tuples(k):
+    g = cycle_graph(4)
+    labels = list(cartesian_power(g, k).labels)
+    labels[3] += ",v0"
+    power = _relabelled(cartesian_power(g, k), labels)
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(power, g, k)
+    assert str(info.value) == f"vertex label {labels[3]!r} is not a {k}-tuple of base labels"
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_quotient_rejects_unknown_base_labels(k):
+    g = cycle_graph(4)
+    labels = list(cartesian_power(g, k).labels)
+    labels[3] = labels[3][:-2] + "zz"
+    with pytest.raises(GraphError, match="unknown vertex label 'zz'"):
+        quotient_by_symmetry(_relabelled(cartesian_power(g, k), labels), g, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_quotient_rejects_repeated_tuples(k):
+    g = cycle_graph(4)
+    power = cartesian_power(g, k)
+    # Graph refuses repeated labels, so the repeat is written over a built power
+    power.labels = power.labels[:1] * 2 + power.labels[2:]
+    with pytest.raises(PowerError, match="product vertices are not distinct tuples"):
+        quotient_by_symmetry(power, g, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_quotient_rejects_edges_off_the_base(k):
+    g = cycle_graph(4)
+    power = cartesian_power(g, k)
+    rest = ",v1" * (k - 1)
+    edges = power.edge_labels()[:-1] + [("v0" + rest, "v2" + rest)]  # v0-v2 is a chord
+    with pytest.raises(PowerError, match="product edge does not project onto a base edge"):
+        quotient_by_symmetry(Graph(power.labels, edges), g, k)
+
+
+def test_quotient_of_a_single_vertex_base():
+    g = Graph(["a"], [])
+    for k in (1, 3):
+        oracle = quotient_by_symmetry(cartesian_power(g, k), g, k)
+        assert oracle == build_reduced_power(g, k) and oracle.annotations == ()
+
+
+def _reference_cartesian_power(base: Graph, k: int) -> Graph:
+    """The product built tuple by tuple, each edge from its two joined labels."""
+    tuples = list(product(range(base.num_vertices), repeat=k))
+    labels = [",".join(base.labels[i] for i in tup) for tup in tuples]
+    edges = []
+    for ti, tup in enumerate(tuples):
+        for pos in range(k):
+            for nbr in base.adjacency(tup[pos]):
+                if nbr > tup[pos]:
+                    other = tup[:pos] + (nbr,) + tup[pos + 1 :]
+                    edges.append((labels[ti], ",".join(base.labels[i] for i in other)))
+    return Graph(labels, edges)
+
+
+def _reference_quotient(power: Graph, base: Graph, k: int):
+    """The quotient read off product edge by product edge."""
+    tuples = [tuple(base.index_of(p) for p in lab.split(",")) for lab in power.labels]
+    vertex_words = [tuple(sorted(t)) for t in tuples]
+    words = sorted(set(vertex_words))
+    word_index = {w: i for i, w in enumerate(words)}
+    state = [word_index[w] for w in vertex_words]
+    moves = {}
+    for pi, pj in power.edges:
+        tx, ty = tuples[pi], tuples[pj]
+        (pos,) = [pos for pos in range(k) if tx[pos] != ty[pos]]
+        a, b = tx[pos], ty[pos]
+        assert base.has_edge(a, b)
+        x, y = sorted((state[pi], state[pj]))
+        move = (min(a, b), max(a, b), tuple(sorted(tx[:pos] + tx[pos + 1 :])))
+        assert moves.setdefault((x, y), move) == move
+    return _assemble(base, k, words, moves)
+
+
+def _assert_oracle_matches_reference(g: Graph, k: int) -> None:
+    power = cartesian_power(g, k)
+    assert power == _reference_cartesian_power(g, k)
+    oracle, reference = quotient_by_symmetry(power, g, k), _reference_quotient(power, g, k)
+    assert oracle.graph == reference.graph
+    assert oracle.states == reference.states
+    assert oracle.annotations == reference.annotations
+
+
+def test_array_oracle_equals_the_tuple_reference(suite):
+    for g in suite:
+        for k in (1, 2, 3):
+            _assert_oracle_matches_reference(g, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=3), min_size=2, max_size=5, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(0, 10**6),
+)
+def test_array_oracle_equals_the_tuple_reference_on_random_labels(labels, extra, k, seed):
+    shape = random_connected_graph(len(labels), extra, seed)
+    g = Graph(labels, [(labels[i], labels[j]) for i, j in shape.edges])
+    _assert_oracle_matches_reference(g, k)
