@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_json(doc: dict, out: Path | None) -> None:
     if out is not None:
-        Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(out).write_text(json.dumps(doc) + "\n")
 
 
 def _root_index(g, root: str | None) -> int:

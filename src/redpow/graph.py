@@ -5,6 +5,9 @@ as ascending index pairs sorted lexicographically. That fixes a dense
 edge index map which the F2 cycle-space layer addresses by position,
 and it makes every downstream tie-break (BFS neighbor order, candidate
 enumeration) reproducible across runs.
+
+``Graph(labels, edges)`` checks label pairs in input order; the package's
+builders pass index pairs to ``Graph._from_pairs``. One fill step serves both.
 """
 
 from __future__ import annotations
@@ -44,43 +47,45 @@ class Graph:
     __slots__ = ("labels", "edges", "_adj", "_edge_index", "_label_index")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]]):
-        labels = tuple(labels)
-        if not labels:
-            raise GraphError("graph needs at least one vertex")
-        for lab in labels:
-            if not isinstance(lab, str) or not lab:
-                raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
-        label_index = dict(zip(labels, range(len(labels))))
-        if len(label_index) != len(labels):
-            seen: set[str] = set()
-            for lab in labels:
-                if lab in seen:
-                    raise GraphError(f"duplicate vertex label {lab!r}")
-                seen.add(lab)
+        labels, label_index = _index_labels(labels)
+        pairs: set[tuple[int, int]] = set()
+        for entry in edges:  # input order, so the first faulty entry is the one named
+            try:
+                x, y = entry
+            except (TypeError, ValueError):
+                raise GraphError(f"edge entry {entry!r} must be a pair of labels") from None
+            for end in (x, y):
+                if not isinstance(end, str) or end not in label_index:
+                    raise GraphError(f"edge endpoint {end!r} is not a vertex")
+            i, j = label_index[x], label_index[y]
+            if i == j:
+                raise GraphError(f"loop at vertex {x!r} is not allowed")
+            pair = (i, j) if i < j else (j, i)
+            if pair in pairs:
+                raise GraphError(f"duplicate edge {x!r}-{y!r}")
+            pairs.add(pair)
+        self._fill(labels, label_index, list(pairs))
 
-        edges = list(edges)
-        get = label_index.get
-        try:
-            # None marks a loop; comparing the None of an unknown endpoint, hashing
-            # an unhashable one or unpacking a malformed entry raises
-            pairs = [
-                (i, j) if (i := get(x)) < (j := get(y)) else (j, i) if j < i else None
-                for x, y in edges
-            ]
-        except (TypeError, ValueError):
-            pairs = None
-        if pairs is None or None in pairs:
-            _raise_edge_fault(edges, label_index)
+    @classmethod
+    def _from_pairs(cls, labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> Graph:
+        """Graph from index pairs ``(i, j)``, ``i < j``, in any order: the builders' path."""
+        g = cls.__new__(cls)
+        g._fill(*_index_labels(labels), list(pairs))
+        return g
+
+    def _fill(self, labels: tuple[str, ...], label_index: dict[str, int], pairs: list) -> None:
+        """Store the pairs in the canonical (sorted) order; raise on a bad or repeated one."""
         pairs.sort()
-        edge_index = dict(zip(pairs, range(len(pairs))))
-        if len(edge_index) != len(pairs):
-            _raise_edge_fault(edges, label_index)
-
         adj: list[list[int]] = [[] for _ in labels]
         for i, j in pairs:  # pairs are sorted, so every list comes out ascending
+            if not 0 <= i < j < len(labels):
+                raise GraphError(f"edge pair {(i, j)} needs 0 <= i < j < {len(labels)}")
             adj[i].append(j)
             adj[j].append(i)
-
+        edge_index = dict(zip(pairs, range(len(pairs))))
+        if len(edge_index) != len(pairs):
+            repeat = next(p for p, q in zip(pairs, pairs[1:]) if p == q)
+            raise GraphError(f"duplicate edge pair {repeat}")
         self.labels: tuple[str, ...] = labels
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._label_index = label_index
@@ -120,6 +125,9 @@ class Graph:
         try:
             return self._edge_index[pair]
         except KeyError:
+            for end in pair:
+                if not 0 <= end < len(self.labels):
+                    raise GraphError(f"vertex index {end} is out of range") from None
             raise GraphError(
                 f"no edge between {self.labels[i]!r} and {self.labels[j]!r}"
             ) from None
@@ -147,24 +155,19 @@ class Graph:
         return f"Graph(v={self.num_vertices}, e={self.num_edges})"
 
 
-def _raise_edge_fault(edges: list, label_index: dict[str, int]) -> None:
-    """Raise GraphError for the first edge that names a non-vertex, loops or repeats.
-
-    The slow path of ``Graph.__init__``, run only once a fault is known,
-    so the message names the first faulty edge in input order.
-    """
-    pair_set: set[tuple[int, int]] = set()
-    for x, y in edges:
-        for end in (x, y):
-            if not isinstance(end, str) or end not in label_index:
-                raise GraphError(f"edge endpoint {end!r} is not a vertex")
-        i, j = label_index[x], label_index[y]
-        if i == j:
-            raise GraphError(f"loop at vertex {x!r} is not allowed")
-        pair = (i, j) if i < j else (j, i)
-        if pair in pair_set:
-            raise GraphError(f"duplicate edge {x!r}-{y!r}")
-        pair_set.add(pair)
+def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The labels and their index map; raises unless they are distinct non-empty strings."""
+    labels = tuple(labels)
+    if not labels:
+        raise GraphError("graph needs at least one vertex")
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
+    label_index: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        if label_index.setdefault(lab, i) != i:
+            raise GraphError(f"duplicate vertex label {lab!r}")
+    return labels, label_index
 
 
 def _bfs(g: Graph, root: int = 0) -> tuple[list[int | None], list[int]]:

@@ -18,8 +18,8 @@ public view, built once per state and per stationary monomial.
 The independent oracle, :func:`cartesian_power` followed by
 :func:`quotient_by_symmetry`, runs as array kernels: the product's edges
 come from arithmetic on mixed-radix vertex indices, and each quotient
-check is one array operation over all product edges, so no Python code
-runs once per product edge.
+check is one array operation over all product edges. Both builders hand
+their graphs to ``Graph`` as index pairs, never as label pairs.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGr
     states = tuple(Monomial.from_word(w, v) for w in words)
     labels = _state_labels(base, states)
     stays = {fw: Monomial.from_word(fw, v) for fw in {move[2] for move in moves.values()}}
-    graph = Graph(labels, ((labels[x], labels[y]) for x, y in sorted(moves)))
+    graph = Graph._from_pairs(labels, moves)
     annotations = tuple(
         (i, j, stays[fw]) for i, j, fw in (moves[pair] for pair in graph.edges)
     )
@@ -281,18 +281,13 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
     ends = np.array(base.edges, dtype=np.int64).reshape(-1, 2)
     lo, step = ends[:, :1], ends[:, 1:] - ends[:, :1]
-    lows, highs = [], []
+    pairs: list[tuple[int, int]] = []
     for pos in range(k):
         stride = v ** (k - 1 - pos)
         # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
         low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
-        lows.append(low.ravel())
-        highs.append((low + step * stride).ravel())
-    src, dst = np.concatenate(lows), np.concatenate(highs)
-    del lows, highs
-    order = np.argsort(src * n + dst)  # the canonical edge order, so Graph's sort is one pass
-    names = np.array(labels, dtype=object)
-    return Graph(labels, zip(names[src[order]].tolist(), names[dst[order]].tolist()))
+        pairs += zip(low.ravel().tolist(), (low + step * stride).ravel().tolist())
+    return Graph._from_pairs(labels, pairs)
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:

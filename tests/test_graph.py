@@ -26,6 +26,8 @@ from redpow import (
 from redpow.graph import check_spanning_tree
 
 from conftest import (
+    JSON_VALUES,
+    LABELS,
     complete_graph,
     cycle_graph,
     graph_docs,
@@ -285,9 +287,65 @@ def test_check_spanning_tree_raises_only_graph_errors(v, extra, seed, data):
         ("abc", [("a", "b"), ("a", "z"), ("b", "b")], "edge endpoint 'z' is not a vertex"),
         ("abc", [("a", "b"), ("c", "c"), ("a", "z")], "loop at vertex 'c' is not allowed"),
         ("abc", [("a", "b"), ("b", "a"), ("c", "c")], "duplicate edge 'b'-'a'"),
+        (["a", "b"], [("a", "b", "c")], "edge entry ('a', 'b', 'c') must be a pair of labels"),
+        (["a", "b"], [("a",)], "edge entry ('a',) must be a pair of labels"),
+        (["a", "b"], [5], "edge entry 5 must be a pair of labels"),
+        (["a", "b"], [None], "edge entry None must be a pair of labels"),
+        ("abc", [("a", "b"), None, ("c", "c")], "edge entry None must be a pair of labels"),
+        (["a", "a", 5], [], "vertex labels must be non-empty strings, got 5"),
     ],
 )
 def test_constructor_names_the_first_fault(labels, edges, message):
     with pytest.raises(GraphError) as info:
         Graph(labels, edges)
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(LABELS | JSON_VALUES, max_size=4),
+    st.lists(st.lists(LABELS | JSON_VALUES, max_size=3).map(tuple) | JSON_VALUES, max_size=4),
+)
+def test_constructor_raises_only_graph_errors(labels, edges):
+    try:
+        g = Graph(labels, edges)
+    except GraphError:
+        return
+    assert g == Graph(g.labels, g.edge_labels())
+
+
+@pytest.mark.parametrize("i,j,bad", [(0, 99, 99), (99, 0, 99), (-1, 1, -1)])
+def test_edge_position_names_an_out_of_range_index(i, j, bad):
+    g = Graph("ab", [("a", "b")])
+    with pytest.raises(GraphError) as info:
+        g.edge_position(i, j)
+    assert str(info.value) == f"vertex index {bad} is out of range"
+    with pytest.raises(GraphError, match="no edge between 'b' and 'b'"):
+        g.edge_position(1, 1)
+
+
+def test_builder_path_builds_the_label_path_graph():
+    g = Graph._from_pairs("abcd", [(2, 3), (0, 2), (0, 1)])
+    assert g == Graph("abcd", [("d", "c"), ("a", "c"), ("b", "a")])
+    assert g.edges == ((0, 1), (0, 2), (2, 3))
+    assert [g.adjacency(i) for i in range(4)] == [(1, 2), (0,), (0, 3), (2,)]
+    assert g.edge_position(3, 2) == 2
+
+
+@pytest.mark.parametrize(
+    "labels,pairs,message",
+    [
+        ([], [], "graph needs at least one vertex"),
+        (["a", 5, "a"], [], "vertex labels must be non-empty strings, got 5"),
+        (["a", "b", "a"], [], "duplicate vertex label 'a'"),
+        ("abc", [(0, 1), (1, 3)], "edge pair (1, 3) needs 0 <= i < j < 3"),
+        ("abc", [(2, 1)], "edge pair (2, 1) needs 0 <= i < j < 3"),
+        ("abc", [(1, 1)], "edge pair (1, 1) needs 0 <= i < j < 3"),
+        ("abc", [(-1, 2)], "edge pair (-1, 2) needs 0 <= i < j < 3"),
+        ("abc", [(1, 2), (0, 1), (1, 2)], "duplicate edge pair (1, 2)"),
+    ],
+)
+def test_builder_path_checks_labels_ranges_and_repeats(labels, pairs, message):
+    with pytest.raises(GraphError) as info:
+        Graph._from_pairs(labels, pairs)
     assert str(info.value) == message

@@ -379,3 +379,39 @@ def test_array_oracle_equals_the_tuple_reference_on_random_labels(labels, extra,
     shape = random_connected_graph(len(labels), extra, seed)
     g = Graph(labels, [(labels[i], labels[j]) for i, j in shape.edges])
     _assert_oracle_matches_reference(g, k)
+
+
+# --- the builders' index-pair path against the label path ---
+
+
+def _builder_graphs(g: Graph, k: int) -> list[Graph]:
+    power = cartesian_power(g, k)
+    return [build_reduced_power(g, k).graph, power, quotient_by_symmetry(power, g, k).graph]
+
+
+def _assert_label_path_agrees(built: Graph) -> None:
+    rebuilt = Graph(built.labels, built.edge_labels())
+    assert rebuilt == built
+    assert rebuilt.edge_index == built.edge_index
+    assert all(rebuilt.adjacency(i) == built.adjacency(i) for i in range(built.num_vertices))
+
+
+def test_builder_graphs_equal_the_label_path(suite):
+    for g in suite:
+        for k in (1, 2, 3):
+            for built in _builder_graphs(g, k):
+                _assert_label_path_agrees(built)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=3), min_size=2, max_size=5, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(0, 10**6),
+)
+def test_builder_graphs_equal_the_label_path_on_random_labels(labels, extra, k, seed):
+    shape = random_connected_graph(len(labels), extra, seed)
+    g = Graph(labels, [(labels[i], labels[j]) for i, j in shape.edges])
+    for built in _builder_graphs(g, k):
+        _assert_label_path_agrees(built)
