@@ -36,6 +36,10 @@ from .ctmc import (
 
 __all__ = ["main", "entry"]
 
+# Largest model check-reversibility builds, in states; the largest model any
+# test, script or benchmark workload builds has 2380.
+_STATE_BUDGET = 5000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -166,8 +170,30 @@ def cmd_verify_squares(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
+def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
+    """``vertex_count(v, k)``, or None once it is known to exceed ``cap``.
+
+    Builds C(v+k-1, i) for i = 0, 1, ... up to min(v-1, k); the sequence
+    rises strictly, so it passes ``cap`` within about log2(cap) steps at any
+    ``v`` and ``k`` and the numbers stay small.
+    """
+    n = v + k - 1
+    count = 1
+    for i in range(min(v - 1, k)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            return None
+    return count
+
+
 def cmd_check_reversibility(args: argparse.Namespace) -> int:
     g, k, spec = load_model(args.model)
+    # k may have thousands of digits: a count past 10^30 is neither computed
+    # in full nor written out
+    states = _capped_vertex_count(g.num_vertices, k, 10**30)
+    if states is None or states > _STATE_BUDGET:
+        shown = "more than 10^30" if states is None else states
+        raise RedpowError(f"model has {shown} states, over the budget of {_STATE_BUDGET}")
     root = _root_index(g, args.root)
     single = single_automaton_check(g, spec) if k > 1 else None
     basis = _basis_for(g, k, root)

@@ -13,16 +13,18 @@ every element of a cycle basis, which settles all cycles by linearity.
 The steady-state route finds the stationary law and tests detailed
 balance edge by edge. Exactly, a reversible chain's law is the potential
 of ratios q(x,y)/q(y,x) along a spanning tree of the state graph, found
-and checked in O(E); any other chain is solved by sparse rational
-elimination. All rate arithmetic is exact over the rationals; only the
-optional float steady-state solve rounds, and its residual is summed from
-per-transition flows in O(E).
+and checked in O(E); any other chain is solved by fraction-free sparse
+elimination on integers. All rate arithmetic is exact over the
+rationals; only the optional float steady-state solve rounds, and its
+residual is summed from per-transition flows in O(E).
 
 The exact kernels work on integers. The master chain scales each
 directed pair's base rate and coupling vector to integers over one
 denominator, so a transition costs a few int operations and one
 ``Fraction``; the cycle check multiplies integer numerators and
-denominators along a cycle and builds one ``Fraction`` per product.
+denominators along a cycle and builds one ``Fraction`` per product; the
+irreversible solve scales all rates over one denominator, eliminates on
+integers and builds one ``Fraction`` per state.
 :func:`eval_rate` keeps the per-token rate in its defining form.
 """
 
@@ -403,9 +405,9 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     (:func:`reversible_steady_state`), which exists exactly when the chain
     satisfies detailed balance and then is the stationary law. Otherwise
     it pins ``pi_0 = 1``, drops the balance equation of state 0 (the
-    rest is nonsingular for an irreducible chain) and solves the sparse
-    system over the rationals, then normalises. Either way pi Q = 0,
-    sum one and positivity are verified exactly.
+    rest is nonsingular for an irreducible chain), solves the sparse
+    system by fraction-free elimination on integers, then normalises.
+    Either way pi Q = 0, sum one and positivity are verified exactly.
     """
     n = mc.num_states
     if mode == "float":
@@ -503,32 +505,70 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
 
 
 def _solve_sparse(mc: MasterChain) -> list[Fraction]:
-    """Normalised solution of pi Q = 0 by sparse rational elimination.
+    """Normalised solution of pi Q = 0 by fraction-free sparse elimination.
 
-    Unknowns are pi_1..pi_{n-1} with pi_0 = 1 moved to the right-hand
-    side; equation y (for y >= 1) is the balance of state y. Rows are
-    column -> coefficient dicts with a column -> rows index. Each step
-    pivots on the active column with the fewest nonzeros, in its row
-    with the fewest nonzeros (Markowitz), which keeps fill low on the
-    sparse state graphs; exact cancellations are dropped from the
-    structure. Back-substitution runs in reverse pivot order.
+    :func:`_eliminate` reduces the system on integers. Back-substitution
+    runs in reverse pivot order and keeps each pi as an integer numerator
+    over one shared denominator, the lcm of the denominators solved so
+    far; one ``Fraction`` per state is built only at normalisation.
+    """
+    num = [0] * mc.num_states
+    num[0] = den = 1
+    for c, pivot, row, b in reversed(_eliminate(mc)):
+        acc = b * den - sum(val * num[col] for col, val in row.items())
+        q = pivot * den  # pi_c = acc / q
+        g = math.gcd(acc, q)
+        top, bottom = acc // g, q // g
+        if bottom < 0:
+            top, bottom = -top, -bottom
+        grow = bottom // math.gcd(den, bottom)
+        if grow != 1:
+            num = [v * grow for v in num]
+            den *= grow
+        num[c] = top * (den // bottom)
+    total = sum(num)
+    return [Fraction(v, total) for v in num]
+
+
+def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
+    """Integer sparse elimination of pi Q = 0 with pi_0 = 1.
+
+    Every rate is scaled to an integer over one common denominator, which
+    leaves the homogeneous system unchanged. Unknowns are pi_1..pi_{n-1}
+    with pi_0 moved to the right-hand side; equation y (for y >= 1) is
+    the balance of state y. Rows are column -> integer dicts with a
+    column -> rows index. Each step pivots on the active column with the
+    fewest nonzeros, in its row with the fewest nonzeros (Markowitz),
+    which keeps fill low on the sparse state graphs; exact cancellations
+    are dropped from the structure. A row with entry ``a`` in the pivot
+    column becomes ``(p/g) row - (a/g) prow`` for pivot ``p`` and
+    ``g = gcd(p, a)``, right-hand side alike (fraction-free, as in
+    Bareiss's method). Every row is kept primitive, divided by the gcd of
+    its entries and right-hand side, so there is no gcd per operation
+    yet the entries stay near the size of the solution's.
+
+    Returns ``(column, pivot, rest of row, right-hand side)`` per step,
+    in pivot order.
     """
     n = mc.num_states
-    rows: dict[int, dict[int, Fraction]] = {y: {y: Fraction(0)} for y in range(1, n)}
-    rhs = {y: Fraction(0) for y in range(1, n)}
+    scale = math.lcm(*{r.denominator for _, _, r in mc.transitions()})
+    rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
+    rhs = dict.fromkeys(range(1, n), 0)
     for x, y, r in mc.transitions():
+        q = r.numerator * (scale // r.denominator)
         if x == 0:
-            rhs[y] -= r
+            rhs[y] -= q
             continue
-        rows[x][x] -= r
+        rows[x][x] -= q
         if y:
-            rows[y][x] = r
+            rows[y][x] = q
     cols: dict[int, set[int]] = {c: set() for c in range(1, n)}
     for y, row in rows.items():
+        rhs[y] = _primitive(row, rhs[y])
         for c in row:
             cols[c].add(y)
 
-    pivots: list[tuple[int, int, Fraction]] = []
+    pivots = []
     while cols:
         c = min(cols, key=lambda col: len(cols[col]))
         candidates = cols.pop(c)
@@ -542,30 +582,38 @@ def _solve_sparse(mc: MasterChain) -> list[Fraction]:
             cols[col].discard(r)
         for r2 in candidates:
             row2 = rows[r2]
-            factor = row2.pop(c) / pivot
+            a = row2.pop(c)
+            g = math.gcd(pivot, a)
+            s, t = pivot // g, a // g
+            if s != 1:
+                for col in row2:
+                    row2[col] *= s
+                rhs[r2] *= s
             for col, val in prow.items():
                 old = row2.get(col)
                 if old is None:
-                    row2[col] = -factor * val
+                    row2[col] = -t * val
                     cols[col].add(r2)
-                elif new := old - factor * val:
+                elif new := old - t * val:
                     row2[col] = new
                 else:
                     del row2[col]
                     cols[col].discard(r2)
             if rhs[r]:
-                rhs[r2] -= factor * rhs[r]
-        pivots.append((r, c, pivot))
+                rhs[r2] -= t * rhs[r]
+            rhs[r2] = _primitive(row2, rhs[r2])
+        pivots.append((c, pivot, prow, rhs[r]))
+    return pivots
 
-    pi = [Fraction(0)] * n
-    pi[0] = Fraction(1)
-    for r, c, pivot in reversed(pivots):
-        acc = rhs[r]
-        for col, val in rows[r].items():
-            acc -= val * pi[col]
-        pi[c] = acc / pivot
-    total = sum(pi)
-    return [p / total for p in pi]
+
+def _primitive(row: dict[int, int], b: int) -> int:
+    """Divide ``row`` in place and ``b`` by their gcd; return the new ``b``."""
+    content = math.gcd(b, *row.values())
+    if content > 1:
+        for col in row:
+            row[col] //= content
+        b //= content
+    return b
 
 
 def _checked_exact(mc: MasterChain, pi: list[Fraction]) -> SteadyState:

@@ -51,6 +51,8 @@ class Graph:
         pairs: set[tuple[int, int]] = set()
         for entry in edges:  # input order, so the first faulty entry is the one named
             try:
+                if isinstance(entry, str):  # a two-character string unpacks too
+                    raise TypeError
                 x, y = entry
             except (TypeError, ValueError):
                 raise GraphError(f"edge entry {entry!r} must be a pair of labels") from None

@@ -389,3 +389,66 @@ def test_check_reversibility_exact_balance_retest_keeps_the_state_limit(
     model = nearly_reversible_model(tmp_path)
     assert main(["check-reversibility", "--model", str(model)]) == 1
     assert capsys.readouterr().err == "error: exact mode supports up to 10 states, got 15\n"
+
+
+def test_check_reversibility_refuses_over_budget_before_building(tmp_path, capsys, monkeypatch):
+    from redpow import ctmc, squares
+
+    def refuse(base, k):
+        raise AssertionError(f"build_reduced_power called with k={k}")
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in ("ab", "ba", "bc", "cb", "cd", "dc")}
+    doc = {
+        "graph": {"vertices": list("abcd"), "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        "k": 1000000,
+        "rates": rates,
+    }
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["check-reversibility", "--model", str(model), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model has 166667666668500001 states, over the budget of 5000\n"
+    )
+    assert not out.exists()
+
+
+def test_check_reversibility_budget_is_inclusive(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(pentagon_model()))  # C5, k = 3: 35 states
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 34)
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: model has 35 states, over the budget of 34\n"
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 35)
+    assert main(["check-reversibility", "--model", str(model)]) == 0
+
+
+@pytest.mark.parametrize("n_vertices", [4, 300])
+def test_check_reversibility_refuses_a_k_of_many_digits(tmp_path, capsys, n_vertices):
+    # neither the count (over 10^4500 states) nor k is written out or
+    # computed in full
+    labels = [f"v{i}" for i in range(n_vertices)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "1"} for a, b in edges})
+    doc = {"graph": {"vertices": labels, "edges": edges}, "k": 10**1500, "rates": rates}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        "error: model has more than 10^30 states, over the budget of 5000\n"
+    )
+
+
+def test_capped_vertex_count_matches_the_closed_form():
+    from redpow.power import vertex_count
+
+    for v in range(1, 8):
+        for k in range(1, 8):
+            assert cli._capped_vertex_count(v, k, 10**30) == vertex_count(v, k)
+    assert cli._capped_vertex_count(3, 4, 14) is None  # 15 states
+    assert cli._capped_vertex_count(3, 4, 15) == 15

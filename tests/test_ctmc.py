@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -39,7 +40,7 @@ from redpow import (
     single_automaton_check,
     steady_state,
 )
-from redpow.ctmc import _solve_sparse
+from redpow.ctmc import _eliminate, _solve_sparse
 
 from conftest import (
     JSON_VALUES,
@@ -47,6 +48,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     pentagon,
+    path_graph,
     pentagon_spec,
     random_connected_graph,
 )
@@ -883,3 +885,117 @@ def test_unknown_rate_field_error_names_the_first_field_under_every_hash_seed():
                              capture_output=True, text=True, env=env, check=True)
         messages.add(run.stdout)
     assert messages == {"rates['a->b'] has unknown field 'zeta'\n"}
+
+
+# --- fraction-free exact solve against the Fraction elimination it replaced ---
+
+
+def _reference_solve_sparse(mc):
+    """Sparse Markowitz elimination over Fractions, with pi_0 = 1 pinned."""
+    n = mc.num_states
+    rows = {y: {y: F(0)} for y in range(1, n)}
+    rhs = {y: F(0) for y in range(1, n)}
+    for x, y, r in mc.transitions():
+        if x == 0:
+            rhs[y] -= r
+            continue
+        rows[x][x] -= r
+        if y:
+            rows[y][x] = r
+    cols = {c: set() for c in range(1, n)}
+    for y, row in rows.items():
+        for c in row:
+            cols[c].add(y)
+    pivots = []
+    while cols:
+        c = min(cols, key=lambda col: len(cols[col]))
+        candidates = cols.pop(c)
+        assert candidates, "singular system"
+        r = min(candidates, key=lambda row: len(rows[row]))
+        candidates.discard(r)
+        prow = rows[r]
+        pivot = prow.pop(c)
+        for col in prow:
+            cols[col].discard(r)
+        for r2 in candidates:
+            row2 = rows[r2]
+            factor = row2.pop(c) / pivot
+            for col, val in prow.items():
+                old = row2.get(col)
+                if old is None:
+                    row2[col] = -factor * val
+                    cols[col].add(r2)
+                elif new := old - factor * val:
+                    row2[col] = new
+                else:
+                    del row2[col]
+                    cols[col].discard(r2)
+            if rhs[r]:
+                rhs[r2] -= factor * rhs[r]
+        pivots.append((r, c, pivot))
+    pi = [F(0)] * n
+    pi[0] = F(1)
+    for r, c, pivot in reversed(pivots):
+        acc = rhs[r]
+        for col, val in rows[r].items():
+            acc -= val * pi[col]
+        pi[c] = acc / pivot
+    total = sum(pi)
+    return [p / total for p in pi]
+
+
+# (n, k) with C(n + k - 1, k) <= 56 states: a wide 84-state ring costs the
+# Fraction reference up to 2 s; the fixed C7 k=4 point covers a larger chain
+_SMALL_RINGS = [(n, k) for n in range(3, 9) for k in (2, 3, 4) if math.comb(n + k - 1, k) <= 56]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_integer_elimination_equals_fraction_elimination(data):
+    if data.draw(st.booleans(), label="ring"):
+        n, k = data.draw(st.sampled_from(_SMALL_RINGS))
+        g = cycle_graph(n)
+        mu, nu = data.draw(_wide([1])), data.draw(_wide([1]))
+        base = {}
+        for i in range(n):
+            base[(i, (i + 1) % n)], base[((i + 1) % n, i)] = mu, nu
+        pair = (0, 1)
+    else:
+        g = data.draw(
+            st.sampled_from(
+                [path_graph(4), complete_graph(4), random_connected_graph(5, 2, seed=7)]
+            )
+        )
+        k = data.draw(st.integers(2, 4 if g.num_vertices == 4 else 3))
+        phi = [data.draw(_wide([1])) for _ in range(g.num_vertices)]
+        base = {}
+        for i, j in g.edges:
+            s = data.draw(_wide([1]))
+            base[(i, j)], base[(j, i)] = s * phi[j], s * phi[i]
+        pair = data.draw(st.sampled_from(sorted(base)))
+    coup = tuple(data.draw(_wide([-1, 0, 1])) for _ in range(g.num_vertices))
+    # k - 1 other tokens at most, so this shift keeps every coupled rate positive
+    base[pair] = data.draw(_wide([1])) + (k - 1) * max(F(0), -min(coup))
+    mc = build_master(g, k, RateSpec(g, base, {pair: coup}))
+    assert mc.num_states <= 56
+    assert _solve_sparse(mc) == _reference_solve_sparse(mc)
+
+
+def test_integer_elimination_on_an_irreversible_c7_k4_ring():
+    mc = _ring_chain(7, 4, random.Random(707), reversible=False, wide=False)
+    assert mc.num_states == 210
+    assert reversible_steady_state(mc) is None
+    pi = _solve_sparse(mc)
+    assert pi == _reference_solve_sparse(mc)
+    assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+
+
+@pytest.mark.parametrize("n,k,wide", [(5, 3, True), (6, 3, False), (7, 4, False)])
+def test_integer_elimination_keeps_every_row_primitive(n, k, wide):
+    mc = _ring_chain(n, k, random.Random(n * k), reversible=False, wide=wide)
+    steps = _eliminate(mc)
+    assert sorted(c for c, _, _, _ in steps) == list(range(1, mc.num_states))
+    for c, pivot, row, b in steps:
+        assert pivot and c not in row
+        assert math.gcd(pivot, b, *row.values()) == 1
+

@@ -349,3 +349,10 @@ def test_builder_path_checks_labels_ranges_and_repeats(labels, pairs, message):
     with pytest.raises(GraphError) as info:
         Graph._from_pairs(labels, pairs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["ab", "ba"])
+def test_constructor_rejects_string_edge_entries(entry):
+    with pytest.raises(GraphError) as info:
+        Graph(["a", "b"], [entry])
+    assert str(info.value) == f"edge entry {entry!r} must be a pair of labels"
