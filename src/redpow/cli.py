@@ -9,6 +9,7 @@ input or internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,8 +37,8 @@ from .ctmc import (
 
 __all__ = ["main", "entry"]
 
-# Largest model check-reversibility builds, in states; the largest model any
-# test, script or benchmark workload builds has 2380.
+# Largest power any command builds, in states; the largest one any test,
+# script or benchmark workload builds has 2380.
 _STATE_BUDGET = 5000
 
 
@@ -85,6 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _write_json(doc: dict, out: Path | None) -> None:
     if out is not None:
         Path(out).write_text(json.dumps(doc) + "\n")
@@ -123,6 +130,7 @@ def _basis_doc(basis: CycleBasis) -> dict:
 
 def cmd_power(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
+    _check_budget("power", g.num_vertices, args.k)
     rp = build_reduced_power(g, args.k)
     v, e = g.num_vertices, g.num_edges
     print(
@@ -148,6 +156,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_mcb(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
+    _check_budget("power", g.num_vertices, args.k)
     doc = _basis_doc(_basis_for(g, args.k, _root_index(g, args.root)))
     print(
         f"kind={doc['kind']} elements={doc['element_count']} "
@@ -160,6 +169,7 @@ def cmd_mcb(args: argparse.Namespace) -> int:
 
 def cmd_verify_squares(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
+    _check_budget("power", g.num_vertices, args.k)
     tree = bfs_spanning_tree(g, _root_index(g, args.root))
     report = verify_square_space(g, tree, args.k)
     doc = report.as_dict()
@@ -186,14 +196,19 @@ def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
     return count
 
 
-def cmd_check_reversibility(args: argparse.Namespace) -> int:
-    g, k, spec = load_model(args.model)
+def _check_budget(what: str, v: int, k: int) -> None:
+    """Refuse, before anything is built, a k-th power of ``v`` vertices over the state budget."""
     # k may have thousands of digits: a count past 10^30 is neither computed
     # in full nor written out
-    states = _capped_vertex_count(g.num_vertices, k, 10**30)
+    states = _capped_vertex_count(v, k, 10**30)
     if states is None or states > _STATE_BUDGET:
         shown = "more than 10^30" if states is None else states
-        raise RedpowError(f"model has {shown} states, over the budget of {_STATE_BUDGET}")
+        raise RedpowError(f"{what} has {shown} states, over the budget of {_STATE_BUDGET}")
+
+
+def cmd_check_reversibility(args: argparse.Namespace) -> int:
+    g, k, spec = load_model(args.model)
+    _check_budget("model", g.num_vertices, k)
     root = _root_index(g, args.root)
     single = single_automaton_check(g, spec) if k > 1 else None
     basis = _basis_for(g, k, root)
@@ -258,8 +273,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "k", 1) < 1:
         print("error: --k must be a positive integer", file=sys.stderr)
         return 1

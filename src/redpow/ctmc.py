@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ModelError, SolverError
 from .graph import Graph, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, greedy_mcb, host_graph
+from .cyclespace import CycleBasis, _edge_ids, _walk_steps, greedy_mcb, host_graph
 
 __all__ = [
     "RateSpec",
@@ -301,10 +301,14 @@ class KolmogorovReport:
 
     @cached_property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self._violations
+
+    @cached_property
+    def _violations(self) -> tuple[CycleCheck, ...]:
+        return tuple(c for c in self.checks if not c.passed)
 
     def violations(self) -> list[CycleCheck]:
-        return [c for c in self.checks if not c.passed]
+        return list(self._violations)
 
     def as_dict(self) -> dict:
         return {
@@ -325,35 +329,48 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
     if host_graph(basis.host) != mc.rp.graph:
         raise ModelError("cycle basis lives on a different state graph")
     labels, base_labels = mc.rp.graph.labels, mc.rp.base.labels
-    edge_index = mc.rp.graph.edge_index
-    # Products run over integer numerators and denominators, with one
-    # Fraction per product. Transition 2e runs along edge e, 2e + 1 against it.
-    nums = [r.numerator for _, _, r in mc.transitions()]
-    dens = [r.denominator for _, _, r in mc.transitions()]
+    starts, src, dst = _walk_steps(basis.cycles)
+    edge = _edge_ids(mc.rp.graph, src, dst)
+    if (edge < 0).any():
+        idx = int(np.searchsorted(starts, np.argmax(edge < 0), side="right")) - 1
+        raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
+    # Products run over integer numerators and denominators: transition 2e
+    # runs along edge e, 2e + 1 against it. Each factor of every step is
+    # gathered by index and multiplied out walk by walk (every walk of a
+    # basis has at least three steps), then one Fraction is made per
+    # distinct product.
+    step = 2 * edge + (src > dst)
+    rates = [r for pair in zip(mc.forward, mc.backward) for r in pair]
+    nums = np.array([r.numerator for r in rates], dtype=object)
+    dens = np.array([r.denominator for r in rates], dtype=object)
+    products = [
+        np.multiply.reduceat(part[t], starts).tolist() if len(starts) else []
+        for t in (step, step ^ 1)
+        for part in (nums, dens)
+    ]
+    made: dict[tuple[int, int], Fraction] = {}
+
+    def exact(num: int, den: int) -> Fraction:
+        q = made.get((num, den))
+        if q is None:
+            q = made[num, den] = Fraction(num, den)
+        return q
+
+    named: dict[tuple[tuple[int, int], ...], tuple[tuple[str, str], ...]] = {}
+    infos = basis.info or (None,) * len(basis.cycles)
     checks = []
-    for idx, seq in enumerate(basis.cycles):
-        fnum = fden = bnum = bden = 1
-        for x, y in zip(seq, seq[1:] + seq[:1]):
-            e = edge_index.get((x, y) if x < y else (y, x))
-            if e is None:
-                raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
-            t = 2 * e + (x > y)
-            fnum *= nums[t]
-            fden *= dens[t]
-            bnum *= nums[t ^ 1]
-            bden *= dens[t ^ 1]
-        fwd, bwd = Fraction(fnum, fden), Fraction(bnum, bden)
-        info = basis.info[idx] if basis.info else None
-        base_edges = tuple(
-            [(base_labels[i], base_labels[j]) for i, j in (info.base_edges if info else ())]
-        )
+    for idx, (seq, info, fn, fd, bn, bd) in enumerate(zip(basis.cycles, infos, *products)):
+        pairs = info.base_edges if info else ()
+        base_edges = named.get(pairs)
+        if base_edges is None:
+            base_edges = named[pairs] = tuple((base_labels[i], base_labels[j]) for i, j in pairs)
         checks.append(
             CycleCheck(
                 index=idx,
                 tag=info.tag if info else basis.kind,
                 vertices=tuple(map(labels.__getitem__, seq)),
-                forward=fwd,
-                backward=bwd,
+                forward=exact(fn, fd),
+                backward=exact(bn, bd),
                 base_edges=base_edges,
             )
         )
@@ -675,23 +692,25 @@ def detailed_balance_check(
     """
     if len(ss.probabilities) != mc.num_states:
         raise ModelError("steady state does not match the chain's state count")
-    exact = ss.mode == "exact"
-    if exact:
-        fwd, bwd = mc.forward, mc.backward
-    else:
-        floats = _float_rates(mc).tolist()
-        fwd, bwd = floats[0::2], floats[1::2]
+    labels = mc.rp.graph.labels
     violations = []
-    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, fwd, bwd):
-        lhs = ss.probabilities[x] * qxy
-        rhs = ss.probabilities[y] * qyx
-        if exact:
-            ok = lhs == rhs
-        else:
-            ok = abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs), 1e-300)
-        if not ok:
-            labels = mc.rp.graph.labels
-            violations.append(BalanceViolation(labels[x], labels[y], lhs, rhs))
+    if ss.mode == "exact":
+        for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
+            lhs = ss.probabilities[x] * qxy
+            rhs = ss.probabilities[y] * qyx
+            if lhs != rhs:
+                violations.append(BalanceViolation(labels[x], labels[y], lhs, rhs))
+    else:
+        # the float test elementwise over all edges, in the same float64 operations
+        rates = _float_rates(mc)
+        ends = np.array(mc.rp.graph.edges, dtype=np.intp).reshape(-1, 2)
+        pi = np.array(ss.probabilities, dtype=np.float64)
+        lhs, rhs = pi[ends[:, 0]] * rates[0::2], pi[ends[:, 1]] * rates[1::2]
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= rel_tol * scale))
+        for e, flow_xy, flow_yx in zip(bad.tolist(), lhs[bad].tolist(), rhs[bad].tolist()):
+            x, y = mc.rp.graph.edges[e]
+            violations.append(BalanceViolation(labels[x], labels[y], flow_xy, flow_yx))
     return BalanceReport(
         balanced=not violations, mode=ss.mode, violations=tuple(violations)
     )
@@ -729,15 +748,16 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
         if not isinstance(entry, dict) or "base" not in entry:
             raise ModelError(f"rate entry {key!r} must be an object with 'base'")
         base[pair] = parse_rational(entry["base"], f"rates[{key!r}].base")
-        coeffs = [Fraction(0)] * v
-        coupling_doc = entry.get("coupling", {})
-        if not isinstance(coupling_doc, dict):
-            raise ModelError(f"rates[{key!r}].coupling must be an object")
-        for lab, val in coupling_doc.items():
-            coeffs[graph.index_of(lab)] = parse_rational(
-                val, f"rates[{key!r}].coupling[{lab!r}]"
-            )
-        coupling[pair] = tuple(coeffs)
+        if "coupling" in entry:  # RateSpec shares one zero vector among the rest
+            coupling_doc = entry["coupling"]
+            if not isinstance(coupling_doc, dict):
+                raise ModelError(f"rates[{key!r}].coupling must be an object")
+            coeffs = [Fraction(0)] * v
+            for lab, val in coupling_doc.items():
+                coeffs[graph.index_of(lab)] = parse_rational(
+                    val, f"rates[{key!r}].coupling[{lab!r}]"
+                )
+            coupling[pair] = tuple(coeffs)
         for extra in entry:
             if extra not in ("base", "coupling"):
                 raise ModelError(f"rates[{key!r}] has unknown field {extra!r}")

@@ -14,8 +14,10 @@ space needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CycleSpaceError
 from .graph import Graph, RootedTree, _bfs, betti, check_spanning_tree
@@ -60,7 +62,7 @@ class EdgeVector:
         g = host_graph(self.host)
         if not isinstance(self.bits, int) or self.bits < 0:
             raise CycleSpaceError("bits must be a non-negative integer")
-        if self.bits >> g.num_edges:
+        if self.bits.bit_length() > g.num_edges:
             raise CycleSpaceError("bits reference edges outside the host")
 
     @classmethod
@@ -166,16 +168,59 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-def _walk_bits(g: Graph, seq: Sequence[int]) -> int:
-    """Edge bitset of a closed walk on at least three distinct vertices."""
+_BIT = (1).__lshift__  # edge index -> its bit
+
+
+def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Edge index of every vertex pair ``{x[t], y[t]}``, or -1 where it is no edge of ``g``.
+
+    One binary search over the canonical edge list, which is sorted by
+    ``(i, j)`` and so by ``i * n + j``. A pair with an end out of range or
+    both ends equal is never an edge; each caller raises its own error.
+    """
+    n = g.num_vertices
+    ends = np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * g.num_edges)
+    keys = ends[0::2] * n + ends[1::2]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    key = np.where((lo >= 0) & (hi < n) & (lo < hi), lo * n + hi, -1)
+    if not len(keys):
+        return np.full(key.shape, -1, dtype=np.int64)
+    pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+    return np.where(keys[pos] == key, pos, -1)
+
+
+def _walk_steps(walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of closed walks as arrays: each walk's first step, and every step's ends.
+
+    Walk ``w`` takes steps ``starts[w]`` to ``starts[w] + len(walks[w]) - 1``;
+    its last step returns to its first vertex.
+    """
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    nxt = np.arange(1, len(src) + 1)
+    closing = lengths > 0
+    nxt[(starts + lengths - 1)[closing]] = starts[closing]
+    return starts, src, src[nxt]
+
+
+def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int] | None = None) -> int:
+    """Edge bitset of a closed walk on at least three distinct vertices.
+
+    ``ids`` may give the edge index of each step, as :func:`_edge_ids`
+    does (-1 for a non-edge); otherwise each step is looked up.
+    """
     if len(seq) < 3:
         raise CycleSpaceError("a simple cycle needs at least three vertices")
     if len(set(seq)) != len(seq):
         raise CycleSpaceError("cycle sequence repeats a vertex")
-    bits = 0
-    for i, j in zip(seq, (*seq[1:], seq[0])):
-        bits ^= 1 << g.edge_position(i, j)
-    return bits
+    if ids is None:
+        ids = [g.edge_position(i, j) for i, j in zip(seq, (*seq[1:], seq[0]))]
+    elif -1 in ids:
+        t = ids.index(-1)
+        g.edge_position(seq[t], seq[(t + 1) % len(seq)])  # raises GraphError
+    # n >= 3 distinct vertices cross n distinct edges, so the sum is the union
+    return sum(map(_BIT, ids))
 
 
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
@@ -236,12 +281,14 @@ class CycleBasis:
         if self.info is not None and len(self.info) != len(self.elements):
             raise CycleSpaceError("info records do not match element count")
         span = Gf2Span()
-        for x, seq in zip(self.elements, self.cycles):
+        starts, src, dst = _walk_steps(self.cycles)
+        ids = _edge_ids(g, src, dst).tolist()  # every step's edge, in one search
+        for x, seq, at in zip(self.elements, self.cycles, starts.tolist()):
             if host_graph(x.host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
             # a walk on n >= 3 distinct vertices crosses n distinct edges,
             # so a traced element is a single simple cycle
-            if _walk_bits(g, seq) != x.bits:
+            if _walk_bits(g, seq, ids[at : at + len(seq)]) != x.bits:
                 raise CycleSpaceError("vertex sequence does not trace its element")
             if not span.add(x.bits):
                 raise CycleSpaceError("basis elements are linearly dependent")

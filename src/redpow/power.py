@@ -9,11 +9,20 @@ by the coordinate-permuting action of the symmetric group.
 
 States are enumerated in ascending multiset-word order, the order
 ``itertools.combinations_with_replacement`` produces over vertex
-indices. For k = 1 this reproduces the base graph exactly.
+indices, so a state's index is the lexicographic rank of its word among
+the multisets of size k. For k = 1 this reproduces the base graph
+exactly.
 
 A state is keyed by its word, the sorted tuple of the vertex indices
 its tokens occupy (``ReducedPowerGraph.state_of``); ``Monomial`` is the
 public view, built once per state and per stationary monomial.
+
+:func:`build_reduced_power` never looks a word up: ranks are sums of
+entries of a small binomial table (:func:`_word_ranks`), every one below
+the state count, so they fit int64 where ``v**k`` radix codes would not.
+One array gives the rank of every stay word plus every vertex
+(:func:`_insert_ranks`), and each base edge then reads the ends of all
+its moves off two of its columns.
 
 The independent oracle, :func:`cartesian_power` followed by
 :func:`quotient_by_symmetry`, runs as array kernels: the product's edges
@@ -67,6 +76,24 @@ class Monomial:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
+    def _of_words(cls, words: list[tuple[int, ...]], size: int) -> list["Monomial"]:
+        """One monomial per equally long word of indices below ``size``, as the builders make them.
+
+        The exponents are counted for all words at once, and the checks of
+        the public constructors are skipped.
+        """
+        k = len(words[0]) if words else 0
+        flat = np.fromiter(chain.from_iterable(words), np.int64, len(words) * k)
+        flat += np.repeat(np.arange(len(words)) * size, k)
+        exps = np.bincount(flat, minlength=len(words) * size).reshape(len(words), size)
+        out = []
+        for row in map(tuple, exps.tolist()):
+            m = cls.__new__(cls)
+            object.__setattr__(m, "exponents", row)
+            out.append(m)
+        return out
+
+    @classmethod
     def from_word(cls, word: tuple[int, ...], size: int) -> "Monomial":
         exps = [0] * size
         for idx in word:
@@ -100,15 +127,8 @@ class Monomial:
         """The factors ``lab`` or ``lab^e`` in vertex order, joined by ``sep``."""
         if len(labels) != len(self.exponents):
             raise PowerError("label tuple does not match exponent length")
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for lab, e in zip(labels, self.exponents):
-            if e == 1:
-                parts.append(lab)
-            elif e > 1:
-                parts.append(f"{lab}^{e}")
-        return sep.join(parts)
+        parts = [lab if e == 1 else f"{lab}^{e}" for lab, e in zip(labels, self.exponents) if e]
+        return sep.join(parts) if parts else "1"
 
 
 class ReducedPowerGraph:
@@ -138,7 +158,7 @@ class ReducedPowerGraph:
         self.states = states
         self.graph = graph
         self.annotations = annotations
-        self._index = {m.word(): i for i, m in enumerate(states)}
+        self._index: dict[tuple[int, ...], int] | None = None  # word -> state, on first use
 
     @property
     def num_states(self) -> int:
@@ -150,6 +170,8 @@ class ReducedPowerGraph:
 
     def state_of(self, tokens: tuple[int, ...]) -> int:
         """Index of the state whose tokens sit on ``tokens``, in any order."""
+        if self._index is None:
+            self._index = {m.word(): i for i, m in enumerate(self.states)}
         try:
             return self._index[tuple(sorted(tokens))]
         except KeyError:
@@ -201,20 +223,55 @@ def orbit_size(m: Monomial) -> int:
 
 
 def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
-    """Construct the k-th reduced power directly from monomials."""
+    """Construct the k-th reduced power directly from monomials.
+
+    The move of base edge ``(i, j)`` under stay word ``f`` joins states
+    ``f * i`` and ``f * j``, columns ``i`` and ``j`` of the rank array of
+    :func:`_insert_ranks`; since ``i < j``, ``f * i`` ranks lower.
+    """
     if k < 1:
         raise PowerError("k must be >= 1")
     v = base.num_vertices
+    stays, ranks = _insert_ranks(v, k)
+    ends = np.array(base.edges, dtype=np.int64).reshape(-1, 2)
+    moves = np.empty((len(stays), len(ends), 5), dtype=np.int64)  # per stay word and base edge
+    moves[..., 0], moves[..., 1] = ranks[:, ends[:, 0]], ranks[:, ends[:, 1]]
+    moves[..., 2:4] = ends
+    moves[..., 4] = np.arange(len(stays))[:, None]
     words = list(combinations_with_replacement(range(v), k))
-    word_index = {w: i for i, w in enumerate(words)}
+    return _from_moves(base, k, words, stays, moves.reshape(-1, 5))
 
-    moves: _Moves = {}
-    for i, j in base.edges:
-        for fw in combinations_with_replacement(range(v), k - 1):
-            x = word_index[tuple(sorted(fw + (i,)))]
-            y = word_index[tuple(sorted(fw + (j,)))]
-            moves[(x, y) if x < y else (y, x)] = (i, j, fw)
-    return _assemble(base, k, words, moves)
+
+def _word_ranks(words: np.ndarray, v: int) -> np.ndarray:
+    """Lexicographic rank of each sorted row among the multisets of its size over ``v`` letters.
+
+    With ``c_j = v + k - 2 - w_j - j`` (the complement of the k-subset
+    ``w_j + j`` of ``v + k - 1`` points), a k-word has
+    ``C(v+k-1, k) - 1 - sum_j C(c_j, k - j)`` words after it (Knuth,
+    TAOCP 4A, 7.2.1.3). The terms come from a ``v`` by ``k`` table and
+    every one, like every partial sum, lies below the word count.
+    """
+    k = words.shape[1]
+    table = np.array(
+        [[comb(v + k - 2 - w - j, k - j) for j in range(k)] for w in range(v)], dtype=np.int64
+    ).reshape(v, k)
+    return comb(v + k - 1, k) - 1 - table[words, np.arange(k)].sum(axis=1)
+
+
+def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The (k-1)-words over ``v`` letters in order, and where each lands with one more letter.
+
+    ``ranks[m, i]`` is the rank among k-words of ``stays[m]`` plus the
+    letter ``i``: with the words as states of the k-th power, the state
+    with the tokens of ``stays[m]`` and one more on vertex ``i``.
+    """
+    stays = list(combinations_with_replacement(range(v), k - 1))
+    rows = np.array(stays, dtype=np.int64).reshape(len(stays), k - 1)
+    joined = np.empty((len(stays), v, k), dtype=np.int64)
+    joined[:, :, :-1] = rows[:, None, :]
+    joined[:, :, -1] = np.arange(v)
+    joined.sort(axis=2)
+    return stays, _word_ranks(joined.reshape(-1, k), v).reshape(len(stays), v)
 
 
 def _state_labels(base: Graph, states: tuple[Monomial, ...]) -> tuple[str, ...]:
@@ -237,16 +294,32 @@ def _state_labels(base: Graph, states: tuple[Monomial, ...]) -> tuple[str, ...]:
 
 
 def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
-    """Power from its state words and moves; one ``Monomial`` per stay word."""
+    """Power from its state words and a dict of moves, through :func:`_from_moves`."""
+    stays = sorted({fw for _, _, fw in moves.values()})
+    stay_index = {fw: s for s, fw in enumerate(stays)}
+    rows = [(x, y, i, j, stay_index[fw]) for (x, y), (i, j, fw) in moves.items()]
+    return _from_moves(base, k, words, stays, np.array(rows, dtype=np.int64).reshape(-1, 5))
+
+
+def _from_moves(
+    base: Graph, k: int, words: list, stays: list, moves: np.ndarray
+) -> ReducedPowerGraph:
+    """Power from its state words, stay words and moves, one move per row.
+
+    Row ``(x, y, i, j, s)`` joins states ``x < y``: one token crosses base
+    edge ``(i, j)`` while the tokens of ``stays[s]`` stay put. One
+    ``Monomial`` is built per state and per stay word.
+    """
     v = base.num_vertices
-    states = tuple(Monomial.from_word(w, v) for w in words)
+    states = tuple(Monomial._of_words(words, v))
     labels = _state_labels(base, states)
-    stays = {fw: Monomial.from_word(fw, v) for fw in {move[2] for move in moves.values()}}
-    graph = Graph._from_pairs(labels, moves)
-    annotations = tuple(
-        (i, j, stays[fw]) for i, j, fw in (moves[pair] for pair in graph.edges)
-    )
-    return ReducedPowerGraph(base, k, states, graph, annotations)
+    moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")].tolist()
+    graph = Graph._from_pairs(labels, ((x, y) for x, y, _, _, _ in moves))
+    fs = Monomial._of_words(stays, v)
+    annotations = tuple((i, j, fs[s]) for _, _, i, j, s in moves)
+    rp = ReducedPowerGraph(base, k, states, graph, annotations)
+    rp._index = dict(zip(words, range(len(words))))
+    return rp
 
 
 def degree_of(rp: ReducedPowerGraph, m: Monomial) -> int:
@@ -369,17 +442,15 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     first_of_pair = np.ones(m, dtype=bool)
     first_of_pair[1:] = ~repeat
     kept = order[first_of_pair]
-
-    moves: _Moves = {
-        divmod(pair, num_states): (i, j, tuple(fw))
-        for pair, i, j, fw in zip(
-            pairs[first_of_pair].tolist(),
-            lo[kept].tolist(),
-            hi[kept].tolist(),
-            stays[kept].tolist(),
-        )
-    }
-    return _assemble(base, k, [tuple(w) for w in words[first].tolist()], moves)
+    stays = stays[kept]
+    _, stay_first, stay = np.unique(_codes(stays, v), return_index=True, return_inverse=True)
+    return _from_moves(
+        base,
+        k,
+        [tuple(w) for w in words[first].tolist()],
+        [tuple(fw) for fw in stays[stay_first].tolist()],
+        np.column_stack([*np.divmod(pairs[first_of_pair], num_states), lo[kept], hi[kept], stay]),
+    )
 
 
 def _codes(rows: np.ndarray, v: int) -> np.ndarray:

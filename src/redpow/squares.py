@@ -20,6 +20,14 @@ when the base graph has no triangles: every cycle of a triangle-free
 base has length at least four, so no basis can beat squares, while an
 embedded triangle of length three would be shorter than any square
 that could replace it.
+
+The squares are built as index arrays. Stay words are numbered by rank
+(see :mod:`redpow.power`), so a corner's state is two lookups in rank
+arrays: the (k-2)-word plus one vertex gives a (k-1)-word, and that
+plus another vertex gives the state. The corners of every square, their
+canonical rotation and the power edges between them come out of a few
+array operations, and each element's bitset is the sum of its four edge
+bits.
 """
 
 from __future__ import annotations
@@ -30,18 +38,21 @@ from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
+
 from .errors import GraphError, PowerError
 from .graph import Graph, RootedTree, betti, bfs_spanning_tree, check_spanning_tree, has_triangles
-from .power import Monomial, ReducedPowerGraph, build_reduced_power
+from .power import Monomial, ReducedPowerGraph, _insert_ranks, _word_ranks, build_reduced_power
 from .cyclespace import (
     CycleBasis,
     EdgeVector,
     ElementInfo,
     Gf2Span,
     _canonical_cycle,
+    _edge_ids,
+    _walk_bits,
     cycle_edge_vector,
     greedy_mcb,
-    project_to_base,
 )
 
 __all__ = [
@@ -102,48 +113,62 @@ def _stationary_word(rp: ReducedPowerGraph, f: Monomial, degree: int) -> tuple[i
     return f.word()
 
 
-def _square_words(g: Graph, t: RootedTree, k: int) -> list[tuple]:
-    """Both square families, tree pairs first, as (tag, edge1, edge2, sorted stay word).
+def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray]:
+    """Both square families, tree pairs first: the tree pair count and one row per square.
 
+    Row ``(a, b, c, d, w)`` is the square of edges ``(a, b)`` and ``(c, d)``
+    whose stationary tokens sit on the ``w``-th (k-2)-word in rank order.
     Checks the tree once; for k < 2 it warns and returns no squares.
-    Each tree edge is oriented (parent, child), and its stay words are
-    built once per tree-order position.
+    Each tree edge is oriented (parent, child), and its stay words, the
+    multisets over the tree-order prefix ending at the child, are ranked
+    once per tree-order position.
     """
     check_spanning_tree(g, t)
     if not t.is_depth_ordered():
         raise GraphError("tree order must be non-decreasing in depth")
     if k < 2:
         warnings.warn("no Cartesian squares exist for k < 2", stacklevel=4)
-        return []
-    levels = []  # (tree edge, stay words) at tree-order positions 1, 2, ...
+        return 0, np.empty((0, 5), dtype=np.int64)
+    order = np.array(t.order, dtype=np.int64)
+    levels = []  # ranks of the stay words at tree-order positions 1, 2, ...
     for j in range(1, len(t.order)):
-        v = t.order[j]
-        words = combinations_with_replacement(t.order[: j + 1], k - 2)
-        levels.append(((t.parent[v], v), [tuple(sorted(w)) for w in words]))
-    tree_pairs = t.tree_pairs()
-    out = [
-        ("tree-square", low, high, w)
-        for j, (high, words) in enumerate(levels)
-        for low, _ in levels[:j]
-        for w in words
+        combos = list(combinations_with_replacement(range(j + 1), k - 2))
+        words = np.sort(order[np.array(combos, dtype=np.int64).reshape(len(combos), k - 2)], axis=1)
+        levels.append(_word_ranks(words, g.num_vertices))
+    if not levels:
+        return 0, np.empty((0, 5), dtype=np.int64)
+    tree_edges = np.array([(t.parent[c], c) for c in t.order[1:]], dtype=np.int64)
+
+    def block(first: np.ndarray, second: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Rows pairing edge rows ``first`` and ``second`` with stay ranks ``ws``."""
+        return np.column_stack([first, second, ws]).reshape(-1, 5)
+
+    rows = [
+        block(
+            np.repeat(tree_edges[:j], len(ws), axis=0),
+            np.broadcast_to(tree_edges[j], (j * len(ws), 2)),
+            np.tile(ws, j),
+        )
+        for j, ws in enumerate(levels)
     ]
-    out.extend(
-        ("chord-square", chord, edge, w)
-        for chord in g.edges
-        if chord not in tree_pairs
-        for edge, words in levels
-        for w in words
-    )
-    return out
+    n_tree = sum(map(len, rows))
+    level_edges = np.repeat(tree_edges, list(map(len, levels)), axis=0)
+    level_words = np.concatenate(levels)
+    tree_pairs = t.tree_pairs()
+    for chord in g.edges:
+        if chord not in tree_pairs:
+            rows.append(block(np.broadcast_to(chord, level_edges.shape), level_edges, level_words))
+    return n_tree, np.concatenate(rows)
 
 
 def _family(g: Graph, t: RootedTree, k: int, tag: str) -> list[CartesianSquare]:
+    n_tree, rows = _square_words(g, t, k)
+    rows = rows[:n_tree] if tag == "tree-square" else rows[n_tree:]
+    if not len(rows):
+        return []
     v = g.num_vertices
-    return [
-        CartesianSquare(e1, e2, Monomial.from_word(w, v))
-        for sq_tag, e1, e2, w in _square_words(g, t, k)
-        if sq_tag == tag
-    ]
+    fs = [Monomial.from_word(w, v) for w in combinations_with_replacement(range(v), k - 2)]
+    return [CartesianSquare((a, b), (c, d), fs[w]) for a, b, c, d, w in rows.tolist()]
 
 
 def tree_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]:
@@ -189,29 +214,51 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
 
 def _structured_cycles(
     base: Graph, tree: RootedTree, k: int
-) -> tuple[ReducedPowerGraph, list[tuple[int, ...]], list[ElementInfo]]:
-    """The power, with the canonical walks and records of its structured cycles.
+) -> tuple[ReducedPowerGraph, list[tuple[int, ...]], list[int], list[ElementInfo], np.ndarray]:
+    """The power, with the canonical walks, edge bitsets and records of its structured cycles.
 
     First one embedded copy of a greedy minimum cycle basis of the base,
     the k-1 stationary tokens parked on the tree's root; then the tree
-    pair and chord pair squares of the tree in enumeration order.
+    pair and chord pair squares of the tree in enumeration order. The
+    last item holds the four power edges of every square, one row each.
     """
     rp = build_reduced_power(base, k)
-    squares = _square_words(base, tree, k)
+    n_tree, rows = _square_words(base, tree, k)
+    v = base.num_vertices
     parked = (tree.root,) * (k - 1)
-    f_root = Monomial.from_word(parked, base.num_vertices)
-    cycles = []
-    infos = []
-    for seq in greedy_mcb(base).cycles:
-        cycles.append(_canonical_cycle([rp.state_of(parked + (c,)) for c in seq]))
-        infos.append(ElementInfo(tag="embedded", f=f_root))
-    fs = {w: Monomial.from_word(w, base.num_vertices) for w in {sq[3] for sq in squares}}
-    for tag, (a, b), (c, d), w in squares:
-        walk = [rp.state_of(w + pair) for pair in ((c, a), (c, b), (d, b), (d, a))]
-        cycles.append(_canonical_cycle(walk))
-        edges = (tuple(sorted((a, b))), tuple(sorted((c, d))))
-        infos.append(ElementInfo(tag=tag, base_edges=edges, f=fs[w]))
-    return rp, cycles, infos
+    f_root = Monomial.from_word(parked, v)
+    cycles = [
+        _canonical_cycle([rp.state_of(parked + (c,)) for c in seq])
+        for seq in greedy_mcb(base).cycles
+    ]
+    bits = [_walk_bits(rp.graph, seq) for seq in cycles]
+    infos = [ElementInfo(tag="embedded", f=f_root)] * len(cycles)
+    if not len(rows):
+        return rp, cycles, bits, infos, np.empty((0, 4), dtype=np.int64)
+
+    # corner w + p + q: the (k-2)-word w plus p is a (k-1)-word, plus q a state
+    _, plus_one = _insert_ranks(v, k - 1)
+    _, plus_two = _insert_ranks(v, k)
+    a, b, c, d, w = rows.T
+    walks = np.column_stack(
+        [plus_two[plus_one[w, p], q] for p, q in ((c, a), (c, b), (d, b), (d, a))]
+    )
+    # canonical rotation: least state first, then its lesser neighbour
+    shift = (walks.argmin(axis=1)[:, None] + np.arange(4)) % 4
+    walks = np.take_along_axis(walks, shift, axis=1)
+    flip = walks[:, 3] < walks[:, 1]
+    walks[flip] = walks[flip][:, [0, 3, 2, 1]]
+    ids = _edge_ids(rp.graph, walks, np.roll(walks, -1, axis=1))
+    cycles.extend(map(tuple, walks.tolist()))
+    bits.extend(1 << e0 | 1 << e1 | 1 << e2 | 1 << e3 for e0, e1, e2, e3 in ids.tolist())
+    fs = [Monomial.from_word(fw, v) for fw in combinations_with_replacement(range(v), k - 2)]
+    tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
+    first, second = np.sort(rows[:, :2], axis=1).tolist(), np.sort(rows[:, 2:4], axis=1).tolist()
+    infos.extend(
+        ElementInfo(tag=tag, base_edges=(tuple(e1), tuple(e2)), f=fs[fw])
+        for tag, e1, e2, fw in zip(tags, first, second, w.tolist())
+    )
+    return rp, cycles, bits, infos, ids
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -225,10 +272,10 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     """
     if k < 2:
         raise PowerError("the decomposition basis needs k >= 2")
-    rp, cycles, infos = _structured_cycles(base, bfs_spanning_tree(base, root), k)
+    rp, cycles, bits, infos, _ = _structured_cycles(base, bfs_spanning_tree(base, root), k)
     return CycleBasis(
         host=rp,
-        elements=tuple(cycle_edge_vector(rp, seq) for seq in cycles),
+        elements=tuple(EdgeVector(rp, x) for x in bits),
         kind="decomposition",
         cycles=tuple(cycles),
         certified_minimum=not has_triangles(base),
@@ -276,7 +323,7 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     square projects to zero in the base cycle space, and together with
     an embedded base MCB they span the full cycle space of the power.
     """
-    rp, cycles, infos = _structured_cycles(base, tree, k)
+    rp, cycles, bits, infos, square_edges = _structured_cycles(base, tree, k)
     tags = Counter(info.tag for info in infos)
     n_tree, n_chord, n_embedded = tags["tree-square"], tags["chord-square"], tags["embedded"]
     beta_base = betti(base)
@@ -285,15 +332,19 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
     span = Gf2Span()
-    zero_proj = True
-    for seq in cycles[n_embedded:]:
-        vec = cycle_edge_vector(rp, seq)
-        span.add(vec.bits)
-        zero_proj = zero_proj and project_to_base(vec).is_zero
+    for x in bits[n_embedded:]:
+        span.add(x)
     rank_squares = span.rank
     # the square span grows into the span of squares plus embedded base MCB
-    for seq in cycles[:n_embedded]:
-        span.add(cycle_edge_vector(rp, seq).bits)
+    for x in bits[:n_embedded]:
+        span.add(x)
+    # a square projects to zero when the base edges its four power edges
+    # cross (by their annotations) pair up
+    crossed = np.array(
+        [base.edge_position(i, j) for i, j, _ in rp.annotations], dtype=np.int64
+    )[square_edges]
+    crossed.sort(axis=1)
+    zero_proj = bool(((crossed[:, 0] == crossed[:, 1]) & (crossed[:, 2] == crossed[:, 3])).all())
 
     return SquareSpaceReport(
         k=k,

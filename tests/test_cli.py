@@ -452,3 +452,51 @@ def test_capped_vertex_count_matches_the_closed_form():
             assert cli._capped_vertex_count(v, k, 10**30) == vertex_count(v, k)
     assert cli._capped_vertex_count(3, 4, 14) is None  # 15 states
     assert cli._capped_vertex_count(3, 4, 15) == 15
+
+
+@pytest.mark.parametrize("command", ["power", "mcb", "verify-squares"])
+def test_graph_commands_refuse_over_budget_before_building(tmp_path, capsys, monkeypatch, command):
+    from redpow import ctmc, power, squares
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power was built")
+
+    for module in (cli, ctmc, power, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    for name in ("cartesian_power", "decomposition_basis", "greedy_mcb", "verify_square_space"):
+        monkeypatch.setattr(cli, name, refuse)
+    graph = tmp_path / "p4.json"
+    graph.write_text(
+        json.dumps({"vertices": list("abcd"), "edges": [["a", "b"], ["b", "c"], ["c", "d"]]})
+    )
+    out = tmp_path / "out.json"
+    assert main([command, "--graph", str(graph), "--k", "1000000", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: power has 166667666668500001 states, over the budget of 5000\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["power", "mcb", "verify-squares"])
+def test_graph_commands_budget_is_inclusive(graph_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 34)  # C5, k = 3: 35 states
+    assert main([command, "--graph", str(graph_file), "--k", "3"]) == 1
+    assert capsys.readouterr().err == "error: power has 35 states, over the budget of 34\n"
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 35)
+    assert main([command, "--graph", str(graph_file), "--k", "3"]) == 0
+
+
+def test_main_builds_its_parser_once(graph_file, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["mcb", "--graph", str(graph_file), "--k", "2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("kind=decomposition") == 3

@@ -999,3 +999,40 @@ def test_integer_elimination_keeps_every_row_primitive(n, k, wide):
         assert pivot and c not in row
         assert math.gcd(pivot, b, *row.values()) == 1
 
+
+
+def test_kolmogorov_violations_are_found_once_and_handed_out_fresh(monkeypatch):
+    from redpow.ctmc import CycleCheck
+
+    g = pentagon()
+    mc = build_master(g, 2, pentagon_spec(32, 1, 2, 1, 1, 2, 1, 1))
+    report = kolmogorov_check(mc, decomposition_basis(g, 2))
+    calls = []
+    passed = CycleCheck.passed
+    monkeypatch.setattr(CycleCheck, "passed", property(lambda c: calls.append(c) or passed.fget(c)))
+    first = report.violations()
+    assert len(calls) == len(report.checks)
+    assert first == [c for c in report.checks if not passed.fget(c)] != []
+    first.clear()
+    second, third = report.violations(), report.violations()
+    assert second == third != [] and second is not third
+    assert report.passed is False
+    assert len(calls) == len(report.checks)
+
+
+def test_model_from_dict_shares_one_zero_coupling_on_a_long_path():
+    # a dense zero vector per rate entry would hold 2 * 2999 * 3000 references
+    n = 3000
+    labels = [f"v{i}" for i in range(n)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "2"} for a, b in edges})
+    rates["v0->v1"]["coupling"] = {"v2": "1/3"}
+    doc = {"graph": {"vertices": labels, "edges": edges}, "k": 2, "rates": rates}
+    g, k, spec = model_from_dict(doc)
+    coupled = spec.coupling_vector(0, 1)
+    assert len(coupled) == n and coupled[2] == F(1, 3) and sum(coupled) == F(1, 3)
+    shared = {id(spec.coupling_vector(i, j)) for i, j in spec.directed_pairs() if (i, j) != (0, 1)}
+    assert len(shared) == 1
+    assert spec.coupling_vector(1, 0) == (F(0),) * n
+    assert (g.num_vertices, k, spec.base_rate(1, 0)) == (n, 2, F(2))

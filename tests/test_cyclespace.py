@@ -510,3 +510,37 @@ def test_fundamental_cycles_on_a_tree_order_that_lists_children_first():
     basis = fundamental_cycles(host, tree)
     assert (basis.elements, basis.cycles) == _reference_fundamental_cycles(host, tree)
     assert basis.cycles == ((0, 1, 2, 3),)
+
+
+# --- vectorised edge lookup ---
+
+
+def test_edge_ids_equal_the_edge_index_and_mark_non_edges(suite):
+    import numpy as np
+
+    from redpow.cyclespace import _edge_ids
+
+    rng = random.Random(5)
+    hosts = list(suite) + [build_reduced_power(g, 3).graph for g in suite[:6]]
+    for g in hosts:
+        n = g.num_vertices
+        pairs = [(rng.randrange(-2, n + 2), rng.randrange(-2, n + 2)) for _ in range(200)]
+        pairs += [(j, i) for i, j in g.edges] + list(g.edges)
+        x, y = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        expected = [
+            g.edge_index.get((i, j) if i < j else (j, i), -1) if 0 <= min(i, j) else -1
+            for i, j in pairs
+        ]
+        assert _edge_ids(g, x, y).tolist() == expected
+    empty = Graph(["a", "b"], [])
+    assert _edge_ids(empty, np.array([0, 1]), np.array([1, 0])).tolist() == [-1, -1]
+
+
+def test_basis_check_raises_the_first_faulty_elements_error_in_order():
+    basis = greedy_mcb(complete_graph(4))
+    first = basis.cycles[0]
+    # element 1 walks through a non-edge, element 2 is too short: element 1 is named
+    with pytest.raises(GraphError, match="vertex index 9 is out of range"):
+        _with_cycles(basis, (first, (0, 1, 9)) + ((0, 1),) + basis.cycles[3:])
+    with pytest.raises(CycleSpaceError, match="three vertices"):
+        _with_cycles(basis, (first, (0, 1)) + ((0, 1, 9),) + basis.cycles[3:])

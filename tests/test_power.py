@@ -415,3 +415,90 @@ def test_builder_graphs_equal_the_label_path_on_random_labels(labels, extra, k, 
     g = Graph(labels, [(labels[i], labels[j]) for i, j in shape.edges])
     for built in _builder_graphs(g, k):
         _assert_label_path_agrees(built)
+
+
+# --- the rank-numbered builder against the dict-based one it replaced ---
+
+
+def _reference_build_reduced_power(base: Graph, k: int):
+    """States, labels, edges and annotations of the power, from a word -> state dict.
+
+    Every move's ends are looked up by their sorted words; the graph goes
+    through the label path of ``Graph``.
+    """
+    from itertools import combinations_with_replacement
+
+    from redpow.power import _state_labels
+
+    v = base.num_vertices
+    words = list(combinations_with_replacement(range(v), k))
+    word_index = {w: i for i, w in enumerate(words)}
+    moves = {}
+    for i, j in base.edges:
+        for fw in combinations_with_replacement(range(v), k - 1):
+            x = word_index[tuple(sorted(fw + (i,)))]
+            y = word_index[tuple(sorted(fw + (j,)))]
+            moves[(x, y) if x < y else (y, x)] = (i, j, fw)
+    states = tuple(Monomial.from_word(w, v) for w in words)
+    labels = _state_labels(base, states)
+    graph = Graph(labels, [(labels[x], labels[y]) for x, y in moves])
+    annotations = tuple(
+        (i, j, Monomial.from_word(fw, v)) for i, j, fw in (moves[pair] for pair in graph.edges)
+    )
+    return states, graph, annotations, word_index
+
+
+def _assert_power_matches_reference(g: Graph, k: int) -> None:
+    rp = build_reduced_power(g, k)
+    states, graph, annotations, word_index = _reference_build_reduced_power(g, k)
+    assert rp.states == states
+    assert rp.graph.labels == graph.labels
+    assert rp.graph.edges == graph.edges
+    assert rp.annotations == annotations
+    assert all(rp.state_of(w) == x for w, x in word_index.items())
+
+
+def test_rank_numbered_power_equals_the_dict_reference(suite):
+    for g in suite:
+        for k in (1, 2, 3, 4, 5):
+            _assert_power_matches_reference(g, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(0, 10**6),
+)
+def test_rank_numbered_power_equals_the_dict_reference_on_random_bases(v, extra, k, seed):
+    _assert_power_matches_reference(random_connected_graph(v, extra, seed), k)
+
+
+def test_rank_numbered_power_of_p3_at_k40_stays_in_range():
+    # v**k radix codes would need 64 bits already at 3**41; ranks stay below 861
+    g = path_graph(3)
+    assert 3**40 > 2**63
+    _assert_power_matches_reference(g, 40)
+    assert build_reduced_power(g, 40).num_states == vertex_count(3, 40) == 861
+
+
+def test_word_ranks_count_the_words_before_each_word():
+    from itertools import combinations_with_replacement
+
+    import numpy as np
+
+    from redpow.power import _insert_ranks, _word_ranks
+
+    for v in range(1, 6):
+        for k in range(0, 6):
+            words = list(combinations_with_replacement(range(v), k))
+            rows = np.array(words, dtype=np.int64).reshape(len(words), k)
+            assert _word_ranks(rows, v).tolist() == list(range(len(words)))
+            if k:
+                index = {w: i for i, w in enumerate(words)}
+                stays, ranks = _insert_ranks(v, k)
+                assert stays == list(combinations_with_replacement(range(v), k - 1))
+                for m, fw in enumerate(stays):
+                    for i in range(v):
+                        assert ranks[m, i] == index[tuple(sorted(fw + (i,)))]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redpow import (
     CartesianSquare,
@@ -366,3 +367,96 @@ def test_square_families_follow_the_documented_order(suite):
             assert got == tree
             got = [(sq.edge1, sq.edge2, sq.f) for sq in chord_pair_squares(g, t, k)]
             assert got == chord
+
+
+# --- the array-built squares against the tuple-by-tuple construction ---
+
+
+def _reference_square_words(g, t, k):
+    """Both families as (tag, edge1, edge2, sorted stay word), one tuple per square."""
+    from itertools import combinations_with_replacement
+
+    levels = []  # (tree edge, stay words) at tree-order positions 1, 2, ...
+    for j in range(1, len(t.order)):
+        v = t.order[j]
+        words = combinations_with_replacement(t.order[: j + 1], k - 2)
+        levels.append(((t.parent[v], v), [tuple(sorted(w)) for w in words]))
+    tree_pairs = t.tree_pairs()
+    out = [
+        ("tree-square", low, high, w)
+        for j, (high, words) in enumerate(levels)
+        for low, _ in levels[:j]
+        for w in words
+    ]
+    out.extend(
+        ("chord-square", chord, edge, w)
+        for chord in g.edges
+        if chord not in tree_pairs
+        for edge, words in levels
+        for w in words
+    )
+    return out
+
+
+def _reference_decomposition(g, k, root=0):
+    """Walks, edge vectors and records of the decomposition, each corner looked up by word."""
+    from redpow import ElementInfo, cycle_edge_vector
+    from redpow.cyclespace import _canonical_cycle
+
+    tree = bfs_spanning_tree(g, root)
+    rp = build_reduced_power(g, k)
+    v = g.num_vertices
+    parked = (tree.root,) * (k - 1)
+    f_root = Monomial.from_word(parked, v)
+    cycles, infos = [], []
+    for seq in greedy_mcb(g).cycles:
+        cycles.append(_canonical_cycle([rp.state_of(parked + (c,)) for c in seq]))
+        infos.append(ElementInfo(tag="embedded", f=f_root))
+    for tag, (a, b), (c, d), w in _reference_square_words(g, tree, k):
+        walk = [rp.state_of(w + pair) for pair in ((c, a), (c, b), (d, b), (d, a))]
+        cycles.append(_canonical_cycle(walk))
+        edges = (tuple(sorted((a, b))), tuple(sorted((c, d))))
+        infos.append(ElementInfo(tag=tag, base_edges=edges, f=Monomial.from_word(w, v)))
+    elements = tuple(cycle_edge_vector(rp, seq) for seq in cycles)
+    return elements, tuple(cycles), tuple(infos)
+
+
+def _assert_decomposition_matches_reference(g, k, root=0):
+    basis = decomposition_basis(g, k, root=root)
+    elements, cycles, infos = _reference_decomposition(g, k, root)
+    assert basis.elements == elements
+    assert basis.cycles == cycles
+    assert basis.info == infos
+    tree = bfs_spanning_tree(g, root)
+    families = [
+        ("tree-square", sq.edge1, sq.edge2, sq.f.word()) for sq in tree_pair_squares(g, tree, k)
+    ] + [
+        ("chord-square", sq.edge1, sq.edge2, sq.f.word())
+        for sq in chord_pair_squares(g, tree, k)
+    ]
+    assert families == _reference_square_words(g, tree, k)
+
+
+def test_array_squares_equal_the_tuple_reference(suite):
+    for g in suite:
+        for k in (2, 3, 4, 5):
+            _assert_decomposition_matches_reference(g, k, root=g.num_vertices - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=2, max_value=5),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_array_squares_equal_the_tuple_reference_on_random_bases(v, extra, k, seed, data):
+    g = random_connected_graph(v, extra, seed)
+    _assert_decomposition_matches_reference(g, k, root=data.draw(st.integers(0, v - 1)))
+
+
+def test_array_squares_of_p3_at_k40_equal_the_tuple_reference():
+    g = path_graph(3)
+    _assert_decomposition_matches_reference(g, 40)
+    assert len(decomposition_basis(g, 40).elements) == tree_square_count(3, 40) == 780
