@@ -30,7 +30,6 @@ integers and builds one ``Fraction`` per state.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ModelError, SolverError
-from .graph import Graph, bfs_spanning_tree, graph_from_dict, graph_to_dict
+from .graph import Graph, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
 from .cyclespace import CycleBasis, _edge_ids, _walk_steps, greedy_mcb, host_graph
 
@@ -109,10 +108,12 @@ class RateSpec:
     so a token never counts itself. Both directions of every base edge
     must be specified. Coupling coefficients may be negative; the
     evaluated rate must come out positive, which MasterChain checks
-    state by state.
+    state by state. Only the pairs with a nonzero coefficient keep a
+    vector of their own (``_coupling``); every other pair reads one
+    shared zero vector.
     """
 
-    __slots__ = ("graph", "_base", "_coupling")
+    __slots__ = ("graph", "_base", "_coupling", "_zero")
 
     def __init__(
         self,
@@ -142,10 +143,10 @@ class RateSpec:
                 raise ModelError(f"coupling given for non-edge pair {pair}")
             if len(coeffs) != v:
                 raise ModelError(f"coupling vector for {pair} must have {v} entries")
-        zero = (Fraction(0),) * v
         self.graph = graph
         self._base = {pair: Fraction(base[pair]) for pair in directed}
-        self._coupling = {pair: coupling.get(pair, zero) for pair in directed}
+        self._coupling = {pair: coeffs for pair, coeffs in coupling.items() if any(coeffs)}
+        self._zero = (Fraction(0),) * v
 
     def base_rate(self, i: int, j: int) -> Fraction:
         try:
@@ -154,16 +155,14 @@ class RateSpec:
             raise ModelError(f"({i}, {j}) is not a directed edge") from None
 
     def coupling_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
-        try:
-            return self._coupling[(i, j)]
-        except KeyError:
-            raise ModelError(f"({i}, {j}) is not a directed edge") from None
+        self.base_rate(i, j)  # raises on a non-edge
+        return self._coupling.get((i, j), self._zero)
 
     def directed_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._base)
 
     def is_uncoupled(self) -> bool:
-        return all(all(c == 0 for c in vec) for vec in self._coupling.values())
+        return not self._coupling
 
 
 def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
@@ -183,14 +182,14 @@ def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
 def _scaled_pair(spec: RateSpec, i: int, j: int) -> tuple[int, tuple[int, ...], int]:
     """Base rate and coupling vector of ``i -> j`` as integers over one denominator.
 
-    Returns ``(base, coupling, den)``; an all-zero coupling comes back
-    empty, so the dot product with it costs nothing.
+    Returns ``(base, coupling, den)``; an uncoupled pair's coupling comes
+    back empty, so the dot product with it costs nothing.
     """
     base = spec.base_rate(i, j)
-    coupling = spec.coupling_vector(i, j)
+    coupling = spec._coupling.get((i, j), ())
     den = math.lcm(base.denominator, *(c.denominator for c in coupling))
     scaled = tuple(c.numerator * (den // c.denominator) for c in coupling)
-    return base.numerator * (den // base.denominator), scaled if any(scaled) else (), den
+    return base.numerator * (den // base.denominator), scaled, den
 
 
 class MasterChain:
@@ -748,7 +747,7 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
         if not isinstance(entry, dict) or "base" not in entry:
             raise ModelError(f"rate entry {key!r} must be an object with 'base'")
         base[pair] = parse_rational(entry["base"], f"rates[{key!r}].base")
-        if "coupling" in entry:  # RateSpec shares one zero vector among the rest
+        if "coupling" in entry:  # RateSpec keeps only the vectors with a nonzero entry
             coupling_doc = entry["coupling"]
             if not isinstance(coupling_doc, dict):
                 raise ModelError(f"rates[{key!r}].coupling must be an object")
@@ -770,8 +769,8 @@ def model_to_dict(graph: Graph, k: int, spec: RateSpec) -> dict:
     for i, j in spec.directed_pairs():
         key = f"{graph.labels[i]}->{graph.labels[j]}"
         entry: dict = {"base": str(spec.base_rate(i, j))}
-        coeffs = spec.coupling_vector(i, j)
-        if any(c != 0 for c in coeffs):
+        coeffs = spec._coupling.get((i, j))
+        if coeffs:
             entry["coupling"] = {
                 graph.labels[l]: str(c) for l, c in enumerate(coeffs) if c != 0
             }
@@ -780,12 +779,4 @@ def model_to_dict(graph: Graph, k: int, spec: RateSpec) -> dict:
 
 
 def load_model(path: str | Path) -> tuple[Graph, int, RateSpec]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path, "model", ModelError))

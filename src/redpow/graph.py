@@ -349,16 +349,20 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(graph_to_dict(g), indent=2) + "\n"
 
 
-def load_graph(path: str | Path, require_connected: bool = True) -> Graph:
+def _read_json(path: str | Path, kind: str, error: type[Exception]) -> object:
+    """The parsed JSON of a ``kind`` file; ``error`` when it cannot be read or parsed."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise GraphError(f"cannot read graph file {path}: {exc}") from None
+        raise error(f"cannot read {kind} file {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GraphError(f"graph file {path} is not valid JSON: {exc}") from None
-    return graph_from_dict(data, require_connected=require_connected)
+        raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
+
+
+def load_graph(path: str | Path, require_connected: bool = True) -> Graph:
+    return graph_from_dict(_read_json(path, "graph", GraphError), require_connected)
 
 
 def dump_graph(g: Graph, path: str | Path) -> None:

@@ -77,19 +77,18 @@ class Monomial:
 
     @classmethod
     def _of_words(cls, words: list[tuple[int, ...]], size: int) -> list["Monomial"]:
-        """One monomial per equally long word of indices below ``size``, as the builders make them.
+        """One monomial per word of indices below ``size``, as the builders make them.
 
-        The exponents are counted for all words at once, and the checks of
-        the public constructors are skipped.
+        Each word's tokens are counted into its own exponent list, and the
+        checks of the public constructors are skipped.
         """
-        k = len(words[0]) if words else 0
-        flat = np.fromiter(chain.from_iterable(words), np.int64, len(words) * k)
-        flat += np.repeat(np.arange(len(words)) * size, k)
-        exps = np.bincount(flat, minlength=len(words) * size).reshape(len(words), size)
         out = []
-        for row in map(tuple, exps.tolist()):
+        for word in words:
+            exps = [0] * size
+            for idx in word:
+                exps[idx] += 1
             m = cls.__new__(cls)
-            object.__setattr__(m, "exponents", row)
+            object.__setattr__(m, "exponents", tuple(exps))
             out.append(m)
         return out
 

@@ -167,7 +167,7 @@ def _family(g: Graph, t: RootedTree, k: int, tag: str) -> list[CartesianSquare]:
     if not len(rows):
         return []
     v = g.num_vertices
-    fs = [Monomial.from_word(w, v) for w in combinations_with_replacement(range(v), k - 2)]
+    fs = Monomial._of_words(list(combinations_with_replacement(range(v), k - 2)), v)
     return [CartesianSquare((a, b), (c, d), fs[w]) for a, b, c, d, w in rows.tolist()]
 
 
@@ -251,7 +251,7 @@ def _structured_cycles(
     ids = _edge_ids(rp.graph, walks, np.roll(walks, -1, axis=1))
     cycles.extend(map(tuple, walks.tolist()))
     bits.extend(1 << e0 | 1 << e1 | 1 << e2 | 1 << e3 for e0, e1, e2, e3 in ids.tolist())
-    fs = [Monomial.from_word(fw, v) for fw in combinations_with_replacement(range(v), k - 2)]
+    fs = Monomial._of_words(list(combinations_with_replacement(range(v), k - 2)), v)
     tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
     first, second = np.sort(rows[:, :2], axis=1).tolist(), np.sort(rows[:, 2:4], axis=1).tolist()
     infos.extend(

@@ -1036,3 +1036,78 @@ def test_model_from_dict_shares_one_zero_coupling_on_a_long_path():
     assert len(shared) == 1
     assert spec.coupling_vector(1, 0) == (F(0),) * n
     assert (g.num_vertices, k, spec.base_rate(1, 0)) == (n, 2, F(2))
+
+
+def long_path_doc(n, k=1):
+    """A path model on ``n`` vertices whose one coupled pair is v0 -> v1."""
+    labels = [f"v{i}" for i in range(n)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "2"} for a, b in edges})
+    rates["v0->v1"]["coupling"] = {"v2": "1/3"}
+    return {"graph": {"vertices": labels, "edges": edges}, "k": k, "rates": rates}
+
+
+def test_master_chain_reads_denominators_per_coupled_entry_not_per_vertex(monkeypatch):
+    # a per-pair scan of a v-long coupling vector reads about 4 * E * v denominators
+    g, k, spec = model_from_dict(long_path_doc(1000))
+    rp = build_reduced_power(g, k)
+    calls = []
+    denominator = Fraction.denominator
+    monkeypatch.setattr(
+        Fraction, "denominator", property(lambda q: calls.append(q) or denominator.fget(q))
+    )
+    mc = MasterChain(rp, spec)
+    monkeypatch.undo()
+    assert len(calls) <= 8 * g.num_edges + 4 * g.num_vertices
+    # at k = 1 no other token is there to couple to
+    assert mc.forward == (F(1),) * g.num_edges and mc.backward == (F(2),) * g.num_edges
+
+
+def test_model_to_dict_round_trips_a_long_path_model():
+    doc = long_path_doc(1000)
+    g, k, spec = model_from_dict(doc)
+    out = model_to_dict(g, k, spec)
+    assert out["rates"] == doc["rates"] and out["k"] == 1
+    again = model_from_dict(json.loads(json.dumps(out)))
+    assert again[0] == g and model_to_dict(*again) == out
+
+
+@pytest.mark.parametrize("coupling", [{}, {"c": "0", "a": "0/7"}])
+def test_an_explicit_zero_coupling_is_no_coupling(coupling):
+    plain = model_doc()
+    del plain["rates"]["a->b"]["coupling"]
+    doc = model_doc()
+    doc["rates"]["a->b"]["coupling"] = coupling
+    g, k, spec = model_from_dict(doc)
+    zero = spec.coupling_vector(1, 0)
+    assert spec.coupling_vector(0, 1) is zero and zero == (F(0),) * g.num_vertices
+    assert spec.is_uncoupled()
+    out = model_to_dict(g, k, spec)
+    assert out == model_to_dict(*model_from_dict(plain)) and out["rates"] == plain["rates"]
+    with pytest.raises(ModelError, match=re.escape("(0, 2) is not a directed edge")):
+        spec.coupling_vector(0, 2)
+    mc, reference = build_master(g, k, spec), build_master(*model_from_dict(plain))
+    assert (mc.forward, mc.backward) == (reference.forward, reference.backward)
+
+
+def test_both_loaders_keep_their_read_and_parse_messages(tmp_path):
+    from redpow import GraphError, load_graph, load_model
+
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text("{")
+    for load, kind, error in ((load_graph, "graph", GraphError), (load_model, "model", ModelError)):
+        with pytest.raises(error) as info:
+            load(missing)
+        assert type(info.value) is error
+        assert str(info.value) == (
+            f"cannot read {kind} file {missing}: "
+            f"[Errno 2] No such file or directory: '{missing}'"
+        )
+        with pytest.raises(error) as info:
+            load(broken)
+        assert type(info.value) is error
+        assert str(info.value) == (
+            f"{kind} file {broken} is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        )

@@ -502,3 +502,18 @@ def test_word_ranks_count_the_words_before_each_word():
                 for m, fw in enumerate(stays):
                     for i in range(v):
                         assert ranks[m, i] == index[tuple(sorted(fw + (i,)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_of_words_counts_each_word_like_from_word(data):
+    size = data.draw(st.integers(1, 8) | st.integers(1000, 5000))
+    k = data.draw(st.integers(0, 5))
+    word = st.lists(st.integers(0, size - 1), min_size=k, max_size=k).map(lambda w: tuple(sorted(w)))
+    words = data.draw(st.lists(word, max_size=6))
+    assert Monomial._of_words(words, size) == [Monomial.from_word(w, size) for w in words]
+
+
+def test_of_words_counts_the_empty_stay_word_on_thousands_of_vertices():
+    (stay,) = Monomial._of_words([()], 3000)
+    assert stay == Monomial.from_word((), 3000) and stay.exponents == (0,) * 3000
