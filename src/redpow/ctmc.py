@@ -429,7 +429,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     if mode == "float":
         rates = _float_rates(mc)
         # transition t = 2e (forward) or 2e + 1 (backward) of edge e
-        ends = np.array(mc.rp.graph.edges, dtype=np.intp).reshape(-1, 2)
+        ends = mc.rp.graph._pairs
         src, dst = ends.ravel(), ends[:, ::-1].ravel()
         a = np.zeros((n, n))
         a[dst, src] = rates
@@ -702,7 +702,7 @@ def detailed_balance_check(
     else:
         # the float test elementwise over all edges, in the same float64 operations
         rates = _float_rates(mc)
-        ends = np.array(mc.rp.graph.edges, dtype=np.intp).reshape(-1, 2)
+        ends = mc.rp.graph._pairs
         pi = np.array(ss.probabilities, dtype=np.float64)
         lhs, rhs = pi[ends[:, 0]] * rates[0::2], pi[ends[:, 1]] * rates[1::2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)

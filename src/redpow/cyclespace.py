@@ -179,8 +179,7 @@ def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     both ends equal is never an edge; each caller raises its own error.
     """
     n = g.num_vertices
-    ends = np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * g.num_edges)
-    keys = ends[0::2] * n + ends[1::2]
+    keys = g._pairs[:, 0] * n + g._pairs[:, 1]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     key = np.where((lo >= 0) & (hi < n) & (lo < hi), lo * n + hi, -1)
     if not len(keys):

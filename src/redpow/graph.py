@@ -1,13 +1,17 @@
 """Simple undirected labeled graphs with deterministic ordering.
 
 Vertices are string labels and keep their input order; edges are stored
-as ascending index pairs sorted lexicographically. That fixes a dense
-edge index map which the F2 cycle-space layer addresses by position,
-and it makes every downstream tie-break (BFS neighbor order, candidate
-enumeration) reproducible across runs.
+as ascending index pairs sorted lexicographically, in one ``(m, 2)``
+int64 array. That fixes a dense edge index map which the F2 cycle-space
+layer addresses by position, and it makes every downstream tie-break
+(BFS neighbor order, candidate enumeration) reproducible across runs.
 
 ``Graph(labels, edges)`` checks label pairs in input order; the package's
-builders pass index pairs to ``Graph._from_pairs``. One fill step serves both.
+builders pass index pairs, or an integer array of them, to
+``Graph._from_pairs``. One array fill step serves both. The Python views
+(the ``edges`` tuple, adjacency tuples and the edge-index dict) are
+built on first read, so a graph that is only read as an array, such as
+the Cartesian power the quotient check consumes, never builds them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import GraphError
 
@@ -44,7 +50,7 @@ class Graph:
     used as dictionary keys.
     """
 
-    __slots__ = ("labels", "edges", "_adj", "_edge_index", "_label_index")
+    __slots__ = ("labels", "_pairs", "_label_index", "edges", "_adj", "_edge_index")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]]):
         labels, label_index = _index_labels(labels)
@@ -69,30 +75,66 @@ class Graph:
         self._fill(labels, label_index, list(pairs))
 
     @classmethod
-    def _from_pairs(cls, labels: Iterable[str], pairs: Iterable[tuple[int, int]]) -> Graph:
-        """Graph from index pairs ``(i, j)``, ``i < j``, in any order: the builders' path."""
+    def _from_pairs(
+        cls, labels: Iterable[str], pairs: np.ndarray | Sequence[tuple[int, int]]
+    ) -> Graph:
+        """Graph from index pairs ``(i, j)``, ``i < j``, in any order: the builders' path.
+
+        ``pairs`` is a sequence of pairs or an ``(m, 2)`` integer array,
+        which is kept as it is when it is already sorted.
+        """
         g = cls.__new__(cls)
-        g._fill(*_index_labels(labels), list(pairs))
+        g._fill(*_index_labels(labels), pairs)
         return g
 
-    def _fill(self, labels: tuple[str, ...], label_index: dict[str, int], pairs: list) -> None:
-        """Store the pairs in the canonical (sorted) order; raise on a bad or repeated one."""
-        pairs.sort()
-        adj: list[list[int]] = [[] for _ in labels]
-        for i, j in pairs:  # pairs are sorted, so every list comes out ascending
-            if not 0 <= i < j < len(labels):
-                raise GraphError(f"edge pair {(i, j)} needs 0 <= i < j < {len(labels)}")
-            adj[i].append(j)
-            adj[j].append(i)
-        edge_index = dict(zip(pairs, range(len(pairs))))
-        if len(edge_index) != len(pairs):
-            repeat = next(p for p, q in zip(pairs, pairs[1:]) if p == q)
-            raise GraphError(f"duplicate edge pair {repeat}")
+    def _fill(
+        self,
+        labels: tuple[str, ...],
+        label_index: dict[str, int],
+        pairs: np.ndarray | Sequence[tuple[int, int]],
+    ) -> None:
+        """Store the pairs in the canonical (sorted) order; raise on a bad or repeated one.
+
+        A bad pair is reported before any repeat, the first one in sorted
+        order. Valid pairs sort by ``i * n + j``, which orders them as tuples.
+        """
+        n = len(labels)
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        bad = (i < 0) | (i >= j) | (j >= n)
+        if bad.any():
+            first = min(map(tuple, pairs[bad].tolist()))
+            raise GraphError(f"edge pair {first} needs 0 <= i < j < {n}")
+        keys = i * n + j
+        if (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys)
+            pairs, keys = pairs[order], keys[order]
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            raise GraphError(f"duplicate edge pair {tuple(pairs[repeat.argmax()].tolist())}")
         self.labels: tuple[str, ...] = labels
-        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._label_index = label_index
-        self._adj = tuple(map(tuple, adj))
-        self._edge_index = edge_index
+        self._pairs = pairs
+
+    def __getattr__(self, name: str):
+        """Build ``edges``, ``_adj`` or ``_edge_index`` from the pair array on first read.
+
+        Only an unset slot lands here; once set, every read is a plain slot read.
+        """
+        if name == "edges":
+            value = tuple(zip(*self._pairs.T.tolist()))
+        elif name == "_adj":
+            adj: list[list[int]] = [[] for _ in self.labels]
+            for i, j in self.edges:  # edges are sorted, so every list comes out ascending
+                adj[i].append(j)
+                adj[j].append(i)
+            value = tuple(map(tuple, adj))
+        elif name == "_edge_index":
+            value = dict(zip(self.edges, range(len(self._pairs))))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
 
     # --- accessors ---
 
@@ -102,7 +144,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._pairs)
 
     def index_of(self, label: str) -> int:
         try:
@@ -148,10 +190,10 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self.edges == other.edges
+        return self.labels == other.labels and np.array_equal(self._pairs, other._pairs)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
+        return hash((self.labels, self._pairs.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(v={self.num_vertices}, e={self.num_edges})"

@@ -28,13 +28,15 @@ The independent oracle, :func:`cartesian_power` followed by
 :func:`quotient_by_symmetry`, runs as array kernels: the product's edges
 come from arithmetic on mixed-radix vertex indices, and each quotient
 check is one array operation over all product edges. Both builders hand
-their graphs to ``Graph`` as index pairs, never as label pairs.
+their graphs to ``Graph`` as index-pair arrays, never as label pairs, and
+the quotient reads the product's pair array, so the product never builds
+its Python edge tuples, adjacency or edge index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
 import numpy as np
@@ -120,14 +122,11 @@ class Monomial:
         return Monomial(tuple(exps))
 
     def to_string(self, labels: tuple[str, ...]) -> str:
-        return self._render(labels, "")
-
-    def _render(self, labels: tuple[str, ...], sep: str) -> str:
-        """The factors ``lab`` or ``lab^e`` in vertex order, joined by ``sep``."""
+        """The factors ``lab`` or ``lab^e`` in vertex order, or ``1`` for no token."""
         if len(labels) != len(self.exponents):
             raise PowerError("label tuple does not match exponent length")
         parts = [lab if e == 1 else f"{lab}^{e}" for lab, e in zip(labels, self.exponents) if e]
-        return sep.join(parts) if parts else "1"
+        return "".join(parts) if parts else "1"
 
 
 class ReducedPowerGraph:
@@ -232,7 +231,7 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
         raise PowerError("k must be >= 1")
     v = base.num_vertices
     stays, ranks = _insert_ranks(v, k)
-    ends = np.array(base.edges, dtype=np.int64).reshape(-1, 2)
+    ends = base._pairs
     moves = np.empty((len(stays), len(ends), 5), dtype=np.int64)  # per stay word and base edge
     moves[..., 0], moves[..., 1] = ranks[:, ends[:, 0]], ranks[:, ends[:, 1]]
     moves[..., 2:4] = ends
@@ -273,23 +272,41 @@ def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return stays, _word_ranks(joined.reshape(-1, k), v).reshape(len(stays), v)
 
 
-def _state_labels(base: Graph, states: tuple[Monomial, ...]) -> tuple[str, ...]:
+def _state_labels(
+    base: Graph, states: tuple[Monomial, ...], words: list | None = None
+) -> tuple[str, ...]:
     """Plain state labels, or with ``*`` between factors when plain ones collide.
 
+    Each label is rendered from the state's word (``words``, when the
+    caller has them), one factor per run of equal indices.
     Multi-character base labels can run together: on labels a, bc, ab, c
     the states a*bc and ab*c both render plainly as 'abc'.
     """
-    labels = tuple(m.to_string(base.labels) for m in states)
+    if words is None:
+        words = [m.word() for m in states]
+    labels = tuple(_render_word(base.labels, w, "") for w in words)
     if len(set(labels)) == len(labels):
         return labels
-    seen: dict[str, Monomial] = {}
-    for m in states:
-        lab = m._render(base.labels, "*")
+    seen: dict[str, tuple[int, ...]] = {}
+    for w in words:
+        lab = _render_word(base.labels, w, "*")
         if lab in seen:
-            names = [tuple(base.labels[i] for i in s.word()) for s in (seen[lab], m)]
+            names = [tuple(base.labels[i] for i in s) for s in (seen[lab], w)]
             raise PowerError(f"states {names[0]} and {names[1]} both render as {lab!r}")
-        seen[lab] = m
+        seen[lab] = w
     return tuple(seen)
+
+
+def _render_word(labels: tuple[str, ...], word: tuple[int, ...], sep: str) -> str:
+    """:meth:`Monomial.to_string`'s factors of a sorted word, one per run, joined by ``sep``."""
+    parts = []
+    run = 0
+    for t, i in enumerate(word, start=1):
+        run += 1
+        if t == len(word) or word[t] != i:
+            parts.append(labels[i] if run == 1 else f"{labels[i]}^{run}")
+            run = 0
+    return sep.join(parts) if parts else "1"
 
 
 def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
@@ -311,11 +328,11 @@ def _from_moves(
     """
     v = base.num_vertices
     states = tuple(Monomial._of_words(words, v))
-    labels = _state_labels(base, states)
-    moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")].tolist()
-    graph = Graph._from_pairs(labels, ((x, y) for x, y, _, _, _ in moves))
+    labels = _state_labels(base, states, words)
+    moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")]
+    graph = Graph._from_pairs(labels, moves[:, :2])
     fs = Monomial._of_words(stays, v)
-    annotations = tuple((i, j, fs[s]) for _, _, i, j, s in moves)
+    annotations = tuple((i, j, fs[s]) for i, j, s in moves[:, 2:].tolist())
     rp = ReducedPowerGraph(base, k, states, graph, annotations)
     rp._index = dict(zip(words, range(len(words))))
     return rp
@@ -351,15 +368,14 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
         raise PowerError("base labels must not contain ',' for product labeling")
 
     labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
-    ends = np.array(base.edges, dtype=np.int64).reshape(-1, 2)
-    lo, step = ends[:, :1], ends[:, 1:] - ends[:, :1]
-    pairs: list[tuple[int, int]] = []
+    lo, step = base._pairs[:, :1], base._pairs[:, 1:] - base._pairs[:, :1]
+    pairs = []
     for pos in range(k):
         stride = v ** (k - 1 - pos)
         # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
         low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
-        pairs += zip(low.ravel().tolist(), (low + step * stride).ravel().tolist())
-    return Graph._from_pairs(labels, pairs)
+        pairs.append(np.column_stack([low.ravel(), (low + step * stride).ravel()]))
+    return Graph._from_pairs(labels, np.concatenate(pairs))
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:
@@ -407,8 +423,8 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
     m = power.num_edges
-    ends = np.fromiter(chain.from_iterable(power.edges), np.min_scalar_type(n), 2 * m)
-    tx, ty = digits[ends[0::2]], digits[ends[1::2]]
+    src, dst = power._pairs.T
+    tx, ty = digits[src], digits[dst]
     changed = tx != ty
     if not (changed.sum(axis=1) == 1).all():
         raise PowerError("product edge changes more than one coordinate")
@@ -419,13 +435,13 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     del a, b
     moved = lo.astype(np.int64) * v + hi
-    if not np.isin(moved, [i * v + j for i, j in base.edges]).all():
+    if not np.isin(moved, base._pairs[:, 0] * v + base._pairs[:, 1]).all():
         raise PowerError("product edge does not project onto a base edge")
 
     words = np.sort(digits, axis=1)
     codes, first, state = np.unique(_codes(words, v), return_index=True, return_inverse=True)
-    x, y = state[ends[0::2]], state[ends[1::2]]
-    del ends, state
+    x, y = state[src], state[dst]
+    del state
     if (x == y).any():
         raise PowerError("product edge collapses to a single state")
     num_states = len(codes)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -356,3 +357,101 @@ def test_constructor_rejects_string_edge_entries(entry):
     with pytest.raises(GraphError) as info:
         Graph(["a", "b"], [entry])
     assert str(info.value) == f"edge entry {entry!r} must be a pair of labels"
+
+
+# --- the array fill against the list path and a dict-based reference ---
+
+
+def _reference_fill(n: int, pairs):
+    """Edges, adjacency and edge index of index pairs, or the GraphError text.
+
+    The list-based fill: sort the pairs as tuples, check each in that
+    order, append both ends to per-vertex lists, then number the pairs
+    through a dict, naming the first repeat.
+    """
+    pairs = sorted(map(tuple, pairs))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        if not 0 <= i < j < n:
+            return f"edge pair {(i, j)} needs 0 <= i < j < {n}"
+        adj[i].append(j)
+        adj[j].append(i)
+    edge_index: dict[tuple[int, int], int] = {}
+    for pair in pairs:
+        if pair in edge_index:
+            return f"duplicate edge pair {pair}"
+        edge_index[pair] = len(edge_index)
+    return tuple(pairs), tuple(map(tuple, adj)), edge_index
+
+
+def _fill_outcome(labels, pairs):
+    """What ``Graph._from_pairs`` gives: the three views, or the GraphError text."""
+    try:
+        g = Graph._from_pairs(labels, pairs)
+    except GraphError as exc:
+        return str(exc)
+    return g.edges, tuple(g.adjacency(i) for i in range(g.num_vertices)), g.edge_index
+
+
+def _as_array(pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "labels,pairs",
+    [
+        ("abcd", [(2, 3), (0, 2), (0, 1)]),  # unsorted
+        ("abcd", [(0, 1), (0, 2), (2, 3)]),  # sorted
+        ("abcd", []),
+        ([], []),
+        (["a", 5, "a"], []),
+        (["a", "b", "a"], []),
+        ("abc", [(0, 1), (1, 3)]),  # out of range
+        ("abc", [(2, 1)]),  # reversed
+        ("abc", [(1, 1)]),  # loop
+        ("abc", [(-1, 2)]),
+        ("abc", [(1, 2), (0, 1), (1, 2)]),  # repeated
+        ("abcd", [(2, 3), (3, 9), (0, 2), (5, 1), (0, 2)]),  # the least bad pair is named
+    ],
+)
+def test_builder_path_on_an_array_matches_the_list_path(labels, pairs):
+    assert _fill_outcome(labels, _as_array(pairs)) == _fill_outcome(labels, pairs)
+    if len(labels) == len(set(labels)) and all(isinstance(x, str) for x in labels) and labels:
+        assert _fill_outcome(labels, pairs) == _reference_fill(len(labels), pairs)
+
+
+def test_builder_path_keeps_a_sorted_array_and_sorts_a_view_or_narrow_array():
+    sorted_pairs = _as_array([(0, 1), (0, 2), (2, 3)])
+    assert np.shares_memory(Graph._from_pairs("abcd", sorted_pairs)._pairs, sorted_pairs)
+    rows = np.array([[2, 3, 7], [0, 2, 7], [0, 1, 7]], dtype=np.int32)
+    g = Graph._from_pairs("abcd", rows[:, :2])
+    assert g._pairs.dtype == np.int64 and g._pairs.flags.c_contiguous
+    assert g == Graph("abcd", [("a", "b"), ("a", "c"), ("c", "d")])
+    assert g.num_edges == 3
+
+
+@st.composite
+def _pair_lists(draw):
+    """A vertex count and index pairs: mostly distinct valid pairs, sometimes bad or repeated ones."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    valid = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(valid), unique=True)) if valid else []
+    if draw(st.booleans()):
+        end = st.integers(min_value=-1, max_value=n)
+        pairs += draw(st.lists(st.tuples(end, end), max_size=2))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_lists())
+def test_array_fill_equals_the_dict_reference(case):
+    n, pairs = case
+    labels = [f"v{i}" for i in range(n)]
+    want = _reference_fill(n, pairs)
+    assert _fill_outcome(labels, _as_array(pairs)) == want
+    assert _fill_outcome(labels, list(pairs)) == want
+    if isinstance(want, tuple):  # equal graphs hash equally, whichever path built them
+        by_array = Graph._from_pairs(labels, _as_array(pairs))
+        by_labels = Graph(labels, [(labels[i], labels[j]) for i, j in reversed(pairs)])
+        assert by_array == by_labels and hash(by_array) == hash(by_labels)
+        assert by_array.num_edges == len(want[0])

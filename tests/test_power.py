@@ -517,3 +517,50 @@ def test_of_words_counts_each_word_like_from_word(data):
 def test_of_words_counts_the_empty_stay_word_on_thousands_of_vertices():
     (stay,) = Monomial._of_words([()], 3000)
     assert stay == Monomial.from_word((), 3000) and stay.exponents == (0,) * 3000
+
+
+def test_quotient_check_builds_no_python_views_of_the_product():
+    g = cycle_graph(4)
+    p = cartesian_power(g, 3)
+    rp = quotient_by_symmetry(p, g, 3)
+    assert rp.graph == build_reduced_power(g, 3).graph
+    # the slot descriptors read the slots without building them
+    for slot in (Graph.edges, Graph._adj, Graph._edge_index):
+        with pytest.raises(AttributeError):
+            slot.__get__(p)
+    assert p.num_edges == 3 * 4 * 4**2
+    assert p.adjacency(0) == (1, 3, 4, 12, 16, 48)  # built on this first read, then kept
+    assert Graph._adj.__get__(p)[0] == (1, 3, 4, 12, 16, 48)
+
+
+_WORD_LABELS = ("a", "bc", "ab", "c", "x^2", "1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.lists(st.integers(0, 5), max_size=9))
+def test_labels_rendered_from_words_equal_the_monomial_strings(v, raw):
+    from redpow.power import _render_word
+
+    labels = _WORD_LABELS[:v]
+    word = tuple(sorted(i % v for i in raw))
+    m = Monomial.from_word(word, v)
+    assert _render_word(labels, word, "") == m.to_string(labels)
+    starred = _render_word(labels, word, "*")  # no label here holds a '*'
+    assert "".join(starred.split("*")) == m.to_string(labels)
+    assert starred.count("*") == max(len(set(word)) - 1, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_state_labels_from_words_equal_those_from_monomials(k):
+    from itertools import combinations_with_replacement
+
+    from redpow.power import _state_labels
+
+    g = _labelled_path(OVERLAPPING)
+    words = list(combinations_with_replacement(range(4), k))
+    states = tuple(Monomial.from_word(w, 4) for w in words)
+    labels = _state_labels(g, states, words)
+    assert labels == _state_labels(g, states)
+    assert len(set(labels)) == len(labels)
+    assert [lab.replace("*", "") for lab in labels] == [m.to_string(g.labels) for m in states]
+    assert ("a*bc" in labels) == (k == 2)
