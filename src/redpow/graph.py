@@ -81,7 +81,8 @@ class Graph:
         """Graph from index pairs ``(i, j)``, ``i < j``, in any order: the builders' path.
 
         ``pairs`` is a sequence of pairs or an ``(m, 2)`` integer array,
-        which is kept as it is when it is already sorted.
+        whose memory is kept, behind a read-only view, when it is already
+        sorted.
         """
         g = cls.__new__(cls)
         g._fill(*_index_labels(labels), pairs)
@@ -112,6 +113,8 @@ class Graph:
         repeat = keys[1:] == keys[:-1]
         if repeat.any():
             raise GraphError(f"duplicate edge pair {tuple(pairs[repeat.argmax()].tolist())}")
+        pairs = pairs.view()  # read-only, so no holder can change the hash or the views
+        pairs.flags.writeable = False
         self.labels: tuple[str, ...] = labels
         self._label_index = label_index
         self._pairs = pairs

@@ -125,8 +125,7 @@ class Monomial:
         """The factors ``lab`` or ``lab^e`` in vertex order, or ``1`` for no token."""
         if len(labels) != len(self.exponents):
             raise PowerError("label tuple does not match exponent length")
-        parts = [lab if e == 1 else f"{lab}^{e}" for lab, e in zip(labels, self.exponents) if e]
-        return "".join(parts) if parts else "1"
+        return _render_word(labels, self.word(), "")
 
 
 class ReducedPowerGraph:
@@ -298,7 +297,7 @@ def _state_labels(
 
 
 def _render_word(labels: tuple[str, ...], word: tuple[int, ...], sep: str) -> str:
-    """:meth:`Monomial.to_string`'s factors of a sorted word, one per run, joined by ``sep``."""
+    """The factors ``lab`` or ``lab^e`` of a sorted word, one per run, joined by ``sep``."""
     parts = []
     run = 0
     for t, i in enumerate(word, start=1):

@@ -422,7 +422,13 @@ def test_builder_path_on_an_array_matches_the_list_path(labels, pairs):
 
 def test_builder_path_keeps_a_sorted_array_and_sorts_a_view_or_narrow_array():
     sorted_pairs = _as_array([(0, 1), (0, 2), (2, 3)])
-    assert np.shares_memory(Graph._from_pairs("abcd", sorted_pairs)._pairs, sorted_pairs)
+    kept = Graph._from_pairs("abcd", sorted_pairs)
+    assert np.shares_memory(kept._pairs, sorted_pairs)
+    assert sorted_pairs.flags.writeable  # the caller's array stays writable
+    before = hash(kept)
+    with pytest.raises(ValueError):  # the graph's view refuses a write
+        kept._pairs[0, 1] = 3
+    assert hash(kept) == before and kept.edges[0] == (0, 1)
     rows = np.array([[2, 3, 7], [0, 2, 7], [0, 1, 7]], dtype=np.int32)
     g = Graph._from_pairs("abcd", rows[:, :2])
     assert g._pairs.dtype == np.int64 and g._pairs.flags.c_contiguous

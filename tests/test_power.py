@@ -544,9 +544,11 @@ def test_labels_rendered_from_words_equal_the_monomial_strings(v, raw):
     labels = _WORD_LABELS[:v]
     word = tuple(sorted(i % v for i in raw))
     m = Monomial.from_word(word, v)
-    assert _render_word(labels, word, "") == m.to_string(labels)
+    # the factors read off the exponents, one per vertex in order
+    parts = [lab if e == 1 else f"{lab}^{e}" for lab, e in zip(labels, m.exponents) if e]
+    assert m.to_string(labels) == ("".join(parts) or "1")
     starred = _render_word(labels, word, "*")  # no label here holds a '*'
-    assert "".join(starred.split("*")) == m.to_string(labels)
+    assert starred == ("*".join(parts) or "1")
     assert starred.count("*") == max(len(set(word)) - 1, 0)
 
 
