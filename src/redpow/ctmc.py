@@ -18,13 +18,13 @@ elimination on integers. All rate arithmetic is exact over the
 rationals; only the optional float steady-state solve rounds, and its
 residual is summed from per-transition flows in O(E).
 
-The exact kernels work on integers. The master chain scales each
-directed pair's base rate and coupling vector to integers over one
-denominator, so a transition costs a few int operations and one
-``Fraction``; the cycle check multiplies integer numerators and
-denominators along a cycle and builds one ``Fraction`` per product; the
-irreversible solve scales all rates over one denominator, eliminates on
-integers and builds one ``Fraction`` per state.
+The exact kernels work on integers. A :class:`RateSpec` lowers its rates
+once, to integers over one common denominator, so a master transition
+costs a few int operations and one ``Fraction``, and the irreversible
+solve reads every rate over that same denominator, eliminates on
+integers and builds one ``Fraction`` per state. The cycle check
+multiplies the reduced numerators and denominators of the chain's rates
+along a cycle and builds one ``Fraction`` per product.
 :func:`eval_rate` keeps the per-token rate in its defining form.
 """
 
@@ -108,12 +108,13 @@ class RateSpec:
     so a token never counts itself. Both directions of every base edge
     must be specified. Coupling coefficients may be negative; the
     evaluated rate must come out positive, which MasterChain checks
-    state by state. Only the pairs with a nonzero coefficient keep a
-    vector of their own (``_coupling``); every other pair reads one
-    shared zero vector.
+    state by state. The rates are stored once, as integer numerators
+    over one common denominator ``_den`` (``_base``, and ``_coupling``
+    for the pairs with a nonzero coefficient only); the accessors build
+    ``Fraction``s on demand, and every uncoupled pair reads one zero vector.
     """
 
-    __slots__ = ("graph", "_base", "_coupling", "_zero")
+    __slots__ = ("graph", "_base", "_coupling", "_den", "_zero")
 
     def __init__(
         self,
@@ -121,10 +122,7 @@ class RateSpec:
         base: Mapping[tuple[int, int], Fraction],
         coupling: Mapping[tuple[int, int], tuple[Fraction, ...]] | None = None,
     ):
-        directed = set()
-        for i, j in graph.edges:
-            directed.add((i, j))
-            directed.add((j, i))
+        directed = {pair for i, j in graph.edges for pair in ((i, j), (j, i))}
         base = dict(base)
         coupling = {k: tuple(v) for k, v in (coupling or {}).items()}
         for pair in base:
@@ -143,20 +141,27 @@ class RateSpec:
                 raise ModelError(f"coupling given for non-edge pair {pair}")
             if len(coeffs) != v:
                 raise ModelError(f"coupling vector for {pair} must have {v} entries")
+        rates = {pair: Fraction(base[pair]) for pair in directed}
+        coupled = {pair: c for pair, c in coupling.items() if any(c)}
+        every = [*rates.values(), *(q for c in coupled.values() for q in c)]
+        self._den = den = math.lcm(*(q.denominator for q in every))
         self.graph = graph
-        self._base = {pair: Fraction(base[pair]) for pair in directed}
-        self._coupling = {pair: coeffs for pair, coeffs in coupling.items() if any(coeffs)}
+        self._base = {pair: q.numerator * (den // q.denominator) for pair, q in rates.items()}
+        self._coupling = {
+            p: tuple(q.numerator * (den // q.denominator) for q in c) for p, c in coupled.items()
+        }
         self._zero = (Fraction(0),) * v
 
     def base_rate(self, i: int, j: int) -> Fraction:
         try:
-            return self._base[(i, j)]
+            return Fraction(self._base[(i, j)], self._den)
         except KeyError:
             raise ModelError(f"({i}, {j}) is not a directed edge") from None
 
     def coupling_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
         self.base_rate(i, j)  # raises on a non-edge
-        return self._coupling.get((i, j), self._zero)
+        coeffs = self._coupling.get((i, j))
+        return self._zero if coeffs is None else tuple(Fraction(c, self._den) for c in coeffs)
 
     def directed_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._base)
@@ -177,19 +182,6 @@ def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
         )
     coupling = spec.coupling_vector(i, j)
     return spec.base_rate(i, j) - coupling[i] + sum(coupling[l] for l in state.word())
-
-
-def _scaled_pair(spec: RateSpec, i: int, j: int) -> tuple[int, tuple[int, ...], int]:
-    """Base rate and coupling vector of ``i -> j`` as integers over one denominator.
-
-    Returns ``(base, coupling, den)``; an uncoupled pair's coupling comes
-    back empty, so the dot product with it costs nothing.
-    """
-    base = spec.base_rate(i, j)
-    coupling = spec._coupling.get((i, j), ())
-    den = math.lcm(base.denominator, *(c.denominator for c in coupling))
-    scaled = tuple(c.numerator * (den // c.denominator) for c in coupling)
-    return base.numerator * (den // base.denominator), scaled, den
 
 
 class MasterChain:
@@ -213,19 +205,19 @@ class MasterChain:
         # An edge annotated (i, j, f) joins x = f*i and y = f*j, so the
         # tokens that stay put are exactly f: the per-token rate of a hop
         # i -> j is base(i,j) + coupling(i,j) . f, with f_i + 1 tokens
-        # able to make it. Each pair's rates are scaled to integers over
-        # one denominator, so an edge costs a few int operations.
-        scaled = {pair: _scaled_pair(spec, *pair) for pair in spec.directed_pairs()}
-        made: dict[tuple[int, int], Fraction] = {}  # few distinct values; share them
+        # able to make it. On the spec's integer numerators an edge costs
+        # a few int operations; an uncoupled pair's empty vector adds nothing.
+        base, coupling, den = spec._base, spec._coupling, spec._den
+        made: dict[int, Fraction] = {}  # few distinct numerators; share their rates
         rates: list[Fraction] = []
         for (x, y), (i, j, f) in zip(rp.graph.edges, rp.annotations):
             others = f.exponents
             for a, b, src in ((i, j, x), (j, i, y)):
-                base, coupling, den = scaled[(a, b)]
-                num = (others[a] + 1) * (base + sum(map(mul, coupling, others)))
-                rate = made.get((num, den))
+                dot = sum(map(mul, coupling.get((a, b), ()), others))
+                num = (others[a] + 1) * (base[(a, b)] + dot)
+                rate = made.get(num)
                 if rate is None:
-                    rate = made[(num, den)] = Fraction(num, den)
+                    rate = made[num] = Fraction(num, den)
                     if num <= 0:
                         raise ModelError(
                             f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates "
@@ -549,29 +541,30 @@ def _solve_sparse(mc: MasterChain) -> list[Fraction]:
 def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
     """Integer sparse elimination of pi Q = 0 with pi_0 = 1.
 
-    Every rate is scaled to an integer over one common denominator, which
-    leaves the homogeneous system unchanged. Unknowns are pi_1..pi_{n-1}
-    with pi_0 moved to the right-hand side; equation y (for y >= 1) is
-    the balance of state y. Rows are column -> integer dicts with a
-    column -> rows index. Each step pivots on the active column with the
-    fewest nonzeros, in its row with the fewest nonzeros (Markowitz),
-    which keeps fill low on the sparse state graphs; exact cancellations
-    are dropped from the structure. A row with entry ``a`` in the pivot
-    column becomes ``(p/g) row - (a/g) prow`` for pivot ``p`` and
-    ``g = gcd(p, a)``, right-hand side alike (fraction-free, as in
-    Bareiss's method). Every row is kept primitive, divided by the gcd of
-    its entries and right-hand side, so there is no gcd per operation
-    yet the entries stay near the size of the solution's.
+    Every rate is read as an integer over the spec's common denominator,
+    which leaves the homogeneous system unchanged; rows are made
+    primitive as they are loaded, so no step depends on it. Unknowns are
+    pi_1..pi_{n-1} with pi_0 moved to the right-hand side; equation y
+    (for y >= 1) is the balance of state y. Rows are column -> integer
+    dicts with a column -> rows index. Each step pivots on the active
+    column with the fewest nonzeros, in its row with the fewest nonzeros
+    (Markowitz), which keeps fill low on the sparse state graphs; exact
+    cancellations are dropped from the structure. A row with entry ``a``
+    in the pivot column becomes ``(p/g) row - (a/g) prow`` for pivot
+    ``p`` and ``g = gcd(p, a)``, right-hand side alike (fraction-free,
+    as in Bareiss's method). Every row is kept primitive, divided by the
+    gcd of its entries and right-hand side, so there is no gcd per
+    operation yet the entries stay near the size of the solution's.
 
     Returns ``(column, pivot, rest of row, right-hand side)`` per step,
     in pivot order.
     """
     n = mc.num_states
-    scale = math.lcm(*{r.denominator for _, _, r in mc.transitions()})
+    den = mc.spec._den
     rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
     rhs = dict.fromkeys(range(1, n), 0)
     for x, y, r in mc.transitions():
-        q = r.numerator * (scale // r.denominator)
+        q = r.numerator * (den // r.denominator)
         if x == 0:
             rhs[y] -= q
             continue
@@ -772,7 +765,7 @@ def model_to_dict(graph: Graph, k: int, spec: RateSpec) -> dict:
         coeffs = spec._coupling.get((i, j))
         if coeffs:
             entry["coupling"] = {
-                graph.labels[l]: str(c) for l, c in enumerate(coeffs) if c != 0
+                graph.labels[l]: str(Fraction(c, spec._den)) for l, c in enumerate(coeffs) if c
             }
         rates[key] = entry
     return {"graph": graph_to_dict(graph), "k": k, "rates": rates}

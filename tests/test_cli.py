@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,38 @@ def test_check_reversibility_float_rejects_rates_outside_the_float_range(tmp_pat
     )
     assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
     assert "verdict: not reversible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_reversibility_settles_a_long_reversible_path_by_its_tree_potential(
+    tmp_path, capsys, exact
+):
+    # pi_i halves along the path, so the float law underflows to zero long
+    # before the far end, and 1100 states are over the exact solve's limit
+    labels = [f"v{i}" for i in range(1100)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "2"} for a, b in edges})
+    model, out = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps({"graph": {"vertices": labels, "edges": edges}, "k": 1,
+                                 "rates": rates}))
+    argv = ["check-reversibility", "--model", str(model), "--out", str(out)]
+    assert main(argv + ["--exact"] * exact) == 0
+    assert "detailed balance (exact): pass" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["reversible"] is True
+    assert report["steady_state"]["mode"] == "exact"
+    pi = [Fraction(p) for p in report["steady_state"]["probabilities"]]
+    assert sum(pi) == 1 and all(2 * q == p for p, q in zip(pi, pi[1:]))
+
+
+def test_check_reversibility_exact_keeps_the_state_limit_on_an_irreversible_chain(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("redpow.ctmc._EXACT_STATE_LIMIT", 10)
+    model = nearly_reversible_model(tmp_path)
+    assert main(["check-reversibility", "--model", str(model), "--exact"]) == 1
+    assert capsys.readouterr().err == "error: exact mode supports up to 10 states, got 15\n"
 
 
 def test_graph_file_with_a_list_endpoint_exits_1(tmp_path, capsys):

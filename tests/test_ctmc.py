@@ -31,6 +31,7 @@ from redpow import (
     eval_rate,
     fundamental_cycles,
     bfs_spanning_tree,
+    graph_to_dict,
     greedy_mcb,
     kolmogorov_check,
     model_from_dict,
@@ -1062,6 +1063,65 @@ def test_master_chain_reads_denominators_per_coupled_entry_not_per_vertex(monkey
     assert len(calls) <= 8 * g.num_edges + 4 * g.num_vertices
     # at k = 1 no other token is there to couple to
     assert mc.forward == (F(1),) * g.num_edges and mc.backward == (F(2),) * g.num_edges
+
+
+@pytest.mark.parametrize("doc", [long_path_doc(1000), model_doc()], ids=["path", "pentagon"])
+def test_master_chain_reads_no_rate_denominator(monkeypatch, doc):
+    # the spec holds its rates as integers over one denominator already
+    g, k, spec = model_from_dict(doc)
+    rp = build_reduced_power(g, k)
+    calls = []
+    denominator = Fraction.denominator
+    monkeypatch.setattr(
+        Fraction, "denominator", property(lambda q: calls.append(q) or denominator.fget(q))
+    )
+    mc = MasterChain(rp, spec)
+    monkeypatch.undo()
+    assert calls == [] and len(mc.forward) == mc.rp.num_edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rates_round_trip_exactly_through_the_integer_form(data):
+    g = data.draw(st.sampled_from([cycle_graph(3), path_graph(4), complete_graph(4)]))
+    v, labels = g.num_vertices, g.labels
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    base = {pair: data.draw(_wide([1])) for pair in pairs}
+    coupling = {
+        pair: tuple(data.draw(_wide([-1, 0, 1])) for _ in range(v))
+        for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    }
+    spec = RateSpec(g, base, coupling)
+    rates = {}
+    for i, j in pairs:
+        coeffs = coupling.get((i, j), (F(0),) * v)
+        assert spec.base_rate(i, j) == base[(i, j)]
+        assert spec.coupling_vector(i, j) == coeffs
+        entry = {"base": str(base[(i, j)])}
+        if any(coeffs):
+            entry["coupling"] = {labels[l]: str(c) for l, c in enumerate(coeffs) if c}
+        rates[f"{labels[i]}->{labels[j]}"] = entry
+    doc = {"graph": graph_to_dict(g), "k": 2, "rates": rates}
+    assert model_to_dict(*model_from_dict(doc))["rates"] == doc["rates"]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scaling_every_rate_leaves_the_exact_solve_unchanged(n):
+    mc = _ring_chain(n, 3, random.Random(n), reversible=False, wide=True)
+    s = F(7**40, 10**30 + 3)
+    spec, pairs = mc.spec, mc.spec.directed_pairs()
+    scaled = MasterChain(
+        mc.rp,
+        RateSpec(
+            mc.rp.base,
+            {pair: s * spec.base_rate(*pair) for pair in pairs},
+            {pair: tuple(s * c for c in spec.coupling_vector(*pair)) for pair in pairs},
+        ),
+    )
+    assert scaled.forward == tuple(s * r for r in mc.forward)
+    assert scaled.spec._den != spec._den
+    assert _eliminate(scaled) == _eliminate(mc)
+    assert _solve_sparse(scaled) == _solve_sparse(mc)
 
 
 def test_model_to_dict_round_trips_a_long_path_model():
