@@ -49,10 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_opts(p, with_k=True):
+    def add_graph_opts(p):
         p.add_argument("--graph", type=Path, required=True, help="graph JSON file")
-        if with_k:
-            p.add_argument("--k", type=int, required=True, help="number of tokens")
+        p.add_argument("--k", type=int, required=True, help="number of tokens")
         p.add_argument("--out", type=Path, help="write the JSON result here")
 
     p = sub.add_parser("power", help="build the k-th reduced power of a graph")
@@ -110,15 +109,10 @@ def _basis_for(g, k: int, root: int) -> CycleBasis:
 
 def _basis_doc(basis: CycleBasis) -> dict:
     labels = basis.host.graph.labels
-    elements = []
-    for idx, seq in enumerate(basis.cycles):
-        entry = {
-            "length": len(seq),
-            "vertices": [labels[s] for s in seq],
-        }
-        if basis.info is not None:
-            entry["tag"] = basis.info[idx].tag
-        elements.append(entry)
+    elements = [
+        {"length": len(seq), "vertices": [labels[s] for s in seq], "tag": info.tag}
+        for seq, info in zip(basis.cycles, basis.info)
+    ]
     return {
         "kind": basis.kind,
         "certified_minimum": basis.certified_minimum,
@@ -259,6 +253,7 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
 
 def cmd_check_single(args: argparse.Namespace) -> int:
     g, _, spec = load_model(args.model)
+    _check_budget("model", g.num_vertices, 1)
     report = single_automaton_check(g, spec)
     n_bad = len(report.violations())
     print(

@@ -41,7 +41,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ModelError, SolverError
+from .errors import GraphError, ModelError, SolverError
 from .graph import Graph, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
 from .cyclespace import CycleBasis, _edge_ids, _walk_steps, greedy_mcb, host_graph
@@ -348,17 +348,16 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
         return q
 
     named: dict[tuple[tuple[int, int], ...], tuple[tuple[str, str], ...]] = {}
-    infos = basis.info or (None,) * len(basis.cycles)
     checks = []
-    for idx, (seq, info, fn, fd, bn, bd) in enumerate(zip(basis.cycles, infos, *products)):
-        pairs = info.base_edges if info else ()
+    for idx, (seq, info, fn, fd, bn, bd) in enumerate(zip(basis.cycles, basis.info, *products)):
+        pairs = info.base_edges
         base_edges = named.get(pairs)
         if base_edges is None:
             base_edges = named[pairs] = tuple((base_labels[i], base_labels[j]) for i, j in pairs)
         checks.append(
             CycleCheck(
                 index=idx,
-                tag=info.tag if info else basis.kind,
+                tag=info.tag,
                 vertices=tuple(map(labels.__getitem__, seq)),
                 forward=exact(fn, fd),
                 backward=exact(bn, bd),
@@ -711,6 +710,14 @@ def detailed_balance_check(
 # --- model serialization ---
 
 
+def _vertex(graph: Graph, label: str, where: str) -> int:
+    """``graph.index_of(label)``, with an unknown label a ``ModelError`` naming ``where``."""
+    try:
+        return graph.index_of(label)
+    except GraphError as exc:
+        raise ModelError(f"{where}: {exc}") from None
+
+
 def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     if not isinstance(data, dict):
         raise ModelError("model document must be a JSON object")
@@ -731,8 +738,7 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     for key, entry in rates_doc.items():
         if "->" not in key:
             raise ModelError(f"rate key {key!r} must look like 'src->dst'")
-        src, dst = key.split("->", 1)
-        pair = (graph.index_of(src), graph.index_of(dst))
+        pair = tuple(_vertex(graph, end, f"rate key {key!r}") for end in key.split("->", 1))
         if not graph.has_edge(*pair):
             raise ModelError(f"rate key {key!r} does not name an edge")
         if pair in base:
@@ -746,7 +752,7 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
                 raise ModelError(f"rates[{key!r}].coupling must be an object")
             coeffs = [Fraction(0)] * v
             for lab, val in coupling_doc.items():
-                coeffs[graph.index_of(lab)] = parse_rational(
+                coeffs[_vertex(graph, lab, f"rates[{key!r}].coupling")] = parse_rational(
                     val, f"rates[{key!r}].coupling[{lab!r}]"
                 )
             coupling[pair] = tuple(coeffs)

@@ -266,7 +266,7 @@ class CycleBasis:
     kind: str
     cycles: tuple[tuple[int, ...], ...]
     certified_minimum: bool
-    info: tuple[ElementInfo, ...] | None = None
+    info: tuple[ElementInfo, ...]
 
     def __post_init__(self):
         g = host_graph(self.host)
@@ -277,7 +277,7 @@ class CycleBasis:
             )
         if len(self.cycles) != len(self.elements):
             raise CycleSpaceError("every element needs a vertex sequence")
-        if self.info is not None and len(self.info) != len(self.elements):
+        if len(self.info) != len(self.elements):
             raise CycleSpaceError("info records do not match element count")
         span = Gf2Span()
         starts, src, dst = _walk_steps(self.cycles)

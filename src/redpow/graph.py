@@ -406,8 +406,8 @@ def _read_json(path: str | Path, kind: str, error: type[Exception]) -> object:
         raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
 
 
-def load_graph(path: str | Path, require_connected: bool = True) -> Graph:
-    return graph_from_dict(_read_json(path, "graph", GraphError), require_connected)
+def load_graph(path: str | Path) -> Graph:
+    return graph_from_dict(_read_json(path, "graph", GraphError))
 
 
 def dump_graph(g: Graph, path: str | Path) -> None:

@@ -332,9 +332,7 @@ def _from_moves(
     graph = Graph._from_pairs(labels, moves[:, :2])
     fs = Monomial._of_words(stays, v)
     annotations = tuple((i, j, fs[s]) for i, j, s in moves[:, 2:].tolist())
-    rp = ReducedPowerGraph(base, k, states, graph, annotations)
-    rp._index = dict(zip(words, range(len(words))))
-    return rp
+    return ReducedPowerGraph(base, k, states, graph, annotations)
 
 
 def degree_of(rp: ReducedPowerGraph, m: Monomial) -> int:

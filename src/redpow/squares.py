@@ -24,10 +24,10 @@ that could replace it.
 The squares are built as index arrays. Stay words are numbered by rank
 (see :mod:`redpow.power`), so a corner's state is two lookups in rank
 arrays: the (k-2)-word plus one vertex gives a (k-1)-word, and that
-plus another vertex gives the state. The corners of every square, their
-canonical rotation and the power edges between them come out of a few
-array operations, and each element's bitset is the sum of its four edge
-bits.
+plus another vertex gives the state. With both edges sorted a square's
+least corner comes first, so its canonical walk needs only a direction
+check; corners, walks and power edges take a few array operations, and
+each element's bitset is the sum of its four edge bits.
 """
 
 from __future__ import annotations
@@ -226,26 +226,23 @@ def _structured_cycles(
     n_tree, rows = _square_words(base, tree, k)
     v = base.num_vertices
     parked = (tree.root,) * (k - 1)
-    f_root = Monomial.from_word(parked, v)
-    cycles = [
-        _canonical_cycle([rp.state_of(parked + (c,)) for c in seq])
-        for seq in greedy_mcb(base).cycles
-    ]
+    _, plus_two = _insert_ranks(v, k)  # plus_two[m, q]: the state of the m-th (k-1)-word plus q
+    parked_row = plus_two[_word_ranks(np.full((1, k - 1), tree.root), v)[0]]
+    cycles = [_canonical_cycle(parked_row[list(seq)].tolist()) for seq in greedy_mcb(base).cycles]
     bits = [_walk_bits(rp.graph, seq) for seq in cycles]
-    infos = [ElementInfo(tag="embedded", f=f_root)] * len(cycles)
+    infos = [ElementInfo(tag="embedded", f=Monomial.from_word(parked, v))] * len(cycles)
     if not len(rows):
         return rp, cycles, bits, infos, np.empty((0, 4), dtype=np.int64)
 
-    # corner w + p + q: the (k-2)-word w plus p is a (k-1)-word, plus q a state
-    _, plus_one = _insert_ranks(v, k - 1)
-    _, plus_two = _insert_ranks(v, k)
+    # corner w + p + q: the (k-2)-word w plus p is a (k-1)-word, plus q a state;
+    # with a < b and c < d, w + c + a is the pointwise least word, so it leads
+    rows[:, :2].sort(axis=1)
+    rows[:, 2:4].sort(axis=1)
     a, b, c, d, w = rows.T
+    _, plus_one = _insert_ranks(v, k - 1)
     walks = np.column_stack(
         [plus_two[plus_one[w, p], q] for p, q in ((c, a), (c, b), (d, b), (d, a))]
     )
-    # canonical rotation: least state first, then its lesser neighbour
-    shift = (walks.argmin(axis=1)[:, None] + np.arange(4)) % 4
-    walks = np.take_along_axis(walks, shift, axis=1)
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
     ids = _edge_ids(rp.graph, walks, np.roll(walks, -1, axis=1))
@@ -253,10 +250,9 @@ def _structured_cycles(
     bits.extend(1 << e0 | 1 << e1 | 1 << e2 | 1 << e3 for e0, e1, e2, e3 in ids.tolist())
     fs = Monomial._of_words(list(combinations_with_replacement(range(v), k - 2)), v)
     tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
-    first, second = np.sort(rows[:, :2], axis=1).tolist(), np.sort(rows[:, 2:4], axis=1).tolist()
     infos.extend(
-        ElementInfo(tag=tag, base_edges=(tuple(e1), tuple(e2)), f=fs[fw])
-        for tag, e1, e2, fw in zip(tags, first, second, w.tolist())
+        ElementInfo(tag=tag, base_edges=((i, j), (p, q)), f=fs[fw])
+        for tag, (i, j, p, q, fw) in zip(tags, rows.tolist())
     )
     return rp, cycles, bits, infos, ids
 

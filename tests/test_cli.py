@@ -460,6 +460,55 @@ def test_check_reversibility_budget_is_inclusive(tmp_path, capsys, monkeypatch):
     assert main(["check-reversibility", "--model", str(model)]) == 0
 
 
+def test_check_single_refuses_over_budget_before_building(tmp_path, capsys, monkeypatch):
+    from redpow import ctmc, squares
+
+    def refuse(base, k):
+        raise AssertionError(f"build_reduced_power called with k={k}")
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    labels = [f"v{i}" for i in range(5001)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "1"} for a, b in edges})
+    model, out = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps({"graph": {"vertices": labels, "edges": edges}, "k": 1,
+                                 "rates": rates}))
+    for command in ("check-single", "check-reversibility"):
+        assert main([command, "--model", str(model), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model has 5001 states, over the budget of 5000\n"
+    assert not out.exists()
+
+
+def test_check_single_budget_is_inclusive(tmp_path, capsys, monkeypatch):
+    # one automaton on C5 has 5 states, whatever the model's k (3 here, 35 states)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(pentagon_model()))
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 4)
+    assert main(["check-single", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: model has 5 states, over the budget of 4\n"
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 5)
+    assert main(["check-single", "--model", str(model)]) == 0
+
+
+@pytest.mark.parametrize("command", ["check-reversibility", "check-single"])
+def test_unknown_vertex_in_a_model_names_the_field(tmp_path, capsys, command):
+    key_doc = pentagon_model()
+    key_doc["rates"]["a->q"] = {"base": "1"}
+    coupling_doc = pentagon_model(couplings={"z": "1"})
+    model = tmp_path / "m.json"
+    for doc, message in (
+        (key_doc, "rate key 'a->q': unknown vertex label 'q'"),
+        (coupling_doc, "rates['a->b'].coupling: unknown vertex label 'z'"),
+    ):
+        model.write_text(json.dumps(doc))
+        assert main([command, "--model", str(model)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("n_vertices", [4, 300])
 def test_check_reversibility_refuses_a_k_of_many_digits(tmp_path, capsys, n_vertices):
     # neither the count (over 10^4500 states) nor k is written out or

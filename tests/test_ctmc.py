@@ -558,6 +558,21 @@ def test_model_from_dict_rejects(mutate, message):
         model_from_dict(doc)
 
 
+def test_model_from_dict_names_the_field_of_an_unknown_vertex():
+    key_doc = model_doc()
+    key_doc["rates"]["a->q"] = {"base": "1"}
+    coupling_doc = model_doc()
+    coupling_doc["rates"]["a->b"]["coupling"]["z"] = "1"
+    for doc, message in (
+        (key_doc, "rate key 'a->q': unknown vertex label 'q'"),
+        (coupling_doc, "rates['a->b'].coupling: unknown vertex label 'z'"),
+    ):
+        with pytest.raises(ModelError) as caught:
+            model_from_dict(doc)
+        assert type(caught.value) is ModelError
+        assert str(caught.value) == message
+
+
 # --- exact-rate kernels against their spec-level definitions ---
 
 
@@ -656,6 +671,20 @@ def test_kolmogorov_check_rejects_missing_transitions():
     bogus = SimpleNamespace(host=mc.rp, cycles=((x, y),), info=None, kind="walk")
     with pytest.raises(ModelError, match="basis cycle 0 uses a transition the chain lacks"):
         kolmogorov_check(mc, bogus)
+
+
+@pytest.mark.parametrize("couplings", [(), (1, 1, 2, 1, 1)])
+def test_checks_and_solves_leave_the_word_index_unbuilt(couplings):
+    # the word -> state dict is built on the first state_of, which no check or solve calls
+    basis = decomposition_basis(pentagon(), 3)
+    mc = MasterChain(basis.host, pentagon_spec(32, 1, 2, *couplings))
+    assert kolmogorov_check(mc, basis).passed is not bool(couplings)
+    for mode in ("float", "exact"):
+        detailed_balance_check(steady_state(mc, mode=mode), mc)
+    assert basis.host._index is None
+    word = (0, 2, 4)
+    assert basis.host.state_of(word[::-1]) == basis.host.states.index(Monomial.from_word(word, 5))
+    assert basis.host._index is not None
 
 
 def test_kolmogorov_report_passed_is_computed_once():

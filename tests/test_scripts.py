@@ -6,18 +6,29 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(monkeypatch, capsys, name: str) -> list[str]:
+def _run(monkeypatch, capsys, name: str, *args: str) -> list[str]:
     path = SCRIPTS / name
-    monkeypatch.setattr(sys, "argv", [str(path)])
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
     return capsys.readouterr().out.splitlines()
 
 
 def test_coupling_case_study_verdicts_agree(monkeypatch, capsys):
     rows = [line for line in _run(monkeypatch, capsys, "coupling_case_study.py") if " lam=" in line]
+    assert len(rows) == 7
+    assert all("agree=yes" in row for row in rows)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_coupling_case_study_verdicts_agree_at_one_and_four_tokens(monkeypatch, capsys, k):
+    lines = _run(monkeypatch, capsys, "coupling_case_study.py", "--k", str(k))
+    assert lines[0].startswith(f"5-state ring, k={k}: ")
+    rows = [line for line in lines if " lam=" in line]
     assert len(rows) == 7
     assert all("agree=yes" in row for row in rows)
 
