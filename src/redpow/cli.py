@@ -37,9 +37,11 @@ from .ctmc import (
 
 __all__ = ["main", "entry"]
 
-# Largest power any command builds, in states; the largest one any test,
-# script or benchmark workload builds has 2380.
+# Largest power any command builds, in states, and largest k; the largest
+# power any test, script or benchmark workload builds has 2380 states.
 _STATE_BUDGET = 5000
+# Default and ceiling of power --budget, the largest v**k cross-checked.
+_PRODUCT_BUDGET = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        default=10**6,
-        help="largest v**k for which the product/quotient cross-check runs",
+        default=_PRODUCT_BUDGET,
+        help="largest v**k for which the product/quotient cross-check runs (at most 10^6)",
     )
 
     p = sub.add_parser("mcb", help="construct the structured cycle basis")
@@ -123,6 +125,8 @@ def _basis_doc(basis: CycleBasis) -> dict:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    if args.budget > _PRODUCT_BUDGET:
+        raise RedpowError(f"--budget may be at most {_PRODUCT_BUDGET}")
     g = load_graph(args.graph)
     _check_budget("power", g.num_vertices, args.k)
     rp = build_reduced_power(g, args.k)
@@ -198,6 +202,11 @@ def _check_budget(what: str, v: int, k: int) -> None:
     if states is None or states > _STATE_BUDGET:
         shown = "more than 10^30" if states is None else states
         raise RedpowError(f"{what} has {shown} states, over the budget of {_STATE_BUDGET}")
+    # k is held to the same bound: with v >= 2 the count C(k+v-1, k) >= k + 1
+    # already is, and one vertex gives one state at any k, every word k long
+    if k > _STATE_BUDGET:
+        shown = "10^30 or more" if k >= 10**30 else k
+        raise RedpowError(f"{what} has k = {shown}, over the budget of {_STATE_BUDGET}")
 
 
 def cmd_check_reversibility(args: argparse.Namespace) -> int:
@@ -209,21 +218,25 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
     mc = MasterChain(basis.host, spec)
     kolmogorov = kolmogorov_check(mc, basis)
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
-    try:
-        ss = steady_state(mc, mode="exact" if args.exact else "float")
-    except SolverError:
-        # neither float underflow nor the exact solve's state limit binds the tree potential
-        ss = reversible_steady_state(mc)
-        if ss is None:
-            raise
+
+    def settle(mode: str):
+        """The steady state in ``mode``; if that solve fails, the tree potential, if any."""
+        try:
+            return steady_state(mc, mode=mode)
+        except SolverError:
+            # neither float underflow nor the exact solve's state limit binds the tree potential
+            ss = reversible_steady_state(mc)
+            if ss is None:
+                raise
+            return ss
+
+    ss = settle("exact" if args.exact else "float")
     balance = detailed_balance_check(ss, mc)
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.
-        balance = detailed_balance_check(
-            reversible_steady_state(mc) or steady_state(mc, mode="exact"), mc
-        )
+        balance = detailed_balance_check(settle("exact"), mc)
 
     if kolmogorov.passed != balance.balanced:
         raise RedpowError("cycle criterion and exact detailed balance disagree")

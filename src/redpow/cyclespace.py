@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleSpaceError
+from .errors import CycleSpaceError, GraphError
 from .graph import Graph, RootedTree, _bfs, betti, check_spanning_tree
 from .power import Monomial, ReducedPowerGraph
 
@@ -168,9 +168,6 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-_BIT = (1).__lshift__  # edge index -> its bit
-
-
 def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Edge index of every vertex pair ``{x[t], y[t]}``, or -1 where it is no edge of ``g``.
 
@@ -195,7 +192,10 @@ def _walk_steps(walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray,
     its last step returns to its first vertex.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
-    src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
+    try:
+        src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
+    except OverflowError:  # past int64, so past every vertex index
+        raise GraphError("a walk has a vertex index out of range") from None
     starts = np.cumsum(lengths) - lengths
     nxt = np.arange(1, len(src) + 1)
     closing = lengths > 0
@@ -203,28 +203,30 @@ def _walk_steps(walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray,
     return starts, src, src[nxt]
 
 
-def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int] | None = None) -> int:
+def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
     """Edge bitset of a closed walk on at least three distinct vertices.
 
-    ``ids`` may give the edge index of each step, as :func:`_edge_ids`
-    does (-1 for a non-edge); otherwise each step is looked up.
+    ``ids`` gives the edge index of each step, as :func:`_edge_ids` finds
+    them; a step marked -1 is no edge, and raises here.
     """
     if len(seq) < 3:
         raise CycleSpaceError("a simple cycle needs at least three vertices")
     if len(set(seq)) != len(seq):
         raise CycleSpaceError("cycle sequence repeats a vertex")
-    if ids is None:
-        ids = [g.edge_position(i, j) for i, j in zip(seq, (*seq[1:], seq[0]))]
-    elif -1 in ids:
+    if -1 in ids:
         t = ids.index(-1)
         g.edge_position(seq[t], seq[(t + 1) % len(seq)])  # raises GraphError
-    # n >= 3 distinct vertices cross n distinct edges, so the sum is the union
-    return sum(map(_BIT, ids))
+    bits = 0
+    for e in ids:
+        bits |= 1 << e
+    return bits
 
 
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
     """Edge vector of a closed vertex walk with no repeated vertices."""
-    return EdgeVector(host, _walk_bits(host_graph(host), seq))
+    g = host_graph(host)
+    _, src, dst = _walk_steps([seq])
+    return EdgeVector(host, _walk_bits(g, seq, _edge_ids(g, src, dst).tolist()))
 
 
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:

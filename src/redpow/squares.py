@@ -21,19 +21,18 @@ base has length at least four, so no basis can beat squares, while an
 embedded triangle of length three would be shorter than any square
 that could replace it.
 
-The squares are built as index arrays. Stay words are numbered by rank
-(see :mod:`redpow.power`), so a corner's state is two lookups in rank
-arrays: the (k-2)-word plus one vertex gives a (k-1)-word, and that
-plus another vertex gives the state. With both edges sorted a square's
-least corner comes first, so its canonical walk needs only a direction
-check; corners, walks and power edges take a few array operations, and
-each element's bitset is the sum of its four edge bits.
+The squares are built as index arrays. States are numbered by the rank
+of their sorted token words (see :mod:`redpow.power`), so every state
+the basis visits, a square corner or a parked copy of a base cycle
+vertex, is ranked from its sorted token row. With both edges sorted a
+square's least corner comes first, so its canonical walk needs only a
+direction check; every step of every walk then finds its power edge in
+one search.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import GraphError, PowerError
 from .graph import Graph, RootedTree, betti, bfs_spanning_tree, check_spanning_tree, has_triangles
-from .power import Monomial, ReducedPowerGraph, _insert_ranks, _word_ranks, build_reduced_power
+from .power import Monomial, ReducedPowerGraph, _word_ranks, build_reduced_power
 from .cyclespace import (
     CycleBasis,
     EdgeVector,
@@ -51,6 +50,7 @@ from .cyclespace import (
     _canonical_cycle,
     _edge_ids,
     _walk_bits,
+    _walk_steps,
     cycle_edge_vector,
     greedy_mcb,
 )
@@ -113,30 +113,29 @@ def _stationary_word(rp: ReducedPowerGraph, f: Monomial, degree: int) -> tuple[i
     return f.word()
 
 
-def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray]:
-    """Both square families, tree pairs first: the tree pair count and one row per square.
+def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Both square families, tree pairs first: the tree pair count, their rows, the stay words.
 
     Row ``(a, b, c, d, w)`` is the square of edges ``(a, b)`` and ``(c, d)``
-    whose stationary tokens sit on the ``w``-th (k-2)-word in rank order.
-    Checks the tree once; for k < 2 it warns and returns no squares.
-    Each tree edge is oriented (parent, child), and its stay words, the
-    multisets over the tree-order prefix ending at the child, are ranked
-    once per tree-order position.
+    whose stationary tokens sit on word ``w`` of ``stays``, the (k-2)-words
+    in rank order. Checks the tree once; for k < 2 it warns and returns no
+    squares. Each tree edge is oriented (parent, child); its stay words are
+    those whose largest letter, read as a tree-order position, is at most
+    the child's.
     """
     check_spanning_tree(g, t)
     if not t.is_depth_ordered():
         raise GraphError("tree order must be non-decreasing in depth")
     if k < 2:
         warnings.warn("no Cartesian squares exist for k < 2", stacklevel=4)
-        return 0, np.empty((0, 5), dtype=np.int64)
-    order = np.array(t.order, dtype=np.int64)
-    levels = []  # ranks of the stay words at tree-order positions 1, 2, ...
-    for j in range(1, len(t.order)):
-        combos = list(combinations_with_replacement(range(j + 1), k - 2))
-        words = np.sort(order[np.array(combos, dtype=np.int64).reshape(len(combos), k - 2)], axis=1)
-        levels.append(_word_ranks(words, g.num_vertices))
+        return 0, np.empty((0, 5), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
+    v = g.num_vertices
+    stays = np.array(list(combinations_with_replacement(range(v), k - 2)), np.int64, ndmin=2)
+    ranks = _word_ranks(np.sort(np.array(t.order, dtype=np.int64)[stays], axis=1), v)
+    tops = stays.max(axis=1, initial=0)
+    levels = [ranks[tops <= j] for j in range(1, v)]  # at tree-order positions 1, 2, ...
     if not levels:
-        return 0, np.empty((0, 5), dtype=np.int64)
+        return 0, np.empty((0, 5), dtype=np.int64), stays
     tree_edges = np.array([(t.parent[c], c) for c in t.order[1:]], dtype=np.int64)
 
     def block(first: np.ndarray, second: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -158,16 +157,13 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray]:
     for chord in g.edges:
         if chord not in tree_pairs:
             rows.append(block(np.broadcast_to(chord, level_edges.shape), level_edges, level_words))
-    return n_tree, np.concatenate(rows)
+    return n_tree, np.concatenate(rows), stays
 
 
 def _family(g: Graph, t: RootedTree, k: int, tag: str) -> list[CartesianSquare]:
-    n_tree, rows = _square_words(g, t, k)
+    n_tree, rows, stays = _square_words(g, t, k)
     rows = rows[:n_tree] if tag == "tree-square" else rows[n_tree:]
-    if not len(rows):
-        return []
-    v = g.num_vertices
-    fs = Monomial._of_words(list(combinations_with_replacement(range(v), k - 2)), v)
+    fs = Monomial._of_words(stays.tolist(), g.num_vertices)
     return [CartesianSquare((a, b), (c, d), fs[w]) for a, b, c, d, w in rows.tolist()]
 
 
@@ -214,47 +210,44 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
 
 def _structured_cycles(
     base: Graph, tree: RootedTree, k: int
-) -> tuple[ReducedPowerGraph, list[tuple[int, ...]], list[int], list[ElementInfo], np.ndarray]:
-    """The power, with the canonical walks, edge bitsets and records of its structured cycles.
+) -> tuple[ReducedPowerGraph, tuple[int, np.ndarray, np.ndarray], list, list[int], np.ndarray]:
+    """The power and its structured cycles: squares, walks, edge bitsets and square edges.
 
-    First one embedded copy of a greedy minimum cycle basis of the base,
-    the k-1 stationary tokens parked on the tree's root; then the tree
-    pair and chord pair squares of the tree in enumeration order. The
+    The squares are :func:`_square_words`'s count, rows (each edge pair
+    sorted) and stay words. The walks are first one embedded copy of a
+    greedy minimum cycle basis of the base, the k-1 stationary tokens
+    parked on the tree's root, then the squares in enumeration order. The
     last item holds the four power edges of every square, one row each.
     """
     rp = build_reduced_power(base, k)
-    n_tree, rows = _square_words(base, tree, k)
+    n_tree, rows, stays = _square_words(base, tree, k)
     v = base.num_vertices
-    parked = (tree.root,) * (k - 1)
-    _, plus_two = _insert_ranks(v, k)  # plus_two[m, q]: the state of the m-th (k-1)-word plus q
-    parked_row = plus_two[_word_ranks(np.full((1, k - 1), tree.root), v)[0]]
-    cycles = [_canonical_cycle(parked_row[list(seq)].tolist()) for seq in greedy_mcb(base).cycles]
-    bits = [_walk_bits(rp.graph, seq) for seq in cycles]
-    infos = [ElementInfo(tag="embedded", f=Monomial.from_word(parked, v))] * len(cycles)
-    if not len(rows):
-        return rp, cycles, bits, infos, np.empty((0, 4), dtype=np.int64)
 
-    # corner w + p + q: the (k-2)-word w plus p is a (k-1)-word, plus q a state;
-    # with a < b and c < d, w + c + a is the pointwise least word, so it leads
+    def states(tokens: np.ndarray) -> np.ndarray:
+        """The state holding each row of ``tokens`` (last axis): the rank of its sorted word."""
+        return _word_ranks(np.sort(tokens, axis=-1).reshape(-1, k), v).reshape(tokens.shape[:-1])
+
+    # base vertex c -> state c * root^(k-1)
+    parked = states(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]))
+    cycles = [_canonical_cycle(parked[list(seq)].tolist()) for seq in greedy_mcb(base).cycles]
+    # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
     rows[:, :2].sort(axis=1)
     rows[:, 2:4].sort(axis=1)
     a, b, c, d, w = rows.T
-    _, plus_one = _insert_ranks(v, k - 1)
-    walks = np.column_stack(
-        [plus_two[plus_one[w, p], q] for p, q in ((c, a), (c, b), (d, b), (d, a))]
-    )
+    moving = np.column_stack([c, a, c, b, d, b, d, a]).reshape(-1, 4, 2)
+    staying = np.broadcast_to(stays[w][:, None], (len(rows), 4, stays.shape[1]))
+    walks = states(np.concatenate([moving, staying], axis=2))
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
-    ids = _edge_ids(rp.graph, walks, np.roll(walks, -1, axis=1))
     cycles.extend(map(tuple, walks.tolist()))
-    bits.extend(1 << e0 | 1 << e1 | 1 << e2 | 1 << e3 for e0, e1, e2, e3 in ids.tolist())
-    fs = Monomial._of_words(list(combinations_with_replacement(range(v), k - 2)), v)
-    tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
-    infos.extend(
-        ElementInfo(tag=tag, base_edges=((i, j), (p, q)), f=fs[fw])
-        for tag, (i, j, p, q, fw) in zip(tags, rows.tolist())
-    )
-    return rp, cycles, bits, infos, ids
+    starts, src, dst = _walk_steps(cycles)
+    ids = _edge_ids(rp.graph, src, dst)  # every step of every walk, in one search
+    steps = ids.tolist()
+    bits = [
+        _walk_bits(rp.graph, seq, steps[at : at + len(seq)])
+        for seq, at in zip(cycles, starts.tolist())
+    ]
+    return rp, (n_tree, rows, stays), cycles, bits, ids[len(ids) - 4 * len(rows) :].reshape(-1, 4)
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -268,7 +261,16 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     """
     if k < 2:
         raise PowerError("the decomposition basis needs k >= 2")
-    rp, cycles, bits, infos, _ = _structured_cycles(base, bfs_spanning_tree(base, root), k)
+    tree = bfs_spanning_tree(base, root)
+    rp, (n_tree, rows, stays), cycles, bits, _ = _structured_cycles(base, tree, k)
+    fs = Monomial._of_words(stays.tolist(), base.num_vertices)
+    parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
+    infos = [ElementInfo(tag="embedded", f=parked)] * (len(cycles) - len(rows))
+    tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
+    infos.extend(
+        ElementInfo(tag=tag, base_edges=((a, b), (c, d)), f=fs[w])
+        for tag, (a, b, c, d, w) in zip(tags, rows.tolist())
+    )
     return CycleBasis(
         host=rp,
         elements=tuple(EdgeVector(rp, x) for x in bits),
@@ -319,9 +321,8 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     square projects to zero in the base cycle space, and together with
     an embedded base MCB they span the full cycle space of the power.
     """
-    rp, cycles, bits, infos, square_edges = _structured_cycles(base, tree, k)
-    tags = Counter(info.tag for info in infos)
-    n_tree, n_chord, n_embedded = tags["tree-square"], tags["chord-square"], tags["embedded"]
+    rp, (n_tree, rows, _), cycles, bits, square_edges = _structured_cycles(base, tree, k)
+    n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)
     beta_base = betti(base)
     beta_power = betti(rp.graph)
     tsq_formula = tree_square_count(base.num_vertices, k)
@@ -336,9 +337,8 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
         span.add(x)
     # a square projects to zero when the base edges its four power edges
     # cross (by their annotations) pair up
-    crossed = np.array(
-        [base.edge_position(i, j) for i, j, _ in rp.annotations], dtype=np.int64
-    )[square_edges]
+    moved = np.array([(i, j) for i, j, _ in rp.annotations], dtype=np.int64).reshape(-1, 2)
+    crossed = _edge_ids(base, moved[:, 0], moved[:, 1])[square_edges]
     crossed.sort(axis=1)
     zero_proj = bool(((crossed[:, 0] == crossed[:, 1]) & (crossed[:, 2] == crossed[:, 3])).all())
 

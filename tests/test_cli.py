@@ -413,6 +413,31 @@ def test_check_reversibility_float_defers_to_exact_balance_on_a_nearly_reversibl
     assert report["detailed_balance"]["mode"] == "exact"
 
 
+@pytest.mark.parametrize("limit", [None, 10])
+def test_check_reversibility_tries_the_tree_potential_once_per_settle(
+    tmp_path, capsys, monkeypatch, limit
+):
+    # the float test passes and the cycle criterion fails, so the exact law
+    # settles it; the chain has no tree potential, which one try shows
+    from redpow import ctmc
+
+    if limit is not None:
+        monkeypatch.setattr(ctmc, "_EXACT_STATE_LIMIT", limit)
+    calls = []
+    potential = ctmc.reversible_steady_state
+
+    def counted(mc):
+        calls.append(1)
+        return potential(mc)
+
+    for module in (cli, ctmc):
+        monkeypatch.setattr(module, "reversible_steady_state", counted)
+    code = main(["check-reversibility", "--model", str(nearly_reversible_model(tmp_path))])
+    assert code == (2 if limit is None else 1)
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_check_reversibility_exact_balance_retest_keeps_the_state_limit(
     tmp_path, capsys, monkeypatch
 ):
@@ -582,3 +607,66 @@ def test_main_builds_its_parser_once(graph_file, capsys, monkeypatch):
         cli._parser.cache_clear()
     assert len(calls) == 1
     assert capsys.readouterr().out.count("kind=decomposition") == 3
+
+
+ONE_VERTEX = {"vertices": ["a"], "edges": []}
+
+
+@pytest.mark.parametrize("k", [10**6, 10**20, 10**40])
+def test_one_vertex_base_refuses_a_large_k_before_building(tmp_path, capsys, monkeypatch, k):
+    from redpow import ctmc, power, squares
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power was built")
+
+    for module in (cli, ctmc, power, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    graph, model = tmp_path / "a.json", tmp_path / "m.json"
+    graph.write_text(json.dumps(ONE_VERTEX))
+    model.write_text(json.dumps({"graph": ONE_VERTEX, "k": k, "rates": {}}))
+    shown = k if k < 10**30 else "10^30 or more"
+    out = tmp_path / "out.json"
+    for argv, what in (
+        (["power", "--graph", str(graph), "--k", str(k)], "power"),
+        (["mcb", "--graph", str(graph), "--k", str(k)], "power"),
+        (["verify-squares", "--graph", str(graph), "--k", str(k)], "power"),
+        (["check-reversibility", "--model", str(model)], "model"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} has k = {shown}, over the budget of 5000\n"
+    assert not out.exists()
+
+
+def test_one_vertex_base_runs_at_the_k_bound(tmp_path, capsys):
+    graph, model = tmp_path / "a.json", tmp_path / "m.json"
+    graph.write_text(json.dumps(ONE_VERTEX))
+    model.write_text(json.dumps({"graph": ONE_VERTEX, "k": 5000, "rates": {}}))
+    for command in ("power", "mcb", "verify-squares"):
+        assert main([command, "--graph", str(graph), "--k", "5000"]) == 0
+    assert main(["check-reversibility", "--model", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "states=1 (formula 1) edges=0 (formula 0)" in out
+    assert "square space: PASS" in out and "verdict: reversible" in out
+
+
+def test_power_refuses_a_budget_over_the_default_before_building(
+    tmp_path, graph_file, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power was built")
+
+    for name in ("cartesian_power", "build_reduced_power"):
+        monkeypatch.setattr(cli, name, refuse)
+    edge = tmp_path / "ab.json"
+    edge.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    # k = 40 on one edge is 41 states, within the state budget; 2^40 product vertices
+    argv = ["power", "--graph", str(edge), "--k", "40", "--budget"]
+    assert main([*argv, "10000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget may be at most 1000000\n"
+    monkeypatch.undo()
+    assert main(["power", "--graph", str(graph_file), "--k", "2", "--budget", "1000000"]) == 0
+    assert "cross-check: quotient of the Cartesian power agrees" in capsys.readouterr().out

@@ -682,6 +682,39 @@ def test_checks_and_solves_leave_the_word_index_unbuilt(couplings):
     for mode in ("float", "exact"):
         detailed_balance_check(steady_state(mc, mode=mode), mc)
     assert basis.host._index is None
+
+
+@pytest.mark.parametrize("couplings", [(), (1, 1, 2, 1, 1)])
+def test_basis_checks_and_float_solve_leave_the_power_edge_index_unbuilt(couplings, monkeypatch):
+    # every walk of the basis, embedded base cycle and square alike, finds
+    # its power edges in one search over the sorted edge array
+    from redpow import power, squares, verify_square_space
+
+    built = []
+
+    def keep(base, k):
+        built.append(power.build_reduced_power(base, k))
+        return built[-1]
+
+    monkeypatch.setattr(squares, "build_reduced_power", keep)
+
+    def edge_index_unbuilt(rp):
+        with pytest.raises(AttributeError):
+            Graph._edge_index.__get__(rp.graph)
+
+    g = pentagon()
+    basis = decomposition_basis(g, 3)
+    assert len(built) == 1 and built[0] is basis.host
+    edge_index_unbuilt(basis.host)
+    assert verify_square_space(g, bfs_spanning_tree(g, 0), 3).passed
+    edge_index_unbuilt(built[1])
+    mc = MasterChain(basis.host, pentagon_spec(32, 1, 2, *couplings))
+    assert kolmogorov_check(mc, basis).passed is not bool(couplings)
+    detailed_balance_check(steady_state(mc, mode="float"), mc)
+    edge_index_unbuilt(basis.host)
+    rp = basis.host
+    assert rp.state_of((4, 0, 0)) == 4
+    assert rp.graph.has_edge(0, 1) and not rp.graph.has_edge(0, rp.num_states - 1)
     word = (0, 2, 4)
     assert basis.host.state_of(word[::-1]) == basis.host.states.index(Monomial.from_word(word, 5))
     assert basis.host._index is not None

@@ -385,6 +385,15 @@ def test_basis_rejects_walks_through_non_edges_and_bad_walks():
         _with_cycles(basis, [(0, 1, 2, 1, 0)])
 
 
+@pytest.mark.parametrize("far", [2**63, 10**20, -(2**63) - 1])
+def test_walks_with_a_vertex_index_past_int64_raise_graph_errors(far):
+    g = cycle_graph(5)
+    with pytest.raises(GraphError, match="out of range"):
+        cycle_edge_vector(g, (0, 1, far))
+    with pytest.raises(GraphError, match="out of range"):
+        _with_cycles(greedy_mcb(g), [(0, 1, 2, 3, far)])
+
+
 def test_builders_pass_the_edge_vectors_of_their_walks(suite):
     for g in suite:
         for k in (1, 2, 3):
