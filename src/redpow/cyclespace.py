@@ -225,8 +225,9 @@ def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
     """Edge vector of a closed vertex walk with no repeated vertices."""
     g = host_graph(host)
-    _, src, dst = _walk_steps([seq])
-    return EdgeVector(host, _walk_bits(g, seq, _edge_ids(g, src, dst).tolist()))
+    # a walk _walk_bits refuses for its shape is looked up nowhere, so that error wins
+    steps = zip(seq, (*seq[1:], seq[0])) if len(set(seq)) == len(seq) >= 3 else ()
+    return EdgeVector(host, _walk_bits(g, seq, [g.edge_position(i, j) for i, j in steps]))
 
 
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:

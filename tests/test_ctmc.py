@@ -682,6 +682,9 @@ def test_checks_and_solves_leave_the_word_index_unbuilt(couplings):
     for mode in ("float", "exact"):
         detailed_balance_check(steady_state(mc, mode=mode), mc)
     assert basis.host._index is None
+    word = (0, 2, 4)
+    assert basis.host.state_of(word[::-1]) == basis.host.states.index(Monomial.from_word(word, 5))
+    assert basis.host._index is not None
 
 
 @pytest.mark.parametrize("couplings", [(), (1, 1, 2, 1, 1)])
