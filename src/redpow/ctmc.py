@@ -44,7 +44,7 @@ import numpy as np
 from .errors import GraphError, ModelError, SolverError
 from .graph import Graph, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _edge_ids, _walk_steps, greedy_mcb, host_graph
+from .cyclespace import CycleBasis, _base_mcb, _edge_ids, _walk_steps, host_graph
 
 __all__ = [
     "RateSpec",
@@ -370,7 +370,7 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
 def single_automaton_check(base: Graph, spec: RateSpec) -> KolmogorovReport:
     """Kolmogorov criterion for one token (couplings never activate)."""
     mc = build_master(base, 1, spec)
-    return kolmogorov_check(mc, greedy_mcb(mc.rp))
+    return kolmogorov_check(mc, _base_mcb(base))
 
 
 @dataclass(frozen=True)
@@ -495,15 +495,20 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     q(y,x)`` on every edge. Any detailed-balanced law agrees with this
     potential on the tree, so the first failing edge proves there is
     none; when every edge holds, pi is stationary, and by irreducibility
-    the unique stationary law. O(E) rational operations; the cycle basis
+    the unique stationary law. O(E) rational operations; the tree edges
+    are found in one search over the sorted edge array. The cycle basis
     is never read, so this stays independent of :func:`kolmogorov_check`.
     """
     tree = bfs_spanning_tree(mc.rp.graph)
+    children = tree.order[1:]
+    parents = [tree.parent[y] for y in children]
+    ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
     pi = [Fraction(0)] * mc.num_states
     pi[tree.root] = Fraction(1)
-    for y in tree.order[1:]:
-        x = tree.parent[y]
-        pi[y] = pi[x] * mc.rate(x, y) / mc.rate(y, x)
+    for y, x, e in zip(children, parents, ids):
+        # q(x, y) / q(y, x): edge e runs forward from its lower end
+        fwd, bwd = mc.forward[e], mc.backward[e]
+        pi[y] = pi[x] * fwd / bwd if x < y else pi[x] * bwd / fwd
     for (x, y), fwd, bwd in zip(mc.rp.graph.edges, mc.forward, mc.backward):
         if pi[x] * fwd != pi[y] * bwd:
             return None

@@ -13,9 +13,11 @@ space needs.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Sequence
+from itertools import chain, groupby, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -334,6 +336,79 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     )
 
 
+# greedy_mcb takes its sources in blocks: a block's tree and edge tables,
+# and each batch of its candidate rows, hold at most this many entries
+# (512 KiB as int64), unless one source's table row alone is longer.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _source_trees(g: Graph, sources: range) -> tuple[np.ndarray, ...]:
+    """The BFS tree of every source, one row each: parent, parent edge, depth and first hop.
+
+    A source is its own parent and first hop, at depth 0 with parent
+    edge -1. Depth and first hop come from pointer doubling on the
+    parent table: ``up`` jumps 2^t steps toward the source and ``depth``
+    counts them, while ``hop`` jumps along the same path but stops at
+    the vertex below the source.
+    """
+    parent = np.empty((len(sources), g.num_vertices), dtype=np.int64)
+    for row, x in zip(parent, sources):
+        par = _bfs(g, x)[0]
+        par[x] = x
+        row[:] = par
+    cols = np.arange(g.num_vertices)
+    root = np.asarray(sources)[:, None]
+    row = np.arange(len(sources))[:, None]
+    up_edge = _edge_ids(g, np.broadcast_to(cols, parent.shape), parent)
+    up, depth = parent, (parent != cols).astype(np.int64)
+    hop = np.where(parent == root, cols, parent)
+    while (up != root).any():
+        depth += depth[row, up]
+        up = up[row, up]
+        hop = hop[row, hop]
+    return parent, up_edge, depth, hop
+
+
+def _candidate_rows(g: Graph, sources: range) -> Iterator[tuple[int, np.ndarray]]:
+    """The shortest-path candidates from ``sources``: (length, rows of sorted edge ids).
+
+    Edge ``{u, w}`` closes a candidate from source ``x`` exactly when the
+    first hops of ``u`` and ``w`` differ: tree paths that part at ``x``
+    never meet again, so the candidate is both paths and the edge, of
+    length ``depth[u] + depth[w] + 1``. An edge at ``x`` has length 2,
+    every other edge at least 3. Each row walks both ends up their
+    paths; a walk that reaches ``x`` early stays there and reads parent
+    edge -1, which sorts ahead of the row's edges.
+    """
+    parent, up_edge, depth, hop = _source_trees(g, sources)
+    u, w = g._pairs.T
+    length = depth[:, u] + depth[:, w] + 1
+    src, edge = np.nonzero((hop[:, u] != hop[:, w]) & (length > 2))
+    length = length[src, edge]
+    for size in np.flatnonzero(np.bincount(length)).tolist():
+        at = np.flatnonzero(length == size)
+        chunk = max(1, _BLOCK_ENTRIES // (2 * size - 3))
+        for lo in range(0, len(at), chunk):
+            s, e = src[at[lo : lo + chunk]], edge[at[lo : lo + chunk]]
+            steps = [e]
+            for end in (u[e], w[e]):
+                v = end
+                for _ in range(depth[s, end].max()):
+                    steps.append(up_edge[s, v])
+                    v = parent[s, v]
+            yield size, _distinct_rows(np.sort(np.stack(steps, axis=1), axis=1)[:, -size:])
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of non-negative ints, in lexicographic order.
+
+    Each row is viewed as one byte string of big-endian words, whose byte
+    order is the rows' lexicographic order.
+    """
+    keys = np.sort(np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * rows.shape[1]}").ravel())
+    return keys[np.r_[True, keys[1:] != keys[:-1]]].view(">i8").reshape(-1, rows.shape[1])
+
+
 def greedy_mcb(host) -> CycleBasis:
     """Minimum cycle basis by matroid greedy over shortest-path cycles.
 
@@ -342,42 +417,40 @@ def greedy_mcb(host) -> CycleBasis:
     choices. Candidates are sorted by length with a lexicographic
     edge-index tie-break and inserted greedily while independent.
 
-    One BFS tree per source ``x`` gives every vertex the edge bitset of
-    its tree path from ``x`` and its first hop below ``x``. An edge
-    ``{u, w}`` with ``x`` at neither end closes a candidate exactly when
-    the first hops differ: tree paths that part at ``x`` never meet
-    again, so the candidate is the disjoint union of both paths and the
-    edge. While ranking, edge ``e`` sits at bit ``top - e``: of two
-    equal-length sets the one whose first differing edge index is lower
-    is then the larger int, so ``(size, -bits)`` is the edge-index
-    order. Only the kept sets are mapped back, and their walks are read
-    off them by :func:`cycle_decomposition`.
+    One BFS tree per source gives every candidate as a sorted row of edge
+    ids, grouped by length (:func:`_candidate_rows`). Sources go in
+    blocks, so no working array outgrows ``_BLOCK_ENTRIES``. The distinct
+    rows of a length class, in row order, are its candidates in
+    edge-index order; only the rows up to the one that completes the
+    basis become bitsets. Walks are read off the kept elements by
+    :func:`cycle_decomposition`.
     """
     g = host_graph(host)
     dim = betti(g)
     if dim == 0:
         return CycleBasis(host, (), "greedy-mcb", (), certified_minimum=True, info=())
 
-    top = g.num_edges - 1
-    candidates: set[int] = set()
-    for x in range(g.num_vertices):
-        parent, order = _bfs(g, x)
-        path_bits = [0] * g.num_vertices
-        hop = [x] * g.num_vertices
-        for v in order[1:]:
-            p = parent[v]
-            path_bits[v] = path_bits[p] | 1 << top - g.edge_position(p, v)
-            hop[v] = v if p == x else hop[p]
-        for e, (u, w) in enumerate(g.edges):
-            if u != x != w and hop[u] != hop[w]:
-                candidates.add(path_bits[u] | path_bits[w] | 1 << top - e)
+    n = g.num_vertices
+    per_block = max(1, _BLOCK_ENTRIES // max(n, g.num_edges))
+    classes: dict[int, list[np.ndarray]] = {}
+    for lo in range(0, n, per_block):
+        for size, rows in _candidate_rows(g, range(lo, min(lo + per_block, n))):
+            classes.setdefault(size, []).append(rows)
 
-    ordered = sorted(candidates, key=lambda bits: (bits.bit_count(), -bits))
+    def ordered():
+        for size in sorted(classes):
+            rows = heapq.merge(*(part.tolist() for part in classes[size]))
+            for row, _ in groupby(rows):  # a row found in several parts comes once
+                bits = 0
+                for e in row:
+                    bits |= 1 << e
+                yield bits
+
     span = Gf2Span()
-    kept = list(islice(filter(span.add, ordered), dim))  # each independent of those before
+    kept = list(islice(filter(span.add, ordered()), dim))  # each independent of those before
     if len(kept) != dim:
         raise CycleSpaceError("shortest-path candidates failed to span the cycle space")
-    elements = tuple(EdgeVector(host, sum(1 << top - i for i in _bit_indices(r))) for r in kept)
+    elements = tuple(EdgeVector(host, bits) for bits in kept)
     return CycleBasis(
         host=host,
         elements=elements,
@@ -386,6 +459,17 @@ def greedy_mcb(host) -> CycleBasis:
         certified_minimum=True,
         info=tuple(ElementInfo(tag="greedy") for _ in kept),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _base_mcb(base: Graph) -> CycleBasis:
+    """:func:`greedy_mcb` of a base graph, kept until the next call on another base.
+
+    ``check-reversibility`` at k >= 2 reads it twice: in the
+    single-automaton check, whose k = 1 power has the base as its graph,
+    and as the embedded base cycles of the decomposition basis.
+    """
+    return greedy_mcb(base)
 
 
 def project_to_base(x: EdgeVector) -> EdgeVector:

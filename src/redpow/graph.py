@@ -227,8 +227,9 @@ def _bfs(g: Graph, root: int = 0) -> tuple[list[int | None], list[int]]:
     seen = [False] * g.num_vertices
     seen[root] = True
     order = [root]
+    adj = g._adj
     for cur in order:  # the list grows while it is walked, so it is the queue
-        for nbr in g.adjacency(cur):
+        for nbr in adj[cur]:
             if not seen[nbr]:
                 seen[nbr] = True
                 parent[nbr] = cur

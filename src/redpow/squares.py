@@ -47,12 +47,12 @@ from .cyclespace import (
     EdgeVector,
     ElementInfo,
     Gf2Span,
+    _base_mcb,
     _canonical_cycle,
     _edge_ids,
     _walk_bits,
     _walk_steps,
     cycle_edge_vector,
-    greedy_mcb,
 )
 
 __all__ = [
@@ -229,7 +229,7 @@ def _structured_cycles(
 
     # base vertex c -> state c * root^(k-1)
     parked = states(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]))
-    cycles = [_canonical_cycle(parked[list(seq)].tolist()) for seq in greedy_mcb(base).cycles]
+    cycles = [_canonical_cycle(parked[list(seq)].tolist()) for seq in _base_mcb(base).cycles]
     # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
     rows[:, :2].sort(axis=1)
     rows[:, 2:4].sort(axis=1)

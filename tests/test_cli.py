@@ -370,6 +370,39 @@ def test_check_reversibility_k1_builds_one_power(tmp_path, capsys, monkeypatch):
     assert sorted(built) == [1, 2]
 
 
+def test_check_reversibility_computes_the_base_mcb_once(tmp_path, capsys, monkeypatch):
+    # the single-automaton check (on the k = 1 power, whose graph is the
+    # base) and the embedded base cycles of the basis share one greedy MCB
+    from redpow import ctmc, cyclespace, squares
+
+    original = cyclespace.greedy_mcb
+    bases = []
+
+    def counting(host):
+        bases.append(cyclespace.host_graph(host))
+        return original(host)
+
+    for module in (cli, ctmc, cyclespace, squares):
+        if getattr(module, "greedy_mcb", None) is original:
+            monkeypatch.setattr(module, "greedy_mcb", counting)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(pentagon_model(couplings={"c": "1"})))
+    out = tmp_path / "report.json"
+
+    def run():
+        code = main(["check-reversibility", "--model", str(model), "--out", str(out)])
+        return code, capsys.readouterr().out, out.read_bytes()
+
+    cyclespace._base_mcb.cache_clear()
+    once = run()
+    assert once[0] == 2 and bases == [graph_from_dict(PENTAGON)]
+    assert run() == once and len(bases) == 1  # a second run on the same base reuses it
+    uncached = cyclespace._base_mcb.__wrapped__
+    for module in (ctmc, squares):
+        monkeypatch.setattr(module, "_base_mcb", uncached)
+    assert run() == once and len(bases) == 3
+
+
 def test_power_skips_crosscheck_on_comma_labels(tmp_path, capsys):
     graph = tmp_path / "comma.json"
     graph.write_text(json.dumps({"vertices": ["a,1", "b"], "edges": [["a,1", "b"]]}))

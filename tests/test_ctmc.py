@@ -723,6 +723,15 @@ def test_basis_checks_and_float_solve_leave_the_power_edge_index_unbuilt(couplin
     assert basis.host._index is not None
 
 
+def test_exact_steady_state_of_a_reversible_chain_leaves_the_power_edge_index_unbuilt():
+    # the tree potential finds its tree edges in one search over the sorted edge array
+    mc = build_master(pentagon(), 3, pentagon_spec(32, 1, 2))
+    ss = steady_state(mc, mode="exact")
+    with pytest.raises(AttributeError):
+        Graph._edge_index.__get__(mc.rp.graph)
+    assert list(ss.probabilities) == _solve_sparse(mc)
+
+
 def test_kolmogorov_report_passed_is_computed_once():
     g = pentagon()
     mc = build_master(g, 2, pentagon_spec(32, 1, 2, 1, 1, 2, 1, 1))

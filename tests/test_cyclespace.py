@@ -33,6 +33,7 @@ from redpow import (
     rank,
     total_length,
 )
+from redpow import cyclespace
 from redpow.cyclespace import _canonical_cycle
 from redpow.graph import _bfs
 
@@ -495,6 +496,62 @@ def test_greedy_mcb_equals_the_all_pairs_reference(suite):
 @given(st.integers(3, 7), st.integers(0, 6), st.integers(1, 3), st.integers(0, 10**6))
 def test_greedy_mcb_equals_the_all_pairs_reference_on_random_powers(v, extra, k, seed):
     _assert_greedy_matches_reference(build_reduced_power(random_connected_graph(v, extra, seed), k))
+
+
+def test_greedy_mcb_equals_the_reference_on_c8_k4_and_partway_through_a_class():
+    k4 = build_reduced_power(complete_graph(4), 3)
+    # K4 at k = 3 completes its basis partway through a length class:
+    # that class has candidates after the last element kept
+    last = greedy_mcb(k4).elements[-1]
+    parts = cyclespace._candidate_rows(k4.graph, range(k4.num_states))
+    rows = [row for size, part in parts if size == last.size for row in part.tolist()]
+    assert max(rows) > last.edge_indices()
+    for host in (build_reduced_power(cycle_graph(8), 4), k4):
+        _assert_greedy_matches_reference(host)
+
+
+def test_greedy_mcb_equals_the_reference_in_blocks_of_one_source(suite, monkeypatch):
+    # each source is its own block and each candidate its own part,
+    # so every length class is merged across parts
+    monkeypatch.setattr(cyclespace, "_BLOCK_ENTRIES", 3)
+    blocks = []
+    candidate_rows = cyclespace._candidate_rows
+
+    def counted(g, sources):
+        blocks.append(len(sources))
+        return candidate_rows(g, sources)
+
+    monkeypatch.setattr(cyclespace, "_candidate_rows", counted)
+    hosts = [g for g in suite if betti(g)]
+    hosts += [build_reduced_power(g, k) for g in hosts for k in (2, 3)]
+    hosts.append(build_reduced_power(cycle_graph(8), 3))
+    for host in hosts:
+        blocks.clear()
+        _assert_greedy_matches_reference(host)
+        assert blocks == [1] * host_graph(host).num_vertices
+
+
+def _grid(m: int) -> Graph:
+    labels = [f"g{i}.{j}" for i in range(m) for j in range(m)]
+    right = [(i * m + j, i * m + j + 1) for i in range(m) for j in range(m - 1)]
+    down = [(i * m + j, (i + 1) * m + j) for i in range(m - 1) for j in range(m)]
+    return Graph(labels, [(labels[a], labels[b]) for a, b in right + down])
+
+
+def test_greedy_mcb_of_a_grid_is_its_unit_squares():
+    m = 30
+    basis = greedy_mcb(build_reduced_power(_grid(m), 1))
+    corners = [i * m + j for i in range(m - 1) for j in range(m - 1)]
+    squares = {(a, a + 1, a + m + 1, a + m) for a in corners}
+    assert len(basis.cycles) == (m - 1) ** 2 and set(basis.cycles) == squares
+
+
+def test_greedy_mcb_leaves_the_edge_index_unbuilt():
+    # candidates and walks find their edges in the sorted edge array
+    for host in (build_reduced_power(cycle_graph(8), 3), random_connected_graph(6, 7, seed=13)):
+        assert greedy_mcb(host).total_length > 0
+        with pytest.raises(AttributeError):
+            Graph._edge_index.__get__(host_graph(host))
 
 
 def test_fundamental_cycles_equal_the_path_to_root_reference(suite):
