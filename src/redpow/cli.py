@@ -93,9 +93,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _write(text: str, path: Path, kind: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise RedpowError(f"cannot write {kind} file {path}: {exc}") from None
+
+
 def _write_json(doc: dict, out: Path | None) -> None:
     if out is not None:
-        Path(out).write_text(json.dumps(doc) + "\n")
+        _write(json.dumps(doc) + "\n", out, "report")
 
 
 def _root_index(g, root: str | None) -> int:
@@ -146,9 +153,9 @@ def cmd_power(args: argparse.Namespace) -> int:
             raise RedpowError("product/quotient cross-check disagrees with direct build")
         print("cross-check: quotient of the Cartesian power agrees")
     if args.out is not None:
-        Path(args.out).write_text(graph_to_json(rp.graph))
+        _write(graph_to_json(rp.graph), args.out, "graph")
     if args.dot is not None:
-        Path(args.dot).write_text(graph_to_dot(rp.graph))
+        _write(graph_to_dot(rp.graph), args.dot, "DOT")
     return 0
 
 

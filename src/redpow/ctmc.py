@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -94,6 +95,17 @@ def parse_rational(value: object, where: str) -> Fraction:
             f"{where}: floats are not exact; write the rate as a string like '1/10'"
         )
     raise ModelError(f"{where}: expected an int or string, got {type(value).__name__}")
+
+
+def _rational_str(q: Fraction | float) -> str:
+    """``str(q)``, with a Fraction's ints in full past Python's int-string digit limit.
+
+    ``Decimal`` converts an int with no such limit and prints the same digits.
+    """
+    if isinstance(q, float):
+        return str(q)
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 class RateSpec:
@@ -221,7 +233,7 @@ class MasterChain:
                     if num <= 0:
                         raise ModelError(
                             f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates "
-                            f"to {rate} in state {rp.label(src)!r}; "
+                            f"to {_rational_str(rate)} in state {rp.label(src)!r}; "
                             "master rates must be positive"
                         )
                 rates.append(rate)
@@ -276,8 +288,8 @@ class CycleCheck:
             "index": self.index,
             "tag": self.tag,
             "vertices": list(self.vertices),
-            "forward": str(self.forward),
-            "backward": str(self.backward),
+            "forward": _rational_str(self.forward),
+            "backward": _rational_str(self.backward),
             "passed": self.passed,
             "base_edges": [list(pair) for pair in self.base_edges],
         }
@@ -384,7 +396,7 @@ class SteadyState:
 
     def as_dict(self) -> dict:
         probs = [
-            str(p) if isinstance(p, Fraction) else float(p) for p in self.probabilities
+            _rational_str(p) if isinstance(p, Fraction) else float(p) for p in self.probabilities
         ]
         return {
             "mode": self.mode,
@@ -656,8 +668,8 @@ class BalanceViolation:
         return {
             "x": self.x,
             "y": self.y,
-            "flow_xy": str(self.flow_xy),
-            "flow_yx": str(self.flow_yx),
+            "flow_xy": _rational_str(self.flow_xy),
+            "flow_yx": _rational_str(self.flow_yx),
         }
 
 
@@ -772,11 +784,12 @@ def model_to_dict(graph: Graph, k: int, spec: RateSpec) -> dict:
     rates = {}
     for i, j in spec.directed_pairs():
         key = f"{graph.labels[i]}->{graph.labels[j]}"
-        entry: dict = {"base": str(spec.base_rate(i, j))}
+        entry: dict = {"base": _rational_str(spec.base_rate(i, j))}
         coeffs = spec._coupling.get((i, j))
         if coeffs:
             entry["coupling"] = {
-                graph.labels[l]: str(Fraction(c, spec._den)) for l, c in enumerate(coeffs) if c
+                graph.labels[l]: _rational_str(Fraction(c, spec._den))
+                for l, c in enumerate(coeffs) if c
             }
         rates[key] = entry
     return {"graph": graph_to_dict(graph), "k": k, "rates": rates}

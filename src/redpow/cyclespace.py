@@ -14,9 +14,8 @@ space needs.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -420,10 +419,10 @@ def greedy_mcb(host) -> CycleBasis:
     One BFS tree per source gives every candidate as a sorted row of edge
     ids, grouped by length (:func:`_candidate_rows`). Sources go in
     blocks, so no working array outgrows ``_BLOCK_ENTRIES``. The distinct
-    rows of a length class, in row order, are its candidates in
-    edge-index order; only the rows up to the one that completes the
-    basis become bitsets. Walks are read off the kept elements by
-    :func:`cycle_decomposition`.
+    rows of a length class, over all its blocks' parts and in row order,
+    are its candidates in edge-index order; only the classes and rows up
+    to the one that completes the basis are sorted and become bitsets.
+    Walks are read off the kept elements by :func:`cycle_decomposition`.
     """
     g = host_graph(host)
     dim = betti(g)
@@ -439,8 +438,7 @@ def greedy_mcb(host) -> CycleBasis:
 
     def ordered():
         for size in sorted(classes):
-            rows = heapq.merge(*(part.tolist() for part in classes[size]))
-            for row, _ in groupby(rows):  # a row found in several parts comes once
+            for row in _distinct_rows(np.concatenate(classes[size])).tolist():
                 bits = 0
                 for e in row:
                     bits |= 1 << e
@@ -448,8 +446,6 @@ def greedy_mcb(host) -> CycleBasis:
 
     span = Gf2Span()
     kept = list(islice(filter(span.add, ordered()), dim))  # each independent of those before
-    if len(kept) != dim:
-        raise CycleSpaceError("shortest-path candidates failed to span the cycle space")
     elements = tuple(EdgeVector(host, bits) for bits in kept)
     return CycleBasis(
         host=host,

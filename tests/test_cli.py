@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from redpow import ReducedPowerGraph, cli, graph_from_dict, load_graph
+from redpow import (
+    MasterChain,
+    ReducedPowerGraph,
+    cli,
+    detailed_balance_check,
+    graph_from_dict,
+    kolmogorov_check,
+    load_graph,
+    load_model,
+    model_to_dict,
+    single_automaton_check,
+    steady_state,
+)
 from redpow.cli import main
 
 PENTAGON = {
@@ -703,3 +716,121 @@ def test_power_refuses_a_budget_over_the_default_before_building(
     monkeypatch.undo()
     assert main(["power", "--graph", str(graph_file), "--k", "2", "--budget", "1000000"]) == 0
     assert "cross-check: quotient of the Cartesian power agrees" in capsys.readouterr().out
+
+
+# --- outputs that cannot be written, and exact values of any length ---
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("power", "--out"),
+        ("power", "--dot"),
+        ("mcb", "--out"),
+        ("verify-squares", "--out"),
+        ("check-reversibility", "--out"),
+        ("check-single", "--out"),
+    ],
+)
+@pytest.mark.parametrize("in_missing_directory", [True, False])
+def test_an_output_that_cannot_be_written_exits_1(
+    tmp_path, graph_file, capsys, command, option, in_missing_directory
+):
+    if command.startswith("check"):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(pentagon_model()))
+        argv = [command, "--model", str(model)]
+    else:
+        argv = [command, "--graph", str(graph_file), "--k", "2"]
+    path = tmp_path / "missing" / "out" if in_missing_directory else tmp_path
+    assert main([*argv, option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and f" file {path}: " in err
+    assert err.count("\n") == 1
+
+
+TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+
+
+def huge_rate_model(tmp_path, a_to_b: dict):
+    """A triangle model at k = 2, every rate 1 but ``a->b``."""
+    rates = {f"{x}->{y}": {"base": "1"} for x, y in ("ab", "ba", "bc", "cb", "ca", "ac")}
+    rates["a->b"] = a_to_b
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"graph": TRIANGLE, "k": 2, "rates": rates}))
+    return path
+
+
+def assert_written_in_full(pairs):
+    """Each (written string, computed Fraction) pair agrees, one string past the digit limit.
+
+    Python refuses to parse ints of more than 4300 digits by default, so the
+    limit is lifted here, for the parse only.
+    """
+    texts, values = zip(*pairs)
+    assert max(map(len, texts)) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parsed = [Fraction(text) for text in texts]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed == list(values)
+
+
+def check_pairs(written: dict, report) -> list:
+    assert len(written["violations"]) == len(report.violations())
+    return [
+        (w[key], getattr(c, key))
+        for w, c in zip(written["violations"], report.violations())
+        for key in ("forward", "backward")
+    ]
+
+
+def test_check_reversibility_exact_writes_values_past_the_int_digit_limit(tmp_path, capsys):
+    model = huge_rate_model(tmp_path, {"base": "1e4300"})
+    out = tmp_path / "report.json"
+    assert main(["check-reversibility", "--model", str(model), "--exact", "--out", str(out)]) == 2
+    assert "verdict: not reversible" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    g, k, spec = load_model(model)
+    basis = cli._basis_for(g, k, 0)
+    mc = MasterChain(basis.host, spec)
+    ss = steady_state(mc, mode="exact")
+    balance = detailed_balance_check(ss, mc)
+    assert len(doc["detailed_balance"]["violations"]) == len(balance.violations)
+    assert_written_in_full(
+        [
+            *check_pairs(doc["single_automaton"], single_automaton_check(g, spec)),
+            *check_pairs(doc["kolmogorov"], kolmogorov_check(mc, basis)),
+            *zip(doc["steady_state"]["probabilities"], ss.probabilities),
+            *(
+                (w[key], getattr(b, key))
+                for w, b in zip(doc["detailed_balance"]["violations"], balance.violations)
+                for key in ("flow_xy", "flow_yx")
+            ),
+        ]
+    )
+
+
+def test_check_single_writes_values_past_the_int_digit_limit(tmp_path, capsys):
+    model = huge_rate_model(tmp_path, {"base": "1e4300"})
+    out = tmp_path / "single.json"
+    assert main(["check-single", "--model", str(model), "--out", str(out)]) == 2
+    g, _, spec = load_model(model)
+    doc = json.loads(out.read_text())
+    assert_written_in_full(check_pairs(doc, single_automaton_check(g, spec)))
+
+
+def test_model_to_dict_writes_rates_past_the_int_digit_limit(tmp_path):
+    model = huge_rate_model(tmp_path, {"base": "1e4300", "coupling": {"c": "1e-4300"}})
+    rates = model_to_dict(*load_model(model))["rates"]
+    assert rates["a->b"] == {"base": "1" + "0" * 4300, "coupling": {"c": "1/1" + "0" * 4300}}
+
+
+def test_a_non_positive_rate_past_the_int_digit_limit_is_named_in_full(tmp_path, capsys):
+    # 1 - 2e4300 has 4301 digits, one past the limit
+    model = huge_rate_model(tmp_path, {"base": "1", "coupling": {"c": "-2e4300"}})
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert f"rate a->b evaluates to -1{'9' * 4300} in state " in err

@@ -14,6 +14,7 @@ from redpow import (
     GraphError,
     Monomial,
     PowerError,
+    RedpowError,
     betti,
     build_reduced_power,
     cartesian_power,
@@ -25,7 +26,13 @@ from redpow import (
 )
 from redpow.power import _assemble
 
-from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
+from conftest import (
+    cycle_graph,
+    complete_graph,
+    generator_suite,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def test_monomial_basics():
@@ -318,6 +325,33 @@ def test_quotient_of_a_single_vertex_base():
     for k in (1, 3):
         oracle = quotient_by_symmetry(cartesian_power(g, k), g, k)
         assert oracle == build_reduced_power(g, k) and oracle.annotations == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(generator_suite()), st.integers(1, 3), st.booleans(), st.data())
+def test_quotient_of_a_count_preserving_corruption_refuses_or_equals_the_power(
+    g, k, reroute, data
+):
+    # A corrupted product with the right vertex and edge counts either fails
+    # to build or to pass the quotient's checks, or is still the power:
+    # nothing in between comes back.
+    power = cartesian_power(g, k)
+    n, labels, edges = power.num_vertices, list(power.labels), list(power.edges)
+    vertex = st.integers(0, n - 1)
+    if reroute:
+        edges[data.draw(st.integers(0, len(edges) - 1))] = (data.draw(vertex), data.draw(vertex))
+    else:
+        i, j = data.draw(vertex), data.draw(vertex)
+        labels[i], labels[j] = labels[j], labels[i]
+    try:
+        oracle = quotient_by_symmetry(
+            Graph(power.labels, [(labels[i], labels[j]) for i, j in edges]), g, k
+        )
+    except RedpowError:
+        return
+    direct = build_reduced_power(g, k)
+    assert oracle == direct
+    assert oracle.annotations == direct.annotations
 
 
 def _reference_cartesian_power(base: Graph, k: int) -> Graph:
