@@ -20,18 +20,23 @@ residual is summed from per-transition flows in O(E).
 
 The exact kernels work on integers. A :class:`RateSpec` lowers its rates
 once, to integers over one common denominator, so a master transition
-costs a few int operations and one ``Fraction``, and the irreversible
-solve reads every rate over that same denominator, eliminates on
-integers and builds one ``Fraction`` per state. The cycle check
-multiplies the reduced numerators and denominators of the chain's rates
-along a cycle and builds one ``Fraction`` per product.
-:func:`eval_rate` keeps the per-token rate in its defining form.
+costs a few int operations and one ``Fraction``. The exact steady-state
+route is integer end to end: each chain's rates are read once as
+numerators over that same denominator; the tree potential, the
+irreversible solve, the verification of pi Q = 0 and the exact balance
+test all run on them, with pi as integer numerators over one common
+denominator, and one ``Fraction`` per state is built at the end (per
+violating edge, two flows). The cycle check multiplies the reduced
+numerators and denominators of the chain's rates along a cycle and
+builds one ``Fraction`` per product. :func:`eval_rate` keeps the
+per-token rate in its defining form.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -72,6 +77,13 @@ __all__ = [
 # would spell a longer number than digits may, and Fraction expands it in full
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+# A plain 'n' or 'n/d' is parsed through Decimal, which has no digit limit,
+# so that the loader reads the long integers model_to_dict writes. Up to a
+# 4300-digit mantissa times a 4300-digit power of ten spells that many digits.
+_MAX_DIGITS = 2 * _MAX_EXPONENT
+_PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*\Z")
+# Python's current int-string digit limit; 0 is none, as before 3.10.7
+_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_rational(value: object, where: str) -> Fraction:
@@ -82,6 +94,15 @@ def parse_rational(value: object, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            plain = _PLAIN.match(value)
+            if plain:
+                num, den = plain.groups()
+                digits = max(len(num.lstrip("+-")), len(den or ""))
+                if digits > _MAX_DIGITS:
+                    raise ModelError(
+                        f"{where}: {digits}-digit number exceeds {_MAX_DIGITS} digits"
+                    )
+                return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
             exp = _EXPONENT.search(value)
             if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
                 raise ModelError(
@@ -100,9 +121,14 @@ def parse_rational(value: object, where: str) -> Fraction:
 def _rational_str(q: Fraction | float) -> str:
     """``str(q)``, with a Fraction's ints in full past Python's int-string digit limit.
 
-    ``Decimal`` converts an int with no such limit and prints the same digits.
+    Past the limit ``Decimal`` converts the ints, with no such limit, and
+    prints the same digits. An int of b bits has fewer than b / 3 + 1
+    digits, so ``str`` serves any int under three bits per digit of the limit.
     """
     if isinstance(q, float):
+        return str(q)
+    limit = _str_digit_limit()
+    if not limit or max(q.numerator.bit_length(), q.denominator.bit_length()) <= 3 * limit:
         return str(q)
     num = str(Decimal(q.numerator))
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
@@ -209,7 +235,7 @@ class MasterChain:
     keeps the chain irreducible on the connected state space.
     """
 
-    __slots__ = ("rp", "spec", "forward", "backward", "_floats")
+    __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
 
     def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
         if spec.graph != rp.base:
@@ -242,6 +268,7 @@ class MasterChain:
         self.forward = tuple(rates[0::2])
         self.backward = tuple(rates[1::2])
         self._floats: np.ndarray | None = None  # filled by _float_rates
+        self._ints: tuple[tuple[int, ...], tuple[int, ...]] | None = None  # by _int_rates
 
     @property
     def num_states(self) -> int:
@@ -464,7 +491,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             raise SolverError(
                 f"exact mode supports up to {_EXACT_STATE_LIMIT} states, got {n}"
             )
-        return reversible_steady_state(mc) or _checked_exact(mc, _solve_sparse(mc))
+        return reversible_steady_state(mc) or _checked_exact(mc, *_sparse_pi(mc))
 
     raise SolverError(f"unknown steady-state mode {mode!r}")
 
@@ -499,6 +526,22 @@ def _float_rates(mc: MasterChain) -> np.ndarray:
     return mc._floats
 
 
+def _int_rates(mc: MasterChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every forward and backward rate as its numerator over the spec's ``_den``.
+
+    Converted once per chain and kept on it, for the exact solves and the
+    exact balance test: every equation they test is homogeneous in the
+    rates, so the common denominator cancels.
+    """
+    if mc._ints is None:
+        den = mc.spec._den
+        mc._ints = tuple(
+            tuple(r.numerator * (den // r.denominator) for r in rates)
+            for rates in (mc.forward, mc.backward)
+        )
+    return mc._ints
+
+
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     """Exact stationary law of a detailed-balanced chain, else None.
 
@@ -507,34 +550,49 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     q(y,x)`` on every edge. Any detailed-balanced law agrees with this
     potential on the tree, so the first failing edge proves there is
     none; when every edge holds, pi is stationary, and by irreducibility
-    the unique stationary law. O(E) rational operations; the tree edges
-    are found in one search over the sorted edge array. The cycle basis
-    is never read, so this stays independent of :func:`kolmogorov_check`.
+    the unique stationary law. O(E) integer operations: each potential is
+    a reduced numerator over a denominator, the rates are read as
+    integers (:func:`_int_rates`), every edge is tested by
+    cross-multiplying, and only a balanced pi is put over one common
+    denominator. The tree edges are found in one search over the sorted
+    edge array. The cycle basis is never read, so this stays independent
+    of :func:`kolmogorov_check`.
     """
     tree = bfs_spanning_tree(mc.rp.graph)
     children = tree.order[1:]
     parents = [tree.parent[y] for y in children]
     ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
-    pi = [Fraction(0)] * mc.num_states
-    pi[tree.root] = Fraction(1)
+    fwd, bwd = _int_rates(mc)
+    top = [0] * mc.num_states  # pi_x = top[x] / bottom[x] in lowest terms
+    bottom = [1] * mc.num_states
+    top[tree.root] = 1
     for y, x, e in zip(children, parents, ids):
         # q(x, y) / q(y, x): edge e runs forward from its lower end
-        fwd, bwd = mc.forward[e], mc.backward[e]
-        pi[y] = pi[x] * fwd / bwd if x < y else pi[x] * bwd / fwd
-    for (x, y), fwd, bwd in zip(mc.rp.graph.edges, mc.forward, mc.backward):
-        if pi[x] * fwd != pi[y] * bwd:
+        a, b = (fwd[e], bwd[e]) if x < y else (bwd[e], fwd[e])
+        p, q = top[x] * a, bottom[x] * b
+        g = math.gcd(p, q)
+        top[y], bottom[y] = p // g, q // g
+    for (x, y), a, b in zip(mc.rp.graph.edges, fwd, bwd):
+        if top[x] * bottom[y] * a != top[y] * bottom[x] * b:
             return None
-    total = sum(pi)
-    return _checked_exact(mc, [p / total for p in pi])
+    common = math.lcm(*bottom)
+    num = [t * (common // b) for t, b in zip(top, bottom)]
+    return _checked_exact(mc, num, sum(num))
 
 
 def _solve_sparse(mc: MasterChain) -> list[Fraction]:
-    """Normalised solution of pi Q = 0 by fraction-free sparse elimination.
+    """Normalised solution of pi Q = 0 by fraction-free sparse elimination."""
+    num, total = _sparse_pi(mc)
+    return [Fraction(v, total) for v in num]
+
+
+def _sparse_pi(mc: MasterChain) -> tuple[list[int], int]:
+    """Numerators of the solution of pi Q = 0, and their sum.
 
     :func:`_eliminate` reduces the system on integers. Back-substitution
     runs in reverse pivot order and keeps each pi as an integer numerator
     over one shared denominator, the lcm of the denominators solved so
-    far; one ``Fraction`` per state is built only at normalisation.
+    far; that denominator cancels on normalising.
     """
     num = [0] * mc.num_states
     num[0] = den = 1
@@ -550,8 +608,7 @@ def _solve_sparse(mc: MasterChain) -> list[Fraction]:
             num = [v * grow for v in num]
             den *= grow
         num[c] = top * (den // bottom)
-    total = sum(num)
-    return [Fraction(v, total) for v in num]
+    return num, sum(num)
 
 
 def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
@@ -576,17 +633,16 @@ def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
     in pivot order.
     """
     n = mc.num_states
-    den = mc.spec._den
     rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
     rhs = dict.fromkeys(range(1, n), 0)
-    for x, y, r in mc.transitions():
-        q = r.numerator * (den // r.denominator)
-        if x == 0:
-            rhs[y] -= q
-            continue
-        rows[x][x] -= q
-        if y:
-            rows[y][x] = q
+    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *_int_rates(mc)):
+        for x, y, q in ((x0, y0, fwd), (y0, x0, bwd)):  # transitions() order
+            if x == 0:
+                rhs[y] -= q
+                continue
+            rows[x][x] -= q
+            if y:
+                rows[y][x] = q
     cols: dict[int, set[int]] = {c: set() for c in range(1, n)}
     for y, row in rows.items():
         rhs[y] = _primitive(row, rhs[y])
@@ -641,20 +697,24 @@ def _primitive(row: dict[int, int], b: int) -> int:
     return b
 
 
-def _checked_exact(mc: MasterChain, pi: list[Fraction]) -> SteadyState:
-    """Wrap an exact pi after verifying pi Q = 0, sum one and positivity."""
-    balance = [Fraction(0)] * mc.num_states
-    for x, y, r in mc.transitions():
-        flow = pi[x] * r
-        balance[y] += flow
-        balance[x] -= flow
+def _checked_exact(mc: MasterChain, num: list[int], total: int) -> SteadyState:
+    """Wrap pi = num / total after verifying pi Q = 0, sum one and positivity.
+
+    The checks run on the integer numerators and rates; one ``Fraction``
+    per state is built at the end.
+    """
+    balance = [0] * mc.num_states
+    for (x, y), a, b in zip(mc.rp.graph.edges, *_int_rates(mc)):
+        net = num[x] * a - num[y] * b  # flow x -> y less flow y -> x, times total * den
+        balance[y] += net
+        balance[x] -= net
     if any(balance):
         raise SolverError("exact steady state fails pi Q = 0")
-    if sum(pi) != 1:
+    if sum(num) != total:
         raise SolverError("exact steady state does not sum to one")
-    if min(pi) <= 0:
+    if min(num) <= 0:
         raise SolverError("exact steady state has a non-positive probability")
-    return SteadyState(tuple(pi), "exact", 0.0, 0.0)
+    return SteadyState(tuple(Fraction(v, total) for v in num), "exact", 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -694,7 +754,10 @@ def detailed_balance_check(
 ) -> BalanceReport:
     """Test pi_x q(x,y) = pi_y q(y,x) on every transition.
 
-    Exact steady states compare exactly; float ones use a relative
+    Exact steady states compare exactly, on integers: pi over one common
+    denominator and the rates over the spec's (``N_x a == N_y b``); a
+    violation's flows are built as ``Fraction``s. Their entries must be
+    ints or Fractions (a ModelError otherwise). Float ones use a relative
     tolerance on the larger flow, with the chain's float rates (a
     SolverError if one lies outside the float range).
     """
@@ -703,11 +766,19 @@ def detailed_balance_check(
     labels = mc.rp.graph.labels
     violations = []
     if ss.mode == "exact":
-        for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
-            lhs = ss.probabilities[x] * qxy
-            rhs = ss.probabilities[y] * qyx
-            if lhs != rhs:
-                violations.append(BalanceViolation(labels[x], labels[y], lhs, rhs))
+        pi = ss.probabilities
+        for x, p in enumerate(pi):
+            if not isinstance(p, (int, Fraction)):
+                raise ModelError(
+                    f"exact steady state entry {x} is a {type(p).__name__}, "
+                    "not an int or Fraction"
+                )
+        common = math.lcm(*(p.denominator for p in pi))
+        num = [p.numerator * (common // p.denominator) for p in pi]
+        rates = zip(mc.rp.graph.edges, *_int_rates(mc), mc.forward, mc.backward)
+        for (x, y), a, b, qxy, qyx in rates:
+            if num[x] * a != num[y] * b:
+                violations.append(BalanceViolation(labels[x], labels[y], pi[x] * qxy, pi[y] * qyx))
     else:
         # the float test elementwise over all edges, in the same float64 operations
         rates = _float_rates(mc)

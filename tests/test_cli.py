@@ -10,6 +10,7 @@ import pytest
 
 from redpow import (
     MasterChain,
+    ModelError,
     ReducedPowerGraph,
     cli,
     detailed_balance_check,
@@ -17,6 +18,7 @@ from redpow import (
     kolmogorov_check,
     load_graph,
     load_model,
+    model_from_dict,
     model_to_dict,
     single_automaton_check,
     steady_state,
@@ -834,3 +836,44 @@ def test_a_non_positive_rate_past_the_int_digit_limit_is_named_in_full(tmp_path,
     assert main(["check-reversibility", "--model", str(model)]) == 1
     err = capsys.readouterr().err
     assert f"rate a->b evaluates to -1{'9' * 4300} in state " in err
+
+
+@pytest.mark.parametrize("rate", ["1e4300", "1e-4300"])
+def test_model_to_dict_output_loads_back_past_the_int_digit_limit(tmp_path, rate):
+    model = huge_rate_model(tmp_path, {"base": rate, "coupling": {"c": rate}})
+    g, k, spec = load_model(model)
+    doc = json.loads(json.dumps(model_to_dict(g, k, spec)))
+    digits = "1" + "0" * 4300
+    text = digits if rate == "1e4300" else f"1/{digits}"
+    assert doc["rates"]["a->b"] == {"base": text, "coupling": {"c": text}}
+    again = model_from_dict(doc)
+    assert again[:2] == (g, k) and model_to_dict(*again) == doc
+    assert again[2].base_rate(0, 1) == spec.base_rate(0, 1) == Fraction(10) ** int(rate[2:])
+    assert again[2].coupling_vector(0, 1) == spec.coupling_vector(0, 1)
+
+
+def test_model_from_dict_bounds_the_digits_of_a_plain_rational(tmp_path):
+    doc = json.loads(huge_rate_model(tmp_path, {"base": "1"}).read_text())
+    doc["rates"]["a->b"]["base"] = "9" * 8600
+    assert model_from_dict(doc)[2].base_rate(0, 1) == 10**8600 - 1
+    for rate in ("9" * 8601, "1/" + "9" * 8601):
+        doc["rates"]["a->b"]["base"] = rate
+        with pytest.raises(ModelError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == "rates['a->b'].base: 8601-digit number exceeds 8600 digits"
+
+
+def test_exact_values_are_written_in_full_under_a_lowered_digit_limit():
+    from redpow.ctmc import _rational_str
+
+    value = Fraction(10**999 + 7, 3)
+    expected = f"{10**999 + 7}/3"
+    short = Fraction(-(10**500), 10**100 + 1)
+    short_expected = str(short)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        written = _rational_str(value), _rational_str(short)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert written == (expected, short_expected)

@@ -41,13 +41,14 @@ from redpow import (
     single_automaton_check,
     steady_state,
 )
-from redpow.ctmc import _eliminate, _solve_sparse
+from redpow.ctmc import _checked_exact, _eliminate, _solve_sparse
 
 from conftest import (
     JSON_VALUES,
     LABELS,
     complete_graph,
     cycle_graph,
+    generator_suite,
     pentagon,
     path_graph,
     pentagon_spec,
@@ -1245,3 +1246,127 @@ def test_both_loaders_keep_their_read_and_parse_messages(tmp_path):
             f"{kind} file {broken} is not valid JSON: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         )
+
+
+# --- the exact steady state on integers against Fraction references ---
+
+
+def _shared_speed_chain(g, k, rng):
+    """Rates i->j = phi(j) + c (k - 1), one coupling c for every vertex: reversible."""
+    phi = [_rational(rng, True) for _ in range(g.num_vertices)]
+    c = _rational(rng, False)
+    base = {pair: phi[pair[1]] for i, j in g.edges for pair in ((i, j), (j, i))}
+    return build_master(g, k, RateSpec(g, base, {pair: (c,) * g.num_vertices for pair in base}))
+
+
+def _numerators(ss):
+    """The exact law's numerators over their common denominator, and that denominator."""
+    common = math.lcm(*(p.denominator for p in ss.probabilities))
+    return [p.numerator * (common // p.denominator) for p in ss.probabilities], common
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tree_potential_equals_sparse_elimination_on_the_suite(suite, k):
+    rng = random.Random(2100 + k)
+    for g in suite:
+        for mc in (
+            _potential_chain(g, k, rng, wide=False),
+            _potential_chain(g, k, rng, wide=True),
+            _shared_speed_chain(g, k, rng),
+        ):
+            tree = reversible_steady_state(mc)
+            assert tree is not None and tree.mode == "exact"
+            assert list(tree.probabilities) == _solve_sparse(mc)
+            assert all(type(p) is Fraction for p in tree.probabilities)
+
+
+def _exact_balance_reference(ss, mc):
+    """Per-edge Fraction form of the exact detailed-balance test."""
+    labels, bad = mc.rp.graph.labels, []
+    for (x, y), qxy, qyx in zip(mc.rp.graph.edges, mc.forward, mc.backward):
+        lhs, rhs = ss.probabilities[x] * qxy, ss.probabilities[y] * qyx
+        if lhs != rhs:
+            bad.append((labels[x], labels[y], lhs, rhs))
+    return bad
+
+
+def test_exact_detailed_balance_equals_the_fraction_reference():
+    rng = random.Random(2121)
+    cases = []
+    for n, k in ((5, 3), (6, 3), (7, 2)):
+        mc = _ring_chain(n, k, rng, reversible=False, wide=True)
+        cases.append((steady_state(mc, mode="exact"), mc))
+    # a reversible law with one entry moved fails on that state's edges only,
+    # and the same law unnormalised, as ints, balances like its Fractions
+    mc = _ring_chain(6, 3, rng, reversible=True, wide=True)
+    ss = steady_state(mc, mode="exact")
+    moved = list(ss.probabilities)
+    moved[7] *= F(10**12 + 1, 10**12)
+    ints, _ = _numerators(ss)
+    cases += [(SteadyState(tuple(law), "exact", 0.0, 0.0), mc) for law in (ss.probabilities, moved, ints)]
+    counts = []
+    for ss, mc in cases:
+        rep = detailed_balance_check(ss, mc)
+        bad = _exact_balance_reference(ss, mc)
+        assert rep.mode == "exact" and rep.balanced == (not bad)
+        assert [(v.x, v.y, v.flow_xy, v.flow_yx) for v in rep.violations] == bad
+        counts.append(len(bad))
+    assert min(counts[:3]) > 0 and counts[3] == counts[5] == 0
+    assert 0 < counts[4] <= len(mc.rp.graph.adjacency(7))
+
+
+def test_exact_detailed_balance_refuses_an_entry_that_is_not_exact():
+    mc = build_master(pentagon(), 1, pentagon_spec(1, 1, 1))
+    n = mc.num_states
+    assert detailed_balance_check(SteadyState((1,) * n, "exact", 0.0, 0.0), mc).balanced
+    for entry in (1.0, np.int64(1), "1"):
+        law = SteadyState((F(1),) * (n - 1) + (entry,), "exact", 0.0, 0.0)
+        with pytest.raises(ModelError) as info:
+            detailed_balance_check(law, mc)
+        assert str(info.value) == (
+            f"exact steady state entry {n - 1} is a {type(entry).__name__}, "
+            "not an int or Fraction"
+        )
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_tree_potential_fails_on_one_unbalanced_chord(n):
+    # one token on C_n: the state graph is the ring itself, so the BFS tree
+    # leaves out one chord, and mu^n != nu^n unbalances exactly that edge
+    g = cycle_graph(n)
+    base = {}
+    for i in range(n):
+        base[(i, (i + 1) % n)], base[((i + 1) % n, i)] = F(2), F(3)
+    mc = build_master(g, 1, RateSpec(g, base))
+    tree = bfs_spanning_tree(mc.rp.graph)
+    pi = {tree.root: F(1)}
+    for y in tree.order[1:]:
+        x = tree.parent[y]
+        pi[y] = pi[x] * mc.rate(x, y) / mc.rate(y, x)
+    failing = [
+        (x, y) for x, y in mc.rp.graph.edges if pi[x] * mc.rate(x, y) != pi[y] * mc.rate(y, x)
+    ]
+    assert len(failing) == 1 and tree.parent[failing[0][1]] != failing[0][0]
+    assert tree.parent[failing[0][0]] != failing[0][1]
+    assert reversible_steady_state(mc) is None
+    assert steady_state(mc, mode="exact").probabilities == tuple(_solve_sparse(mc))
+
+
+def test_checked_exact_rejects_a_wrong_law():
+    mc = _ring_chain(5, 3, random.Random(2131), reversible=True, wide=True)
+    ss = reversible_steady_state(mc)
+    num, total = _numerators(ss)
+    assert _checked_exact(mc, num, total) == ss
+    off = num.copy()
+    off[4] += 1
+    with pytest.raises(SolverError, match="fails pi Q = 0"):
+        _checked_exact(mc, off, sum(off))
+    with pytest.raises(SolverError, match="does not sum to one"):
+        _checked_exact(mc, num, total + 1)
+    zero = num.copy()
+    zero[2] = 0
+    with pytest.raises(SolverError, match="fails pi Q = 0"):
+        _checked_exact(mc, zero, sum(zero))
+    # the all-zero law balances every flow and sums to its total, 0
+    with pytest.raises(SolverError, match="non-positive probability"):
+        _checked_exact(mc, [0] * mc.num_states, 0)
