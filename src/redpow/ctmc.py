@@ -123,7 +123,7 @@ def _rational_str(q: Fraction | float) -> str:
 
     Past the limit ``Decimal`` converts the ints, with no such limit, and
     prints the same digits. An int of b bits has fewer than b / 3 + 1
-    digits, so ``str`` serves any int under three bits per digit of the limit.
+    digits, so ``str`` serves any int of at most three bits per digit of the limit.
     """
     if isinstance(q, float):
         return str(q)

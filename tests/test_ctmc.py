@@ -1303,7 +1303,8 @@ def test_exact_detailed_balance_equals_the_fraction_reference():
     moved = list(ss.probabilities)
     moved[7] *= F(10**12 + 1, 10**12)
     ints, _ = _numerators(ss)
-    cases += [(SteadyState(tuple(law), "exact", 0.0, 0.0), mc) for law in (ss.probabilities, moved, ints)]
+    for law in (ss.probabilities, moved, ints):
+        cases.append((SteadyState(tuple(law), "exact", 0.0, 0.0), mc))
     counts = []
     for ss, mc in cases:
         rep = detailed_balance_check(ss, mc)
