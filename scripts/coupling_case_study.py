@@ -7,7 +7,7 @@ lam plus occupancy couplings (alpha..eps). An isolated automaton is
 reversible iff lam * mu^4 = nu^5. This script sweeps coupling choices
 for the three-token master chain and reports, for each, the verdicts
 of the cycle criterion and of detailed balance at the exact steady
-state, plus which structural cycles fail.
+state, plus which structural cycles fail: one check_reversibility call each.
 
 Run: python scripts/coupling_case_study.py [--k K]
 """
@@ -18,17 +18,8 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 
-from redpow import (
-    Graph,
-    MasterChain,
-    RateSpec,
-    build_reduced_power,
-    decomposition_basis,
-    detailed_balance_check,
-    greedy_mcb,
-    kolmogorov_check,
-    steady_state,
-)
+from redpow import Graph, RateSpec, RedpowError
+from redpow.cli import check_reversibility
 
 F = Fraction
 
@@ -43,37 +34,12 @@ def ring_spec(g: Graph, lam, mu, nu, couplings) -> RateSpec:
     return RateSpec(g, base, {(0, 1): tuple(F(c) for c in couplings)})
 
 
-def run_case(g, basis, name, lam, couplings):
-    mc = MasterChain(basis.host, ring_spec(g, lam, 1, 2, couplings))
-    kol = kolmogorov_check(mc, basis)
-    bal = detailed_balance_check(steady_state(mc, mode="exact"), mc)
-    tags = Counter(c.tag for c in kol.violations())
-    breakdown = ", ".join(f"{t}:{n}" for t, n in sorted(tags.items())) or "-"
-    agree = "yes" if kol.passed == bal.balanced else "NO"
-    verdict = "reversible" if kol.passed else "not reversible"
-    print(
-        f"{name:<28} lam={str(lam):<6} cycle={'pass' if kol.passed else 'fail':<4} "
-        f"balance={'pass' if bal.balanced else 'fail':<4} agree={agree:<3} "
-        f"violations=[{breakdown}]  -> {verdict}"
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=3, help="number of automata")
-    args = parser.parse_args()
-    k = args.k
+    k = parser.parse_args().k
 
     g = Graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
-    # the one power of the run: every case's chain is built on the basis's host
-    basis = decomposition_basis(g, k) if k >= 2 else greedy_mcb(build_reduced_power(g, 1))
-    print(
-        f"5-state ring, k={k}: {basis.host.num_states} states, "
-        f"cycle basis of {len(basis.elements)} elements "
-        f"(certified minimum: {basis.certified_minimum})"
-    )
-    print(f"single-automaton constraint: lam * 1^4 = 2^5, so lam = 32\n")
-
     eff = k - 1  # equal couplings of c shift the constant by c * (k - 1)
     cases = [
         ("uncoupled, tuned", 32, (0, 0, 0, 0, 0)),
@@ -84,8 +50,31 @@ def main() -> None:
         ("alternating couplings", 32, (2, 1, 2, 1, 2)),
         ("single coupling only", 32, (0, 3, 0, 0, 0)),
     ]
-    for name, lam, coups in cases:
-        run_case(g, basis, name, F(lam), coups)
+    try:
+        verdicts = [
+            check_reversibility(g, k, ring_spec(g, lam, 1, 2, coups), exact=True)
+            for _, lam, coups in cases
+        ]
+    except RedpowError as exc:  # k below 1, or a power over the state budget
+        raise SystemExit(f"error: {exc}") from None
+
+    basis = verdicts[0].basis
+    print(
+        f"5-state ring, k={k}: {basis.host.num_states} states, "
+        f"cycle basis of {len(basis.elements)} elements "
+        f"(certified minimum: {basis.certified_minimum})"
+    )
+    print(f"single-automaton constraint: lam * 1^4 = 2^5, so lam = 32\n")
+    for (name, lam, _), verdict in zip(cases, verdicts):
+        kol, bal = verdict.kolmogorov, verdict.balance
+        tags = Counter(c.tag for c in kol.violations())
+        breakdown = ", ".join(f"{t}:{n}" for t, n in sorted(tags.items())) or "-"
+        agree = "yes" if kol.passed == bal.balanced else "NO"
+        print(
+            f"{name:<28} lam={str(lam):<6} cycle={'pass' if kol.passed else 'fail':<4} "
+            f"balance={'pass' if bal.balanced else 'fail':<4} agree={agree:<3} "
+            f"violations=[{breakdown}]  -> {'reversible' if kol.passed else 'not reversible'}"
+        )
 
     print(
         "\nReading: unequal couplings on a->b break exactly the 4-cycles that "

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands build reduced powers, construct and verify cycle bases,
-and run the reversibility checks on coupled-automaton models. Exit
-codes: 0 success (and checks passed), 2 a check ran and failed, 1 bad
-input or internal failure.
+and run the reversibility checks on coupled-automaton models:
+``check-reversibility`` loads a model, calls :func:`check_reversibility`
+and prints its :class:`Verdict`. Exit codes: 0 success (and checks
+passed), 2 a check ran and failed, 1 bad input or internal failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import RedpowError, SolverError
@@ -26,7 +28,10 @@ from .power import (
 from .cyclespace import CycleBasis, greedy_mcb
 from .squares import decomposition_basis, verify_square_space
 from .ctmc import (
+    BalanceReport,
+    KolmogorovReport,
     MasterChain,
+    SteadyState,
     detailed_balance_check,
     kolmogorov_check,
     load_model,
@@ -35,7 +40,7 @@ from .ctmc import (
     steady_state,
 )
 
-__all__ = ["main", "entry"]
+__all__ = ["main", "entry", "check_reversibility", "Verdict"]
 
 # Largest power any command builds, in states, and largest k; the largest
 # power any test, script or benchmark workload builds has 2380 states.
@@ -202,7 +207,9 @@ def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
 
 
 def _check_budget(what: str, v: int, k: int) -> None:
-    """Refuse, before anything is built, a k-th power of ``v`` vertices over the state budget."""
+    """Refuse, before anything is built, a k below 1 or a k-th power over the state budget."""
+    if k < 1:  # a k of many digits is not written out, as below
+        raise RedpowError(f"{what} has k = {k if k > -10**30 else 'below -10^30'}, not at least 1")
     # k may have thousands of digits: a count past 10^30 is neither computed
     # in full nor written out
     states = _capped_vertex_count(v, k, 10**30)
@@ -216,12 +223,39 @@ def _check_budget(what: str, v: int, k: int) -> None:
         raise RedpowError(f"{what} has k = {shown}, over the budget of {_STATE_BUDGET}")
 
 
-def cmd_check_reversibility(args: argparse.Namespace) -> int:
-    g, k, spec = load_model(args.model)
-    _check_budget("model", g.num_vertices, k)
-    root = _root_index(g, args.root)
-    single = single_automaton_check(g, spec) if k > 1 else None
-    basis = _basis_for(g, k, root)
+@dataclass(frozen=True)
+class Verdict:
+    """What :func:`check_reversibility` found; :meth:`as_dict` is the ``--out`` report."""
+
+    k: int
+    basis: CycleBasis
+    single: KolmogorovReport
+    kolmogorov: KolmogorovReport
+    steady_state: SteadyState
+    balance: BalanceReport
+
+    def as_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "states": self.basis.host.num_states,
+            "single_automaton": self.single.as_dict(),
+            "kolmogorov": self.kolmogorov.as_dict(),
+            "steady_state": self.steady_state.as_dict(),
+            "detailed_balance": self.balance.as_dict(),
+            "reversible": self.kolmogorov.passed,
+        }
+
+
+def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
+    """Are ``k`` automata on ``graph`` with rates ``spec`` reversible, by both criteria?
+
+    Raises :class:`RedpowError` on a k or power the budget refuses, before
+    building anything, and when the two criteria disagree.
+    """
+    _check_budget("model", graph.num_vertices, k)
+    root_index = _root_index(graph, root)
+    single = single_automaton_check(graph, spec) if k > 1 else None
+    basis = _basis_for(graph, k, root_index)
     mc = MasterChain(basis.host, spec)
     kolmogorov = kolmogorov_check(mc, basis)
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
@@ -237,38 +271,30 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
                 raise
             return ss
 
-    ss = settle("exact" if args.exact else "float")
+    ss = settle("exact" if exact else "float")
     balance = detailed_balance_check(ss, mc)
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.
         balance = detailed_balance_check(settle("exact"), mc)
-
     if kolmogorov.passed != balance.balanced:
         raise RedpowError("cycle criterion and exact detailed balance disagree")
+    return Verdict(k, basis, single, kolmogorov, ss, balance)
 
-    n_bad = len(kolmogorov.violations())
-    print(f"single-automaton criterion: {'pass' if single.passed else 'fail'}")
+
+def cmd_check_reversibility(args: argparse.Namespace) -> int:
+    g, k, spec = load_model(args.model)
+    v = check_reversibility(g, k, spec, exact=args.exact, root=args.root)
+    print(f"single-automaton criterion: {'pass' if v.single.passed else 'fail'}")
     print(
-        f"cycle criterion: {'pass' if kolmogorov.passed else 'fail'} "
-        f"({len(kolmogorov.checks)} cycles, {n_bad} violations)"
+        f"cycle criterion: {'pass' if v.kolmogorov.passed else 'fail'} "
+        f"({len(v.kolmogorov.checks)} cycles, {len(v.kolmogorov.violations())} violations)"
     )
-    print(f"detailed balance ({balance.mode}): {'pass' if balance.balanced else 'fail'}")
-    verdict = "reversible" if kolmogorov.passed else "not reversible"
-    print(f"verdict: {verdict}")
-
-    doc = {
-        "k": k,
-        "states": mc.num_states,
-        "single_automaton": single.as_dict(),
-        "kolmogorov": kolmogorov.as_dict(),
-        "steady_state": ss.as_dict(),
-        "detailed_balance": balance.as_dict(),
-        "reversible": kolmogorov.passed,
-    }
-    _write_json(doc, args.out)
-    return 0 if kolmogorov.passed else 2
+    print(f"detailed balance ({v.balance.mode}): {'pass' if v.balance.balanced else 'fail'}")
+    print(f"verdict: {'reversible' if v.kolmogorov.passed else 'not reversible'}")
+    _write_json(v.as_dict(), args.out)
+    return 0 if v.kolmogorov.passed else 2
 
 
 def cmd_check_single(args: argparse.Namespace) -> int:

@@ -461,9 +461,9 @@ def greedy_mcb(host) -> CycleBasis:
 def _base_mcb(base: Graph) -> CycleBasis:
     """:func:`greedy_mcb` of a base graph, kept until the next call on another base.
 
-    ``check-reversibility`` at k >= 2 reads it twice: in the
-    single-automaton check, whose k = 1 power has the base as its graph,
-    and as the embedded base cycles of the decomposition basis.
+    :func:`~redpow.cli.check_reversibility` at k >= 2 reads it twice: in
+    the single-automaton check, whose k = 1 power has the base as its
+    graph, and as the embedded base cycles of the decomposition basis.
     """
     return greedy_mcb(base)
 

@@ -11,6 +11,7 @@ import pytest
 from redpow import (
     MasterChain,
     ModelError,
+    RedpowError,
     ReducedPowerGraph,
     cli,
     detailed_balance_check,
@@ -877,3 +878,103 @@ def test_exact_values_are_written_in_full_under_a_lowered_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert written == (expected, short_expected)
+
+
+# --- check_reversibility: the library call behind check-reversibility ---
+
+
+def _write_model(tmp_path, doc: dict):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+def _pentagon_k1(tmp_path):
+    return _write_model(tmp_path, {**pentagon_model(lam="33"), "k": 1})
+
+
+def _halving_path(tmp_path):
+    # pi_i halves along the path, so the float law underflows and 1100
+    # states are over the exact solve's limit: the tree potential settles it
+    labels = [f"v{i}" for i in range(1100)]
+    edges = [[a, b] for a, b in zip(labels, labels[1:])]
+    rates = {f"{a}->{b}": {"base": "1"} for a, b in edges}
+    rates.update({f"{b}->{a}": {"base": "2"} for a, b in edges})
+    doc = {"graph": {"vertices": labels, "edges": edges}, "k": 1, "rates": rates}
+    return _write_model(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "make_model, exact",
+    [
+        (lambda tmp_path: _write_model(tmp_path, pentagon_model()), False),
+        (lambda tmp_path: _write_model(tmp_path, pentagon_model()), True),
+        (nearly_reversible_model, False),
+        (_pentagon_k1, False),
+        (_halving_path, False),
+    ],
+    ids=["pentagon-float", "pentagon-exact", "nearly-reversible", "k1", "underflow"],
+)
+def test_check_reversibility_library_call_matches_the_cli(tmp_path, capsys, make_model, exact):
+    model, out = make_model(tmp_path), tmp_path / "report.json"
+    code = main(["check-reversibility", "--model", str(model), "--out", str(out)]
+                + ["--exact"] * exact)
+    lines = capsys.readouterr().out.splitlines()
+    verdict = cli.check_reversibility(*load_model(model), exact=exact)
+    assert out.read_text() == json.dumps(verdict.as_dict()) + "\n"
+    kol, bal = verdict.kolmogorov, verdict.balance
+    assert code == (0 if kol.passed else 2)
+    word = {True: "pass", False: "fail"}
+    assert lines == [
+        f"single-automaton criterion: {word[verdict.single.passed]}",
+        f"cycle criterion: {word[kol.passed]} "
+        f"({len(kol.checks)} cycles, {len(kol.violations())} violations)",
+        f"detailed balance ({bal.mode}): {word[bal.balanced]}",
+        f"verdict: {'reversible' if kol.passed else 'not reversible'}",
+    ]
+    assert kol.passed == bal.balanced
+
+
+def test_check_reversibility_at_k1_reports_the_main_check_as_the_single_one(tmp_path):
+    verdict = cli.check_reversibility(*load_model(_pentagon_k1(tmp_path)))
+    assert verdict.single is verdict.kolmogorov
+    assert not verdict.kolmogorov.passed and verdict.basis.kind == "greedy-mcb"
+    assert verdict.as_dict()["states"] == 5
+
+
+# the last k is past the int string limit: neither it nor its id is written out
+@pytest.mark.parametrize("k", [0, -3, -(10**5000)], ids=["0", "-3", "-10^5000"])
+def test_check_reversibility_refuses_k_below_one_before_building(monkeypatch, k):
+    from redpow import ctmc, squares
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power was built")
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    g, _, spec = model_from_dict(pentagon_model())
+    with pytest.raises(RedpowError) as info:
+        cli.check_reversibility(g, k, spec)
+    shown = k if k > -(10**30) else "below -10^30"
+    assert str(info.value) == f"model has k = {shown}, not at least 1"
+
+
+def test_check_reversibility_raises_when_the_two_criteria_disagree(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    balance_check = cli.detailed_balance_check
+
+    def flipped(ss, mc):
+        report = balance_check(ss, mc)
+        return dataclasses.replace(report, balanced=not report.balanced)
+
+    monkeypatch.setattr(cli, "detailed_balance_check", flipped)
+    model, out = _write_model(tmp_path, pentagon_model()), tmp_path / "report.json"
+    with pytest.raises(RedpowError) as info:
+        cli.check_reversibility(*load_model(model))
+    assert str(info.value) == "cycle criterion and exact detailed balance disagree"
+    assert main(["check-reversibility", "--model", str(model), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cycle criterion and exact detailed balance disagree\n"
+    assert not out.exists()

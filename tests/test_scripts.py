@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,37 @@ def test_coupling_case_study_verdicts_agree_at_one_and_four_tokens(monkeypatch, 
     rows = [line for line in lines if " lam=" in line]
     assert len(rows) == 7
     assert all("agree=yes" in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("0", "error: model has k = 0, not at least 1"),
+        ("5000", "error: model has 26093786468751 states, over the budget of 5000"),
+    ],
+)
+def test_coupling_case_study_refuses_a_bad_k_before_building(monkeypatch, capsys, k, message):
+    from redpow import cli, ctmc, squares
+
+    def refuse(base, k):
+        raise AssertionError(f"build_reduced_power called with k={k}")
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    with pytest.raises(SystemExit) as info:
+        _run(monkeypatch, capsys, "coupling_case_study.py", "--k", k)
+    assert info.value.code == message  # printed to stderr, exit status 1
+    assert capsys.readouterr().out == ""
+
+
+def test_coupling_case_study_bad_k_exits_1_with_an_error_line_and_no_traceback():
+    import redpow
+
+    env = {**os.environ, "PYTHONPATH": str(Path(redpow.__file__).parents[1])}
+    run = subprocess.run([sys.executable, str(SCRIPTS / "coupling_case_study.py"), "--k", "-3"],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "error: model has k = -3, not at least 1\n"
 
 
 def test_basis_survey_gap_only_with_triangles(monkeypatch, capsys):
