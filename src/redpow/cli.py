@@ -265,7 +265,7 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
         try:
             return steady_state(mc, mode=mode)
         except SolverError:
-            # neither float underflow nor the exact solve's state limit binds the tree potential
+            # no state limit of either solve, nor float underflow, binds the tree potential
             ss = reversible_steady_state(mc)
             if ss is None:
                 raise

@@ -13,8 +13,9 @@ every element of a cycle basis, which settles all cycles by linearity.
 The steady-state route finds the stationary law and tests detailed
 balance edge by edge. Exactly, a reversible chain's law is the potential
 of ratios q(x,y)/q(y,x) along a spanning tree of the state graph, found
-and checked in O(E); any other chain is solved by fraction-free sparse
-elimination on integers. All rate arithmetic is exact over the
+and checked in O(E); any other chain is solved by p-adic lifting on
+integers (Dixon): one inverse modulo a prime, then one int64 mat-vec per
+digit, and rational reconstruction. All rate arithmetic is exact over the
 rationals; only the optional float steady-state solve rounds, and its
 residual is summed from per-transition flows in O(E).
 
@@ -434,15 +435,19 @@ class SteadyState:
 
 
 _EXACT_STATE_LIMIT = 400
+# the CLI's state budget: the dense float solve allocates n^2 floats, LAPACK a copy
+_FLOAT_STATE_LIMIT = 5000
 
 
 def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> SteadyState:
     """Solve pi Q = 0 with sum(pi) = 1.
 
-    Float mode converts every rate to a float once per chain (SolverError
-    if one overflows or underflows to zero; exact mode still works there), fills
-    the dense transpose system from that array, replaces its last row by
-    ones and solves it through LAPACK. ``residual_inf`` is the largest
+    Float mode refuses a chain of more than ``_FLOAT_STATE_LIMIT`` states
+    (SolverError) before anything is allocated. It converts every rate to
+    a float once per chain (SolverError if one overflows or underflows to
+    zero; exact mode still works there), fills the dense transpose system
+    from that array, replaces its last row by ones and solves it through
+    LAPACK. ``residual_inf`` is the largest
     |(pi Q)_x|, summed from the per-transition flows ``pi_x q(x,y)`` in
     O(E) without a second dense matrix; it and ``|sum(pi) - 1|`` are
     verified against ``tol``.
@@ -451,12 +456,15 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     (:func:`reversible_steady_state`), which exists exactly when the chain
     satisfies detailed balance and then is the stationary law. Otherwise
     it pins ``pi_0 = 1``, drops the balance equation of state 0 (the
-    rest is nonsingular for an irreducible chain), solves the sparse
-    system by fraction-free elimination on integers, then normalises.
-    Either way pi Q = 0, sum one and positivity are verified exactly.
+    rest is nonsingular for an irreducible chain), solves that system by
+    p-adic lifting on integers (:func:`_lifted_pi`), then normalises.
+    Either way pi Q = 0, sum one and positivity are verified exactly, by
+    :func:`_checked_exact`.
     """
     n = mc.num_states
     if mode == "float":
+        if n > _FLOAT_STATE_LIMIT:
+            raise SolverError(f"float mode supports up to {_FLOAT_STATE_LIMIT} states, got {n}")
         rates = _float_rates(mc)
         # transition t = 2e (forward) or 2e + 1 (backward) of edge e
         ends = mc.rp.graph._pairs
@@ -491,9 +499,224 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             raise SolverError(
                 f"exact mode supports up to {_EXACT_STATE_LIMIT} states, got {n}"
             )
-        return reversible_steady_state(mc) or _checked_exact(mc, *_sparse_pi(mc))
+        return reversible_steady_state(mc) or _checked_exact(mc, *_lifted_pi(mc))
 
     raise SolverError(f"unknown steady-state mode {mode!r}")
+
+
+# Consecutive primes just below 2^26, tried in order. With m < 512 unknowns
+# m * p^2 < 2^61, so the lazily reduced Gauss-Jordan, the digit mat-vec and
+# the residual window of _lifted_pi never overflow int64.
+_PRIMES = (67108859, 67108837, 67108819)
+_CHUNK = 64  # lifted digits folded into the result at a time
+
+
+def _lifted_pi(mc: MasterChain) -> tuple[list[int], int]:
+    """Numerators of the solution of pi Q = 0, and their sum, by p-adic lifting.
+
+    Solves the system :func:`_eliminate` solves (pi_0 = 1, the balance
+    rows of states 1..n-1, rates from :func:`_int_rates`, each row made
+    primitive) as Dixon does (*Numer. Math.* 40, 1982): ``C = A^-1 mod p``
+    once, then each p-adic digit of the solution is ``d = C r mod p`` and
+    the residual ``r`` becomes ``(r - A d) / p``. Every entry of ``[A | b]``
+    is held as its signed base-p digits, and the residual as a short window
+    of base-p digits with lazy carries, so a digit costs a few int64
+    operations whatever the size of the rates. Digits are folded into
+    the result ``_CHUNK`` at a time; at doubling digit counts the result
+    is reconstructed as rationals over one common denominator, and the
+    candidate is taken only if its law balances exactly. The Hadamard
+    bound of ``[A | b]`` caps the digits: past it the reconstruction is
+    unique, so failing there is an error. When no prime of ``_PRIMES``
+    leaves ``A`` invertible, :func:`_sparse_pi` solves the system instead.
+    """
+    n = mc.num_states
+    if n == 1:
+        return [1], 1
+    m = n - 1
+    rows: list[dict[int, int]] = [{} for _ in range(m)]  # unknown pi_{c+1} in column c
+    rhs = [0] * m
+    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *_int_rates(mc)):
+        for x, y, q in ((x0, y0, fwd), (y0, x0, bwd)):
+            if x == 0:
+                rhs[y - 1] -= q
+                continue
+            rows[x - 1][x - 1] = rows[x - 1].get(x - 1, 0) - q
+            if y:
+                rows[y - 1][x - 1] = q
+    rhs = [_primitive(row, c) for row, c in zip(rows, rhs)]
+    entries = [v for row in rows for v in row.values()]
+    cols = np.fromiter((c for row in rows for c in row), np.int64, len(entries))
+    sizes = np.fromiter(map(len, rows), np.int64, m)  # each row holds its diagonal
+    starts = np.cumsum(sizes) - sizes
+    # Hadamard: every minor of [A | b] is below H, H^2 < 2^bits, so at p^D > 2^(bits+1)
+    # the numerators and the denominator of the solution are below sqrt(p^D / 2)
+    bits = sum(
+        (c * c + sum(v * v for v in row.values())).bit_length() for row, c in zip(rows, rhs)
+    )
+    hard = (bits + 1) // 25 + 1  # every prime is above 2^25
+    vals = np.array(entries, object)
+    b = np.array(rhs, object)
+    top = max(max(map(abs, entries)), max(map(abs, rhs)))
+    where = (np.repeat(np.arange(m), sizes), cols)
+    for p in _PRIMES:
+        a = np.zeros((m, m), np.int64)
+        a[where] = (vals % p).astype(np.int64)
+        inverse = _inverse_mod(a, p)
+        if inverse is None:
+            continue
+        width = 1  # base-p digits of the largest |entry| of [A | b]
+        while p**width <= top:
+            width += 1
+        limbs = _signed_digits(vals, p, width)
+        # After i digits the residual (b - A X) / p^i, X the digits so far, is
+        # sum_t window[t] p^t. Each step subtracts A d limb by limb, then moves
+        # every row's excess over [0, p) up one row: rows stay below (m + 1) p^2.
+        window = np.zeros((width + 1, m), np.int64)
+        window[:width] = _signed_digits(b, p, width)
+        x = np.zeros(m, object)  # the digits folded so far, as one integer per unknown
+        chunk: list[np.ndarray] = []
+        count, target = 0, min(8, hard)
+        while True:
+            d = inverse @ (window[0] % p) % p
+            window[:width] -= np.add.reduceat(limbs * d[cols], starts, axis=1)
+            carry, window[:width] = np.divmod(window[:width], p)
+            window[1:] += carry
+            window[:-1] = window[1:]
+            window[-1] = 0
+            chunk.append(d)
+            count += 1
+            if len(chunk) == _CHUNK or count == target:
+                x += _fold(chunk, p) * p ** (count - len(chunk))
+                chunk = []
+            if count < target:
+                continue
+            found = _reconstruct(x.tolist(), p**count)
+            if found is not None:
+                den, nums = found
+                pi = np.array(nums, object)
+                if not np.any(np.add.reduceat(vals * pi[cols], starts) - b * den):
+                    return [den, *nums], den + sum(nums)
+            if count == hard:
+                raise SolverError("p-adic lifting found no law within the Hadamard bound")
+            target = min(2 * target, hard)
+    return _sparse_pi(mc)
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray | None:
+    """``a^-1 mod p`` by Gauss-Jordan on int64, or None if ``a`` is singular mod p.
+
+    Only the pivot column and row are reduced at each step; the rank-one
+    update adds less than p^2 to an entry, so m steps stay below
+    m p^2 + p < 2^63. The right half of ``[a | I]`` is nonzero only up to
+    the identity columns of the rows pivoted so far, and only that span
+    is updated.
+    """
+    m = len(a)
+    w = np.concatenate((a % p, np.eye(m, dtype=np.int64)), axis=1)
+    reach = 0  # identity columns m..m+reach may be nonzero in pivoted rows
+    for c in range(m):
+        if not w[c, c] % p:
+            nonzero = np.flatnonzero(w[c:, c] % p)
+            if not len(nonzero):
+                return None
+            r = c + int(nonzero[0])
+            w[[c, r]] = w[[r, c]]
+            reach = max(reach, r)
+        reach = max(reach, c)
+        end = m + reach + 1
+        row = w[c, c:end] % p * pow(int(w[c, c] % p), -1, p) % p
+        w[c, c:end] = row
+        factors = w[:, c] % p
+        factors[c] = 0
+        w[:, c + 1 : end] -= np.outer(factors, row[1:])
+    return w[:, m:] % p
+
+
+def _signed_digits(values: np.ndarray, p: int, width: int) -> np.ndarray:
+    """The ``width`` base-p digits of each |value|, low first, signed as the value."""
+    magnitude = np.abs(values)
+    digits = np.empty((width, len(values)), np.int64)
+    for j in range(width):
+        digits[j] = magnitude % p
+        magnitude //= p
+    return np.where(values < 0, -digits, digits)
+
+
+def _fold(digits: list[np.ndarray], p: int) -> np.ndarray:
+    """``sum_i digits[i] p^i`` per unknown, as Python ints, by pairwise folding."""
+    level = np.array(digits).astype(object)
+    step = p
+    while len(level) > 1:
+        if len(level) % 2:
+            level = np.concatenate((level, np.zeros((1, level.shape[1]), object)))
+        level = level[0::2] + level[1::2] * step
+        step *= step
+    return level[0]
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | None:
+    """One common denominator and the numerators of the rationals with these residues.
+
+    Numerators and the denominator are held to ``sqrt(modulus / 2)``, so
+    the answer is unique when it exists. Each residue times the
+    denominator so far is tried as a plain integer first; only where that
+    is too large is a further denominator factor reconstructed
+    (:func:`_half_euclid`). None when some residue has no such rational.
+    """
+    bound = math.isqrt(modulus // 2)
+    den = 1
+    found = []  # (numerator, the denominator it is over)
+    for u in residues:
+        y = u * den % modulus
+        if y > modulus - y:
+            y -= modulus
+        if abs(y) > bound:
+            got = _half_euclid(modulus, y % modulus, bound, bound // den)
+            if got is None or math.gcd(*got) != 1:
+                return None
+            y, t = got
+            den *= t
+        found.append((y, den))
+    return den, [y * (den // at) for y, at in found]
+
+
+def _half_euclid(r0: int, r1: int, bound: int, most: int) -> tuple[int, int] | None:
+    """``(y, t)`` with ``y = t r1 mod r0``, ``|y| <= bound``, ``0 < t <= most``, or None.
+
+    Runs Euclid on ``(r0, r1)`` to its first remainder ``<= bound``,
+    tracking each remainder's cofactor of r1; the cofactors only grow,
+    so the search stops as soon as one passes ``most``. Past 2048 bits
+    quotients are found on the leading 62 bits while they agree for both
+    roundings of the truncation (Lehmer, Knuth's Algorithm L), so a run
+    of steps costs a few full-size products; a run that would pass the
+    bound is redone one exact step at a time. Below that size a plain
+    step is cheaper than the run's loop on small ints.
+    """
+    t0, t1 = 0, 1
+    while r1 > bound:
+        if abs(t1) > most:
+            return None
+        if r0.bit_length() > 2048:
+            shift = r0.bit_length() - 62
+            u, v = r0 >> shift, r1 >> shift
+            a, b, c, d = 1, 0, 0, 1
+            while v + c and v + d:
+                q = (u + a) // (v + c)
+                if q != (u + b) // (v + d):
+                    break
+                a, b, c, d = c, d, a - q * c, b - q * d
+                u, v = v, u - q * v
+            if b:
+                s1 = c * r0 + d * r1
+                if s1 > bound:
+                    r0, r1 = a * r0 + b * r1, s1
+                    t0, t1 = a * t0 + b * t1, c * t0 + d * t1
+                    continue
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= most:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _float_rates(mc: MasterChain) -> np.ndarray:
@@ -589,10 +812,12 @@ def _solve_sparse(mc: MasterChain) -> list[Fraction]:
 def _sparse_pi(mc: MasterChain) -> tuple[list[int], int]:
     """Numerators of the solution of pi Q = 0, and their sum.
 
-    :func:`_eliminate` reduces the system on integers. Back-substitution
-    runs in reverse pivot order and keeps each pi as an integer numerator
-    over one shared denominator, the lcm of the denominators solved so
-    far; that denominator cancels on normalising.
+    The fallback of :func:`_lifted_pi` when no prime of ``_PRIMES`` leaves
+    the system invertible, and, through :func:`_solve_sparse`, the tests'
+    oracle. :func:`_eliminate` reduces the system on integers.
+    Back-substitution runs in reverse pivot order and keeps each pi as an
+    integer numerator over one shared denominator, the lcm of the
+    denominators solved so far; that denominator cancels on normalising.
     """
     num = [0] * mc.num_states
     num[0] = den = 1
@@ -614,8 +839,9 @@ def _sparse_pi(mc: MasterChain) -> tuple[list[int], int]:
 def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
     """Integer sparse elimination of pi Q = 0 with pi_0 = 1.
 
-    Every rate is read as an integer over the spec's common denominator,
-    which leaves the homogeneous system unchanged; rows are made
+    Used by :func:`_sparse_pi` only: the fallback of the lifted solve and
+    the tests' oracle. Every rate is read as an integer over the spec's
+    common denominator, which leaves the homogeneous system unchanged; rows are made
     primitive as they are loaded, so no step depends on it. Unknowns are
     pi_1..pi_{n-1} with pi_0 moved to the right-hand side; equation y
     (for y >= 1) is the balance of state y. Rows are column -> integer

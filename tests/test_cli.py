@@ -978,3 +978,16 @@ def test_check_reversibility_raises_when_the_two_criteria_disagree(tmp_path, cap
     assert captured.out == ""
     assert captured.err == "error: cycle criterion and exact detailed balance disagree\n"
     assert not out.exists()
+
+
+def test_check_reversibility_settles_past_the_float_state_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("redpow.ctmc._FLOAT_STATE_LIMIT", 10)
+    # the reversible pentagon at k = 3 has 35 states: its tree potential settles it
+    verdict = cli.check_reversibility(*model_from_dict(pentagon_model()))
+    assert verdict.kolmogorov.passed and verdict.balance.balanced
+    assert verdict.steady_state.mode == "exact"
+    # an irreversible chain has no tree potential, so the refusal stands
+    model = _write_model(tmp_path, pentagon_model(lam="33"))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: float mode supports up to 10 states, got 35\n"
+    assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2

@@ -41,7 +41,8 @@ from redpow import (
     single_automaton_check,
     steady_state,
 )
-from redpow.ctmc import _checked_exact, _eliminate, _solve_sparse
+from redpow import ctmc
+from redpow.ctmc import _checked_exact, _eliminate, _lifted_pi, _reconstruct, _solve_sparse
 
 from conftest import (
     JSON_VALUES,
@@ -1371,3 +1372,188 @@ def test_checked_exact_rejects_a_wrong_law():
     # the all-zero law balances every flow and sums to its total, 0
     with pytest.raises(SolverError, match="non-positive probability"):
         _checked_exact(mc, [0] * mc.num_states, 0)
+
+
+# --- the lifted exact solve against the sparse elimination it replaced ---
+
+
+@st.composite
+def _elimination_chains(draw):
+    """The chains of ``test_integer_elimination_equals_fraction_elimination``, drawn alike."""
+    if draw(st.booleans(), label="ring"):
+        n, k = draw(st.sampled_from(_SMALL_RINGS))
+        g = cycle_graph(n)
+        mu, nu = draw(_wide([1])), draw(_wide([1]))
+        base = {}
+        for i in range(n):
+            base[(i, (i + 1) % n)], base[((i + 1) % n, i)] = mu, nu
+        pair = (0, 1)
+    else:
+        g = draw(
+            st.sampled_from(
+                [path_graph(4), complete_graph(4), random_connected_graph(5, 2, seed=7)]
+            )
+        )
+        k = draw(st.integers(2, 4 if g.num_vertices == 4 else 3))
+        phi = [draw(_wide([1])) for _ in range(g.num_vertices)]
+        base = {}
+        for i, j in g.edges:
+            s = draw(_wide([1]))
+            base[(i, j)], base[(j, i)] = s * phi[j], s * phi[i]
+        pair = draw(st.sampled_from(sorted(base)))
+    coup = tuple(draw(_wide([-1, 0, 1])) for _ in range(g.num_vertices))
+    base[pair] = draw(_wide([1])) + (k - 1) * max(F(0), -min(coup))
+    return build_master(g, k, RateSpec(g, base, {pair: coup}))
+
+
+def _lifted(mc):
+    num, total = _lifted_pi(mc)
+    return [F(v, total) for v in num]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_elimination_chains())
+def test_lifted_steady_state_equals_sparse_elimination(mc):
+    pi = _solve_sparse(mc)
+    assert _lifted(mc) == pi
+    assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+
+
+def _triangle_1e4300():
+    labels = ("a", "b", "c")
+    rates = {f"{x}->{y}": {"base": "1"} for x, y in ("ab", "ba", "bc", "cb", "ca", "ac")}
+    rates["a->b"] = {"base": "1e4300"}
+    doc = {"graph": {"vertices": list(labels), "edges": [["a", "b"], ["b", "c"], ["c", "a"]]},
+           "k": 2, "rates": rates}
+    return build_master(*model_from_dict(doc))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _ring_chain(5, 3, random.Random(2301), reversible=False, wide=True),
+        lambda: _ring_chain(6, 3, random.Random(2302), reversible=False, wide=True),
+        _triangle_1e4300,
+    ],
+    ids=["wide-C5", "wide-C6", "triangle-1e4300"],
+)
+def test_lifted_steady_state_with_rates_past_int64(make):
+    mc = make()
+    assert max(max(rates) for rates in ctmc._int_rates(mc)) > 2**63
+    assert reversible_steady_state(mc) is None
+    pi = _solve_sparse(mc)
+    assert _lifted(mc) == pi
+    assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+
+
+def _singular_mod_first_prime():
+    """C3, one token: the balance row of v1 is p * (-1, 1) for the first prime p."""
+    p = ctmc._PRIMES[0]
+    g = cycle_graph(3)
+    rates = {(0, 1): 1, (1, 0): 1, (1, 2): p - 1, (2, 1): p, (2, 0): 1, (0, 2): 1}
+    return build_master(g, 1, RateSpec(g, {pair: F(r) for pair, r in rates.items()}))
+
+
+def test_lifted_steady_state_moves_to_the_second_prime(monkeypatch):
+    mc = _singular_mod_first_prime()
+    pi = _solve_sparse(mc)
+    tried = []
+    inverse_mod = ctmc._inverse_mod
+
+    def spy(a, p):
+        inverse = inverse_mod(a, p)
+        tried.append((p, inverse is None))
+        return inverse
+
+    def refuse(mc):
+        raise AssertionError("fell back to the sparse elimination")
+
+    monkeypatch.setattr(ctmc, "_inverse_mod", spy)
+    monkeypatch.setattr(ctmc, "_sparse_pi", refuse)
+    assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+    assert tried == [(ctmc._PRIMES[0], True), (ctmc._PRIMES[1], False)]
+
+
+def test_lifted_steady_state_falls_back_when_no_prime_serves(monkeypatch):
+    mc = _singular_mod_first_prime()
+    pi = _solve_sparse(mc)
+    calls = []
+    sparse_pi = ctmc._sparse_pi
+
+    def spy(mc):
+        calls.append(mc)
+        return sparse_pi(mc)
+
+    monkeypatch.setattr(ctmc, "_PRIMES", ctmc._PRIMES[:1])
+    monkeypatch.setattr(ctmc, "_sparse_pi", spy)
+    assert steady_state(mc, mode="exact").probabilities == tuple(pi)
+    assert calls == [mc]
+
+
+def test_lifted_pi_on_a_reversible_chain_and_on_one_state():
+    rng = random.Random(2303)
+    for wide in (False, True):
+        mc = _ring_chain(5, 2, rng, reversible=True, wide=wide)
+        assert _lifted(mc) == list(reversible_steady_state(mc).probabilities)
+    g = path_graph(1)
+    lone = build_master(g, 3, RateSpec(g, {}))
+    assert lone.num_states == 1
+    assert _lifted_pi(lone) == ([1], 1)
+    assert steady_state(lone, mode="exact").probabilities == (1,)
+
+
+def test_lifted_pi_rejects_a_reconstruction_that_does_not_balance():
+    # x = pi_1 / pi_0 = a / b needs about 640 bits; the first try, 8 digits
+    # of 26 bits, reconstructs a rational that is not a / b
+    a, b = 3**200, 2**200 + 1
+    modulus = ctmc._PRIMES[0] ** 8
+    early = _reconstruct([a * pow(b, -1, modulus) % modulus], modulus)
+    assert early is not None and early != (b, [a])
+    g = path_graph(2)
+    mc = build_master(g, 1, RateSpec(g, {(0, 1): F(a), (1, 0): F(b)}))
+    assert _lifted_pi(mc) == ([b, a], a + b)
+
+
+def test_exact_steady_state_verifies_the_lifted_law(monkeypatch):
+    mc = _ring_chain(5, 2, random.Random(2304), reversible=False, wide=False)
+    num, total = _lifted_pi(mc)
+    num[1] += 1
+    monkeypatch.setattr(ctmc, "_lifted_pi", lambda mc: (num, total + 1))
+    with pytest.raises(SolverError, match="fails pi Q = 0"):
+        steady_state(mc, mode="exact")
+
+
+def test_inverse_mod_pivots_past_a_zero_column_head_and_refuses_a_singular_matrix():
+    p = ctmc._PRIMES[0]
+    a = np.random.default_rng(23).integers(0, p, (7, 7))
+    a[:3, 0] = 0  # the first pivot comes from row 3
+    inverse = ctmc._inverse_mod(a, p)
+    assert (a.astype(object) @ inverse.astype(object) % p == np.eye(7, dtype=int)).all()
+    a[5] = a[1] * 2 % p
+    assert ctmc._inverse_mod(a, p) is None
+
+
+# --- the dense float solve's state limit ---
+
+
+def test_float_steady_state_refuses_past_its_state_limit_before_allocating(monkeypatch):
+    mc = build_master(pentagon(), 3, pentagon_spec(1, 1, 1))
+    assert mc.num_states == 35
+    converted = []
+
+    def float_of(q):
+        converted.append(q)
+        return q.numerator / q.denominator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense system was allocated")
+
+    monkeypatch.setattr(ctmc, "_FLOAT_STATE_LIMIT", 34)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__float__", float_of)
+        patch.setattr(np, "zeros", refuse)
+        with pytest.raises(SolverError, match="float mode supports up to 34 states, got 35"):
+            steady_state(mc, mode="float")
+    assert converted == []
+    monkeypatch.setattr(ctmc, "_FLOAT_STATE_LIMIT", 35)
+    assert steady_state(mc, mode="float").mode == "float"
