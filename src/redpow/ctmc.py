@@ -233,7 +233,9 @@ class MasterChain:
     ``rate(x, y)`` reads them and is zero for non-adjacent pairs.
 
     Every transition rate is checked to be strictly positive, which
-    keeps the chain irreducible on the connected state space.
+    keeps the chain irreducible on the connected state space. ``_ints``
+    keeps their integer numerators over the spec's ``_den``, as computed,
+    for :func:`_balance_rows` and the exact checks (:func:`_int_rates`).
     """
 
     __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
@@ -249,6 +251,7 @@ class MasterChain:
         base, coupling, den = spec._base, spec._coupling, spec._den
         made: dict[int, Fraction] = {}  # few distinct numerators; share their rates
         rates: list[Fraction] = []
+        nums: list[int] = []
         for (x, y), (i, j, f) in zip(rp.graph.edges, rp.annotations):
             others = f.exponents
             for a, b, src in ((i, j, x), (j, i, y)):
@@ -264,12 +267,13 @@ class MasterChain:
                             "master rates must be positive"
                         )
                 rates.append(rate)
+                nums.append(num)
         self.rp = rp
         self.spec = spec
         self.forward = tuple(rates[0::2])
         self.backward = tuple(rates[1::2])
         self._floats: np.ndarray | None = None  # filled by _float_rates
-        self._ints: tuple[tuple[int, ...], tuple[int, ...]] | None = None  # by _int_rates
+        self._ints = (tuple(nums[0::2]), tuple(nums[1::2]))
 
     @property
     def num_states(self) -> int:
@@ -514,13 +518,13 @@ _CHUNK = 64  # lifted digits folded into the result at a time
 def _lifted_pi(mc: MasterChain) -> tuple[list[int], int]:
     """Numerators of the solution of pi Q = 0, and their sum, by p-adic lifting.
 
-    Solves the system :func:`_eliminate` solves (pi_0 = 1, the balance
-    rows of states 1..n-1, rates from :func:`_int_rates`, each row made
-    primitive) as Dixon does (*Numer. Math.* 40, 1982): ``C = A^-1 mod p``
-    once, then each p-adic digit of the solution is ``d = C r mod p`` and
-    the residual ``r`` becomes ``(r - A d) / p``. Every entry of ``[A | b]``
-    is held as its signed base-p digits, and the residual as a short window
-    of base-p digits with lazy carries, so a digit costs a few int64
+    Solves the system of :func:`_balance_rows` (state c in column c - 1),
+    which :func:`_eliminate` also solves, as Dixon does (*Numer. Math.*
+    40, 1982): ``C = A^-1 mod p`` once, then each p-adic digit of the
+    solution is ``d = C r mod p`` and the residual ``r`` becomes
+    ``(r - A d) / p``. Every entry of ``[A | b]`` is held as its signed
+    base-p digits, and the residual as a short window of base-p digits
+    with lazy carries, so a digit costs a few int64
     operations whatever the size of the rates. Digits are folded into
     the result ``_CHUNK`` at a time; at doubling digit counts the result
     is reconstructed as rationals over one common denominator, and the
@@ -533,19 +537,9 @@ def _lifted_pi(mc: MasterChain) -> tuple[list[int], int]:
     if n == 1:
         return [1], 1
     m = n - 1
-    rows: list[dict[int, int]] = [{} for _ in range(m)]  # unknown pi_{c+1} in column c
-    rhs = [0] * m
-    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *_int_rates(mc)):
-        for x, y, q in ((x0, y0, fwd), (y0, x0, bwd)):
-            if x == 0:
-                rhs[y - 1] -= q
-                continue
-            rows[x - 1][x - 1] = rows[x - 1].get(x - 1, 0) - q
-            if y:
-                rows[y - 1][x - 1] = q
-    rhs = [_primitive(row, c) for row, c in zip(rows, rhs)]
+    rows, rhs = (list(by_state.values()) for by_state in _balance_rows(mc))  # states 1..n-1
     entries = [v for row in rows for v in row.values()]
-    cols = np.fromiter((c for row in rows for c in row), np.int64, len(entries))
+    cols = np.fromiter((c - 1 for row in rows for c in row), np.int64, len(entries))
     sizes = np.fromiter(map(len, rows), np.int64, m)  # each row holds its diagonal
     starts = np.cumsum(sizes) - sizes
     # Hadamard: every minor of [A | b] is below H, H^2 < 2^bits, so at p^D > 2^(bits+1)
@@ -752,16 +746,11 @@ def _float_rates(mc: MasterChain) -> np.ndarray:
 def _int_rates(mc: MasterChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Every forward and backward rate as its numerator over the spec's ``_den``.
 
-    Converted once per chain and kept on it, for the exact solves and the
-    exact balance test: every equation they test is homogeneous in the
-    rates, so the common denominator cancels.
+    Kept by :class:`MasterChain` as it builds the rates, for
+    :func:`_balance_rows`, the tree potential and the exact balance test:
+    every equation they test is homogeneous in the rates, so the common
+    denominator cancels.
     """
-    if mc._ints is None:
-        den = mc.spec._den
-        mc._ints = tuple(
-            tuple(r.numerator * (den // r.denominator) for r in rates)
-            for rates in (mc.forward, mc.backward)
-        )
     return mc._ints
 
 
@@ -836,27 +825,13 @@ def _sparse_pi(mc: MasterChain) -> tuple[list[int], int]:
     return num, sum(num)
 
 
-def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
-    """Integer sparse elimination of pi Q = 0 with pi_0 = 1.
+def _balance_rows(mc: MasterChain) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """Rows and right-hand sides of pi Q = 0 with pi_0 = 1, keyed by state 1..n-1.
 
-    Used by :func:`_sparse_pi` only: the fallback of the lifted solve and
-    the tests' oracle. Every rate is read as an integer over the spec's
-    common denominator, which leaves the homogeneous system unchanged; rows are made
-    primitive as they are loaded, so no step depends on it. Unknowns are
-    pi_1..pi_{n-1} with pi_0 moved to the right-hand side; equation y
-    (for y >= 1) is the balance of state y. Rows are column -> integer
-    dicts with a column -> rows index. Each step pivots on the active
-    column with the fewest nonzeros, in its row with the fewest nonzeros
-    (Markowitz), which keeps fill low on the sparse state graphs; exact
-    cancellations are dropped from the structure. A row with entry ``a``
-    in the pivot column becomes ``(p/g) row - (a/g) prow`` for pivot
-    ``p`` and ``g = gcd(p, a)``, right-hand side alike (fraction-free,
-    as in Bareiss's method). Every row is kept primitive, divided by the
-    gcd of its entries and right-hand side, so there is no gcd per
-    operation yet the entries stay near the size of the solution's.
-
-    Returns ``(column, pivot, rest of row, right-hand side)`` per step,
-    in pivot order.
+    Unknowns are pi_1..pi_{n-1}; row y, the balance of state y, is a
+    column -> integer dict with its diagonal first. The rates are read as
+    integers over the spec's ``_den`` (:func:`_int_rates`), which leaves
+    the homogeneous system unchanged, and each row is made primitive.
     """
     n = mc.num_states
     rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
@@ -869,9 +844,32 @@ def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
             rows[x][x] -= q
             if y:
                 rows[y][x] = q
-    cols: dict[int, set[int]] = {c: set() for c in range(1, n)}
     for y, row in rows.items():
         rhs[y] = _primitive(row, rhs[y])
+    return rows, rhs
+
+
+def _eliminate(mc: MasterChain) -> list[tuple[int, int, dict[int, int], int]]:
+    """Integer sparse elimination of the system :func:`_balance_rows` loads.
+
+    Used by :func:`_sparse_pi` only: the fallback of the lifted solve and
+    the tests' oracle. Rows are column -> integer dicts with a
+    column -> rows index. Each step pivots on the active
+    column with the fewest nonzeros, in its row with the fewest nonzeros
+    (Markowitz), which keeps fill low on the sparse state graphs; exact
+    cancellations are dropped from the structure. A row with entry ``a``
+    in the pivot column becomes ``(p/g) row - (a/g) prow`` for pivot
+    ``p`` and ``g = gcd(p, a)``, right-hand side alike (fraction-free,
+    as in Bareiss's method). Every row is kept primitive, divided by the
+    gcd of its entries and right-hand side, so there is no gcd per
+    operation yet the entries stay near the size of the solution's.
+
+    Returns ``(column, pivot, rest of row, right-hand side)`` per step,
+    in pivot order.
+    """
+    rows, rhs = _balance_rows(mc)
+    cols: dict[int, set[int]] = {c: set() for c in rows}
+    for y, row in rows.items():
         for c in row:
             cols[c].add(y)
 
@@ -1049,10 +1047,16 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     base: dict[tuple[int, int], Fraction] = {}
     coupling: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     v = graph.num_vertices
+    labels = set(graph.labels)
     for key, entry in rates_doc.items():
         if "->" not in key:
             raise ModelError(f"rate key {key!r} must look like 'src->dst'")
-        pair = tuple(_vertex(graph, end, f"rate key {key!r}") for end in key.split("->", 1))
+        # labels may hold '->' too: take the one split with a label on each side
+        splits = [(key[:i], key[i + 2 :]) for i in range(len(key)) if key.startswith("->", i)]
+        ends = [(a, b) for a, b in splits if a in labels and b in labels] or splits[:1]
+        if len(ends) > 1:
+            raise ModelError(f"rate key {key!r} is ambiguous")
+        pair = tuple(_vertex(graph, end, f"rate key {key!r}") for end in ends[0])
         if not graph.has_edge(*pair):
             raise ModelError(f"rate key {key!r} does not name an edge")
         if pair in base:

@@ -396,11 +396,13 @@ def graph_to_json(g: Graph) -> str:
 
 
 def _read_json(path: str | Path, kind: str, error: type[Exception]) -> object:
-    """The parsed JSON of a ``kind`` file; ``error`` when it cannot be read or parsed."""
+    """The parsed JSON of a UTF-8 ``kind`` file; ``error`` when it cannot be read or parsed."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {kind} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} file {path} is not valid UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -412,7 +414,7 @@ def load_graph(path: str | Path) -> Graph:
 
 
 def dump_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_json(g))
+    Path(path).write_text(graph_to_json(g), encoding="utf-8")
 
 
 def _dot_id(label: str) -> str:

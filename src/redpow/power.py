@@ -347,8 +347,9 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     """k-fold Cartesian product of the base graph with itself.
 
     Vertices are comma-joined k-tuples of base labels; edges join tuples
-    differing in one coordinate by a base edge. Raises when the v**k
-    state count would exceed ``budget``.
+    differing in one coordinate by a base edge. Refuses more than
+    ``budget`` (v**k) states, or a base label with ``,``: ``redpow power``
+    prints each PowerError as the reason its cross-check is skipped.
 
     Tuple ``t`` is vertex number ``t``, its mixed-radix code over ``v``,
     so the edge that moves coordinate ``pos`` along base edge ``(a, b)``
@@ -360,9 +361,9 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     v = base.num_vertices
     n = v**k
     if n > budget:
-        raise PowerError(f"cartesian power has {v}^{k} vertices, over budget {budget}")
+        raise PowerError(f"{v}^{k} states exceed budget {budget}")
     if any("," in lab for lab in base.labels):
-        raise PowerError("base labels must not contain ',' for product labeling")
+        raise PowerError("base labels contain ','")
 
     labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
     lo, step = base._pairs[:, :1], base._pairs[:, 1:] - base._pairs[:, :1]

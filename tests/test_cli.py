@@ -75,9 +75,10 @@ def test_power_writes_graph_and_dot(tmp_path, graph_file, capsys):
 
 
 def test_power_skips_crosscheck_over_budget(tmp_path, graph_file, capsys):
-    code = main(["power", "--graph", str(graph_file), "--k", "3", "--budget", "10"])
+    # the pentagon at k = 9 is 715 states; its 5^9 product vertices are over 10^6
+    code = main(["power", "--graph", str(graph_file), "--k", "9"])
     assert code == 0
-    assert "cross-check: skipped" in capsys.readouterr().out
+    assert "cross-check: skipped (5^9 states exceed budget 1000000)" in capsys.readouterr().out
 
 
 def test_power_crosscheck_compares_annotations(graph_file, capsys, monkeypatch):
@@ -704,21 +705,26 @@ def test_power_refuses_a_budget_over_the_default_before_building(
     tmp_path, graph_file, capsys, monkeypatch
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("a power was built")
+        raise AssertionError("the Cartesian power was built")
 
-    for name in ("cartesian_power", "build_reduced_power"):
-        monkeypatch.setattr(cli, name, refuse)
+    # a cartesian_power that skipped its budget check fails here, before allocating
+    monkeypatch.setattr("redpow.power.product", refuse)
     edge = tmp_path / "ab.json"
     edge.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
     # k = 40 on one edge is 41 states, within the state budget; 2^40 product vertices
-    argv = ["power", "--graph", str(edge), "--k", "40", "--budget"]
-    assert main([*argv, "10000000000000"]) == 1
+    assert main(["power", "--graph", str(edge), "--k", "40"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --budget may be at most 1000000\n"
+    assert captured.out == (
+        "states=41 (formula 41) edges=40 (formula 40)\n"
+        "cross-check: skipped (2^40 states exceed budget 1000000)\n"
+    )
+    assert captured.err == ""
     monkeypatch.undo()
-    assert main(["power", "--graph", str(graph_file), "--k", "2", "--budget", "1000000"]) == 0
-    assert "cross-check: quotient of the Cartesian power agrees" in capsys.readouterr().out
+    # the budget is fixed: --budget is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        main(["power", "--graph", str(graph_file), "--k", "2", "--budget", "1000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 # --- outputs that cannot be written, and exact values of any length ---
@@ -750,6 +756,62 @@ def test_an_output_that_cannot_be_written_exits_1(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and f" file {path}: " in err
     assert err.count("\n") == 1
+
+
+# --- files are UTF-8 whatever the locale ---
+
+ACCENTED = {"vertices": ["a", "\u00e9"], "edges": [["a", "\u00e9"]]}
+
+
+@pytest.mark.parametrize("command", ["power", "check-reversibility"])
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    if command == "power":
+        doc, kind, argv = ACCENTED, "graph", [command, "--graph", str(path), "--k", "2"]
+    else:
+        rates = {"a->\u00e9": {"base": "1"}, "\u00e9->a": {"base": "2"}}
+        doc, kind = {"graph": ACCENTED, "k": 2, "rates": rates}, "model"
+        argv = [command, "--model", str(path)]
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} file {path} is not valid UTF-8: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_power_reads_and_writes_utf8_in_the_c_locale(tmp_path):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import redpow
+
+    graph, dot = tmp_path / "accented.json", tmp_path / "accented.dot"
+    graph.write_text(json.dumps(ACCENTED, ensure_ascii=False), encoding="utf-8")
+    script = (
+        "import locale, sys\n"
+        "from redpow.cli import main\n"
+        "print(locale.getpreferredencoding(False))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(redpow.__file__).parents[1])}
+    argv = ["power", "--graph", str(graph), "--k", "2", "--dot", str(dot)]
+    run = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "utf" not in run.stdout.splitlines()[0].lower()  # the locale is not UTF-8
+    assert '  "a\u00e9" -- "\u00e9^2";\n' in dot.read_text(encoding="utf-8")
+
+
+def test_a_dot_label_utf8_cannot_encode_is_a_write_error(tmp_path, capsys):
+    graph, dot = tmp_path / "surrogate.json", tmp_path / "surrogate.dot"
+    graph.write_text('{"vertices": ["a", "\\ud800"], "edges": [["a", "\\ud800"]]}')
+    assert main(["power", "--graph", str(graph), "--k", "1", "--dot", str(dot)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write DOT file {dot}: ") and err.count("\n") == 1
+    assert not dot.exists()
 
 
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}

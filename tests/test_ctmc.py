@@ -1209,6 +1209,26 @@ def test_model_to_dict_round_trips_a_long_path_model():
     assert again[0] == g and model_to_dict(*again) == out
 
 
+@pytest.mark.parametrize("labels", [["a", "b->c"], ["a->b", "c"]])
+def test_rate_keys_round_trip_when_labels_hold_an_arrow(labels):
+    x, y = labels
+    rates = {f"{x}->{y}": {"base": "3"}, f"{y}->{x}": {"base": "1/2"}}
+    doc = {"graph": {"vertices": labels, "edges": [labels]}, "k": 2, "rates": rates}
+    g, k, spec = model_from_dict(doc)
+    assert spec.base_rate(0, 1) == 3 and spec.base_rate(1, 0) == F(1, 2)
+    out = model_to_dict(g, k, spec)
+    assert out["rates"] == rates and model_to_dict(*model_from_dict(out)) == out
+
+
+def test_a_rate_key_with_two_label_splits_is_ambiguous():
+    labels = ["a", "a->b", "b->c", "c"]
+    edges = [["a", "b->c"], ["a->b", "c"], ["a", "a->b"]]
+    doc = {"graph": {"vertices": labels, "edges": edges}, "k": 1,
+           "rates": {"a->b->c": {"base": "1"}}}
+    with pytest.raises(ModelError, match=re.escape("rate key 'a->b->c' is ambiguous")):
+        model_from_dict(doc)
+
+
 @pytest.mark.parametrize("coupling", [{}, {"c": "0", "a": "0/7"}])
 def test_an_explicit_zero_coupling_is_no_coupling(coupling):
     plain = model_doc()
@@ -1426,6 +1446,26 @@ def _triangle_1e4300():
     doc = {"graph": {"vertices": list(labels), "edges": [["a", "b"], ["b", "c"], ["c", "a"]]},
            "k": 2, "rates": rates}
     return build_master(*model_from_dict(doc))
+
+
+def test_kept_integer_rates_are_the_rates_over_the_common_denominator():
+    rng = random.Random(2401)
+    chains = [
+        _random_chain(g, k, rng, wide)
+        for g in generator_suite() for k in (1, 2, 3) for wide in (False, True)
+    ]
+    chains += [
+        _ring_chain(5, 3, random.Random(2301), reversible=False, wide=True),
+        _ring_chain(6, 3, random.Random(2302), reversible=False, wide=True),
+        _triangle_1e4300(),
+    ]
+    for mc in chains:
+        den = mc.spec._den
+        converted = tuple(
+            tuple(r.numerator * (den // r.denominator) for r in rates)
+            for rates in (mc.forward, mc.backward)
+        )
+        assert mc._ints == converted and ctmc._int_rates(mc) is mc._ints
 
 
 @pytest.mark.parametrize(
