@@ -5,6 +5,8 @@ and run the reversibility checks on coupled-automaton models:
 ``check-reversibility`` loads a model, calls :func:`check_reversibility`
 and prints its :class:`Verdict`. Exit codes: 0 success (and checks
 passed), 2 a check ran and failed, 1 bad input or internal failure.
+A usage error (an unknown or missing option, a value of the wrong type)
+exits 2 from argparse before anything runs, so 2 alone is no verdict.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .ctmc import (
     KolmogorovReport,
     MasterChain,
     SteadyState,
+    _FLOAT_STATE_LIMIT as _STATE_BUDGET,
     detailed_balance_check,
     kolmogorov_check,
     load_model,
@@ -41,10 +44,6 @@ from .ctmc import (
 )
 
 __all__ = ["main", "entry", "check_reversibility", "Verdict"]
-
-# Largest power any command builds, in states, and largest k; the largest
-# power any test, script or benchmark workload builds has 2380 states.
-_STATE_BUDGET = 5000
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,9 +49,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import GraphError, ModelError, SolverError
-from .graph import Graph, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
+from .graph import Graph, _edge_ids, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _base_mcb, _edge_ids, _walk_steps, host_graph
+from .cyclespace import CycleBasis, _base_mcb, _walk_steps, host_graph
 
 __all__ = [
     "RateSpec",
@@ -77,7 +77,7 @@ __all__ = [
 # Python's default digit limit for int strings; a larger decimal exponent
 # would spell a longer number than digits may, and Fraction expands it in full
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 # A plain 'n' or 'n/d' is parsed through Decimal, which has no digit limit,
 # so that the loader reads the long integers model_to_dict writes. Up to a
 # 4300-digit mantissa times a 4300-digit power of ten spells that many digits.
@@ -94,6 +94,8 @@ def parse_rational(value: object, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "_" in value:  # Fraction reads PEP 515 underscores from Python 3.11 on only
+            raise ModelError(f"{where}: underscores are not allowed in rate {value!r}")
         try:
             plain = _PLAIN.match(value)
             if plain:
@@ -235,7 +237,8 @@ class MasterChain:
     Every transition rate is checked to be strictly positive, which
     keeps the chain irreducible on the connected state space. ``_ints``
     keeps their integer numerators over the spec's ``_den``, as computed,
-    for :func:`_balance_rows` and the exact checks (:func:`_int_rates`).
+    for the exact checks and solves: every equation they test is
+    homogeneous in the rates, so the common denominator cancels.
     """
 
     __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
@@ -439,7 +442,9 @@ class SteadyState:
 
 
 _EXACT_STATE_LIMIT = 400
-# the CLI's state budget: the dense float solve allocates n^2 floats, LAPACK a copy
+# Also the CLI's state budget (cli._STATE_BUDGET): no command builds a power of
+# more states, or with a larger k. The dense float solve allocates n^2 floats,
+# LAPACK a copy; the largest power any test, script or workload builds has 2380.
 _FLOAT_STATE_LIMIT = 5000
 
 
@@ -743,17 +748,6 @@ def _float_rates(mc: MasterChain) -> np.ndarray:
     return mc._floats
 
 
-def _int_rates(mc: MasterChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Every forward and backward rate as its numerator over the spec's ``_den``.
-
-    Kept by :class:`MasterChain` as it builds the rates, for
-    :func:`_balance_rows`, the tree potential and the exact balance test:
-    every equation they test is homogeneous in the rates, so the common
-    denominator cancels.
-    """
-    return mc._ints
-
-
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     """Exact stationary law of a detailed-balanced chain, else None.
 
@@ -764,7 +758,7 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     none; when every edge holds, pi is stationary, and by irreducibility
     the unique stationary law. O(E) integer operations: each potential is
     a reduced numerator over a denominator, the rates are read as
-    integers (:func:`_int_rates`), every edge is tested by
+    integers (``mc._ints``), every edge is tested by
     cross-multiplying, and only a balanced pi is put over one common
     denominator. The tree edges are found in one search over the sorted
     edge array. The cycle basis is never read, so this stays independent
@@ -774,7 +768,7 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     children = tree.order[1:]
     parents = [tree.parent[y] for y in children]
     ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
-    fwd, bwd = _int_rates(mc)
+    fwd, bwd = mc._ints
     top = [0] * mc.num_states  # pi_x = top[x] / bottom[x] in lowest terms
     bottom = [1] * mc.num_states
     top[tree.root] = 1
@@ -830,13 +824,13 @@ def _balance_rows(mc: MasterChain) -> tuple[dict[int, dict[int, int]], dict[int,
 
     Unknowns are pi_1..pi_{n-1}; row y, the balance of state y, is a
     column -> integer dict with its diagonal first. The rates are read as
-    integers over the spec's ``_den`` (:func:`_int_rates`), which leaves
+    integers over the spec's ``_den`` (``mc._ints``), which leaves
     the homogeneous system unchanged, and each row is made primitive.
     """
     n = mc.num_states
     rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
     rhs = dict.fromkeys(range(1, n), 0)
-    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *_int_rates(mc)):
+    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *mc._ints):
         for x, y, q in ((x0, y0, fwd), (y0, x0, bwd)):  # transitions() order
             if x == 0:
                 rhs[y] -= q
@@ -928,7 +922,7 @@ def _checked_exact(mc: MasterChain, num: list[int], total: int) -> SteadyState:
     per state is built at the end.
     """
     balance = [0] * mc.num_states
-    for (x, y), a, b in zip(mc.rp.graph.edges, *_int_rates(mc)):
+    for (x, y), a, b in zip(mc.rp.graph.edges, *mc._ints):
         net = num[x] * a - num[y] * b  # flow x -> y less flow y -> x, times total * den
         balance[y] += net
         balance[x] -= net
@@ -999,7 +993,7 @@ def detailed_balance_check(
                 )
         common = math.lcm(*(p.denominator for p in pi))
         num = [p.numerator * (common // p.denominator) for p in pi]
-        rates = zip(mc.rp.graph.edges, *_int_rates(mc), mc.forward, mc.backward)
+        rates = zip(mc.rp.graph.edges, *mc._ints, mc.forward, mc.backward)
         for (x, y), a, b, qxy, qyx in rates:
             if num[x] * a != num[y] * b:
                 violations.append(BalanceViolation(labels[x], labels[y], pi[x] * qxy, pi[y] * qyx))

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CycleSpaceError, GraphError
-from .graph import Graph, RootedTree, _bfs, betti, check_spanning_tree
+from .graph import Graph, RootedTree, _bfs, _edge_ids, betti, check_spanning_tree
 from .power import Monomial, ReducedPowerGraph
 
 __all__ = [
@@ -167,23 +167,6 @@ def _bit_indices(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Edge index of every vertex pair ``{x[t], y[t]}``, or -1 where it is no edge of ``g``.
-
-    One binary search over the canonical edge list, which is sorted by
-    ``(i, j)`` and so by ``i * n + j``. A pair with an end out of range or
-    both ends equal is never an edge; each caller raises its own error.
-    """
-    n = g.num_vertices
-    keys = g._pairs[:, 0] * n + g._pairs[:, 1]
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    key = np.where((lo >= 0) & (hi < n) & (lo < hi), lo * n + hi, -1)
-    if not len(keys):
-        return np.full(key.shape, -1, dtype=np.int64)
-    pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-    return np.where(keys[pos] == key, pos, -1)
 
 
 def _walk_steps(walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -202,6 +202,22 @@ class Graph:
         return f"Graph(v={self.num_vertices}, e={self.num_edges})"
 
 
+def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Edge index of every vertex pair ``{x[t], y[t]}``, or -1 where it is no edge of ``g``.
+
+    One binary search on ``_fill``'s sort key ``i * n + j``. A pair with an
+    end out of range or both ends equal is no edge; each caller raises.
+    """
+    n = g.num_vertices
+    keys = g._pairs[:, 0] * n + g._pairs[:, 1]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    key = np.where((lo >= 0) & (hi < n) & (lo < hi), lo * n + hi, -1)
+    if not len(keys):
+        return np.full(key.shape, -1, dtype=np.int64)
+    pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+    return np.where(keys[pos] == key, pos, -1)
+
+
 def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
     """The labels and their index map; raises unless they are distinct non-empty strings."""
     labels = tuple(labels)

@@ -240,19 +240,20 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
 
 
 def _word_ranks(words: np.ndarray, v: int) -> np.ndarray:
-    """Lexicographic rank of each sorted row among the multisets of its size over ``v`` letters.
+    """Lexicographic rank of each last-axis word among the multisets of its size over ``v`` letters.
 
-    With ``c_j = v + k - 2 - w_j - j`` (the complement of the k-subset
-    ``w_j + j`` of ``v + k - 1`` points), a k-word has
-    ``C(v+k-1, k) - 1 - sum_j C(c_j, k - j)`` words after it (Knuth,
-    TAOCP 4A, 7.2.1.3). The terms come from a ``v`` by ``k`` table and
-    every one, like every partial sum, lies below the word count.
+    Words are sorted here, and leading axes kept. A sorted k-word has
+    ``C(v+k-1, k) - 1 - sum_j C(c_j, k - j)`` words after it, with
+    ``c_j = v + k - 2 - w_j - j`` the complement of the k-subset
+    ``w_j + j`` of ``v + k - 1`` points (Knuth, TAOCP 4A, 7.2.1.3). The
+    terms come from a ``v`` by ``k`` table and every one, like every
+    partial sum, lies below the word count.
     """
-    k = words.shape[1]
+    k = words.shape[-1]
     table = np.array(
         [[comb(v + k - 2 - w - j, k - j) for j in range(k)] for w in range(v)], dtype=np.int64
     ).reshape(v, k)
-    return comb(v + k - 1, k) - 1 - table[words, np.arange(k)].sum(axis=1)
+    return comb(v + k - 1, k) - 1 - table[np.sort(words, axis=-1), np.arange(k)].sum(axis=-1)
 
 
 def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -263,12 +264,10 @@ def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     with the tokens of ``stays[m]`` and one more on vertex ``i``.
     """
     stays = list(combinations_with_replacement(range(v), k - 1))
-    rows = np.array(stays, dtype=np.int64).reshape(len(stays), k - 1)
     joined = np.empty((len(stays), v, k), dtype=np.int64)
-    joined[:, :, :-1] = rows[:, None, :]
+    joined[:, :, :-1] = np.array(stays, dtype=np.int64).reshape(len(stays), 1, k - 1)
     joined[:, :, -1] = np.arange(v)
-    joined.sort(axis=2)
-    return stays, _word_ranks(joined.reshape(-1, k), v).reshape(len(stays), v)
+    return stays, _word_ranks(joined, v)
 
 
 def _state_labels(

@@ -24,7 +24,7 @@ that could replace it.
 The squares are built as index arrays. States are numbered by the rank
 of their sorted token words (see :mod:`redpow.power`), so every state
 the basis visits, a square corner or a parked copy of a base cycle
-vertex, is ranked from its sorted token row. With both edges sorted a
+vertex, is ranked from its token row. With both edges sorted a
 square's least corner comes first, so its canonical walk needs only a
 direction check; every step of every walk then finds its power edge in
 one search.
@@ -40,7 +40,15 @@ from math import comb
 import numpy as np
 
 from .errors import GraphError, PowerError
-from .graph import Graph, RootedTree, betti, bfs_spanning_tree, check_spanning_tree, has_triangles
+from .graph import (
+    Graph,
+    RootedTree,
+    _edge_ids,
+    betti,
+    bfs_spanning_tree,
+    check_spanning_tree,
+    has_triangles,
+)
 from .power import Monomial, ReducedPowerGraph, _word_ranks, build_reduced_power
 from .cyclespace import (
     CycleBasis,
@@ -49,7 +57,6 @@ from .cyclespace import (
     Gf2Span,
     _base_mcb,
     _canonical_cycle,
-    _edge_ids,
     _walk_bits,
     _walk_steps,
     cycle_edge_vector,
@@ -131,7 +138,7 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
         return 0, np.empty((0, 5), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
     v = g.num_vertices
     stays = np.array(list(combinations_with_replacement(range(v), k - 2)), np.int64, ndmin=2)
-    ranks = _word_ranks(np.sort(np.array(t.order, dtype=np.int64)[stays], axis=1), v)
+    ranks = _word_ranks(np.array(t.order, dtype=np.int64)[stays], v)
     tops = stays.max(axis=1, initial=0)
     levels = [ranks[tops <= j] for j in range(1, v)]  # at tree-order positions 1, 2, ...
     if not levels:
@@ -222,13 +229,8 @@ def _structured_cycles(
     rp = build_reduced_power(base, k)
     n_tree, rows, stays = _square_words(base, tree, k)
     v = base.num_vertices
-
-    def states(tokens: np.ndarray) -> np.ndarray:
-        """The state holding each row of ``tokens`` (last axis): the rank of its sorted word."""
-        return _word_ranks(np.sort(tokens, axis=-1).reshape(-1, k), v).reshape(tokens.shape[:-1])
-
     # base vertex c -> state c * root^(k-1)
-    parked = states(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]))
+    parked = _word_ranks(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]), v)
     cycles = [_canonical_cycle(parked[list(seq)].tolist()) for seq in _base_mcb(base).cycles]
     # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
     rows[:, :2].sort(axis=1)
@@ -236,7 +238,7 @@ def _structured_cycles(
     a, b, c, d, w = rows.T
     moving = np.column_stack([c, a, c, b, d, b, d, a]).reshape(-1, 4, 2)
     staying = np.broadcast_to(stays[w][:, None], (len(rows), 4, stays.shape[1]))
-    walks = states(np.concatenate([moving, staying], axis=2))
+    walks = _word_ranks(np.concatenate([moving, staying], axis=2), v)
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
     cycles.extend(map(tuple, walks.tolist()))

@@ -529,6 +529,12 @@ def test_word_ranks_count_the_words_before_each_word():
             words = list(combinations_with_replacement(range(v), k))
             rows = np.array(words, dtype=np.int64).reshape(len(words), k)
             assert _word_ranks(rows, v).tolist() == list(range(len(words)))
+            # rows in shuffled order, each with its letters shuffled, and a leading axis
+            rng = np.random.default_rng(10 * v + k)
+            order = rng.permutation(len(words))
+            assert _word_ranks(rng.permuted(rows[order], axis=1), v).tolist() == order.tolist()
+            picks = rng.integers(0, len(words), size=(len(words), 4))
+            assert _word_ranks(rng.permuted(rows[picks], axis=2), v).tolist() == picks.tolist()
             if k:
                 index = {w: i for i, w in enumerate(words)}
                 stays, ranks = _insert_ranks(v, k)
