@@ -3,7 +3,11 @@
 Subcommands build reduced powers, construct and verify cycle bases,
 and run the reversibility checks on coupled-automaton models:
 ``check-reversibility`` loads a model, calls :func:`check_reversibility`
-and prints its :class:`Verdict`. Exit codes: 0 success (and checks
+and prints its :class:`Verdict`. That call builds the k-th power once,
+first; from ``_OVERLAP_STATES`` (500) states on, its dense float solve
+runs on a worker thread beside the basis and the cycle criterion, with the
+same results, messages and exit codes (the gain needs a second core; the
+BLAS thread settings are respected). Exit codes: 0 success (and checks
 passed), 2 a check ran and failed, 1 bad input or internal failure.
 A usage error (an unknown or missing option, a value of the wrong type)
 exits 2 from argparse before anything runs, so 2 alone is no verdict.
@@ -12,6 +16,7 @@ exits 2 from argparse before anything runs, so 2 alone is no verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -28,13 +33,14 @@ from .power import (
     vertex_count,
 )
 from .cyclespace import CycleBasis, greedy_mcb
-from .squares import decomposition_basis, verify_square_space
+from .squares import _decomposition_on, decomposition_basis, verify_square_space
 from .ctmc import (
     BalanceReport,
     KolmogorovReport,
     MasterChain,
     SteadyState,
     _FLOAT_STATE_LIMIT as _STATE_BUDGET,
+    _float_rates,
     detailed_balance_check,
     kolmogorov_check,
     load_model,
@@ -236,24 +242,73 @@ class Verdict:
         }
 
 
+# The float steady state runs on a worker thread, beside the basis and the
+# cycle criterion, from this many states on. np.linalg.solve releases the
+# GIL, but the worker first waits up to the 5 ms GIL switch interval to run.
+# One check_reversibility call, sequential -> worker, median of 14 calls in
+# process on 2 cores with one BLAS thread: C7 at k = 4 (210 states) 16.8 ->
+# 21.3 ms, C8 (330) 29.8 -> 30.2 ms, C9 (495) 47.7 -> 47.8 ms, C10 (715)
+# 81.1 -> 60.5 ms, the random (14,10,3) base (2380) 705 -> 437 ms. Below
+# about 500 states the wait costs what the overlap saves.
+_OVERLAP_STATES = 500
+
+
+@contextlib.contextmanager
+def _first_steady_state(mc: MasterChain, mode: str):
+    """Yield a call that returns ``steady_state(mc, mode=mode)`` or raises its error.
+
+    In float mode the rates are converted on entry, on the calling thread.
+    From ``_OVERLAP_STATES`` states on, the dense solve then starts on a
+    worker thread, and the call joins it; leaving the block joins it too,
+    whatever the block raised, so no thread outlives the block. Otherwise
+    the call solves on the calling thread.
+    """
+    solve = functools.partial(steady_state, mc, mode=mode)
+    overlap = mode == "float" and mc.num_states >= _OVERLAP_STATES
+    if mode == "float":
+        try:
+            _float_rates(mc)
+        except SolverError:
+            overlap = False  # the solve raises it again, after its own state limit check
+    if not overlap:
+        yield solve
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
+
+    with ThreadPoolExecutor(1, thread_name_prefix="redpow-float-solve") as worker:
+        yield worker.submit(solve).result
+
+
 def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     """Are ``k`` automata on ``graph`` with rates ``spec`` reversible, by both criteria?
 
     Raises :class:`RedpowError` on a k or power the budget refuses, before
     building anything, and when the two criteria disagree.
+
+    The k-th power is built once, first, and the master chain, the basis
+    and the steady state all read it. From ``_OVERLAP_STATES`` states on,
+    the dense float solve runs on a worker thread while the calling thread
+    builds the basis and runs the cycle criterion; results, messages and
+    errors are the same as on one thread, and no thread outlives the call.
+    The gain needs a second core; the BLAS thread settings are respected.
     """
     _check_budget("model", graph.num_vertices, k)
     root_index = _root_index(graph, root)
     single = single_automaton_check(graph, spec) if k > 1 else None
-    basis = _basis_for(graph, k, root_index)
-    mc = MasterChain(basis.host, spec)
-    kolmogorov = kolmogorov_check(mc, basis)
+    rp = build_reduced_power(graph, k)
+    mc = MasterChain(rp, spec)
+    with _first_steady_state(mc, "exact" if exact else "float") as first:
+        if k == 1:
+            basis = greedy_mcb(rp)
+        else:
+            basis = _decomposition_on(rp, bfs_spanning_tree(graph, root_index))
+        kolmogorov = kolmogorov_check(mc, basis)
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
 
-    def settle(mode: str):
-        """The steady state in ``mode``; if that solve fails, the tree potential, if any."""
+    def settle(solve):
+        """``solve()``; if that solve fails, the tree potential, if any."""
         try:
-            return steady_state(mc, mode=mode)
+            return solve()
         except SolverError:
             # no state limit of either solve, nor float underflow, binds the tree potential
             ss = reversible_steady_state(mc)
@@ -261,13 +316,13 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
                 raise
             return ss
 
-    ss = settle("exact" if exact else "float")
+    ss = settle(first)
     balance = detailed_balance_check(ss, mc)
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.
-        balance = detailed_balance_check(settle("exact"), mc)
+        balance = detailed_balance_check(settle(functools.partial(steady_state, mc, "exact")), mc)
     if kolmogorov.passed != balance.balanced:
         raise RedpowError("cycle criterion and exact detailed balance disagree")
     return Verdict(k, basis, single, kolmogorov, ss, balance)

@@ -216,9 +216,9 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
 
 
 def _structured_cycles(
-    base: Graph, tree: RootedTree, k: int
-) -> tuple[ReducedPowerGraph, tuple[int, np.ndarray, np.ndarray], list, list[int], np.ndarray]:
-    """The power and its structured cycles: squares, walks, edge bitsets and square edges.
+    rp: ReducedPowerGraph, tree: RootedTree
+) -> tuple[tuple[int, np.ndarray, np.ndarray], list, list[int], np.ndarray]:
+    """The structured cycles of the power ``rp``: squares, walks, edge bitsets and square edges.
 
     The squares are :func:`_square_words`'s count, rows (each edge pair
     sorted) and stay words. The walks are first one embedded copy of a
@@ -226,7 +226,7 @@ def _structured_cycles(
     parked on the tree's root, then the squares in enumeration order. The
     last item holds the four power edges of every square, one row each.
     """
-    rp = build_reduced_power(base, k)
+    base, k = rp.base, rp.k
     n_tree, rows, stays = _square_words(base, tree, k)
     v = base.num_vertices
     # base vertex c -> state c * root^(k-1)
@@ -249,7 +249,7 @@ def _structured_cycles(
         _walk_bits(rp.graph, seq, steps[at : at + len(seq)])
         for seq, at in zip(cycles, starts.tolist())
     ]
-    return rp, (n_tree, rows, stays), cycles, bits, ids[len(ids) - 4 * len(rows) :].reshape(-1, 4)
+    return (n_tree, rows, stays), cycles, bits, ids[len(ids) - 4 * len(rows) :].reshape(-1, 4)
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -264,7 +264,13 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     if k < 2:
         raise PowerError("the decomposition basis needs k >= 2")
     tree = bfs_spanning_tree(base, root)
-    rp, (n_tree, rows, stays), cycles, bits, _ = _structured_cycles(base, tree, k)
+    return _decomposition_on(build_reduced_power(base, k), tree)
+
+
+def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
+    """:func:`decomposition_basis` on the power ``rp`` already built, from ``tree`` of its base."""
+    base, k = rp.base, rp.k
+    (n_tree, rows, stays), cycles, bits, _ = _structured_cycles(rp, tree)
     fs = Monomial._of_words(stays.tolist(), base.num_vertices)
     parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
     infos = [ElementInfo(tag="embedded", f=parked)] * (len(cycles) - len(rows))
@@ -323,7 +329,8 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     square projects to zero in the base cycle space, and together with
     an embedded base MCB they span the full cycle space of the power.
     """
-    rp, (n_tree, rows, _), cycles, bits, square_edges = _structured_cycles(base, tree, k)
+    rp = build_reduced_power(base, k)
+    (n_tree, rows, _), cycles, bits, square_edges = _structured_cycles(rp, tree)
     n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)
     beta_base = betti(base)
     beta_power = betti(rp.graph)

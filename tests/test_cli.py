@@ -1053,3 +1053,151 @@ def test_check_reversibility_settles_past_the_float_state_limit(tmp_path, capsys
     assert main(["check-reversibility", "--model", str(model)]) == 1
     assert capsys.readouterr().err == "error: float mode supports up to 10 states, got 35\n"
     assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
+
+
+# --- the float solve beside the basis: overlapped and sequential runs agree ---
+
+
+def ring_model(kind: str, phi1: str | None = None) -> dict:
+    """A 10-ring at k = 4 (715 states), over the worker threshold.
+
+    Rates i->j are phi(j) plus one coupling vector shared by every pair, so
+    the tokens move independently and the chain is reversible; "wide" draws
+    phi from wide rationals. "irreversible" makes one coupling vector
+    unequal. ``phi1``, if given, is phi(r1).
+    """
+    labels = [f"r{i}" for i in range(10)]
+    edges = [[a, labels[(i + 1) % 10]] for i, a in enumerate(labels)]
+    if kind == "wide":
+        phi = [f"{(7919 * i + 104729) ** 3}/{(6007 * i + 15485863) ** 2}" for i in range(10)]
+    else:
+        phi = [str(1 + i % 3) for i in range(10)]
+    if phi1 is not None:
+        phi[1] = phi1
+    rates = {}
+    for a, b in edges:
+        for src, dst in ((a, b), (b, a)):
+            rates[f"{src}->{dst}"] = {
+                "base": phi[labels.index(dst)],
+                "coupling": {lab: "1/2" for lab in labels},
+            }
+    if kind == "irreversible":
+        rates["r0->r1"]["coupling"]["r5"] = "3"
+    return {"graph": {"vertices": labels, "edges": edges}, "k": 4, "rates": rates}
+
+
+@pytest.fixture
+def solve_threads(monkeypatch):
+    """Record, per float or exact steady-state call, whether it ran on the main thread."""
+    import threading
+
+    seen = []
+    solve = cli.steady_state
+
+    def recording(mc, mode="float", *args, **kwargs):
+        seen.append((mode, threading.current_thread() is threading.main_thread()))
+        return solve(mc, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "steady_state", recording)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["reversible", "irreversible", "wide"])
+def test_overlapped_and_sequential_runs_agree(monkeypatch, solve_threads, kind):
+    import numpy as np
+
+    model = model_from_dict(ring_model(kind))
+    runs = {}
+    for threshold, on_main in ((0, False), (10**9, True)):
+        monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
+        solve_threads.clear()
+        verdict = cli.check_reversibility(*model)
+        assert solve_threads[0] == ("float", on_main)
+        pi = np.array(verdict.steady_state.probabilities, dtype=np.float64)
+        runs[threshold] = (json.dumps(verdict.as_dict()), pi.tobytes(), verdict.kolmogorov.passed)
+    assert runs[0] == runs[10**9]
+    assert runs[0][2] == (kind != "irreversible")
+
+
+def test_a_rate_outside_the_float_range_settles_as_before_above_the_threshold(
+    tmp_path, capsys, solve_threads
+):
+    verdict = cli.check_reversibility(*model_from_dict(ring_model("reversible", phi1="1e400")))
+    assert verdict.kolmogorov.passed and verdict.balance.balanced
+    assert verdict.steady_state.mode == "exact"
+    assert solve_threads == [("float", True)]  # no worker starts when a rate cannot be converted
+    model = _write_model(tmp_path, ring_model("irreversible", phi1="1e400"))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        "error: rate r0->r1 in state 'r0^4' is about 1e+401, outside the float range; "
+        "rerun with --exact\n"
+    )
+
+
+def test_the_float_state_limit_settles_as_before_through_the_worker(
+    tmp_path, capsys, monkeypatch, solve_threads
+):
+    monkeypatch.setattr("redpow.ctmc._FLOAT_STATE_LIMIT", 700)
+    verdict = cli.check_reversibility(*model_from_dict(ring_model("reversible")))
+    assert verdict.kolmogorov.passed and verdict.balance.balanced
+    assert verdict.steady_state.mode == "exact"
+    assert solve_threads == [("float", False)]  # the worker raised, the tree potential settled
+    model = _write_model(tmp_path, ring_model("irreversible"))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == "error: float mode supports up to 700 states, got 715\n"
+
+
+def test_an_error_beside_the_worker_propagates_after_joining_it(monkeypatch):
+    import threading
+
+    solving, solved = threading.Event(), threading.Event()
+    solve = cli.steady_state
+
+    def slow(mc, mode="float"):
+        solving.set()
+        solved.wait(0.2)  # still solving when the cycle criterion raises
+        ss = solve(mc, mode)
+        solved.set()
+        return ss
+
+    error = RuntimeError("the cycle criterion failed")
+
+    def failing(mc, basis):
+        assert solving.wait(10)
+        raise error
+
+    monkeypatch.setattr(cli, "steady_state", slow)
+    monkeypatch.setattr(cli, "kolmogorov_check", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        cli.check_reversibility(*model_from_dict(ring_model("reversible")))
+    assert info.value is error
+    assert solved.is_set() and threading.active_count() == before
+
+
+def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
+    tmp_path, capsys, monkeypatch, solve_threads
+):
+    from redpow import ctmc, squares
+
+    built = []
+    original = cli.build_reduced_power
+
+    def counting(base, k):
+        built.append(k)
+        return original(base, k)
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", counting)
+    model = _write_model(tmp_path, ring_model("irreversible"))
+    assert main(["check-reversibility", "--model", str(model)]) == 2
+    assert sorted(built) == [1, 4]
+    assert solve_threads == [("float", False)]
+
+    g, k, spec = load_model(model)
+    calls = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda q: calls.append(q) or to_float(q))
+    verdict = cli.check_reversibility(g, k, spec)
+    assert not verdict.balance.balanced
+    assert len(calls) == 2 * verdict.basis.host.num_edges
