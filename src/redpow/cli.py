@@ -33,7 +33,7 @@ from .power import (
     vertex_count,
 )
 from .cyclespace import CycleBasis, greedy_mcb
-from .squares import _decomposition_on, decomposition_basis, verify_square_space
+from .squares import _decomposition_on, verify_square_space
 from .ctmc import (
     BalanceReport,
     KolmogorovReport,
@@ -103,20 +103,20 @@ def _write(text: str, path: Path, kind: str) -> None:
         raise RedpowError(f"cannot write {kind} file {path}: {exc}") from None
 
 
-def _write_json(doc: dict, out: Path | None) -> None:
+def _write_json(build_doc, out: Path | None) -> None:
     if out is not None:
-        _write(json.dumps(doc) + "\n", out, "report")
+        _write(json.dumps(build_doc()) + "\n", out, "report")
 
 
 def _root_index(g, root: str | None) -> int:
     return g.index_of(root) if root is not None else 0
 
 
-def _basis_for(g, k: int, root: int) -> CycleBasis:
-    """Cycle basis on the k-th power: greedy MCB for k = 1, else the decomposition."""
-    if k == 1:
-        return greedy_mcb(build_reduced_power(g, 1))
-    return decomposition_basis(g, k, root=root)
+def _basis_for(rp, root: int) -> CycleBasis:
+    """A run's cycle basis on the power ``rp``: greedy MCB at k = 1, else the decomposition."""
+    if rp.k == 1:
+        return greedy_mcb(rp)
+    return _decomposition_on(rp, bfs_spanning_tree(rp.base, root))
 
 
 def _basis_doc(basis: CycleBasis) -> dict:
@@ -163,13 +163,14 @@ def cmd_power(args: argparse.Namespace) -> int:
 def cmd_mcb(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     _check_budget("power", g.num_vertices, args.k)
-    doc = _basis_doc(_basis_for(g, args.k, _root_index(g, args.root)))
+    root = _root_index(g, args.root)
+    basis = _basis_for(build_reduced_power(g, args.k), root)
     print(
-        f"kind={doc['kind']} elements={doc['element_count']} "
-        f"total_length={doc['total_length']} "
-        f"certified_minimum={str(doc['certified_minimum']).lower()}"
+        f"kind={basis.kind} elements={len(basis.elements)} "
+        f"total_length={basis.total_length} "
+        f"certified_minimum={str(basis.certified_minimum).lower()}"
     )
-    _write_json(doc, args.out)
+    _write_json(lambda: _basis_doc(basis), args.out)
     return 0
 
 
@@ -178,11 +179,10 @@ def cmd_verify_squares(args: argparse.Namespace) -> int:
     _check_budget("power", g.num_vertices, args.k)
     tree = bfs_spanning_tree(g, _root_index(g, args.root))
     report = verify_square_space(g, tree, args.k)
-    doc = report.as_dict()
     for key in ("counts_match", "independent", "projects_to_zero", "spans_kernel", "direct_sum"):
-        print(f"{key}: {'ok' if doc[key] else 'FAIL'}")
+        print(f"{key}: {'ok' if getattr(report, key) else 'FAIL'}")
     print(f"square space: {'PASS' if report.passed else 'FAIL'}")
-    _write_json(doc, args.out)
+    _write_json(report.as_dict, args.out)
     return 0 if report.passed else 2
 
 
@@ -298,10 +298,7 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     rp = build_reduced_power(graph, k)
     mc = MasterChain(rp, spec)
     with _first_steady_state(mc, "exact" if exact else "float") as first:
-        if k == 1:
-            basis = greedy_mcb(rp)
-        else:
-            basis = _decomposition_on(rp, bfs_spanning_tree(graph, root_index))
+        basis = _basis_for(rp, root_index)
         kolmogorov = kolmogorov_check(mc, basis)
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
 
@@ -338,7 +335,7 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
     )
     print(f"detailed balance ({v.balance.mode}): {'pass' if v.balance.balanced else 'fail'}")
     print(f"verdict: {'reversible' if v.kolmogorov.passed else 'not reversible'}")
-    _write_json(v.as_dict(), args.out)
+    _write_json(v.as_dict, args.out)
     return 0 if v.kolmogorov.passed else 2
 
 
@@ -351,7 +348,7 @@ def cmd_check_single(args: argparse.Namespace) -> int:
         f"single-automaton criterion: {'pass' if report.passed else 'fail'} "
         f"({len(report.checks)} cycles, {n_bad} violations)"
     )
-    _write_json(report.as_dict(), args.out)
+    _write_json(report.as_dict, args.out)
     return 0 if report.passed else 2
 
 

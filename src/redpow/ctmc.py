@@ -51,7 +51,7 @@ import numpy as np
 from .errors import GraphError, ModelError, SolverError
 from .graph import Graph, _edge_ids, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _base_mcb, _walk_steps, host_graph
+from .cyclespace import CycleBasis, _base_mcb, host_graph
 
 __all__ = [
     "RateSpec",
@@ -362,22 +362,19 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
 
     The criterion holds for every cycle of the chain iff it holds on a
     cycle basis, because log-rate ratios are additive over F2 sums of
-    oriented cycles. All products are exact rationals.
+    oriented cycles. All products are exact rationals, taken along the
+    steps of the basis's one trace (``CycleBasis._trace``).
     """
     if host_graph(basis.host) != mc.rp.graph:
         raise ModelError("cycle basis lives on a different state graph")
     labels, base_labels = mc.rp.graph.labels, mc.rp.base.labels
-    starts, src, dst = _walk_steps(basis.cycles)
-    edge = _edge_ids(mc.rp.graph, src, dst)
-    if (edge < 0).any():
-        idx = int(np.searchsorted(starts, np.argmax(edge < 0), side="right")) - 1
-        raise ModelError(f"basis cycle {idx} uses a transition the chain lacks")
+    starts, edge, against = basis._trace
     # Products run over integer numerators and denominators: transition 2e
     # runs along edge e, 2e + 1 against it. Each factor of every step is
     # gathered by index and multiplied out walk by walk (every walk of a
     # basis has at least three steps), then one Fraction is made per
     # distinct product.
-    step = 2 * edge + (src > dst)
+    step = 2 * edge + against
     rates = [r for pair in zip(mc.forward, mc.backward) for r in pair]
     nums = np.array([r.numerator for r in rates], dtype=object)
     dens = np.array([r.denominator for r in rates], dtype=object)
@@ -1053,8 +1050,6 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
         pair = tuple(_vertex(graph, end, f"rate key {key!r}") for end in ends[0])
         if not graph.has_edge(*pair):
             raise ModelError(f"rate key {key!r} does not name an edge")
-        if pair in base:
-            raise ModelError(f"duplicate rate key {key!r}")
         if not isinstance(entry, dict) or "base" not in entry:
             raise ModelError(f"rate entry {key!r} must be an object with 'base'")
         base[pair] = parse_rational(entry["base"], f"rates[{key!r}].base")

@@ -14,7 +14,7 @@ space needs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -246,6 +246,8 @@ class CycleBasis:
     sequence (consecutive vertices adjacent, last wraps to first).
     Construction re-checks that the sequences match the bitsets, that
     the elements are independent, and that they span the cycle space.
+    It keeps the walks' one trace as ``_trace``, which the cycle check reads:
+    each walk's first step, every step's edge, and whether it runs high to low.
     """
 
     host: object
@@ -254,6 +256,7 @@ class CycleBasis:
     cycles: tuple[tuple[int, ...], ...]
     certified_minimum: bool
     info: tuple[ElementInfo, ...]
+    _trace: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = host_graph(self.host)
@@ -268,7 +271,8 @@ class CycleBasis:
             raise CycleSpaceError("info records do not match element count")
         span = Gf2Span()
         starts, src, dst = _walk_steps(self.cycles)
-        ids = _edge_ids(g, src, dst).tolist()  # every step's edge, in one search
+        edge = _edge_ids(g, src, dst)  # every step's edge, in one search
+        ids = edge.tolist()
         for x, seq, at in zip(self.elements, self.cycles, starts.tolist()):
             if host_graph(x.host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
@@ -278,6 +282,7 @@ class CycleBasis:
                 raise CycleSpaceError("vertex sequence does not trace its element")
             if not span.add(x.bits):
                 raise CycleSpaceError("basis elements are linearly dependent")
+        object.__setattr__(self, "_trace", (starts, edge, src > dst))
 
     @property
     def total_length(self) -> int:

@@ -620,7 +620,7 @@ def test_graph_commands_refuse_over_budget_before_building(tmp_path, capsys, mon
 
     for module in (cli, ctmc, power, squares):
         monkeypatch.setattr(module, "build_reduced_power", refuse)
-    for name in ("cartesian_power", "decomposition_basis", "greedy_mcb", "verify_square_space"):
+    for name in ("cartesian_power", "_decomposition_on", "greedy_mcb", "verify_square_space"):
         monkeypatch.setattr(cli, name, refuse)
     graph = tmp_path / "p4.json"
     graph.write_text(
@@ -758,6 +758,34 @@ def test_an_output_that_cannot_be_written_exits_1(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["mcb", "check-reversibility", "check-single"])
+def test_commands_build_no_report_document_without_out(
+    tmp_path, graph_file, capsys, monkeypatch, command
+):
+    from redpow import ctmc
+
+    if command == "mcb":
+        argv = [command, "--graph", str(graph_file), "--k", "3"]
+    else:
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(pentagon_model(couplings={"c": "1"})))
+        argv = [command, "--model", str(model)]
+    code = main(argv)
+    printed = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a report document was built")
+
+    monkeypatch.setattr(cli, "_basis_doc", refuse)
+    for kind in (cli.Verdict, ctmc.KolmogorovReport, ctmc.CycleCheck, ctmc.SteadyState,
+                 ctmc.BalanceReport):
+        monkeypatch.setattr(kind, "as_dict", refuse)
+    assert main(argv) == code
+    assert capsys.readouterr() == printed
+    with pytest.raises(AssertionError, match="a report document was built"):
+        main([*argv, "--out", str(tmp_path / "report.json")])
+
+
 # --- files are UTF-8 whatever the locale ---
 
 ACCENTED = {"vertices": ["a", "\u00e9"], "edges": [["a", "\u00e9"]]}
@@ -859,7 +887,7 @@ def test_check_reversibility_exact_writes_values_past_the_int_digit_limit(tmp_pa
     assert "verdict: not reversible" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     g, k, spec = load_model(model)
-    basis = cli._basis_for(g, k, 0)
+    basis = cli._basis_for(cli.build_reduced_power(g, k), 0)
     mc = MasterChain(basis.host, spec)
     ss = steady_state(mc, mode="exact")
     balance = detailed_balance_check(ss, mc)

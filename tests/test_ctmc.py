@@ -7,7 +7,6 @@ import math
 import random
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -560,6 +559,21 @@ def test_model_from_dict_rejects(mutate, message):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [[], ["a->b"], "a->b", 1, None])
+def test_model_from_dict_refuses_rates_and_couplings_that_are_not_objects(value):
+    rates_doc = model_doc()
+    rates_doc["rates"] = value
+    coupling_doc = model_doc()
+    coupling_doc["rates"]["a->b"]["coupling"] = value
+    for doc, message in (
+        (rates_doc, "'rates' must be an object keyed by 'src->dst'"),
+        (coupling_doc, "rates['a->b'].coupling must be an object"),
+    ):
+        with pytest.raises(ModelError) as caught:
+            model_from_dict(doc)
+        assert str(caught.value) == message
+
+
 def test_model_from_dict_names_the_field_of_an_unknown_vertex():
     key_doc = model_doc()
     key_doc["rates"]["a->q"] = {"base": "1"}
@@ -663,18 +677,6 @@ def test_kolmogorov_products_equal_plain_rate_products():
                 assert (check.forward, check.backward) == _plain_products(mc, seq)
 
 
-def test_kolmogorov_check_rejects_missing_transitions():
-    g = pentagon()
-    mc = build_master(g, 2, pentagon_spec(1, 1, 1))
-    # CycleBasis validates its cycles, so a stand-in carries the bad walk
-    # a^2 -> c^2 -> a^2 through two states that are not adjacent
-    x = mc.rp.state_index(Monomial((2, 0, 0, 0, 0)))
-    y = mc.rp.state_index(Monomial((0, 0, 2, 0, 0)))
-    bogus = SimpleNamespace(host=mc.rp, cycles=((x, y),), info=None, kind="walk")
-    with pytest.raises(ModelError, match="basis cycle 0 uses a transition the chain lacks"):
-        kolmogorov_check(mc, bogus)
-
-
 @pytest.mark.parametrize("couplings", [(), (1, 1, 2, 1, 1)])
 def test_checks_and_solves_leave_the_word_index_unbuilt(couplings):
     # the word -> state dict is built on the first state_of, which no check or solve calls
@@ -771,6 +773,29 @@ def test_float_steady_state_equals_dense_reference():
         ss = steady_state(mc, mode="float")
         assert ss.probabilities == _dense_float_reference(mc)
         assert 0 <= ss.residual_inf <= 1e-10
+
+
+def test_float_steady_state_refuses_a_failed_solve(monkeypatch):
+    mc = build_master(pentagon(), 2, pentagon_spec(32, 1, 2))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError) as caught:
+        steady_state(mc, mode="float")
+    assert str(caught.value) == "steady-state solve failed: Singular matrix"
+
+
+def test_float_steady_state_refuses_a_residual_over_its_tolerance():
+    mc = build_master(pentagon(), 3, pentagon_spec(32, 1, 2, 1, 1, 2, 1, 1))
+    ss = steady_state(mc, mode="float")
+    assert max(ss.residual_inf, ss.sum_abs_error) > 1e-30
+    with pytest.raises(SolverError) as caught:
+        steady_state(mc, mode="float", tol=1e-30)
+    assert str(caught.value) == (
+        f"steady-state residual {ss.residual_inf:.3e} exceeds tolerance 1.000e-30"
+    )
 
 
 @pytest.mark.parametrize("rate,magnitude", [(F(10) ** 400, "1e+400"), (F(1, 10**400), "1e-400")])

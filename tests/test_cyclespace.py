@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -352,15 +353,50 @@ def test_enumerate_canonical_orientation():
 # --- basis validation ---
 
 
-def _with_cycles(basis: CycleBasis, cycles) -> CycleBasis:
-    return CycleBasis(
-        host=basis.host,
-        elements=basis.elements,
-        kind=basis.kind,
-        cycles=tuple(cycles),
-        certified_minimum=basis.certified_minimum,
-        info=basis.info,
-    )
+def _with_cycles(basis: CycleBasis, cycles, **fields) -> CycleBasis:
+    return dataclasses.replace(basis, cycles=tuple(cycles), **fields)
+
+
+def test_basis_rejects_a_wrong_element_count():
+    basis = greedy_mcb(complete_graph(4))
+    for n in (2, 4):
+        cycles = (basis.cycles * 2)[:n]
+        elements, info = (basis.elements * 2)[:n], (basis.info * 2)[:n]
+        with pytest.raises(CycleSpaceError, match=f"basis has {n} elements, .* dimension 3"):
+            _with_cycles(basis, cycles, elements=elements, info=info)
+
+
+def test_basis_rejects_walks_or_records_that_do_not_match_the_elements():
+    basis = greedy_mcb(complete_graph(4))
+    with pytest.raises(CycleSpaceError, match="every element needs a vertex sequence"):
+        _with_cycles(basis, basis.cycles[1:])
+    with pytest.raises(CycleSpaceError, match="every element needs a vertex sequence"):
+        _with_cycles(basis, basis.cycles + basis.cycles[:1])
+    with pytest.raises(CycleSpaceError, match="info records do not match element count"):
+        _with_cycles(basis, basis.cycles, info=basis.info[1:])
+    with pytest.raises(CycleSpaceError, match="info records do not match element count"):
+        _with_cycles(basis, basis.cycles, info=basis.info + basis.info[:1])
+
+
+def test_basis_rejects_an_element_on_another_host():
+    basis = greedy_mcb(complete_graph(4))
+    g = host_graph(basis.host)
+    other = Graph(["w", "x", "y", "z"], [tuple("wxyz"[i] for i in e) for e in g.edges])
+    assert other.edges == g.edges and other != g
+    moved = EdgeVector(other, basis.elements[1].bits)
+    elements = basis.elements[:1] + (moved,) + basis.elements[2:]
+    with pytest.raises(CycleSpaceError, match="basis element lives on a different host"):
+        _with_cycles(basis, basis.cycles, elements=elements)
+
+
+def test_basis_rejects_a_dependent_set_of_the_right_size():
+    g = complete_graph(4)
+    # the two fundamental triangles through edge 01 and their sum, the 4-cycle 0-2-1-3
+    cycles = ((0, 1, 2), (0, 1, 3), (0, 2, 1, 3))
+    elements = tuple(cycle_edge_vector(g, seq) for seq in cycles)
+    assert elements[0] ^ elements[1] == elements[2] and len(elements) == betti(g)
+    with pytest.raises(CycleSpaceError, match="basis elements are linearly dependent"):
+        _with_cycles(greedy_mcb(g), cycles, elements=elements)
 
 
 def test_basis_rejects_a_walk_tracing_another_cycle():
