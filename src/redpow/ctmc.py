@@ -451,12 +451,12 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     Float mode refuses a chain of more than ``_FLOAT_STATE_LIMIT`` states
     (SolverError) before anything is allocated. It converts every rate to
     a float once per chain (SolverError if one overflows or underflows to
-    zero; exact mode still works there), fills the dense transpose system
-    from that array, replaces its last row by ones and solves it through
-    LAPACK. ``residual_inf`` is the largest
-    |(pi Q)_x|, summed from the per-transition flows ``pi_x q(x,y)`` in
-    O(E) without a second dense matrix; it and ``|sum(pi) - 1|`` are
-    verified against ``tol``.
+    zero; exact mode still works there), refuses a state whose exit rate
+    overflows, fills the dense transpose system from that array, replaces
+    its last row by ones and solves it through LAPACK. ``residual_inf`` is
+    the largest |(pi Q)_x|, summed from the per-transition flows
+    ``pi_x q(x,y)`` in O(E) without a second dense matrix; it and
+    ``|sum(pi) - 1|`` are verified against ``tol``, and a NaN fails.
 
     Exact mode first tries the spanning-tree potential
     (:func:`reversible_steady_state`), which exists exactly when the chain
@@ -475,11 +475,18 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
         # transition t = 2e (forward) or 2e + 1 (backward) of edge e
         ends = mc.rp.graph._pairs
         src, dst = ends.ravel(), ends[:, ::-1].ravel()
-        a = np.zeros((n, n))
-        a[dst, src] = rates
         # ufunc.at subtracts in index order, as a loop over transitions would
         diag = np.zeros(n)
-        np.subtract.at(diag, src, rates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract.at(diag, src, rates)
+        bad = np.flatnonzero(~np.isfinite(diag))
+        if len(bad):
+            raise SolverError(
+                f"exit rate of state {mc.rp.label(int(bad[0]))!r} overflows the float "
+                "range; rerun with --exact"
+            )
+        a = np.zeros((n, n))
+        a[dst, src] = rates
         np.fill_diagonal(a, diag)
         a[-1, :] = 1.0
         b = np.zeros(n)
@@ -488,15 +495,17 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             pi = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"steady-state solve failed: {exc}") from None
-        flow = pi[src] * rates
-        balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
-        residual = float(np.abs(balance).max())
-        sum_err = abs(pi.sum() - 1.0)
-        if residual > tol or sum_err > tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            flow = pi[src] * rates
+            balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
+            residual = float(np.abs(balance).max())
+            sum_err = abs(pi.sum() - 1.0)
+        # written so that a NaN fails each check
+        if not (residual <= tol and sum_err <= tol):
             raise SolverError(
                 f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}"
             )
-        if pi.min() <= 0:
+        if not pi.min() > 0:
             raise SolverError("steady-state solve produced a non-positive probability")
         return SteadyState(tuple(pi), "float", residual, sum_err)
 

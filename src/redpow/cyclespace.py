@@ -169,24 +169,6 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-def _walk_steps(walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steps of closed walks as arrays: each walk's first step, and every step's ends.
-
-    Walk ``w`` takes steps ``starts[w]`` to ``starts[w] + len(walks[w]) - 1``;
-    its last step returns to its first vertex.
-    """
-    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
-    try:
-        src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
-    except OverflowError:  # past int64, so past every vertex index
-        raise GraphError("a walk has a vertex index out of range") from None
-    starts = np.cumsum(lengths) - lengths
-    nxt = np.arange(1, len(src) + 1)
-    closing = lengths > 0
-    nxt[(starts + lengths - 1)[closing]] = starts[closing]
-    return starts, src, src[nxt]
-
-
 def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
     """Edge bitset of a closed walk on at least three distinct vertices.
 
@@ -204,6 +186,30 @@ def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
     for e in ids:
         bits |= 1 << e
     return bits
+
+
+def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[tuple, list[int]]:
+    """Closed walks on ``g`` traced: (first steps, step edges, directions) and their bitsets.
+
+    Walk ``w`` takes steps ``starts[w]`` to ``starts[w] + len(walks[w]) - 1``,
+    its last back to its first vertex; a direction is True where a step runs
+    from its edge's higher end. One search finds every step's edge, then
+    each walk raises its own :func:`_walk_bits` error, in walk order.
+    """
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    try:
+        src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
+    except OverflowError:  # past int64, so past every vertex index
+        raise GraphError("a walk has a vertex index out of range") from None
+    starts = np.cumsum(lengths) - lengths
+    nxt = np.arange(1, len(src) + 1)
+    closing = lengths > 0
+    nxt[(starts + lengths - 1)[closing]] = starts[closing]
+    dst = src[nxt]
+    edge = _edge_ids(g, src, dst)
+    ids = edge.tolist()
+    bits = [_walk_bits(g, seq, ids[at : at + len(seq)]) for seq, at in zip(walks, starts.tolist())]
+    return (starts, edge, src > dst), bits
 
 
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
@@ -244,14 +250,15 @@ class CycleBasis:
 
     Every element is a simple cycle; ``cycles[i]`` is its vertex
     sequence (consecutive vertices adjacent, last wraps to first).
-    Construction re-checks that the sequences match the bitsets, that
-    the elements are independent, and that they span the cycle space.
-    It keeps the walks' one trace as ``_trace``, which the cycle check reads:
-    each walk's first step, every step's edge, and whether it runs high to low.
+    Construction traces the walks once (:func:`_trace_walks`): it checks
+    that they trace the given ``elements``, or takes the traced bitsets as
+    the elements when ``elements`` is None, then checks that the elements
+    are independent and span the cycle space. It keeps the trace as
+    ``_trace``, which the cycle check reads.
     """
 
     host: object
-    elements: tuple[EdgeVector, ...]
+    elements: tuple[EdgeVector, ...] | None
     kind: str
     cycles: tuple[tuple[int, ...], ...]
     certified_minimum: bool
@@ -261,28 +268,27 @@ class CycleBasis:
     def __post_init__(self):
         g = host_graph(self.host)
         dim = betti(g)
-        if len(self.elements) != dim:
-            raise CycleSpaceError(
-                f"basis has {len(self.elements)} elements, cycle space has dimension {dim}"
-            )
-        if len(self.cycles) != len(self.elements):
+        n = len(self.cycles if self.elements is None else self.elements)
+        if n != dim:
+            raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
+        if len(self.cycles) != n:
             raise CycleSpaceError("every element needs a vertex sequence")
-        if len(self.info) != len(self.elements):
+        if len(self.info) != n:
             raise CycleSpaceError("info records do not match element count")
+        # a walk on m >= 3 distinct vertices crosses m distinct edges,
+        # so a traced element is a single simple cycle
+        trace, traced = _trace_walks(g, self.cycles)
+        if self.elements is None:
+            object.__setattr__(self, "elements", tuple(EdgeVector(self.host, x) for x in traced))
         span = Gf2Span()
-        starts, src, dst = _walk_steps(self.cycles)
-        edge = _edge_ids(g, src, dst)  # every step's edge, in one search
-        ids = edge.tolist()
-        for x, seq, at in zip(self.elements, self.cycles, starts.tolist()):
+        for x, bits in zip(self.elements, traced):
             if host_graph(x.host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
-            # a walk on n >= 3 distinct vertices crosses n distinct edges,
-            # so a traced element is a single simple cycle
-            if _walk_bits(g, seq, ids[at : at + len(seq)]) != x.bits:
+            if bits != x.bits:
                 raise CycleSpaceError("vertex sequence does not trace its element")
             if not span.add(x.bits):
                 raise CycleSpaceError("basis elements are linearly dependent")
-        object.__setattr__(self, "_trace", (starts, edge, src > dst))
+        object.__setattr__(self, "_trace", trace)
 
     @property
     def total_length(self) -> int:

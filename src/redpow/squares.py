@@ -26,8 +26,9 @@ of their sorted token words (see :mod:`redpow.power`), so every state
 the basis visits, a square corner or a parked copy of a base cycle
 vertex, is ranked from its token row. With both edges sorted a
 square's least corner comes first, so its canonical walk needs only a
-direction check; every step of every walk then finds its power edge in
-one search.
+direction check. The walks leave here untraced: the one walk tracer of
+:mod:`redpow.cyclespace` finds their power edges and bitsets, for the
+basis and for the square-space check alike.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ from .cyclespace import (
     Gf2Span,
     _base_mcb,
     _canonical_cycle,
-    _walk_bits,
-    _walk_steps,
+    _trace_walks,
     cycle_edge_vector,
 )
 
@@ -215,16 +215,14 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
     return cycle_edge_vector(rp, [rp.state_of(fw + (c,)) for c in cycle])
 
 
-def _structured_cycles(
-    rp: ReducedPowerGraph, tree: RootedTree
-) -> tuple[tuple[int, np.ndarray, np.ndarray], list, list[int], np.ndarray]:
-    """The structured cycles of the power ``rp``: squares, walks, edge bitsets and square edges.
+def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, list]:
+    """The structured cycles of the power ``rp``: squares and walks, untraced.
 
     The squares are :func:`_square_words`'s count, rows (each edge pair
     sorted) and stay words. The walks are first one embedded copy of a
     greedy minimum cycle basis of the base, the k-1 stationary tokens
-    parked on the tree's root, then the squares in enumeration order. The
-    last item holds the four power edges of every square, one row each.
+    parked on the tree's root, then the squares in enumeration order,
+    four steps each; :func:`~redpow.cyclespace._trace_walks` traces them.
     """
     base, k = rp.base, rp.k
     n_tree, rows, stays = _square_words(base, tree, k)
@@ -242,14 +240,7 @@ def _structured_cycles(
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
     cycles.extend(map(tuple, walks.tolist()))
-    starts, src, dst = _walk_steps(cycles)
-    ids = _edge_ids(rp.graph, src, dst)  # every step of every walk, in one search
-    steps = ids.tolist()
-    bits = [
-        _walk_bits(rp.graph, seq, steps[at : at + len(seq)])
-        for seq, at in zip(cycles, starts.tolist())
-    ]
-    return (n_tree, rows, stays), cycles, bits, ids[len(ids) - 4 * len(rows) :].reshape(-1, 4)
+    return (n_tree, rows, stays), cycles
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -270,7 +261,7 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
 def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
     """:func:`decomposition_basis` on the power ``rp`` already built, from ``tree`` of its base."""
     base, k = rp.base, rp.k
-    (n_tree, rows, stays), cycles, bits, _ = _structured_cycles(rp, tree)
+    (n_tree, rows, stays), cycles = _structured_cycles(rp, tree)
     fs = Monomial._of_words(stays.tolist(), base.num_vertices)
     parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
     infos = [ElementInfo(tag="embedded", f=parked)] * (len(cycles) - len(rows))
@@ -281,7 +272,7 @@ def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
     )
     return CycleBasis(
         host=rp,
-        elements=tuple(EdgeVector(rp, x) for x in bits),
+        elements=None,
         kind="decomposition",
         cycles=tuple(cycles),
         certified_minimum=not has_triangles(base),
@@ -330,7 +321,8 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     an embedded base MCB they span the full cycle space of the power.
     """
     rp = build_reduced_power(base, k)
-    (n_tree, rows, _), cycles, bits, square_edges = _structured_cycles(rp, tree)
+    (n_tree, rows, _), cycles = _structured_cycles(rp, tree)
+    (_, edge, _), bits = _trace_walks(rp.graph, cycles)
     n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)
     beta_base = betti(base)
     beta_power = betti(rp.graph)
@@ -347,6 +339,7 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     # a square projects to zero when the base edges its four power edges
     # cross (by their annotations) pair up
     moved = np.array([(i, j) for i, j, _ in rp.annotations], dtype=np.int64).reshape(-1, 2)
+    square_edges = edge[len(edge) - 4 * len(rows) :].reshape(-1, 4)  # the walks' last steps
     crossed = _edge_ids(base, moved[:, 0], moved[:, 1])[square_edges]
     crossed.sort(axis=1)
     zero_proj = bool(((crossed[:, 0] == crossed[:, 1]) & (crossed[:, 2] == crossed[:, 3])).all())

@@ -1229,3 +1229,31 @@ def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
     verdict = cli.check_reversibility(g, k, spec)
     assert not verdict.balance.balanced
     assert len(calls) == 2 * verdict.basis.host.num_edges
+
+
+@pytest.mark.parametrize("c_to_b", ["2", "3"])
+def test_check_reversibility_refuses_an_exit_rate_past_the_float_range(tmp_path, capsys, c_to_b):
+    """a->b and a->c fit a float but their sum does not; the model is reversible at c->b = 2."""
+    rates = {"a->b": "1.5e308", "a->c": "1.5e308", "b->a": "1", "c->a": "1", "b->c": "2"}
+    rates["c->b"] = c_to_b
+    doc = {"graph": TRIANGLE, "k": 1, "rates": {key: {"base": v} for key, v in rates.items()}}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-reversibility", "--model", str(model)])
+        out, err = capsys.readouterr()
+        if c_to_b == "2":  # the tree potential settles it
+            assert (code, err) == (0, "")
+            assert "detailed balance (exact): pass" in out
+        else:
+            assert (code, err) == (
+                1,
+                "error: exit rate of state 'a' overflows the float range; rerun with --exact\n",
+            )
+        assert main(["check-reversibility", "--model", str(model), "--exact"]) == (
+            0 if c_to_b == "2" else 2
+        )
+        assert capsys.readouterr().err == ""

@@ -1638,3 +1638,61 @@ def test_float_steady_state_refuses_past_its_state_limit_before_allocating(monke
     assert converted == []
     monkeypatch.setattr(ctmc, "_FLOAT_STATE_LIMIT", 35)
     assert steady_state(mc, mode="float").mode == "float"
+
+
+# --- float solve past the float range ---
+
+
+def overflow_triangle(c_to_b: str) -> MasterChain:
+    """A k = 1 triangle whose rates a->b and a->c fit a float, but not their sum at a.
+
+    It is reversible when ``c_to_b`` is "2", the rate b->c.
+    """
+    tri = Graph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    rates = {"a->b": "1.5e308", "a->c": "1.5e308", "b->a": "1", "c->a": "1", "b->c": "2"}
+    rates["c->b"] = c_to_b
+    doc = {key: {"base": v} for key, v in rates.items()}
+    _, k, spec = model_from_dict({"graph": graph_to_dict(tri), "k": 1, "rates": doc})
+    return build_master(tri, k, spec)
+
+
+@pytest.mark.parametrize("c_to_b,reversible", [("2", True), ("3", False)])
+def test_float_steady_state_refuses_an_exit_rate_past_the_float_range(c_to_b, reversible):
+    import warnings
+
+    mc = overflow_triangle(c_to_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as caught:
+            steady_state(mc, mode="float")
+        assert str(caught.value) == (
+            "exit rate of state 'a' overflows the float range; rerun with --exact"
+        )
+        assert (reversible_steady_state(mc) is not None) is reversible
+        assert detailed_balance_check(steady_state(mc, mode="exact"), mc).balanced is reversible
+
+
+def test_float_steady_state_refuses_a_law_of_nans(monkeypatch):
+    """A NaN fails the residual check.
+
+    On this chain LAPACK returns an all-NaN law, with no warning, which the
+    checks once let through; the patched solve pins that case on any LAPACK.
+    """
+    import warnings
+
+    g = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    rates = {
+        "a->b": "3", "b->a": "1e-300", "a->c": "1e-154", "c->a": "1e308", "a->d": "1e-320",
+        "d->a": "1.5e308", "b->c": "1e-154", "c->b": "1e-320", "b->d": "1", "d->b": "1e300",
+    }
+    doc = {key: {"base": v} for key, v in rates.items()}
+    doc = {"graph": graph_to_dict(g), "k": 1, "rates": doc}
+    mc = build_master(g, 1, model_from_dict(doc)[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError):
+            steady_state(mc, mode="float")
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+        for chain in (mc, build_master(pentagon(), 2, pentagon_spec(32, 1, 2))):
+            with pytest.raises(SolverError, match="^steady-state residual nan exceeds"):
+                steady_state(chain, mode="float")

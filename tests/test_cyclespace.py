@@ -34,7 +34,7 @@ from redpow import (
     rank,
     total_length,
 )
-from redpow import cyclespace
+from redpow import cli, cyclespace, squares
 from redpow.cyclespace import _canonical_cycle
 from redpow.graph import _bfs
 
@@ -646,3 +646,66 @@ def test_basis_check_raises_the_first_faulty_elements_error_in_order():
         _with_cycles(basis, (first, (0, 1, 9)) + ((0, 1),) + basis.cycles[3:])
     with pytest.raises(CycleSpaceError, match="three vertices"):
         _with_cycles(basis, (first, (0, 1)) + ((0, 1, 9),) + basis.cycles[3:])
+
+
+# --- the one walk tracer ---
+
+
+def test_one_edge_search_traces_a_decomposition_basis(suite, monkeypatch):
+    """The power's edges are searched once per basis, built from the base or as mcb builds it."""
+    searched = []
+    search = cyclespace._edge_ids
+
+    def counted(g, x, y):
+        searched.append(g)
+        return search(g, x, y)
+
+    monkeypatch.setattr(cyclespace, "_edge_ids", counted)
+    monkeypatch.setattr(squares, "_edge_ids", counted)
+    for g in suite:
+        for k in (2, 3):
+            power = build_reduced_power(g, k)
+            for build in (lambda: decomposition_basis(g, k), lambda: cli._basis_for(power, 0)):
+                searched.clear()
+                assert build().kind == "decomposition"
+                assert sum(h == power.graph for h in searched) == 1, (g, k)
+
+
+def test_a_basis_without_elements_derives_the_ones_its_builder_gives(suite):
+    import numpy as np
+
+    for g in suite:
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            bases = [fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0)), greedy_mcb(rp)]
+            if k >= 2:
+                bases.append(decomposition_basis(g, k))
+            for basis in bases:
+                derived = dataclasses.replace(basis, elements=None)
+                assert derived == basis
+                assert all(map(np.array_equal, derived._trace, basis._trace))
+
+
+def test_a_basis_without_elements_keeps_the_walk_refusals():
+    basis = greedy_mcb(cycle_graph(5))
+    with pytest.raises(GraphError):
+        _with_cycles(basis, [(0, 2, 1, 3, 4)], elements=None)
+    with pytest.raises(CycleSpaceError, match="three vertices"):
+        _with_cycles(basis, [(0, 1)], elements=None)
+    with pytest.raises(CycleSpaceError, match="repeats"):
+        _with_cycles(basis, [(0, 1, 2, 1, 0)], elements=None)
+    with pytest.raises(CycleSpaceError, match="basis has 2 elements, .* dimension 1"):
+        _with_cycles(basis, basis.cycles * 2, elements=None, info=basis.info * 2)
+
+
+def test_edge_vectors_refuse_what_they_cannot_hold():
+    g = cycle_graph(4)
+    with pytest.raises(CycleSpaceError, match="^object cannot host edge vectors$"):
+        host_graph(object())
+    for bits in (-1, 1.5):
+        with pytest.raises(CycleSpaceError, match="non-negative integer"):
+            EdgeVector(g, bits)
+    with pytest.raises(TypeError):
+        EdgeVector(g, 1) ^ 3
+    with pytest.raises(CycleSpaceError, match="different hosts"):
+        rank([EdgeVector(g, 1), EdgeVector(cycle_graph(5), 1)])

@@ -461,3 +461,10 @@ def test_array_fill_equals_the_dict_reference(case):
         by_labels = Graph(labels, [(labels[i], labels[j]) for i, j in reversed(pairs)])
         assert by_array == by_labels and hash(by_array) == hash(by_labels)
         assert by_array.num_edges == len(want[0])
+
+
+def test_graph_attribute_lookup_refuses_an_unknown_name():
+    g = Graph(["a", "b"], [("a", "b")])
+    assert hasattr(g, "nope") is False
+    with pytest.raises(AttributeError, match="'Graph' object has no attribute 'nope'"):
+        g.nope

@@ -606,3 +606,21 @@ def test_state_labels_from_words_equal_those_from_monomials(k):
     assert len(set(labels)) == len(labels)
     assert [lab.replace("*", "") for lab in labels] == [m.to_string(g.labels) for m in states]
     assert ("a*bc" in labels) == (k == 2)
+
+
+def test_power_helpers_refuse_arguments_out_of_range():
+    with pytest.raises(PowerError, match="label tuple does not match exponent length"):
+        Monomial((1, 0)).to_string(("a",))
+    with pytest.raises(PowerError, match="vertex_count needs v >= 1 and k >= 1"):
+        vertex_count(0, 1)
+    with pytest.raises(PowerError, match="edge_count needs v >= 1, k >= 1, e >= 0"):
+        edge_count(-1, 1, 1)
+    with pytest.raises(PowerError, match="k must be >= 1"):
+        cartesian_power(cycle_graph(3), 0)
+
+
+def test_equal_reduced_powers_hash_compare_and_print_alike():
+    a, b = build_reduced_power(cycle_graph(4), 2), build_reduced_power(cycle_graph(4), 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "ReducedPowerGraph(k=2, states=10, edges=16)"
+    assert (a == 3) is False and (a.graph == 3) is False
