@@ -456,7 +456,8 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     its last row by ones and solves it through LAPACK. ``residual_inf`` is
     the largest |(pi Q)_x|, summed from the per-transition flows
     ``pi_x q(x,y)`` in O(E) without a second dense matrix; it and
-    ``|sum(pi) - 1|`` are verified against ``tol``, and a NaN fails.
+    ``|sum(pi) - 1|`` are verified against ``tol``, and a NaN fails as the
+    exit-rate overflow does, with a hint to rerun with ``--exact``.
 
     Exact mode first tries the spanning-tree potential
     (:func:`reversible_steady_state`), which exists exactly when the chain
@@ -475,10 +476,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
         # transition t = 2e (forward) or 2e + 1 (backward) of edge e
         ends = mc.rp.graph._pairs
         src, dst = ends.ravel(), ends[:, ::-1].ravel()
-        # ufunc.at subtracts in index order, as a loop over transitions would
-        diag = np.zeros(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract.at(diag, src, rates)
+        diag = -np.bincount(src, rates, n)
         bad = np.flatnonzero(~np.isfinite(diag))
         if len(bad):
             raise SolverError(
@@ -502,8 +500,9 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             sum_err = abs(pi.sum() - 1.0)
         # written so that a NaN fails each check
         if not (residual <= tol and sum_err <= tol):
+            hint = "; rerun with --exact" if np.isnan(residual + sum_err) else ""
             raise SolverError(
-                f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}"
+                f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}{hint}"
             )
         if not pi.min() > 0:
             raise SolverError("steady-state solve produced a non-positive probability")

@@ -14,12 +14,11 @@ the multisets of size k. For k = 1 this reproduces the base graph
 exactly.
 
 A state is keyed by its word, the sorted tuple of the vertex indices
-its tokens occupy (``ReducedPowerGraph.state_of``); ``Monomial`` is the
-public view, built once per state and per stationary monomial.
-
-:func:`build_reduced_power` never looks a word up: ranks are sums of
-entries of a small binomial table (:func:`_word_ranks`), every one below
-the state count, so they fit int64 where ``v**k`` radix codes would not.
+its tokens occupy; ``Monomial`` is the public view, built once per state
+and per stationary monomial. No state is looked up by its word: its
+index is the word's rank, a sum of entries of a small binomial table
+(:func:`_word_ranks`), every one below the state count, so ranks fit
+int64 where ``v**k`` radix codes would not. ``state_of`` ranks one word.
 One array gives the rank of every stay word plus every vertex
 (:func:`_insert_ranks`), and each base edge then reads the ends of all
 its moves off two of its columns.
@@ -96,12 +95,10 @@ class Monomial:
 
     @classmethod
     def from_word(cls, word: tuple[int, ...], size: int) -> "Monomial":
-        exps = [0] * size
         for idx in word:
             if not 0 <= idx < size:
                 raise PowerError(f"vertex index {idx} out of range for size {size}")
-            exps[idx] += 1
-        return cls(tuple(exps))
+        return cls._of_words([word], size)[0]
 
     @property
     def degree(self) -> int:
@@ -140,7 +137,7 @@ class ReducedPowerGraph:
     its lower-indexed end.
     """
 
-    __slots__ = ("base", "k", "states", "graph", "annotations", "_index")
+    __slots__ = ("base", "k", "states", "graph", "annotations")
 
     def __init__(
         self,
@@ -155,7 +152,6 @@ class ReducedPowerGraph:
         self.states = states
         self.graph = graph
         self.annotations = annotations
-        self._index: dict[tuple[int, ...], int] | None = None  # word -> state, on first use
 
     @property
     def num_states(self) -> int:
@@ -166,13 +162,13 @@ class ReducedPowerGraph:
         return self.graph.num_edges
 
     def state_of(self, tokens: tuple[int, ...]) -> int:
-        """Index of the state whose tokens sit on ``tokens``, in any order."""
-        if self._index is None:
-            self._index = {m.word(): i for i, m in enumerate(self.states)}
-        try:
-            return self._index[tuple(sorted(tokens))]
-        except KeyError:
-            raise PowerError(f"tokens {tokens} are not a state of this power") from None
+        """Index of the state with tokens on ``tokens`` (k vertices, any order): its word's rank."""
+        v = self.base.num_vertices
+        if len(tokens) != self.k or not all(
+            isinstance(t, (int, np.integer)) and 0 <= t < v for t in tokens
+        ):
+            raise PowerError(f"tokens {tokens} are not a state of this power")
+        return int(_word_ranks(np.array(tokens, dtype=np.int64), v))
 
     def state_index(self, m: Monomial) -> int:
         if len(m.exponents) != self.base.num_vertices:

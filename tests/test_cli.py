@@ -1257,3 +1257,23 @@ def test_check_reversibility_refuses_an_exit_rate_past_the_float_range(tmp_path,
             0 if c_to_b == "2" else 2
         )
         assert capsys.readouterr().err == ""
+
+
+def test_check_reversibility_refuses_a_law_of_nans_with_the_exact_hint(
+    tmp_path, capsys, monkeypatch
+):
+    """A NaN float law says to rerun with --exact; a reversible model settles by its potential."""
+    import numpy as np
+
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+    model = _write_model(tmp_path, pentagon_model(couplings={"a": "1", "b": "2"}))
+    assert main(["check-reversibility", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        "error: steady-state residual nan exceeds tolerance 1.000e-10; rerun with --exact\n"
+    )
+    assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
+    assert capsys.readouterr().err == ""
+    model = _write_model(tmp_path, pentagon_model())
+    assert main(["check-reversibility", "--model", str(model)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "detailed balance (exact): pass" in out

@@ -184,6 +184,18 @@ def test_greedy_mcb_simple_hosts():
     assert k4.certified_minimum
 
 
+def test_greedy_mcb_of_a_tree_returns_the_empty_basis_without_a_bfs(monkeypatch):
+    # the general path returns the same basis for a tree, after one BFS per vertex
+    def no_bfs(g, sources):
+        raise AssertionError("a tree needs no shortest-path candidates")
+
+    monkeypatch.setattr(cyclespace, "_source_trees", no_bfs)
+    path = path_graph(2000)
+    basis = greedy_mcb(path)
+    assert (basis.host, basis.kind, basis.cycles, basis.elements) == (path, "greedy-mcb", (), ())
+    assert basis.certified_minimum and basis.info == ()
+
+
 def test_greedy_mcb_triangle_power():
     rp = build_reduced_power(cycle_graph(3), 2)
     basis = greedy_mcb(rp)

@@ -44,6 +44,10 @@ def test_edges_are_canonical():
     assert g.edge_position(2, 0) == 1
 
 
+def test_repr_counts_vertices_and_edges():
+    assert repr(cycle_graph(4)) == "Graph(v=4, e=4)"
+
+
 def test_adjacency_sorted():
     g = Graph("abcd", [("a", "d"), ("a", "b"), ("a", "c")])
     assert g.adjacency(0) == (1, 2, 3)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,6 +180,12 @@ def test_k0_rejected():
         cartesian_power(g, 0)
 
 
+def test_quotient_refuses_k0():
+    g = cycle_graph(4)
+    with pytest.raises(PowerError, match="k must be >= 1"):
+        quotient_by_symmetry(g, g, 0)
+
+
 def test_state_index_rejects_foreign_monomial():
     g = cycle_graph(4)
     rp = build_reduced_power(g, 2)
@@ -222,6 +229,29 @@ def test_state_of_agrees_with_state_index(v, extra, k, seed):
 def test_state_of_rejects_non_states(tokens):
     rp = build_reduced_power(cycle_graph(4), 2)
     with pytest.raises(PowerError, match=re.escape(f"tokens {tokens} are not a state")):
+        rp.state_of(tokens)
+
+
+def test_state_of_ranks_every_word_in_every_order_and_integer_type(suite):
+    for g in suite:
+        v = g.num_vertices
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            for word in combinations_with_replacement(range(v), k):
+                index = rp.states.index(Monomial.from_word(word, v))
+                for tokens in set(permutations(word)):
+                    for typed in (tokens, tuple(map(np.int64, tokens))):
+                        got = rp.state_of(typed)
+                        assert got == index and type(got) is int
+                    if max(tokens) <= 1:
+                        assert rp.state_of(tuple(t == 1 for t in tokens)) == index
+
+
+@pytest.mark.parametrize("tokens", [(0, "a"), ("a", "b"), (0, 1.0), (np.float64(0), 1)])
+def test_state_of_refuses_tokens_that_are_not_integers(tokens):
+    rp = build_reduced_power(cycle_graph(4), 2)
+    message = f"tokens {tokens} are not a state of this power"
+    with pytest.raises(PowerError, match=re.escape(message)):
         rp.state_of(tokens)
 
 
