@@ -4,19 +4,19 @@ Subcommands build reduced powers, construct and verify cycle bases,
 and run the reversibility checks on coupled-automaton models:
 ``check-reversibility`` loads a model, calls :func:`check_reversibility`
 and prints its :class:`Verdict`. That call builds the k-th power once,
-first; from ``_OVERLAP_STATES`` (500) states on, its dense float solve
-runs on a worker thread beside the basis and the cycle criterion, with the
-same results, messages and exit codes (the gain needs a second core; the
-BLAS thread settings are respected). Exit codes: 0 success (and checks
-passed), 2 a check ran and failed, 1 bad input or internal failure.
-A usage error (an unknown or missing option, a value of the wrong type)
-exits 2 from argparse before anything runs, so 2 alone is no verdict.
+first, and solves the steady state on the calling thread; from
+``_OVERLAP_STATES`` (500) states on, in float mode, the basis and the cycle
+criterion run meanwhile on a worker thread, with the same results, messages
+and exit codes (the gain needs a second core; the BLAS thread settings are
+respected). Exit codes: 0 success (and checks passed), 2 a check ran and
+failed, 1 bad input or internal failure. A usage error (an unknown or
+missing option, a value of the wrong type) exits 2 from argparse before
+anything runs, so 2 alone is no verdict.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -40,7 +40,6 @@ from .ctmc import (
     MasterChain,
     SteadyState,
     _FLOAT_STATE_LIMIT as _STATE_BUDGET,
-    _float_rates,
     detailed_balance_check,
     kolmogorov_check,
     load_model,
@@ -242,41 +241,31 @@ class Verdict:
         }
 
 
-# The float steady state runs on a worker thread, beside the basis and the
-# cycle criterion, from this many states on. np.linalg.solve releases the
-# GIL, but the worker first waits up to the 5 ms GIL switch interval to run.
-# One check_reversibility call, sequential -> worker, median of 14 calls in
-# process on 2 cores with one BLAS thread: C7 at k = 4 (210 states) 16.8 ->
-# 21.3 ms, C8 (330) 29.8 -> 30.2 ms, C9 (495) 47.7 -> 47.8 ms, C10 (715)
-# 81.1 -> 60.5 ms, the random (14,10,3) base (2380) 705 -> 437 ms. Below
-# about 500 states the wait costs what the overlap saves.
+# From this many float states on, the basis and the cycle criterion run on
+# a worker thread while the calling thread solves the steady state; only
+# LAPACK releases the GIL. One check_reversibility call, one thread ->
+# overlapped, median of 15 in process, 2 cores, one BLAS thread: C7 k = 4
+# (210 states) 15.3 -> 16.5 ms, C8 (330) 28.0 -> 29.3, C9 (495) 45.9 ->
+# 57.0, C10 (715) 77.2 -> 63.1, the random (14,10,3) base (2380) 712 -> 496.
 _OVERLAP_STATES = 500
 
 
-@contextlib.contextmanager
-def _first_steady_state(mc: MasterChain, mode: str):
-    """Yield a call that returns ``steady_state(mc, mode=mode)`` or raises its error.
+def _cycle_criterion(mc: MasterChain, root: int) -> tuple[CycleBasis, KolmogorovReport]:
+    """The run's cycle basis and the cycle criterion on it."""
+    basis = _basis_for(mc.rp, root)
+    return basis, kolmogorov_check(mc, basis)
 
-    In float mode the rates are converted on entry, on the calling thread.
-    From ``_OVERLAP_STATES`` states on, the dense solve then starts on a
-    worker thread, and the call joins it; leaving the block joins it too,
-    whatever the block raised, so no thread outlives the block. Otherwise
-    the call solves on the calling thread.
-    """
-    solve = functools.partial(steady_state, mc, mode=mode)
-    overlap = mode == "float" and mc.num_states >= _OVERLAP_STATES
-    if mode == "float":
-        try:
-            _float_rates(mc)
-        except SolverError:
-            overlap = False  # the solve raises it again, after its own state limit check
-    if not overlap:
-        yield solve
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
 
-    with ThreadPoolExecutor(1, thread_name_prefix="redpow-float-solve") as worker:
-        yield worker.submit(solve).result
+def _settled(mc: MasterChain, mode: str) -> SteadyState:
+    """``steady_state(mc, mode)``; if that solve fails, the tree potential, if any."""
+    try:
+        return steady_state(mc, mode)
+    except SolverError:
+        # no state limit of either solve, nor float underflow, binds the tree potential
+        ss = reversible_steady_state(mc)
+        if ss is None:
+            raise
+        return ss
 
 
 def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
@@ -286,40 +275,37 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     building anything, and when the two criteria disagree.
 
     The k-th power is built once, first, and the master chain, the basis
-    and the steady state all read it. From ``_OVERLAP_STATES`` states on,
-    the dense float solve runs on a worker thread while the calling thread
-    builds the basis and runs the cycle criterion; results, messages and
-    errors are the same as on one thread, and no thread outlives the call.
-    The gain needs a second core; the BLAS thread settings are respected.
+    and the steady state all read it. The steady state is solved on the
+    calling thread. From ``_OVERLAP_STATES`` states on, in float mode, the
+    basis and the cycle criterion run meanwhile on a worker thread, which
+    is joined whatever the solve raised; results, messages and errors are
+    the same as on one thread, where the criterion runs first, and no
+    thread outlives the call. The gain needs a second core; the BLAS
+    thread settings are respected.
     """
     _check_budget("model", graph.num_vertices, k)
     root_index = _root_index(graph, root)
     single = single_automaton_check(graph, spec) if k > 1 else None
-    rp = build_reduced_power(graph, k)
-    mc = MasterChain(rp, spec)
-    with _first_steady_state(mc, "exact" if exact else "float") as first:
-        basis = _basis_for(rp, root_index)
-        kolmogorov = kolmogorov_check(mc, basis)
+    mc = MasterChain(build_reduced_power(graph, k), spec)
+    if exact or mc.num_states < _OVERLAP_STATES:
+        basis, kolmogorov = _cycle_criterion(mc, root_index)
+        ss = _settled(mc, "exact" if exact else "float")
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
+
+        with ThreadPoolExecutor(1, thread_name_prefix="redpow-cycle-criterion") as worker:
+            criterion = worker.submit(_cycle_criterion, mc, root_index)
+            try:
+                ss = _settled(mc, "float")
+            finally:  # the criterion's error wins over the solve's, as on one thread
+                basis, kolmogorov = criterion.result()
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
-
-    def settle(solve):
-        """``solve()``; if that solve fails, the tree potential, if any."""
-        try:
-            return solve()
-        except SolverError:
-            # no state limit of either solve, nor float underflow, binds the tree potential
-            ss = reversible_steady_state(mc)
-            if ss is None:
-                raise
-            return ss
-
-    ss = settle(first)
     balance = detailed_balance_check(ss, mc)
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.
-        balance = detailed_balance_check(settle(functools.partial(steady_state, mc, "exact")), mc)
+        balance = detailed_balance_check(_settled(mc, "exact"), mc)
     if kolmogorov.passed != balance.balanced:
         raise RedpowError("cycle criterion and exact detailed balance disagree")
     return Verdict(k, basis, single, kolmogorov, ss, balance)

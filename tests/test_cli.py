@@ -13,6 +13,8 @@ from redpow import (
     ModelError,
     RedpowError,
     ReducedPowerGraph,
+    SolverError,
+    build_reduced_power,
     cli,
     detailed_balance_check,
     graph_from_dict,
@@ -21,6 +23,7 @@ from redpow import (
     load_model,
     model_from_dict,
     model_to_dict,
+    reversible_steady_state,
     single_automaton_check,
     steady_state,
 )
@@ -1083,7 +1086,7 @@ def test_check_reversibility_settles_past_the_float_state_limit(tmp_path, capsys
     assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
 
 
-# --- the float solve beside the basis: overlapped and sequential runs agree ---
+# --- the cycle criterion beside the float solve: overlapped and sequential runs agree ---
 
 
 def ring_model(kind: str, phi1: str | None = None) -> dict:
@@ -1130,17 +1133,37 @@ def solve_threads(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def criterion_threads(monkeypatch):
+    """Record, per cycle criterion on the run's basis, whether it ran on the main thread."""
+    import threading
+
+    seen = []
+    check = cli.kolmogorov_check
+
+    def recording(mc, basis):
+        seen.append(threading.current_thread() is threading.main_thread())
+        return check(mc, basis)
+
+    monkeypatch.setattr(cli, "kolmogorov_check", recording)
+    return seen
+
+
 @pytest.mark.parametrize("kind", ["reversible", "irreversible", "wide"])
-def test_overlapped_and_sequential_runs_agree(monkeypatch, solve_threads, kind):
+def test_overlapped_and_sequential_runs_agree(
+    monkeypatch, solve_threads, criterion_threads, kind
+):
     import numpy as np
 
     model = model_from_dict(ring_model(kind))
     runs = {}
-    for threshold, on_main in ((0, False), (10**9, True)):
+    for threshold, criterion_on_main in ((0, False), (10**9, True)):
         monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
         solve_threads.clear()
+        criterion_threads.clear()
         verdict = cli.check_reversibility(*model)
-        assert solve_threads[0] == ("float", on_main)
+        assert solve_threads[0] == ("float", True)
+        assert criterion_threads == [criterion_on_main]
         pi = np.array(verdict.steady_state.probabilities, dtype=np.float64)
         runs[threshold] = (json.dumps(verdict.as_dict()), pi.tobytes(), verdict.kolmogorov.passed)
     assert runs[0] == runs[10**9]
@@ -1148,12 +1171,15 @@ def test_overlapped_and_sequential_runs_agree(monkeypatch, solve_threads, kind):
 
 
 def test_a_rate_outside_the_float_range_settles_as_before_above_the_threshold(
-    tmp_path, capsys, solve_threads
+    tmp_path, capsys, solve_threads, criterion_threads
 ):
     verdict = cli.check_reversibility(*model_from_dict(ring_model("reversible", phi1="1e400")))
     assert verdict.kolmogorov.passed and verdict.balance.balanced
     assert verdict.steady_state.mode == "exact"
-    assert solve_threads == [("float", True)]  # no worker starts when a rate cannot be converted
+    # the solve raised on the calling thread and the tree potential settled;
+    # the worker ran the cycle criterion
+    assert solve_threads == [("float", True)]
+    assert criterion_threads == [False]
     model = _write_model(tmp_path, ring_model("irreversible", phi1="1e400"))
     assert main(["check-reversibility", "--model", str(model)]) == 1
     assert capsys.readouterr().err == (
@@ -1163,13 +1189,16 @@ def test_a_rate_outside_the_float_range_settles_as_before_above_the_threshold(
 
 
 def test_the_float_state_limit_settles_as_before_through_the_worker(
-    tmp_path, capsys, monkeypatch, solve_threads
+    tmp_path, capsys, monkeypatch, solve_threads, criterion_threads
 ):
     monkeypatch.setattr("redpow.ctmc._FLOAT_STATE_LIMIT", 700)
     verdict = cli.check_reversibility(*model_from_dict(ring_model("reversible")))
     assert verdict.kolmogorov.passed and verdict.balance.balanced
     assert verdict.steady_state.mode == "exact"
-    assert solve_threads == [("float", False)]  # the worker raised, the tree potential settled
+    # the solve raised on the calling thread and the tree potential settled;
+    # the worker ran the cycle criterion
+    assert solve_threads == [("float", True)]
+    assert criterion_threads == [False]
     model = _write_model(tmp_path, ring_model("irreversible"))
     assert main(["check-reversibility", "--model", str(model)]) == 1
     assert capsys.readouterr().err == "error: float mode supports up to 700 states, got 715\n"
@@ -1203,8 +1232,33 @@ def test_an_error_beside_the_worker_propagates_after_joining_it(monkeypatch):
     assert solved.is_set() and threading.active_count() == before
 
 
+@pytest.mark.parametrize("threshold", [0, 10**9])
+def test_the_criterion_error_wins_over_a_failed_solve_on_either_thread(monkeypatch, threshold):
+    """Overlapped or not, the caller sees the cycle criterion's error, and no thread is left."""
+    import threading
+
+    error = RuntimeError("the cycle criterion failed")
+
+    def failing(mc, basis):
+        raise error
+
+    def unsolvable(mc, mode="float", *args, **kwargs):
+        raise SolverError("the solve failed")
+
+    g, k, spec = model_from_dict(pentagon_model(lam="33"))
+    assert reversible_steady_state(MasterChain(build_reduced_power(g, k), spec)) is None
+    monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
+    monkeypatch.setattr(cli, "kolmogorov_check", failing)
+    monkeypatch.setattr(cli, "steady_state", unsolvable)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        cli.check_reversibility(g, k, spec)
+    assert info.value is error
+    assert threading.active_count() == before
+
+
 def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
-    tmp_path, capsys, monkeypatch, solve_threads
+    tmp_path, capsys, monkeypatch, solve_threads, criterion_threads
 ):
     from redpow import ctmc, squares
 
@@ -1220,7 +1274,8 @@ def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
     model = _write_model(tmp_path, ring_model("irreversible"))
     assert main(["check-reversibility", "--model", str(model)]) == 2
     assert sorted(built) == [1, 4]
-    assert solve_threads == [("float", False)]
+    assert solve_threads == [("float", True)]
+    assert criterion_threads == [False]
 
     g, k, spec = load_model(model)
     calls = []

@@ -582,6 +582,9 @@ def test_of_words_counts_each_word_like_from_word(data):
     word = st.lists(st.integers(0, size - 1), min_size=k, max_size=k).map(lambda w: tuple(sorted(w)))
     words = data.draw(st.lists(word, max_size=6))
     assert Monomial._of_words(words, size) == [Monomial.from_word(w, size) for w in words]
+    # an oracle that shares no code with either: count each vertex in the word
+    counted = [Monomial(tuple(w.count(i) for i in range(size))) for w in words]
+    assert Monomial._of_words(words, size) == counted
 
 
 def test_of_words_counts_the_empty_stay_word_on_thousands_of_vertices():
