@@ -4,11 +4,14 @@ Subcommands build reduced powers, construct and verify cycle bases,
 and run the reversibility checks on coupled-automaton models:
 ``check-reversibility`` loads a model, calls :func:`check_reversibility`
 and prints its :class:`Verdict`. That call builds the k-th power once,
-first, and solves the steady state on the calling thread; from
-``_OVERLAP_STATES`` (500) states on, in float mode, the basis and the cycle
-criterion run meanwhile on a worker thread, with the same results, messages
-and exit codes (the gain needs a second core; the BLAS thread settings are
-respected). Exit codes: 0 success (and checks passed), 2 a check ran and
+first, and settles the steady state on the calling thread. In float mode
+a detailed-balanced chain is settled in O(E) by its float tree potential;
+any other chain by the dense solve, from ``_OVERLAP_STATES`` (500) states
+on with the basis and the cycle criterion run meanwhile on a worker
+thread, with the same results, messages and exit codes (the gain needs a
+second core; the BLAS thread settings are respected). A reversible run's
+``--out`` law is the potential's, which may differ from the dense law's in
+its last bits. Exit codes: 0 success (and checks passed), 2 a check ran and
 failed, 1 bad input or internal failure. A usage error (an unknown or
 missing option, a value of the wrong type) exits 2 from argparse before
 anything runs, so 2 alone is no verdict.
@@ -41,6 +44,7 @@ from .ctmc import (
     SteadyState,
     _FLOAT_STATE_LIMIT as _STATE_BUDGET,
     detailed_balance_check,
+    float_tree_potential,
     kolmogorov_check,
     load_model,
     reversible_steady_state,
@@ -242,11 +246,14 @@ class Verdict:
 
 
 # From this many float states on, the basis and the cycle criterion run on
-# a worker thread while the calling thread solves the steady state; only
-# LAPACK releases the GIL. One check_reversibility call, one thread ->
-# overlapped, median of 15 in process, 2 cores, one BLAS thread: C7 k = 4
-# (210 states) 15.3 -> 16.5 ms, C8 (330) 28.0 -> 29.3, C9 (495) 45.9 ->
-# 57.0, C10 (715) 77.2 -> 63.1, the random (14,10,3) base (2380) 712 -> 496.
+# a worker thread while the calling thread settles the steady state; only
+# LAPACK releases the GIL, so only chains the dense solve settles gain. One
+# check_reversibility call on an irreversible chain, one thread ->
+# overlapped, median of 15 in process (7 at 2380 states), two runs, 2
+# cores, one BLAS thread: C7 k = 4 (210 states) 13.0/14.7 -> 13.2/15.0 ms,
+# C8 (330) 25.4/20.0 -> 25.0/22.0, C9 (495) 37.5/33.8 -> 38.6/37.0, C10
+# (715) 68.9/71.3 -> 53.3/52.4, the random (14,10,3) base (2380) 583/613
+# -> 425/457.
 _OVERLAP_STATES = 500
 
 
@@ -256,16 +263,27 @@ def _cycle_criterion(mc: MasterChain, root: int) -> tuple[CycleBasis, Kolmogorov
     return basis, kolmogorov_check(mc, basis)
 
 
-def _settled(mc: MasterChain, mode: str) -> SteadyState:
-    """``steady_state(mc, mode)``; if that solve fails, the tree potential, if any."""
+def _settled(mc: MasterChain, mode: str) -> tuple[SteadyState, BalanceReport]:
+    """The run's steady state in ``mode``, and its detailed-balance report.
+
+    In float mode the float tree potential is taken if it passes the float
+    balance test on every edge. Otherwise ``steady_state(mc, mode)``; if
+    that solve fails, the exact tree potential, if any.
+    """
+    if mode == "float":
+        ss = float_tree_potential(mc)
+        if ss is not None:
+            balance = detailed_balance_check(ss, mc)
+            if balance.balanced:
+                return ss, balance
     try:
-        return steady_state(mc, mode)
+        ss = steady_state(mc, mode)
     except SolverError:
         # no state limit of either solve, nor float underflow, binds the tree potential
         ss = reversible_steady_state(mc)
         if ss is None:
             raise
-        return ss
+    return ss, detailed_balance_check(ss, mc)
 
 
 def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
@@ -275,13 +293,15 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     building anything, and when the two criteria disagree.
 
     The k-th power is built once, first, and the master chain, the basis
-    and the steady state all read it. The steady state is solved on the
-    calling thread. From ``_OVERLAP_STATES`` states on, in float mode, the
-    basis and the cycle criterion run meanwhile on a worker thread, which
-    is joined whatever the solve raised; results, messages and errors are
-    the same as on one thread, where the criterion runs first, and no
-    thread outlives the call. The gain needs a second core; the BLAS
-    thread settings are respected.
+    and the steady state all read it. The steady state is settled on the
+    calling thread (:func:`_settled`); in float mode a balanced chain
+    needs no dense system, and its law may differ from the dense one in
+    its last bits. From ``_OVERLAP_STATES`` states on, in float mode, the
+    basis and the cycle criterion run meanwhile on a worker thread, started
+    first and joined whatever the solve raised; results, messages and
+    errors are the same as on one thread, where the criterion runs first,
+    and no thread outlives the call. The gain needs a second core; the
+    BLAS thread settings are respected.
     """
     _check_budget("model", graph.num_vertices, k)
     root_index = _root_index(graph, root)
@@ -289,23 +309,22 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     mc = MasterChain(build_reduced_power(graph, k), spec)
     if exact or mc.num_states < _OVERLAP_STATES:
         basis, kolmogorov = _cycle_criterion(mc, root_index)
-        ss = _settled(mc, "exact" if exact else "float")
+        ss, balance = _settled(mc, "exact" if exact else "float")
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
 
         with ThreadPoolExecutor(1, thread_name_prefix="redpow-cycle-criterion") as worker:
             criterion = worker.submit(_cycle_criterion, mc, root_index)
             try:
-                ss = _settled(mc, "float")
+                ss, balance = _settled(mc, "float")
             finally:  # the criterion's error wins over the solve's, as on one thread
                 basis, kolmogorov = criterion.result()
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
-    balance = detailed_balance_check(ss, mc)
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.
-        balance = detailed_balance_check(_settled(mc, "exact"), mc)
+        _, balance = _settled(mc, "exact")
     if kolmogorov.passed != balance.balanced:
         raise RedpowError("cycle criterion and exact detailed balance disagree")
     return Verdict(k, basis, single, kolmogorov, ss, balance)

@@ -65,6 +65,7 @@ __all__ = [
     "SteadyState",
     "steady_state",
     "reversible_steady_state",
+    "float_tree_potential",
     "BalanceReport",
     "detailed_balance_check",
     "parse_rational",
@@ -441,7 +442,11 @@ class SteadyState:
 _EXACT_STATE_LIMIT = 400
 # Also the CLI's state budget (cli._STATE_BUDGET): no command builds a power of
 # more states, or with a larger k. The dense float solve allocates n^2 floats,
-# LAPACK a copy; the largest power any test, script or workload builds has 2380.
+# LAPACK a copy: 400 MB at the limit. Peak RSS of one float check in a fresh
+# process: a 12-ring at k = 5 (4368 states) 75 MiB reversible (float tree
+# potential) and 379 MiB irreversible (dense), a 17-ring at k = 4 (4845) 76
+# and 448 MiB; the dense route, near 480 MiB at the limit, needs no budget
+# of its own. The largest power any test, script or workload builds has 4368.
 _FLOAT_STATE_LIMIT = 5000
 
 
@@ -453,11 +458,9 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
     a float once per chain (SolverError if one overflows or underflows to
     zero; exact mode still works there), refuses a state whose exit rate
     overflows, fills the dense transpose system from that array, replaces
-    its last row by ones and solves it through LAPACK. ``residual_inf`` is
-    the largest |(pi Q)_x|, summed from the per-transition flows
-    ``pi_x q(x,y)`` in O(E) without a second dense matrix; it and
-    ``|sum(pi) - 1|`` are verified against ``tol``, and a NaN fails as the
-    exit-rate overflow does, with a hint to rerun with ``--exact``.
+    its last row by ones and solves it through LAPACK. The residual, the
+    sum and positivity are verified against ``tol`` in O(E), without a
+    second dense matrix (:func:`_checked_float`).
 
     Exact mode first tries the spanning-tree potential
     (:func:`reversible_steady_state`), which exists exactly when the chain
@@ -493,20 +496,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
             pi = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"steady-state solve failed: {exc}") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            flow = pi[src] * rates
-            balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
-            residual = float(np.abs(balance).max())
-            sum_err = abs(pi.sum() - 1.0)
-        # written so that a NaN fails each check
-        if not (residual <= tol and sum_err <= tol):
-            hint = "; rerun with --exact" if np.isnan(residual + sum_err) else ""
-            raise SolverError(
-                f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}{hint}"
-            )
-        if not pi.min() > 0:
-            raise SolverError("steady-state solve produced a non-positive probability")
-        return SteadyState(tuple(pi), "float", residual, sum_err)
+        return _checked_float(mc, pi, rates, tol)
 
     if mode == "exact":
         if n > _EXACT_STATE_LIMIT:
@@ -516,6 +506,33 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> St
         return reversible_steady_state(mc) or _checked_exact(mc, *_lifted_pi(mc))
 
     raise SolverError(f"unknown steady-state mode {mode!r}")
+
+
+def _checked_float(mc: MasterChain, pi: np.ndarray, rates: np.ndarray, tol: float) -> SteadyState:
+    """Wrap the float law ``pi`` after checking its residual, its sum and positivity.
+
+    ``residual_inf`` is the largest |(pi Q)_x|, summed from the
+    per-transition flows ``pi_x q(x,y)`` in O(E); it and ``|sum(pi) - 1|``
+    must be within ``tol``. A NaN fails as the exit-rate overflow does,
+    with a hint to rerun with ``--exact``.
+    """
+    n = mc.num_states
+    ends = mc.rp.graph._pairs
+    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = pi[src] * rates
+        balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
+        residual = float(np.abs(balance).max())
+        sum_err = abs(pi.sum() - 1.0)
+    # written so that a NaN fails each check
+    if not (residual <= tol and sum_err <= tol):
+        hint = "; rerun with --exact" if np.isnan(residual + sum_err) else ""
+        raise SolverError(
+            f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}{hint}"
+        )
+    if not pi.min() > 0:
+        raise SolverError("steady-state solve produced a non-positive probability")
+    return SteadyState(tuple(pi), "float", residual, sum_err)
 
 
 # Consecutive primes just below 2^26, tried in order. With m < 512 unknowns
@@ -753,6 +770,18 @@ def _float_rates(mc: MasterChain) -> np.ndarray:
     return mc._floats
 
 
+def _tree_steps(mc: MasterChain) -> tuple[list[int], list[int], list[int]]:
+    """Each state but 0 in BFS order of a spanning tree rooted there, its parent, their edge.
+
+    The tree edges are found in one search over the sorted edge array.
+    """
+    tree = bfs_spanning_tree(mc.rp.graph)
+    children = list(tree.order[1:])
+    parents = [tree.parent[y] for y in children]
+    ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
+    return children, parents, ids
+
+
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     """Exact stationary law of a detailed-balanced chain, else None.
 
@@ -765,18 +794,14 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     a reduced numerator over a denominator, the rates are read as
     integers (``mc._ints``), every edge is tested by
     cross-multiplying, and only a balanced pi is put over one common
-    denominator. The tree edges are found in one search over the sorted
-    edge array. The cycle basis is never read, so this stays independent
-    of :func:`kolmogorov_check`.
+    denominator. The tree is :func:`_tree_steps`'s. The cycle basis is
+    never read, so this stays independent of :func:`kolmogorov_check`.
     """
-    tree = bfs_spanning_tree(mc.rp.graph)
-    children = tree.order[1:]
-    parents = [tree.parent[y] for y in children]
-    ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
+    children, parents, ids = _tree_steps(mc)
     fwd, bwd = mc._ints
     top = [0] * mc.num_states  # pi_x = top[x] / bottom[x] in lowest terms
     bottom = [1] * mc.num_states
-    top[tree.root] = 1
+    top[0] = 1
     for y, x, e in zip(children, parents, ids):
         # q(x, y) / q(y, x): edge e runs forward from its lower end
         a, b = (fwd[e], bwd[e]) if x < y else (bwd[e], fwd[e])
@@ -789,6 +814,39 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     common = math.lcm(*bottom)
     num = [t * (common // b) for t, b in zip(top, bottom)]
     return _checked_exact(mc, num, sum(num))
+
+
+def float_tree_potential(mc: MasterChain, tol: float = 1e-10) -> SteadyState | None:
+    """Float law of a chain by its spanning-tree potential, in O(E), or None.
+
+    The float counterpart of :func:`reversible_steady_state`: along the
+    same tree, ``log pi_y = log pi_x + log q(x,y) - log q(y,x)`` on the
+    float rates (:func:`_float_rates`), then pi is exponentiated against
+    its largest entry and normalised. It is returned only as the dense
+    float law would be: up to ``_FLOAT_STATE_LIMIT`` states, and with the
+    checks of :func:`_checked_float`; any other outcome, a rate outside
+    the float range too, is None. It is the chain's law where the float
+    balance test (:func:`detailed_balance_check`) passes on every edge.
+    """
+    if mc.num_states > _FLOAT_STATE_LIMIT:
+        return None
+    try:
+        rates = _float_rates(mc)
+    except SolverError:
+        return None
+    children, parents, ids = _tree_steps(mc)  # log pi stays 0 at the root
+    # log q(x,y) / q(y,x) per edge, x its lower end; a child below its parent takes the negative
+    ratio = np.log(rates[0::2]) - np.log(rates[1::2])
+    steps = np.where(np.array(parents) < np.array(children), 1.0, -1.0) * ratio[ids]
+    log_pi = [0.0] * mc.num_states
+    for y, x, step in zip(children, parents, steps.tolist()):
+        log_pi[y] = log_pi[x] + step
+    pi = np.exp(np.array(log_pi) - max(log_pi))
+    pi /= pi.sum()
+    try:
+        return _checked_float(mc, pi, rates, tol)
+    except SolverError:
+        return None
 
 
 def _solve_sparse(mc: MasterChain) -> list[Fraction]:

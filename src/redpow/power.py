@@ -35,6 +35,7 @@ its Python edge tuples, adjacency or edge index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
@@ -246,10 +247,18 @@ def _word_ranks(words: np.ndarray, v: int) -> np.ndarray:
     partial sum, lies below the word count.
     """
     k = words.shape[-1]
+    last, table = _rank_table(v, k)
+    return last - table[np.sort(words, axis=-1), np.arange(k)].sum(axis=-1)
+
+
+@cache
+def _rank_table(v: int, k: int) -> tuple[int, np.ndarray]:
+    """The last rank ``C(v+k-1, k) - 1`` and the read-only term table of :func:`_word_ranks`."""
     table = np.array(
         [[comb(v + k - 2 - w - j, k - j) for j in range(k)] for w in range(v)], dtype=np.int64
     ).reshape(v, k)
-    return comb(v + k - 1, k) - 1 - table[np.sort(words, axis=-1), np.arange(k)].sum(axis=-1)
+    table.flags.writeable = False
+    return comb(v + k - 1, k) - 1, table
 
 
 def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:

@@ -232,11 +232,19 @@ def test_unknown_root_label(tmp_path, graph_file, capsys):
     assert "unknown vertex" in capsys.readouterr().err
 
 
-def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsys):
+def edge_model(a_to_b: str, b_to_a: str, k: int = 1) -> dict:
+    """One edge a-b: at k = 1, pi_b / pi_a = a_to_b / b_to_a, which may leave the float range."""
+    return {"graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "k": k,
+            "rates": {"a->b": {"base": a_to_b}, "b->a": {"base": b_to_a}}}
+
+
+def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsys, solve_threads):
     # Potential rates i->j = phi(j) with one coupling shared by every
     # vertex: tokens move independently, so the chain is reversible. Its
-    # stationary law spans so many orders of magnitude that the float
-    # detailed-balance test misses its 1e-9 relative tolerance on two edges.
+    # stationary law spans so many orders of magnitude that the dense
+    # float law misses the float detailed-balance test's 1e-9 relative
+    # tolerance on two edges; the float tree potential passes it on every
+    # edge and settles the chain with no dense solve.
     phi = dict(zip("abcde", [
         "630472594943/89429611671", "36504427417/1729493974",
         "158915730057/647091878453", "810716869869/349495062578",
@@ -247,9 +255,25 @@ def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsy
     for src, dst in PENTAGON["edges"]:
         for a, b in ((src, dst), (dst, src)):
             rates[f"{a}->{b}"] = {"base": phi[b], "coupling": shared}
+    doc = {"graph": PENTAGON, "k": 5, "rates": rates}
+    g, k, spec = model_from_dict(doc)
+    mc = MasterChain(build_reduced_power(g, k), spec)
+    assert len(detailed_balance_check(steady_state(mc, "float"), mc).violations) == 2
     model = tmp_path / "m.json"
-    model.write_text(json.dumps({"graph": PENTAGON, "k": 5, "rates": rates}))
+    model.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
+    code = main(["check-reversibility", "--model", str(model), "--out", str(out)])
+    assert code == 0
+    assert "detailed balance (float): pass" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["reversible"] is True
+    assert doc["steady_state"]["mode"] == "float"
+    assert doc["detailed_balance"] == {"balanced": True, "mode": "float", "violations": []}
+    assert solve_threads == []
+    # pi_b = 1e-316 is subnormal, too coarse for the float balance test on
+    # the potential and on the dense law alike: the dense law is reported
+    # and the exact law settles the balance
+    model.write_text(json.dumps(edge_model("1e-158", "1e158")))
     code = main(["check-reversibility", "--model", str(model), "--out", str(out)])
     assert code == 0
     assert "detailed balance (exact): pass" in capsys.readouterr().out
@@ -257,6 +281,7 @@ def test_check_reversibility_float_falls_back_to_exact_potential(tmp_path, capsy
     assert doc["reversible"] is True
     assert doc["steady_state"]["mode"] == "float"
     assert doc["detailed_balance"] == {"balanced": True, "mode": "exact", "violations": []}
+    assert solve_threads == [("float", True), ("exact", True)]
 
 
 def test_check_reversibility_float_rejects_rates_outside_the_float_range(tmp_path, capsys):
@@ -1149,9 +1174,25 @@ def criterion_threads(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def potential_threads(monkeypatch):
+    """Record, per float tree potential, whether it ran on the main thread."""
+    import threading
+
+    seen = []
+    potential = cli.float_tree_potential
+
+    def recording(mc):
+        seen.append(threading.current_thread() is threading.main_thread())
+        return potential(mc)
+
+    monkeypatch.setattr(cli, "float_tree_potential", recording)
+    return seen
+
+
 @pytest.mark.parametrize("kind", ["reversible", "irreversible", "wide"])
 def test_overlapped_and_sequential_runs_agree(
-    monkeypatch, solve_threads, criterion_threads, kind
+    monkeypatch, solve_threads, criterion_threads, potential_threads, kind
 ):
     import numpy as np
 
@@ -1161,8 +1202,12 @@ def test_overlapped_and_sequential_runs_agree(
         monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
         solve_threads.clear()
         criterion_threads.clear()
+        potential_threads.clear()
         verdict = cli.check_reversibility(*model)
-        assert solve_threads[0] == ("float", True)
+        # the float tree potential settles a reversible ring; an irreversible
+        # one is solved densely, on the main thread too
+        assert potential_threads == [True]
+        assert solve_threads == ([("float", True)] if kind == "irreversible" else [])
         assert criterion_threads == [criterion_on_main]
         pi = np.array(verdict.steady_state.probabilities, dtype=np.float64)
         runs[threshold] = (json.dumps(verdict.as_dict()), pi.tobytes(), verdict.kolmogorov.passed)
@@ -1188,7 +1233,7 @@ def test_a_rate_outside_the_float_range_settles_as_before_above_the_threshold(
     )
 
 
-def test_the_float_state_limit_settles_as_before_through_the_worker(
+def test_the_float_state_limit_settles_as_before_above_the_threshold(
     tmp_path, capsys, monkeypatch, solve_threads, criterion_threads
 ):
     monkeypatch.setattr("redpow.ctmc._FLOAT_STATE_LIMIT", 700)
@@ -1204,7 +1249,7 @@ def test_the_float_state_limit_settles_as_before_through_the_worker(
     assert capsys.readouterr().err == "error: float mode supports up to 700 states, got 715\n"
 
 
-def test_an_error_beside_the_worker_propagates_after_joining_it(monkeypatch):
+def test_a_criterion_error_on_the_worker_propagates_once_the_solve_returns(monkeypatch):
     import threading
 
     solving, solved = threading.Event(), threading.Event()
@@ -1226,8 +1271,8 @@ def test_an_error_beside_the_worker_propagates_after_joining_it(monkeypatch):
     monkeypatch.setattr(cli, "steady_state", slow)
     monkeypatch.setattr(cli, "kolmogorov_check", failing)
     before = threading.active_count()
-    with pytest.raises(RuntimeError) as info:
-        cli.check_reversibility(*model_from_dict(ring_model("reversible")))
+    with pytest.raises(RuntimeError) as info:  # an irreversible ring needs the dense solve
+        cli.check_reversibility(*model_from_dict(ring_model("irreversible")))
     assert info.value is error
     assert solved.is_set() and threading.active_count() == before
 
@@ -1286,41 +1331,122 @@ def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
     assert len(calls) == 2 * verdict.basis.host.num_edges
 
 
+# --- the float tree potential before the dense solve ---
+
+
+def test_an_irreversible_chain_keeps_the_dense_float_law_bit_for_bit(solve_threads):
+    import numpy as np
+
+    for doc in (pentagon_model(lam="33"), pentagon_model(couplings={"c": "1"}),
+                ring_model("irreversible")):
+        g, k, spec = model_from_dict(doc)
+        verdict = cli.check_reversibility(g, k, spec)
+        dense = steady_state(MasterChain(build_reduced_power(g, k), spec), "float")
+        assert not verdict.kolmogorov.passed and verdict.steady_state.mode == "float"
+        assert (np.array(verdict.steady_state.probabilities).tobytes()
+                == np.array(dense.probabilities).tobytes())
+        assert verdict.steady_state.residual_inf == dense.residual_inf
+    assert solve_threads == [("float", True)] * 3
+
+
+def test_an_underflowing_potential_falls_back_to_the_dense_solve_then_the_exact_potential(
+    solve_threads, potential_threads
+):
+    # at k = 2 the law of the edge is 1 : 2e-200 : 1e-400, and 1e-400 underflows
+    g, k, spec = model_from_dict(edge_model("1e-100", "1e100", k=2))
+    mc = MasterChain(build_reduced_power(g, k), spec)
+    assert cli.float_tree_potential(mc) is None
+    potential_threads.clear()
+    with pytest.raises(SolverError):
+        steady_state(mc, "float")
+    verdict = cli.check_reversibility(g, k, spec)
+    assert potential_threads == [True]
+    assert solve_threads == [("float", True)]
+    assert verdict.steady_state == reversible_steady_state(mc)
+    assert verdict.kolmogorov.passed and verdict.balance.balanced
+    assert verdict.balance.mode == "exact"
+
+
+@pytest.mark.parametrize("pair", ["bc", "bd", "cd"])
+def test_a_potential_unbalanced_on_one_edge_off_the_tree_is_refused(solve_threads, pair):
+    """K4 at k = 1, with one rate off the BFS tree (the star at a) raised by 1e-5.
+
+    pi_a is near 1 and the other entries near 1e-6, so the potential's
+    residual stays within the solve's 1e-10 and only the float balance
+    test, on that one edge, refuses it: the dense law is reported.
+    """
+    import numpy as np
+
+    labels = "abcd"
+    edges = [[x, y] for i, x in enumerate(labels) for y in labels[i + 1:]]
+    rates = {f"{x}->{y}": {"base": "1/1000000" if x == "a" else "1"} for x, y in edges}
+    rates.update({f"{y}->{x}": {"base": "1"} for x, y in edges})
+    rates[f"{pair[0]}->{pair[1]}"]["base"] = "100001/100000"
+    g, k, spec = model_from_dict({"graph": {"vertices": list(labels), "edges": edges}, "k": 1,
+                                  "rates": rates})
+    mc = MasterChain(build_reduced_power(g, k), spec)
+    potential = cli.float_tree_potential(mc)
+    assert potential is not None
+    report = detailed_balance_check(potential, mc)
+    assert [(v.x, v.y) for v in report.violations] == [tuple(pair)]
+    verdict = cli.check_reversibility(g, k, spec)
+    assert not verdict.kolmogorov.passed and not verdict.balance.balanced
+    dense = steady_state(mc, "float")
+    assert (np.array(verdict.steady_state.probabilities).tobytes()
+            == np.array(dense.probabilities).tobytes())
+    assert solve_threads == [("float", True)]
+
+
 @pytest.mark.parametrize("c_to_b", ["2", "3"])
 def test_check_reversibility_refuses_an_exit_rate_past_the_float_range(tmp_path, capsys, c_to_b):
-    """a->b and a->c fit a float but their sum does not; the model is reversible at c->b = 2."""
-    rates = {"a->b": "1.5e308", "a->c": "1.5e308", "b->a": "1", "c->a": "1", "b->c": "2"}
-    rates["c->b"] = c_to_b
-    doc = {"graph": TRIANGLE, "k": 1, "rates": {key: {"base": v} for key, v in rates.items()}}
-    model = tmp_path / "m.json"
-    model.write_text(json.dumps(doc))
+    """a->b and a->c fit a float but their sum does not; the model is reversible at c->b = 2.
+
+    With b->a = c->a = 1 the float tree potential settles the reversible
+    model, and no exit rate is summed. At 1e-300 pi_a underflows to zero,
+    so the dense solve runs, refuses the exit rate of a, and the exact tree
+    potential settles the reversible model.
+    """
     import warnings
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["check-reversibility", "--model", str(model)])
-        out, err = capsys.readouterr()
-        if c_to_b == "2":  # the tree potential settles it
-            assert (code, err) == (0, "")
-            assert "detailed balance (exact): pass" in out
-        else:
-            assert (code, err) == (
-                1,
-                "error: exit rate of state 'a' overflows the float range; rerun with --exact\n",
+    for into_a in ("1", "1e-300"):
+        rates = {"a->b": "1.5e308", "a->c": "1.5e308", "b->a": into_a, "c->a": into_a, "b->c": "2"}
+        rates["c->b"] = c_to_b
+        doc = {"graph": TRIANGLE, "k": 1, "rates": {key: {"base": v} for key, v in rates.items()}}
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-reversibility", "--model", str(model)])
+            out, err = capsys.readouterr()
+            if c_to_b == "2":
+                assert (code, err) == (0, "")
+                mode = "float" if into_a == "1" else "exact"
+                assert f"detailed balance ({mode}): pass" in out
+            else:
+                assert (code, err) == (
+                    1,
+                    "error: exit rate of state 'a' overflows the float range; rerun with --exact\n",
+                )
+            assert main(["check-reversibility", "--model", str(model), "--exact"]) == (
+                0 if c_to_b == "2" else 2
             )
-        assert main(["check-reversibility", "--model", str(model), "--exact"]) == (
-            0 if c_to_b == "2" else 2
-        )
-        assert capsys.readouterr().err == ""
+            assert capsys.readouterr().err == ""
 
 
 def test_check_reversibility_refuses_a_law_of_nans_with_the_exact_hint(
     tmp_path, capsys, monkeypatch
 ):
-    """A NaN float law says to rerun with --exact; a reversible model settles by its potential."""
+    """A NaN float law says to rerun with --exact.
+
+    A reversible model settles by its float tree potential, with no dense
+    solve; where that potential underflows, by its exact one.
+    """
     import numpy as np
 
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+    solves = []
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: solves.append(len(b)) or np.full(len(b), np.nan)
+    )
     model = _write_model(tmp_path, pentagon_model(couplings={"a": "1", "b": "2"}))
     assert main(["check-reversibility", "--model", str(model)]) == 1
     assert capsys.readouterr().err == (
@@ -1328,7 +1454,16 @@ def test_check_reversibility_refuses_a_law_of_nans_with_the_exact_hint(
     )
     assert main(["check-reversibility", "--model", str(model), "--exact"]) == 2
     assert capsys.readouterr().err == ""
+    assert solves == [35]
     model = _write_model(tmp_path, pentagon_model())
     assert main(["check-reversibility", "--model", str(model)]) == 0
     out, err = capsys.readouterr()
+    assert err == "" and "detailed balance (float): pass" in out
+    assert solves == [35]
+    # pi_b = 1e-400 underflows: the potential is refused and the law of NaNs
+    # leaves the chain to its exact tree potential
+    model = _write_model(tmp_path, edge_model("1e-200", "1e200"))
+    assert main(["check-reversibility", "--model", str(model)]) == 0
+    out, err = capsys.readouterr()
     assert err == "" and "detailed balance (exact): pass" in out
+    assert solves == [35, 2]

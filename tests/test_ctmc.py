@@ -28,6 +28,7 @@ from redpow import (
     decomposition_basis,
     detailed_balance_check,
     eval_rate,
+    float_tree_potential,
     fundamental_cycles,
     bfs_spanning_tree,
     graph_to_dict,
@@ -774,6 +775,43 @@ def test_float_steady_state_equals_dense_reference():
         ss = steady_state(mc, mode="float")
         assert ss.probabilities == _dense_float_reference(mc)
         assert 0 <= ss.residual_inf <= 1e-10
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_float_tree_potential_equals_the_dense_law_on_reversible_chains(wide):
+    """On every suite base at k = 1..3, and on coupled reversible rings."""
+    rng = random.Random(909 + wide)
+    chains = [_potential_chain(g, k, rng, wide) for g in generator_suite() for k in (1, 2, 3)]
+    chains += [_ring_chain(n, k, rng, True, wide) for n, k in ((5, 2), (4, 3), (6, 3))]
+    for mc in chains:
+        ss = float_tree_potential(mc)
+        assert ss.mode == "float" and detailed_balance_check(ss, mc).balanced
+        assert 0 <= ss.residual_inf <= 1e-10 and ss.sum_abs_error <= 1e-10
+        pi = np.array(ss.probabilities)
+        assert np.abs(pi - steady_state(mc, mode="float").probabilities).max() <= 1e-10
+        # and entry by entry near the exact law, also where the dense law's
+        # smallest entries are not
+        exact = np.array([float(p) for p in reversible_steady_state(mc).probabilities])
+        assert np.all(np.abs(pi - exact) <= 1e-12 * exact)
+
+
+def test_float_tree_potential_refuses_what_the_dense_solve_refuses(monkeypatch):
+    edge = Graph("ab", [("a", "b")])
+    # pi_b / pi_a = 1e-400 underflows to zero
+    mc = build_master(edge, 1, RateSpec(edge, {(0, 1): F(1, 10**200), (1, 0): F(10**200)}))
+    assert float_tree_potential(mc) is None
+    assert reversible_steady_state(mc) is not None
+    with pytest.raises(SolverError, match="non-positive probability"):
+        steady_state(mc, mode="float")
+    # a rate outside the float range, and a chain over the float state limit
+    huge = build_master(pentagon(), 2, pentagon_spec(F(10) ** 400, 1, 2))
+    assert float_tree_potential(huge) is None
+    mc = build_master(pentagon(), 3, pentagon_spec(32, 1, 2))
+    assert float_tree_potential(mc) is not None
+    monkeypatch.setattr(ctmc, "_FLOAT_STATE_LIMIT", mc.num_states - 1)
+    assert float_tree_potential(mc) is None
+    # an irreversible chain's potential is no stationary law
+    assert float_tree_potential(build_master(pentagon(), 3, pentagon_spec(33, 1, 2))) is None
 
 
 def test_float_steady_state_refuses_a_failed_solve(monkeypatch):
