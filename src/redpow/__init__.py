@@ -71,7 +71,6 @@ from .ctmc import (
     build_master,
     detailed_balance_check,
     eval_rate,
-    float_tree_potential,
     kolmogorov_check,
     load_model,
     model_from_dict,

@@ -6,13 +6,14 @@ and run the reversibility checks on coupled-automaton models:
 and prints its :class:`Verdict`. That call builds the k-th power once,
 first, and settles the steady state on the calling thread. In float mode
 a detailed-balanced chain is settled in O(E) by its float tree potential;
-any other chain by the dense solve, from ``_OVERLAP_STATES`` (500) states
-on with the basis and the cycle criterion run meanwhile on a worker
-thread, with the same results, messages and exit codes (the gain needs a
-second core; the BLAS thread settings are respected). A reversible run's
-``--out`` law is the potential's, which may differ from the dense law's in
-its last bits. Exit codes: 0 success (and checks passed), 2 a check ran and
-failed, 1 bad input or internal failure. A usage error (an unknown or
+any other chain, and one the cycle criterion refutes, by the dense
+solve, from ``_OVERLAP_STATES`` (500) states on with the basis and the
+cycle criterion run meanwhile on a worker thread, with the same results,
+messages and exit codes (the gain needs a second core; the BLAS thread
+settings are respected). A reversible run's ``--out`` law is the
+potential's, which may differ from the dense law's in its last bits.
+Exit codes: 0 success (and checks passed), 2 a check ran and failed, 1
+bad input or internal failure. A usage error (an unknown or
 missing option, a value of the wrong type) exits 2 from argparse before
 anything runs, so 2 alone is no verdict.
 """
@@ -43,8 +44,8 @@ from .ctmc import (
     MasterChain,
     SteadyState,
     _FLOAT_STATE_LIMIT as _STATE_BUDGET,
+    _float_tree_potential,
     detailed_balance_check,
-    float_tree_potential,
     kolmogorov_check,
     load_model,
     reversible_steady_state,
@@ -253,7 +254,11 @@ class Verdict:
 # cores, one BLAS thread: C7 k = 4 (210 states) 13.0/14.7 -> 13.2/15.0 ms,
 # C8 (330) 25.4/20.0 -> 25.0/22.0, C9 (495) 37.5/33.8 -> 38.6/37.0, C10
 # (715) 68.9/71.3 -> 53.3/52.4, the random (14,10,3) base (2380) 583/613
-# -> 425/457.
+# -> 425/457. A reversible chain, settled by the float tree potential with
+# nothing that releases the GIL, neither gains nor loses clearly (same
+# setup, three runs, median of 15 at 715 states and 7 above): 715 states
+# 39.8/40.6/46.7 -> 43.4/42.0/44.8 ms, 2380 284/328/295 -> 335/303/301, a
+# 12-ring at k = 5 (4368) 433/411/371 -> 380/385/377.
 _OVERLAP_STATES = 500
 
 
@@ -263,19 +268,18 @@ def _cycle_criterion(mc: MasterChain, root: int) -> tuple[CycleBasis, Kolmogorov
     return basis, kolmogorov_check(mc, basis)
 
 
-def _settled(mc: MasterChain, mode: str) -> tuple[SteadyState, BalanceReport]:
-    """The run's steady state in ``mode``, and its detailed-balance report.
+def _balanced_potential(mc: MasterChain) -> tuple[SteadyState, BalanceReport] | None:
+    """The float tree potential and its balance report, if balanced on every edge; else None."""
+    ss = _float_tree_potential(mc)
+    if ss is not None:
+        balance = detailed_balance_check(ss, mc)
+        if balance.balanced:
+            return ss, balance
+    return None
 
-    In float mode the float tree potential is taken if it passes the float
-    balance test on every edge. Otherwise ``steady_state(mc, mode)``; if
-    that solve fails, the exact tree potential, if any.
-    """
-    if mode == "float":
-        ss = float_tree_potential(mc)
-        if ss is not None:
-            balance = detailed_balance_check(ss, mc)
-            if balance.balanced:
-                return ss, balance
+
+def _settled(mc: MasterChain, mode: str) -> tuple[SteadyState, BalanceReport]:
+    """``steady_state(mc, mode)``, else the exact tree potential, with its balance report."""
     try:
         ss = steady_state(mc, mode)
     except SolverError:
@@ -294,9 +298,12 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
 
     The k-th power is built once, first, and the master chain, the basis
     and the steady state all read it. The steady state is settled on the
-    calling thread (:func:`_settled`); in float mode a balanced chain
-    needs no dense system, and its law may differ from the dense one in
-    its last bits. From ``_OVERLAP_STATES`` states on, in float mode, the
+    calling thread: in float mode by the float tree potential where it
+    passes the float balance test on every edge (:func:`_balanced_potential`),
+    with no dense system, its law differing from the dense one at most in
+    its last bits; else by :func:`_settled`. A chain the cycle criterion
+    refutes reports the dense law, also one balanced within the float
+    test's tolerance. From ``_OVERLAP_STATES`` states on, in float mode, the
     basis and the cycle criterion run meanwhile on a worker thread, started
     first and joined whatever the solve raised; results, messages and
     errors are the same as on one thread, where the criterion runs first,
@@ -307,18 +314,27 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     root_index = _root_index(graph, root)
     single = single_automaton_check(graph, spec) if k > 1 else None
     mc = MasterChain(build_reduced_power(graph, k), spec)
+    potential = None
     if exact or mc.num_states < _OVERLAP_STATES:
         basis, kolmogorov = _cycle_criterion(mc, root_index)
-        ss, balance = _settled(mc, "exact" if exact else "float")
+        if not exact:
+            potential = _balanced_potential(mc)
+        ss, balance = potential or _settled(mc, "exact" if exact else "float")
     else:
         from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
 
         with ThreadPoolExecutor(1, thread_name_prefix="redpow-cycle-criterion") as worker:
             criterion = worker.submit(_cycle_criterion, mc, root_index)
             try:
-                ss, balance = _settled(mc, "float")
+                potential = _balanced_potential(mc)
+                ss, balance = potential or _settled(mc, "float")
             finally:  # the criterion's error wins over the solve's, as on one thread
                 basis, kolmogorov = criterion.result()
+    if potential and not kolmogorov.passed:
+        # Balanced within the float test's relative tolerance, yet refuted by
+        # the exact cycle criterion: report the dense law, as for any other
+        # irreversible chain.
+        ss, balance = _settled(mc, "float")
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
     if kolmogorov.passed != balance.balanced:
         # The float balance test has a relative tolerance and the cycle

@@ -65,7 +65,6 @@ __all__ = [
     "SteadyState",
     "steady_state",
     "reversible_steady_state",
-    "float_tree_potential",
     "BalanceReport",
     "detailed_balance_check",
     "parse_rational",
@@ -448,9 +447,10 @@ _EXACT_STATE_LIMIT = 400
 # and 448 MiB; the dense route, near 480 MiB at the limit, needs no budget
 # of its own. The largest power any test, script or workload builds has 4368.
 _FLOAT_STATE_LIMIT = 5000
+_FLOAT_TOL = 1e-10  # residual and |sum - 1| bound of every float law
 
 
-def steady_state(mc: MasterChain, mode: str = "float", tol: float = 1e-10) -> SteadyState:
+def steady_state(mc: MasterChain, mode: str = "float", tol: float = _FLOAT_TOL) -> SteadyState:
     """Solve pi Q = 0 with sum(pi) = 1.
 
     Float mode refuses a chain of more than ``_FLOAT_STATE_LIMIT`` states
@@ -816,7 +816,7 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     return _checked_exact(mc, num, sum(num))
 
 
-def float_tree_potential(mc: MasterChain, tol: float = 1e-10) -> SteadyState | None:
+def _float_tree_potential(mc: MasterChain) -> SteadyState | None:
     """Float law of a chain by its spanning-tree potential, in O(E), or None.
 
     The float counterpart of :func:`reversible_steady_state`: along the
@@ -824,9 +824,10 @@ def float_tree_potential(mc: MasterChain, tol: float = 1e-10) -> SteadyState | N
     float rates (:func:`_float_rates`), then pi is exponentiated against
     its largest entry and normalised. It is returned only as the dense
     float law would be: up to ``_FLOAT_STATE_LIMIT`` states, and with the
-    checks of :func:`_checked_float`; any other outcome, a rate outside
-    the float range too, is None. It is the chain's law where the float
-    balance test (:func:`detailed_balance_check`) passes on every edge.
+    checks of :func:`_checked_float` at the dense solve's ``_FLOAT_TOL``;
+    any other outcome, a rate outside the float range too, is None. It is
+    the chain's law where the float balance test
+    (:func:`detailed_balance_check`) passes on every edge.
     """
     if mc.num_states > _FLOAT_STATE_LIMIT:
         return None
@@ -844,7 +845,7 @@ def float_tree_potential(mc: MasterChain, tol: float = 1e-10) -> SteadyState | N
     pi = np.exp(np.array(log_pi) - max(log_pi))
     pi /= pi.sum()
     try:
-        return _checked_float(mc, pi, rates, tol)
+        return _checked_float(mc, pi, rates, _FLOAT_TOL)
     except SolverError:
         return None
 

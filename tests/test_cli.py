@@ -1180,13 +1180,13 @@ def potential_threads(monkeypatch):
     import threading
 
     seen = []
-    potential = cli.float_tree_potential
+    potential = cli._float_tree_potential
 
     def recording(mc):
         seen.append(threading.current_thread() is threading.main_thread())
         return potential(mc)
 
-    monkeypatch.setattr(cli, "float_tree_potential", recording)
+    monkeypatch.setattr(cli, "_float_tree_potential", recording)
     return seen
 
 
@@ -1355,7 +1355,7 @@ def test_an_underflowing_potential_falls_back_to_the_dense_solve_then_the_exact_
     # at k = 2 the law of the edge is 1 : 2e-200 : 1e-400, and 1e-400 underflows
     g, k, spec = model_from_dict(edge_model("1e-100", "1e100", k=2))
     mc = MasterChain(build_reduced_power(g, k), spec)
-    assert cli.float_tree_potential(mc) is None
+    assert cli._float_tree_potential(mc) is None
     potential_threads.clear()
     with pytest.raises(SolverError):
         steady_state(mc, "float")
@@ -1367,25 +1367,34 @@ def test_an_underflowing_potential_falls_back_to_the_dense_solve_then_the_exact_
     assert verdict.balance.mode == "exact"
 
 
-@pytest.mark.parametrize("pair", ["bc", "bd", "cd"])
-def test_a_potential_unbalanced_on_one_edge_off_the_tree_is_refused(solve_threads, pair):
-    """K4 at k = 1, with one rate off the BFS tree (the star at a) raised by 1e-5.
+def k4_model(pair, rate):
+    """K4 at k = 1, balanced but for the rate of ``pair`` (off the BFS tree, the star at a).
 
-    pi_a is near 1 and the other entries near 1e-6, so the potential's
-    residual stays within the solve's 1e-10 and only the float balance
-    test, on that one edge, refuses it: the dense law is reported.
+    Out of a every rate is 1e-6 and every other rate 1, so pi_a is near 1
+    and the other entries near 1e-6.
     """
-    import numpy as np
-
     labels = "abcd"
     edges = [[x, y] for i, x in enumerate(labels) for y in labels[i + 1:]]
     rates = {f"{x}->{y}": {"base": "1/1000000" if x == "a" else "1"} for x, y in edges}
     rates.update({f"{y}->{x}": {"base": "1"} for x, y in edges})
-    rates[f"{pair[0]}->{pair[1]}"]["base"] = "100001/100000"
-    g, k, spec = model_from_dict({"graph": {"vertices": list(labels), "edges": edges}, "k": 1,
-                                  "rates": rates})
+    rates[f"{pair[0]}->{pair[1]}"]["base"] = rate
+    return model_from_dict({"graph": {"vertices": list(labels), "edges": edges}, "k": 1,
+                            "rates": rates})
+
+
+@pytest.mark.parametrize("pair", ["bc", "bd", "cd"])
+def test_a_potential_unbalanced_on_one_edge_off_the_tree_is_refused(solve_threads, pair):
+    """K4 with one rate off the tree raised by 1e-5.
+
+    The potential's residual stays within the solve's 1e-10 and only the
+    float balance test, on that one edge, refuses it: the dense law is
+    reported.
+    """
+    import numpy as np
+
+    g, k, spec = k4_model(pair, "100001/100000")
     mc = MasterChain(build_reduced_power(g, k), spec)
-    potential = cli.float_tree_potential(mc)
+    potential = cli._float_tree_potential(mc)
     assert potential is not None
     report = detailed_balance_check(potential, mc)
     assert [(v.x, v.y) for v in report.violations] == [tuple(pair)]
@@ -1395,6 +1404,35 @@ def test_a_potential_unbalanced_on_one_edge_off_the_tree_is_refused(solve_thread
     assert (np.array(verdict.steady_state.probabilities).tobytes()
             == np.array(dense.probabilities).tobytes())
     assert solve_threads == [("float", True)]
+
+
+def test_a_chain_balanced_within_the_float_tolerance_reports_the_dense_law(
+    monkeypatch, solve_threads
+):
+    """K4 with c->d raised by 1e-11: the potential passes every float check.
+
+    The exact cycle criterion refutes the chain, so on either route the
+    verdict carries the dense law, as for any other irreversible chain,
+    and the exact balance test.
+    """
+    import numpy as np
+
+    g, k, spec = k4_model("cd", "100000000001/100000000000")
+    mc = MasterChain(build_reduced_power(g, k), spec)
+    potential = cli._float_tree_potential(mc)
+    assert potential is not None and detailed_balance_check(potential, mc).balanced
+    dense = steady_state(mc, "float")
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
+        verdict = cli.check_reversibility(g, k, spec)
+        assert not verdict.kolmogorov.passed and not verdict.balance.balanced
+        assert verdict.balance.mode == "exact"
+        assert verdict.steady_state.mode == "float"
+        assert (np.array(verdict.steady_state.probabilities).tobytes()
+                == np.array(dense.probabilities).tobytes())
+        assert verdict.steady_state.residual_inf == dense.residual_inf
+    # the dense law passes the float balance test too, so the exact law settles the verdict
+    assert solve_threads == [("float", True), ("exact", True)] * 2
 
 
 @pytest.mark.parametrize("c_to_b", ["2", "3"])

@@ -28,7 +28,6 @@ from redpow import (
     decomposition_basis,
     detailed_balance_check,
     eval_rate,
-    float_tree_potential,
     fundamental_cycles,
     bfs_spanning_tree,
     graph_to_dict,
@@ -42,7 +41,14 @@ from redpow import (
     steady_state,
 )
 from redpow import ctmc
-from redpow.ctmc import _checked_exact, _eliminate, _lifted_pi, _reconstruct, _solve_sparse
+from redpow.ctmc import (
+    _checked_exact,
+    _eliminate,
+    _float_tree_potential,
+    _lifted_pi,
+    _reconstruct,
+    _solve_sparse,
+)
 
 from conftest import (
     JSON_VALUES,
@@ -784,7 +790,7 @@ def test_float_tree_potential_equals_the_dense_law_on_reversible_chains(wide):
     chains = [_potential_chain(g, k, rng, wide) for g in generator_suite() for k in (1, 2, 3)]
     chains += [_ring_chain(n, k, rng, True, wide) for n, k in ((5, 2), (4, 3), (6, 3))]
     for mc in chains:
-        ss = float_tree_potential(mc)
+        ss = _float_tree_potential(mc)
         assert ss.mode == "float" and detailed_balance_check(ss, mc).balanced
         assert 0 <= ss.residual_inf <= 1e-10 and ss.sum_abs_error <= 1e-10
         pi = np.array(ss.probabilities)
@@ -799,19 +805,19 @@ def test_float_tree_potential_refuses_what_the_dense_solve_refuses(monkeypatch):
     edge = Graph("ab", [("a", "b")])
     # pi_b / pi_a = 1e-400 underflows to zero
     mc = build_master(edge, 1, RateSpec(edge, {(0, 1): F(1, 10**200), (1, 0): F(10**200)}))
-    assert float_tree_potential(mc) is None
+    assert _float_tree_potential(mc) is None
     assert reversible_steady_state(mc) is not None
     with pytest.raises(SolverError, match="non-positive probability"):
         steady_state(mc, mode="float")
     # a rate outside the float range, and a chain over the float state limit
     huge = build_master(pentagon(), 2, pentagon_spec(F(10) ** 400, 1, 2))
-    assert float_tree_potential(huge) is None
+    assert _float_tree_potential(huge) is None
     mc = build_master(pentagon(), 3, pentagon_spec(32, 1, 2))
-    assert float_tree_potential(mc) is not None
+    assert _float_tree_potential(mc) is not None
     monkeypatch.setattr(ctmc, "_FLOAT_STATE_LIMIT", mc.num_states - 1)
-    assert float_tree_potential(mc) is None
+    assert _float_tree_potential(mc) is None
     # an irreversible chain's potential is no stationary law
-    assert float_tree_potential(build_master(pentagon(), 3, pentagon_spec(33, 1, 2))) is None
+    assert _float_tree_potential(build_master(pentagon(), 3, pentagon_spec(33, 1, 2))) is None
 
 
 def test_float_steady_state_refuses_a_failed_solve(monkeypatch):
