@@ -14,8 +14,9 @@ space needs.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,6 +66,14 @@ class EdgeVector:
             raise CycleSpaceError("bits must be a non-negative integer")
         if self.bits.bit_length() > g.num_edges:
             raise CycleSpaceError("bits reference edges outside the host")
+
+    @classmethod
+    def _traced(cls, host, bits: int) -> "EdgeVector":
+        """The edge vector of a walk traced on ``host``, made without re-checking its bits."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "host", host)
+        object.__setattr__(x, "bits", bits)
+        return x
 
     @classmethod
     def from_edges(cls, host, pairs: Iterable[tuple[int, int]]) -> "EdgeVector":
@@ -188,13 +197,16 @@ def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
     return bits
 
 
-def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[tuple, list[int]]:
-    """Closed walks on ``g`` traced: (first steps, step edges, directions) and their bitsets.
+def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
+    """Closed walks on ``g`` traced: their first steps, step edges and directions.
 
     Walk ``w`` takes steps ``starts[w]`` to ``starts[w] + len(walks[w]) - 1``,
     its last back to its first vertex; a direction is True where a step runs
-    from its edge's higher end. One search finds every step's edge, then
-    each walk raises its own :func:`_walk_bits` error, in walk order.
+    from its edge's higher end. One search finds every step's edge. Array
+    checks then find every walk that is no simple cycle of ``g`` (fewer than
+    three vertices, a repeated vertex, a step that is no edge), and the first
+    of them raises its own :func:`_walk_bits` error, as a walk-by-walk check
+    would. :func:`_walk_bitsets` makes bitsets of the traced walks.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     try:
@@ -207,9 +219,81 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[tuple, list[
     nxt[(starts + lengths - 1)[closing]] = starts[closing]
     dst = src[nxt]
     edge = _edge_ids(g, src, dst)
-    ids = edge.tolist()
-    bits = [_walk_bits(g, seq, ids[at : at + len(seq)]) for seq, at in zip(walks, starts.tolist())]
-    return (starts, edge, src > dst), bits
+    n = g.num_vertices
+    walk = np.repeat(np.arange(len(walks)), lengths)
+    bad = lengths < 3
+    bad[walk[edge < 0]] = True
+    # a vertex out of range steps to no edge, so folding it into range flags no good walk
+    key = np.sort(walk * n + src % n)
+    bad[key[1:][key[1:] == key[:-1]] // n] = True
+    if bad.any():
+        w = int(np.argmax(bad))
+        at = int(starts[w])
+        _walk_bits(g, walks[w], edge[at : at + len(walks[w])].tolist())  # raises
+    return starts, edge, src > dst
+
+
+def _walk_bitsets(starts: np.ndarray, edge: np.ndarray, walks: np.ndarray | None = None) -> list[int]:
+    """Edge bitsets of the traced walks ``walks``, of every walk when None.
+
+    Walks of one length go together, each with its edges sorted. A bitset
+    is built from its highest edge down, shifting by the gap to the next
+    edge and setting bit 0, so only the last shift, by the lowest edge,
+    makes an integer as long as the bitset.
+    """
+    walks = np.arange(len(starts)) if walks is None else walks
+    first, lengths = starts[walks], (np.append(starts[1:], len(edge)) - starts)[walks]
+    out = [0] * len(walks)
+    for size in np.bincount(lengths).nonzero()[0].tolist():
+        at = (lengths == size).nonzero()[0]
+        ids = np.sort(edge[first[at, None] + np.arange(size)], axis=1)
+        bits = repeat(1)
+        for gap in np.diff(ids, axis=1)[:, ::-1].T.tolist():
+            bits = map(operator.or_, map(operator.lshift, bits, gap), repeat(1))
+        for i, x in zip(at.tolist(), map(operator.lshift, bits, ids[:, 0].tolist())):
+            out[i] = x
+    return out
+
+
+# The peel stops after this many rounds and hands what is left to Gf2Span.
+# A round is one pass over the steps of the walks still in. The decomposition
+# bases of the test suite's and the benchmark's bases, up to 4368 states,
+# peeled completely in at most 17 rounds; the overlapping rectangles of a
+# ladder peel two a round, from one end.
+_PEEL_ROUNDS = 32
+
+
+def _peel(starts: np.ndarray, edge: np.ndarray, walks: np.ndarray) -> np.ndarray:
+    """The traced walks of ``walks`` that peeling leaves, ascending.
+
+    A round removes every walk that owns an edge no other walk still in
+    crosses. Such a walk lies in no dependency of the walks still in, so
+    the rank of ``walks`` is the number peeled plus the rank of those left
+    (:func:`_walk_rank`). Rounds stop when none is removed, or after
+    ``_PEEL_ROUNDS``.
+    """
+    owner = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(edge)) - starts)
+    inside = np.zeros(len(starts), dtype=bool)
+    inside[walks] = True
+    on = inside[owner]
+    owner, steps = owner[on], edge[on]
+    for _ in range(_PEEL_ROUNDS):
+        alone = np.bincount(steps)[steps] == 1
+        if not alone.any():
+            break
+        inside[owner[alone]] = False
+        on = inside[owner]
+        owner, steps = owner[on], steps[on]
+    return inside.nonzero()[0]
+
+
+def _walk_rank(starts: np.ndarray, edge: np.ndarray, walks: np.ndarray) -> int:
+    """Rank over F2 of the traced walks ``walks``: those peeled, plus the Gf2Span rank of the rest."""
+    left = _peel(starts, edge, walks)
+    span = Gf2Span()
+    for bits in _walk_bitsets(starts, edge, left) if len(left) else ():
+        span.add(bits)
+    return len(walks) - len(left) + span.rank
 
 
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
@@ -253,8 +337,10 @@ class CycleBasis:
     Construction traces the walks once (:func:`_trace_walks`): it checks
     that they trace the given ``elements``, or takes the traced bitsets as
     the elements when ``elements`` is None, then checks that the elements
-    are independent and span the cycle space. It keeps the trace as
-    ``_trace``, which the cycle check reads.
+    are independent and span the cycle space. Independence is proved on
+    the trace by peeling (:func:`_peel`); only the walks the peel leaves
+    go to :class:`Gf2Span`. It keeps the trace as ``_trace``, which the
+    cycle check reads.
     """
 
     host: object
@@ -277,17 +363,22 @@ class CycleBasis:
             raise CycleSpaceError("info records do not match element count")
         # a walk on m >= 3 distinct vertices crosses m distinct edges,
         # so a traced element is a single simple cycle
-        trace, traced = _trace_walks(g, self.cycles)
+        trace = _trace_walks(g, self.cycles)
+        traced = _walk_bitsets(*trace[:2])
         if self.elements is None:
-            object.__setattr__(self, "elements", tuple(EdgeVector(self.host, x) for x in traced))
-        span = Gf2Span()
-        for x, bits in zip(self.elements, traced):
-            if host_graph(x.host) != g:
+            object.__setattr__(self, "elements", tuple(EdgeVector._traced(self.host, x) for x in traced))
+            bad = n
+        else:
+            mismatched = (host_graph(x.host) != g or x.bits != b for x, b in zip(self.elements, traced))
+            bad = next((i for i, no in enumerate(mismatched) if no), n)
+        # the elements ahead of the first mismatched one are checked first,
+        # so the error is the one a check element by element would raise
+        if _walk_rank(*trace[:2], np.arange(bad)) < bad:
+            raise CycleSpaceError("basis elements are linearly dependent")
+        if bad < n:
+            if host_graph(self.elements[bad].host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
-            if bits != x.bits:
-                raise CycleSpaceError("vertex sequence does not trace its element")
-            if not span.add(x.bits):
-                raise CycleSpaceError("basis elements are linearly dependent")
+            raise CycleSpaceError("vertex sequence does not trace its element")
         object.__setattr__(self, "_trace", trace)
 
     @property

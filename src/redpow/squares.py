@@ -27,8 +27,9 @@ the basis visits, a square corner or a parked copy of a base cycle
 vertex, is ranked from its token row. With both edges sorted a
 square's least corner comes first, so its canonical walk needs only a
 direction check. The walks leave here untraced: the one walk tracer of
-:mod:`redpow.cyclespace` finds their power edges and bitsets, for the
-basis and for the square-space check alike.
+:mod:`redpow.cyclespace` finds their power edges, for the basis and for
+the square-space check alike, and both prove independence by peeling
+the traced walks.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from .cyclespace import (
     CycleBasis,
     EdgeVector,
     ElementInfo,
-    Gf2Span,
     _base_mcb,
     _canonical_cycle,
     _trace_walks,
+    _walk_rank,
     cycle_edge_vector,
 )
 
@@ -319,23 +320,22 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     sizes match the closed forms, they are linearly independent, every
     square projects to zero in the base cycle space, and together with
     an embedded base MCB they span the full cycle space of the power.
+    Both ranks come from peeling the traced walks
+    (:func:`~redpow.cyclespace._walk_rank`), so bitsets are built only for
+    walks the peel leaves.
     """
     rp = build_reduced_power(base, k)
     (n_tree, rows, _), cycles = _structured_cycles(rp, tree)
-    (_, edge, _), bits = _trace_walks(rp.graph, cycles)
+    starts, edge, _ = _trace_walks(rp.graph, cycles)
     n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)
     beta_base = betti(base)
     beta_power = betti(rp.graph)
     tsq_formula = tree_square_count(base.num_vertices, k)
     csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
-    span = Gf2Span()
-    for x in bits[n_embedded:]:
-        span.add(x)
-    rank_squares = span.rank
-    # the square span grows into the span of squares plus embedded base MCB
-    for x in bits[:n_embedded]:
-        span.add(x)
+    walks = np.arange(len(cycles))  # the embedded base MCB first, then the squares
+    rank_squares = _walk_rank(starts, edge, walks[n_embedded:])
+    rank_all = _walk_rank(starts, edge, walks)
     # a square projects to zero when the base edges its four power edges
     # cross (by their annotations) pair up
     moved = np.array([(i, j) for i, j, _ in rp.annotations], dtype=np.int64).reshape(-1, 2)
@@ -357,5 +357,5 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
         independent=rank_squares == n_tree + n_chord,
         projects_to_zero=zero_proj,
         spans_kernel=rank_squares == beta_power - beta_base,
-        direct_sum=span.rank == beta_power,
+        direct_sum=rank_all == beta_power,
     )

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +41,13 @@ from redpow import cli, cyclespace, squares
 from redpow.cyclespace import _canonical_cycle
 from redpow.graph import _bfs
 
-from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    generator_suite,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def exhaustive_mcb_total(host) -> int:
@@ -721,3 +730,172 @@ def test_edge_vectors_refuse_what_they_cannot_hold():
         EdgeVector(g, 1) ^ 3
     with pytest.raises(CycleSpaceError, match="different hosts"):
         rank([EdgeVector(g, 1), EdgeVector(cycle_graph(5), 1)])
+
+
+# --- independence by peeling ---
+
+
+def _ladder(m: int) -> Graph:
+    """Two paths of m + 1 vertices, top 0..m and bottom m+1..2m+1, joined by m + 1 rungs."""
+    labels = [f"t{i}" for i in range(m + 1)] + [f"b{i}" for i in range(m + 1)]
+    pairs = [(i, i + 1) for i in range(m)] + [(m + 1 + i, m + 2 + i) for i in range(m)]
+    pairs += [(i, m + 1 + i) for i in range(m + 1)]
+    return Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
+
+
+def _walks_of_three_bases(g: Graph, k: int) -> tuple[object, list[tuple[int, ...]], list[int]]:
+    """The power of ``g``, the walks of its greedy, fundamental and (k >= 2) decomposition bases, and their sizes."""
+    rp = build_reduced_power(g, k)
+    bases = [greedy_mcb(rp), fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0))]
+    if k >= 2:
+        bases.append(decomposition_basis(g, k))
+        assert host_graph(bases[-1].host) == rp.graph
+    return rp, [seq for basis in bases for seq in basis.cycles], [len(b.cycles) for b in bases]
+
+
+def _assert_peeled_rank(starts, edge, bitsets: list[int], picked: np.ndarray) -> int:
+    """The rank of the walks ``picked`` by peeling, as Gf2Span finds it, also with one peel round."""
+    span = Gf2Span()
+    for w in picked.tolist():
+        span.add(bitsets[w])
+    assert cyclespace._walk_rank(starts, edge, picked) == span.rank
+    # with one round, most of a set goes to Gf2Span
+    with mock.patch.object(cyclespace, "_PEEL_ROUNDS", 1):
+        assert cyclespace._walk_rank(starts, edge, picked) == span.rank
+    return span.rank
+
+
+def test_peeled_rank_equals_the_gf2span_rank_on_every_suite_base(suite):
+    """Each basis alone, the union of all three (dependent), and the union short of its last walk."""
+    for g in suite:
+        for k in (1, 2, 3):
+            rp, walks, sizes = _walks_of_three_bases(g, k)
+            starts, edge, _ = cyclespace._trace_walks(rp.graph, walks)
+            bitsets = cyclespace._walk_bitsets(starts, edge)
+            assert bitsets == [cycle_edge_vector(rp, seq).bits for seq in walks]
+            dim = betti(rp.graph)
+            ends = np.cumsum(sizes)
+            for lo, hi in zip(ends - sizes, ends):
+                assert _assert_peeled_rank(starts, edge, bitsets, np.arange(lo, hi)) == dim
+            assert _assert_peeled_rank(starts, edge, bitsets, np.arange(len(walks))) == dim
+            _assert_peeled_rank(starts, edge, bitsets, np.arange(len(walks) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(generator_suite())
+    | st.builds(random_connected_graph, st.integers(4, 7), st.integers(0, 5), st.integers(0, 10**6)),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_peeled_rank_equals_the_gf2span_rank(g, k, data):
+    """Peel plus leftover rank is the Gf2Span rank on random subsets of three bases' walks."""
+    rp, walks, _ = _walks_of_three_bases(g, k)
+    starts, edge, _ = cyclespace._trace_walks(rp.graph, walks)
+    bitsets = cyclespace._walk_bitsets(starts, edge)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(walks), max_size=len(walks)))
+    _assert_peeled_rank(starts, edge, bitsets, np.arange(len(walks))[np.array(keep, dtype=bool)])
+
+
+def test_the_peel_stalls_on_two_triangles_and_their_sum():
+    g = complete_graph(4)
+    # every edge of the triangles 012 and 013 and of the 4-cycle 0-2-1-3 lies in two of them
+    cycles = ((0, 1, 2), (0, 1, 3), (0, 2, 1, 3))
+    starts, edge, _ = cyclespace._trace_walks(g, cycles)
+    assert cyclespace._peel(starts, edge, np.arange(3)).tolist() == [0, 1, 2]
+    assert cyclespace._walk_rank(starts, edge, np.arange(3)) == 2
+    info = (ElementInfo(tag="test"),) * 3
+    with pytest.raises(CycleSpaceError, match="^basis elements are linearly dependent$"):
+        CycleBasis(g, None, "test", cycles, False, info)
+
+
+def _record_bitset_requests(monkeypatch) -> list:
+    """The walks of every later ``_walk_bitsets`` call, as a list, or None for every walk."""
+    asked = []
+    bitsets = cyclespace._walk_bitsets
+
+    def recorded(starts, edge, walks=None):
+        asked.append(None if walks is None else walks.tolist())
+        return bitsets(starts, edge, walks)
+
+    monkeypatch.setattr(cyclespace, "_walk_bitsets", recorded)
+    return asked
+
+
+def test_a_ladder_of_overlapping_rectangles_is_accepted_within_the_round_cap(monkeypatch):
+    """One unit square and 1999 two-square rectangles: a round peels only the two last rectangles."""
+    m = 2000
+    g = _ladder(m)
+    cycles = [(0, 1, m + 2, m + 1)]
+    cycles += [(i, i + 1, i + 2, m + 3 + i, m + 2 + i, m + 1 + i) for i in range(m - 1)]
+    asked = _record_bitset_requests(monkeypatch)
+    basis = CycleBasis(g, None, "ladder", tuple(cycles), False, (ElementInfo(tag="test"),) * m)
+    assert len(basis.elements) == betti(g) == m
+    # the elements' bitsets, then the Gf2Span pass over the walks the capped peel left
+    assert asked == [None, list(range(m - 2 * cyclespace._PEEL_ROUNDS))]
+
+
+def test_verify_square_space_builds_bitsets_only_for_what_the_peel_leaves(suite, monkeypatch):
+    asked = _record_bitset_requests(monkeypatch)
+    for g in suite:
+        cyclespace._base_mcb(g)  # a basis of the base, whose elements are bitsets
+        for k in (2, 3):
+            asked.clear()
+            assert squares.verify_square_space(g, bfs_spanning_tree(g, 0), k).passed
+            assert asked == [], (g, k)
+
+
+# --- the order of walk and element errors ---
+
+_WALK_FAULTS = {
+    "short": (0, 1),
+    "repeat": (0, 1, 2, 1),
+    "missing": (0, 2, 1, 3, 4),  # 0-2 is no edge of the 5-cycle
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(_WALK_FAULTS, 2)))
+def test_trace_walks_raises_the_first_faulty_walks_own_error(first, second):
+    g = cycle_graph(5)
+    with pytest.raises((CycleSpaceError, GraphError)) as own:
+        cycle_edge_vector(g, _WALK_FAULTS[first])
+    good = (0, 1, 2, 3, 4)
+    with pytest.raises(type(own.value)) as raised:
+        cyclespace._trace_walks(g, [good, _WALK_FAULTS[first], good, _WALK_FAULTS[second]])
+    assert str(raised.value) == str(own.value)
+
+
+def _element_by_element_error(g: Graph, elements, cycles) -> str | None:
+    """The message of the first fault, checked one element at a time in order."""
+    span = Gf2Span()
+    for x, seq in zip(elements, cycles):
+        if host_graph(x.host) != g:
+            return "basis element lives on a different host"
+        if x.bits != cycle_edge_vector(g, seq).bits:
+            return "vertex sequence does not trace its element"
+        if not span.add(x.bits):
+            return "basis elements are linearly dependent"
+    return None
+
+
+def test_a_basis_reports_a_dependency_and_a_mismatch_in_element_order():
+    g = complete_graph(5)
+    other = Graph(list("vwxyz"), [tuple("vwxyz"[i] for i in e) for e in g.edges])
+    # element 2, the 4-cycle 0-2-1-3, is the sum of elements 0 and 1
+    cycles = ((0, 1, 2), (0, 1, 3), (0, 2, 1, 3), (0, 1, 4), (0, 2, 4), (0, 3, 4))
+    elements = [cycle_edge_vector(g, seq) for seq in cycles]
+    info = (ElementInfo(tag="test"),) * len(cycles)
+    cases = {
+        "mismatch after the dependency": elements[:3] + [elements[4], elements[3], elements[5]],
+        "mismatch before it": [elements[1], elements[0]] + elements[2:],
+        "other host after it": elements[:5] + [EdgeVector(other, elements[5].bits)],
+        "other host before it": [EdgeVector(other, elements[0].bits)] + elements[1:],
+        "dependency alone": elements,
+    }
+    seen = set()
+    for given_elements in cases.values():
+        expected = _element_by_element_error(g, given_elements, cycles)
+        seen.add(expected)
+        with pytest.raises(CycleSpaceError, match=f"^{expected}$"):
+            CycleBasis(g, tuple(given_elements), "test", cycles, False, info)
+    assert len(seen) == 3
