@@ -4,14 +4,14 @@ Subcommands build reduced powers, construct and verify cycle bases,
 and run the reversibility checks on coupled-automaton models:
 ``check-reversibility`` loads a model, calls :func:`check_reversibility`
 and prints its :class:`Verdict`. That call builds the k-th power once,
-first, and settles the steady state on the calling thread. In float mode
-a detailed-balanced chain is settled in O(E) by its float tree potential;
-any other chain, and one the cycle criterion refutes, by the dense
-solve, from ``_OVERLAP_STATES`` (500) states on with the basis and the
-cycle criterion run meanwhile on a worker thread, with the same results,
-messages and exit codes (the gain needs a second core; the BLAS thread
-settings are respected). A reversible run's ``--out`` law is the
-potential's, which may differ from the dense law's in its last bits.
+first, settles the steady state on the calling thread, then takes the
+cycle criterion. In float mode a detailed-balanced chain is settled in
+O(E) by its float tree potential; any other chain, and one the cycle
+criterion refutes, by the dense solve. From ``_OVERLAP_STATES`` (500)
+float states on, the criterion is joined from a worker thread that ran
+it during the settle, with the same results, messages and exit codes.
+A reversible run's ``--out`` law is the potential's, which may differ
+from the dense law's in its last bits.
 Exit codes: 0 success (and checks passed), 2 a check ran and failed, 1
 bad input or internal failure. A usage error (an unknown or
 missing option, a value of the wrong type) exits 2 from argparse before
@@ -247,18 +247,17 @@ class Verdict:
 
 
 # From this many float states on, the basis and the cycle criterion run on
-# a worker thread while the calling thread settles the steady state; only
-# LAPACK releases the GIL, so only chains the dense solve settles gain. One
-# check_reversibility call on an irreversible chain, one thread ->
-# overlapped, median of 15 in process (7 at 2380 states), two runs, 2
-# cores, one BLAS thread: C7 k = 4 (210 states) 13.0/14.7 -> 13.2/15.0 ms,
-# C8 (330) 25.4/20.0 -> 25.0/22.0, C9 (495) 37.5/33.8 -> 38.6/37.0, C10
-# (715) 68.9/71.3 -> 53.3/52.4, the random (14,10,3) base (2380) 583/613
-# -> 425/457. A reversible chain, settled by the float tree potential with
-# nothing that releases the GIL, neither gains nor loses clearly (same
-# setup, three runs, median of 15 at 715 states and 7 above): 715 states
-# 39.8/40.6/46.7 -> 43.4/42.0/44.8 ms, 2380 284/328/295 -> 335/303/301, a
-# 12-ring at k = 5 (4368) 433/411/371 -> 380/385/377.
+# a worker thread during the settle and are joined after it; below it, and
+# under --exact, they run inline after the settle. Only LAPACK releases the
+# GIL for long, so chains left to the dense solve gain. One
+# check_reversibility call, one thread -> overlapped, in process, one BLAS
+# thread, 2 cores, range of the medians (of 7 to 9) of four runs: on an
+# irreversible 10-ring k = 4 (715 states) 49-60 -> 39-52 ms, the random
+# (14,10,3) base k = 4 (2380) 482-622 -> 407-435, a 12-ring k = 5 (4368)
+# 1621-1727 -> 1378-1639; on reversible ones, settled by the float tree
+# potential, within the spread: 31-41 -> 31-41, 199-319 -> 265-299,
+# 282-422 -> 307-399. Below it, overlap costs about 1 ms (C7, C8 and C9
+# at k = 4, 210 to 495 states, both kinds, median of 15, two runs).
 _OVERLAP_STATES = 500
 
 
@@ -297,46 +296,43 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     building anything, and when the two criteria disagree.
 
     The k-th power is built once, first, and the master chain, the basis
-    and the steady state all read it. The steady state is settled on the
-    calling thread: in float mode by the float tree potential where it
-    passes the float balance test on every edge (:func:`_balanced_potential`),
+    and the steady state all read it. The steady state is settled first,
+    on the calling thread: in float mode by the float tree potential where
+    it passes the float balance test on every edge (:func:`_balanced_potential`),
     with no dense system, its law differing from the dense one at most in
-    its last bits; else by :func:`_settled`. A chain the cycle criterion
-    refutes reports the dense law, also one balanced within the float
-    test's tolerance. From ``_OVERLAP_STATES`` states on, in float mode, the
-    basis and the cycle criterion run meanwhile on a worker thread, started
-    first and joined whatever the solve raised; results, messages and
-    errors are the same as on one thread, where the criterion runs first,
-    and no thread outlives the call. The gain needs a second core; the
-    BLAS thread settings are respected.
+    its last bits; else by :func:`_settled`. Then, whatever the settle
+    raised, the basis and the cycle criterion, whose error wins: inline, or
+    from ``_OVERLAP_STATES`` float states on, joined from a worker thread
+    that ran them during the settle (the gain needs a second core; the BLAS
+    thread settings are respected). A chain the criterion refutes reports
+    the dense law, also one balanced within the float test's tolerance.
     """
     _check_budget("model", graph.num_vertices, k)
     root_index = _root_index(graph, root)
     single = single_automaton_check(graph, spec) if k > 1 else None
     mc = MasterChain(build_reduced_power(graph, k), spec)
-    potential = None
-    if exact or mc.num_states < _OVERLAP_STATES:
-        basis, kolmogorov = _cycle_criterion(mc, root_index)
-        if not exact:
-            potential = _balanced_potential(mc)
-        ss, balance = potential or _settled(mc, "exact" if exact else "float")
-    else:
+    worker = None
+    if not exact and mc.num_states >= _OVERLAP_STATES:
         from concurrent.futures import ThreadPoolExecutor  # here, not at load: it costs ~6 ms
 
-        with ThreadPoolExecutor(1, thread_name_prefix="redpow-cycle-criterion") as worker:
-            criterion = worker.submit(_cycle_criterion, mc, root_index)
-            try:
-                potential = _balanced_potential(mc)
-                ss, balance = potential or _settled(mc, "float")
-            finally:  # the criterion's error wins over the solve's, as on one thread
-                basis, kolmogorov = criterion.result()
+        worker = ThreadPoolExecutor(1, thread_name_prefix="redpow-cycle-criterion")
+        criterion = worker.submit(_cycle_criterion, mc, root_index)
+    try:
+        potential = None if exact else _balanced_potential(mc)
+        ss, balance = potential or _settled(mc, "exact" if exact else "float")
+    finally:  # the criterion's error wins over the solve's
+        if worker is None:
+            basis, kolmogorov = _cycle_criterion(mc, root_index)
+        else:
+            worker.shutdown()
+            basis, kolmogorov = criterion.result()
     if potential and not kolmogorov.passed:
         # Balanced within the float test's relative tolerance, yet refuted by
         # the exact cycle criterion: report the dense law, as for any other
         # irreversible chain.
         ss, balance = _settled(mc, "float")
     single = single or kolmogorov  # at k = 1 the main check is the single-automaton check
-    if kolmogorov.passed != balance.balanced:
+    if kolmogorov.passed != balance.balanced and balance.mode == "float":
         # The float balance test has a relative tolerance and the cycle
         # criterion none, so either can pass where the other fails; the
         # exact law settles it.

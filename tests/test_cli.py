@@ -1098,6 +1098,23 @@ def test_check_reversibility_raises_when_the_two_criteria_disagree(tmp_path, cap
     assert not out.exists()
 
 
+def test_the_exact_law_is_solved_once_when_the_criteria_disagree(monkeypatch, solve_threads):
+    """Under --exact the balance already comes from the exact law: a disagreement raises at once."""
+    import dataclasses
+
+    balance_check = cli.detailed_balance_check
+
+    def flipped(ss, mc):
+        report = balance_check(ss, mc)
+        return dataclasses.replace(report, balanced=not report.balanced)
+
+    monkeypatch.setattr(cli, "detailed_balance_check", flipped)
+    with pytest.raises(RedpowError) as info:
+        cli.check_reversibility(*model_from_dict(pentagon_model()), exact=True)
+    assert str(info.value) == "cycle criterion and exact detailed balance disagree"
+    assert [mode for mode, _ in solve_threads] == ["exact"]
+
+
 def test_check_reversibility_settles_past_the_float_state_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("redpow.ctmc._FLOAT_STATE_LIMIT", 10)
     # the reversible pentagon at k = 3 has 35 states: its tree potential settles it
@@ -1213,6 +1230,44 @@ def test_overlapped_and_sequential_runs_agree(
         runs[threshold] = (json.dumps(verdict.as_dict()), pi.tobytes(), verdict.kolmogorov.passed)
     assert runs[0] == runs[10**9]
     assert runs[0][2] == (kind != "irreversible")
+
+
+@pytest.mark.parametrize("kind", ["reversible", "irreversible"])
+def test_both_thread_plans_run_the_stages_in_one_order(monkeypatch, kind):
+    """The steady state is settled first, then the cycle criterion taken.
+
+    The threshold decides only where the criterion runs: inline on the
+    calling thread, or on the worker, joined after the settle.
+    """
+    import threading
+
+    calls = []
+
+    def recorded(name, function):
+        def recording(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return function(*args, **kwargs)
+
+        return recording
+
+    for name in ("_float_tree_potential", "steady_state", "kolmogorov_check"):
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    model = model_from_dict(ring_model(kind))
+    runs = {}
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(cli, "_OVERLAP_STATES", threshold)
+        calls.clear()
+        cli.check_reversibility(*model)
+        runs[threshold] = list(calls)
+    settles = [("_float_tree_potential", True)]
+    if kind == "irreversible":
+        settles.append(("steady_state", True))
+    for run in runs.values():
+        assert [call for call in run if call[0] != "kolmogorov_check" and call[1]] == settles
+    assert runs[10**9] == settles + [("kolmogorov_check", True)]
+    assert [call for call in runs[0] if call[0] == "kolmogorov_check"] == [
+        ("kolmogorov_check", False)
+    ]
 
 
 def test_a_rate_outside_the_float_range_settles_as_before_above_the_threshold(

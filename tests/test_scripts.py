@@ -1,4 +1,4 @@
-"""The two scripts run end to end and print the verdicts they document."""
+"""The example scripts print the verdicts they document; the mutation catalogue applies."""
 
 from __future__ import annotations
 
@@ -73,3 +73,16 @@ def test_basis_survey_gap_only_with_triangles(monkeypatch, capsys):
         name = row.split()[0]
         mark = " > " if name in ("K3", "K4", "house") else " = "
         assert mark in row, row
+
+
+def test_every_mutant_text_occurs_once_and_names_tests_that_exist():
+    """The mutation catalogue still applies to src/: each old text occurs exactly once."""
+    catalogue = runpy.run_path(str(SCRIPTS / "mutation_check.py"))
+    assert catalogue["misplaced"]() == []
+    root = SCRIPTS.parent
+    for mutant in catalogue["MUTANTS"]:
+        assert mutant.old != mutant.new and mutant.file.startswith("src/")
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            assert (root / path).is_file(), test
+            assert not name or f"def {name}(" in (root / path).read_text(encoding="utf-8"), test
