@@ -72,6 +72,30 @@ MUTANTS = (
         "for t in (step, step)",
         ("tests/test_ctmc.py",),
     ),
+    Mutant(
+        "the per-walk check lets a walk repeat a vertex",
+        "src/redpow/cyclespace.py",
+        '    if len(set(seq)) != len(seq):\n        raise CycleSpaceError("cycle sequence repeats a vertex")\n',
+        "",
+        (
+            "tests/test_cyclespace.py::test_cycle_edge_vector_rejects",
+            "tests/test_cyclespace.py::test_trace_walks_raises_the_first_faulty_walks_own_error",
+        ),
+    ),
+    Mutant(
+        "exact detailed balance skips the edges out of state 0",
+        "src/redpow/ctmc.py",
+        "if num[x] * a != num[y] * b:",
+        "if num[x] * a != num[y] * b and x:",
+        ("tests/test_ctmc.py::test_exact_detailed_balance_equals_the_fraction_reference",),
+    ),
+    Mutant(
+        "greedy_mcb drops its last length class",
+        "src/redpow/cyclespace.py",
+        "for size in sorted(classes):",
+        "for size in sorted(classes)[:-1]:",
+        ("tests/test_cyclespace.py::test_greedy_mcb_simple_hosts",),
+    ),
 )
 
 

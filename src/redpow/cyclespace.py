@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CycleSpaceError, GraphError
+from .errors import CycleSpaceError
 from .graph import Graph, RootedTree, _bfs, _edge_ids, betti, check_spanning_tree
 from .power import Monomial, ReducedPowerGraph
 
@@ -178,25 +178,6 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-def _walk_bits(g: Graph, seq: Sequence[int], ids: list[int]) -> int:
-    """Edge bitset of a closed walk on at least three distinct vertices.
-
-    ``ids`` gives the edge index of each step, as :func:`_edge_ids` finds
-    them; a step marked -1 is no edge, and raises here.
-    """
-    if len(seq) < 3:
-        raise CycleSpaceError("a simple cycle needs at least three vertices")
-    if len(set(seq)) != len(seq):
-        raise CycleSpaceError("cycle sequence repeats a vertex")
-    if -1 in ids:
-        t = ids.index(-1)
-        g.edge_position(seq[t], seq[(t + 1) % len(seq)])  # raises GraphError
-    bits = 0
-    for e in ids:
-        bits |= 1 << e
-    return bits
-
-
 def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
     """Closed walks on ``g`` traced: their first steps, step edges and directions.
 
@@ -205,14 +186,17 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     from its edge's higher end. One search finds every step's edge. Array
     checks then find every walk that is no simple cycle of ``g`` (fewer than
     three vertices, a repeated vertex, a step that is no edge), and the first
-    of them raises its own :func:`_walk_bits` error, as a walk-by-walk check
-    would. :func:`_walk_bitsets` makes bitsets of the traced walks.
+    of them raises its own :func:`cycle_edge_vector` error, as a walk-by-walk
+    check would; a vertex past int64 has every walk checked so, in order.
+    :func:`_walk_bitsets` makes bitsets of the traced walks.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     try:
         src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
-    except OverflowError:  # past int64, so past every vertex index
-        raise GraphError("a walk has a vertex index out of range") from None
+    except OverflowError:  # some walk has a vertex past int64, so this raises
+        for seq in walks:
+            cycle_edge_vector(g, seq)
+        raise
     starts = np.cumsum(lengths) - lengths
     nxt = np.arange(1, len(src) + 1)
     closing = lengths > 0
@@ -227,9 +211,7 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     key = np.sort(walk * n + src % n)
     bad[key[1:][key[1:] == key[:-1]] // n] = True
     if bad.any():
-        w = int(np.argmax(bad))
-        at = int(starts[w])
-        _walk_bits(g, walks[w], edge[at : at + len(walks[w])].tolist())  # raises
+        cycle_edge_vector(g, walks[int(np.argmax(bad))])  # raises
     return starts, edge, src > dst
 
 
@@ -297,11 +279,21 @@ def _walk_rank(starts: np.ndarray, edge: np.ndarray, walks: np.ndarray) -> int:
 
 
 def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
-    """Edge vector of a closed vertex walk with no repeated vertices."""
+    """Edge vector of a closed vertex walk with no repeated vertices.
+
+    A walk of fewer than three vertices is refused first, then one that
+    repeats a vertex, then its first step that is no edge of the host
+    (:meth:`Graph.edge_position` raises).
+    """
     g = host_graph(host)
-    # a walk _walk_bits refuses for its shape is looked up nowhere, so that error wins
-    steps = zip(seq, (*seq[1:], seq[0])) if len(set(seq)) == len(seq) >= 3 else ()
-    return EdgeVector(host, _walk_bits(g, seq, [g.edge_position(i, j) for i, j in steps]))
+    if len(seq) < 3:
+        raise CycleSpaceError("a simple cycle needs at least three vertices")
+    if len(set(seq)) != len(seq):
+        raise CycleSpaceError("cycle sequence repeats a vertex")
+    bits = 0
+    for i, j in zip(seq, (*seq[1:], seq[0])):
+        bits |= 1 << g.edge_position(i, j)
+    return EdgeVector(host, bits)
 
 
 def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:

@@ -174,7 +174,9 @@ class Graph:
         except KeyError:
             for end in pair:
                 if not 0 <= end < len(self.labels):
-                    raise GraphError(f"vertex index {end} is out of range") from None
+                    # an int past Python's 4300-digit limit cannot be formatted
+                    shown = end if -(10**4000) < end < 10**4000 else "of more than 4000 digits"
+                    raise GraphError(f"vertex index {shown} is out of range") from None
             raise GraphError(
                 f"no edge between {self.labels[i]!r} and {self.labels[j]!r}"
             ) from None

@@ -1560,3 +1560,41 @@ def test_check_reversibility_refuses_a_law_of_nans_with_the_exact_hint(
     out, err = capsys.readouterr()
     assert err == "" and "detailed balance (exact): pass" in out
     assert solves == [35, 2]
+
+
+# --- the module run and the console-script entry ---
+
+
+def _irreversible_triangle(tmp_path):
+    """A triangle at k = 1 whose one cycle has product 2 one way and 1 the other."""
+    rates = {f"{x}->{y}": {"base": "1"} for x, y in ("ab", "ba", "bc", "cb", "ca", "ac")}
+    rates["a->b"] = {"base": "2"}
+    return _write_model(tmp_path, {"graph": TRIANGLE, "k": 1, "rates": rates})
+
+
+def test_the_console_entry_exits_with_the_verdicts_code(tmp_path, monkeypatch, capsys):
+    from redpow import cli
+
+    model = _irreversible_triangle(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["redpow", "check-reversibility", "--model", str(model), "--exact"])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out.endswith("verdict: not reversible\n") and err == ""
+
+
+def test_running_the_cli_module_prints_the_verdict_and_exits_with_its_code(tmp_path):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import redpow
+
+    model = _irreversible_triangle(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(redpow.__file__).parents[1])}
+    argv = ["check-reversibility", "--model", str(model), "--exact"]
+    run = subprocess.run([sys.executable, "-m", "redpow.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (2, "")
+    assert run.stdout.endswith("detailed balance (exact): fail\nverdict: not reversible\n")

@@ -1616,6 +1616,33 @@ def test_lifted_steady_state_falls_back_when_no_prime_serves(monkeypatch):
     assert calls == [mc]
 
 
+def test_lifted_pi_stops_at_the_hadamard_bound(monkeypatch):
+    """With every reconstruction refused, the digit count doubles from 8 up to the bound, then fails."""
+    mc = _ring_chain(5, 2, random.Random(2304), reversible=False, wide=True)
+    p = ctmc._PRIMES[0]
+    moduli = []
+
+    def refuse(residues, modulus):
+        moduli.append(modulus)
+        return None
+
+    monkeypatch.setattr(ctmc, "_reconstruct", refuse)
+    with pytest.raises(SolverError, match="^p-adic lifting found no law within the Hadamard bound$"):
+        _lifted_pi(mc)
+    digits = [round(math.log(m, p)) for m in moduli]
+    assert moduli == [p**d for d in digits]
+    assert digits[:-1] == [8 * 2**i for i in range(len(digits) - 1)] and len(digits) > 2
+    assert digits[-2] < digits[-1] < 2 * digits[-2]
+
+
+def test_sparse_elimination_refuses_a_singular_system():
+    # two separate edges: states c and d are unreachable from a, so their balance has no pivot
+    g = Graph("abcd", [("a", "b"), ("c", "d")])
+    mc = build_master(g, 1, RateSpec(g, {pair: F(1) for i, j in g.edges for pair in ((i, j), (j, i))}))
+    with pytest.raises(SolverError, match="^singular system in exact steady-state solve$"):
+        _solve_sparse(mc)
+
+
 def test_lifted_pi_on_a_reversible_chain_and_on_one_state():
     rng = random.Random(2303)
     for wide in (False, True):

@@ -865,6 +865,34 @@ def test_trace_walks_raises_the_first_faulty_walks_own_error(first, second):
     assert str(raised.value) == str(own.value)
 
 
+@pytest.mark.parametrize("first", ["short", "missing"])
+def test_a_faulty_walk_before_one_past_int64_raises_its_own_error(first):
+    """A vertex past int64 does not hide the error of an earlier walk."""
+    g = cycle_graph(5)
+    walks = {"short": (0, 1), "missing": (0, 2, 4)}  # 0-2 is no edge of the 5-cycle
+    with pytest.raises((CycleSpaceError, GraphError)) as own:
+        cycle_edge_vector(g, walks[first])
+    with pytest.raises(type(own.value)) as raised:
+        cyclespace._trace_walks(g, [walks[first], (0, 1, 2**63)])
+    assert str(raised.value) == str(own.value)
+    assert str(raised.value) == {"short": "a simple cycle needs at least three vertices",
+                                 "missing": "no edge between 'v0' and 'v2'"}[first]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_vertex_index_past_the_int_string_limit_is_out_of_range(sign):
+    far = sign * 10**5000  # str() refuses it: more than 4300 digits
+    g = cycle_graph(5)
+    info = (ElementInfo(tag="test"),)
+    for call in (
+        lambda: g.edge_position(0, far),
+        lambda: cycle_edge_vector(g, (0, 1, far)),
+        lambda: CycleBasis(g, None, "test", ((0, 1, 2, 3, far),), False, info),
+    ):
+        with pytest.raises(GraphError, match="^vertex index of more than 4000 digits is out of range$"):
+            call()
+
+
 def _element_by_element_error(g: Graph, elements, cycles) -> str | None:
     """The message of the first fault, checked one element at a time in order."""
     span = Gf2Span()
