@@ -96,6 +96,20 @@ MUTANTS = (
         "for size in sorted(classes)[:-1]:",
         ("tests/test_cyclespace.py::test_greedy_mcb_simple_hosts",),
     ),
+    Mutant(
+        "the integer rule truncates with int() instead of operator.index()",
+        "src/redpow/graph.py",
+        "        i = operator.index(x)\n",
+        "        i = int(x)\n",
+        ("tests/test_graph.py::test_edge_position_refuses_a_vertex_index_by_the_integer_rule",),
+    ),
+    Mutant(
+        "the walk tracer reads walk vertices without the integer rule",
+        "src/redpow/cyclespace.py",
+        "map(operator.index, chain.from_iterable(walks))",
+        "chain.from_iterable(walks)",
+        ("tests/test_cyclespace.py::test_trace_walks_refuses_a_walk_vertex_by_the_integer_rule",),
+    ),
 )
 
 

@@ -476,9 +476,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = _FLOAT_TOL) 
         if n > _FLOAT_STATE_LIMIT:
             raise SolverError(f"float mode supports up to {_FLOAT_STATE_LIMIT} states, got {n}")
         rates = _float_rates(mc)
-        # transition t = 2e (forward) or 2e + 1 (backward) of edge e
-        ends = mc.rp.graph._pairs
-        src, dst = ends.ravel(), ends[:, ::-1].ravel()
+        src, dst = _transition_ends(mc)
         diag = -np.bincount(src, rates, n)
         bad = np.flatnonzero(~np.isfinite(diag))
         if len(bad):
@@ -508,6 +506,12 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = _FLOAT_TOL) 
     raise SolverError(f"unknown steady-state mode {mode!r}")
 
 
+def _transition_ends(mc: MasterChain) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target state of each transition; ``2e`` runs along edge ``e``, ``2e + 1`` back."""
+    ends = mc.rp.graph._pairs
+    return ends.ravel(), ends[:, ::-1].ravel()
+
+
 def _checked_float(mc: MasterChain, pi: np.ndarray, rates: np.ndarray, tol: float) -> SteadyState:
     """Wrap the float law ``pi`` after checking its residual, its sum and positivity.
 
@@ -517,8 +521,7 @@ def _checked_float(mc: MasterChain, pi: np.ndarray, rates: np.ndarray, tol: floa
     with a hint to rerun with ``--exact``.
     """
     n = mc.num_states
-    ends = mc.rp.graph._pairs
-    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    src, dst = _transition_ends(mc)
     with np.errstate(over="ignore", invalid="ignore"):
         flow = pi[src] * rates
         balance = np.bincount(dst, flow, n) - np.bincount(src, flow, n)
@@ -1064,9 +1067,9 @@ def detailed_balance_check(
     else:
         # the float test elementwise over all edges, in the same float64 operations
         rates = _float_rates(mc)
-        ends = mc.rp.graph._pairs
         pi = np.array(ss.probabilities, dtype=np.float64)
-        lhs, rhs = pi[ends[:, 0]] * rates[0::2], pi[ends[:, 1]] * rates[1::2]
+        flow = pi[_transition_ends(mc)[0]] * rates  # forward at even, backward at odd
+        lhs, rhs = flow[0::2], flow[1::2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
         bad = np.flatnonzero(~(np.abs(lhs - rhs) <= rel_tol * scale))
         for e, flow_xy, flow_yx in zip(bad.tolist(), lhs[bad].tolist(), rhs[bad].tolist()):

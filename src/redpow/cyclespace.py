@@ -187,13 +187,15 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     checks then find every walk that is no simple cycle of ``g`` (fewer than
     three vertices, a repeated vertex, a step that is no edge), and the first
     of them raises its own :func:`cycle_edge_vector` error, as a walk-by-walk
-    check would; a vertex past int64 has every walk checked so, in order.
-    :func:`_walk_bitsets` makes bitsets of the traced walks.
+    check would. Vertices are read by the integer rule of ``operator.index``;
+    a vertex it refuses, or one past int64, has every walk checked so, in
+    order. :func:`_walk_bitsets` makes bitsets of the traced walks.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     try:
-        src = np.fromiter(chain.from_iterable(walks), np.int64, int(lengths.sum()))
-    except OverflowError:  # some walk has a vertex past int64, so this raises
+        vertices = map(operator.index, chain.from_iterable(walks))
+        src = np.fromiter(vertices, np.int64, int(lengths.sum()))
+    except (TypeError, OverflowError):  # some walk has a vertex that is no int64, so this raises
         for seq in walks:
             cycle_edge_vector(g, seq)
         raise
@@ -218,23 +220,31 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
 def _walk_bitsets(starts: np.ndarray, edge: np.ndarray, walks: np.ndarray | None = None) -> list[int]:
     """Edge bitsets of the traced walks ``walks``, of every walk when None.
 
-    Walks of one length go together, each with its edges sorted. A bitset
-    is built from its highest edge down, shifting by the gap to the next
-    edge and setting bit 0, so only the last shift, by the lowest edge,
-    makes an integer as long as the bitset.
+    Walks of one length go together, each with its edges sorted, as the
+    rows of :func:`_row_bitsets`.
     """
     walks = np.arange(len(starts)) if walks is None else walks
     first, lengths = starts[walks], (np.append(starts[1:], len(edge)) - starts)[walks]
     out = [0] * len(walks)
     for size in np.bincount(lengths).nonzero()[0].tolist():
         at = (lengths == size).nonzero()[0]
-        ids = np.sort(edge[first[at, None] + np.arange(size)], axis=1)
-        bits = repeat(1)
-        for gap in np.diff(ids, axis=1)[:, ::-1].T.tolist():
-            bits = map(operator.or_, map(operator.lshift, bits, gap), repeat(1))
-        for i, x in zip(at.tolist(), map(operator.lshift, bits, ids[:, 0].tolist())):
+        rows = _row_bitsets(np.sort(edge[first[at, None] + np.arange(size)], axis=1))
+        for i, x in zip(at.tolist(), rows):
             out[i] = x
     return out
+
+
+def _row_bitsets(rows: np.ndarray) -> Iterator[int]:
+    """The bitset of each row of distinct edge ids, sorted ascending along the row.
+
+    A bitset is built from its highest edge down, shifting by the gap to
+    the next edge and setting bit 0, so only the last shift, by the lowest
+    edge, makes an integer as long as the bitset.
+    """
+    bits = repeat(1)
+    for gap in np.diff(rows, axis=1)[:, ::-1].T.tolist():
+        bits = map(operator.or_, map(operator.lshift, bits, gap), repeat(1))
+    return map(operator.lshift, bits, rows[:, 0].tolist())
 
 
 # The peel stops after this many rounds and hands what is left to Gf2Span.
@@ -515,11 +525,7 @@ def greedy_mcb(host) -> CycleBasis:
 
     def ordered():
         for size in sorted(classes):
-            for row in _distinct_rows(np.concatenate(classes[size])).tolist():
-                bits = 0
-                for e in row:
-                    bits |= 1 << e
-                yield bits
+            yield from _row_bitsets(_distinct_rows(np.concatenate(classes[size])))
 
     span = Gf2Span()
     kept = list(islice(filter(span.add, ordered()), dim))  # each independent of those before
@@ -549,7 +555,7 @@ def project_to_base(x: EdgeVector) -> EdgeVector:
     """Project an edge vector of a reduced power onto the base graph.
 
     Linear over F2: each power edge maps to the base edge its moving
-    token crosses. Cycles project to cycles; that is re-checked here.
+    token crosses. Cycles project to cycles.
     """
     rp = x.host
     if not isinstance(rp, ReducedPowerGraph):
@@ -558,10 +564,7 @@ def project_to_base(x: EdgeVector) -> EdgeVector:
     for e in x.edge_indices():
         i, j, _ = rp.annotation(e)
         bits ^= 1 << rp.base.edge_position(i, j)
-    out = EdgeVector(rp.base, bits)
-    if not is_cycle(out) and is_cycle(x):
-        raise CycleSpaceError("projection of a cycle failed to be a cycle")
-    return out
+    return EdgeVector(rp.base, bits)
 
 
 def cycle_decomposition(x: EdgeVector) -> list[tuple[int, ...]]:

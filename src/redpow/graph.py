@@ -17,13 +17,14 @@ the Cartesian power the quotient check consumes, never builds them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, RedpowError
 
 __all__ = [
     "Graph",
@@ -163,20 +164,21 @@ class Graph:
         return len(self._adj[i])
 
     def has_edge(self, i: int, j: int) -> bool:
-        pair = (i, j) if i < j else (j, i)
-        return pair in self._edge_index
+        """Whether ``{i, j}`` is an edge; False for anything :func:`_index` refuses."""
+        try:
+            return self.edge_position(i, j) >= 0
+        except GraphError:
+            return False
 
     def edge_position(self, i: int, j: int) -> int:
-        """Dense index of the edge ``{i, j}`` in the canonical edge list."""
-        pair = (i, j) if i < j else (j, i)
+        """Dense index of the edge ``{i, j}`` in the canonical edge list.
+
+        Each end must be a vertex index (:func:`_index`); ``i`` is checked first.
+        """
+        i, j = _index(i, len(self.labels)), _index(j, len(self.labels))
         try:
-            return self._edge_index[pair]
+            return self._edge_index[(i, j) if i < j else (j, i)]
         except KeyError:
-            for end in pair:
-                if not 0 <= end < len(self.labels):
-                    # an int past Python's 4300-digit limit cannot be formatted
-                    shown = end if -(10**4000) < end < 10**4000 else "of more than 4000 digits"
-                    raise GraphError(f"vertex index {shown} is out of range") from None
             raise GraphError(
                 f"no edge between {self.labels[i]!r} and {self.labels[j]!r}"
             ) from None
@@ -218,6 +220,41 @@ def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(key.shape, -1, dtype=np.int64)
     pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
     return np.where(keys[pos] == key, pos, -1)
+
+
+def _index(
+    x: object,
+    stop: int | None,
+    error: type[RedpowError] = GraphError,
+    what: str = "vertex index",
+    miss: str = "vertex index {} is out of range",
+    *named: object,
+) -> int:
+    """``x`` as an int, by the package's one rule for vertex indices and token counts.
+
+    An integer is what ``operator.index`` takes: an int, bool or numpy
+    integer, but no float or string. It must lie in ``range(stop)``, or be
+    at least 0 when ``stop`` is None. Otherwise ``error`` names ``x``:
+    ``what`` then "``x!r`` is not an integer", or ``miss`` for an int out
+    of range, each formatted with ``x`` and ``named``, where an int of
+    more than 4000 digits, alone or in a tuple, is shown by its size.
+    """
+    try:
+        i = operator.index(x)
+    except TypeError:
+        i = None
+    if i is not None and 0 <= i and (stop is None or i < stop):
+        return i
+
+    def shown(v: object) -> object:  # str refuses an int of more than 4300 digits
+        ends = v if isinstance(v, (tuple, list)) else (v,)
+        big = any(isinstance(e, int) and not -(10**4000) < e < 10**4000 for e in ends)
+        return "of more than 4000 digits" if big else v
+
+    args = list(map(shown, (x, *named)))
+    if i is None:
+        raise error(f"{what.format(*args)} {args[0]!r} is not an integer")
+    raise error(miss.format(*args))
 
 
 def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -297,12 +334,16 @@ class RootedTree:
     order: tuple[int, ...]
 
     def _check_indices(self, n: int) -> None:
-        """Raise GraphError unless order and parent map index vertices ``0..n-1``."""
-        if sorted(self.order) != list(range(n)):
-            raise GraphError(f"tree order must list every vertex exactly once, got {self.order}")
+        """Raise GraphError unless order, parent map and root index vertices ``0..n-1``."""
+        once = "tree order must list every vertex exactly once, got {1}"
+        order = [_index(v, n, GraphError, "tree vertex", once, self.order) for v in self.order]
+        if sorted(order) != list(range(n)):
+            raise GraphError(once.format(None, self.order))
+        entry = "tree parent entry {1} -> {2} is out of range"
         for child, par in self.parent.items():
-            if not (0 <= child < n and 0 <= par < n):
-                raise GraphError(f"tree parent entry {child} -> {par} is out of range")
+            for end in (child, par):
+                _index(end, n, GraphError, "tree vertex", entry, child, par)
+        _index(self.root, n, GraphError, "tree root", "tree order must start at the root")
 
     def depths(self) -> tuple[int, ...]:
         """Depth of every vertex, indexed by vertex."""
@@ -340,8 +381,7 @@ class RootedTree:
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     """Breadth-first spanning tree with ascending-index tie-breaks."""
-    if not 0 <= root < g.num_vertices:
-        raise GraphError(f"root index {root} out of range")
+    root = _index(root, g.num_vertices, GraphError, "root index", "root index {} out of range")
     parent, order = _bfs(g, root)
     _require_connected(g, order)
     return RootedTree(

@@ -42,7 +42,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import PowerError
-from .graph import Graph
+from .graph import Graph, _index
 
 __all__ = [
     "Monomial",
@@ -72,9 +72,9 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
-            raise PowerError(f"negative exponent in {exps}")
+        exps = self.exponents
+        miss = "negative exponent in {1}"
+        exps = tuple(_index(e, None, PowerError, "exponent", miss, exps) for e in exps)
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
@@ -96,9 +96,8 @@ class Monomial:
 
     @classmethod
     def from_word(cls, word: tuple[int, ...], size: int) -> "Monomial":
-        for idx in word:
-            if not 0 <= idx < size:
-                raise PowerError(f"vertex index {idx} out of range for size {size}")
+        miss = "vertex index {} out of range for size {}"
+        word = [_index(idx, size, PowerError, "vertex index", miss, size) for idx in word]
         return cls._of_words([word], size)[0]
 
     @property
@@ -113,8 +112,8 @@ class Monomial:
 
     def times(self, i: int) -> "Monomial":
         """Multiply by vertex ``i`` (add one token there)."""
-        if not 0 <= i < len(self.exponents):
-            raise PowerError(f"vertex index {i} out of range")
+        miss = "vertex index {} out of range"
+        i = _index(i, len(self.exponents), PowerError, "vertex index", miss)
         exps = list(self.exponents)
         exps[i] += 1
         return Monomial(tuple(exps))
@@ -165,11 +164,11 @@ class ReducedPowerGraph:
     def state_of(self, tokens: tuple[int, ...]) -> int:
         """Index of the state with tokens on ``tokens`` (k vertices, any order): its word's rank."""
         v = self.base.num_vertices
-        if len(tokens) != self.k or not all(
-            isinstance(t, (int, np.integer)) and 0 <= t < v for t in tokens
-        ):
-            raise PowerError(f"tokens {tokens} are not a state of this power")
-        return int(_word_ranks(np.array(tokens, dtype=np.int64), v))
+        miss = "tokens {1} are not a state of this power"
+        word = [_index(t, v, PowerError, miss + ": token", miss, tokens) for t in tokens]
+        if len(word) != self.k:
+            raise PowerError(miss.format(None, tokens))
+        return int(_word_ranks(np.array(word, dtype=np.int64), v))
 
     def state_index(self, m: Monomial) -> int:
         if len(m.exponents) != self.base.num_vertices:

@@ -927,3 +927,59 @@ def test_a_basis_reports_a_dependency_and_a_mismatch_in_element_order():
         with pytest.raises(CycleSpaceError, match=f"^{expected}$"):
             CycleBasis(g, tuple(given_elements), "test", cycles, False, info)
     assert len(seen) == 3
+
+
+# --- the integer rule for walk vertices ---
+
+_FAR = 10**5000  # str() refuses it: more than 4300 digits
+_RULE_CASES = pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.0, "vertex index 1.0 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (_FAR, "vertex index of more than 4000 digits is out of range"),
+    ],
+    ids=["float", "string", "far"],
+)
+
+
+@_RULE_CASES
+def test_cycle_edge_vector_refuses_a_walk_vertex_by_the_integer_rule(bad, message):
+    with pytest.raises(GraphError) as info:
+        cycle_edge_vector(cycle_graph(5), (0, bad, 2, 3, 4))
+    assert str(info.value) == message
+
+
+@_RULE_CASES
+def test_trace_walks_refuses_a_walk_vertex_by_the_integer_rule(bad, message):
+    g = cycle_graph(5)
+    good = (0, 1, 2, 3, 4)
+    with pytest.raises(GraphError) as info:
+        cyclespace._trace_walks(g, [good, (0, bad, 2, 3, 4), good])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"], ids=["float", "string"])
+def test_a_short_walk_before_a_non_integer_walk_raises_its_own_error(bad):
+    g = cycle_graph(5)
+    with pytest.raises(GraphError, match="is not an integer"):
+        cyclespace._trace_walks(g, [(0, bad, 2)])
+    with pytest.raises(CycleSpaceError) as info:
+        cyclespace._trace_walks(g, [(0, 1), (0, bad, 2)])
+    assert str(info.value) == "a simple cycle needs at least three vertices"
+
+
+@_RULE_CASES
+def test_cycle_basis_refuses_a_walk_vertex_by_the_integer_rule(bad, message):
+    basis = greedy_mcb(cycle_graph(5))
+    with pytest.raises(GraphError) as info:
+        _with_cycles(basis, [(0, bad, 2, 3, 4)])
+    assert str(info.value) == message
+
+
+def test_integer_walk_vertices_of_every_integer_type_keep_their_results():
+    g = cycle_graph(5)
+    basis = greedy_mcb(g)
+    for walk in ((0, 1, 2, 3, 4), tuple(np.arange(5)), (False, True, 2, 3, 4), np.arange(5)):
+        assert cycle_edge_vector(g, walk) == basis.elements[0]
+        assert _with_cycles(basis, [walk]).elements == basis.elements

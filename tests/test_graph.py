@@ -472,3 +472,58 @@ def test_graph_attribute_lookup_refuses_an_unknown_name():
     assert hasattr(g, "nope") is False
     with pytest.raises(AttributeError, match="'Graph' object has no attribute 'nope'"):
         g.nope
+
+
+# --- the integer rule: operator.index, and for a vertex index range(n) ---
+
+_FAR = 10**5000  # str() refuses it: more than 4300 digits
+_IDS = ["float", "string", "far"]
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.0, "vertex index 1.0 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (_FAR, "vertex index of more than 4000 digits is out of range"),
+    ],
+    ids=_IDS,
+)
+def test_edge_position_refuses_a_vertex_index_by_the_integer_rule(bad, message):
+    g = cycle_graph(5)
+    for i, j in ((0, bad), (bad, 0)):
+        with pytest.raises(GraphError) as info:
+            g.edge_position(i, j)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", _FAR], ids=_IDS)
+def test_has_edge_is_false_for_what_the_integer_rule_refuses(bad):
+    g = cycle_graph(5)
+    assert not g.has_edge(0, bad) and not g.has_edge(bad, 0)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.0, "root index 1.0 is not an integer"),
+        ("1", "root index '1' is not an integer"),
+        (_FAR, "root index of more than 4000 digits out of range"),
+    ],
+    ids=_IDS,
+)
+def test_bfs_spanning_tree_refuses_a_root_by_the_integer_rule(bad, message):
+    with pytest.raises(GraphError) as info:
+        bfs_spanning_tree(cycle_graph(5), bad)
+    assert str(info.value) == message
+
+
+def test_integer_vertex_indices_of_every_integer_type_keep_their_results():
+    g = cycle_graph(5)
+    for zero, one in ((0, 1), (np.int64(0), np.int64(1)), (False, True)):
+        assert g.edge_position(zero, one) == g.edge_position(one, zero) == 0
+        assert g.has_edge(zero, one) and not g.has_edge(zero, zero)
+        tree = bfs_spanning_tree(g, one)
+        assert tree == bfs_spanning_tree(g, 1)
+        check_spanning_tree(g, RootedTree(zero, {i: i - 1 for i in range(1, 5)}, (zero, 1, 2, 3, 4)))

@@ -657,3 +657,79 @@ def test_equal_reduced_powers_hash_compare_and_print_alike():
     assert a is not b and a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "ReducedPowerGraph(k=2, states=10, edges=16)"
     assert (a == 3) is False and (a.graph == 3) is False
+
+
+# --- the integer rule: operator.index, and for a vertex index range(n) ---
+
+_FAR = 10**5000  # str() refuses it: more than 4300 digits
+
+
+@pytest.mark.parametrize(
+    "exponents,message",
+    [
+        ((1.5, 0, 0), "exponent 1.5 is not an integer"),
+        ((0, "1", 0), "exponent '1' is not an integer"),
+        ((1, -_FAR, 0), "negative exponent in of more than 4000 digits"),
+    ],
+    ids=["float", "string", "far"],
+)
+def test_monomial_refuses_an_exponent_by_the_integer_rule(exponents, message):
+    with pytest.raises(PowerError) as info:
+        Monomial(exponents)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.0, "vertex index 1.0 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (_FAR, "vertex index of more than 4000 digits out of range for size 3"),
+    ],
+    ids=["float", "string", "far"],
+)
+def test_monomial_from_word_refuses_a_vertex_index_by_the_integer_rule(bad, message):
+    with pytest.raises(PowerError) as info:
+        Monomial.from_word((0, bad), 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.5, "vertex index 1.5 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (_FAR, "vertex index of more than 4000 digits out of range"),
+    ],
+    ids=["float", "string", "far"],
+)
+def test_monomial_times_refuses_a_vertex_index_by_the_integer_rule(bad, message):
+    with pytest.raises(PowerError) as info:
+        Monomial((1, 0, 0)).times(bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "tokens,message",
+    [
+        ((0, 2.0), "tokens (0, 2.0) are not a state of this power: token 2.0 is not an integer"),
+        (("2", 0), "tokens ('2', 0) are not a state of this power: token '2' is not an integer"),
+        ((0, _FAR), "tokens of more than 4000 digits are not a state of this power"),
+    ],
+    ids=["float", "string", "far"],
+)
+def test_state_of_refuses_a_token_by_the_integer_rule(tokens, message):
+    rp = build_reduced_power(cycle_graph(5), 2)
+    with pytest.raises(PowerError) as info:
+        rp.state_of(tokens)
+    assert str(info.value) == message
+
+
+def test_integer_tokens_of_every_integer_type_keep_their_results():
+    rp = build_reduced_power(cycle_graph(5), 2)
+    assert rp.state_of((np.int64(1), 2)) == rp.state_of((1, 2)) == rp.state_of((True, 2)) == 6
+    for one in (1, np.int64(1), True):
+        m = Monomial((one, 0, 2))
+        assert m.exponents == (1, 0, 2) and all(type(e) is int for e in m.exponents)
+        assert Monomial.from_word((0, one, one), 3) == Monomial((1, 2, 0))
+        assert Monomial((1, 0, 0)).times(one) == Monomial((1, 1, 0))

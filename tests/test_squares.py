@@ -21,6 +21,7 @@ from redpow import (
     chord_square_count,
     decomposition_basis,
     embed_cycle,
+    fundamental_cycles,
     greedy_mcb,
     is_cycle,
     project_to_base,
@@ -29,6 +30,8 @@ from redpow import (
     tree_square_count,
     verify_square_space,
 )
+
+from redpow.graph import check_spanning_tree
 
 from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
 
@@ -460,3 +463,49 @@ def test_array_squares_of_p3_at_k40_equal_the_tuple_reference():
     g = path_graph(3)
     _assert_decomposition_matches_reference(g, 40)
     assert len(decomposition_basis(g, 40).elements) == tree_square_count(3, 40) == 780
+
+
+# --- the integer rule for roots and tree entries ---
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (2.0, "root index 2.0 is not an integer"),
+        ("2", "root index '2' is not an integer"),
+        (10**5000, "root index of more than 4000 digits out of range"),
+    ],
+    ids=["float", "string", "far"],
+)
+def test_decomposition_basis_refuses_a_root_by_the_integer_rule(bad, message):
+    with pytest.raises(GraphError) as info:
+        decomposition_basis(cycle_graph(5), 2, root=bad)
+    assert str(info.value) == message
+
+
+_PATH_PARENT = {1: 0, 2: 1, 3: 2, 4: 3}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, t: check_spanning_tree(g, t),
+        lambda g, t: fundamental_cycles(g, t),
+        lambda g, t: tree_pair_squares(g, t, 2),
+        lambda g, t: verify_square_space(g, t, 2),
+    ],
+    ids=["check_spanning_tree", "fundamental_cycles", "tree_pair_squares", "verify_square_space"],
+)
+@pytest.mark.parametrize(
+    "tree,message",
+    [
+        (RootedTree(0, _PATH_PARENT, (0, 1, 2.0, 3, 4)), "tree vertex 2.0 is not an integer"),
+        (RootedTree(0, {**_PATH_PARENT, 4: 3.0}, (0, 1, 2, 3, 4)), "tree vertex 3.0 is not an integer"),
+        (RootedTree(0.0, _PATH_PARENT, (0, 1, 2, 3, 4)), "tree root 0.0 is not an integer"),
+    ],
+    ids=["order", "parent", "root"],
+)
+def test_a_tree_with_a_float_entry_is_refused(call, tree, message):
+    with pytest.raises(GraphError) as info:
+        call(cycle_graph(5), tree)
+    assert str(info.value) == message
