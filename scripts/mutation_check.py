@@ -110,6 +110,20 @@ MUTANTS = (
         "chain.from_iterable(walks)",
         ("tests/test_cyclespace.py::test_trace_walks_refuses_a_walk_vertex_by_the_integer_rule",),
     ),
+    Mutant(
+        "the token-count helper accepts one below its least count",
+        "src/redpow/power.py",
+        "    return _index(n, None, PowerError, what, miss, start=least)\n",
+        "    return _index(n, None, PowerError, what, miss, start=least - 1)\n",
+        ("tests/test_power.py::test_vertex_count_refuses_a_count_by_the_integer_rule",),
+    ),
+    Mutant(
+        "Graph.adjacency indexes its neighbour tuples without the integer rule",
+        "src/redpow/graph.py",
+        "        return self._adj[_index(i, len(self.labels))]\n",
+        "        return self._adj[i]\n",
+        ("tests/test_graph.py::test_adjacency_and_degree_refuse_a_vertex_index_by_the_integer_rule",),
+    ),
 )
 
 

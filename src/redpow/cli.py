@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PowerError, RedpowError, SolverError
-from .graph import bfs_spanning_tree, graph_to_dot, graph_to_json, load_graph
+from .graph import _index, bfs_spanning_tree, graph_to_dot, graph_to_json, load_graph
 from .power import (
     build_reduced_power,
     cartesian_power,
@@ -206,8 +206,9 @@ def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
     return count
 
 
-def _check_budget(what: str, v: int, k: int) -> None:
-    """Refuse, before anything is built, a k below 1 or a k-th power over the state budget."""
+def _check_budget(what: str, v: int, k: int) -> int:
+    """Refuse a non-integer k, a k below 1 or a power over the state budget; return k as an int."""
+    k = _index(k, None, RedpowError, f"{what} k", start=None)
     if k < 1:  # a k of many digits is not written out, as below
         raise RedpowError(f"{what} has k = {k if k > -10**30 else 'below -10^30'}, not at least 1")
     # k may have thousands of digits: a count past 10^30 is neither computed
@@ -221,6 +222,7 @@ def _check_budget(what: str, v: int, k: int) -> None:
     if k > _STATE_BUDGET:
         shown = "10^30 or more" if k >= 10**30 else k
         raise RedpowError(f"{what} has k = {shown}, over the budget of {_STATE_BUDGET}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -307,7 +309,7 @@ def check_reversibility(graph, k, spec, *, exact=False, root=None) -> Verdict:
     thread settings are respected). A chain the criterion refutes reports
     the dense law, also one balanced within the float test's tolerance.
     """
-    _check_budget("model", graph.num_vertices, k)
+    k = _check_budget("model", graph.num_vertices, k)
     root_index = _root_index(graph, root)
     single = single_automaton_check(graph, spec) if k > 1 else None
     mc = MasterChain(build_reduced_power(graph, k), spec)

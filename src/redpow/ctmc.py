@@ -49,7 +49,15 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import GraphError, ModelError, SolverError
-from .graph import Graph, _edge_ids, _read_json, bfs_spanning_tree, graph_from_dict, graph_to_dict
+from .graph import (
+    Graph,
+    _edge_ids,
+    _index,
+    _read_json,
+    bfs_spanning_tree,
+    graph_from_dict,
+    graph_to_dict,
+)
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
 from .cyclespace import CycleBasis, _base_mcb, host_graph
 
@@ -283,6 +291,7 @@ class MasterChain:
         return self.rp.num_states
 
     def rate(self, x: int, y: int) -> Fraction:
+        x, y = _index(x, self.num_states), _index(y, self.num_states)
         e = self.rp.graph.edge_index.get((x, y) if x < y else (y, x))
         if e is None:
             return Fraction(0)

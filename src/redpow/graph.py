@@ -157,11 +157,11 @@ class Graph:
             raise GraphError(f"unknown vertex label {label!r}") from None
 
     def adjacency(self, i: int) -> tuple[int, ...]:
-        """Neighbors of vertex ``i`` in ascending index order."""
-        return self._adj[i]
+        """Neighbors of vertex ``i`` (:func:`_index`) in ascending index order."""
+        return self._adj[_index(i, len(self.labels))]
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self.adjacency(i))
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether ``{i, j}`` is an edge; False for anything :func:`_index` refuses."""
@@ -229,12 +229,13 @@ def _index(
     what: str = "vertex index",
     miss: str = "vertex index {} is out of range",
     *named: object,
+    start: int | None = 0,
 ) -> int:
-    """``x`` as an int, by the package's one rule for vertex indices and token counts.
+    """``x`` as an int, by the package's one rule for every index and count.
 
     An integer is what ``operator.index`` takes: an int, bool or numpy
-    integer, but no float or string. It must lie in ``range(stop)``, or be
-    at least 0 when ``stop`` is None. Otherwise ``error`` names ``x``:
+    integer, but no float or string. It must lie in ``range(start, stop)``,
+    a None bound leaving that side open. Otherwise ``error`` names ``x``:
     ``what`` then "``x!r`` is not an integer", or ``miss`` for an int out
     of range, each formatted with ``x`` and ``named``, where an int of
     more than 4000 digits, alone or in a tuple, is shown by its size.
@@ -243,7 +244,7 @@ def _index(
         i = operator.index(x)
     except TypeError:
         i = None
-    if i is not None and 0 <= i and (stop is None or i < stop):
+    if i is not None and (start is None or start <= i) and (stop is None or i < stop):
         return i
 
     def shown(v: object) -> object:  # str refuses an int of more than 4300 digits
@@ -465,6 +466,8 @@ def _read_json(path: str | Path, kind: str, error: type[Exception]) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an int past 4300 digits, or deep nesting
+        raise error(f"{kind} file {path} cannot be parsed: {exc}") from None
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -176,10 +176,12 @@ class ReducedPowerGraph:
         return self.state_of(m.word())
 
     def label(self, i: int) -> str:
-        return self.graph.labels[i]
+        miss = "state index {} is out of range"
+        return self.graph.labels[_index(i, self.num_states, PowerError, "state index", miss)]
 
     def annotation(self, edge: int) -> tuple[int, int, Monomial]:
-        return self.annotations[edge]
+        miss = "edge index {} is out of range"
+        return self.annotations[_index(edge, self.num_edges, PowerError, "edge index", miss)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReducedPowerGraph):
@@ -193,17 +195,26 @@ class ReducedPowerGraph:
         return f"ReducedPowerGraph(k={self.k}, states={self.num_states}, edges={self.num_edges})"
 
 
+def _count(n: object, what: str = "k", miss: str = "k must be >= 1", least: int = 1) -> int:
+    """``n`` as an int of at least ``least``, by :func:`~redpow.graph._index`'s rule.
+
+    Anything else is a ``PowerError``: ``what`` names a non-integer, and
+    ``miss`` is the message for an int below ``least``.
+    """
+    return _index(n, None, PowerError, what, miss, start=least)
+
+
 def vertex_count(v: int, k: int) -> int:
     """Number of states: multisets of size k over v vertices."""
-    if v < 1 or k < 1:
-        raise PowerError("vertex_count needs v >= 1 and k >= 1")
+    miss = "vertex_count needs v >= 1 and k >= 1"
+    v, k = _count(v, "v", miss), _count(k, "k", miss)
     return comb(k + v - 1, k)
 
 
 def edge_count(e: int, v: int, k: int) -> int:
     """Number of edges: one per base edge and degree-(k-1) monomial."""
-    if v < 1 or k < 1 or e < 0:
-        raise PowerError("edge_count needs v >= 1, k >= 1, e >= 0")
+    miss = "edge_count needs v >= 1, k >= 1, e >= 0"
+    e, v, k = _count(e, "e", miss, 0), _count(v, "v", miss), _count(k, "k", miss)
     return e * comb(k + v - 2, k - 1)
 
 
@@ -222,8 +233,7 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     ``f * i`` and ``f * j``, columns ``i`` and ``j`` of the rank array of
     :func:`_insert_ranks`; since ``i < j``, ``f * i`` ranks lower.
     """
-    if k < 1:
-        raise PowerError("k must be >= 1")
+    k = _count(k)
     v = base.num_vertices
     stays, ranks = _insert_ranks(v, k)
     ends = base._pairs
@@ -359,8 +369,7 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     joins ``t`` to ``t + (b - a) * v**(k - 1 - pos)``: every edge end is
     computed as one array over all tuples with digit ``a`` at ``pos``.
     """
-    if k < 1:
-        raise PowerError("k must be >= 1")
+    k = _count(k)
     v = base.num_vertices
     n = v**k
     if n > budget:
@@ -392,8 +401,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     check after another, and only the distinct quotient edges come back
     to Python.
     """
-    if k < 1:
-        raise PowerError("k must be >= 1")
+    k = _count(k)
     v = base.num_vertices
     n = v**k
     if power.num_vertices != n:

@@ -51,7 +51,7 @@ from .graph import (
     check_spanning_tree,
     has_triangles,
 )
-from .power import Monomial, ReducedPowerGraph, _word_ranks, build_reduced_power
+from .power import Monomial, ReducedPowerGraph, _count, _word_ranks, build_reduced_power
 from .cyclespace import (
     CycleBasis,
     EdgeVector,
@@ -134,6 +134,7 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
     check_spanning_tree(g, t)
     if not t.is_depth_ordered():
         raise GraphError("tree order must be non-decreasing in depth")
+    k = _count(k)
     if k < 2:
         warnings.warn("no Cartesian squares exist for k < 2", stacklevel=4)
         return 0, np.empty((0, 5), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
@@ -253,8 +254,7 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     there. The result is always a basis; it is a certified minimum
     cycle basis exactly when the base graph has no triangles.
     """
-    if k < 2:
-        raise PowerError("the decomposition basis needs k >= 2")
+    k = _count(k, "k", "the decomposition basis needs k >= 2", 2)
     tree = bfs_spanning_tree(base, root)
     return _decomposition_on(build_reduced_power(base, k), tree)
 
@@ -325,6 +325,7 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     walks the peel leaves.
     """
     rp = build_reduced_power(base, k)
+    k = rp.k
     (n_tree, rows, _), cycles = _structured_cycles(rp, tree)
     starts, edge, _ = _trace_walks(rp.graph, cycles)
     n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from redpow import Graph, RateSpec
+from redpow import Graph, PowerError, RateSpec
 
 
 def cycle_graph(n: int, labels: str | None = None) -> Graph:
@@ -123,3 +123,18 @@ def graph_docs():
         }
     )
     return doc | JSON_VALUES
+
+
+COUNT_KINDS = ["float", "string", "below", "negative", "far"]
+
+
+def assert_count_refused(call, what: str, miss: str, least: int, kind: str) -> None:
+    """``call`` of a count the integer rule refuses raises the PowerError that names it.
+
+    The count is no integer (a float or a string) or an int below ``least``:
+    one below, -1, or one past the int string limit (a large count would be built).
+    """
+    bad = {"float": 2.0, "string": "2", "below": least - 1, "negative": -1, "far": -(10**5000)}[kind]
+    with pytest.raises(PowerError) as info:
+        call(bad)
+    assert str(info.value) == (miss if isinstance(bad, int) else f"{what} {bad!r} is not an integer")

@@ -1598,3 +1598,68 @@ def test_running_the_cli_module_prints_the_verdict_and_exits_with_its_code(tmp_p
                          capture_output=True, text=True, env=env)
     assert (run.returncode, run.stderr) == (2, "")
     assert run.stdout.endswith("detailed balance (exact): fail\nverdict: not reversible\n")
+
+
+@pytest.mark.parametrize(
+    "k,message",
+    [
+        (2.0, "model k 2.0 is not an integer"),
+        ("2", "model k '2' is not an integer"),
+        (-1, "model has k = -1, not at least 1"),
+        (10**5000, "model has more than 10^30 states, over the budget of 5000"),
+    ],
+    ids=["float", "string", "negative", "far"],
+)
+def test_check_reversibility_refuses_k_by_the_integer_rule_before_building(monkeypatch, k, message):
+    from redpow import ctmc, squares
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power was built")
+
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", refuse)
+    g, _, spec = model_from_dict(pentagon_model())
+    with pytest.raises(RedpowError) as info:
+        cli.check_reversibility(g, k, spec)
+    assert str(info.value) == message
+
+
+def test_check_reversibility_of_every_integer_type_keeps_its_verdict():
+    import numpy as np
+
+    g, _, spec = model_from_dict(pentagon_model())
+    report = json.dumps(cli.check_reversibility(g, 2, spec).as_dict())
+    for two in (np.int64(2), np.int32(2)):
+        verdict = cli.check_reversibility(g, two, spec)
+        assert type(verdict.k) is int and verdict.basis.host.k == 2
+        assert json.dumps(verdict.as_dict()) == report
+    one = cli.check_reversibility(g, True, spec)
+    assert type(one.k) is int
+    assert json.dumps(one.as_dict()) == json.dumps(cli.check_reversibility(g, 1, spec).as_dict())
+
+
+# --- files json cannot parse into Python values exit 1 with one error line ---
+
+
+@pytest.mark.parametrize("command", ["power", "check-reversibility"])
+@pytest.mark.parametrize(
+    "value,reason",
+    [
+        ("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
+        ("1" + "0" * 4999, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "long-int"],
+)
+def test_a_file_json_cannot_parse_is_an_error_naming_it(tmp_path, capsys, command, value, reason):
+    path = tmp_path / "input.json"
+    if command == "power":
+        kind, argv = "graph", [command, "--graph", str(path), "--k", "2"]
+        path.write_text(json.dumps(PENTAGON).replace('"edges": [', f'"edges": [{value}, ', 1))
+    else:
+        kind, argv = "model", [command, "--model", str(path)]
+        path.write_text(json.dumps({**pentagon_model(), "k": 0}).replace('"k": 0', f'"k": {value}'))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} file {path} cannot be parsed: {reason}")
+    assert captured.err.count("\n") == 1

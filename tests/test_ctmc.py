@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from redpow import (
     CycleBasis,
     Graph,
+    GraphError,
     MasterChain,
     ModelError,
     Monomial,
@@ -33,6 +34,7 @@ from redpow import (
     graph_to_dict,
     greedy_mcb,
     kolmogorov_check,
+    load_model,
     model_from_dict,
     model_to_dict,
     parse_rational,
@@ -1768,3 +1770,52 @@ def test_float_steady_state_refuses_a_law_of_nans(monkeypatch):
         for chain in (mc, build_master(pentagon(), 2, pentagon_spec(32, 1, 2))):
             with pytest.raises(SolverError, match="^steady-state residual nan exceeds"):
                 steady_state(chain, mode="float")
+
+
+# --- state indices follow the integer rule ---
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.0, "vertex index 1.0 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (-1, "vertex index -1 is out of range"),
+        (10**5000, "vertex index of more than 4000 digits is out of range"),
+    ],
+    ids=["float", "string", "negative", "far"],
+)
+def test_rate_and_exit_rate_refuse_a_state_by_the_integer_rule(bad, message):
+    mc = build_master(pentagon(), 2, pentagon_spec(3, 1, 2))
+    for call in (lambda: mc.rate(0, bad), lambda: mc.rate(bad, 0), lambda: mc.exit_rate(bad)):
+        with pytest.raises(GraphError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_rate_and_exit_rate_of_every_integer_type_keep_their_results():
+    mc = build_master(pentagon(), 2, pentagon_spec(3, 1, 2))
+    x, y = mc.rp.graph.edges[0]
+    for cast in (np.int64, np.int32):
+        assert mc.rate(cast(x), cast(y)) == mc.rate(x, y) == mc.forward[0]
+        assert mc.rate(cast(y), cast(x)) == mc.backward[0]
+        assert mc.exit_rate(cast(x)) == mc.exit_rate(x) > 0
+    assert mc.rate(True, False) == mc.rate(1, 0) and mc.exit_rate(True) == mc.exit_rate(1)
+
+
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        ("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
+        ("1" + "0" * 4999, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "long-int"],
+)
+def test_load_model_refuses_a_file_json_cannot_parse_naming_it(tmp_path, field, reason):
+    g = pentagon()
+    doc = json.dumps(model_to_dict(g, 2, pentagon_spec(3, 1, 2)))
+    path = tmp_path / "model.json"
+    path.write_text(doc.replace('"k": 2', '"k": ' + field))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"model file {path} cannot be parsed: {reason}")

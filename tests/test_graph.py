@@ -527,3 +527,49 @@ def test_integer_vertex_indices_of_every_integer_type_keep_their_results():
         tree = bfs_spanning_tree(g, one)
         assert tree == bfs_spanning_tree(g, 1)
         check_spanning_tree(g, RootedTree(zero, {i: i - 1 for i in range(1, 5)}, (zero, 1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("accessor", ["adjacency", "degree"])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (1.5, "vertex index 1.5 is not an integer"),
+        ("1", "vertex index '1' is not an integer"),
+        (-1, "vertex index -1 is out of range"),
+        (_FAR, "vertex index of more than 4000 digits is out of range"),
+    ],
+    ids=["float", "string", "negative", "far"],
+)
+def test_adjacency_and_degree_refuse_a_vertex_index_by_the_integer_rule(accessor, bad, message):
+    with pytest.raises(GraphError) as info:
+        getattr(cycle_graph(3), accessor)(bad)
+    assert str(info.value) == message
+
+
+def test_adjacency_and_degree_of_every_integer_type_keep_their_results():
+    g = path_graph(3)
+    for one in (1, np.int64(1), True):
+        assert g.adjacency(one) == (0, 2) and g.degree(one) == 2
+    assert g.adjacency(np.int64(2)) == (1,) and g.degree(False) == 1
+
+
+# --- files json cannot parse into Python values ---
+
+_DEEP = "[" * 3000 + "]" * 3000  # past the parser's recursion limit
+_LONG_INT = "1" + "0" * 4999  # past Python's 4300-digit int string limit
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ('{"vertices": ["a"], "edges": ' + _DEEP + "}", "maximum recursion depth exceeded"),
+        ('{"vertices": ["a"], "edges": [], "n": ' + _LONG_INT + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep", "long-int"],
+)
+def test_load_graph_refuses_a_file_json_cannot_parse_naming_it(tmp_path, text, reason):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    with pytest.raises(GraphError) as info:
+        load_graph(path)
+    assert str(info.value).startswith(f"graph file {path} cannot be parsed: {reason}")

@@ -28,6 +28,8 @@ from redpow import (
 from redpow.power import _assemble
 
 from conftest import (
+    COUNT_KINDS,
+    assert_count_refused,
     cycle_graph,
     complete_graph,
     generator_suite,
@@ -733,3 +735,78 @@ def test_integer_tokens_of_every_integer_type_keep_their_results():
         assert m.exponents == (1, 0, 2) and all(type(e) is int for e in m.exponents)
         assert Monomial.from_word((0, one, one), 3) == Monomial((1, 2, 0))
         assert Monomial((1, 0, 0)).times(one) == Monomial((1, 1, 0))
+
+
+# --- token counts and index accessors follow the same rule ---
+
+_TRIANGLE = cycle_graph(3)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_build_reduced_power_refuses_k_by_the_integer_rule(kind):
+    assert_count_refused(lambda k: build_reduced_power(_TRIANGLE, k), "k", "k must be >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_cartesian_power_refuses_k_by_the_integer_rule(kind):
+    assert_count_refused(lambda k: cartesian_power(_TRIANGLE, k), "k", "k must be >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_quotient_by_symmetry_refuses_k_by_the_integer_rule(kind):
+    product_graph = cartesian_power(_TRIANGLE, 2)
+    call = lambda k: quotient_by_symmetry(product_graph, _TRIANGLE, k)  # noqa: E731
+    assert_count_refused(call, "k", "k must be >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+@pytest.mark.parametrize("field", ["v", "k"])
+def test_vertex_count_refuses_a_count_by_the_integer_rule(field, kind):
+    call = lambda n: vertex_count(n, 2) if field == "v" else vertex_count(3, n)  # noqa: E731
+    assert_count_refused(call, field, "vertex_count needs v >= 1 and k >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+@pytest.mark.parametrize("field", ["e", "v", "k"])
+def test_edge_count_refuses_a_count_by_the_integer_rule(field, kind):
+    call = lambda n: edge_count(*{"e": (n, 3, 2), "v": (3, n, 2), "k": (3, 3, n)}[field])  # noqa: E731
+    least = 0 if field == "e" else 1
+    assert_count_refused(call, field, "edge_count needs v >= 1, k >= 1, e >= 0", least, kind)
+
+
+_INDEX_KINDS = {"float": 1.0, "string": "1", "negative": -1, "far": _FAR}
+
+
+@pytest.mark.parametrize("kind", list(_INDEX_KINDS))
+@pytest.mark.parametrize(
+    "accessor,what", [("label", "state index"), ("annotation", "edge index")]
+)
+def test_power_index_accessors_refuse_an_index_by_the_integer_rule(accessor, what, kind):
+    bad = _INDEX_KINDS[kind]
+    with pytest.raises(PowerError) as info:
+        getattr(build_reduced_power(_TRIANGLE, 2), accessor)(bad)
+    if kind in ("float", "string"):
+        assert str(info.value) == f"{what} {bad!r} is not an integer"
+    else:
+        shown = -1 if kind == "negative" else "of more than 4000 digits"
+        assert str(info.value) == f"{what} {shown} is out of range"
+
+
+def test_token_counts_of_every_integer_type_keep_their_results():
+    rp = build_reduced_power(_TRIANGLE, 2)
+    for two in (np.int64(2), np.int32(2)):
+        assert build_reduced_power(_TRIANGLE, two) == rp
+        assert build_reduced_power(_TRIANGLE, two).annotations == rp.annotations
+        assert cartesian_power(_TRIANGLE, two) == cartesian_power(_TRIANGLE, 2)
+        quotient = quotient_by_symmetry(cartesian_power(_TRIANGLE, 2), _TRIANGLE, two)
+        assert quotient == rp and quotient.annotations == rp.annotations
+        assert vertex_count(np.int64(3), two) == vertex_count(3, 2) == 6
+        assert edge_count(np.int64(3), np.int64(3), two) == edge_count(3, 3, 2) == 9
+        for out in (build_reduced_power(_TRIANGLE, two).k, quotient.k, vertex_count(3, two)):
+            assert type(out) is int
+    assert build_reduced_power(_TRIANGLE, True) == build_reduced_power(_TRIANGLE, 1)
+    assert type(build_reduced_power(_TRIANGLE, True).k) is int
+    assert edge_count(False, 3, True) == 0 and vertex_count(True, 5) == 1
+    for i in (np.int64(4), True):
+        assert rp.label(i) == rp.label(int(i))
+        assert rp.annotation(i) == rp.annotation(int(i))

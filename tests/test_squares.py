@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +35,14 @@ from redpow import (
 
 from redpow.graph import check_spanning_tree
 
-from conftest import cycle_graph, complete_graph, path_graph, random_connected_graph
+from conftest import (
+    COUNT_KINDS,
+    assert_count_refused,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+)
 
 
 def path_tree(n: int) -> RootedTree:
@@ -509,3 +518,44 @@ def test_a_tree_with_a_float_entry_is_refused(call, tree, message):
     with pytest.raises(GraphError) as info:
         call(cycle_graph(5), tree)
     assert str(info.value) == message
+
+
+# --- token counts follow the integer rule ---
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_decomposition_basis_refuses_k_by_the_integer_rule(kind):
+    call = lambda k: decomposition_basis(cycle_graph(5), k)  # noqa: E731
+    assert_count_refused(call, "k", "the decomposition basis needs k >= 2", 2, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+@pytest.mark.parametrize("family", [tree_pair_squares, chord_pair_squares])
+def test_square_families_refuse_k_by_the_integer_rule(family, kind):
+    g = cycle_graph(5)
+    tree = bfs_spanning_tree(g, 0)
+    assert_count_refused(lambda k: family(g, tree, k), "k", "k must be >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_verify_square_space_refuses_k_by_the_integer_rule(kind):
+    g = cycle_graph(5)
+    call = lambda k: verify_square_space(g, bfs_spanning_tree(g, 0), k)  # noqa: E731
+    assert_count_refused(call, "k", "k must be >= 1", 1, kind)
+
+
+def test_square_token_counts_of_every_integer_type_keep_their_results():
+    g = complete_graph(4)
+    tree = bfs_spanning_tree(g, 0)
+    basis = decomposition_basis(g, 3)
+    report = verify_square_space(g, tree, 3)
+    for three in (np.int64(3), np.int32(3)):
+        assert decomposition_basis(g, three).cycles == basis.cycles
+        assert tree_pair_squares(g, tree, three) == tree_pair_squares(g, tree, 3)
+        assert chord_pair_squares(g, tree, three) == chord_pair_squares(g, tree, 3)
+        other = verify_square_space(g, tree, three)
+        assert other == report and type(other.k) is int
+        assert json.dumps(other.as_dict()) == json.dumps(report.as_dict())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert tree_pair_squares(g, tree, True) == []
+    assert [str(w.message) for w in caught] == ["no Cartesian squares exist for k < 2"]
