@@ -124,6 +124,20 @@ MUTANTS = (
         "        return self._adj[i]\n",
         ("tests/test_graph.py::test_adjacency_and_degree_refuse_a_vertex_index_by_the_integer_rule",),
     ),
+    Mutant(
+        "tree_square_count computes its closed form on unchecked counts",
+        "src/redpow/squares.py",
+        '    v, k = _count(v, "v", miss), _count(k, "k", miss)\n    return (v - 1)',
+        "    return (v - 1)",
+        ("tests/test_squares.py::test_tree_square_count_refuses_a_count_by_the_integer_rule",),
+    ),
+    Mutant(
+        "model_from_dict echoes k by its raw repr",
+        "src/redpow/ctmc.py",
+        "got {_shown(k)}",
+        "got {k!r}",
+        ("tests/test_ctmc.py::test_model_from_dict_echoes_an_outside_value_in_a_bounded_form",),
+    ),
 )
 
 

@@ -54,6 +54,7 @@ from .graph import (
     _edge_ids,
     _index,
     _read_json,
+    _shown,
     bfs_spanning_tree,
     graph_from_dict,
     graph_to_dict,
@@ -103,7 +104,7 @@ def parse_rational(value: object, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if "_" in value:  # Fraction reads PEP 515 underscores from Python 3.11 on only
-            raise ModelError(f"{where}: underscores are not allowed in rate {value!r}")
+            raise ModelError(f"{where}: underscores are not allowed in rate {_shown(value)}")
         try:
             plain = _PLAIN.match(value)
             if plain:
@@ -117,11 +118,11 @@ def parse_rational(value: object, where: str) -> Fraction:
             exp = _EXPONENT.search(value)
             if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
                 raise ModelError(
-                    f"{where}: exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude"
+                    f"{where}: exponent of {_shown(value)} exceeds {_MAX_EXPONENT} in magnitude"
                 )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"{where}: cannot parse rational {value!r}: {exc}") from None
+            raise ModelError(f"{where}: cannot parse rational {_shown(value)}: {exc}") from None
     if isinstance(value, float):
         raise ModelError(
             f"{where}: floats are not exact; write the rate as a string like '1/10'"
@@ -1109,7 +1110,7 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     graph = graph_from_dict(data["graph"])
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ModelError(f"'k' must be a positive integer, got {k!r}")
+        raise ModelError(f"'k' must be a positive integer, got {_shown(k)}")
     rates_doc = data["rates"]
     if not isinstance(rates_doc, dict):
         raise ModelError("'rates' must be an object keyed by 'src->dst'")
@@ -1119,32 +1120,33 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     v = graph.num_vertices
     labels = set(graph.labels)
     for key, entry in rates_doc.items():
+        shown = _shown(key)
         if "->" not in key:
-            raise ModelError(f"rate key {key!r} must look like 'src->dst'")
+            raise ModelError(f"rate key {shown} must look like 'src->dst'")
         # labels may hold '->' too: take the one split with a label on each side
         splits = [(key[:i], key[i + 2 :]) for i in range(len(key)) if key.startswith("->", i)]
         ends = [(a, b) for a, b in splits if a in labels and b in labels] or splits[:1]
         if len(ends) > 1:
-            raise ModelError(f"rate key {key!r} is ambiguous")
-        pair = tuple(_vertex(graph, end, f"rate key {key!r}") for end in ends[0])
+            raise ModelError(f"rate key {shown} is ambiguous")
+        pair = tuple(_vertex(graph, end, f"rate key {shown}") for end in ends[0])
         if not graph.has_edge(*pair):
-            raise ModelError(f"rate key {key!r} does not name an edge")
+            raise ModelError(f"rate key {shown} does not name an edge")
         if not isinstance(entry, dict) or "base" not in entry:
-            raise ModelError(f"rate entry {key!r} must be an object with 'base'")
-        base[pair] = parse_rational(entry["base"], f"rates[{key!r}].base")
+            raise ModelError(f"rate entry {shown} must be an object with 'base'")
+        base[pair] = parse_rational(entry["base"], f"rates[{shown}].base")
         if "coupling" in entry:  # RateSpec keeps only the vectors with a nonzero entry
             coupling_doc = entry["coupling"]
             if not isinstance(coupling_doc, dict):
-                raise ModelError(f"rates[{key!r}].coupling must be an object")
+                raise ModelError(f"rates[{shown}].coupling must be an object")
             coeffs = [Fraction(0)] * v
             for lab, val in coupling_doc.items():
-                coeffs[_vertex(graph, lab, f"rates[{key!r}].coupling")] = parse_rational(
-                    val, f"rates[{key!r}].coupling[{lab!r}]"
+                coeffs[_vertex(graph, lab, f"rates[{shown}].coupling")] = parse_rational(
+                    val, f"rates[{shown}].coupling[{_shown(lab)}]"
                 )
             coupling[pair] = tuple(coeffs)
         for extra in entry:
             if extra not in ("base", "coupling"):
-                raise ModelError(f"rates[{key!r}] has unknown field {extra!r}")
+                raise ModelError(f"rates[{shown}] has unknown field {_shown(extra)}")
 
     return graph, k, RateSpec(graph, base, coupling)
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import operator
+import reprlib
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,16 +64,16 @@ class Graph:
                     raise TypeError
                 x, y = entry
             except (TypeError, ValueError):
-                raise GraphError(f"edge entry {entry!r} must be a pair of labels") from None
+                raise GraphError(f"edge entry {_shown(entry)} must be a pair of labels") from None
             for end in (x, y):
                 if not isinstance(end, str) or end not in label_index:
-                    raise GraphError(f"edge endpoint {end!r} is not a vertex")
+                    raise GraphError(f"edge endpoint {_shown(end)} is not a vertex")
             i, j = label_index[x], label_index[y]
             if i == j:
-                raise GraphError(f"loop at vertex {x!r} is not allowed")
+                raise GraphError(f"loop at vertex {_shown(x)} is not allowed")
             pair = (i, j) if i < j else (j, i)
             if pair in pairs:
-                raise GraphError(f"duplicate edge {x!r}-{y!r}")
+                raise GraphError(f"duplicate edge {_shown(x)}-{_shown(y)}")
             pairs.add(pair)
         self._fill(labels, label_index, list(pairs))
 
@@ -154,7 +156,7 @@ class Graph:
         try:
             return self._label_index[label]
         except KeyError:
-            raise GraphError(f"unknown vertex label {label!r}") from None
+            raise GraphError(f"unknown vertex label {_shown(label)}") from None
 
     def adjacency(self, i: int) -> tuple[int, ...]:
         """Neighbors of vertex ``i`` (:func:`_index`) in ascending index order."""
@@ -237,8 +239,7 @@ def _index(
     integer, but no float or string. It must lie in ``range(start, stop)``,
     a None bound leaving that side open. Otherwise ``error`` names ``x``:
     ``what`` then "``x!r`` is not an integer", or ``miss`` for an int out
-    of range, each formatted with ``x`` and ``named``, where an int of
-    more than 4000 digits, alone or in a tuple, is shown by its size.
+    of range, each formatted with the :func:`_shown` texts of ``x`` and ``named``.
     """
     try:
         i = operator.index(x)
@@ -246,16 +247,27 @@ def _index(
         i = None
     if i is not None and (start is None or start <= i) and (stop is None or i < stop):
         return i
-
-    def shown(v: object) -> object:  # str refuses an int of more than 4300 digits
-        ends = v if isinstance(v, (tuple, list)) else (v,)
-        big = any(isinstance(e, int) and not -(10**4000) < e < 10**4000 for e in ends)
-        return "of more than 4000 digits" if big else v
-
-    args = list(map(shown, (x, *named)))
+    args = [_shown(a, str) for a in (x, *named)]
     if i is None:
-        raise error(f"{what.format(*args)} {args[0]!r} is not an integer")
+        raise error(f"{what.format(*args)} {_shown(x)} is not an integer")
     raise error(miss.format(*args))
+
+
+_BOUNDED = reprlib.Repr()  # one level of a value: six items a container, 30 characters an item
+_BOUNDED.maxlevel, _BOUNDED.maxlong, _BOUNDED.maxdict = 1, 30, 2
+
+
+def _shown(v: object, form: Callable[[object], str] = repr) -> str:
+    """How a message shows an outside value: ``form(v)`` up to 200 characters, else bounded."""
+    ends = [*v, *v.values()] if isinstance(v, dict) else (v,)  # v, or the items it holds
+    ends = v if isinstance(v, (tuple, list, set, frozenset, deque)) else ends
+    if any(isinstance(e, int) and not -(10**4000) < e < 10**4000 for e in ends):
+        return "of more than 4000 digits"  # str refuses an int of more than 4300 digits
+    try:
+        text = form(v)
+    except (ValueError, RecursionError):  # such an int further in, or nesting past the stack
+        text = ""
+    return text if 0 < len(text) <= 200 else _BOUNDED.repr(v)  # reprlib's form, one level deep
 
 
 def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -265,11 +277,11 @@ def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int
         raise GraphError("graph needs at least one vertex")
     for lab in labels:
         if not isinstance(lab, str) or not lab:
-            raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
+            raise GraphError(f"vertex labels must be non-empty strings, got {_shown(lab)}")
     label_index: dict[str, int] = {}
     for i, lab in enumerate(labels):
         if label_index.setdefault(lab, i) != i:
-            raise GraphError(f"duplicate vertex label {lab!r}")
+            raise GraphError(f"duplicate vertex label {_shown(lab)}")
     return labels, label_index
 
 
@@ -434,7 +446,7 @@ def graph_from_dict(data: object, require_connected: bool = True) -> Graph:
             or len(item) != 2
             or not all(isinstance(end, str) for end in item)
         ):
-            raise GraphError(f"edge entry {item!r} must be a pair of labels (strings)")
+            raise GraphError(f"edge entry {_shown(item)} must be a pair of labels (strings)")
         pairs.append((item[0], item[1]))
     g = Graph(vertices, pairs)
     if require_connected:

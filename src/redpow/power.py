@@ -369,7 +369,7 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     joins ``t`` to ``t + (b - a) * v**(k - 1 - pos)``: every edge end is
     computed as one array over all tuples with digit ``a`` at ``pos``.
     """
-    k = _count(k)
+    k, budget = _count(k), _count(budget, "budget", "budget must be >= 0", 0)
     v = base.num_vertices
     n = v**k
     if n > budget:

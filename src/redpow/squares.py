@@ -198,11 +198,15 @@ def chord_pair_squares(g: Graph, t: RootedTree, k: int) -> list[CartesianSquare]
 
 def tree_square_count(v: int, k: int) -> int:
     """Closed form for the tree pair family size."""
+    miss = "tree_square_count needs v >= 1 and k >= 1"
+    v, k = _count(v, "v", miss), _count(k, "k", miss)
     return (v - 1) * comb(k + v - 2, k - 1) - comb(k + v - 1, k) + 1
 
 
 def chord_square_count(beta: int, v: int, k: int) -> int:
     """Closed form for the chord pair family size."""
+    miss = "chord_square_count needs v >= 1, k >= 1, beta >= 0"
+    beta, v, k = _count(beta, "beta", miss, 0), _count(v, "v", miss), _count(k, "k", miss)
     return beta * (comb(k + v - 2, k - 1) - 1)
 
 

@@ -1819,3 +1819,45 @@ def test_load_model_refuses_a_file_json_cannot_parse_naming_it(tmp_path, field, 
     with pytest.raises(ModelError) as info:
         load_model(path)
     assert str(info.value).startswith(f"model file {path} cannot be parsed: {reason}")
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_TWO = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+_RATES = {"a->b": {"base": "1"}, "b->a": {"base": "1"}}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"graph": {"vertices": ["a", "b"], "edges": [list(range(300))]}, "k": 1, "rates": {}},
+            "edge entry [0, 1, 2, 3, 4, 5, ...] must be a pair of labels (strings)",
+        ),
+        ({"graph": _TWO, "k": _nested(960), "rates": _RATES}, "'k' must be a positive integer, got [[...]]"),
+        (
+            {"graph": _TWO, "k": -(10**5000), "rates": _RATES},
+            "'k' must be a positive integer, got of more than 4000 digits",
+        ),
+    ],
+    ids=["long-edge-entry", "deep-k", "far-k"],
+)
+def test_model_from_dict_echoes_an_outside_value_in_a_bounded_form(doc, message):
+    # these once printed 1436 and about 1900 characters, or leaked a ValueError
+    with pytest.raises(RedpowError) as info:
+        model_from_dict(doc)
+    assert len(str(info.value)) <= 300
+    assert str(info.value) == message
+
+
+def test_model_from_dict_echoes_a_long_rate_key_in_a_bounded_form():
+    key = "a" * 300 + "->b"
+    with pytest.raises(ModelError) as info:
+        model_from_dict({"graph": _TWO, "k": 1, "rates": {key: {"base": "1"}}})
+    cut = "'" + "a" * 12 + "..."
+    assert str(info.value) == f"rate key {cut}{'a' * 10}->b': unknown vertex label {cut}{'a' * 13}'"

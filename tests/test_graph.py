@@ -573,3 +573,41 @@ def test_load_graph_refuses_a_file_json_cannot_parse_naming_it(tmp_path, text, r
     with pytest.raises(GraphError) as info:
         load_graph(path)
     assert str(info.value).startswith(f"graph file {path} cannot be parsed: {reason}")
+
+
+def test_graph_from_dict_echoes_a_long_edge_entry_in_a_bounded_form():
+    # a 300-int entry once printed every int, in a message of 1436 characters
+    doc = {"vertices": ["a", "b"], "edges": [list(range(300))]}
+    with pytest.raises(GraphError) as info:
+        graph_from_dict(doc)
+    message = str(info.value)
+    assert len(message) <= 300
+    assert message == "edge entry [0, 1, 2, 3, 4, 5, ...] must be a pair of labels (strings)"
+
+
+@pytest.mark.parametrize("size", [200, 201])
+def test_an_echoed_value_prints_its_repr_up_to_200_characters(size):
+    label = "x" * (size - 2)  # its repr adds two quotes
+    with pytest.raises(GraphError) as info:
+        Graph(["a", "b"], [("a", label)])
+    shown = repr(label) if size == 200 else "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    assert str(info.value) == f"edge endpoint {shown} is not a vertex"
+
+
+def test_graph_echoes_every_outside_value_without_raising_another_error():
+    huge = 10**5000  # str refuses it: more than 4300 digits
+    deep: list = []
+    for _ in range(5000):  # deeper than repr can recurse
+        deep = [deep]
+    cases = [
+        (lambda: Graph(["a", "b"], [[huge]]), "edge entry of more than 4000 digits must be"),
+        (lambda: Graph(["a", "b"], [{"a": huge}]), "edge entry of more than 4000 digits must be"),
+        (lambda: Graph(["a", "b"], [[[huge]]]), "edge entry [[...]] must be"),
+        (lambda: Graph(["a", "b"], [deep]), "edge entry [[...]] must be"),
+        (lambda: Graph([huge], []), "got of more than 4000 digits"),
+        (lambda: graph_from_dict({"vertices": ["a", "b"], "edges": [deep]}), "edge entry [[...]] must"),
+    ]
+    for call, text in cases:
+        with pytest.raises(RedpowError) as info:
+            call()
+        assert text in str(info.value) and len(str(info.value)) <= 300

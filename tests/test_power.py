@@ -810,3 +810,28 @@ def test_token_counts_of_every_integer_type_keep_their_results():
     for i in (np.int64(4), True):
         assert rp.label(i) == rp.label(int(i))
         assert rp.annotation(i) == rp.annotation(int(i))
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_cartesian_power_refuses_a_budget_by_the_integer_rule(kind):
+    call = lambda budget: cartesian_power(_TRIANGLE, 2, budget=budget)  # noqa: E731
+    assert_count_refused(call, "budget", "budget must be >= 0", 0, kind)
+
+
+def test_cartesian_power_refuses_a_float_budget_as_not_an_integer():
+    with pytest.raises(PowerError) as info:
+        cartesian_power(_TRIANGLE, 2, budget=1e6)
+    assert str(info.value) == "budget 1000000.0 is not an integer"
+
+
+def test_cartesian_power_budget_of_every_integer_type_keeps_its_product():
+    square = cartesian_power(_TRIANGLE, 2)
+    for budget in (9, np.int64(9), np.int32(9)):
+        assert cartesian_power(_TRIANGLE, 2, budget=budget) == square
+        with pytest.raises(PowerError) as info:
+            cartesian_power(_TRIANGLE, 2, budget=budget - 1)
+        assert str(info.value) == "3^2 states exceed budget 8"
+    single = cartesian_power(path_graph(1), 3, budget=True)
+    assert single == cartesian_power(path_graph(1), 3, budget=1)
+    with pytest.raises(PowerError, match="states exceed budget 0"):
+        cartesian_power(_TRIANGLE, 1, budget=False)

@@ -559,3 +559,31 @@ def test_square_token_counts_of_every_integer_type_keep_their_results():
         warnings.simplefilter("always")
         assert tree_pair_squares(g, tree, True) == []
     assert [str(w.message) for w in caught] == ["no Cartesian squares exist for k < 2"]
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+@pytest.mark.parametrize("field", ["v", "k"])
+def test_tree_square_count_refuses_a_count_by_the_integer_rule(field, kind):
+    call = lambda n: tree_square_count(*{"v": (n, 2), "k": (3, n)}[field])  # noqa: E731
+    assert_count_refused(call, field, "tree_square_count needs v >= 1 and k >= 1", 1, kind)
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+@pytest.mark.parametrize("field", ["beta", "v", "k"])
+def test_chord_square_count_refuses_a_count_by_the_integer_rule(field, kind):
+    call = lambda n: chord_square_count(  # noqa: E731
+        *{"beta": (n, 3, 2), "v": (1, n, 2), "k": (1, 3, n)}[field]
+    )
+    least = 0 if field == "beta" else 1
+    miss = "chord_square_count needs v >= 1, k >= 1, beta >= 0"
+    assert_count_refused(call, field, miss, least, kind)
+
+
+def test_square_count_formulas_of_every_integer_type_keep_their_results():
+    for five, three, one in ((5, 3, 1), (np.int64(5), np.int64(3), np.int64(1))):
+        assert tree_square_count(five, three) == 26 and chord_square_count(one, five, three) == 14
+        assert tree_square_count(five, one) == 0 == chord_square_count(one, five, one)
+        assert type(tree_square_count(five, three)) is int
+        assert type(chord_square_count(one, five, three)) is int
+    assert tree_square_count(True, 3) == 0 == chord_square_count(False, 5, 3)
+    assert chord_square_count(True, 5, True) == 0 and chord_square_count(True, 5, 2) == 4
