@@ -73,6 +73,16 @@ MUTANTS = (
         ("tests/test_ctmc.py",),
     ),
     Mutant(
+        "the array verdict passes a walk whose products differ",
+        "src/redpow/ctmc.py",
+        "    if (fwd != bwd).any():\n",
+        "    if False:\n",
+        (
+            "tests/test_acceptance.py::test_criterion_09_irreversibility_detection",
+            "tests/test_cli.py::test_a_refuted_run_over_the_worker_threshold_builds_its_checks_on_the_worker",
+        ),
+    ),
+    Mutant(
         "the per-walk check lets a walk repeat a vertex",
         "src/redpow/cyclespace.py",
         '    if len(set(seq)) != len(seq):\n        raise CycleSpaceError("cycle sequence repeats a vertex")\n',

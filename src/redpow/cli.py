@@ -170,7 +170,7 @@ def cmd_mcb(args: argparse.Namespace) -> int:
     root = _root_index(g, args.root)
     basis = _basis_for(build_reduced_power(g, args.k), root)
     print(
-        f"kind={basis.kind} elements={len(basis.elements)} "
+        f"kind={basis.kind} elements={len(basis._trace[0])} "
         f"total_length={basis.total_length} "
         f"certified_minimum={str(basis.certified_minimum).lower()}"
     )
@@ -350,7 +350,7 @@ def cmd_check_reversibility(args: argparse.Namespace) -> int:
     print(f"single-automaton criterion: {'pass' if v.single.passed else 'fail'}")
     print(
         f"cycle criterion: {'pass' if v.kolmogorov.passed else 'fail'} "
-        f"({len(v.kolmogorov.checks)} cycles, {len(v.kolmogorov.violations())} violations)"
+        f"({v.kolmogorov._checked} cycles, {len(v.kolmogorov.violations())} violations)"
     )
     print(f"detailed balance ({v.balance.mode}): {'pass' if v.balance.balanced else 'fail'}")
     print(f"verdict: {'reversible' if v.kolmogorov.passed else 'not reversible'}")
@@ -365,7 +365,7 @@ def cmd_check_single(args: argparse.Namespace) -> int:
     n_bad = len(report.violations())
     print(
         f"single-automaton criterion: {'pass' if report.passed else 'fail'} "
-        f"({len(report.checks)} cycles, {n_bad} violations)"
+        f"({report._checked} cycles, {n_bad} violations)"
     )
     _write_json(report.as_dict, args.out)
     return 0 if report.passed else 2

@@ -27,10 +27,10 @@ numerators over that same denominator; the tree potential, the
 irreversible solve, the verification of pi Q = 0 and the exact balance
 test all run on them, with pi as integer numerators over one common
 denominator, and one ``Fraction`` per state is built at the end (per
-violating edge, two flows). The cycle check multiplies the reduced
-numerators and denominators of the chain's rates along a cycle and
-builds one ``Fraction`` per product. :func:`eval_rate` keeps the
-per-token rate in its defining form.
+violating edge, two flows). The cycle check multiplies those numerators
+along each basis cycle and compares the two products exactly; it builds
+its ``Fraction``s only when its checks are read. :func:`eval_rate` keeps
+the per-token rate in its defining form.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -60,7 +60,7 @@ from .graph import (
     graph_to_dict,
 )
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _base_mcb, host_graph
+from .cyclespace import CycleBasis, _OnRead, _base_mcb, _built_on_read, host_graph
 
 __all__ = [
     "RateSpec",
@@ -342,9 +342,14 @@ class CycleCheck:
 
 @dataclass(frozen=True)
 class KolmogorovReport:
-    """Cycle-criterion verdict over a full cycle basis."""
+    """Cycle-criterion verdict over a full cycle basis.
 
-    checks: tuple[CycleCheck, ...]
+    :func:`kolmogorov_check` decides it on per-walk arrays: a report that
+    passes knows its cycle count and its empty violations from them, and
+    builds ``checks`` on first read; a refuted one is made with its checks.
+    """
+
+    checks: tuple[CycleCheck, ...] = _OnRead()
     basis_kind: str
 
     @cached_property
@@ -355,13 +360,18 @@ class KolmogorovReport:
     def _violations(self) -> tuple[CycleCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    @cached_property
+    def _checked(self) -> int:
+        """The number of cycles checked."""
+        return len(self.checks)
+
     def violations(self) -> list[CycleCheck]:
         return list(self._violations)
 
     def as_dict(self) -> dict:
         return {
             "basis_kind": self.basis_kind,
-            "cycles_checked": len(self.checks),
+            "cycles_checked": self._checked,
             "passed": self.passed,
             "violations": [c.as_dict() for c in self.violations()],
         }
@@ -372,38 +382,47 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
 
     The criterion holds for every cycle of the chain iff it holds on a
     cycle basis, because log-rate ratios are additive over F2 sums of
-    oriented cycles. All products are exact rationals, taken along the
-    steps of the basis's one trace (``CycleBasis._trace``).
+    oriented cycles. Products are exact, taken along the steps of the
+    basis's one trace (``CycleBasis._trace``) on the chain's integer
+    numerators (``mc._ints``): every rate is over the spec's ``_den``, so
+    a walk of m steps agrees exactly when its two numerator products do,
+    and its check's products are those over ``_den**m``.
     """
     if host_graph(basis.host) != mc.rp.graph:
         raise ModelError("cycle basis lives on a different state graph")
-    labels, base_labels = mc.rp.graph.labels, mc.rp.base.labels
     starts, edge, against = basis._trace
-    # Products run over integer numerators and denominators: transition 2e
-    # runs along edge e, 2e + 1 against it. Each factor of every step is
-    # gathered by index and multiplied out walk by walk (every walk of a
-    # basis has at least three steps), then one Fraction is made per
-    # distinct product.
+    # transition 2e runs along edge e, 2e + 1 against it; each step's factor
+    # is gathered by index and multiplied out walk by walk (every walk of a
+    # basis has at least three steps)
     step = 2 * edge + against
-    rates = [r for pair in zip(mc.forward, mc.backward) for r in pair]
-    nums = np.array([r.numerator for r in rates], dtype=object)
-    dens = np.array([r.denominator for r in rates], dtype=object)
-    products = [
-        np.multiply.reduceat(part[t], starts).tolist() if len(starts) else []
+    nums = np.array([n for pair in zip(*mc._ints) for n in pair], dtype=object)
+    fwd, bwd = (
+        np.multiply.reduceat(nums[t], starts) if len(starts) else nums[:0]
         for t in (step, step ^ 1)
-        for part in (nums, dens)
-    ]
+    )
+    lengths = np.diff(starts, append=len(step))
+    make = partial(_cycle_checks, mc, basis, fwd, bwd, lengths)
+    if (fwd != bwd).any():
+        return KolmogorovReport(checks=make(), basis_kind=basis.kind)
+    fields = dict(basis_kind=basis.kind, _violations=(), _checked=len(starts))
+    return _built_on_read(KolmogorovReport, fields, checks=make)
+
+
+def _cycle_checks(mc, basis, fwd, bwd, lengths) -> tuple[CycleCheck, ...]:
+    """The check of each walk of ``basis``: its ``lengths`` and numerator products ``fwd``, ``bwd``."""
+    labels, base_labels, den = mc.rp.graph.labels, mc.rp.base.labels, mc.spec._den
     made: dict[tuple[int, int], Fraction] = {}
 
-    def exact(num: int, den: int) -> Fraction:
-        q = made.get((num, den))
+    def exact(num: int, m: int) -> Fraction:
+        q = made.get((num, m))
         if q is None:
-            q = made[num, den] = Fraction(num, den)
+            q = made[num, m] = Fraction(num, den**m)
         return q
 
     named: dict[tuple[tuple[int, int], ...], tuple[tuple[str, str], ...]] = {}
     checks = []
-    for idx, (seq, info, fn, fd, bn, bd) in enumerate(zip(basis.cycles, basis.info, *products)):
+    rows = zip(basis.cycles, basis.info, fwd.tolist(), bwd.tolist(), lengths.tolist())
+    for idx, (seq, info, fn, bn, m) in enumerate(rows):
         pairs = info.base_edges
         base_edges = named.get(pairs)
         if base_edges is None:
@@ -413,12 +432,12 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
                 index=idx,
                 tag=info.tag,
                 vertices=tuple(map(labels.__getitem__, seq)),
-                forward=exact(fn, fd),
-                backward=exact(bn, bd),
+                forward=exact(fn, m),
+                backward=exact(bn, m),
                 base_edges=base_edges,
             )
         )
-    return KolmogorovReport(checks=tuple(checks), basis_kind=basis.kind)
+    return tuple(checks)
 
 
 def single_automaton_check(base: Graph, spec: RateSpec) -> KolmogorovReport:
@@ -1121,7 +1140,7 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     labels = set(graph.labels)
     for key, entry in rates_doc.items():
         shown = _shown(key)
-        if "->" not in key:
+        if not isinstance(key, str) or "->" not in key:
             raise ModelError(f"rate key {shown} must look like 'src->dst'")
         # labels may hold '->' too: take the one split with a label on each side
         splits = [(key[:i], key[i + 2 :]) for i in range(len(key)) if key.startswith("->", i)]

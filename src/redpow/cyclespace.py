@@ -183,13 +183,10 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
 
     Walk ``w`` takes steps ``starts[w]`` to ``starts[w] + len(walks[w]) - 1``,
     its last back to its first vertex; a direction is True where a step runs
-    from its edge's higher end. One search finds every step's edge. Array
-    checks then find every walk that is no simple cycle of ``g`` (fewer than
-    three vertices, a repeated vertex, a step that is no edge), and the first
-    of them raises its own :func:`cycle_edge_vector` error, as a walk-by-walk
-    check would. Vertices are read by the integer rule of ``operator.index``;
-    a vertex it refuses, or one past int64, has every walk checked so, in
-    order. :func:`_walk_bitsets` makes bitsets of the traced walks.
+    from its edge's higher end. Vertices are read by the integer rule of
+    ``operator.index``; a vertex it refuses, or one past int64, has every
+    walk checked so, in order. :func:`_trace_flat` traces the vertices read,
+    and a faulty walk raises its own error on the walk as given.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     try:
@@ -199,6 +196,20 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
         for seq in walks:
             cycle_edge_vector(g, seq)
         raise
+    return _trace_flat(g, src, lengths, walks)
+
+
+def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray, walks=None) -> tuple[np.ndarray, ...]:
+    """:func:`_trace_walks` of the walks laid end to end in the int64 array ``src``.
+
+    Walk ``w`` has ``lengths[w]`` vertices. One search finds every step's
+    edge. Array checks then find every walk that is no simple cycle of
+    ``g`` (fewer than three vertices, a repeated vertex, a step that is no
+    edge), and the first of them raises its own :func:`cycle_edge_vector`
+    error, as a walk-by-walk check would, on ``walks[w]`` if given, else on
+    its vertices read back from ``src``. :func:`_walk_bitsets` makes
+    bitsets of the traced walks.
+    """
     starts = np.cumsum(lengths) - lengths
     nxt = np.arange(1, len(src) + 1)
     closing = lengths > 0
@@ -206,14 +217,16 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     dst = src[nxt]
     edge = _edge_ids(g, src, dst)
     n = g.num_vertices
-    walk = np.repeat(np.arange(len(walks)), lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
     bad = lengths < 3
-    bad[walk[edge < 0]] = True
+    bad[owner[edge < 0]] = True
     # a vertex out of range steps to no edge, so folding it into range flags no good walk
-    key = np.sort(walk * n + src % n)
+    key = np.sort(owner * n + src % n)
     bad[key[1:][key[1:] == key[:-1]] // n] = True
     if bad.any():
-        cycle_edge_vector(g, walks[int(np.argmax(bad))])  # raises
+        w = int(np.argmax(bad))
+        own = src[starts[w] : starts[w] + lengths[w]].tolist() if walks is None else walks[w]
+        cycle_edge_vector(g, own)
     return starts, edge, src > dst
 
 
@@ -330,6 +343,38 @@ class ElementInfo:
     f: Monomial | None = None
 
 
+class _OnRead:
+    """A field of a frozen dataclass that an instance may build on its first read.
+
+    Such an instance is made without the value and holds a zero-argument
+    callable under ``_make_<field>`` (:func:`_built_on_read`); the first
+    read calls it and keeps the value. Set by ``__init__``, the field is a
+    plain value. Read on the class, it raises ``AttributeError``, so the
+    dataclass field has no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name, self.make = name, f"_make_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        fields = obj.__dict__
+        if self.name not in fields:  # two threads reading at once may both build it
+            fields[self.name] = fields[self.make]()
+        return fields[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+def _built_on_read(cls, fields: dict, **make):
+    """An instance of the frozen dataclass ``cls`` with ``fields``; those of ``make`` are built on read."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, **{f"_make_{name}": f for name, f in make.items()})
+    return obj
+
+
 @dataclass(frozen=True)
 class CycleBasis:
     """A basis of the cycle space with oriented vertex sequences.
@@ -343,14 +388,18 @@ class CycleBasis:
     the trace by peeling (:func:`_peel`); only the walks the peel leaves
     go to :class:`Gf2Span`. It keeps the trace as ``_trace``, which the
     cycle check reads.
+
+    A basis made by :meth:`_of_walks`, from walk arrays, is checked the
+    same way on the trace alone; its ``elements``, ``cycles`` and ``info``
+    are built on first read and kept.
     """
 
     host: object
-    elements: tuple[EdgeVector, ...] | None
+    elements: tuple[EdgeVector, ...] | None = _OnRead()
     kind: str
-    cycles: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[int, ...], ...] = _OnRead()
     certified_minimum: bool
-    info: tuple[ElementInfo, ...]
+    info: tuple[ElementInfo, ...] = _OnRead()
     _trace: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -383,9 +432,41 @@ class CycleBasis:
             raise CycleSpaceError("vertex sequence does not trace its element")
         object.__setattr__(self, "_trace", trace)
 
+    @classmethod
+    def _of_walks(
+        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info
+    ) -> "CycleBasis":
+        """The basis of the walks laid end to end in ``vertices``, ``lengths[w]`` each.
+
+        Checks, as the constructor does, that there are as many walks as
+        the cycle space's dimension, that each traces a simple cycle, and
+        that they are independent. The elements are the traced bitsets, the
+        cycles the walks as tuples, and ``info()`` gives the info records.
+        """
+        g = host_graph(host)
+        dim = betti(g)
+        n = len(lengths)
+        if n != dim:
+            raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
+        trace = _trace_flat(g, vertices, lengths)
+        if _walk_rank(*trace[:2], np.arange(dim)) < dim:
+            raise CycleSpaceError("basis elements are linearly dependent")
+        starts, edge, _ = trace
+
+        def elements():
+            return tuple(EdgeVector._traced(host, x) for x in _walk_bitsets(starts, edge))
+
+        def cycles():
+            flat, bounds = vertices.tolist(), starts.tolist() + [len(vertices)]
+            return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+        fields = dict(host=host, kind=kind, certified_minimum=certified_minimum, _trace=trace)
+        return _built_on_read(cls, fields, elements=elements, cycles=cycles, info=info)
+
     @property
     def total_length(self) -> int:
-        return sum(x.size for x in self.elements)
+        # a traced walk crosses one edge a step, each edge once
+        return len(self._trace[1])
 
 
 def total_length(basis: CycleBasis) -> int:

@@ -42,7 +42,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import PowerError
-from .graph import Graph, _index
+from .graph import Graph, _index, _shown
 
 __all__ = [
     "Monomial",
@@ -371,9 +371,9 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     """
     k, budget = _count(k), _count(budget, "budget", "budget must be >= 0", 0)
     v = base.num_vertices
-    n = v**k
-    if n > budget:
-        raise PowerError(f"{v}^{k} states exceed budget {budget}")
+    # from k >= budget.bit_length() on, v >= 2 gives v^k >= 2^k > budget: no v^k is computed
+    if v > 1 and k >= budget.bit_length() or v**k > budget:
+        raise PowerError(f"{v}^{_shown(k, str)} states exceed budget {_shown(budget, str)}")
     if any("," in lab for lab in base.labels):
         raise PowerError("base labels contain ','")
 
@@ -403,11 +403,11 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     """
     k = _count(k)
     v = base.num_vertices
-    n = v**k
-    if power.num_vertices != n:
-        raise PowerError(
-            f"power has {power.num_vertices} vertices, expected {v}^{k} = {v**k}"
-        )
+    n = power.num_vertices
+    if v > 1 and k >= n.bit_length():  # v^k >= 2^k > n, so no v^k is computed
+        raise PowerError(f"power has {n} vertices, expected {v}^{_shown(k, str)}, more than that")
+    if n != v**k:
+        raise PowerError(f"power has {n} vertices, expected {v}^{k} = {v**k}")
 
     digit_of = dict(zip(base.labels, range(v)))
     flat: list[int | None] = []

@@ -26,10 +26,11 @@ of their sorted token words (see :mod:`redpow.power`), so every state
 the basis visits, a square corner or a parked copy of a base cycle
 vertex, is ranked from its token row. With both edges sorted a
 square's least corner comes first, so its canonical walk needs only a
-direction check. The walks leave here untraced: the one walk tracer of
-:mod:`redpow.cyclespace` finds their power edges, for the basis and for
-the square-space check alike, and both prove independence by peeling
-the traced walks.
+direction check. The walks leave here untraced, as one int64 vertex
+array: the one walk tracer of :mod:`redpow.cyclespace` finds their power
+edges, for the basis and for the square-space check alike, and both
+prove independence by peeling the traced walks. The basis builds its
+per-element objects only when they are read.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .cyclespace import (
     ElementInfo,
     _base_mcb,
     _canonical_cycle,
-    _trace_walks,
+    _trace_flat,
     _walk_rank,
     cycle_edge_vector,
 )
@@ -221,21 +222,22 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
     return cycle_edge_vector(rp, [rp.state_of(fw + (c,)) for c in cycle])
 
 
-def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, list]:
-    """The structured cycles of the power ``rp``: squares and walks, untraced.
+def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The structured cycles of the power ``rp``: squares, and walks untraced as arrays.
 
     The squares are :func:`_square_words`'s count, rows (each edge pair
     sorted) and stay words. The walks are first one embedded copy of a
     greedy minimum cycle basis of the base, the k-1 stationary tokens
     parked on the tree's root, then the squares in enumeration order,
-    four steps each; :func:`~redpow.cyclespace._trace_walks` traces them.
+    four steps each, laid end to end in one int64 vertex array, with their
+    lengths; :func:`~redpow.cyclespace._trace_flat` traces them.
     """
     base, k = rp.base, rp.k
     n_tree, rows, stays = _square_words(base, tree, k)
     v = base.num_vertices
     # base vertex c -> state c * root^(k-1)
     parked = _word_ranks(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]), v)
-    cycles = [_canonical_cycle(parked[list(seq)].tolist()) for seq in _base_mcb(base).cycles]
+    embedded = [_canonical_cycle(parked[list(seq)].tolist()) for seq in _base_mcb(base).cycles]
     # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
     rows[:, :2].sort(axis=1)
     rows[:, 2:4].sort(axis=1)
@@ -245,8 +247,9 @@ def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, 
     walks = _word_ranks(np.concatenate([moving, staying], axis=2), v)
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
-    cycles.extend(map(tuple, walks.tolist()))
-    return (n_tree, rows, stays), cycles
+    vertices = np.concatenate([np.array([x for seq in embedded for x in seq], np.int64), walks.ravel()])
+    lengths = np.concatenate([np.array(list(map(len, embedded)), np.int64), np.full(len(rows), 4)])
+    return (n_tree, rows, stays), vertices, lengths
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -256,7 +259,8 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
     base (stationary tokens parked on the root) with the tree pair and
     chord pair square families of a breadth-first spanning tree rooted
     there. The result is always a basis; it is a certified minimum
-    cycle basis exactly when the base graph has no triangles.
+    cycle basis exactly when the base graph has no triangles. Its
+    elements, cycles and info are built on first read.
     """
     k = _count(k, "k", "the decomposition basis needs k >= 2", 2)
     tree = bfs_spanning_tree(base, root)
@@ -266,23 +270,20 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
 def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
     """:func:`decomposition_basis` on the power ``rp`` already built, from ``tree`` of its base."""
     base, k = rp.base, rp.k
-    (n_tree, rows, stays), cycles = _structured_cycles(rp, tree)
-    fs = Monomial._of_words(stays.tolist(), base.num_vertices)
-    parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
-    infos = [ElementInfo(tag="embedded", f=parked)] * (len(cycles) - len(rows))
-    tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
-    infos.extend(
-        ElementInfo(tag=tag, base_edges=((a, b), (c, d)), f=fs[w])
-        for tag, (a, b, c, d, w) in zip(tags, rows.tolist())
-    )
-    return CycleBasis(
-        host=rp,
-        elements=None,
-        kind="decomposition",
-        cycles=tuple(cycles),
-        certified_minimum=not has_triangles(base),
-        info=tuple(infos),
-    )
+    (n_tree, rows, stays), vertices, lengths = _structured_cycles(rp, tree)
+
+    def info() -> tuple[ElementInfo, ...]:
+        fs = Monomial._of_words(stays.tolist(), base.num_vertices)
+        parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
+        infos = [ElementInfo(tag="embedded", f=parked)] * (len(lengths) - len(rows))
+        tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
+        infos.extend(
+            ElementInfo(tag=tag, base_edges=((a, b), (c, d)), f=fs[w])
+            for tag, (a, b, c, d, w) in zip(tags, rows.tolist())
+        )
+        return tuple(infos)
+
+    return CycleBasis._of_walks(rp, "decomposition", not has_triangles(base), vertices, lengths, info)
 
 
 @dataclass(frozen=True)
@@ -330,15 +331,15 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     """
     rp = build_reduced_power(base, k)
     k = rp.k
-    (n_tree, rows, _), cycles = _structured_cycles(rp, tree)
-    starts, edge, _ = _trace_walks(rp.graph, cycles)
-    n_chord, n_embedded = len(rows) - n_tree, len(cycles) - len(rows)
+    (n_tree, rows, _), vertices, lengths = _structured_cycles(rp, tree)
+    starts, edge, _ = _trace_flat(rp.graph, vertices, lengths)
+    n_chord, n_embedded = len(rows) - n_tree, len(lengths) - len(rows)
     beta_base = betti(base)
     beta_power = betti(rp.graph)
     tsq_formula = tree_square_count(base.num_vertices, k)
     csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
-    walks = np.arange(len(cycles))  # the embedded base MCB first, then the squares
+    walks = np.arange(len(lengths))  # the embedded base MCB first, then the squares
     rank_squares = _walk_rank(starts, edge, walks[n_embedded:])
     rank_all = _walk_rank(starts, edge, walks)
     # a square projects to zero when the base edges its four power edges

@@ -1663,3 +1663,62 @@ def test_a_file_json_cannot_parse_is_an_error_naming_it(tmp_path, capsys, comman
     assert captured.out == ""
     assert captured.err.startswith(f"error: {kind} file {path} cannot be parsed: {reason}")
     assert captured.err.count("\n") == 1
+
+
+# --- per-cycle objects are built on read ---
+
+
+def _record_per_cycle_objects(monkeypatch) -> list:
+    """(class name, made on the main thread) of every EdgeVector, ElementInfo and CycleCheck made from now on."""
+    import threading
+
+    from redpow import CycleCheck, EdgeVector, ElementInfo
+
+    made = []
+
+    def record(cls):
+        made.append((cls.__name__, threading.current_thread() is threading.main_thread()))
+
+    for cls in (EdgeVector, ElementInfo, CycleCheck):
+
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            record(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    traced = EdgeVector._traced.__func__
+    monkeypatch.setattr(EdgeVector, "_traced", classmethod(lambda c, *a: record(c) or traced(c, *a)))
+    return made
+
+
+def test_a_reversible_run_over_the_worker_threshold_builds_no_per_cycle_object(
+    tmp_path, capsys, monkeypatch
+):
+    from redpow import cyclespace
+
+    doc = ring_model("reversible")
+    g, k, _ = model_from_dict(doc)
+    assert build_reduced_power(g, k).num_states == 715 >= cli._OVERLAP_STATES
+    cyclespace._base_mcb(g)  # the base's own basis holds its elements
+    made = _record_per_cycle_objects(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["check-reversibility", "--model", str(_write_model(tmp_path, doc)), "--out", str(out)]) == 0
+    assert made == []
+    report = json.loads(out.read_text())
+    assert report["kolmogorov"]["cycles_checked"] == 10 * 220 - 715 + 1  # betti of the power
+    assert report["kolmogorov"]["violations"] == [] and report["reversible"] is True
+    assert "(1486 cycles, 0 violations)" in capsys.readouterr().out
+
+
+def test_a_refuted_run_over_the_worker_threshold_builds_its_checks_on_the_worker(monkeypatch):
+    from redpow import cyclespace
+
+    model = model_from_dict(ring_model("irreversible"))
+    cyclespace._base_mcb(model[0])
+    made = _record_per_cycle_objects(monkeypatch)
+    verdict = cli.check_reversibility(*model)
+    assert not verdict.kolmogorov.passed and verdict.kolmogorov.violations()
+    checks = [on_main for name, on_main in made if name == "CycleCheck"]
+    assert len(checks) == verdict.kolmogorov._checked == len(verdict.kolmogorov.checks) == 1486
+    assert made and not any(on_main for _, on_main in made)
+    assert {name for name, _ in made} == {"CycleCheck", "ElementInfo"}

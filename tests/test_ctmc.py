@@ -1861,3 +1861,33 @@ def test_model_from_dict_echoes_a_long_rate_key_in_a_bounded_form():
         model_from_dict({"graph": _TWO, "k": 1, "rates": {key: {"base": "1"}}})
     cut = "'" + "a" * 12 + "..."
     assert str(info.value) == f"rate key {cut}{'a' * 10}->b': unknown vertex label {cut}{'a' * 13}'"
+
+
+@pytest.mark.parametrize("key, shown", [(1, "1"), (("a", "b"), "('a', 'b')"), (None, "None")])
+def test_model_from_dict_refuses_a_rate_key_that_is_no_string(key, shown):
+    with pytest.raises(ModelError) as info:
+        model_from_dict({"graph": _TWO, "k": 1, "rates": {key: {"base": "1"}, **_RATES}})
+    assert str(info.value) == f"rate key {shown} must look like 'src->dst'"
+
+
+def test_model_from_dict_echoes_a_huge_int_rate_key_in_a_bounded_form():
+    with pytest.raises(ModelError) as info:
+        model_from_dict({"graph": _TWO, "k": 1, "rates": {10**5000: {"base": "1"}}})
+    assert str(info.value) == "rate key of more than 4000 digits must look like 'src->dst'"
+
+
+def test_a_passing_report_builds_its_checks_on_first_read():
+    g = pentagon()
+    mc = build_master(g, 3, pentagon_spec(32, 1, 2))
+    basis = decomposition_basis(g, 3)
+    report = kolmogorov_check(mc, basis)
+    assert "checks" not in report.__dict__ and "passed" not in report.__dict__
+    assert report.passed is True and report.violations() == []
+    assert report.as_dict()["cycles_checked"] == betti(mc.rp.graph)
+    assert "checks" not in report.__dict__
+    checks = report.checks
+    assert checks is report.checks and len(checks) == betti(mc.rp.graph)
+    assert all(c.passed for c in checks)
+    for check, seq in zip(checks, basis.cycles):
+        assert check.forward == _plain_products(mc, seq)[0]
+        assert check.vertices == tuple(mc.rp.graph.labels[s] for s in seq)

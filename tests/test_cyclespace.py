@@ -983,3 +983,83 @@ def test_integer_walk_vertices_of_every_integer_type_keep_their_results():
     for walk in ((0, 1, 2, 3, 4), tuple(np.arange(5)), (False, True, 2, 3, 4), np.arange(5)):
         assert cycle_edge_vector(g, walk) == basis.elements[0]
         assert _with_cycles(basis, [walk]).elements == basis.elements
+
+
+# --- a basis from walk arrays ---
+
+
+def _laid_end_to_end(walks) -> tuple[np.ndarray, np.ndarray]:
+    """The walks' vertices in one int64 array, and their lengths."""
+    flat = [x for seq in walks for x in seq]
+    return np.array(flat, dtype=np.int64), np.array(list(map(len, walks)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(_WALK_FAULTS, 2)))
+def test_trace_flat_raises_the_first_faulty_walks_own_error(first, second):
+    g = cycle_graph(5)
+    with pytest.raises((CycleSpaceError, GraphError)) as own:
+        cycle_edge_vector(g, _WALK_FAULTS[first])
+    good = (0, 1, 2, 3, 4)
+    walks = [good, _WALK_FAULTS[first], good, _WALK_FAULTS[second]]
+    with pytest.raises(type(own.value)) as raised:
+        cyclespace._trace_flat(g, *_laid_end_to_end(walks))
+    assert str(raised.value) == str(own.value)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2**62])
+def test_trace_flat_refuses_a_vertex_out_of_range_as_the_walk_check_does(bad):
+    g = cycle_graph(5)
+    walk = (0, bad, 2, 3, 4)
+    with pytest.raises(GraphError) as own:
+        cycle_edge_vector(g, walk)
+    with pytest.raises(GraphError) as raised:
+        cyclespace._trace_flat(g, *_laid_end_to_end([(0, 1, 2, 3, 4), walk]))
+    assert str(raised.value) == str(own.value)
+
+
+def test_trace_flat_traces_as_trace_walks_does(suite):
+    for g in suite:
+        rp, walks, _ = _walks_of_three_bases(g, 2)
+        flat = cyclespace._trace_flat(rp.graph, *_laid_end_to_end(walks))
+        assert all(map(np.array_equal, flat, cyclespace._trace_walks(rp.graph, walks)))
+
+
+def test_a_basis_from_walk_arrays_keeps_the_constructors_refusals():
+    info = lambda: ()  # noqa: E731
+    g = complete_graph(4)
+    dependent = ((0, 1, 2), (0, 1, 3), (0, 2, 1, 3))
+    with pytest.raises(CycleSpaceError, match="^basis elements are linearly dependent$"):
+        CycleBasis._of_walks(g, "test", False, *_laid_end_to_end(dependent), info)
+    five = cycle_graph(5)
+    with pytest.raises(CycleSpaceError, match="^basis has 2 elements, cycle space has dimension 1$"):
+        CycleBasis._of_walks(five, "test", False, *_laid_end_to_end([(0, 1, 2, 3, 4)] * 2), info)
+    with pytest.raises(CycleSpaceError, match="^cycle sequence repeats a vertex$"):
+        CycleBasis._of_walks(five, "test", False, *_laid_end_to_end([(0, 1, 2, 1)]), info)
+    with pytest.raises(GraphError):
+        CycleBasis._of_walks(five, "test", False, *_laid_end_to_end([(0, 2, 1, 3, 4)]), info)
+
+
+def test_a_basis_from_walk_arrays_builds_what_the_constructor_builds_from_the_same_walks(suite):
+    """The decomposition basis's elements, cycles and info, built on read, in any order."""
+    from redpow import chord_pair_squares, has_triangles, tree_pair_squares
+
+    for g in suite:
+        for k in (2, 3):
+            rp, tree, v = build_reduced_power(g, k), bfs_spanning_tree(g, 0), g.num_vertices
+            _, vertices, lengths = squares._structured_cycles(rp, tree)
+            bounds = np.cumsum(lengths).tolist()
+            walks = tuple(tuple(vertices[b - n : b].tolist()) for b, n in zip(bounds, lengths.tolist()))
+            infos = [ElementInfo("embedded", f=Monomial.from_word((0,) * (k - 1), v))] * betti(g)
+            for tag, family in (("tree-square", tree_pair_squares), ("chord-square", chord_pair_squares)):
+                infos += [
+                    ElementInfo(tag, (tuple(sorted(s.edge1)), tuple(sorted(s.edge2))), s.f)
+                    for s in family(g, tree, k)
+                ]
+            eager = CycleBasis(rp, None, "decomposition", walks, not has_triangles(g), tuple(infos))
+            for order in (("info", "cycles", "elements"), ("elements", "cycles", "info")):
+                lazy = squares._decomposition_on(rp, tree)
+                assert lazy.total_length == eager.total_length
+                for name in order:
+                    assert getattr(lazy, name) == getattr(eager, name), (g, k, name)
+                assert lazy == eager and all(map(np.array_equal, lazy._trace, eager._trace))
+                assert {f.name for f in dataclasses.fields(CycleBasis)} <= set(vars(lazy))

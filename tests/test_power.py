@@ -835,3 +835,40 @@ def test_cartesian_power_budget_of_every_integer_type_keeps_its_product():
     assert single == cartesian_power(path_graph(1), 3, budget=1)
     with pytest.raises(PowerError, match="states exceed budget 0"):
         cartesian_power(_TRIANGLE, 1, budget=False)
+
+
+@pytest.mark.parametrize("k", [10**7, 10**12])
+def test_cartesian_power_refuses_a_huge_k_before_computing_its_count(k):
+    # 3**k would take 2 s at k = 10**7 and never end at 10**12
+    with pytest.raises(PowerError) as info:
+        cartesian_power(_TRIANGLE, k)
+    assert str(info.value) == f"3^{k} states exceed budget 1000000"
+    with pytest.raises(PowerError) as info:
+        cartesian_power(_TRIANGLE, k, budget=10**100)
+    assert str(info.value) == f"3^{k} states exceed budget {10**100}"
+    with pytest.raises(PowerError) as info:
+        cartesian_power(path_graph(1), k, budget=0)  # one state at any k
+    assert str(info.value) == f"1^{k} states exceed budget 0"
+
+
+@pytest.mark.parametrize("k", [10**7, 10**12])
+def test_quotient_by_symmetry_refuses_a_huge_k_before_computing_its_count(k):
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(cartesian_power(_TRIANGLE, 2), _TRIANGLE, k)
+    assert str(info.value) == f"power has 9 vertices, expected 3^{k}, more than that"
+    single = path_graph(1)
+    with pytest.raises(PowerError) as info:  # one state at any k: the label tells
+        quotient_by_symmetry(cartesian_power(single, 3), single, k)
+    assert str(info.value) == f"vertex label 'v0,v0,v0' is not a {k}-tuple of base labels"
+
+
+def test_power_counts_keep_their_messages_below_the_bit_length_bound():
+    with pytest.raises(PowerError) as info:
+        cartesian_power(_TRIANGLE, 19)  # 19 < 20 bits of the budget: 3**19 is computed
+    assert str(info.value) == "3^19 states exceed budget 1000000"
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(cartesian_power(_TRIANGLE, 2), _TRIANGLE, 3)
+    assert str(info.value) == "power has 9 vertices, expected 3^3 = 27"
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(cartesian_power(_TRIANGLE, 2), _TRIANGLE, 4)  # 4 bits of 9
+    assert str(info.value) == "power has 9 vertices, expected 3^4, more than that"
