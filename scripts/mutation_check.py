@@ -142,6 +142,24 @@ MUTANTS = (
         ("tests/test_squares.py::test_tree_square_count_refuses_a_count_by_the_integer_rule",),
     ),
     Mutant(
+        "a field built on read is built again on every read",
+        "src/redpow/cyclespace.py",
+        "value = self.__dict__[name] = make()",
+        "value = make()",
+        (
+            "tests/test_cyclespace.py::test_a_basis_from_walk_arrays_builds_what_the_constructor_builds_from_the_same_walks",
+            "tests/test_cyclespace.py::test_a_field_built_on_read_is_built_once",
+        ),
+    ),
+    Mutant(
+        "cartesian_power builds a one-vertex power past its label bound",
+        "src/redpow/power.py",
+        "    if k > _LABEL_COORDS:\n",
+        "    if False:\n",
+        # its first k, 10**7, builds unbounded in under a second and fails the test there
+        ("tests/test_power.py::test_cartesian_power_refuses_a_one_vertex_k_past_the_label_bound",),
+    ),
+    Mutant(
         "model_from_dict echoes k by its raw repr",
         "src/redpow/ctmc.py",
         "got {_shown(k)}",

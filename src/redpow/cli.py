@@ -132,7 +132,7 @@ def _basis_doc(basis: CycleBasis) -> dict:
     return {
         "kind": basis.kind,
         "certified_minimum": basis.certified_minimum,
-        "element_count": len(basis.elements),
+        "element_count": len(elements),
         "total_length": basis.total_length,
         "elements": elements,
     }
@@ -252,14 +252,14 @@ class Verdict:
 # a worker thread during the settle and are joined after it; below it, and
 # under --exact, they run inline after the settle. Only LAPACK releases the
 # GIL for long, so chains left to the dense solve gain. One
-# check_reversibility call, one thread -> overlapped, in process, one BLAS
-# thread, 2 cores, range of the medians (of 7 to 9) of four runs: on an
-# irreversible 10-ring k = 4 (715 states) 49-60 -> 39-52 ms, the random
-# (14,10,3) base k = 4 (2380) 482-622 -> 407-435, a 12-ring k = 5 (4368)
-# 1621-1727 -> 1378-1639; on reversible ones, settled by the float tree
-# potential, within the spread: 31-41 -> 31-41, 199-319 -> 265-299,
-# 282-422 -> 307-399. Below it, overlap costs about 1 ms (C7, C8 and C9
-# at k = 4, 210 to 495 states, both kinds, median of 15, two runs).
+# check_reversibility call, inline -> worker, in process, one BLAS thread,
+# 2 cores, range of the best of 5 over two alternations, on float-ladder's
+# random bases at k = 4: irreversible chains gain, 715 states 30.2-30.4 ->
+# 25.1-25.3 ms, 1365 85.8-89.4 -> 61.8-62.7, 2380 233.9-240.5 -> 189.1-191.0;
+# reversible ones, settled by the float tree potential, lose up to 1.9 ms:
+# 12.1 -> 12.8-13.1, 25.9-26.0 -> 26.9, 47.3-48.3 -> 48.1-49.2. Below it the
+# worker costs 0.4-1.3 ms (C7, C8 and C9 at k = 4, 210 to 495 states, both
+# kinds, measured the same way).
 _OVERLAP_STATES = 500
 
 

@@ -60,7 +60,7 @@ from .graph import (
     graph_to_dict,
 )
 from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _OnRead, _base_mcb, _built_on_read, host_graph
+from .cyclespace import CycleBasis, _BuiltOnRead, _base_mcb, _built_on_read, host_graph
 
 __all__ = [
     "RateSpec",
@@ -341,15 +341,16 @@ class CycleCheck:
 
 
 @dataclass(frozen=True)
-class KolmogorovReport:
+class KolmogorovReport(_BuiltOnRead):
     """Cycle-criterion verdict over a full cycle basis.
 
     :func:`kolmogorov_check` decides it on per-walk arrays: a report that
     passes knows its cycle count and its empty violations from them, and
-    builds ``checks`` on first read; a refuted one is made with its checks.
+    builds ``checks`` on first read (:class:`~redpow.cyclespace._BuiltOnRead`);
+    a refuted one is made with its checks.
     """
 
-    checks: tuple[CycleCheck, ...] = _OnRead()
+    checks: tuple[CycleCheck, ...]
     basis_kind: str
 
     @cached_property

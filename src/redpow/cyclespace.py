@@ -185,8 +185,7 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     its last back to its first vertex; a direction is True where a step runs
     from its edge's higher end. Vertices are read by the integer rule of
     ``operator.index``; a vertex it refuses, or one past int64, has every
-    walk checked so, in order. :func:`_trace_flat` traces the vertices read,
-    and a faulty walk raises its own error on the walk as given.
+    walk checked so, in order. :func:`_trace_flat` traces the vertices read.
     """
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     try:
@@ -196,19 +195,19 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
         for seq in walks:
             cycle_edge_vector(g, seq)
         raise
-    return _trace_flat(g, src, lengths, walks)
+    return _trace_flat(g, src, lengths)
 
 
-def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray, walks=None) -> tuple[np.ndarray, ...]:
+def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_trace_walks` of the walks laid end to end in the int64 array ``src``.
 
     Walk ``w`` has ``lengths[w]`` vertices. One search finds every step's
     edge. Array checks then find every walk that is no simple cycle of
     ``g`` (fewer than three vertices, a repeated vertex, a step that is no
     edge), and the first of them raises its own :func:`cycle_edge_vector`
-    error, as a walk-by-walk check would, on ``walks[w]`` if given, else on
-    its vertices read back from ``src``. :func:`_walk_bitsets` makes
-    bitsets of the traced walks.
+    error, as a walk-by-walk check would, on its vertices read back from
+    ``src``; for a walk of integers that is the message the walk as given
+    raises. :func:`_walk_bitsets` makes bitsets of the traced walks.
     """
     starts = np.cumsum(lengths) - lengths
     nxt = np.arange(1, len(src) + 1)
@@ -225,8 +224,7 @@ def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray, walks=None) -> t
     bad[key[1:][key[1:] == key[:-1]] // n] = True
     if bad.any():
         w = int(np.argmax(bad))
-        own = src[starts[w] : starts[w] + lengths[w]].tolist() if walks is None else walks[w]
-        cycle_edge_vector(g, own)
+        cycle_edge_vector(g, src[starts[w] : starts[w] + lengths[w]].tolist())
     return starts, edge, src > dst
 
 
@@ -343,29 +341,24 @@ class ElementInfo:
     f: Monomial | None = None
 
 
-class _OnRead:
-    """A field of a frozen dataclass that an instance may build on its first read.
+class _BuiltOnRead:
+    """A frozen dataclass whose instances may build some fields on their first read.
 
     Such an instance is made without the value and holds a zero-argument
-    callable under ``_make_<field>`` (:func:`_built_on_read`); the first
-    read calls it and keeps the value. Set by ``__init__``, the field is a
-    plain value. Read on the class, it raises ``AttributeError``, so the
-    dataclass field has no default.
+    callable under ``_make_<field>`` (:func:`_built_on_read`). As on
+    :class:`Graph`, only a missing attribute lands here: the first read
+    calls the maker and keeps the value, so every later read is a plain
+    ``__dict__`` hit. An ``AttributeError`` raised inside a
+    ``cached_property`` getter lands here too, and reads as the property
+    being missing; no maker raises one.
     """
 
-    def __set_name__(self, owner, name):
-        self.name, self.make = name, f"_make_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        fields = obj.__dict__
-        if self.name not in fields:  # two threads reading at once may both build it
-            fields[self.name] = fields[self.make]()
-        return fields[self.name]
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
+    def __getattr__(self, name: str):
+        make = self.__dict__.get(f"_make_{name}")
+        if make is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = make()  # two threads reading at once may both build it
+        return value
 
 
 def _built_on_read(cls, fields: dict, **make):
@@ -376,7 +369,7 @@ def _built_on_read(cls, fields: dict, **make):
 
 
 @dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(_BuiltOnRead):
     """A basis of the cycle space with oriented vertex sequences.
 
     Every element is a simple cycle; ``cycles[i]`` is its vertex
@@ -391,15 +384,15 @@ class CycleBasis:
 
     A basis made by :meth:`_of_walks`, from walk arrays, is checked the
     same way on the trace alone; its ``elements``, ``cycles`` and ``info``
-    are built on first read and kept.
+    are built on first read and kept (:class:`_BuiltOnRead`).
     """
 
     host: object
-    elements: tuple[EdgeVector, ...] | None = _OnRead()
+    elements: tuple[EdgeVector, ...] | None
     kind: str
-    cycles: tuple[tuple[int, ...], ...] = _OnRead()
+    cycles: tuple[tuple[int, ...], ...]
     certified_minimum: bool
-    info: tuple[ElementInfo, ...] = _OnRead()
+    info: tuple[ElementInfo, ...]
     _trace: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

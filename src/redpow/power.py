@@ -356,13 +356,22 @@ def degree_of(rp: ReducedPowerGraph, m: Monomial) -> int:
     return total
 
 
+# The most coordinates a tuple label of cartesian_power may have, whatever the
+# budget: a one-vertex base has one state at every k, so the budget bounds
+# nothing there. Its one label took 24 ms to join at k = 10^6, 2 MB of text from
+# a one-letter base label, and grows linearly in k: 2 TB at k = 10^12. A base of
+# two or more vertices has at least 2^k states at such a k.
+_LABEL_COORDS = 10**6
+
+
 def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     """k-fold Cartesian product of the base graph with itself.
 
     Vertices are comma-joined k-tuples of base labels; edges join tuples
     differing in one coordinate by a base edge. Refuses more than
-    ``budget`` (v**k) states, or a base label with ``,``: ``redpow power``
-    prints each PowerError as the reason its cross-check is skipped.
+    ``budget`` (v**k) states, a ``k`` past ``_LABEL_COORDS``, or a base
+    label with ``,``: ``redpow power`` prints each PowerError as the reason
+    its cross-check is skipped.
 
     Tuple ``t`` is vertex number ``t``, its mixed-radix code over ``v``,
     so the edge that moves coordinate ``pos`` along base edge ``(a, b)``
@@ -374,18 +383,20 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     # from k >= budget.bit_length() on, v >= 2 gives v^k >= 2^k > budget: no v^k is computed
     if v > 1 and k >= budget.bit_length() or v**k > budget:
         raise PowerError(f"{v}^{_shown(k, str)} states exceed budget {_shown(budget, str)}")
+    if k > _LABEL_COORDS:
+        raise PowerError(f"k = {_shown(k, str)} passes the bound of {_LABEL_COORDS} label coordinates")
     if any("," in lab for lab in base.labels):
         raise PowerError("base labels contain ','")
 
     labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
     lo, step = base._pairs[:, :1], base._pairs[:, 1:] - base._pairs[:, :1]
     pairs = []
-    for pos in range(k):
+    for pos in range(k if base.num_edges else 0):  # an edgeless base moves no coordinate
         stride = v ** (k - 1 - pos)
         # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
         low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
         pairs.append(np.column_stack([low.ravel(), (low + step * stride).ravel()]))
-    return Graph._from_pairs(labels, np.concatenate(pairs))
+    return Graph._from_pairs(labels, np.concatenate(pairs) if pairs else base._pairs)
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:

@@ -1710,6 +1710,25 @@ def test_a_reversible_run_over_the_worker_threshold_builds_no_per_cycle_object(
     assert "(1486 cycles, 0 violations)" in capsys.readouterr().out
 
 
+def test_mcb_out_at_k_2_or_more_builds_no_edge_vector(tmp_path, monkeypatch):
+    from redpow import cyclespace
+
+    tailed = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["c", "d"]]}
+    out = tmp_path / "basis.json"
+    for doc, k in ((PENTAGON, 2), (PENTAGON, 3), (tailed, 4)):
+        g = graph_from_dict(doc)
+        cyclespace._base_mcb(g)  # the base's own basis holds its elements
+        made = _record_per_cycle_objects(monkeypatch)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mcb", "--graph", str(path), "--k", str(k), "--out", str(out)]) == 0
+        assert [name for name, _ in made if name == "EdgeVector"] == []
+        basis = json.loads(out.read_text())
+        rp = build_reduced_power(g, k)
+        assert basis["element_count"] == len(basis["elements"]) == rp.num_edges - rp.num_states + 1
+        monkeypatch.undo()
+
+
 def test_a_refuted_run_over_the_worker_threshold_builds_its_checks_on_the_worker(monkeypatch):
     from redpow import cyclespace
 

@@ -1063,3 +1063,67 @@ def test_a_basis_from_walk_arrays_builds_what_the_constructor_builds_from_the_sa
                     assert getattr(lazy, name) == getattr(eager, name), (g, k, name)
                 assert lazy == eager and all(map(np.array_equal, lazy._trace, eager._trace))
                 assert {f.name for f in dataclasses.fields(CycleBasis)} <= set(vars(lazy))
+
+
+# --- the read path of fields built on read ---
+
+
+def _lazy_five_cycle(info) -> CycleBasis:
+    """The basis of the 5-cycle's one walk, made from walk arrays with the info maker ``info``."""
+    return CycleBasis._of_walks(cycle_graph(5), "test", False, *_laid_end_to_end([(0, 1, 2, 3, 4)]), info)
+
+
+def test_a_field_built_on_read_is_built_once():
+    made = []
+    lazy = _lazy_five_cycle(lambda: made.append("info") or (ElementInfo(tag="test"),))
+    for name in ("elements", "cycles"):
+        make = vars(lazy)[f"_make_{name}"]
+        vars(lazy)[f"_make_{name}"] = lambda make=make, name=name: made.append(name) or make()
+    for name in ("info", "cycles", "elements"):
+        first = getattr(lazy, name)
+        assert getattr(lazy, name) is first and vars(lazy)[name] is first
+    assert made == ["info", "cycles", "elements"]
+
+
+def test_an_attribute_neither_a_field_nor_built_on_read_is_missing():
+    for obj in (_lazy_five_cycle(lambda: (ElementInfo(tag="test"),)), greedy_mcb(cycle_graph(5))):
+        with pytest.raises(AttributeError, match=r"^'CycleBasis' object has no attribute 'nothing'$"):
+            obj.nothing
+        assert getattr(obj, "_make_nothing", None) is None
+
+
+def test_a_makers_own_error_reaches_the_reader_unchanged():
+    def info():
+        raise CycleSpaceError("no info for this walk")
+
+    lazy = _lazy_five_cycle(info)
+    for _ in range(2):  # nothing is kept, so the second read calls the maker again
+        with pytest.raises(CycleSpaceError, match="^no info for this walk$"):
+            lazy.info
+    assert "info" not in vars(lazy)
+
+
+_INTEGER_WALK_FAULTS = {
+    "short": [(0, 1), (False, True)],
+    "repeat": [(0, 1, 2, 1), (False, True, 2, True)],
+    "missing": [(0, 2, 1, 3, 4), (False, 2, True, 3, 4)],  # 0-2 is no edge of the 5-cycle
+    "past the end": [(0, 5, 2, 3, 4)],
+    "negative": [(0, -1, 2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("fault", list(_INTEGER_WALK_FAULTS))
+def test_a_faulty_integer_walk_raises_its_own_error_through_every_tracer(fault):
+    g = cycle_graph(5)
+    info = (ElementInfo(tag="test"),)
+    for ints in _INTEGER_WALK_FAULTS[fault]:
+        for walk in (ints, tuple(np.array(ints)), np.array(ints, dtype=np.int32)):
+            with pytest.raises((CycleSpaceError, GraphError)) as own:
+                cycle_edge_vector(g, walk)
+            for trace in (
+                lambda: CycleBasis(g, None, "test", (walk,), False, info),
+                lambda: cyclespace._trace_flat(g, *_laid_end_to_end([walk])),
+            ):
+                with pytest.raises(type(own.value)) as raised:
+                    trace()
+                assert str(raised.value) == str(own.value), (fault, walk)

@@ -25,7 +25,7 @@ from redpow import (
     quotient_by_symmetry,
     vertex_count,
 )
-from redpow.power import _assemble
+from redpow.power import _LABEL_COORDS, _assemble
 
 from conftest import (
     COUNT_KINDS,
@@ -849,6 +849,21 @@ def test_cartesian_power_refuses_a_huge_k_before_computing_its_count(k):
     with pytest.raises(PowerError) as info:
         cartesian_power(path_graph(1), k, budget=0)  # one state at any k
     assert str(info.value) == f"1^{k} states exceed budget 0"
+
+
+def test_cartesian_power_refuses_a_one_vertex_k_past_the_label_bound():
+    # one state at every k: unbounded, the label alone takes 2 TB at k = 10**12.
+    # 10**7 goes first, which an unbounded build fails in under a second.
+    for k, shown in ((10**7, 10**7), (10**12, 10**12), (10**5000, "of more than 4000 digits")):
+        with pytest.raises(PowerError) as info:
+            cartesian_power(path_graph(1), k)
+        assert str(info.value) == f"k = {shown} passes the bound of 1000000 label coordinates"
+
+
+def test_cartesian_power_builds_a_one_vertex_power_at_the_label_bound():
+    single = cartesian_power(path_graph(1), _LABEL_COORDS)
+    assert (single.num_vertices, single.num_edges) == (1, 0)
+    assert single.labels == (",".join(["v0"] * _LABEL_COORDS),)
 
 
 @pytest.mark.parametrize("k", [10**7, 10**12])
