@@ -85,7 +85,7 @@ MUTANTS = (
     Mutant(
         "the per-walk check lets a walk repeat a vertex",
         "src/redpow/cyclespace.py",
-        '    if len(set(seq)) != len(seq):\n        raise CycleSpaceError("cycle sequence repeats a vertex")\n',
+        '    if repeats:\n        raise CycleSpaceError("cycle sequence repeats a vertex")\n',
         "",
         (
             "tests/test_cyclespace.py::test_cycle_edge_vector_rejects",
@@ -165,6 +165,36 @@ MUTANTS = (
         "got {_shown(k)}",
         "got {k!r}",
         ("tests/test_ctmc.py::test_model_from_dict_echoes_an_outside_value_in_a_bounded_form",),
+    ),
+    Mutant(
+        "the tree rule skips its reach check",
+        "src/redpow/graph.py",
+        "        if len(reached) < n:\n"
+        '            raise GraphError(f"vertex {depth.index(None)} is not reached from the root by the parent map")\n',
+        "",
+        (
+            "tests/test_graph.py::test_a_cycle_of_parents_is_refused_naming_its_smallest_vertex",
+            "tests/test_graph.py::test_a_parentless_vertex_that_is_not_the_root_is_refused_by_name",
+        ),
+    ),
+    Mutant(
+        "the shared independence check lets one dependency through",
+        "src/redpow/cyclespace.py",
+        "    if _walk_rank(*trace[:2], np.arange(n)) < n:\n",
+        "    if _walk_rank(*trace[:2], np.arange(n)) < n - 1:\n",
+        (
+            "tests/test_cyclespace.py::test_basis_rejects_a_dependent_set_of_the_right_size",
+            "tests/test_cyclespace.py::test_a_basis_from_walk_arrays_keeps_the_constructors_refusals",
+        ),
+    ),
+    Mutant(
+        "the builders' shared tail drops its last cycle",
+        "src/redpow/cyclespace.py",
+        "    info = tuple(ElementInfo(tag=tag) for _ in cycles)\n",
+        "    cycles = cycles[:-1]\n    info = tuple(ElementInfo(tag=tag) for _ in cycles)\n",
+        (
+            "tests/test_cyclespace.py::test_greedy_and_fundamental_bases_equal_the_eager_basis_of_their_own_bitsets_and_walks",
+        ),
     ),
 )
 

@@ -174,24 +174,27 @@ class RateSpec:
     ):
         directed = {pair for i, j in graph.edges for pair in ((i, j), (j, i))}
         base = dict(base)
-        coupling = {k: tuple(v) for k, v in (coupling or {}).items()}
+        coupling = dict(coupling or {})
         for pair in base:
             if pair not in directed:
                 raise ModelError(f"rate given for non-edge pair {pair}")
         for pair in directed:
             if pair not in base:
-                i, j = pair
-                raise ModelError(
-                    f"missing rate for directed edge "
-                    f"'{graph.labels[i]}->{graph.labels[j]}'"
-                )
+                raise ModelError(f"missing rate for directed edge {_arc(graph, pair)}")
         v = graph.num_vertices
         for pair, coeffs in coupling.items():
             if pair not in directed:
                 raise ModelError(f"coupling given for non-edge pair {pair}")
+            try:
+                coeffs = tuple(coeffs)
+            except TypeError:
+                raise ModelError(
+                    f"coupling vector for {_arc(graph, pair)} is {_shown(coeffs)}, not a sequence"
+                ) from None
             if len(coeffs) != v:
                 raise ModelError(f"coupling vector for {pair} must have {v} entries")
-        rates = {pair: Fraction(base[pair]) for pair in directed}
+            coupling[pair] = tuple(_rate(graph, pair, c, "coupling entry") for c in coeffs)
+        rates = {pair: _rate(graph, pair, base[pair], "base rate") for pair in sorted(directed)}
         coupled = {pair: c for pair, c in coupling.items() if any(c)}
         every = [*rates.values(), *(q for c in coupled.values() for q in c)]
         self._den = den = math.lcm(*(q.denominator for q in every))
@@ -218,6 +221,20 @@ class RateSpec:
 
     def is_uncoupled(self) -> bool:
         return not self._coupling
+
+
+def _arc(graph: Graph, pair: tuple[int, int]) -> str:
+    """The directed edge ``pair`` of ``graph`` named by its labels, as ``'a->b'``."""
+    i, j = pair
+    return f"'{graph.labels[i]}->{graph.labels[j]}'"
+
+
+def _rate(graph: Graph, pair: tuple[int, int], value: object, what: str) -> Fraction:
+    """``Fraction(value)``: :class:`RateSpec`'s one rule for a base rate and a coupling entry."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):  # ArithmeticError: '1/0' or an infinity
+        raise ModelError(f"{what} for {_arc(graph, pair)} is {_shown(value)}, not a rational") from None
 
 
 def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
@@ -538,7 +555,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = _FLOAT_TOL) 
 
 def _transition_ends(mc: MasterChain) -> tuple[np.ndarray, np.ndarray]:
     """Source and target state of each transition; ``2e`` runs along edge ``e``, ``2e + 1`` back."""
-    ends = mc.rp.graph._pairs
+    ends = mc.rp.graph.pairs
     return ends.ravel(), ends[:, ::-1].ravel()
 
 

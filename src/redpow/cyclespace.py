@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CycleSpaceError
-from .graph import Graph, RootedTree, _bfs, _edge_ids, betti, check_spanning_tree
+from .graph import Graph, RootedTree, _bfs, _edge_ids, _index, betti, check_spanning_tree
 from .power import Monomial, ReducedPowerGraph
 
 __all__ = [
@@ -303,13 +303,18 @@ def cycle_edge_vector(host, seq: Sequence[int]) -> EdgeVector:
     """Edge vector of a closed vertex walk with no repeated vertices.
 
     A walk of fewer than three vertices is refused first, then one that
-    repeats a vertex, then its first step that is no edge of the host
-    (:meth:`Graph.edge_position` raises).
+    repeats a vertex (one with an unhashable vertex names the first vertex
+    the integer rule refuses), then its first step that is no edge of the
+    host (:meth:`Graph.edge_position` raises).
     """
     g = host_graph(host)
     if len(seq) < 3:
         raise CycleSpaceError("a simple cycle needs at least three vertices")
-    if len(set(seq)) != len(seq):
+    try:
+        repeats = len(set(seq)) != len(seq)
+    except TypeError:  # an unhashable vertex: the integer rule names the first it refuses
+        repeats = len({_index(v, g.num_vertices) for v in seq}) != len(seq)
+    if repeats:
         raise CycleSpaceError("cycle sequence repeats a vertex")
     bits = 0
     for i, j in zip(seq, (*seq[1:], seq[0])):
@@ -397,10 +402,8 @@ class CycleBasis(_BuiltOnRead):
 
     def __post_init__(self):
         g = host_graph(self.host)
-        dim = betti(g)
         n = len(self.cycles if self.elements is None else self.elements)
-        if n != dim:
-            raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
+        _check_dimension(g, n)
         if len(self.cycles) != n:
             raise CycleSpaceError("every element needs a vertex sequence")
         if len(self.info) != n:
@@ -417,8 +420,7 @@ class CycleBasis(_BuiltOnRead):
             bad = next((i for i, no in enumerate(mismatched) if no), n)
         # the elements ahead of the first mismatched one are checked first,
         # so the error is the one a check element by element would raise
-        if _walk_rank(*trace[:2], np.arange(bad)) < bad:
-            raise CycleSpaceError("basis elements are linearly dependent")
+        _check_independent(trace, bad)
         if bad < n:
             if host_graph(self.elements[bad].host) != g:
                 raise CycleSpaceError("basis element lives on a different host")
@@ -437,13 +439,9 @@ class CycleBasis(_BuiltOnRead):
         cycles the walks as tuples, and ``info()`` gives the info records.
         """
         g = host_graph(host)
-        dim = betti(g)
-        n = len(lengths)
-        if n != dim:
-            raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
+        _check_dimension(g, len(lengths))
         trace = _trace_flat(g, vertices, lengths)
-        if _walk_rank(*trace[:2], np.arange(dim)) < dim:
-            raise CycleSpaceError("basis elements are linearly dependent")
+        _check_independent(trace, len(lengths))
         starts, edge, _ = trace
 
         def elements():
@@ -462,8 +460,28 @@ class CycleBasis(_BuiltOnRead):
         return len(self._trace[1])
 
 
+def _check_dimension(g: Graph, n: int) -> None:
+    """Raise unless ``n`` elements are as many as the dimension of ``g``'s cycle space."""
+    dim = betti(g)
+    if n != dim:
+        raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
+
+
+def _check_independent(trace: tuple[np.ndarray, ...], n: int) -> None:
+    """Raise unless the first ``n`` walks of ``trace`` are independent over F2."""
+    if _walk_rank(*trace[:2], np.arange(n)) < n:
+        raise CycleSpaceError("basis elements are linearly dependent")
+
+
 def total_length(basis: CycleBasis) -> int:
     return basis.total_length
+
+
+def _basis_of_bitsets(host, kind: str, minimum: bool, bitsets: Iterable[int], tag: str) -> CycleBasis:
+    """The basis of the simple cycles ``bitsets``, walked here; the constructor takes their traced edges."""
+    cycles = tuple(cycle_decomposition(EdgeVector._traced(host, bits))[0] for bits in bitsets)
+    info = tuple(ElementInfo(tag=tag) for _ in cycles)
+    return CycleBasis(host, None, kind, cycles, minimum, info)
 
 
 def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
@@ -481,19 +499,8 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     path = [0] * g.num_vertices
     for v in sorted(tree.parent, key=tree.depths().__getitem__):  # parents first
         path[v] = path[tree.parent[v]] | 1 << g.edge_position(v, tree.parent[v])
-    elements = tuple(
-        EdgeVector(host, path[i] ^ path[j] | 1 << e)
-        for e, (i, j) in enumerate(g.edges)
-        if (i, j) not in tree_pairs
-    )
-    return CycleBasis(
-        host=host,
-        elements=elements,
-        kind="fundamental",
-        cycles=tuple(cycle_decomposition(x)[0] for x in elements),
-        certified_minimum=False,
-        info=tuple(ElementInfo(tag="fundamental") for _ in elements),
-    )
+    cycles = (path[i] ^ path[j] | 1 << e for e, (i, j) in enumerate(g.edges) if (i, j) not in tree_pairs)
+    return _basis_of_bitsets(host, "fundamental", False, cycles, "fundamental")
 
 
 # greedy_mcb takes its sources in blocks: a block's tree and edge tables,
@@ -541,7 +548,7 @@ def _candidate_rows(g: Graph, sources: range) -> Iterator[tuple[int, np.ndarray]
     edge -1, which sorts ahead of the row's edges.
     """
     parent, up_edge, depth, hop = _source_trees(g, sources)
-    u, w = g._pairs.T
+    u, w = g.pairs.T
     length = depth[:, u] + depth[:, w] + 1
     src, edge = np.nonzero((hop[:, u] != hop[:, w]) & (length > 2))
     length = length[src, edge]
@@ -602,16 +609,8 @@ def greedy_mcb(host) -> CycleBasis:
             yield from _row_bitsets(_distinct_rows(np.concatenate(classes[size])))
 
     span = Gf2Span()
-    kept = list(islice(filter(span.add, ordered()), dim))  # each independent of those before
-    elements = tuple(EdgeVector(host, bits) for bits in kept)
-    return CycleBasis(
-        host=host,
-        elements=elements,
-        kind="greedy-mcb",
-        cycles=tuple(cycle_decomposition(x)[0] for x in elements),
-        certified_minimum=True,
-        info=tuple(ElementInfo(tag="greedy") for _ in kept),
-    )
+    kept = islice(filter(span.add, ordered()), dim)  # each independent of those before
+    return _basis_of_bitsets(host, "greedy-mcb", True, kept, "greedy")
 
 
 @functools.lru_cache(maxsize=1)

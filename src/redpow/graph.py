@@ -145,6 +145,11 @@ class Graph:
     # --- accessors ---
 
     @property
+    def pairs(self) -> np.ndarray:
+        """The ``(m, 2)`` read-only int64 array of edges ``(i, j)``, ``i < j``, in canonical order."""
+        return self._pairs
+
+    @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
@@ -359,26 +364,26 @@ class RootedTree:
         _index(self.root, n, GraphError, "tree root", "tree order must start at the root")
 
     def depths(self) -> tuple[int, ...]:
-        """Depth of every vertex, indexed by vertex."""
+        """Depth of every vertex, indexed by vertex, by one breadth-first pass from the root.
+
+        Raises GraphError naming the smallest vertex the root does not reach by the parent map.
+        """
         n = len(self.order)
         self._check_indices(n)
-        depth: dict[int, int] = {self.root: 0}
-        for v in self.order:
-            if v in depth:
-                continue
-            chain = []
-            cur = v
-            while cur not in depth:
-                chain.append(cur)
-                if cur not in self.parent:
-                    raise GraphError(f"vertex {cur} has no parent and is not the root")
-                cur = self.parent[cur]
-                if len(chain) > n:
-                    raise GraphError("parent map contains a cycle")
-            base = depth[cur]
-            for step, vtx in enumerate(reversed(chain), start=1):
-                depth[vtx] = base + step
-        return tuple(depth[i] for i in range(n))
+        children: list[list[int]] = [[] for _ in range(n)]
+        for child, par in self.parent.items():
+            children[par].append(child)
+        depth: list[int | None] = [None] * n
+        depth[self.root] = 0
+        reached = [self.root]
+        for v in reached:  # the list grows while it is walked, so it is the queue
+            for c in children[v]:
+                if depth[c] is None:  # only the root, when it has a parent, is met again
+                    depth[c] = depth[v] + 1
+                    reached.append(c)
+        if len(reached) < n:
+            raise GraphError(f"vertex {depth.index(None)} is not reached from the root by the parent map")
+        return tuple(depth)
 
     def tree_pairs(self) -> frozenset[tuple[int, int]]:
         """Canonical (ascending) vertex pairs of the tree edges."""
@@ -421,7 +426,7 @@ def check_spanning_tree(g: Graph, t: RootedTree) -> None:
             raise GraphError(
                 f"tree edge {g.labels[child]!r}-{g.labels[par]!r} is not a graph edge"
             )
-    t.depths()  # raises on cycles or dangling parents
+    t.depths()  # raises on a vertex the root does not reach
 
 
 # --- serialization ---

@@ -42,7 +42,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import PowerError
-from .graph import Graph, _index, _shown
+from .graph import Graph, _edge_ids, _index, _shown
 
 __all__ = [
     "Monomial",
@@ -236,7 +236,7 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     k = _count(k)
     v = base.num_vertices
     stays, ranks = _insert_ranks(v, k)
-    ends = base._pairs
+    ends = base.pairs
     moves = np.empty((len(stays), len(ends), 5), dtype=np.int64)  # per stay word and base edge
     moves[..., 0], moves[..., 1] = ranks[:, ends[:, 0]], ranks[:, ends[:, 1]]
     moves[..., 2:4] = ends
@@ -389,14 +389,14 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
         raise PowerError("base labels contain ','")
 
     labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
-    lo, step = base._pairs[:, :1], base._pairs[:, 1:] - base._pairs[:, :1]
+    lo, step = base.pairs[:, :1], base.pairs[:, 1:] - base.pairs[:, :1]
     pairs = []
     for pos in range(k if base.num_edges else 0):  # an edgeless base moves no coordinate
         stride = v ** (k - 1 - pos)
         # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
         low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
         pairs.append(np.column_stack([low.ravel(), (low + step * stride).ravel()]))
-    return Graph._from_pairs(labels, np.concatenate(pairs) if pairs else base._pairs)
+    return Graph._from_pairs(labels, np.concatenate(pairs) if pairs else base.pairs)
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:
@@ -443,7 +443,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
     m = power.num_edges
-    src, dst = power._pairs.T
+    src, dst = power.pairs.T
     tx, ty = digits[src], digits[dst]
     changed = tx != ty
     if not (changed.sum(axis=1) == 1).all():
@@ -454,7 +454,9 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     del tx, ty, changed
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     del a, b
-    if not np.isin(lo.astype(np.int64) * v + hi, base._pairs[:, 0] * v + base._pairs[:, 1]).all():
+    over = np.zeros((v, v), dtype=bool)  # the base vertex pairs the product edges move along
+    over[lo, hi] = True
+    if (_edge_ids(base, *np.nonzero(over)) < 0).any():
         raise PowerError("product edge does not project onto a base edge")
 
     # An edge moving a token a -> b joins the distinct words S+a and S+b; edges

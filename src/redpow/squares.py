@@ -47,6 +47,7 @@ from .graph import (
     Graph,
     RootedTree,
     _edge_ids,
+    _index,
     betti,
     bfs_spanning_tree,
     check_spanning_tree,
@@ -91,7 +92,14 @@ class CartesianSquare:
     f: Monomial
 
     def __post_init__(self):
-        if frozenset(self.edge1) == frozenset(self.edge2):
+        try:
+            same = frozenset(self.edge1) == frozenset(self.edge2)
+        except TypeError:  # an unhashable end: the integer rule names the first it refuses
+            one, two = (
+                {_index(x, None, PowerError, "square edge end") for x in e} for e in (self.edge1, self.edge2)
+            )
+            same = one == two
+        if same:
             raise PowerError("a Cartesian square needs two distinct edges")
 
     def states(self, rp: ReducedPowerGraph) -> tuple[int, int, int, int]:

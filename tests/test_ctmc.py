@@ -104,6 +104,37 @@ def test_rate_spec_rejects_non_edges_and_bad_vectors():
         RateSpec(g, full, {(0, 1): (F(0),) * 2})
 
 
+_FULL_AB = {(0, 1): F(1), (1, 0): F(1), (1, 2): F(1), (2, 1): F(1)}
+
+
+@pytest.mark.parametrize(
+    "base,coupling,message",
+    [
+        ({(0, 1): "x"}, None, "base rate for 'a->b' is 'x', not a rational"),
+        ({(1, 0): None}, None, "base rate for 'b->a' is None, not a rational"),
+        ({(2, 1): "1/0"}, None, "base rate for 'c->b' is '1/0', not a rational"),
+        ({}, {(0, 1): (0, "x", 0)}, "coupling entry for 'a->b' is 'x', not a rational"),
+        ({}, {(1, 2): (0, 0, float("inf"))}, "coupling entry for 'b->c' is inf, not a rational"),
+        ({}, {(1, 0): 5}, "coupling vector for 'b->a' is 5, not a sequence"),
+    ],
+)
+def test_rate_spec_refuses_a_value_fraction_refuses_naming_its_pair(base, coupling, message):
+    g = Graph("abc", [("a", "b"), ("b", "c")])
+    with pytest.raises(ModelError) as info:
+        RateSpec(g, {**_FULL_AB, **base}, coupling)
+    assert str(info.value) == message
+
+
+def test_rate_spec_reads_base_rates_and_coupling_entries_by_one_rule():
+    g = Graph("abc", [("a", "b"), ("b", "c")])
+    given = RateSpec(g, {**_FULL_AB, (0, 1): "1/2"}, {(0, 1): ("1/2", 0.25, 3)})
+    exact = RateSpec(g, {**_FULL_AB, (0, 1): F(1, 2)}, {(0, 1): (F(1, 2), F(1, 4), F(3))})
+    for spec in (given, exact):
+        assert spec.base_rate(0, 1) == F(1, 2)
+        assert spec.coupling_vector(0, 1) == (F(1, 2), F(1, 4), F(3))
+    assert model_to_dict(g, 2, given) == model_to_dict(g, 2, exact)
+
+
 def test_eval_rate_functional():
     spec = pentagon_spec(32, 1, 2, alpha=1, beta=3, gamma=5, delta=7, eps=11)
     assert eval_rate(spec, 0, 1, Monomial((3, 0, 0, 0, 0))) == 32 + 2 * 1

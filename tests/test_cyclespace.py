@@ -1127,3 +1127,34 @@ def test_a_faulty_integer_walk_raises_its_own_error_through_every_tracer(fault):
                 with pytest.raises(type(own.value)) as raised:
                     trace()
                 assert str(raised.value) == str(own.value), (fault, walk)
+
+
+@pytest.mark.parametrize(
+    "walk,message",
+    [
+        ((0, 1, [2]), "vertex index [2] is not an integer"),
+        (({0: 1}, 1, 2.5), "vertex index {0: 1} is not an integer"),
+        ((0, 2.5, [1]), "vertex index 2.5 is not an integer"),
+        ((0, 7, {2}), "vertex index 7 is out of range"),
+    ],
+)
+def test_an_unhashable_walk_vertex_is_refused_by_the_integer_rule(walk, message):
+    """The first vertex, in walk order, that the rule refuses is named."""
+    triangle = cycle_graph(3)
+    for call in (
+        lambda: cycle_edge_vector(triangle, walk),
+        lambda: CycleBasis(triangle, None, "test", (walk,), False, (ElementInfo(tag="test"),)),
+    ):
+        with pytest.raises(GraphError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_greedy_and_fundamental_bases_equal_the_eager_basis_of_their_own_bitsets_and_walks(suite):
+    for g in suite:
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            for basis in (greedy_mcb(rp), fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0))):
+                elements = tuple(EdgeVector(rp, x.bits) for x in basis.elements)
+                eager = CycleBasis(rp, elements, basis.kind, basis.cycles, basis.certified_minimum, basis.info)
+                assert basis == eager and len(basis.elements) == betti(rp.graph), (g, k, basis.kind)

@@ -611,3 +611,43 @@ def test_graph_echoes_every_outside_value_without_raising_another_error():
         with pytest.raises(RedpowError) as info:
             call()
         assert text in str(info.value) and len(str(info.value)) <= 300
+
+
+# --- the tree rule: one breadth-first pass from the root ---
+
+
+def test_a_cycle_of_parents_is_refused_naming_its_smallest_vertex():
+    triangle = cycle_graph(3)
+    tree = RootedTree(0, {1: 2, 2: 1}, (0, 1, 2))
+    for probe in (tree.depths, tree.is_depth_ordered, lambda: check_spanning_tree(triangle, tree)):
+        with pytest.raises(GraphError, match="^vertex 1 is not reached from the root by the parent map$"):
+            probe()
+
+
+def test_a_parentless_vertex_that_is_not_the_root_is_refused_by_name():
+    # vertex 3 hangs below the parentless vertex 2, so 2 is the smallest the root misses
+    tree = RootedTree(0, {1: 0, 3: 2}, (0, 1, 2, 3))
+    for probe in (tree.depths, tree.is_depth_ordered):
+        with pytest.raises(GraphError, match="^vertex 2 is not reached from the root by the parent map$"):
+            probe()
+
+
+def test_a_root_with_a_parent_is_refused_before_its_depths_are_read():
+    triangle = cycle_graph(3)
+    tree = RootedTree(0, {0: 2, 1: 0, 2: 1}, (0, 1, 2))
+    assert tree.depths() == (0, 1, 2)  # the root's parent is not followed
+    with pytest.raises(GraphError, match="^root must not have a parent$"):
+        check_spanning_tree(triangle, tree)
+
+
+# --- the published edge array ---
+
+
+def test_pairs_is_the_read_only_edge_array():
+    g = Graph("abcd", [("c", "d"), ("a", "b"), ("a", "c")])
+    assert g.pairs is g._pairs
+    assert g.pairs.tolist() == [[0, 1], [0, 2], [2, 3]] and g.pairs.dtype == np.int64
+    with pytest.raises(ValueError):
+        g.pairs[0, 0] = 1
+    with pytest.raises(AttributeError):
+        g.pairs = np.zeros((0, 2), dtype=np.int64)

@@ -88,6 +88,20 @@ def test_square_rejects_wrong_degree_or_non_edge():
         CartesianSquare((0, 2), (2, 3), Monomial((0,) * 5)).states(rp)
 
 
+@pytest.mark.parametrize(
+    "edge1,edge2,message",
+    [
+        ((0, 1), (1, [2]), "square edge end [2] is not an integer"),
+        (([0], 1), (1, 2), "square edge end [0] is not an integer"),
+        ((0, 1.5), ({2}, 3), "square edge end 1.5 is not an integer"),
+    ],
+)
+def test_square_refuses_an_unhashable_edge_end_by_name(edge1, edge2, message):
+    with pytest.raises(PowerError) as info:
+        CartesianSquare(edge1, edge2, Monomial((0,) * 5))
+    assert str(info.value) == message
+
+
 def test_square_describe():
     sq = CartesianSquare((0, 1), (2, 3), Monomial((1, 0, 0, 0, 0)))
     assert sq.describe(("a", "b", "c", "d", "e")) == "(ab x cd) f=a"
@@ -155,6 +169,13 @@ def test_embed_cycle_validates():
     emb = embed_cycle(rp, (0, 1, 2, 3, 4), Monomial((2, 0, 0, 0, 0)))
     assert emb.size == 5
     assert is_cycle(emb)
+
+
+def test_embed_cycle_refuses_an_unhashable_base_vertex_by_the_integer_rule():
+    rp = build_reduced_power(cycle_graph(3), 2)
+    with pytest.raises(GraphError) as info:
+        embed_cycle(rp, (0, 1, [2]), Monomial((1, 0, 0)))
+    assert str(info.value) == "vertex index [2] is not an integer"
 
 
 def test_embedded_copies_are_independent_of_f_choice():
