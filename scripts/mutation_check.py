@@ -143,12 +143,13 @@ MUTANTS = (
     ),
     Mutant(
         "a field built on read is built again on every read",
-        "src/redpow/cyclespace.py",
-        "value = self.__dict__[name] = make()",
-        "value = make()",
+        "src/redpow/graph.py",
+        "        object.__setattr__(self, name, value)\n",
+        "",
         (
             "tests/test_cyclespace.py::test_a_basis_from_walk_arrays_builds_what_the_constructor_builds_from_the_same_walks",
             "tests/test_cyclespace.py::test_a_field_built_on_read_is_built_once",
+            "tests/test_graph.py::test_the_python_views_are_built_once_each_and_kept",
         ),
     ),
     Mutant(
@@ -195,6 +196,27 @@ MUTANTS = (
         (
             "tests/test_cyclespace.py::test_greedy_and_fundamental_bases_equal_the_eager_basis_of_their_own_bitsets_and_walks",
         ),
+    ),
+    Mutant(
+        "backward is built from the forward numerators",
+        "src/redpow/ctmc.py",
+        "        return self._fractions(self._ints[1])\n",
+        "        return self._fractions(self._ints[0])\n",
+        ("tests/test_ctmc.py::test_master_rates_worked_values",),
+    ),
+    Mutant(
+        "the states maker drops the last state",
+        "src/redpow/power.py",
+        "states=lambda: tuple(Monomial._of_words(words, v))",
+        "states=lambda: tuple(Monomial._of_words(words[:-1], v))",
+        ("tests/test_power.py::test_rank_numbered_power_equals_the_dict_reference",),
+    ),
+    Mutant(
+        "the master chain counts the tokens at the arrival vertex",
+        "src/redpow/ctmc.py",
+        "nums.append((others[a] + 1) * (base[(a, b)] + dot))",
+        "nums.append((others[b] + 1) * (base[(a, b)] + dot))",
+        ("tests/test_labelled_tokens.py::test_the_labelled_law_summed_over_orbits_is_the_exact_steady_state",),
     ),
 )
 

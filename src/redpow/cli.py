@@ -30,6 +30,9 @@ from pathlib import Path
 from .errors import PowerError, RedpowError, SolverError
 from .graph import _index, bfs_spanning_tree, graph_to_dot, graph_to_json, load_graph
 from .power import (
+    _STATE_BUDGET,
+    _capped_vertex_count,  # read by the tests as cli._capped_vertex_count
+    _check_state_budget,
     build_reduced_power,
     cartesian_power,
     edge_count,
@@ -43,7 +46,6 @@ from .ctmc import (
     KolmogorovReport,
     MasterChain,
     SteadyState,
-    _FLOAT_STATE_LIMIT as _STATE_BUDGET,
     _float_tree_potential,
     detailed_balance_check,
     kolmogorov_check,
@@ -190,38 +192,12 @@ def cmd_verify_squares(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
-    """``vertex_count(v, k)``, or None once it is known to exceed ``cap``.
-
-    Builds C(v+k-1, i) for i = 0, 1, ... up to min(v-1, k); the sequence
-    rises strictly, so it passes ``cap`` within about log2(cap) steps at any
-    ``v`` and ``k`` and the numbers stay small.
-    """
-    n = v + k - 1
-    count = 1
-    for i in range(min(v - 1, k)):
-        count = count * (n - i) // (i + 1)
-        if count > cap:
-            return None
-    return count
-
-
 def _check_budget(what: str, v: int, k: int) -> int:
     """Refuse a non-integer k, a k below 1 or a power over the state budget; return k as an int."""
     k = _index(k, None, RedpowError, f"{what} k", start=None)
-    if k < 1:  # a k of many digits is not written out, as below
+    if k < 1:  # a k of many digits is not written out, as the budget check does
         raise RedpowError(f"{what} has k = {k if k > -10**30 else 'below -10^30'}, not at least 1")
-    # k may have thousands of digits: a count past 10^30 is neither computed
-    # in full nor written out
-    states = _capped_vertex_count(v, k, 10**30)
-    if states is None or states > _STATE_BUDGET:
-        shown = "more than 10^30" if states is None else states
-        raise RedpowError(f"{what} has {shown} states, over the budget of {_STATE_BUDGET}")
-    # k is held to the same bound: with v >= 2 the count C(k+v-1, k) >= k + 1
-    # already is, and one vertex gives one state at any k, every word k long
-    if k > _STATE_BUDGET:
-        shown = "10^30 or more" if k >= 10**30 else k
-        raise RedpowError(f"{what} has k = {shown}, over the budget of {_STATE_BUDGET}")
+    _check_state_budget(what, v, k, _STATE_BUDGET)
     return k
 
 

@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -51,6 +51,8 @@ import numpy as np
 from .errors import GraphError, ModelError, SolverError
 from .graph import (
     Graph,
+    _BuiltOnRead,
+    _built_on_read,
     _edge_ids,
     _index,
     _read_json,
@@ -59,8 +61,8 @@ from .graph import (
     graph_from_dict,
     graph_to_dict,
 )
-from .power import Monomial, ReducedPowerGraph, build_reduced_power
-from .cyclespace import CycleBasis, _BuiltOnRead, _base_mcb, _built_on_read, host_graph
+from .power import _STATE_BUDGET, Monomial, ReducedPowerGraph, build_reduced_power
+from .cyclespace import CycleBasis, _base_mcb, host_graph
 
 __all__ = [
     "RateSpec",
@@ -115,11 +117,9 @@ def parse_rational(value: object, where: str) -> Fraction:
                         f"{where}: {digits}-digit number exceeds {_MAX_DIGITS} digits"
                     )
                 return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-            exp = _EXPONENT.search(value)
-            if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
-                raise ModelError(
-                    f"{where}: exponent of {_shown(value)} exceeds {_MAX_EXPONENT} in magnitude"
-                )
+            refused = _past_exponent_bound(value)
+            if refused:
+                raise ModelError(f"{where}: {refused}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"{where}: cannot parse rational {_shown(value)}: {exc}") from None
@@ -128,6 +128,18 @@ def parse_rational(value: object, where: str) -> Fraction:
             f"{where}: floats are not exact; write the rate as a string like '1/10'"
         )
     raise ModelError(f"{where}: expected an int or string, got {type(value).__name__}")
+
+
+def _past_exponent_bound(text: str) -> str | None:
+    """Why ``text`` is refused as a rate, if its decimal exponent passes ``_MAX_EXPONENT``, else None.
+
+    Checked before ``Fraction(text)``, which would expand such an exponent
+    in full. Underscores are dropped first, as ``Fraction`` drops them.
+    """
+    exp = _EXPONENT.search(text.replace("_", ""))
+    if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
+        return f"exponent of {_shown(text)} exceeds {_MAX_EXPONENT} in magnitude"
+    return None
 
 
 def _rational_str(q: Fraction | float) -> str:
@@ -230,8 +242,15 @@ def _arc(graph: Graph, pair: tuple[int, int]) -> str:
 
 
 def _rate(graph: Graph, pair: tuple[int, int], value: object, what: str) -> Fraction:
-    """``Fraction(value)``: :class:`RateSpec`'s one rule for a base rate and a coupling entry."""
+    """``Fraction(value)``: :class:`RateSpec`'s one rule for a base rate and a coupling entry.
+
+    A string whose exponent passes ``_MAX_EXPONENT`` is refused first, as
+    :func:`parse_rational` refuses it.
+    """
     try:
+        refused = isinstance(value, str) and _past_exponent_bound(value)
+        if refused:
+            raise ModelError(f"{what} for {_arc(graph, pair)}: {refused}")
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):  # ArithmeticError: '1/0' or an infinity
         raise ModelError(f"{what} for {_arc(graph, pair)} is {_shown(value)}, not a rational") from None
@@ -251,7 +270,7 @@ def eval_rate(spec: RateSpec, i: int, j: int, state: Monomial) -> Fraction:
     return spec.base_rate(i, j) - coupling[i] + sum(coupling[l] for l in state.word())
 
 
-class MasterChain:
+class MasterChain(_BuiltOnRead):
     """Continuous-time Markov chain of k tokens on the base graph.
 
     States are those of the reduced power ``rp``. For edge ``e = (x, y)``
@@ -264,7 +283,8 @@ class MasterChain:
     keeps the chain irreducible on the connected state space. ``_ints``
     keeps their integer numerators over the spec's ``_den``, as computed,
     for the exact checks and solves: every equation they test is
-    homogeneous in the rates, so the common denominator cancels.
+    homogeneous in the rates, so the common denominator cancels. The
+    rates, and their floats ``_floats``, are built on first read.
     """
 
     __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
@@ -277,32 +297,54 @@ class MasterChain:
         # i -> j is base(i,j) + coupling(i,j) . f, with f_i + 1 tokens
         # able to make it. On the spec's integer numerators an edge costs
         # a few int operations; an uncoupled pair's empty vector adds nothing.
-        base, coupling, den = spec._base, spec._coupling, spec._den
-        made: dict[int, Fraction] = {}  # few distinct numerators; share their rates
-        rates: list[Fraction] = []
-        nums: list[int] = []
-        for (x, y), (i, j, f) in zip(rp.graph.edges, rp.annotations):
+        base, coupling = spec._base, spec._coupling
+        nums: list[int] = []  # transitions() order
+        for i, j, f in rp.annotations:
             others = f.exponents
-            for a, b, src in ((i, j, x), (j, i, y)):
+            for a, b in ((i, j), (j, i)):
                 dot = sum(map(mul, coupling.get((a, b), ()), others))
-                num = (others[a] + 1) * (base[(a, b)] + dot)
-                rate = made.get(num)
-                if rate is None:
-                    rate = made[num] = Fraction(num, den)
-                    if num <= 0:
-                        raise ModelError(
-                            f"rate {rp.base.labels[a]}->{rp.base.labels[b]} evaluates "
-                            f"to {_rational_str(rate)} in state {rp.label(src)!r}; "
-                            "master rates must be positive"
-                        )
-                rates.append(rate)
-                nums.append(num)
+                nums.append((others[a] + 1) * (base[(a, b)] + dot))
+        if min(nums, default=1) <= 0:
+            t = next(t for t, num in enumerate(nums) if num <= 0)
+            hop, state = _named(rp, t)
+            raise ModelError(
+                f"rate {hop} evaluates to {_rational_str(Fraction(nums[t], spec._den))} "
+                f"in state {state!r}; master rates must be positive"
+            )
         self.rp = rp
         self.spec = spec
-        self.forward = tuple(rates[0::2])
-        self.backward = tuple(rates[1::2])
-        self._floats: np.ndarray | None = None  # filled by _float_rates
         self._ints = (tuple(nums[0::2]), tuple(nums[1::2]))
+
+    def _make_forward(self) -> tuple[Fraction, ...]:
+        return self._fractions(self._ints[0])
+
+    def _make_backward(self) -> tuple[Fraction, ...]:
+        return self._fractions(self._ints[1])
+
+    def _fractions(self, nums: tuple[int, ...]) -> tuple[Fraction, ...]:
+        """The rates of numerators ``nums``, one ``Fraction`` per distinct numerator."""
+        made = {num: Fraction(num, self.spec._den) for num in set(nums)}
+        return tuple(map(made.__getitem__, nums))
+
+    def _make__floats(self) -> np.ndarray:
+        """Every rate as a float, in :meth:`transitions` order; SolverError on one outside the float range."""
+        rates = []
+        for t, (_, _, rate) in enumerate(self.transitions()):
+            try:
+                value = float(rate)
+            except OverflowError:
+                value = math.inf
+            if not 0 < value < math.inf:
+                magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
+                hop, state = _named(self.rp, t)
+                raise SolverError(
+                    f"rate {hop} in state {state!r} is about 1e{round(magnitude):+d}, "
+                    "outside the float range; rerun with --exact"
+                )
+            rates.append(value)
+        floats = np.array(rates)
+        floats.flags.writeable = False
+        return floats
 
     @property
     def num_states(self) -> int:
@@ -323,6 +365,13 @@ class MasterChain:
 
     def exit_rate(self, x: int) -> Fraction:
         return sum((self.rate(x, y) for y in self.rp.graph.adjacency(x)), Fraction(0))
+
+
+def _named(rp: ReducedPowerGraph, t: int) -> tuple[str, str]:
+    """Transition ``t`` (``2e`` along edge ``e``, ``2e + 1`` back): its base hop ``a->b`` and source state."""
+    i, j, _ = rp.annotations[t // 2]
+    a, b = (i, j) if t % 2 == 0 else (j, i)
+    return f"{rp.base.labels[a]}->{rp.base.labels[b]}", rp.label(int(rp.graph.pairs[t // 2, t % 2]))
 
 
 def build_master(base: Graph, k: int, spec: RateSpec) -> MasterChain:
@@ -363,24 +412,21 @@ class KolmogorovReport(_BuiltOnRead):
 
     :func:`kolmogorov_check` decides it on per-walk arrays: a report that
     passes knows its cycle count and its empty violations from them, and
-    builds ``checks`` on first read (:class:`~redpow.cyclespace._BuiltOnRead`);
-    a refuted one is made with its checks.
+    builds ``checks``, like ``passed`` and the cycle count ``_checked``, on
+    first read (:class:`~redpow.graph._BuiltOnRead`); a refuted one is made
+    with its checks.
     """
 
     checks: tuple[CycleCheck, ...]
     basis_kind: str
 
-    @cached_property
-    def passed(self) -> bool:
+    def _make_passed(self) -> bool:
         return not self._violations
 
-    @cached_property
-    def _violations(self) -> tuple[CycleCheck, ...]:
+    def _make__violations(self) -> tuple[CycleCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    @cached_property
-    def _checked(self) -> int:
-        """The number of cycles checked."""
+    def _make__checked(self) -> int:
         return len(self.checks)
 
     def violations(self) -> list[CycleCheck]:
@@ -486,14 +532,14 @@ class SteadyState:
 
 
 _EXACT_STATE_LIMIT = 400
-# Also the CLI's state budget (cli._STATE_BUDGET): no command builds a power of
-# more states, or with a larger k. The dense float solve allocates n^2 floats,
+# The state budget of power._STATE_BUDGET: no power of more states, or with a
+# larger k, is built. The dense float solve allocates n^2 floats,
 # LAPACK a copy: 400 MB at the limit. Peak RSS of one float check in a fresh
 # process: a 12-ring at k = 5 (4368 states) 75 MiB reversible (float tree
 # potential) and 379 MiB irreversible (dense), a 17-ring at k = 4 (4845) 76
 # and 448 MiB; the dense route, near 480 MiB at the limit, needs no budget
 # of its own. The largest power any test, script or workload builds has 4368.
-_FLOAT_STATE_LIMIT = 5000
+_FLOAT_STATE_LIMIT = _STATE_BUDGET
 _FLOAT_TOL = 1e-10  # residual and |sum - 1| bound of every float law
 
 
@@ -522,7 +568,7 @@ def steady_state(mc: MasterChain, mode: str = "float", tol: float = _FLOAT_TOL) 
     if mode == "float":
         if n > _FLOAT_STATE_LIMIT:
             raise SolverError(f"float mode supports up to {_FLOAT_STATE_LIMIT} states, got {n}")
-        rates = _float_rates(mc)
+        rates = mc._floats
         src, dst = _transition_ends(mc)
         diag = -np.bincount(src, rates, n)
         bad = np.flatnonzero(~np.isfinite(diag))
@@ -790,36 +836,6 @@ def _half_euclid(r0: int, r1: int, bound: int, most: int) -> tuple[int, int] | N
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _float_rates(mc: MasterChain) -> np.ndarray:
-    """Every rate as a float, in :meth:`MasterChain.transitions` order.
-
-    Converted once per chain and kept read-only on it, for the float
-    solve and the float balance test. Raises SolverError on the first
-    rate that overflows or underflows to zero, since neither can use it.
-    """
-    if mc._floats is not None:
-        return mc._floats
-    rates = []
-    for t, (x, _, rate) in enumerate(mc.transitions()):
-        try:
-            value = float(rate)
-        except OverflowError:
-            value = math.inf
-        if not 0 < value < math.inf:
-            i, j, _ = mc.rp.annotations[t // 2]
-            a, b = (i, j) if t % 2 == 0 else (j, i)
-            magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
-            raise SolverError(
-                f"rate {mc.rp.base.labels[a]}->{mc.rp.base.labels[b]} in state "
-                f"{mc.rp.label(x)!r} is about 1e{round(magnitude):+d}, outside the "
-                "float range; rerun with --exact"
-            )
-        rates.append(value)
-    mc._floats = np.array(rates)
-    mc._floats.flags.writeable = False
-    return mc._floats
-
-
 def _tree_steps(mc: MasterChain) -> tuple[list[int], list[int], list[int]]:
     """Each state but 0 in BFS order of a spanning tree rooted there, its parent, their edge.
 
@@ -871,7 +887,7 @@ def _float_tree_potential(mc: MasterChain) -> SteadyState | None:
 
     The float counterpart of :func:`reversible_steady_state`: along the
     same tree, ``log pi_y = log pi_x + log q(x,y) - log q(y,x)`` on the
-    float rates (:func:`_float_rates`), then pi is exponentiated against
+    float rates (``mc._floats``), then pi is exponentiated against
     its largest entry and normalised. It is returned only as the dense
     float law would be: up to ``_FLOAT_STATE_LIMIT`` states, and with the
     checks of :func:`_checked_float` at the dense solve's ``_FLOAT_TOL``;
@@ -882,7 +898,7 @@ def _float_tree_potential(mc: MasterChain) -> SteadyState | None:
     if mc.num_states > _FLOAT_STATE_LIMIT:
         return None
     try:
-        rates = _float_rates(mc)
+        rates = mc._floats
     except SolverError:
         return None
     children, parents, ids = _tree_steps(mc)  # log pi stays 0 at the root
@@ -1107,13 +1123,13 @@ def detailed_balance_check(
                 )
         common = math.lcm(*(p.denominator for p in pi))
         num = [p.numerator * (common // p.denominator) for p in pi]
-        rates = zip(mc.rp.graph.edges, *mc._ints, mc.forward, mc.backward)
-        for (x, y), a, b, qxy, qyx in rates:
+        for e, ((x, y), a, b) in enumerate(zip(mc.rp.graph.edges, *mc._ints)):
             if num[x] * a != num[y] * b:
-                violations.append(BalanceViolation(labels[x], labels[y], pi[x] * qxy, pi[y] * qyx))
+                flows = pi[x] * mc.forward[e], pi[y] * mc.backward[e]
+                violations.append(BalanceViolation(labels[x], labels[y], *flows))
     else:
         # the float test elementwise over all edges, in the same float64 operations
-        rates = _float_rates(mc)
+        rates = mc._floats
         pi = np.array(ss.probabilities, dtype=np.float64)
         flow = pi[_transition_ends(mc)[0]] * rates  # forward at even, backward at odd
         lhs, rhs = flow[0::2], flow[1::2]

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CycleSpaceError
 from .graph import Graph, RootedTree, _bfs, _edge_ids, _index, betti, check_spanning_tree
+from .graph import _BuiltOnRead, _built_on_read
 from .power import Monomial, ReducedPowerGraph
 
 __all__ = [
@@ -346,33 +347,6 @@ class ElementInfo:
     f: Monomial | None = None
 
 
-class _BuiltOnRead:
-    """A frozen dataclass whose instances may build some fields on their first read.
-
-    Such an instance is made without the value and holds a zero-argument
-    callable under ``_make_<field>`` (:func:`_built_on_read`). As on
-    :class:`Graph`, only a missing attribute lands here: the first read
-    calls the maker and keeps the value, so every later read is a plain
-    ``__dict__`` hit. An ``AttributeError`` raised inside a
-    ``cached_property`` getter lands here too, and reads as the property
-    being missing; no maker raises one.
-    """
-
-    def __getattr__(self, name: str):
-        make = self.__dict__.get(f"_make_{name}")
-        if make is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self.__dict__[name] = make()  # two threads reading at once may both build it
-        return value
-
-
-def _built_on_read(cls, fields: dict, **make):
-    """An instance of the frozen dataclass ``cls`` with ``fields``; those of ``make`` are built on read."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields, **{f"_make_{name}": f for name, f in make.items()})
-    return obj
-
-
 @dataclass(frozen=True)
 class CycleBasis(_BuiltOnRead):
     """A basis of the cycle space with oriented vertex sequences.
@@ -389,7 +363,7 @@ class CycleBasis(_BuiltOnRead):
 
     A basis made by :meth:`_of_walks`, from walk arrays, is checked the
     same way on the trace alone; its ``elements``, ``cycles`` and ``info``
-    are built on first read and kept (:class:`_BuiltOnRead`).
+    are built on first read and kept (:class:`~redpow.graph._BuiltOnRead`).
     """
 
     host: object

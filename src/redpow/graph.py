@@ -45,7 +45,36 @@ __all__ = [
 ]
 
 
-class Graph:
+class _BuiltOnRead:
+    """The package's one way to build on first read: a missing ``name`` is made by ``_make_<name>()``.
+
+    The maker is a method, or a callable the instance holds
+    (:func:`_built_on_read`). Its value is stored with ``object.__setattr__``,
+    in a slot or the dict of a frozen dataclass, so every later read is a
+    plain one; a maker's own error reaches the reader and nothing is kept.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        try:  # object's own lookup, so a missing maker does not land here again
+            make = object.__getattribute__(self, f"_make_{name}")
+        except AttributeError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = make()  # two threads reading at once may both build it
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _built_on_read(cls: type, fields: dict, **make) -> object:
+    """An instance of ``cls``, its ``__init__`` not run, with ``fields``; those of ``make`` are built on read."""
+    obj = object.__new__(cls)
+    for name, value in [*fields.items(), *((f"_make_{name}", f) for name, f in make.items())]:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Graph(_BuiltOnRead):
     """Simple connected-or-not undirected graph over string labels.
 
     Instances are immutable after construction and compare by value
@@ -122,25 +151,18 @@ class Graph:
         self._label_index = label_index
         self._pairs = pairs
 
-    def __getattr__(self, name: str):
-        """Build ``edges``, ``_adj`` or ``_edge_index`` from the pair array on first read.
+    def _make_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self._pairs.T.tolist()))
 
-        Only an unset slot lands here; once set, every read is a plain slot read.
-        """
-        if name == "edges":
-            value = tuple(zip(*self._pairs.T.tolist()))
-        elif name == "_adj":
-            adj: list[list[int]] = [[] for _ in self.labels]
-            for i, j in self.edges:  # edges are sorted, so every list comes out ascending
-                adj[i].append(j)
-                adj[j].append(i)
-            value = tuple(map(tuple, adj))
-        elif name == "_edge_index":
-            value = dict(zip(self.edges, range(len(self._pairs))))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+    def _make__adj(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in self.labels]
+        for i, j in self.edges:  # edges are sorted, so every list comes out ascending
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
+
+    def _make__edge_index(self) -> dict[tuple[int, int], int]:
+        return dict(zip(self.edges, range(len(self._pairs))))
 
     # --- accessors ---
 

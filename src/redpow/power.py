@@ -14,8 +14,8 @@ the multisets of size k. For k = 1 this reproduces the base graph
 exactly.
 
 A state is keyed by its word, the sorted tuple of the vertex indices
-its tokens occupy; ``Monomial`` is the public view, built once per state
-and per stationary monomial. No state is looked up by its word: its
+its tokens occupy; ``Monomial`` is the public view (``states`` is built
+on first read). No state is looked up by its word: its
 index is the word's rank, a sum of entries of a small binomial table
 (:func:`_word_ranks`), every one below the state count, so ranks fit
 int64 where ``v**k`` radix codes would not. ``state_of`` ranks one word.
@@ -42,7 +42,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import PowerError
-from .graph import Graph, _edge_ids, _index, _shown
+from .graph import Graph, _BuiltOnRead, _built_on_read, _edge_ids, _index, _shown
 
 __all__ = [
     "Monomial",
@@ -125,7 +125,7 @@ class Monomial:
         return _render_word(labels, self.word(), "")
 
 
-class ReducedPowerGraph:
+class ReducedPowerGraph(_BuiltOnRead):
     """A reduced power together with its state and edge annotations.
 
     ``graph`` is the plain labeled graph of the power (labels are the
@@ -134,10 +134,11 @@ class ReducedPowerGraph:
     that graph, the base edge ``(i, j)`` the moving token crosses and
     the degree-(k-1) monomial of the tokens that stay put. The edge
     joins states ``f * i`` and ``f * j``; since ``i < j``, ``f * i`` is
-    its lower-indexed end.
+    its lower-indexed end. The builders make ``states`` on first read,
+    from their state words (:class:`~redpow.graph._BuiltOnRead`).
     """
 
-    __slots__ = ("base", "k", "states", "graph", "annotations")
+    __slots__ = ("base", "k", "states", "graph", "annotations", "_make_states")
 
     def __init__(
         self,
@@ -155,7 +156,7 @@ class ReducedPowerGraph:
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return self.graph.num_vertices
 
     @property
     def num_edges(self) -> int:
@@ -204,6 +205,46 @@ def _count(n: object, what: str = "k", miss: str = "k must be >= 1", least: int 
     return _index(n, None, PowerError, what, miss, start=least)
 
 
+# No power of more states, or with a larger k, is built: build_reduced_power
+# refuses it before allocating, and the CLI refuses it before building
+# anything. ctmc's float state limit is the same number.
+_STATE_BUDGET = 5000
+
+
+def _capped_vertex_count(v: int, k: int, cap: int) -> int | None:
+    """``vertex_count(v, k)``, or None once it is known to exceed ``cap``.
+
+    Builds C(v+k-1, i) for i = 0, 1, ... up to min(v-1, k); the sequence
+    rises strictly, so it passes ``cap`` within about log2(cap) steps at any
+    ``v`` and ``k`` and the numbers stay small.
+    """
+    n = v + k - 1
+    count = 1
+    for i in range(min(v - 1, k)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            return None
+    return count
+
+
+def _check_state_budget(what: str, v: int, k: int, budget: int = _STATE_BUDGET) -> None:
+    """Refuse, by a PowerError naming ``what``, a k-th power of a ``v``-vertex base over ``budget``.
+
+    Over it are more than ``budget`` states, or a k larger than ``budget``.
+    """
+    # k may have thousands of digits: a count past 10^30 is neither computed
+    # in full nor written out
+    states = _capped_vertex_count(v, k, 10**30)
+    if states is None or states > budget:
+        shown = "more than 10^30" if states is None else states
+        raise PowerError(f"{what} has {shown} states, over the budget of {budget}")
+    # k is held to the same bound: with v >= 2 the count C(k+v-1, k) >= k + 1
+    # already is, and one vertex gives one state at any k, every word k long
+    if k > budget:
+        shown = "10^30 or more" if k >= 10**30 else k
+        raise PowerError(f"{what} has k = {shown}, over the budget of {budget}")
+
+
 def vertex_count(v: int, k: int) -> int:
     """Number of states: multisets of size k over v vertices."""
     miss = "vertex_count needs v >= 1 and k >= 1"
@@ -235,6 +276,7 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     """
     k = _count(k)
     v = base.num_vertices
+    _check_state_budget("power", v, k)
     stays, ranks = _insert_ranks(v, k)
     ends = base.pairs
     moves = np.empty((len(stays), len(ends), 5), dtype=np.int64)  # per stay word and base edge
@@ -285,7 +327,7 @@ def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 
 
 def _state_labels(
-    base: Graph, states: tuple[Monomial, ...], words: list | None = None
+    base: Graph, states: tuple[Monomial, ...] | None, words: list | None = None
 ) -> tuple[str, ...]:
     """Plain state labels, or with ``*`` between factors when plain ones collide.
 
@@ -336,16 +378,16 @@ def _from_moves(
 
     Row ``(x, y, i, j, s)`` joins states ``x < y``: one token crosses base
     edge ``(i, j)`` while the tokens of ``stays[s]`` stay put. One
-    ``Monomial`` is built per state and per stay word.
+    ``Monomial`` is built per stay word; ``states`` is built on first read.
     """
     v = base.num_vertices
-    states = tuple(Monomial._of_words(words, v))
-    labels = _state_labels(base, states, words)
+    labels = _state_labels(base, None, words)
     moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")]
     graph = Graph._from_pairs(labels, moves[:, :2])
     fs = Monomial._of_words(stays, v)
     annotations = tuple((i, j, fs[s]) for i, j, s in moves[:, 2:].tolist())
-    return ReducedPowerGraph(base, k, states, graph, annotations)
+    fields = dict(base=base, k=k, graph=graph, annotations=annotations)
+    return _built_on_read(ReducedPowerGraph, fields, states=lambda: tuple(Monomial._of_words(words, v)))
 
 
 def degree_of(rp: ReducedPowerGraph, m: Monomial) -> int:

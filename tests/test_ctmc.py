@@ -1922,3 +1922,97 @@ def test_a_passing_report_builds_its_checks_on_first_read():
     for check, seq in zip(checks, basis.cycles):
         assert check.forward == _plain_products(mc, seq)[0]
         assert check.vertices == tuple(mc.rp.graph.labels[s] for s in seq)
+
+
+# --- rates built on first read ---
+
+
+def _count_rate_makers(monkeypatch) -> list[str]:
+    """The names of MasterChain's rate makers, one entry per call, as they are called."""
+    made = []
+    for name in ("_make_forward", "_make_backward", "_make__floats"):
+        make = getattr(MasterChain, name)
+        monkeypatch.setattr(MasterChain, name, lambda self, make=make, name=name: made.append(name) or make(self))
+    return made
+
+
+def test_an_exact_check_of_a_balanced_ring_builds_no_state_and_no_rate_fraction(monkeypatch):
+    from redpow import power
+    from redpow.cli import check_reversibility
+
+    made = _count_rate_makers(monkeypatch)
+    built_on_read = power._built_on_read
+
+    def counted(cls, fields, **make):
+        return built_on_read(cls, fields, **{n: lambda f=f, n=n: made.append(n) or f() for n, f in make.items()})
+
+    monkeypatch.setattr(power, "_built_on_read", counted)
+    verdict = check_reversibility(pentagon(), 3, pentagon_spec(32, 1, 2), exact=True)
+    assert verdict.kolmogorov.passed and verdict.balance.balanced and verdict.steady_state.mode == "exact"
+    assert made == []
+    assert verdict.basis.host.states[-1] == Monomial((0, 0, 0, 0, 3))
+    assert made == ["states"]
+
+
+@pytest.mark.parametrize("couplings", [(), (1, 1, 2, 1, 1)])
+def test_the_cycle_criterion_builds_no_rate_fraction(monkeypatch, couplings):
+    made = _count_rate_makers(monkeypatch)
+    g = pentagon()
+    mc = build_master(g, 3, pentagon_spec(32, 1, 2, *couplings))
+    for basis in (decomposition_basis(g, 3), greedy_mcb(mc.rp.graph)):
+        report = kolmogorov_check(mc, basis)
+        assert report.passed is not bool(couplings)
+        assert len(report.checks) == report.as_dict()["cycles_checked"] == 41
+    assert made == []
+    for name in ("forward", "backward", "_floats"):
+        with pytest.raises(AttributeError):
+            getattr(MasterChain, name).__get__(mc)
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+def test_a_float_run_builds_each_rate_view_once(monkeypatch, beta):
+    from redpow.cli import check_reversibility
+
+    made = _count_rate_makers(monkeypatch)
+    verdict = check_reversibility(pentagon(), 3, pentagon_spec(32, 1, 2, beta=beta))
+    assert verdict.kolmogorov.passed is not bool(beta) and verdict.steady_state.mode == "float"
+    assert sorted(made) == ["_make__floats", "_make_backward", "_make_forward"]
+
+
+def test_kolmogorov_report_passed_is_made_once(monkeypatch):
+    made = []
+    make = ctmc.KolmogorovReport._make_passed
+    monkeypatch.setattr(ctmc.KolmogorovReport, "_make_passed", lambda self: made.append(1) or make(self))
+    g = pentagon()
+    for couplings in ((), (1, 1, 2, 1, 1)):
+        report = kolmogorov_check(build_master(g, 2, pentagon_spec(32, 1, 2, *couplings)), decomposition_basis(g, 2))
+        assert [report.passed, report.passed, report.as_dict()["passed"]] == [not couplings] * 3
+    assert made == [1, 1]
+
+
+def test_an_attribute_neither_set_nor_built_on_read_is_missing_on_chains_and_reports():
+    g = pentagon()
+    mc = build_master(g, 2, pentagon_spec(32, 1, 2))
+    for obj in (mc, kolmogorov_check(mc, decomposition_basis(g, 2))):
+        for name in ("nothing", "_make_nothing"):
+            with pytest.raises(AttributeError, match=rf"^'{type(obj).__name__}' object has no attribute '{name}'$"):
+                getattr(obj, name)
+
+
+def test_rate_spec_refuses_an_exponent_past_the_bound_before_expanding_it():
+    import time
+
+    g = Graph(["a", "b"], [("a", "b")])
+    for text in ("1e1000000", "1e-1000000", "2.5E+4301", "1e1_000_000"):
+        for base, coupling, what in (
+            ({(0, 1): text, (1, 0): 1}, {}, "base rate for 'a->b'"),
+            ({(0, 1): 1, (1, 0): 1}, {(1, 0): (0, text)}, "coupling entry for 'b->a'"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ModelError) as info:
+                RateSpec(g, base, coupling)
+            assert time.perf_counter() - start < 0.01
+            assert str(info.value) == f"{what}: exponent of {text!r} exceeds 4300 in magnitude"
+    for text, value in (("1e4300", F(10) ** 4300), ("1e-4300", F(10) ** -4300), ("-2e+4300", -2 * F(10) ** 4300)):
+        assert RateSpec(g, {(0, 1): text, (1, 0): 1}).base_rate(0, 1) == value
+        assert parse_rational(text, "w") == value

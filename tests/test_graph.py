@@ -651,3 +651,26 @@ def test_pairs_is_the_read_only_edge_array():
         g.pairs[0, 0] = 1
     with pytest.raises(AttributeError):
         g.pairs = np.zeros((0, 2), dtype=np.int64)
+
+
+# --- the Python views, built on first read ---
+
+
+def test_the_python_views_are_built_once_each_and_kept(monkeypatch):
+    made = []
+    for name in ("_make_edges", "_make__adj", "_make__edge_index"):
+        make = getattr(Graph, name)
+        monkeypatch.setattr(Graph, name, lambda self, make=make, name=name: made.append(name) or make(self))
+    g = cycle_graph(5)
+    for name in ("edges", "_adj", "_edge_index"):
+        first = getattr(g, name)
+        assert getattr(g, name) is first and getattr(Graph, name).__get__(g) is first  # the slot holds it
+    assert g.adjacency(0) == (1, 4) and g.edge_position(4, 0) == 1
+    assert made == ["_make_edges", "_make__adj", "_make__edge_index"]
+
+
+def test_an_attribute_neither_a_slot_nor_built_on_read_is_missing():
+    g = cycle_graph(5)
+    for name in ("nothing", "_make_nothing"):
+        with pytest.raises(AttributeError, match=rf"^'Graph' object has no attribute '{name}'$"):
+            getattr(g, name)

@@ -887,3 +887,59 @@ def test_power_counts_keep_their_messages_below_the_bit_length_bound():
     with pytest.raises(PowerError) as info:
         quotient_by_symmetry(cartesian_power(_TRIANGLE, 2), _TRIANGLE, 4)  # 4 bits of 9
     assert str(info.value) == "power has 9 vertices, expected 3^4, more than that"
+
+
+# --- states built on first read, and the state budget ---
+
+
+def test_a_built_power_makes_its_states_once_and_only_when_read(monkeypatch):
+    from redpow.power import ReducedPowerGraph
+
+    words = []
+    of_words = Monomial._of_words.__func__
+    counted = classmethod(lambda cls, ws, size: words.append(len(ws)) or of_words(cls, ws, size))
+    monkeypatch.setattr(Monomial, "_of_words", counted)
+    g = cycle_graph(5)
+    for build in (build_reduced_power, lambda g, k: quotient_by_symmetry(cartesian_power(g, k), g, k)):
+        rp = build(g, 3)
+        assert words == [15]  # one monomial per stay word, none per state
+        with pytest.raises(AttributeError):
+            ReducedPowerGraph.states.__get__(rp)
+        assert rp.num_states == 35 and rp.label(34) == "v4^3"
+        first = rp.states
+        assert rp.states is first and ReducedPowerGraph.states.__get__(rp) is first
+        assert words == [15, 35]
+        assert first == tuple(Monomial.from_word(w, 5) for w in combinations_with_replacement(range(5), 3))
+        words.clear()
+    with pytest.raises(AttributeError, match=r"^'ReducedPowerGraph' object has no attribute 'nothing'$"):
+        rp.nothing
+
+
+def test_an_over_budget_power_is_refused_before_anything_is_allocated(monkeypatch):
+    from redpow import RateSpec, bfs_spanning_tree, build_master, decomposition_basis, power, verify_square_space
+
+    def sentinel(v, k):
+        raise AssertionError(f"_insert_ranks called at v = {v}, k = {k}")
+
+    monkeypatch.setattr(power, "_insert_ranks", sentinel)
+    wide, one = random_connected_graph(14, 10, seed=3), Graph(["a"], [])
+    cases = [
+        (wide, 60, f"power has {vertex_count(14, 60)} states, over the budget of 5000"),
+        (one, 10**9, "power has k = 1000000000, over the budget of 5000"),
+        (one, 10**40, "power has k = 10^30 or more, over the budget of 5000"),
+        (cycle_graph(3), 99, "power has 5050 states, over the budget of 5000"),
+    ]
+    for g, k, message in cases:
+        calls = (
+            lambda: build_reduced_power(g, k),
+            lambda: decomposition_basis(g, k),
+            lambda: verify_square_space(g, bfs_spanning_tree(g), k),
+            lambda: build_master(g, k, RateSpec(g, {pair: 1 for i, j in g.edges for pair in ((i, j), (j, i))})),
+        )
+        for call in calls:
+            with pytest.raises(PowerError) as info:
+                call()
+            assert str(info.value) == message
+    monkeypatch.undo()
+    assert build_reduced_power(cycle_graph(3), 98).num_states == 4950  # the budget is inclusive
+    assert build_reduced_power(one, 5000).label(0) == "a^5000"
