@@ -214,9 +214,16 @@ MUTANTS = (
     Mutant(
         "the master chain counts the tokens at the arrival vertex",
         "src/redpow/ctmc.py",
-        "nums.append((others[a] + 1) * (base[(a, b)] + dot))",
-        "nums.append((others[b] + 1) * (base[(a, b)] + dot))",
+        "(counts[stay, src] + 1)",
+        "(counts[stay, dst] + 1)",
         ("tests/test_labelled_tokens.py::test_the_labelled_law_summed_over_orbits_is_the_exact_steady_state",),
+    ),
+    Mutant(
+        "the int64 bound check is skipped",
+        "src/redpow/ctmc.py",
+        "dtype = np.int64 if max(k * (top_b + (k - 1) * top_c), top_c) < 2**63 else object\n",
+        "dtype = np.int64\n",
+        ("tests/test_ctmc.py::test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path",),
     ),
 )
 

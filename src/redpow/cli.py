@@ -128,8 +128,8 @@ def _basis_for(rp, root: int) -> CycleBasis:
 def _basis_doc(basis: CycleBasis) -> dict:
     labels = basis.host.graph.labels
     elements = [
-        {"length": len(seq), "vertices": [labels[s] for s in seq], "tag": info.tag}
-        for seq, info in zip(basis.cycles, basis.info)
+        {"length": len(seq), "vertices": [labels[s] for s in seq], "tag": tag}
+        for seq, tag in zip(basis.cycles, basis._tags)
     ]
     return {
         "kind": basis.kind,

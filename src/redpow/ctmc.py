@@ -20,17 +20,17 @@ rationals; only the optional float steady-state solve rounds, and its
 residual is summed from per-transition flows in O(E).
 
 The exact kernels work on integers. A :class:`RateSpec` lowers its rates
-once, to integers over one common denominator, so a master transition
-costs a few int operations and one ``Fraction``. The exact steady-state
-route is integer end to end: each chain's rates are read once as
-numerators over that same denominator; the tree potential, the
-irreversible solve, the verification of pi Q = 0 and the exact balance
-test all run on them, with pi as integer numerators over one common
-denominator, and one ``Fraction`` per state is built at the end (per
-violating edge, two flows). The cycle check multiplies those numerators
-along each basis cycle and compares the two products exactly; it builds
-its ``Fraction``s only when its checks are read. :func:`eval_rate` keeps
-the per-token rate in its defining form.
+once, to integers over one common denominator, and a master chain
+computes every transition's numerator in one array pass over the power's
+moves. The exact steady-state route is integer end to end: each chain's
+rates are read once as numerators over that same denominator; the tree
+potential, the irreversible solve, the verification of pi Q = 0 and the
+exact balance test all run on them, with pi as integer numerators over
+one common denominator, and one ``Fraction`` per state is built at the
+end (per violating edge, two flows). The cycle check multiplies those
+numerators along each basis cycle and compares the two products exactly;
+it builds its ``Fraction``s only when its checks are read.
+:func:`eval_rate` keeps the per-token rate in its defining form.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -158,7 +157,7 @@ def _rational_str(q: Fraction | float) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-class RateSpec:
+class RateSpec(_BuiltOnRead):
     """Directed per-token rates, affine in the occupancy vector.
 
     For each directed edge (i, j) of the base graph there is a base
@@ -174,9 +173,10 @@ class RateSpec:
     over one common denominator ``_den`` (``_base``, and ``_coupling``
     for the pairs with a nonzero coefficient only); the accessors build
     ``Fraction``s on demand, and every uncoupled pair reads one zero vector.
+    The same numerators as arrays, ``_table``, are made on first read.
     """
 
-    __slots__ = ("graph", "_base", "_coupling", "_den", "_zero")
+    __slots__ = ("graph", "_base", "_coupling", "_den", "_zero", "_table")
 
     def __init__(
         self,
@@ -231,6 +231,27 @@ class RateSpec:
     def directed_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._base)
 
+    def _make__table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """The numerators as arrays, ``(code, B, C, top_b, top_c)``.
+
+        ``code[a, b]`` numbers the directed pair ``(a, b)`` in
+        :meth:`directed_pairs` order (-1 off the edges); ``B[p]`` is its
+        base numerator and ``C[p]`` its coupling numerators, and ``top_b``,
+        ``top_c`` their largest magnitudes. The arrays are int64 when both
+        are below 2^63, else object arrays of Python ints.
+        """
+        pairs = self.directed_pairs()
+        v = self.graph.num_vertices
+        code = np.full((v, v), -1, dtype=np.int64)
+        code[tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)] = np.arange(len(pairs))
+        base = [self._base[p] for p in pairs]
+        top_b = max(map(abs, base), default=0)
+        top_c = max((abs(c) for row in self._coupling.values() for c in row), default=0)
+        dtype = np.int64 if max(top_b, top_c) < 2**63 else object
+        zero = (0,) * v
+        coupling = np.array([self._coupling.get(p, zero) for p in pairs], dtype=dtype).reshape(-1, v)
+        return code, np.array(base, dtype=dtype), coupling, top_b, top_c
+
     def is_uncoupled(self) -> bool:
         return not self._coupling
 
@@ -245,10 +266,11 @@ def _rate(graph: Graph, pair: tuple[int, int], value: object, what: str) -> Frac
     """``Fraction(value)``: :class:`RateSpec`'s one rule for a base rate and a coupling entry.
 
     A string whose exponent passes ``_MAX_EXPONENT`` is refused first, as
-    :func:`parse_rational` refuses it.
+    :func:`parse_rational` refuses it, and a ``Decimal`` whose ``str``
+    form's exponent does, which ``Fraction`` would expand in full too.
     """
     try:
-        refused = isinstance(value, str) and _past_exponent_bound(value)
+        refused = isinstance(value, (str, Decimal)) and _past_exponent_bound(str(value))
         if refused:
             raise ModelError(f"{what} for {_arc(graph, pair)}: {refused}")
         return Fraction(value)
@@ -280,10 +302,12 @@ class MasterChain(_BuiltOnRead):
     ``rate(x, y)`` reads them and is zero for non-adjacent pairs.
 
     Every transition rate is checked to be strictly positive, which
-    keeps the chain irreducible on the connected state space. ``_ints``
-    keeps their integer numerators over the spec's ``_den``, as computed,
-    for the exact checks and solves: every equation they test is
-    homogeneous in the rates, so the common denominator cancels. The
+    keeps the chain irreducible on the connected state space. The
+    constructor computes their integer numerators over the spec's
+    ``_den`` in one array pass over the power's moves
+    (:func:`_numerators`), and keeps them as ``_ints``, one tuple per
+    direction, for the exact checks and solves: every equation they test
+    is homogeneous in the rates, so the common denominator cancels. The
     rates, and their floats ``_floats``, are built on first read.
     """
 
@@ -292,28 +316,18 @@ class MasterChain(_BuiltOnRead):
     def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
         if spec.graph != rp.base:
             raise ModelError("rate specification is for a different graph")
-        # An edge annotated (i, j, f) joins x = f*i and y = f*j, so the
-        # tokens that stay put are exactly f: the per-token rate of a hop
-        # i -> j is base(i,j) + coupling(i,j) . f, with f_i + 1 tokens
-        # able to make it. On the spec's integer numerators an edge costs
-        # a few int operations; an uncoupled pair's empty vector adds nothing.
-        base, coupling = spec._base, spec._coupling
-        nums: list[int] = []  # transitions() order
-        for i, j, f in rp.annotations:
-            others = f.exponents
-            for a, b in ((i, j), (j, i)):
-                dot = sum(map(mul, coupling.get((a, b), ()), others))
-                nums.append((others[a] + 1) * (base[(a, b)] + dot))
-        if min(nums, default=1) <= 0:
-            t = next(t for t, num in enumerate(nums) if num <= 0)
+        nums = _numerators(rp, spec)
+        bad = nums <= 0
+        if bad.any():
+            t = int(bad.argmax())
             hop, state = _named(rp, t)
             raise ModelError(
-                f"rate {hop} evaluates to {_rational_str(Fraction(nums[t], spec._den))} "
+                f"rate {hop} evaluates to {_rational_str(Fraction(int(nums[t]), spec._den))} "
                 f"in state {state!r}; master rates must be positive"
             )
         self.rp = rp
         self.spec = spec
-        self._ints = (tuple(nums[0::2]), tuple(nums[1::2]))
+        self._ints = (tuple(nums[0::2].tolist()), tuple(nums[1::2].tolist()))
 
     def _make_forward(self) -> tuple[Fraction, ...]:
         return self._fractions(self._ints[0])
@@ -328,21 +342,20 @@ class MasterChain(_BuiltOnRead):
 
     def _make__floats(self) -> np.ndarray:
         """Every rate as a float, in :meth:`transitions` order; SolverError on one outside the float range."""
-        rates = []
-        for t, (_, _, rate) in enumerate(self.transitions()):
-            try:
-                value = float(rate)
-            except OverflowError:
-                value = math.inf
-            if not 0 < value < math.inf:
-                magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
-                hop, state = _named(self.rp, t)
-                raise SolverError(
-                    f"rate {hop} in state {state!r} is about 1e{round(magnitude):+d}, "
-                    "outside the float range; rerun with --exact"
-                )
-            rates.append(value)
-        floats = np.array(rates)
+        rates = [None] * (2 * len(self.forward))
+        rates[0::2], rates[1::2] = self.forward, self.backward
+        try:  # Fraction.__float__ called directly skips float()'s slot dispatch
+            floats = np.fromiter(map(Fraction.__float__, rates), np.float64, len(rates))
+        except OverflowError:
+            floats = None
+        if floats is None or not ((floats > 0) & (floats < math.inf)).all():
+            t, rate = next((t, q) for t, q in enumerate(rates) if not 0 < _float_or_inf(q) < math.inf)
+            magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
+            hop, state = _named(self.rp, t)
+            raise SolverError(
+                f"rate {hop} in state {state!r} is about 1e{round(magnitude):+d}, "
+                "outside the float range; rerun with --exact"
+            )
         floats.flags.writeable = False
         return floats
 
@@ -365,6 +378,36 @@ class MasterChain(_BuiltOnRead):
 
     def exit_rate(self, x: int) -> Fraction:
         return sum((self.rate(x, y) for y in self.rp.graph.adjacency(x)), Fraction(0))
+
+
+def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
+    """Every transition's rate numerator over ``spec._den``, in :meth:`MasterChain.transitions` order.
+
+    An edge moves one token across ``(i, j)`` while the tokens of stay word
+    ``s`` stay put (``rp._moves``), so the tokens that stay are row ``s``
+    of ``S = rp._stay_counts``: a hop a -> b, directed pair ``p``, is made
+    by ``S[s, a] + 1`` tokens, each at ``B[p] + (S @ C.T)[s, p]``, with
+    ``B`` and ``C`` the spec's numerators (``spec._table``). Each of the
+    ``k - 1`` stay tokens adds at most ``top_c`` in magnitude, so every
+    value on the way is at most ``k * (top_b + (k - 1) * top_c)``: when
+    that and every coupling entry (``top_c``, read even at k = 1) are
+    below 2^63 the arrays are int64, otherwise object arrays of Python ints.
+    """
+    code, base, coupling, top_b, top_c = spec._table
+    moves, counts, k = rp._moves, rp._stay_counts, rp.k
+    dtype = np.int64 if max(k * (top_b + (k - 1) * top_c), top_c) < 2**63 else object
+    base, coupling, counts = (a.astype(dtype, copy=False) for a in (base, coupling, counts))
+    src, dst, stay = moves[:, :2].ravel(), moves[:, 1::-1].ravel(), moves[:, 2].repeat(2)
+    hop = code[src, dst]
+    return (counts[stay, src] + 1) * (base[hop] + (counts @ coupling.T)[stay, hop])
+
+
+def _float_or_inf(q: Fraction) -> float:
+    """``float(q)``, or infinity past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
 def _named(rp: ReducedPowerGraph, t: int) -> tuple[str, str]:
@@ -457,9 +500,11 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
     starts, edge, against = basis._trace
     # transition 2e runs along edge e, 2e + 1 against it; each step's factor
     # is gathered by index and multiplied out walk by walk (every walk of a
-    # basis has at least three steps)
+    # basis has at least three steps), on the chain's own ints laid out in
+    # transition order, as exact products need and without a copy of each
     step = 2 * edge + against
-    nums = np.array([n for pair in zip(*mc._ints) for n in pair], dtype=object)
+    nums = np.empty(2 * mc.rp.num_edges, dtype=object)
+    nums[0::2], nums[1::2] = mc._ints
     fwd, bwd = (
         np.multiply.reduceat(nums[t], starts) if len(starts) else nums[:0]
         for t in (step, step ^ 1)

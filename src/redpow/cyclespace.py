@@ -364,6 +364,8 @@ class CycleBasis(_BuiltOnRead):
     A basis made by :meth:`_of_walks`, from walk arrays, is checked the
     same way on the trace alone; its ``elements``, ``cycles`` and ``info``
     are built on first read and kept (:class:`~redpow.graph._BuiltOnRead`).
+    ``_tags``, each element's ``info.tag``, is too; such a basis makes it
+    without ``info``.
     """
 
     host: object
@@ -401,16 +403,20 @@ class CycleBasis(_BuiltOnRead):
             raise CycleSpaceError("vertex sequence does not trace its element")
         object.__setattr__(self, "_trace", trace)
 
+    def _make__tags(self) -> tuple[str, ...]:
+        return tuple(record.tag for record in self.info)
+
     @classmethod
     def _of_walks(
-        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info
+        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info, tags=None
     ) -> "CycleBasis":
         """The basis of the walks laid end to end in ``vertices``, ``lengths[w]`` each.
 
         Checks, as the constructor does, that there are as many walks as
         the cycle space's dimension, that each traces a simple cycle, and
         that they are independent. The elements are the traced bitsets, the
-        cycles the walks as tuples, and ``info()`` gives the info records.
+        cycles the walks as tuples, ``info()`` gives the info records and
+        ``tags()``, if given, their tags without them.
         """
         g = host_graph(host)
         _check_dimension(g, len(lengths))
@@ -426,7 +432,10 @@ class CycleBasis(_BuiltOnRead):
             return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
         fields = dict(host=host, kind=kind, certified_minimum=certified_minimum, _trace=trace)
-        return _built_on_read(cls, fields, elements=elements, cycles=cycles, info=info)
+        made = dict(elements=elements, cycles=cycles, info=info)
+        if tags is not None:
+            made["_tags"] = tags
+        return _built_on_read(cls, fields, **made)
 
     @property
     def total_length(self) -> int:

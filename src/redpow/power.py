@@ -136,9 +136,18 @@ class ReducedPowerGraph(_BuiltOnRead):
     joins states ``f * i`` and ``f * j``; since ``i < j``, ``f * i`` is
     its lower-indexed end. The builders make ``states`` on first read,
     from their state words (:class:`~redpow.graph._BuiltOnRead`).
+
+    The same moves as arrays: ``_moves[e]`` is ``(i, j, s)``, the base
+    edge and the index of the stay word ``_stays[s]``, and
+    ``_stay_counts[s, l]`` counts that word's tokens on vertex ``l``. The
+    builders keep ``_moves`` and ``_stays`` as they make them; the count
+    matrix, and all three for a power from this constructor, are made
+    from them or from ``annotations`` on first read.
     """
 
-    __slots__ = ("base", "k", "states", "graph", "annotations", "_make_states")
+    __slots__ = (
+        "base", "k", "states", "graph", "annotations", "_make_states", "_moves", "_stays", "_stay_counts"
+    )
 
     def __init__(
         self,
@@ -153,6 +162,20 @@ class ReducedPowerGraph(_BuiltOnRead):
         self.states = states
         self.graph = graph
         self.annotations = annotations
+
+    def _make__stays(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct stay words of ``annotations``, in order of first use."""
+        return tuple(dict.fromkeys(f.word() for _, _, f in self.annotations))
+
+    def _make__moves(self) -> np.ndarray:
+        index = {word: s for s, word in enumerate(self._stays)}
+        rows = [(i, j, index[f.word()]) for i, j, f in self.annotations]
+        return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+    def _make__stay_counts(self) -> np.ndarray:
+        n, v = len(self._stays), self.base.num_vertices
+        cells = np.arange(n)[:, None] * v + np.array(self._stays, dtype=np.int64).reshape(n, self.k - 1)
+        return _read_only(np.bincount(cells.ravel(), minlength=n * v).reshape(n, v))
 
     @property
     def num_states(self) -> int:
@@ -363,6 +386,11 @@ def _render_word(labels: tuple[str, ...], word: tuple[int, ...], sep: str) -> st
     return sep.join(parts) if parts else "1"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
     """Power from its state words and a dict of moves, through :func:`_from_moves`."""
     stays = sorted({fw for _, _, fw in moves.values()})
@@ -385,8 +413,9 @@ def _from_moves(
     moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")]
     graph = Graph._from_pairs(labels, moves[:, :2])
     fs = Monomial._of_words(stays, v)
-    annotations = tuple((i, j, fs[s]) for i, j, s in moves[:, 2:].tolist())
-    fields = dict(base=base, k=k, graph=graph, annotations=annotations)
+    moved = _read_only(moves[:, 2:].copy())  # a copy: the rows' state ends are not kept
+    annotations = tuple((i, j, fs[s]) for i, j, s in moved.tolist())
+    fields = dict(base=base, k=k, graph=graph, annotations=annotations, _moves=moved, _stays=stays)
     return _built_on_read(ReducedPowerGraph, fields, states=lambda: tuple(Monomial._of_words(words, v)))
 
 

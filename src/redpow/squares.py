@@ -280,18 +280,23 @@ def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
     base, k = rp.base, rp.k
     (n_tree, rows, stays), vertices, lengths = _structured_cycles(rp, tree)
 
+    n_embedded = len(lengths) - len(rows)
+
+    def tags() -> tuple[str, ...]:
+        n_chord = len(rows) - n_tree
+        return ("embedded",) * n_embedded + ("tree-square",) * n_tree + ("chord-square",) * n_chord
+
     def info() -> tuple[ElementInfo, ...]:
         fs = Monomial._of_words(stays.tolist(), base.num_vertices)
         parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
-        infos = [ElementInfo(tag="embedded", f=parked)] * (len(lengths) - len(rows))
-        tags = ["tree-square"] * n_tree + ["chord-square"] * (len(rows) - n_tree)
+        infos = [ElementInfo(tag="embedded", f=parked)] * n_embedded
         infos.extend(
             ElementInfo(tag=tag, base_edges=((a, b), (c, d)), f=fs[w])
-            for tag, (a, b, c, d, w) in zip(tags, rows.tolist())
+            for tag, (a, b, c, d, w) in zip(tags()[n_embedded:], rows.tolist())
         )
         return tuple(infos)
 
-    return CycleBasis._of_walks(rp, "decomposition", not has_triangles(base), vertices, lengths, info)
+    return CycleBasis._of_walks(rp, "decomposition", not has_triangles(base), vertices, lengths, info, tags)
 
 
 @dataclass(frozen=True)
@@ -351,10 +356,9 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     rank_squares = _walk_rank(starts, edge, walks[n_embedded:])
     rank_all = _walk_rank(starts, edge, walks)
     # a square projects to zero when the base edges its four power edges
-    # cross (by their annotations) pair up
-    moved = np.array([(i, j) for i, j, _ in rp.annotations], dtype=np.int64).reshape(-1, 2)
+    # cross (by the power's moves) pair up
     square_edges = edge[len(edge) - 4 * len(rows) :].reshape(-1, 4)  # the walks' last steps
-    crossed = _edge_ids(base, moved[:, 0], moved[:, 1])[square_edges]
+    crossed = _edge_ids(base, rp._moves[:, 0], rp._moves[:, 1])[square_edges]
     crossed.sort(axis=1)
     zero_proj = bool(((crossed[:, 0] == crossed[:, 1]) & (crossed[:, 2] == crossed[:, 3])).all())
 

@@ -2016,3 +2016,118 @@ def test_rate_spec_refuses_an_exponent_past_the_bound_before_expanding_it():
     for text, value in (("1e4300", F(10) ** 4300), ("1e-4300", F(10) ** -4300), ("-2e+4300", -2 * F(10) ** 4300)):
         assert RateSpec(g, {(0, 1): text, (1, 0): 1}).base_rate(0, 1) == value
         assert parse_rational(text, "w") == value
+
+
+# --- transition numerators in one array pass ---
+
+
+def _eval_rate_transitions(rp, spec):
+    """Every transition's rate from ``eval_rate``, in ``transitions()`` order, with its hop and source state."""
+    out = []
+    for (x, y), (i, j, _) in zip(rp.graph.edges, rp.annotations):
+        for src, a, b in ((x, i, j), (y, j, i)):
+            state = rp.states[src]
+            out.append((state.exponents[a] * eval_rate(spec, a, b, state), a, b, src))
+    return out
+
+
+def _random_spec(g, rng):
+    """Positive base rates on every directed pair, nonnegative couplings on about half of them."""
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    base = {pair: _rational(rng, False) for pair in pairs}
+    coupled = rng.sample(pairs, len(pairs) // 2)
+    return base, {pair: tuple(_rational(rng, False, lo=0) for _ in range(g.num_vertices)) for pair in coupled}
+
+
+# a prime past 2^63: scaling every rate by it divides no denominator away
+_M89 = 2**89 - 1
+
+
+def test_array_numerators_equal_eval_rate_on_the_suite_on_both_dtypes():
+    rng = random.Random(4201)
+    for g in generator_suite():
+        base, coupling = _random_spec(g, rng)
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            for scale, dtype in ((1, np.int64), (_M89, object)):
+                spec = RateSpec(
+                    g,
+                    {pair: scale * q for pair, q in base.items()},
+                    {pair: tuple(scale * c for c in cs) for pair, cs in coupling.items()},
+                )
+                expected = [rate * spec._den for rate, *_ in _eval_rate_transitions(rp, spec)]
+                assert all(num.denominator == 1 for num in expected)
+                nums = ctmc._numerators(rp, spec)
+                assert nums.dtype == dtype
+                assert nums.tolist() == expected
+                assert MasterChain(rp, spec)._ints == (tuple(expected[0::2]), tuple(expected[1::2]))
+
+
+@pytest.mark.parametrize("top, c", [(2**62, 0), (2**61, 2**61)])
+def test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path(top, c):
+    """Two tokens on a two-vertex path: k (max|B| + (k - 1) max|C|) is 2^63, and one less is int64."""
+    g = path_graph(2)
+    for b, dtype in ((top, object), (top - 1, np.int64)):
+        spec = RateSpec(g, {(0, 1): F(b), (1, 0): F(1)}, {(0, 1): (F(c), F(0))})
+        mc = build_master(g, 2, spec)
+        den = spec._den
+        converted = tuple(
+            tuple(r.numerator * (den // r.denominator) for r in rates)
+            for rates in (mc.forward, mc.backward)
+        )
+        assert ctmc._numerators(mc.rp, spec).dtype == dtype
+        assert mc._ints == converted
+        assert max(mc._ints[0]) == 2 * (b + c) == 2**63 - (2 if dtype is np.int64 else 0)
+
+
+def test_a_chain_over_a_power_from_the_public_constructor_equals_one_over_the_builders():
+    from redpow import ReducedPowerGraph
+
+    rng = random.Random(4202)
+    for g in generator_suite():
+        spec = RateSpec(g, *_random_spec(g, rng))
+        for k in (1, 2, 3):
+            built = build_reduced_power(g, k)
+            public = ReducedPowerGraph(g, k, built.states, built.graph, built.annotations)
+            assert np.array_equal(public._moves[:, :2], built._moves[:, :2])
+            stays = [rp._stay_counts[rp._moves[:, 2]] for rp in (public, built)]
+            assert np.array_equal(*stays)
+            assert MasterChain(public, spec)._ints == MasterChain(built, spec)._ints
+
+
+@pytest.mark.parametrize("c", [F(-1), F(-3, 2)])
+def test_the_first_nonpositive_rate_is_named_where_it_is_not_the_first_transition(c):
+    """On C4 with k = 3, the hop v2 -> v3 fails once a token besides the mover sits on v0."""
+    g = cycle_graph(4)
+    base = {pair: F(1) for i, j in g.edges for pair in ((i, j), (j, i))}
+    spec = RateSpec(g, base, {(2, 3): (c, F(0), F(0), F(0))})
+    rp = build_reduced_power(g, 3)
+    transitions = _eval_rate_transitions(rp, spec)
+    t = next(t for t, (rate, *_) in enumerate(transitions) if rate <= 0)
+    assert t > 1 and sum(rate <= 0 for rate, *_ in transitions) > 1
+    rate, a, b, src = transitions[t]
+    with pytest.raises(ModelError) as info:
+        MasterChain(rp, spec)
+    assert str(info.value) == (
+        f"rate {g.labels[a]}->{g.labels[b]} evaluates to {rate} in state "
+        f"{rp.label(src)!r}; master rates must be positive"
+    )
+
+
+def test_rate_spec_refuses_a_decimal_past_the_exponent_bound_before_expanding_it():
+    import time
+    from decimal import Decimal
+
+    g = Graph(["a", "b"], [("a", "b")])
+    for value in (Decimal("1e1000000"), Decimal("-2.5e-1000000")):
+        for base, coupling, what in (
+            ({(0, 1): value, (1, 0): 1}, {}, "base rate for 'a->b'"),
+            ({(0, 1): 1, (1, 0): 1}, {(1, 0): (0, value)}, "coupling entry for 'b->a'"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ModelError) as info:
+                RateSpec(g, base, coupling)
+            assert time.perf_counter() - start < 0.01
+            assert str(info.value) == f"{what}: exponent of {str(value)!r} exceeds 4300 in magnitude"
+    spec = RateSpec(g, {(0, 1): Decimal("2.5e3"), (1, 0): Decimal("1e-4300")})
+    assert (spec.base_rate(0, 1), spec.base_rate(1, 0)) == (2500, F(1, 10**4300))

@@ -608,3 +608,15 @@ def test_square_count_formulas_of_every_integer_type_keep_their_results():
         assert type(chord_square_count(one, five, three)) is int
     assert tree_square_count(True, 3) == 0 == chord_square_count(False, 5, 3)
     assert chord_square_count(True, 5, True) == 0 and chord_square_count(True, 5, 2) == 4
+
+
+def test_a_structured_basis_reads_its_tags_without_its_info():
+    for g in (cycle_graph(5), complete_graph(4), random_connected_graph(6, 4, seed=11)):
+        for k in (2, 3):
+            basis = decomposition_basis(g, k)
+            tags = basis._tags
+            assert "info" not in vars(basis)
+            assert tags == tuple(record.tag for record in basis.info)
+            assert set(tags) <= {"embedded", "tree-square", "chord-square"}
+            greedy = greedy_mcb(build_reduced_power(g, k))
+            assert greedy._tags == tuple(record.tag for record in greedy.info)
