@@ -215,8 +215,25 @@ MUTANTS = (
         "the master chain counts the tokens at the arrival vertex",
         "src/redpow/ctmc.py",
         "(counts[stay, src] + 1)",
-        "(counts[stay, dst] + 1)",
+        "(counts[stay, moves[:, 1::-1].ravel()] + 1)",
         ("tests/test_labelled_tokens.py::test_the_labelled_law_summed_over_orbits_is_the_exact_steady_state",),
+    ),
+    Mutant(
+        "a hop reads the opposite direction's rate",
+        "src/redpow/ctmc.py",
+        "+ [0, 1]).ravel()",
+        "+ [1, 0]).ravel()",
+        ("tests/test_ctmc.py::test_master_rates_worked_values",),
+    ),
+    Mutant(
+        "an uncoupled hop reads a coupled row",
+        "src/redpow/ctmc.py",
+        "self._row = np.where(flags, np.cumsum(flags), 0)",
+        "self._row = np.cumsum(flags)",
+        (
+            "tests/test_ctmc.py::test_array_numerators_equal_eval_rate_on_the_suite_on_both_dtypes",
+            "tests/test_ctmc.py::test_a_spec_gives_back_every_rate_it_was_given_on_both_dtypes",
+        ),
     ),
     Mutant(
         "the int64 bound check is skipped",

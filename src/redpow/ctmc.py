@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -157,7 +158,7 @@ def _rational_str(q: Fraction | float) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-class RateSpec(_BuiltOnRead):
+class RateSpec:
     """Directed per-token rates, affine in the occupancy vector.
 
     For each directed edge (i, j) of the base graph there is a base
@@ -170,13 +171,17 @@ class RateSpec(_BuiltOnRead):
     must be specified. Coupling coefficients may be negative; the
     evaluated rate must come out positive, which MasterChain checks
     state by state. The rates are stored once, as integer numerators
-    over one common denominator ``_den`` (``_base``, and ``_coupling``
-    for the pairs with a nonzero coefficient only); the accessors build
+    over one common denominator ``_den``, per hop: hop ``2e`` leaves the
+    lower end ``i`` of base edge ``e = (i, j)`` of ``graph.pairs``, and
+    hop ``2e + 1`` leaves ``j``. ``_nums[h]`` is hop ``h``'s base numerator
+    and ``_rows[_row[h]]`` its coupling numerators: row 0 is the one zero
+    row every uncoupled hop reads, and each coupled hop has a row of its
+    own. The arrays are int64 when every numerator is below 2^63 in
+    magnitude, else object arrays of Python ints. The accessors build
     ``Fraction``s on demand, and every uncoupled pair reads one zero vector.
-    The same numerators as arrays, ``_table``, are made on first read.
     """
 
-    __slots__ = ("graph", "_base", "_coupling", "_den", "_zero", "_table")
+    __slots__ = ("graph", "_den", "_nums", "_row", "_rows", "_zero")
 
     def __init__(
         self,
@@ -184,7 +189,8 @@ class RateSpec(_BuiltOnRead):
         base: Mapping[tuple[int, int], Fraction],
         coupling: Mapping[tuple[int, int], tuple[Fraction, ...]] | None = None,
     ):
-        directed = {pair for i, j in graph.edges for pair in ((i, j), (j, i))}
+        hops = [pair for i, j in graph.edges for pair in ((i, j), (j, i))]
+        directed = set(hops)
         base = dict(base)
         coupling = dict(coupling or {})
         for pair in base:
@@ -211,49 +217,37 @@ class RateSpec(_BuiltOnRead):
         every = [*rates.values(), *(q for c in coupled.values() for q in c)]
         self._den = den = math.lcm(*(q.denominator for q in every))
         self.graph = graph
-        self._base = {pair: q.numerator * (den // q.denominator) for pair, q in rates.items()}
-        self._coupling = {
-            p: tuple(q.numerator * (den // q.denominator) for q in c) for p, c in coupled.items()
-        }
+
+        def scaled(qs):
+            return [q.numerator * (den // q.denominator) for q in qs]
+
+        nums = scaled(map(rates.get, hops))
+        rows = [[0] * v, *(scaled(coupled[p]) for p in hops if p in coupled)]
+        dtype = np.int64 if max(map(abs, chain(nums, *rows)), default=0) < 2**63 else object
+        self._nums, self._rows = np.array(nums, dtype=dtype), np.array(rows, dtype=dtype)
+        flags = np.array([p in coupled for p in hops], dtype=bool)
+        self._row = np.where(flags, np.cumsum(flags), 0)
         self._zero = (Fraction(0),) * v
 
+    def _hop(self, i: int, j: int) -> int:
+        edge = self.graph.edge_index
+        for back, pair in enumerate(((i, j), (j, i))):
+            if pair in edge:
+                return 2 * edge[pair] + back
+        raise ModelError(f"({i}, {j}) is not a directed edge")
+
     def base_rate(self, i: int, j: int) -> Fraction:
-        try:
-            return Fraction(self._base[(i, j)], self._den)
-        except KeyError:
-            raise ModelError(f"({i}, {j}) is not a directed edge") from None
+        return Fraction(int(self._nums[self._hop(i, j)]), self._den)
 
     def coupling_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
-        self.base_rate(i, j)  # raises on a non-edge
-        coeffs = self._coupling.get((i, j))
-        return self._zero if coeffs is None else tuple(Fraction(c, self._den) for c in coeffs)
+        row = self._row[self._hop(i, j)]
+        return tuple(Fraction(c, self._den) for c in self._rows[row].tolist()) if row else self._zero
 
     def directed_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._base)
-
-    def _make__table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """The numerators as arrays, ``(code, B, C, top_b, top_c)``.
-
-        ``code[a, b]`` numbers the directed pair ``(a, b)`` in
-        :meth:`directed_pairs` order (-1 off the edges); ``B[p]`` is its
-        base numerator and ``C[p]`` its coupling numerators, and ``top_b``,
-        ``top_c`` their largest magnitudes. The arrays are int64 when both
-        are below 2^63, else object arrays of Python ints.
-        """
-        pairs = self.directed_pairs()
-        v = self.graph.num_vertices
-        code = np.full((v, v), -1, dtype=np.int64)
-        code[tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)] = np.arange(len(pairs))
-        base = [self._base[p] for p in pairs]
-        top_b = max(map(abs, base), default=0)
-        top_c = max((abs(c) for row in self._coupling.values() for c in row), default=0)
-        dtype = np.int64 if max(top_b, top_c) < 2**63 else object
-        zero = (0,) * v
-        coupling = np.array([self._coupling.get(p, zero) for p in pairs], dtype=dtype).reshape(-1, v)
-        return code, np.array(base, dtype=dtype), coupling, top_b, top_c
+        return sorted(pair for i, j in self.graph.edges for pair in ((i, j), (j, i)))
 
     def is_uncoupled(self) -> bool:
-        return not self._coupling
+        return len(self._rows) == 1
 
 
 def _arc(graph: Graph, pair: tuple[int, int]) -> str:
@@ -383,23 +377,25 @@ class MasterChain(_BuiltOnRead):
 def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
     """Every transition's rate numerator over ``spec._den``, in :meth:`MasterChain.transitions` order.
 
-    An edge moves one token across ``(i, j)`` while the tokens of stay word
-    ``s`` stay put (``rp._moves``), so the tokens that stay are row ``s``
-    of ``S = rp._stay_counts``: a hop a -> b, directed pair ``p``, is made
-    by ``S[s, a] + 1`` tokens, each at ``B[p] + (S @ C.T)[s, p]``, with
-    ``B`` and ``C`` the spec's numerators (``spec._table``). Each of the
+    An edge moves one token across base edge ``e = (i, j)`` while the
+    tokens of stay word ``s`` stay put (``rp._moves``), so the tokens that
+    stay are row ``s`` of ``S = rp._stay_counts``. Its forward transition
+    is the spec's hop ``h = 2e`` out of ``i``, its backward one hop
+    ``2e + 1`` out of ``j``; hop ``h`` out of ``a`` is made by ``S[s, a] + 1``
+    tokens, each at ``B[h] + (S @ C.T)[s, R[h]]``, with ``B``, ``R`` and
+    ``C`` the spec's ``_nums``, ``_row`` and ``_rows``. Each of the
     ``k - 1`` stay tokens adds at most ``top_c`` in magnitude, so every
     value on the way is at most ``k * (top_b + (k - 1) * top_c)``: when
     that and every coupling entry (``top_c``, read even at k = 1) are
     below 2^63 the arrays are int64, otherwise object arrays of Python ints.
     """
-    code, base, coupling, top_b, top_c = spec._table
     moves, counts, k = rp._moves, rp._stay_counts, rp.k
+    top_b, top_c = (int(np.abs(a).max(initial=0)) for a in (spec._nums, spec._rows))
     dtype = np.int64 if max(k * (top_b + (k - 1) * top_c), top_c) < 2**63 else object
-    base, coupling, counts = (a.astype(dtype, copy=False) for a in (base, coupling, counts))
-    src, dst, stay = moves[:, :2].ravel(), moves[:, 1::-1].ravel(), moves[:, 2].repeat(2)
-    hop = code[src, dst]
-    return (counts[stay, src] + 1) * (base[hop] + (counts @ coupling.T)[stay, hop])
+    base, coupling, counts = (a.astype(dtype, copy=False) for a in (spec._nums, spec._rows, counts))
+    src, stay = moves[:, :2].ravel(), moves[:, 2].repeat(2)
+    hop = (2 * _edge_ids(rp.base, moves[:, 0], moves[:, 1])[:, None] + [0, 1]).ravel()
+    return (counts[stay, src] + 1) * (base[hop] + (counts @ coupling.T)[stay, spec._row[hop]])
 
 
 def _float_or_inf(q: Fraction) -> float:
@@ -1254,12 +1250,9 @@ def model_to_dict(graph: Graph, k: int, spec: RateSpec) -> dict:
     for i, j in spec.directed_pairs():
         key = f"{graph.labels[i]}->{graph.labels[j]}"
         entry: dict = {"base": _rational_str(spec.base_rate(i, j))}
-        coeffs = spec._coupling.get((i, j))
-        if coeffs:
-            entry["coupling"] = {
-                graph.labels[l]: _rational_str(Fraction(c, spec._den))
-                for l, c in enumerate(coeffs) if c
-            }
+        coeffs = spec.coupling_vector(i, j)
+        if coeffs is not spec._zero:
+            entry["coupling"] = {graph.labels[l]: _rational_str(c) for l, c in enumerate(coeffs) if c}
         rates[key] = entry
     return {"graph": graph_to_dict(graph), "k": k, "rates": rates}
 

@@ -481,7 +481,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     The labels are parsed into one digit row per product vertex; every
     check then runs as an array operation over all product edges, one
     check after another, and only the distinct quotient edges come back
-    to Python.
+    to Python. That a move is along a base edge is checked on those alone.
     """
     k = _count(k)
     v = base.num_vertices
@@ -525,10 +525,6 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     del tx, ty, changed
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     del a, b
-    over = np.zeros((v, v), dtype=bool)  # the base vertex pairs the product edges move along
-    over[lo, hi] = True
-    if (_edge_ids(base, *np.nonzero(over)) < 0).any():
-        raise PowerError("product edge does not project onto a base edge")
 
     # An edge moving a token a -> b joins the distinct words S+a and S+b; edges
     # joining the same two words share e_a - e_b up to sign, so {a, b} and then
@@ -542,14 +538,18 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     del x, y
     order = np.argsort(pairs)
     kept = order[np.diff(pairs[order], prepend=-1) != 0]
-    stays = stays[kept]
+    # The kept edges so move along every base pair any product edge does; they
+    # are checked in int64, as _edge_ids' key i * v + j overflows the digits' type.
+    lo, hi, stays = lo[kept].astype(np.int64), hi[kept].astype(np.int64), stays[kept]
+    if (_edge_ids(base, lo, hi) < 0).any():
+        raise PowerError("product edge does not project onto a base edge")
     _, stay_first, stay = np.unique(_codes(stays, v), return_index=True, return_inverse=True)
     return _from_moves(
         base,
         k,
         [tuple(w) for w in words[first].tolist()],
         [tuple(fw) for fw in stays[stay_first].tolist()],
-        np.column_stack([*np.divmod(pairs[kept], num_states), lo[kept], hi[kept], stay]),
+        np.column_stack([*np.divmod(pairs[kept], num_states), lo, hi, stay]),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1260,6 +1261,24 @@ def test_master_chain_reads_denominators_per_coupled_entry_not_per_vertex(monkey
     assert mc.forward == (F(1),) * g.num_edges and mc.backward == (F(2),) * g.num_edges
 
 
+def test_a_spec_and_its_chain_on_a_4000_vertex_ring_peak_at_a_few_megabytes():
+    # with a v x v pair code and a dense (2E x v) coupling matrix this case peaked at 386 MB
+    n = 4000
+    g = cycle_graph(n)
+    base = {pair: F(1 + (pair[0] > pair[1])) for i, j in g.edges for pair in ((i, j), (j, i))}
+    coupling = {(0, 1): (F(0), F(0), F(1, 3)) + (F(0),) * (n - 3)}
+    rp = build_reduced_power(g, 1)
+    tracemalloc.start()
+    try:
+        mc = MasterChain(rp, RateSpec(g, base, coupling))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # at k = 1 no other token is there to couple to
+    assert [mc.rate(x, y) for x, y in ((0, 1), (1, 0), (0, n - 1), (n - 1, 0))] == [1, 2, 1, 2]
+
+
 @pytest.mark.parametrize("doc", [long_path_doc(1000), model_doc()], ids=["path", "pentagon"])
 def test_master_chain_reads_no_rate_denominator(monkeypatch, doc):
     # the spec holds its rates as integers over one denominator already
@@ -2061,6 +2080,30 @@ def test_array_numerators_equal_eval_rate_on_the_suite_on_both_dtypes():
                 assert nums.dtype == dtype
                 assert nums.tolist() == expected
                 assert MasterChain(rp, spec)._ints == (tuple(expected[0::2]), tuple(expected[1::2]))
+
+
+def test_a_spec_gives_back_every_rate_it_was_given_on_both_dtypes():
+    rng = random.Random(4301)
+    for g in generator_suite():
+        base, coupling = _random_spec(g, rng)
+        zero = (F(0),) * g.num_vertices
+        for scale in (1, _M89):
+            spec = RateSpec(
+                g,
+                {pair: scale * q for pair, q in base.items()},
+                {pair: tuple(scale * c for c in cs) for pair, cs in coupling.items()},
+            )
+            assert spec.directed_pairs() == sorted(base)
+            for pair, q in base.items():
+                assert spec.base_rate(*pair) == scale * q
+                assert spec.coupling_vector(*pair) == tuple(scale * c for c in coupling.get(pair, zero))
+            assert spec.is_uncoupled() == (not any(map(any, coupling.values())))
+            again = model_from_dict(json.loads(json.dumps(model_to_dict(g, 1, spec))))[2]
+            assert all(
+                (again.base_rate(*pair), again.coupling_vector(*pair))
+                == (spec.base_rate(*pair), spec.coupling_vector(*pair))
+                for pair in base
+            )
 
 
 @pytest.mark.parametrize("top, c", [(2**62, 0), (2**61, 2**61)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
@@ -350,6 +351,20 @@ def test_quotient_rejects_edges_off_the_base(k):
     edges = power.edge_labels()[:-1] + [("v0" + rest, "v2" + rest)]  # v0-v2 is a chord
     with pytest.raises(PowerError, match="product edge does not project onto a base edge"):
         quotient_by_symmetry(Graph(power.labels, edges), g, k)
+
+
+def test_quotient_of_a_12000_vertex_path_peaks_at_a_few_megabytes():
+    # with a v x v matrix of the base pairs moved along this case peaked at 151 MB
+    g = path_graph(12000)
+    power = cartesian_power(g, 1)
+    tracemalloc.start()
+    try:
+        oracle = quotient_by_symmetry(power, g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert (oracle.num_states, oracle.num_edges, oracle.annotations[-1][:2]) == (12000, 11999, (11998, 11999))
 
 
 def test_quotient_of_a_single_vertex_base():
