@@ -242,6 +242,36 @@ MUTANTS = (
         "dtype = np.int64\n",
         ("tests/test_ctmc.py::test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path",),
     ),
+    Mutant(
+        "the quotient's label parse skips its comma count",
+        "src/redpow/power.py",
+        "    if commas.count(k - 1) != n:\n",
+        "    if False:\n",
+        ("tests/test_power.py::test_the_quotient_names_the_first_label_of_the_wrong_shape",),
+    ),
+    Mutant(
+        "a kept quotient edge's moved pair is not put in ascending order",
+        "src/redpow/power.py",
+        "    lo, hi = np.minimum(a, b), np.maximum(a, b)\n",
+        "    lo, hi = a, b\n",
+        (
+            "tests/test_power.py::test_the_quotient_of_a_product_listed_in_another_vertex_order_is_the_power",
+        ),
+    ),
+    Mutant(
+        "graph_to_json writes non-ASCII labels unescaped",
+        "src/redpow/graph.py",
+        "list(map(encode_basestring_ascii, g.labels))",
+        "list(map(json.encoder.encode_basestring, g.labels))",
+        ("tests/test_graph.py::test_graph_to_json_writes_the_bytes_of_json_dumps_with_indent_2",),
+    ),
+    Mutant(
+        "the label index's one-pass path lets an empty label through",
+        "src/redpow/graph.py",
+        ' and "" not in label_index:\n',
+        ":\n",
+        ("tests/test_graph.py::test_the_label_index_names_the_first_fault_as_the_label_by_label_loop_did",),
+    ),
 )
 
 

@@ -142,15 +142,13 @@ def _past_exponent_bound(text: str) -> str | None:
     return None
 
 
-def _rational_str(q: Fraction | float) -> str:
-    """``str(q)``, with a Fraction's ints in full past Python's int-string digit limit.
+def _rational_str(q: Fraction) -> str:
+    """``str(q)``, with the ints in full past Python's int-string digit limit.
 
     Past the limit ``Decimal`` converts the ints, with no such limit, and
     prints the same digits. An int of b bits has fewer than b / 3 + 1
     digits, so ``str`` serves any int of at most three bits per digit of the limit.
     """
-    if isinstance(q, float):
-        return str(q)
     limit = _str_digit_limit()
     if not limit or max(q.numerator.bit_length(), q.denominator.bit_length()) <= 3 * limit:
         return str(q)
@@ -378,8 +376,9 @@ def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
     """Every transition's rate numerator over ``spec._den``, in :meth:`MasterChain.transitions` order.
 
     An edge moves one token across base edge ``e = (i, j)`` while the
-    tokens of stay word ``s`` stay put (``rp._moves``), so the tokens that
-    stay are row ``s`` of ``S = rp._stay_counts``. Its forward transition
+    tokens of stay word ``s`` stay put (its row ``(i, j, s, e)`` of
+    ``rp._moves``), so the tokens that stay are row ``s`` of
+    ``S = rp._stay_counts``. Its forward transition
     is the spec's hop ``h = 2e`` out of ``i``, its backward one hop
     ``2e + 1`` out of ``j``; hop ``h`` out of ``a`` is made by ``S[s, a] + 1``
     tokens, each at ``B[h] + (S @ C.T)[s, R[h]]``, with ``B``, ``R`` and
@@ -394,7 +393,7 @@ def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
     dtype = np.int64 if max(k * (top_b + (k - 1) * top_c), top_c) < 2**63 else object
     base, coupling, counts = (a.astype(dtype, copy=False) for a in (spec._nums, spec._rows, counts))
     src, stay = moves[:, :2].ravel(), moves[:, 2].repeat(2)
-    hop = (2 * _edge_ids(rp.base, moves[:, 0], moves[:, 1])[:, None] + [0, 1]).ravel()
+    hop = (2 * moves[:, 3, None] + [0, 1]).ravel()
     return (counts[stay, src] + 1) * (base[hop] + (counts @ coupling.T)[stay, spec._row[hop]])
 
 
@@ -1114,12 +1113,9 @@ class BalanceViolation:
     flow_yx: object
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "flow_xy": _rational_str(self.flow_xy),
-            "flow_yx": _rational_str(self.flow_yx),
-        }
+        """The flows as text: a float flow by ``repr``, an exact one by :func:`_rational_str`."""
+        xy, yx = (repr(f) if isinstance(f, float) else _rational_str(f) for f in (self.flow_xy, self.flow_yx))
+        return {"x": self.x, "y": self.y, "flow_xy": xy, "flow_yx": yx}
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ import operator
 import reprlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -298,8 +300,16 @@ def _shown(v: object, form: Callable[[object], str] = repr) -> str:
 
 
 def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The labels and their index map; raises unless they are distinct non-empty strings."""
+    """The labels and their index map; raises unless they are distinct non-empty strings.
+
+    The map is built in one ``dict(zip(...))`` once every label is a
+    ``str``; the loops below run only when that finds a fault, to name the first.
+    """
     labels = tuple(labels)
+    if all(issubclass(t, str) for t in set(map(type, labels))):
+        label_index = dict(zip(labels, count()))
+        if labels and len(label_index) == len(labels) and "" not in label_index:
+            return labels, label_index
     if not labels:
         raise GraphError("graph needs at least one vertex")
     for lab in labels:
@@ -489,8 +499,18 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_to_json(g: Graph) -> str:
-    """Canonical JSON text; loading and dumping again is byte-stable."""
-    return json.dumps(graph_to_dict(g), indent=2) + "\n"
+    """Canonical JSON text; loading and dumping again is byte-stable.
+
+    The text of ``json.dumps(graph_to_dict(g), indent=2) + "\\n"``, written
+    from pieces: each label is encoded once, by the encoder ``json.dumps``
+    itself uses for strings, and every edge reads its two ends' encodings.
+    """
+    quoted = list(map(encode_basestring_ascii, g.labels))
+    ends = (map(quoted.__getitem__, column) for column in g.pairs.T.tolist())
+    edges = ",\n".join(map("    [\n      {},\n      {}\n    ]".format, *ends))
+    edges = "[\n" + edges + "\n  ]" if edges else "[]"
+    vertices = ",\n    ".join(quoted)
+    return '{\n  "vertices": [\n    ' + vertices + '\n  ],\n  "edges": ' + edges + "\n}\n"
 
 
 def _read_json(path: str | Path, kind: str, error: type[Exception]) -> object:
@@ -523,10 +543,8 @@ def _dot_id(label: str) -> str:
 
 
 def graph_to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    for lab in g.labels:
-        lines.append(f"  {_dot_id(lab)};")
-    for i, j in g.edges:
-        lines.append(f"  {_dot_id(g.labels[i])} -- {_dot_id(g.labels[j])};")
-    lines.append("}")
+    """DOT text: one line per vertex, then one per edge; each label is quoted once."""
+    quoted = list(map(_dot_id, g.labels))
+    ends = (map(quoted.__getitem__, column) for column in g.pairs.T.tolist())
+    lines = ["graph G {", *map("  {};".format, quoted), *map("  {} -- {};".format, *ends), "}"]
     return "\n".join(lines) + "\n"

@@ -25,8 +25,9 @@ its moves off two of its columns.
 
 The independent oracle, :func:`cartesian_power` followed by
 :func:`quotient_by_symmetry`, runs as array kernels: the product's edges
-come from arithmetic on mixed-radix vertex indices, and each quotient
-check is one array operation over all product edges. Both builders hand
+come from arithmetic on mixed-radix vertex indices, its labels are read
+in one pass, and each quotient check is one array operation, over all
+product edges or over the kept quotient edges alone. Both builders hand
 their graphs to ``Graph`` as index-pair arrays, never as label pairs, and
 the quotient reads the product's pair array, so the product never builds
 its Python edge tuples, adjacency or edge index.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from math import comb, factorial
 
 import numpy as np
@@ -137,8 +138,9 @@ class ReducedPowerGraph(_BuiltOnRead):
     its lower-indexed end. The builders make ``states`` on first read,
     from their state words (:class:`~redpow.graph._BuiltOnRead`).
 
-    The same moves as arrays: ``_moves[e]`` is ``(i, j, s)``, the base
-    edge and the index of the stay word ``_stays[s]``, and
+    The same moves as arrays: ``_moves[e]`` is ``(i, j, s, b)``: the base
+    edge's ends, the index of the stay word ``_stays[s]`` and the base
+    edge's own index ``b`` in ``base.pairs``; and
     ``_stay_counts[s, l]`` counts that word's tokens on vertex ``l``. The
     builders keep ``_moves`` and ``_stays`` as they make them; the count
     matrix, and all three for a power from this constructor, are made
@@ -170,7 +172,8 @@ class ReducedPowerGraph(_BuiltOnRead):
     def _make__moves(self) -> np.ndarray:
         index = {word: s for s, word in enumerate(self._stays)}
         rows = [(i, j, index[f.word()]) for i, j, f in self.annotations]
-        return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 3))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return _read_only(np.column_stack([rows, _edge_ids(self.base, rows[:, 0], rows[:, 1])]))
 
     def _make__stay_counts(self) -> np.ndarray:
         n, v = len(self._stays), self.base.num_vertices
@@ -302,12 +305,13 @@ def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     _check_state_budget("power", v, k)
     stays, ranks = _insert_ranks(v, k)
     ends = base.pairs
-    moves = np.empty((len(stays), len(ends), 5), dtype=np.int64)  # per stay word and base edge
+    moves = np.empty((len(stays), len(ends), 6), dtype=np.int64)  # per stay word and base edge
     moves[..., 0], moves[..., 1] = ranks[:, ends[:, 0]], ranks[:, ends[:, 1]]
     moves[..., 2:4] = ends
     moves[..., 4] = np.arange(len(stays))[:, None]
+    moves[..., 5] = np.arange(len(ends))
     words = list(combinations_with_replacement(range(v), k))
-    return _from_moves(base, k, words, stays, moves.reshape(-1, 5))
+    return _from_moves(base, k, words, stays, moves.reshape(-1, 6))
 
 
 def _word_ranks(words: np.ndarray, v: int) -> np.ndarray:
@@ -395,8 +399,11 @@ def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGr
     """Power from its state words and a dict of moves, through :func:`_from_moves`."""
     stays = sorted({fw for _, _, fw in moves.values()})
     stay_index = {fw: s for s, fw in enumerate(stays)}
-    rows = [(x, y, i, j, stay_index[fw]) for (x, y), (i, j, fw) in moves.items()]
-    return _from_moves(base, k, words, stays, np.array(rows, dtype=np.int64).reshape(-1, 5))
+    rows = np.array(
+        [(x, y, i, j, stay_index[fw]) for (x, y), (i, j, fw) in moves.items()], dtype=np.int64
+    ).reshape(-1, 5)
+    rows = np.column_stack([rows, _edge_ids(base, rows[:, 2], rows[:, 3])])
+    return _from_moves(base, k, words, stays, rows)
 
 
 def _from_moves(
@@ -404,8 +411,8 @@ def _from_moves(
 ) -> ReducedPowerGraph:
     """Power from its state words, stay words and moves, one move per row.
 
-    Row ``(x, y, i, j, s)`` joins states ``x < y``: one token crosses base
-    edge ``(i, j)`` while the tokens of ``stays[s]`` stay put. One
+    Row ``(x, y, i, j, s, b)`` joins states ``x < y``: one token crosses
+    base edge ``b = (i, j)`` while the tokens of ``stays[s]`` stay put. One
     ``Monomial`` is built per stay word; ``states`` is built on first read.
     """
     v = base.num_vertices
@@ -414,7 +421,7 @@ def _from_moves(
     graph = Graph._from_pairs(labels, moves[:, :2])
     fs = Monomial._of_words(stays, v)
     moved = _read_only(moves[:, 2:].copy())  # a copy: the rows' state ends are not kept
-    annotations = tuple((i, j, fs[s]) for i, j, s in moved.tolist())
+    annotations = tuple((i, j, fs[s]) for i, j, s, _ in moved.tolist())
     fields = dict(base=base, k=k, graph=graph, annotations=annotations, _moves=moved, _stays=stays)
     return _built_on_read(ReducedPowerGraph, fields, states=lambda: tuple(Monomial._of_words(words, v)))
 
@@ -459,7 +466,7 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
     if any("," in lab for lab in base.labels):
         raise PowerError("base labels contain ','")
 
-    labels = [",".join(tup) for tup in product(base.labels, repeat=k)]
+    labels = list(map(",".join, product(base.labels, repeat=k)))
     lo, step = base.pairs[:, :1], base.pairs[:, 1:] - base.pairs[:, :1]
     pairs = []
     for pos in range(k if base.num_edges else 0):  # an edgeless base moves no coordinate
@@ -467,7 +474,8 @@ def cartesian_power(base: Graph, k: int, budget: int = 10**6) -> Graph:
         # (higher digits, base edge, lower digits) -> tuple with digit lo at pos
         low = np.arange(v**pos)[:, None, None] * (v * stride) + lo * stride + np.arange(stride)
         pairs.append(np.column_stack([low.ravel(), (low + step * stride).ravel()]))
-    return Graph._from_pairs(labels, np.concatenate(pairs) if pairs else base.pairs)
+    pairs = np.concatenate(pairs) if pairs else base.pairs  # the pieces are freed before the sort
+    return Graph._from_pairs(labels, pairs)
 
 
 def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph:
@@ -478,10 +486,13 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     graph. Raises PowerError if ``power`` is not the k-fold Cartesian
     power of ``base`` produced by :func:`cartesian_power`.
 
-    The labels are parsed into one digit row per product vertex; every
-    check then runs as an array operation over all product edges, one
-    check after another, and only the distinct quotient edges come back
-    to Python. That a move is along a base edge is checked on those alone.
+    The labels are parsed into one digit row per product vertex in one
+    pass: each label's commas are counted, then the parts of the joined
+    labels are looked up, a slice of labels at a time. That each product
+    edge changes one coordinate is one array check over all of them; the
+    distinct quotient edges are then found, and only for those are the
+    moved pair and the stay word derived and the move checked to run along
+    a base edge.
     """
     k = _count(k)
     v = base.num_vertices
@@ -491,18 +502,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     if n != v**k:
         raise PowerError(f"power has {n} vertices, expected {v}^{k} = {v**k}")
 
-    digit_of = dict(zip(base.labels, range(v)))
-    flat: list[int | None] = []
-    for lab in power.labels:
-        parts = lab.split(",")
-        if len(parts) != k:
-            raise PowerError(f"vertex label {lab!r} is not a {k}-tuple of base labels")
-        flat.extend(map(digit_of.get, parts))
-    if None in flat:
-        at = flat.index(None)
-        base.index_of(power.labels[at // k].split(",")[at % k])  # raises GraphError
-    digits = np.array(flat, dtype=np.min_scalar_type(v)).reshape(n, k)
-    del flat
+    digits = _label_digits(power.labels, base, k)
     covered = np.zeros(n, dtype=bool)
     covered[_codes(digits, v)] = True
     if not covered.all():  # n codes below n cover them all exactly when distinct
@@ -513,18 +513,9 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         raise PowerError(
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
-    m = power.num_edges
     src, dst = power.pairs.T
-    tx, ty = digits[src], digits[dst]
-    changed = tx != ty
-    if not (changed.sum(axis=1) == 1).all():
+    if not (np.count_nonzero(digits[src] != digits[dst], axis=1) == 1).all():
         raise PowerError("product edge changes more than one coordinate")
-    # one changed coordinate per row, so masking keeps one entry per edge, in edge order
-    a, b = tx[changed], ty[changed]
-    stays = np.sort(tx[~changed].reshape(m, k - 1), axis=1)
-    del tx, ty, changed
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    del a, b
 
     # An edge moving a token a -> b joins the distinct words S+a and S+b; edges
     # joining the same two words share e_a - e_b up to sign, so {a, b} and then
@@ -538,10 +529,17 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     del x, y
     order = np.argsort(pairs)
     kept = order[np.diff(pairs[order], prepend=-1) != 0]
-    # The kept edges so move along every base pair any product edge does; they
-    # are checked in int64, as _edge_ids' key i * v + j overflows the digits' type.
-    lo, hi, stays = lo[kept].astype(np.int64), hi[kept].astype(np.int64), stays[kept]
-    if (_edge_ids(base, lo, hi) < 0).any():
+    # The kept edges so move along every base pair any product edge does. Their
+    # moved pairs are checked in int64, as _edge_ids' key i * v + j overflows the
+    # digits' type; one changed coordinate per row, so masking keeps one entry
+    # per edge, in edge order.
+    tx, ty = digits[src[kept]], digits[dst[kept]]
+    changed = tx != ty
+    a, b = tx[changed].astype(np.int64), ty[changed].astype(np.int64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    stays = np.sort(tx[~changed].reshape(len(kept), k - 1), axis=1)
+    edge = _edge_ids(base, lo, hi)
+    if (edge < 0).any():
         raise PowerError("product edge does not project onto a base edge")
     _, stay_first, stay = np.unique(_codes(stays, v), return_index=True, return_inverse=True)
     return _from_moves(
@@ -549,8 +547,41 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         k,
         [tuple(w) for w in words[first].tolist()],
         [tuple(fw) for fw in stays[stay_first].tolist()],
-        np.column_stack([*np.divmod(pairs[kept], num_states), lo, hi, stay]),
+        np.column_stack([*np.divmod(pairs[kept], num_states), lo, hi, stay, edge]),
     )
+
+
+# Labels parsed per slice by _label_digits: the parts of one slice, a str each,
+# are the parse's largest transient (about 56 bytes a part), and the process
+# keeps the heap they spread over. Six benchmark basis-audit rounds, three of
+# them with a B(8,3) k = 5 quotient, peaked at 67-68 MiB RSS with 16384 labels
+# a slice and at 57-59 MiB with 256 to 4096; 1024 parsed fastest.
+_PARSE_SLICE = 1024
+
+
+def _label_digits(labels: tuple[str, ...], base: Graph, k: int) -> np.ndarray:
+    """The ``(n, k)`` base-vertex digits of labels that join k base labels by commas.
+
+    Raises PowerError naming the first label without ``k - 1`` commas,
+    else the base's GraphError for the first part that is no base label.
+    With every label's commas counted, each slice's labels are joined and
+    split again, and their parts come out label after label.
+    """
+    n, v = len(labels), base.num_vertices
+    commas = list(map(str.count, labels, repeat(",")))
+    if commas.count(k - 1) != n:
+        lab = next(lab for lab, c in zip(labels, commas) if c != k - 1)
+        raise PowerError(f"vertex label {lab!r} is not a {k}-tuple of base labels")
+    digit_of = dict(zip(base.labels, range(v)))
+    digits = np.empty(n * k, dtype=np.min_scalar_type(v))
+    for start in range(0, n, _PARSE_SLICE):
+        parts = ",".join(labels[start : start + _PARSE_SLICE]).split(",")
+        try:
+            digits[start * k : (start + _PARSE_SLICE) * k] = list(map(digit_of.__getitem__, parts))
+        except KeyError:
+            for part in parts:
+                base.index_of(part)  # raises GraphError on the first part that is no base label
+    return digits.reshape(n, k)
 
 
 def _codes(rows: np.ndarray, v: int) -> np.ndarray:

@@ -358,7 +358,7 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     # a square projects to zero when the base edges its four power edges
     # cross (by the power's moves) pair up
     square_edges = edge[len(edge) - 4 * len(rows) :].reshape(-1, 4)  # the walks' last steps
-    crossed = _edge_ids(base, rp._moves[:, 0], rp._moves[:, 1])[square_edges]
+    crossed = rp._moves[:, 3][square_edges]
     crossed.sort(axis=1)
     zero_proj = bool(((crossed[:, 0] == crossed[:, 1]) & (crossed[:, 2] == crossed[:, 3])).all())
 

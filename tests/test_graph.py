@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -674,3 +675,106 @@ def test_an_attribute_neither_a_slot_nor_built_on_read_is_missing():
     for name in ("nothing", "_make_nothing"):
         with pytest.raises(AttributeError, match=rf"^'Graph' object has no attribute '{name}'$"):
             getattr(g, name)
+
+
+# --- the writers' bytes and the label index ---
+
+_ODD_LABELS = [
+    'say "hi"', "back\\slash", "tab\there", "nul\x00", "bell\x07\x1f", "\x7f",
+    "é", "日本", "😀", "\ud800", "a*b", "x^2", "a*b^3", "/", " ",
+]
+
+
+def _old_graph_to_dot(g: Graph) -> str:
+    """The DOT renderer as it was written label by label, kept as the oracle of its bytes."""
+
+    def dot_id(label: str) -> str:
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["graph G {"]
+    for lab in g.labels:
+        lines.append(f"  {dot_id(lab)};")
+    for i, j in g.edges:
+        lines.append(f"  {dot_id(g.labels[i])} -- {dot_id(g.labels[j])};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _writer_graphs() -> list[Graph]:
+    from redpow import build_reduced_power
+
+    from conftest import generator_suite
+
+    odd = _ODD_LABELS
+    graphs = [*generator_suite(), Graph(["only"], []), Graph(odd[:1], [])]
+    graphs.append(Graph(odd, [(odd[i - 1], odd[i]) for i in range(len(odd))]))  # a ring
+    graphs.append(Graph(odd, []))
+    graphs += [build_reduced_power(g, 2).graph for g in generator_suite()[:4]]  # labels with ^ and *
+    return graphs
+
+
+def test_graph_to_json_writes_the_bytes_of_json_dumps_with_indent_2():
+    for g in _writer_graphs():
+        assert graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2) + "\n"
+        assert graph_from_dict(json.loads(graph_to_json(g)), require_connected=False) == g
+
+
+def test_graph_to_dot_writes_the_bytes_of_the_label_by_label_renderer():
+    for g in _writer_graphs():
+        assert graph_to_dot(g) == _old_graph_to_dot(g)
+
+
+def _old_index_labels(labels):
+    """The label index as it was built label by label, kept as the oracle of its faults."""
+    labels = tuple(labels)
+    if not labels:
+        raise GraphError("graph needs at least one vertex")
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise GraphError(f"vertex labels must be non-empty strings, got {lab!r}")
+    label_index = {}
+    for i, lab in enumerate(labels):
+        if label_index.setdefault(lab, i) != i:
+            raise GraphError(f"duplicate vertex label {lab!r}")
+    return labels, label_index
+
+
+class _Tag(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["a", "b", "a"], "duplicate vertex label 'a'"),
+        (["a", "b", "b", "a"], "duplicate vertex label 'b'"),
+        (["a", "", "b"], "vertex labels must be non-empty strings, got ''"),
+        (["a", "a", ""], "vertex labels must be non-empty strings, got ''"),
+        (["a", 5, "b"], "vertex labels must be non-empty strings, got 5"),
+        (["a", "a", b"b"], "vertex labels must be non-empty strings, got b'b'"),
+        (["a", ["b"], "c"], "vertex labels must be non-empty strings, got ['b']"),
+        (["a", {}, 5], "vertex labels must be non-empty strings, got {}"),
+        (["a", _Tag("")], "vertex labels must be non-empty strings, got ''"),
+        (["a", _Tag("a")], "duplicate vertex label 'a'"),
+        ([], "graph needs at least one vertex"),
+    ],
+)
+def test_the_label_index_names_the_first_fault_as_the_label_by_label_loop_did(labels, message):
+    from redpow.graph import _index_labels
+
+    for index in (_index_labels, _old_index_labels):
+        with pytest.raises(GraphError) as info:
+            index(iter(labels))
+        assert str(info.value) == message
+        with pytest.raises(GraphError, match="^" + re.escape(message) + "$"):
+            Graph(labels, [])
+
+
+def test_the_label_index_accepts_str_subclasses_and_keeps_the_input_order():
+    from redpow.graph import _index_labels
+
+    for labels in (["b", _Tag("a"), "c"], [_Tag("x")], ["z", "y", "x", "w"], _ODD_LABELS):
+        got = _index_labels(labels)
+        assert got == _old_index_labels(labels) and list(got[1].items()) == list(zip(labels, range(len(labels))))
+    g = Graph([_Tag("a"), "b"], [("a", "b")])
+    assert g.labels == ("a", "b") and g.index_of("a") == 0 and g.edges == ((0, 1),)

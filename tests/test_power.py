@@ -958,3 +958,128 @@ def test_an_over_budget_power_is_refused_before_anything_is_allocated(monkeypatc
     monkeypatch.undo()
     assert build_reduced_power(cycle_graph(3), 98).num_states == 4950  # the budget is inclusive
     assert build_reduced_power(one, 5000).label(0) == "a^5000"
+
+
+# --- the one-pass label parse, the kept edges' moves and the parse's memory ---
+
+
+def _relabelled_at(g: Graph, k: int, changes: dict[int, str]) -> tuple[Graph, list[str]]:
+    power = cartesian_power(g, k)
+    labels = list(power.labels)
+    for at, label in changes.items():
+        labels[at] = label
+    return Graph._from_pairs(labels, power.pairs), labels
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({3: "v0,v0", 7: "v0,v1,v3,v2"}, 3),  # one comma too few, then one too many
+        ({3: "v0,v1,v3,v2", 7: "v0,v0"}, 3),  # one too many, then one too few
+        ({1: "v0,zz,v1", 5: "v1,v1"}, 5),  # a shape fault wins over an earlier unknown part
+        ({4: "v0,v0,v0,", 9: ",v1,v0,v2"}, 4),  # an empty last or first part is a comma too many
+    ],
+)
+def test_the_quotient_names_the_first_label_of_the_wrong_shape(changes, named):
+    power, labels = _relabelled_at(cycle_graph(4), 3, changes)
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(power, cycle_graph(4), 3)
+    assert str(info.value) == f"vertex label {labels[named]!r} is not a 3-tuple of base labels"
+
+
+@pytest.mark.parametrize(
+    "changes, unknown",
+    [
+        ({5: "v0,zz,v1,v0,v0,v0,v0", 6: "yy,v0,v0,v0,v0,v0,v0"}, "zz"),
+        ({4097: "v0,v1,v2,v3,v0,v1,xx", 4098: "ww,v0,v0,v0,v0,v0,v0"}, "xx"),  # past the first slice
+        ({9000: "v0,v0,v0,,v0,v0,v0", 12000: "qq,v0,v0,v0,v0,v0,v0"}, ""),  # an empty part
+        ({16383: "v3,v3,v3,v3,v3,v3,v"}, "v"),  # the last part of the last label
+    ],
+)
+def test_the_quotient_names_the_first_part_that_is_no_base_label(changes, unknown):
+    power, _ = _relabelled_at(cycle_graph(4), 7, changes)
+    with pytest.raises(GraphError) as info:
+        quotient_by_symmetry(power, cycle_graph(4), 7)
+    assert str(info.value) == f"unknown vertex label {unknown!r}"
+
+
+def test_the_quotient_refuses_an_edge_that_changes_two_coordinates_among_valid_ones():
+    g = cycle_graph(4)
+    power = cartesian_power(g, 3)
+    edges = power.edge_labels()
+    edges[5] = ("v0,v2,v0", "v1,v3,v0")  # the edge count stays; this one moves two tokens
+    with pytest.raises(PowerError) as info:
+        quotient_by_symmetry(Graph(power.labels, edges), g, 3)
+    assert str(info.value) == "product edge changes more than one coordinate"
+
+
+def test_every_power_keeps_the_index_of_each_move_s_base_edge():
+    from redpow import ReducedPowerGraph
+
+    for g in generator_suite():
+        for k in (1, 2, 3):
+            built = build_reduced_power(g, k)
+            powers = [
+                built,
+                quotient_by_symmetry(cartesian_power(g, k), g, k),
+                ReducedPowerGraph(g, k, built.states, built.graph, built.annotations),
+                _reference_quotient(cartesian_power(g, k), g, k),
+            ]
+            expected = [g.edge_position(i, j) for i, j, _ in built.annotations]
+            for rp in powers:
+                assert rp._moves.shape == (built.num_edges, 4)
+                assert rp._moves[:, 3].tolist() == expected
+                assert rp._moves[:, :2].tolist() == [[i, j] for i, j, _ in built.annotations]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_the_quotient_of_a_product_listed_in_another_vertex_order_is_the_power(order):
+    """Product edges then run from the higher base vertex as often as from the lower one."""
+    import random
+
+    for g in generator_suite():
+        for k in (1, 2, 3):
+            power = cartesian_power(g, k)
+            n = power.num_vertices
+            where = list(range(n))[::-1] if order == "reversed" else random.Random(n * k).sample(range(n), n)
+            labels = [""] * n
+            for t, at in enumerate(where):
+                labels[at] = power.labels[t]
+            moved = np.array(where)[power.pairs]
+            listed = Graph._from_pairs(labels, np.sort(moved, axis=1))
+            direct, oracle = build_reduced_power(g, k), quotient_by_symmetry(listed, g, k)
+            assert oracle == direct and oracle.annotations == direct.annotations
+            assert np.array_equal(oracle._moves, direct._moves)
+
+
+def _random_bipartite(v: int, extra: int, seed: int) -> Graph:
+    """A random tree on ``v`` vertices plus ``extra`` chords across its 2-colouring."""
+    import random
+
+    rng = random.Random(seed)
+    side, edges = [0] * v, set()
+    for i in range(1, v):
+        parent = rng.randrange(i)
+        side[i] = 1 - side[parent]
+        edges.add((parent, i))
+    pool = [(i, j) for i in range(v) for j in range(i + 1, v) if side[i] != side[j] and (i, j) not in edges]
+    edges.update(rng.sample(pool, extra))
+    labels = [f"bp{i}" for i in range(v)]
+    return Graph(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+
+
+def test_the_quotient_of_a_32768_tuple_product_peaks_below_the_label_by_label_parse():
+    # the label-by-label parse peaked at 16.6 MiB here, the product's 7.3 MiB included,
+    # and splitting the joined labels in one piece at 18.6 MiB
+    g = _random_bipartite(8, 3, seed=2)
+    assert (g.num_vertices, g.num_edges) == (8, 10)
+    tracemalloc.start()
+    try:
+        power = cartesian_power(g, 5)
+        tracemalloc.reset_peak()
+        oracle = quotient_by_symmetry(power, g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.6 * 2**20
+    assert oracle == build_reduced_power(g, 5) and oracle.annotations == build_reduced_power(g, 5).annotations
