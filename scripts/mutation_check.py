@@ -259,6 +259,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the public constructor's lowering takes a move along no base edge",
+        "src/redpow/power.py",
+        "        if not (base.has_edge(i, j) and i < j):\n",
+        "        if not base.has_edge(i, j):\n",
+        ("tests/test_power.py::test_the_public_constructor_refuses_a_move_along_no_base_edge_naming_the_annotation",),
+    ),
+    Mutant(
+        "the public constructor's lowering takes a stay of the wrong degree",
+        "src/redpow/power.py",
+        " and f.degree == k - 1):\n",
+        "):\n",
+        ("tests/test_power.py::test_the_public_constructor_refuses_a_stay_that_is_no_monomial_of_k_minus_1_tokens",),
+    ),
+    Mutant(
+        "an annotation pairs its edge with the previous stay monomial",
+        "src/redpow/power.py",
+        "(i, j, fs[s]) for i, j, s, _ in",
+        "(i, j, fs[s - 1]) for i, j, s, _ in",
+        ("tests/test_power.py::test_a_power_holds_its_moves_once_and_reads_each_annotation_off_them",),
+    ),
+    Mutant(
         "graph_to_json writes non-ASCII labels unescaped",
         "src/redpow/graph.py",
         "list(map(encode_basestring_ascii, g.labels))",

@@ -289,7 +289,7 @@ class MasterChain(_BuiltOnRead):
 
     States are those of the reduced power ``rp``. For edge ``e = (x, y)``
     of ``rp.graph.edges`` (so x < y, and x holds the token on the lower
-    end of the base edge the annotation names), ``forward[e]`` is the
+    end of the base edge ``rp._moves[e]`` records), ``forward[e]`` is the
     exact rate from x to y and ``backward[e]`` the rate from y to x.
     ``rate(x, y)`` reads them and is zero for non-adjacent pairs.
 
@@ -407,8 +407,7 @@ def _float_or_inf(q: Fraction) -> float:
 
 def _named(rp: ReducedPowerGraph, t: int) -> tuple[str, str]:
     """Transition ``t`` (``2e`` along edge ``e``, ``2e + 1`` back): its base hop ``a->b`` and source state."""
-    i, j, _ = rp.annotations[t // 2]
-    a, b = (i, j) if t % 2 == 0 else (j, i)
+    a, b = rp._moves[t // 2, 1::-1] if t % 2 else rp._moves[t // 2, :2]
     return f"{rp.base.labels[a]}->{rp.base.labels[b]}", rp.label(int(rp.graph.pairs[t // 2, t % 2]))
 
 

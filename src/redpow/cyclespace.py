@@ -7,8 +7,8 @@ sending an edge to its endpoint pair; its dimension for a connected
 host is e - v + 1.
 
 A host is either a plain Graph or a ReducedPowerGraph; the latter
-carries base-edge annotations that the projection onto the base cycle
-space needs.
+records the base edge of each of its edges, which the projection onto
+the base cycle space reads.
 """
 
 from __future__ import annotations
@@ -611,15 +611,14 @@ def project_to_base(x: EdgeVector) -> EdgeVector:
     """Project an edge vector of a reduced power onto the base graph.
 
     Linear over F2: each power edge maps to the base edge its moving
-    token crosses. Cycles project to cycles.
+    token crosses, read off the power's moves. Cycles project to cycles.
     """
     rp = x.host
     if not isinstance(rp, ReducedPowerGraph):
         raise CycleSpaceError("projection needs a reduced power host with annotations")
     bits = 0
-    for e in x.edge_indices():
-        i, j, _ = rp.annotation(e)
-        bits ^= 1 << rp.base.edge_position(i, j)
+    for b in rp._moves[x.edge_indices(), 3].tolist():
+        bits ^= 1 << b
     return EdgeVector(rp.base, bits)
 
 

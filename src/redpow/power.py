@@ -13,6 +13,8 @@ indices, so a state's index is the lexicographic rank of its word among
 the multisets of size k. For k = 1 this reproduces the base graph
 exactly.
 
+A power keeps one record of its moves, ``ReducedPowerGraph._moves`` and
+``_stays``; its other views of them are made from it on first read.
 A state is keyed by its word, the sorted tuple of the vertex indices
 its tokens occupy; ``Monomial`` is the public view (``states`` is built
 on first read). No state is looked up by its word: its
@@ -56,10 +58,6 @@ __all__ = [
     "cartesian_power",
     "quotient_by_symmetry",
 ]
-
-# a power's moves: {(x, y) with x < y: (i, j, stay_word)}
-_Moves = dict[tuple[int, int], tuple[int, int, tuple[int, ...]]]
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -131,20 +129,17 @@ class ReducedPowerGraph(_BuiltOnRead):
 
     ``graph`` is the plain labeled graph of the power (labels are the
     monomial strings, with ``*`` between factors if the plain strings of
-    two states coincide). ``annotations[e]`` records, for edge ``e`` of
-    that graph, the base edge ``(i, j)`` the moving token crosses and
-    the degree-(k-1) monomial of the tokens that stay put. The edge
-    joins states ``f * i`` and ``f * j``; since ``i < j``, ``f * i`` is
-    its lower-indexed end. The builders make ``states`` on first read,
+    two states coincide). The builders make ``states`` on first read,
     from their state words (:class:`~redpow.graph._BuiltOnRead`).
 
-    The same moves as arrays: ``_moves[e]`` is ``(i, j, s, b)``: the base
-    edge's ends, the index of the stay word ``_stays[s]`` and the base
-    edge's own index ``b`` in ``base.pairs``; and
-    ``_stay_counts[s, l]`` counts that word's tokens on vertex ``l``. The
-    builders keep ``_moves`` and ``_stays`` as they make them; the count
-    matrix, and all three for a power from this constructor, are made
-    from them or from ``annotations`` on first read.
+    One record holds the moves: edge ``e`` of ``graph`` moves a token
+    across base edge ``b = (i, j)`` of ``base.pairs`` while the tokens of
+    the degree-(k-1) monomial ``f = _stays[s]`` stay, and ``_moves[e]`` is
+    ``(i, j, s, b)``. It joins states ``f * i`` and ``f * j``; ``i < j``
+    makes ``f * i`` the lower. Read from the record: ``annotations[e] =
+    (i, j, f)``, made on first read, ``annotation(e)``, and ``_stay_counts``,
+    the exponents of ``_stays`` stacked. This constructor lowers
+    ``annotations`` into it.
     """
 
     __slots__ = (
@@ -163,22 +158,15 @@ class ReducedPowerGraph(_BuiltOnRead):
         self.k = k
         self.states = states
         self.graph = graph
-        self.annotations = annotations
+        self._moves, self._stays = _lowered(base, k, annotations)
 
-    def _make__stays(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct stay words of ``annotations``, in order of first use."""
-        return tuple(dict.fromkeys(f.word() for _, _, f in self.annotations))
-
-    def _make__moves(self) -> np.ndarray:
-        index = {word: s for s, word in enumerate(self._stays)}
-        rows = [(i, j, index[f.word()]) for i, j, f in self.annotations]
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        return _read_only(np.column_stack([rows, _edge_ids(self.base, rows[:, 0], rows[:, 1])]))
+    def _make_annotations(self) -> tuple[tuple[int, int, Monomial], ...]:
+        fs = self._stays
+        return tuple((i, j, fs[s]) for i, j, s, _ in self._moves.tolist())
 
     def _make__stay_counts(self) -> np.ndarray:
-        n, v = len(self._stays), self.base.num_vertices
-        cells = np.arange(n)[:, None] * v + np.array(self._stays, dtype=np.int64).reshape(n, self.k - 1)
-        return _read_only(np.bincount(cells.ravel(), minlength=n * v).reshape(n, v))
+        exponents = [f.exponents for f in self._stays]
+        return _read_only(np.array(exponents, dtype=np.int64).reshape(-1, self.base.num_vertices))
 
     @property
     def num_states(self) -> int:
@@ -208,7 +196,8 @@ class ReducedPowerGraph(_BuiltOnRead):
 
     def annotation(self, edge: int) -> tuple[int, int, Monomial]:
         miss = "edge index {} is out of range"
-        return self.annotations[_index(edge, self.num_edges, PowerError, "edge index", miss)]
+        i, j, s, _ = self._moves[_index(edge, self.num_edges, PowerError, "edge index", miss)].tolist()
+        return i, j, self._stays[s]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReducedPowerGraph):
@@ -395,8 +384,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _assemble(base: Graph, k: int, words: list, moves: _Moves) -> ReducedPowerGraph:
-    """Power from its state words and a dict of moves, through :func:`_from_moves`."""
+def _lowered(base: Graph, k: int, annotations) -> tuple[np.ndarray, tuple[Monomial, ...]]:
+    """The ``_moves`` and ``_stays`` of moves ``annotations[e] = (i, j, f)``, stays in order of first use.
+
+    A PowerError names the first annotation whose pair is no base edge ``(i, j)`` with ``i < j``,
+    or whose ``f`` has not ``v`` exponents summing to ``k - 1``: the chain would misread its rate.
+    """
+    v, index, rows = base.num_vertices, {}, []
+    for t, (i, j, f) in enumerate(annotations):
+        if not (base.has_edge(i, j) and i < j):
+            raise PowerError(f"annotation {t}: ({_shown(i)}, {_shown(j)}) is no base edge (i, j) with i < j")
+        if not (isinstance(f, Monomial) and len(f.exponents) == v and f.degree == k - 1):
+            raise PowerError(f"annotation {t}: stay {_shown(f)} does not have {v} exponents summing to {k - 1}")
+        rows.append((i, j, index.setdefault(f, len(index)), base.edge_position(i, j)))
+    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 4)), tuple(index)
+
+
+def _assemble(base: Graph, k: int, words: list, moves: dict) -> ReducedPowerGraph:
+    """Power from its state words and moves ``{(x, y): (i, j, stay_word)}``, through :func:`_from_moves`."""
     stays = sorted({fw for _, _, fw in moves.values()})
     stay_index = {fw: s for s, fw in enumerate(stays)}
     rows = np.array(
@@ -419,10 +424,8 @@ def _from_moves(
     labels = _state_labels(base, None, words)
     moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")]
     graph = Graph._from_pairs(labels, moves[:, :2])
-    fs = Monomial._of_words(stays, v)
     moved = _read_only(moves[:, 2:].copy())  # a copy: the rows' state ends are not kept
-    annotations = tuple((i, j, fs[s]) for i, j, s, _ in moved.tolist())
-    fields = dict(base=base, k=k, graph=graph, annotations=annotations, _moves=moved, _stays=stays)
+    fields = dict(base=base, k=k, graph=graph, _moves=moved, _stays=tuple(Monomial._of_words(stays, v)))
     return _built_on_read(ReducedPowerGraph, fields, states=lambda: tuple(Monomial._of_words(words, v)))
 
 

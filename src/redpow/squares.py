@@ -46,7 +46,6 @@ from .errors import GraphError, PowerError
 from .graph import (
     Graph,
     RootedTree,
-    _edge_ids,
     _index,
     betti,
     bfs_spanning_tree,

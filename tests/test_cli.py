@@ -1741,3 +1741,48 @@ def test_a_refuted_run_over_the_worker_threshold_builds_its_checks_on_the_worker
     assert len(checks) == verdict.kolmogorov._checked == len(verdict.kolmogorov.checks) == 1486
     assert made and not any(on_main for _, on_main in made)
     assert {name for name, _ in made} == {"CycleCheck", "ElementInfo"}
+
+
+# --- a run reads the power's move record, never its annotation tuple ---
+
+
+def test_no_run_but_power_s_cross_check_builds_the_annotation_tuple(tmp_path, capsys, monkeypatch):
+    """mcb, verify-squares and float runs inline (210 states) and on the worker (715) read the record."""
+    from redpow import ctmc, squares
+
+    built = []
+
+    def recording(base, k):
+        built.append(original(base, k))
+        return built[-1]
+
+    original = cli.build_reduced_power
+    for module in (cli, ctmc, squares):
+        monkeypatch.setattr(module, "build_reduced_power", recording)
+    runs = []
+    for n in (7, 10):  # ring_model's rates on an n-ring
+        labels = [f"r{i}" for i in range(n)]
+        edges = [[a, labels[(i + 1) % n]] for i, a in enumerate(labels)]
+        for kind in ("reversible", "irreversible"):
+            rates = {}
+            for a, b in edges:
+                for src, dst in ((a, b), (b, a)):
+                    coupling = {lab: "1/2" for lab in labels}
+                    rates[f"{src}->{dst}"] = {"base": str(1 + labels.index(dst) % 3), "coupling": coupling}
+            if kind == "irreversible":
+                rates["r0->r1"]["coupling"]["r5"] = "3"
+            model = tmp_path / f"ring{n}-{kind}.json"
+            model.write_text(json.dumps({"graph": {"vertices": labels, "edges": edges}, "k": 4, "rates": rates}))
+            runs.append((["check-reversibility", "--model", str(model)], 0 if kind == "reversible" else 2, n))
+    graph = tmp_path / "ring7.json"
+    graph.write_text(json.dumps({"vertices": labels[:7], "edges": [[f"r{i}", f"r{(i + 1) % 7}"] for i in range(7)]}))
+    for command in ("mcb", "verify-squares"):
+        runs.append(([command, "--graph", str(graph), "--k", "4"], 0, 7))
+    for args, code, n in runs:
+        built.clear()
+        assert main(args + ["--out", str(tmp_path / "out.json")]) == code, args
+        assert [rp.num_states for rp in built if rp.k > 1] == [210 if n == 7 else 715], args
+        for rp in built:
+            with pytest.raises(AttributeError):
+                ReducedPowerGraph.annotations.__get__(rp)
+    capsys.readouterr()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -299,6 +300,24 @@ def test_projection_is_linear():
         x = EdgeVector(rp, rng.getrandbits(rp.num_edges) & mask)
         y = EdgeVector(rp, rng.getrandbits(rp.num_edges) & mask)
         assert project_to_base(x ^ y) == project_to_base(x) ^ project_to_base(y)
+
+
+def test_projection_of_a_power_from_the_public_constructor_equals_that_of_a_built_one(suite):
+    from redpow import ReducedPowerGraph
+
+    rng = random.Random(45)
+    for g in suite:
+        for k in (1, 2, 3):
+            built = build_reduced_power(g, k)
+            public = ReducedPowerGraph(g, k, built.states, built.graph, built.annotations)
+            for _ in range(5):
+                bits = rng.getrandbits(built.num_edges)
+                expected = 0  # each power edge's base edge looked up by its annotation's ends
+                for e in EdgeVector(built, bits).edge_indices():
+                    i, j, _ = built.annotation(e)
+                    expected ^= 1 << g.edge_position(i, j)
+                for rp in (built, public):
+                    assert project_to_base(EdgeVector(rp, bits)) == EdgeVector(g, expected)
 
 
 def test_projection_needs_reduced_power():
@@ -681,8 +700,10 @@ def test_one_edge_search_traces_a_decomposition_basis(suite, monkeypatch):
         searched.append(g)
         return search(g, x, y)
 
-    monkeypatch.setattr(cyclespace, "_edge_ids", counted)
-    monkeypatch.setattr(squares, "_edge_ids", counted)
+    holders = [m for name, m in sys.modules.items() if name.startswith("redpow.") and hasattr(m, "_edge_ids")]
+    assert cyclespace in holders
+    for module in holders:  # a search through any module's binding is counted
+        monkeypatch.setattr(module, "_edge_ids", counted)
     for g in suite:
         for k in (2, 3):
             power = build_reduced_power(g, k)

@@ -1083,3 +1083,125 @@ def test_the_quotient_of_a_32768_tuple_product_peaks_below_the_label_by_label_pa
         tracemalloc.stop()
     assert peak <= 16.6 * 2**20
     assert oracle == build_reduced_power(g, 5) and oracle.annotations == build_reduced_power(g, 5).annotations
+
+
+# --- one record of the moves: annotations and stay counts read from it ---
+
+
+def _slots_set(rp) -> set[str]:
+    """The slots of ``rp`` that hold a value, read without building anything."""
+    from redpow import ReducedPowerGraph
+
+    held = set()
+    for name in ReducedPowerGraph.__slots__:
+        try:
+            getattr(ReducedPowerGraph, name).__get__(rp)
+        except AttributeError:
+            continue
+        held.add(name)
+    return held
+
+
+def test_a_power_holds_its_moves_once_and_reads_each_annotation_off_them(suite):
+    from redpow import ReducedPowerGraph
+
+    record = {"base", "k", "graph", "_moves", "_stays"}
+    for g in suite:
+        for k in (1, 2, 3):
+            _, _, reference, _ = _reference_build_reduced_power(g, k)
+            built = build_reduced_power(g, k)
+            powers = [
+                (lambda: built, record | {"_make_states"}),
+                (lambda: quotient_by_symmetry(cartesian_power(g, k), g, k), record | {"_make_states"}),
+                (lambda: ReducedPowerGraph(g, k, built.states, built.graph, reference), record | {"states"}),
+            ]
+            for make, held in powers:
+                rp = make()
+                assert _slots_set(rp) == held
+                read = [rp.annotation(e) for e in range(rp.num_edges)]
+                assert _slots_set(rp) == held  # annotation(e) reads one row of the record
+                assert read == list(rp.annotations) == list(reference)
+                assert "annotations" in _slots_set(rp) and rp.annotations is rp.annotations
+                assert len(rp._stays) == len(set(rp._stays))  # each stay monomial once
+
+
+def _bincounts(words: list, v: int, k: int) -> np.ndarray:
+    """Row ``s``: the tokens of stay word ``words[s]`` on each of the ``v`` vertices."""
+    n = len(words)
+    cells = np.arange(n)[:, None] * v + np.array(words, dtype=np.int64).reshape(n, k - 1)
+    return np.bincount(cells.ravel(), minlength=n * v).reshape(n, v)
+
+
+def test_stay_counts_are_the_bincounts_of_the_stay_words(suite):
+    from redpow import ReducedPowerGraph
+
+    for g in suite:
+        v = g.num_vertices
+        for k in (1, 2, 3, 4):
+            built = build_reduced_power(g, k)
+            public = ReducedPowerGraph(g, k, built.states, built.graph, built.annotations)
+            every = list(combinations_with_replacement(range(v), k - 1))
+            first_used = list(dict.fromkeys(f.word() for _, _, f in built.annotations))
+            powers = [(built, every), (quotient_by_symmetry(cartesian_power(g, k), g, k), every), (public, first_used)]
+            for rp, words in powers:
+                assert [f.word() for f in rp._stays] == words
+                counts = rp._stay_counts
+                assert counts.dtype == np.int64 and not counts.flags.writeable
+                assert np.array_equal(counts, _bincounts(words, v, k))
+
+
+def _path_abc_power():
+    from redpow import ReducedPowerGraph
+
+    g = path_graph(3, "abc")
+    built = build_reduced_power(g, 2)
+    return g, built, lambda annotations: ReducedPowerGraph(g, 2, built.states, built.graph, annotations)
+
+
+def test_the_public_constructor_refuses_a_move_along_no_base_edge_naming_the_annotation():
+    g, built, public = _path_abc_power()
+    ann = list(built.annotations)
+    f = ann[0][2]
+    cases = [
+        (0, (0, 2, f), "annotation 0: (0, 2) is no base edge (i, j) with i < j"),  # a and c
+        (3, (2, 1, f), "annotation 3: (2, 1) is no base edge (i, j) with i < j"),  # b-c the wrong way round
+        (2, (1, 1, f), "annotation 2: (1, 1) is no base edge (i, j) with i < j"),
+        (1, (0, 3, f), "annotation 1: (0, 3) is no base edge (i, j) with i < j"),  # no vertex 3
+        (1, (0.0, 1, f), "annotation 1: (0.0, 1) is no base edge (i, j) with i < j"),  # no integer
+    ]
+    for at, move, message in cases:
+        with pytest.raises(PowerError) as info:
+            public(tuple(ann[:at] + [move] + ann[at + 1 :]))
+        assert str(info.value) == message
+
+
+def test_the_public_constructor_refuses_a_stay_that_is_no_monomial_of_k_minus_1_tokens():
+    g, built, public = _path_abc_power()
+    ann = list(built.annotations)
+    cases = [
+        Monomial((1, 0, 0, 0)),  # four vertices on a three-vertex base
+        Monomial((0, 0, 0)),  # degree 0 at k = 2
+        Monomial((1, 1, 0)),  # degree 2
+        (1, 0, 0),  # no Monomial
+    ]
+    for f in cases:
+        for at in (0, len(ann) - 1):
+            with pytest.raises(PowerError) as info:
+                public(tuple(ann[:at] + [ann[at][:2] + (f,)] + ann[at + 1 :]))
+            assert str(info.value) == f"annotation {at}: stay {f!r} does not have 3 exponents summing to 1"
+
+
+def test_the_public_constructor_names_the_first_faulty_annotation_and_takes_a_consistent_one():
+    g, built, public = _path_abc_power()
+    ann = list(built.annotations)
+    wrong = list(ann)
+    wrong[1] = ann[1][:2] + (Monomial((0, 2, 0)),)
+    wrong[2] = (0, 2, ann[2][2])
+    with pytest.raises(PowerError, match=r"^annotation 1: "):
+        public(tuple(wrong))
+    wrong[1] = ann[1]
+    with pytest.raises(PowerError, match=r"^annotation 2: "):
+        public(tuple(wrong))
+    # consistency with the graph is not checked: a valid move on the wrong edge is taken
+    swapped = public((ann[1],) + tuple(ann[1:]))
+    assert swapped == built and swapped.annotations == (ann[1],) + tuple(ann[1:]) != built.annotations
