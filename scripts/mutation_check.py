@@ -289,9 +289,44 @@ MUTANTS = (
     Mutant(
         "the label index's one-pass path lets an empty label through",
         "src/redpow/graph.py",
-        ' and "" not in label_index:\n',
-        ":\n",
+        ' and "" not in label_index):\n',
+        "):\n",
         ("tests/test_graph.py::test_the_label_index_names_the_first_fault_as_the_label_by_label_loop_did",),
+    ),
+    Mutant(
+        "a square corner keeps its stay token on c where it moved to d",
+        "src/redpow/squares.py",
+        "rows[:, [2, 2, 3, 3]]",
+        "rows[:, [2, 2, 3, 2]]",
+        ("tests/test_squares.py::test_structured_cycles_name_the_states_the_token_rows_rank",),
+    ),
+    Mutant(
+        "a square walk is reversed when it is already canonical",
+        "src/redpow/squares.py",
+        "    flip = walks[:, 3] < walks[:, 1]\n",
+        "    flip = walks[:, 3] > walks[:, 1]\n",
+        ("tests/test_squares.py::test_structured_cycles_name_the_states_the_token_rows_rank",),
+    ),
+    Mutant(
+        "the embedded base cycles park their tokens on vertex 0, not the root",
+        "src/redpow/squares.py",
+        "np.full(k - 1, tree.root)",
+        "np.full(k - 1, 0)",
+        ("tests/test_squares.py::test_structured_cycles_name_the_states_the_token_rows_rank",),
+    ),
+    Mutant(
+        "the public constructor takes fewer or more annotations than edges",
+        "src/redpow/power.py",
+        "        if len(self._moves) != graph.num_edges:",
+        "        if False:",
+        ("tests/test_power.py::test_the_public_constructor_refuses_an_annotation_count_other_than_the_edge_count",),
+    ),
+    Mutant(
+        "the public constructor's lowering unpacks an annotation unchecked",
+        "src/redpow/power.py",
+        "        try:\n            i, j, f = entry\n        except (TypeError, ValueError):\n",
+        "        i, j, f = entry\n        if False:\n",
+        ("tests/test_power.py::test_the_public_constructor_refuses_an_annotation_that_is_no_triple_naming_it",),
     ),
 )
 

@@ -192,10 +192,9 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     try:
         vertices = map(operator.index, chain.from_iterable(walks))
         src = np.fromiter(vertices, np.int64, int(lengths.sum()))
-    except (TypeError, OverflowError):  # some walk has a vertex that is no int64, so this raises
+    except (TypeError, OverflowError):  # some walk has a vertex that is no int64: the first such walk raises
         for seq in walks:
             cycle_edge_vector(g, seq)
-        raise
     return _trace_flat(g, src, lengths)
 
 

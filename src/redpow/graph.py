@@ -306,19 +306,18 @@ def _index_labels(labels: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int
     ``str``; the loops below run only when that finds a fault, to name the first.
     """
     labels = tuple(labels)
-    if all(issubclass(t, str) for t in set(map(type, labels))):
-        label_index = dict(zip(labels, count()))
-        if labels and len(label_index) == len(labels) and "" not in label_index:
-            return labels, label_index
-    if not labels:
-        raise GraphError("graph needs at least one vertex")
-    for lab in labels:
-        if not isinstance(lab, str) or not lab:
-            raise GraphError(f"vertex labels must be non-empty strings, got {_shown(lab)}")
-    label_index: dict[str, int] = {}
-    for i, lab in enumerate(labels):
-        if label_index.setdefault(lab, i) != i:
-            raise GraphError(f"duplicate vertex label {_shown(lab)}")
+    strings = all(issubclass(t, str) for t in set(map(type, labels)))
+    label_index = dict(zip(labels, count())) if strings else {}
+    if not (labels and len(label_index) == len(labels) and "" not in label_index):
+        if not labels:
+            raise GraphError("graph needs at least one vertex")
+        for lab in labels:
+            if not isinstance(lab, str) or not lab:
+                raise GraphError(f"vertex labels must be non-empty strings, got {_shown(lab)}")
+        first: dict[str, int] = {}
+        for i, lab in enumerate(labels):
+            if first.setdefault(lab, i) != i:
+                raise GraphError(f"duplicate vertex label {_shown(lab)}")
     return labels, label_index
 
 

@@ -159,6 +159,8 @@ class ReducedPowerGraph(_BuiltOnRead):
         self.states = states
         self.graph = graph
         self._moves, self._stays = _lowered(base, k, annotations)
+        if len(self._moves) != graph.num_edges:  # the chain would read a rate for fewer or more edges
+            raise PowerError(f"{len(self._moves)} annotations for a power of {graph.num_edges} edges")
 
     def _make_annotations(self) -> tuple[tuple[int, int, Monomial], ...]:
         fs = self._stays
@@ -387,11 +389,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _lowered(base: Graph, k: int, annotations) -> tuple[np.ndarray, tuple[Monomial, ...]]:
     """The ``_moves`` and ``_stays`` of moves ``annotations[e] = (i, j, f)``, stays in order of first use.
 
-    A PowerError names the first annotation whose pair is no base edge ``(i, j)`` with ``i < j``,
-    or whose ``f`` has not ``v`` exponents summing to ``k - 1``: the chain would misread its rate.
+    A PowerError names the first annotation that is no triple, whose pair is no base edge ``(i, j)``
+    with ``i < j``, or whose ``f`` has not ``v`` exponents summing to ``k - 1``: the chain would
+    misread its rate.
     """
     v, index, rows = base.num_vertices, {}, []
-    for t, (i, j, f) in enumerate(annotations):
+    for t, entry in enumerate(annotations):
+        try:
+            i, j, f = entry
+        except (TypeError, ValueError):
+            raise PowerError(f"annotation {t}: {_shown(entry)} is no triple (i, j, f)") from None
         if not (base.has_edge(i, j) and i < j):
             raise PowerError(f"annotation {t}: ({_shown(i)}, {_shown(j)}) is no base edge (i, j) with i < j")
         if not (isinstance(f, Monomial) and len(f.exponents) == v and f.degree == k - 1):

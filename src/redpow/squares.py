@@ -22,15 +22,15 @@ embedded triangle of length three would be shorter than any square
 that could replace it.
 
 The squares are built as index arrays. States are numbered by the rank
-of their sorted token words (see :mod:`redpow.power`), so every state
-the basis visits, a square corner or a parked copy of a base cycle
-vertex, is ranked from its token row. With both edges sorted a
-square's least corner comes first, so its canonical walk needs only a
-direction check. The walks leave here untraced, as one int64 vertex
-array: the one walk tracer of :mod:`redpow.cyclespace` finds their power
-edges, for the basis and for the square-space check alike, and both
-prove independence by peeling the traced walks. The basis builds its
-per-element objects only when they are read.
+of their sorted token words (see :mod:`redpow.power`), and each state
+the basis visits, a square corner or a parked base cycle vertex, is read
+off :func:`~redpow.power._insert_ranks` tables, not ranked from a token
+row. With both edges sorted a square's least corner comes first, so its
+canonical walk needs only a direction check. The walks leave untraced,
+as one int64 vertex array: the one walk tracer of :mod:`redpow.cyclespace`
+finds their power edges, for the basis and for the square-space check
+alike, and both prove independence by peeling the traced walks. The
+basis builds its per-element objects only when they are read.
 """
 
 from __future__ import annotations
@@ -52,13 +52,12 @@ from .graph import (
     check_spanning_tree,
     has_triangles,
 )
-from .power import Monomial, ReducedPowerGraph, _count, _word_ranks, build_reduced_power
+from .power import Monomial, ReducedPowerGraph, _count, _insert_ranks, _word_ranks, build_reduced_power
 from .cyclespace import (
     CycleBasis,
     EdgeVector,
     ElementInfo,
     _base_mcb,
-    _canonical_cycle,
     _trace_flat,
     _walk_rank,
     cycle_edge_vector,
@@ -237,24 +236,25 @@ def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, 
     greedy minimum cycle basis of the base, the k-1 stationary tokens
     parked on the tree's root, then the squares in enumeration order,
     four steps each, laid end to end in one int64 vertex array, with their
-    lengths; :func:`~redpow.cyclespace._trace_flat` traces them.
+    lengths; :func:`~redpow.cyclespace._trace_flat` traces them. States are
+    read off :func:`~redpow.power._insert_ranks` tables: corner ``w + p + q``
+    is ``into[onto[w, p], q]``, parked vertex ``c`` is ``into[root^(k-1), c]``.
     """
-    base, k = rp.base, rp.k
+    base, k, v = rp.base, rp.k, rp.base.num_vertices
     n_tree, rows, stays = _square_words(base, tree, k)
-    v = base.num_vertices
-    # base vertex c -> state c * root^(k-1)
-    parked = _word_ranks(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]), v)
-    embedded = [_canonical_cycle(parked[list(seq)].tolist()) for seq in _base_mcb(base).cycles]
+    into = _insert_ranks(v, k)[1]  # (k-1)-word s plus a token on x: state into[s, x]
+    # base vertex c -> state c * root^(k-1), increasing in c, so the canonical base walks stay canonical
+    parked = into[_word_ranks(np.full(k - 1, tree.root), v)]
+    embedded = [parked[list(seq)] for seq in _base_mcb(base).cycles]
     # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
     rows[:, :2].sort(axis=1)
     rows[:, 2:4].sort(axis=1)
-    a, b, c, d, w = rows.T
-    moving = np.column_stack([c, a, c, b, d, b, d, a]).reshape(-1, 4, 2)
-    staying = np.broadcast_to(stays[w][:, None], (len(rows), 4, stays.shape[1]))
-    walks = _word_ranks(np.concatenate([moving, staying], axis=2), v)
+    # (k-2)-word w plus x: (k-1)-word onto[w, x], w in the order of stays; k = 1 has neither
+    onto = _insert_ranks(v, k - 1)[1] if len(rows) else np.empty((0, 0), np.int64)
+    walks = into[onto[rows[:, 4:], rows[:, [2, 2, 3, 3]]], rows[:, [0, 1, 1, 0]]]
     flip = walks[:, 3] < walks[:, 1]
     walks[flip] = walks[flip][:, [0, 3, 2, 1]]
-    vertices = np.concatenate([np.array([x for seq in embedded for x in seq], np.int64), walks.ravel()])
+    vertices = np.concatenate([*embedded, walks.ravel()])
     lengths = np.concatenate([np.array(list(map(len, embedded)), np.int64), np.full(len(rows), 4)])
     return (n_tree, rows, stays), vertices, lengths
 

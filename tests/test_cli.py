@@ -97,6 +97,23 @@ def test_power_crosscheck_compares_annotations(graph_file, capsys, monkeypatch):
     assert "cross-check disagrees" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k,code", [("2", 0), ("0", 1)])
+def test_the_module_run_exits_with_the_code_of_main(graph_file, capsys, monkeypatch, k, code):
+    import runpy
+
+    # run a fresh copy as __main__; with the imported module left in place runpy warns
+    monkeypatch.delitem(sys.modules, "redpow.cli")
+    monkeypatch.setattr(sys, "argv", ["redpow", "power", "--graph", str(graph_file), "--k", k])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("redpow.cli", run_name="__main__")
+    assert info.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "cross-check: quotient of the Cartesian power agrees" in out
+    else:
+        assert err == "error: --k must be a positive integer\n"
+
+
 def test_power_rejects_disconnected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}))

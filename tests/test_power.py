@@ -1191,6 +1191,26 @@ def test_the_public_constructor_refuses_a_stay_that_is_no_monomial_of_k_minus_1_
             assert str(info.value) == f"annotation {at}: stay {f!r} does not have 3 exponents summing to 1"
 
 
+def test_the_public_constructor_refuses_an_annotation_that_is_no_triple_naming_it():
+    g, built, public = _path_abc_power()
+    ann = list(built.annotations)
+    cases = [(0, (0, 1)), (2, (0, 1, ann[2][2], 0)), (5, 7), (3, None)]
+    for at, entry in cases:
+        with pytest.raises(PowerError) as info:
+            public(tuple(ann[:at] + [entry] + ann[at + 1 :]))
+        assert str(info.value) == f"annotation {at}: {entry!r} is no triple (i, j, f)"
+
+
+def test_the_public_constructor_refuses_an_annotation_count_other_than_the_edge_count():
+    g, built, public = _path_abc_power()
+    ann = tuple(built.annotations)
+    assert built.num_edges == 6
+    for wrong in (ann[:-1], ann + ann[:1], ()):
+        with pytest.raises(PowerError) as info:
+            public(wrong)
+        assert str(info.value) == f"{len(wrong)} annotations for a power of 6 edges"
+
+
 def test_the_public_constructor_names_the_first_faulty_annotation_and_takes_a_consistent_one():
     g, built, public = _path_abc_power()
     ann = list(built.annotations)

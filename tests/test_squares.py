@@ -34,6 +34,7 @@ from redpow import (
 )
 
 from redpow.graph import check_spanning_tree
+from redpow.squares import _decomposition_on, _square_words, _structured_cycles
 
 from conftest import (
     COUNT_KINDS,
@@ -100,6 +101,26 @@ def test_square_refuses_an_unhashable_edge_end_by_name(edge1, edge2, message):
     with pytest.raises(PowerError) as info:
         CartesianSquare(edge1, edge2, Monomial((0,) * 5))
     assert str(info.value) == message
+
+
+class _UnhashableIndex:
+    """An edge end with ``__index__`` and no hash."""
+
+    __hash__ = None
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def __index__(self) -> int:
+        return self.i
+
+
+def test_a_square_compares_unhashable_edge_ends_by_the_integer_rule():
+    two = _UnhashableIndex(2)
+    assert CartesianSquare((0, 1), (two, 3), Monomial((0,) * 5)).edge2 == (two, 3)
+    with pytest.raises(PowerError) as info:
+        CartesianSquare((_UnhashableIndex(1), 0), (0, 1), Monomial((0,) * 5))
+    assert str(info.value) == "a Cartesian square needs two distinct edges"
 
 
 def test_square_describe():
@@ -620,3 +641,59 @@ def test_a_structured_basis_reads_its_tags_without_its_info():
             assert set(tags) <= {"embedded", "tree-square", "chord-square"}
             greedy = greedy_mcb(build_reduced_power(g, k))
             assert greedy._tags == tuple(record.tag for record in greedy.info)
+
+
+def _token_row_cycles(rp, tree):
+    """:func:`~redpow.squares._structured_cycles` with every state ranked from its token row.
+
+    Each square corner is the row of its two moving tokens and its stay
+    word, each parked state the row of its vertex and k-1 root tokens;
+    the embedded walks are put in canonical form one by one.
+    """
+    from redpow.cyclespace import _canonical_cycle
+    from redpow.power import _word_ranks
+
+    base, k, v = rp.base, rp.k, rp.base.num_vertices
+    n_tree, rows, stays = _square_words(base, tree, k)
+    parked = _word_ranks(np.column_stack([np.arange(v), np.full((v, k - 1), tree.root)]), v)
+    embedded = [_canonical_cycle(parked[list(seq)].tolist()) for seq in greedy_mcb(base).cycles]
+    rows[:, :2].sort(axis=1)
+    rows[:, 2:4].sort(axis=1)
+    a, b, c, d, w = rows.T
+    moving = np.column_stack([c, a, c, b, d, b, d, a]).reshape(-1, 4, 2)
+    staying = np.broadcast_to(stays[w][:, None], (len(rows), 4, stays.shape[1]))
+    walks = _word_ranks(np.concatenate([moving, staying], axis=2), v)
+    flip = walks[:, 3] < walks[:, 1]
+    walks[flip] = walks[flip][:, [0, 3, 2, 1]]
+    vertices = np.array([x for seq in embedded for x in seq] + walks.ravel().tolist(), np.int64)
+    lengths = np.array([len(seq) for seq in embedded] + [4] * len(rows), np.int64)
+    return (n_tree, rows, stays), vertices, lengths
+
+
+def test_structured_cycles_name_the_states_the_token_rows_rank(suite):
+    randoms = [random_connected_graph(v, extra, seed=v + extra) for v, extra in ((5, 3), (6, 1), (7, 4))]
+    for g in list(suite) + randoms:
+        for k in range(1, 6):
+            rp = build_reduced_power(g, k)
+            for root in (0, g.num_vertices - 1):
+                tree = bfs_spanning_tree(g, root)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no squares at k = 1
+                    got, want = _structured_cycles(rp, tree), _token_row_cycles(rp, tree)
+                assert got[0][0] == want[0][0], (g, k, root)
+                for x, y in zip((*got[0][1:], *got[1:]), (*want[0][1:], *want[1:])):
+                    assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), (g, k, root)
+
+
+def test_a_decomposition_basis_does_not_depend_on_the_powers_stay_order(suite):
+    """The public constructor lists its stays in order of first use, the builder in rank order."""
+    from redpow import ReducedPowerGraph
+
+    for g in suite:
+        for k in (2, 3, 4):
+            built = build_reduced_power(g, k)
+            public = ReducedPowerGraph(g, k, built.states, built.graph, built.annotations)
+            tree = bfs_spanning_tree(g, g.num_vertices - 1)
+            ours, theirs = _decomposition_on(public, tree), _decomposition_on(built, tree)
+            assert (ours.cycles, ours.info, ours._tags) == (theirs.cycles, theirs.info, theirs._tags), (g, k)
+            assert all(map(np.array_equal, ours._trace, theirs._trace))
