@@ -102,9 +102,21 @@ MUTANTS = (
     Mutant(
         "greedy_mcb drops its last length class",
         "src/redpow/cyclespace.py",
-        "for size in sorted(classes):",
-        "for size in sorted(classes)[:-1]:",
+        "    for _, parts in groupby(heapq.merge(*blocks, key=operator.itemgetter(0)), operator.itemgetter(0)):\n",
+        "    merged = list(heapq.merge(*blocks, key=operator.itemgetter(0)))\n"
+        "    merged = [part for part in merged if part[0] < merged[-1][0]]\n"
+        "    for _, parts in groupby(merged, operator.itemgetter(0)):\n",
         ("tests/test_cyclespace.py::test_greedy_mcb_simple_hosts",),
+    ),
+    Mutant(
+        "an array walk steps from its smallest vertex to the larger neighbour",
+        "src/redpow/cyclespace.py",
+        "walk[:, 1] = across[::size].min(axis=1)",
+        "walk[:, 1] = across[::size].max(axis=1)",
+        (
+            "tests/test_cyclespace.py::test_row_walks_equal_the_walk_cycle_decomposition_reads_off_each_row",
+            "tests/test_cyclespace.py::test_greedy_mcb_equals_the_all_pairs_reference",
+        ),
     ),
     Mutant(
         "the integer rule truncates with int() instead of operator.index()",

@@ -9,14 +9,20 @@ host is e - v + 1.
 A host is either a plain Graph or a ReducedPowerGraph; the latter
 records the base edge of each of its edges, which the projection onto
 the base cycle space reads.
+
+The greedy minimum cycle basis merges Horton's shortest-path candidates
+from blocks of sources length class by length class, walks a class only
+when its greedy reaches it, and reads the walks of the rows it keeps off
+them as arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -490,6 +496,16 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
 # (512 KiB as int64), unless one source's table row alone is longer.
 _BLOCK_ENTRIES = 1 << 16
 
+# greedy_mcb keeps all its blocks open, and walks each length class only
+# when its greedy reaches it, while one table of every block together,
+# n * max(n, e) entries for n vertices and e edges, holds at most this
+# many; past it each block is drained as it is made. Open blocks hold all
+# their trees at once: in a fresh process greedy_mcb peaked 9.7 MiB above
+# its start on C8 at k = 4 (316800 entries) open, 7.4 drained; 18.0
+# against 5.1 MiB on a 724-ring (524176); and a 1000-ring would take 32.8
+# open against 5.3 drained.
+_OPEN_ENTRIES = 1 << 19
+
 
 def _source_trees(g: Graph, sources: range) -> tuple[np.ndarray, ...]:
     """The BFS tree of every source, one row each: parent, parent edge, depth and first hop.
@@ -528,6 +544,10 @@ def _candidate_rows(g: Graph, sources: range) -> Iterator[tuple[int, np.ndarray]
     every other edge at least 3. Each row walks both ends up their
     paths; a walk that reaches ``x`` early stays there and reads parent
     edge -1, which sorts ahead of the row's edges.
+
+    Lengths come in ascending order, and each opens with an empty part
+    yielded before any of its rows is walked: a reader that merges blocks
+    by length learns that a length has ended without walking the next.
     """
     parent, up_edge, depth, hop = _source_trees(g, sources)
     u, w = g.pairs.T
@@ -535,6 +555,7 @@ def _candidate_rows(g: Graph, sources: range) -> Iterator[tuple[int, np.ndarray]
     src, edge = np.nonzero((hop[:, u] != hop[:, w]) & (length > 2))
     length = length[src, edge]
     for size in np.flatnonzero(np.bincount(length)).tolist():
+        yield size, np.empty((0, size), np.int64)
         at = np.flatnonzero(length == size)
         chunk = max(1, _BLOCK_ENTRIES // (2 * size - 3))
         for lo in range(0, len(at), chunk):
@@ -558,6 +579,33 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]].view(">i8").reshape(-1, rows.shape[1])
 
 
+def _row_walks(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """The canonical walk of each row of edge ids that is a simple cycle, one row each.
+
+    A walk starts at its cycle's smallest vertex, steps to the smaller of
+    that vertex's two neighbours, and leaves every later vertex by the edge
+    it did not arrive by: the walk :func:`cycle_decomposition` reads off
+    the cycle's edge vector. Each vertex ends two of a row's edges, so with
+    the ends of a row sorted, vertex ``j`` and its two neighbours sit at
+    places ``2j`` and ``2j + 1``; one search over all rows finds each step's
+    vertex.
+    """
+    m, size = rows.shape
+    ends = g.pairs[rows]
+    order = np.argsort(ends.reshape(m, 2 * size), axis=1)
+    vertex = np.take_along_axis(ends.reshape(m, 2 * size), order, axis=1)[:, ::2]
+    across = np.take_along_axis(ends[..., ::-1].reshape(m, 2 * size), order, axis=1).reshape(-1, 2)
+    offset = np.arange(m) * g.num_vertices  # row r's vertex x at key offset[r] + x, ascending over all rows
+    key = (offset[:, None] + vertex).ravel()
+    walk = np.empty((m, size), np.int64)
+    walk[:, 0] = vertex[:, 0]
+    walk[:, 1] = across[::size].min(axis=1)
+    for t in range(2, size):
+        pair = across[np.searchsorted(key, offset + walk[:, t - 1])]
+        walk[:, t] = np.where(pair[:, 0] == walk[:, t - 2], pair[:, 1], pair[:, 0])
+    return walk
+
+
 def greedy_mcb(host) -> CycleBasis:
     """Minimum cycle basis by matroid greedy over shortest-path cycles.
 
@@ -567,12 +615,16 @@ def greedy_mcb(host) -> CycleBasis:
     edge-index tie-break and inserted greedily while independent.
 
     One BFS tree per source gives every candidate as a sorted row of edge
-    ids, grouped by length (:func:`_candidate_rows`). Sources go in
-    blocks, so no working array outgrows ``_BLOCK_ENTRIES``. The distinct
-    rows of a length class, over all its blocks' parts and in row order,
-    are its candidates in edge-index order; only the classes and rows up
-    to the one that completes the basis are sorted and become bitsets.
-    Walks are read off the kept elements by :func:`cycle_decomposition`.
+    ids, length by length (:func:`_candidate_rows`). Sources go in blocks,
+    so no working array outgrows ``_BLOCK_ENTRIES``. The blocks' parts are
+    merged by length; the distinct rows of a length class, in row order,
+    are its candidates in edge-index order. While the tables of all blocks
+    fit in ``_OPEN_ENTRIES`` every block stays open, and a class is walked
+    only when the greedy reaches it, so no class after the one that
+    completes the basis is walked; past that each block is drained as it
+    is made. The walks of the kept rows are read off them by
+    :func:`_row_walks`; the basis builds its elements, cycles and info on
+    first read.
     """
     g = host_graph(host)
     dim = betti(g)
@@ -581,18 +633,25 @@ def greedy_mcb(host) -> CycleBasis:
 
     n = g.num_vertices
     per_block = max(1, _BLOCK_ENTRIES // max(n, g.num_edges))
-    classes: dict[int, list[np.ndarray]] = {}
-    for lo in range(0, n, per_block):
-        for size, rows in _candidate_rows(g, range(lo, min(lo + per_block, n))):
-            classes.setdefault(size, []).append(rows)
-
-    def ordered():
-        for size in sorted(classes):
-            yield from _row_bitsets(_distinct_rows(np.concatenate(classes[size])))
-
+    blocks = (_candidate_rows(g, range(lo, min(lo + per_block, n))) for lo in range(0, n, per_block))
+    if n * max(n, g.num_edges) > _OPEN_ENTRIES:
+        blocks = [list(parts) for parts in blocks]  # a drained block's trees are freed before the next is made
     span = Gf2Span()
-    kept = islice(filter(span.add, ordered()), dim)  # each independent of those before
-    return _basis_of_bitsets(host, "greedy-mcb", True, kept, "greedy")
+    walks = []
+    for _, parts in groupby(heapq.merge(*blocks, key=operator.itemgetter(0)), operator.itemgetter(0)):
+        rows = _distinct_rows(np.concatenate([part for _, part in parts]))
+        # each kept row independent of those before; no bitset is made past the last row needed
+        kept = list(islice(compress(count(), map(span.add, _row_bitsets(rows))), dim - span.rank))
+        walks.append(_row_walks(g, rows[kept]))
+        if span.rank == dim:
+            break
+    vertices = np.concatenate([w.ravel() for w in walks])
+    lengths = np.concatenate([np.full(len(w), w.shape[1]) for w in walks])
+
+    def info() -> tuple[ElementInfo, ...]:
+        return (ElementInfo(tag="greedy"),) * dim
+
+    return CycleBasis._of_walks(host, "greedy-mcb", True, vertices, lengths, info, lambda: ("greedy",) * dim)
 
 
 @functools.lru_cache(maxsize=1)

@@ -38,7 +38,7 @@ its Python edge tuples, adjacency or edge index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product, repeat
 from math import comb, factorial
 
@@ -335,13 +335,27 @@ def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 
     ``ranks[m, i]`` is the rank among k-words of ``stays[m]`` plus the
     letter ``i``: with the words as states of the k-th power, the state
-    with the tokens of ``stays[m]`` and one more on vertex ``i``.
+    with the tokens of ``stays[m]`` and one more on vertex ``i``. Both come
+    from :func:`_insert_table`, which makes them once per ``(v, k)``: the
+    words as a fresh list, the rank array as its cached read-only one.
     """
-    stays = list(combinations_with_replacement(range(v), k - 1))
+    stays, ranks = _insert_table(v, k)
+    return list(stays), ranks
+
+
+# A power's build reads the table of (v, k), its decomposition basis those of
+# (v, k) and (v, k - 1). A table holds C(v+k-2, k-1) * v entries, at most
+# min(k, v) per state of the power.
+@lru_cache(maxsize=4)
+def _insert_table(v: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`_insert_ranks`' words, as a tuple, and its rank array, read-only."""
+    stays = tuple(combinations_with_replacement(range(v), k - 1))
     joined = np.empty((len(stays), v, k), dtype=np.int64)
     joined[:, :, :-1] = np.array(stays, dtype=np.int64).reshape(len(stays), 1, k - 1)
     joined[:, :, -1] = np.arange(v)
-    return stays, _word_ranks(joined, v)
+    ranks = _word_ranks(joined, v)
+    ranks.flags.writeable = False
+    return stays, ranks
 
 
 def _state_labels(

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -605,6 +606,74 @@ def test_greedy_mcb_equals_the_reference_in_blocks_of_one_source(suite, monkeypa
         blocks.clear()
         _assert_greedy_matches_reference(host)
         assert blocks == [1] * host_graph(host).num_vertices
+
+
+def test_greedy_mcb_walks_no_length_class_past_the_one_that_completes_its_basis(monkeypatch):
+    # every walked part of a class, and the class itself, gets its distinct rows
+    widths = []
+    distinct_rows = cyclespace._distinct_rows
+
+    def spied(rows):
+        widths.append(rows.shape[1])
+        return distinct_rows(rows)
+
+    monkeypatch.setattr(cyclespace, "_distinct_rows", spied)
+    # the basis completes in the class of 8 of 4..26 on C8 at k = 4, partway through that of 3 on K4 at k = 3
+    cases = ((build_reduced_power(cycle_graph(8), 4), 8), (build_reduced_power(complete_graph(4), 3), 3))
+    for host, completing in cases:
+        g = host_graph(host)
+        assert g.num_vertices * max(g.num_vertices, g.num_edges) <= cyclespace._OPEN_ENTRIES
+        last = max(size for size, _ in cyclespace._candidate_rows(g, range(g.num_vertices)))
+        widths.clear()
+        basis = greedy_mcb(host)
+        assert basis.elements[-1].size == completing == max(widths) < last, host
+
+
+def test_greedy_mcb_with_every_block_drained_equals_the_reference(suite, monkeypatch):
+    monkeypatch.setattr(cyclespace, "_OPEN_ENTRIES", 0)
+    hosts = [build_reduced_power(g, k) for g in suite for k in (1, 2, 3)]
+    hosts += [build_reduced_power(cycle_graph(8), 4), build_reduced_power(complete_graph(4), 3)]
+    for host in hosts:
+        _assert_greedy_matches_reference(host)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 6), st.integers(1, 3), st.integers(0, 10**6))
+def test_greedy_mcb_with_every_block_drained_equals_the_reference_on_random_powers(v, extra, k, seed):
+    with mock.patch.object(cyclespace, "_OPEN_ENTRIES", 0):
+        _assert_greedy_matches_reference(build_reduced_power(random_connected_graph(v, extra, seed), k))
+
+
+def test_a_drained_block_frees_its_tables_before_the_next_block_is_made(monkeypatch):
+    monkeypatch.setattr(cyclespace, "_OPEN_ENTRIES", 0)
+    monkeypatch.setattr(cyclespace, "_BLOCK_ENTRIES", 4096)
+    alive = []
+    source_trees = cyclespace._source_trees
+
+    def spied(g, sources):
+        assert all(ref() is None for ref in alive), "an earlier block's tables are still alive"
+        tables = source_trees(g, sources)
+        alive.extend(map(weakref.ref, tables))
+        return tables
+
+    monkeypatch.setattr(cyclespace, "_source_trees", spied)
+    for host in (build_reduced_power(cycle_graph(8), 4), build_reduced_power(cycle_graph(100), 1)):
+        alive.clear()
+        greedy_mcb(host)
+        assert len(alive) > 4  # more than one block
+
+
+def test_row_walks_equal_the_walk_cycle_decomposition_reads_off_each_row(suite):
+    hosts = [build_reduced_power(g, k) for g in suite for k in (1, 2, 3)]
+    hosts += [build_reduced_power(cycle_graph(8), 3), _grid(4)]
+    for host in hosts:
+        g = host_graph(host)
+        for _, rows in cyclespace._candidate_rows(g, range(g.num_vertices)):
+            walks = cyclespace._row_walks(g, rows)
+            assert walks.shape == rows.shape
+            for row, walk in zip(rows.tolist(), walks.tolist()):
+                bits = sum(1 << e for e in row)
+                assert [tuple(walk)] == cycle_decomposition(EdgeVector(host, bits)), (host, row)
 
 
 def _grid(m: int) -> Graph:

@@ -685,6 +685,28 @@ def test_structured_cycles_name_the_states_the_token_rows_rank(suite):
                     assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), (g, k, root)
 
 
+def test_a_decomposition_build_makes_each_insert_rank_table_once(monkeypatch):
+    from redpow import power
+
+    made = []
+    word_ranks = power._word_ranks
+
+    def spied(words, v):
+        made.append((v, words.shape[-1]))
+        return word_ranks(words, v)
+
+    monkeypatch.setattr(power, "_word_ranks", spied)
+    for g, k in ((random_connected_graph(14, 10, seed=3), 4), (cycle_graph(7), 3), (complete_graph(4), 2)):
+        power._insert_table.cache_clear()
+        made.clear()
+        basis = decomposition_basis(g, k)
+        assert len(basis.cycles) == betti(basis.host.graph)
+        v = g.num_vertices
+        assert sorted(made) == [(v, k - 1), (v, k)], (g, k)  # the power's table, read again by the squares
+        _, ranks = power._insert_ranks(v, k)
+        assert len(made) == 2 and not ranks.flags.writeable
+
+
 def test_a_decomposition_basis_does_not_depend_on_the_powers_stay_order(suite):
     """The public constructor lists its stays in order of first use, the builder in rank order."""
     from redpow import ReducedPowerGraph
