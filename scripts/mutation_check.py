@@ -255,6 +255,13 @@ MUTANTS = (
         ("tests/test_ctmc.py::test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path",),
     ),
     Mutant(
+        "the float rates divide rounded floats, rounding twice past 2^53",
+        "src/redpow/ctmc.py",
+        "np.fromiter(map(int.__truediv__, nums, repeat(den)), np.float64, len(nums))",
+        "np.array(nums, dtype=np.float64) / den",
+        ("tests/test_ctmc.py::test_float_rates_are_the_fraction_floats_bit_for_bit_on_a_potential_model",),
+    ),
+    Mutant(
         "the quotient's label parse skips its comma count",
         "src/redpow/power.py",
         "    if commas.count(k - 1) != n:\n",

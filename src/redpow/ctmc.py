@@ -29,7 +29,9 @@ exact balance test all run on them, with pi as integer numerators over
 one common denominator, and one ``Fraction`` per state is built at the
 end (per violating edge, two flows). The cycle check multiplies those
 numerators along each basis cycle and compares the two products exactly;
-it builds its ``Fraction``s only when its checks are read.
+it builds its ``Fraction``s only when its checks are read. Each float rate
+is its numerator over the denominator in one correctly rounded int
+division, so a float run builds no rate ``Fraction`` either.
 :func:`eval_rate` keeps the per-token rate in its defining form.
 """
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -300,7 +302,8 @@ class MasterChain(_BuiltOnRead):
     (:func:`_numerators`), and keeps them as ``_ints``, one tuple per
     direction, for the exact checks and solves: every equation they test
     is homogeneous in the rates, so the common denominator cancels. The
-    rates, and their floats ``_floats``, are built on first read.
+    floats ``_floats`` and the rates are built from them on first read;
+    the rates serve the public reads and the exact violation flows.
     """
 
     __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
@@ -328,21 +331,25 @@ class MasterChain(_BuiltOnRead):
         return self._fractions(self._ints[1])
 
     def _fractions(self, nums: tuple[int, ...]) -> tuple[Fraction, ...]:
-        """The rates of numerators ``nums``, one ``Fraction`` per distinct numerator."""
+        """Rates of ``nums``, one ``Fraction`` per distinct numerator, for public reads and exact flows."""
         made = {num: Fraction(num, self.spec._den) for num in set(nums)}
         return tuple(map(made.__getitem__, nums))
 
     def _make__floats(self) -> np.ndarray:
-        """Every rate as a float, in :meth:`transitions` order; SolverError on one outside the float range."""
-        rates = [None] * (2 * len(self.forward))
-        rates[0::2], rates[1::2] = self.forward, self.backward
-        try:  # Fraction.__float__ called directly skips float()'s slot dispatch
-            floats = np.fromiter(map(Fraction.__float__, rates), np.float64, len(rates))
+        """Every rate as a float, in :meth:`transitions` order; SolverError on one outside the float range.
+
+        Each is ``num / spec._den`` in int division, correctly rounded at every size as ``float(Fraction)`` is.
+        """
+        den, nums = self.spec._den, [None] * (2 * len(self._ints[0]))
+        nums[0::2], nums[1::2] = self._ints
+        try:
+            floats = np.fromiter(map(int.__truediv__, nums, repeat(den)), np.float64, len(nums))
         except OverflowError:
             floats = None
-        if floats is None or not ((floats > 0) & (floats < math.inf)).all():
-            t, rate = next((t, q) for t, q in enumerate(rates) if not 0 < _float_or_inf(q) < math.inf)
-            magnitude = math.log10(rate.numerator) - math.log10(rate.denominator)
+        if floats is None or not floats.all():
+            # the first quotient of at most 2^-1075 (it rounds to 0) or at least 2^1024 - 2^970 (it overflows)
+            t = next(t for t, num in enumerate(nums) if num << 1075 <= den or num >= den * (2**1024 - 2**970))
+            magnitude = math.log10(nums[t]) - math.log10(den)
             hop, state = _named(self.rp, t)
             raise SolverError(
                 f"rate {hop} in state {state!r} is about 1e{round(magnitude):+d}, "
@@ -395,14 +402,6 @@ def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
     src, stay = moves[:, :2].ravel(), moves[:, 2].repeat(2)
     hop = (2 * moves[:, 3, None] + [0, 1]).ravel()
     return (counts[stay, src] + 1) * (base[hop] + (counts @ coupling.T)[stay, spec._row[hop]])
-
-
-def _float_or_inf(q: Fraction) -> float:
-    """``float(q)``, or infinity past the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf
 
 
 def _named(rp: ReducedPowerGraph, t: int) -> tuple[str, str]:

@@ -1395,12 +1395,14 @@ def test_a_run_above_the_threshold_builds_one_power_and_converts_the_rates_once(
     assert criterion_threads == [False]
 
     g, k, spec = load_model(model)
-    calls = []
-    to_float = Fraction.__float__
+    calls, made = [], []
+    to_float, make = Fraction.__float__, MasterChain._make__floats
     monkeypatch.setattr(Fraction, "__float__", lambda q: calls.append(q) or to_float(q))
+    monkeypatch.setattr(MasterChain, "_make__floats", lambda mc: made.append(1) or make(mc))
     verdict = cli.check_reversibility(g, k, spec)
     assert not verdict.balance.balanced
-    assert len(calls) == 2 * verdict.basis.host.num_edges
+    assert calls == []
+    assert made == [1]
 
 
 # --- the float tree potential before the dense solve ---

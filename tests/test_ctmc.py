@@ -1036,13 +1036,15 @@ def test_float_detailed_balance_equals_per_edge_float_reference():
 
 def test_float_rates_are_converted_once_per_chain(monkeypatch):
     mc = build_master(pentagon(), 3, pentagon_spec(33, 1, 2, beta=1))
+    made = _count_rate_makers(monkeypatch)
     calls = []
     to_float = Fraction.__float__
     monkeypatch.setattr(Fraction, "__float__", lambda q: calls.append(q) or to_float(q))
     ss = steady_state(mc, mode="float")
     assert not detailed_balance_check(ss, mc).balanced
     assert not detailed_balance_check(ss, mc).balanced
-    assert len(calls) == 2 * mc.rp.num_edges
+    assert calls == []
+    assert made == ["_make__floats"]
 
 
 def test_float_detailed_balance_rejects_rates_outside_the_float_range():
@@ -1054,6 +1056,85 @@ def test_float_detailed_balance_rejects_rates_outside_the_float_range():
         "rate a->b in state 'a^2' is about 1e+400, outside the float range; "
         "rerun with --exact"
     )
+
+
+# --- float rates read off the integer record ---
+
+
+def _float_reference(mc):
+    """Every transition's rate as ``float(Fraction(num, spec._den))``, in transitions order."""
+    return [float(F(num, mc.spec._den)) for pair in zip(*mc._ints) for num in pair]
+
+
+def _bits(floats):
+    return np.asarray(floats, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_float_rates_are_the_fraction_floats_bit_for_bit_on_the_suite(wide):
+    rng = random.Random(48 + wide)
+    for g in generator_suite():
+        for k in range(1, 5):
+            mc = _random_chain(g, k, rng, wide)
+            assert _bits(mc._floats) == _bits(_float_reference(mc))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_float_rates_are_the_fraction_floats_bit_for_bit_on_a_potential_model(wide):
+    mc = _potential_chain(random_connected_graph(14, 10, 3), 4, random.Random(99), wide)
+    assert mc.num_states == 2380
+    if wide:  # numerators and _den past 2^53: a division of rounded floats would round twice
+        assert mc.spec._den.bit_length() >= 500
+    else:
+        assert max(mc.spec._den, *mc._ints[0], *mc._ints[1]) < 2**53
+    assert _bits(mc._floats) == _bits(_float_reference(mc))
+
+
+def test_float_rates_at_the_edges_of_the_float_range():
+    g = path_graph(2)
+    for big, tiny in ((F(1.5e308), F(1e-320)), (F(15 * 10**307), F(1, 10**320))):
+        mc = build_master(g, 1, RateSpec(g, {(0, 1): big, (1, 0): tiny}))
+        assert _bits(mc._floats) == _bits([1.5e308, 1e-320]) == _bits(_float_reference(mc))
+    for rate, magnitude in ((F(10) ** 400, "1e+400"), (F(1, 10**400), "1e-400")):
+        mc = build_master(pentagon(), 1, pentagon_spec(rate, 1, 2))
+        with pytest.raises(SolverError) as info:
+            mc._floats
+        assert str(info.value) == (
+            f"rate a->b in state 'a' is about {magnitude}, outside the float range; rerun with --exact"
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.lists(
+        st.builds(
+            lambda a, b, e: F(a, b) * F(2) ** e,
+            st.integers(1, 2**80),
+            st.integers(1, 2**80),
+            st.integers(-1120, 1060),
+        ),
+        min_size=6,
+        max_size=6,
+    ),
+)
+def test_float_rates_are_the_fraction_floats_on_random_rationals(k, rates):
+    g = cycle_graph(3)
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    mc = build_master(g, k, RateSpec(g, dict(zip(pairs, rates))))
+    try:
+        expected = [float(q) for _, _, q in mc.transitions()]
+    except OverflowError:
+        expected = None
+    if expected is not None and all(expected):
+        assert _bits(mc._floats) == _bits(expected)
+        return
+    # the first rate that rounds past the largest float, or to 0
+    first = next(q for _, _, q in mc.transitions() if q >= 2**1024 - 2**970 or not float(q))
+    magnitude = round(math.log10(first.numerator) - math.log10(first.denominator))
+    about = re.escape(f"is about 1e{magnitude:+d}, outside the float range")
+    with pytest.raises(SolverError, match=rf"^rate \S+ in state '[^']+' {about}"):
+        mc._floats
 
 
 def test_unknown_rate_field_error_names_the_first_field_under_every_hash_seed():
@@ -1995,7 +2076,7 @@ def test_a_float_run_builds_each_rate_view_once(monkeypatch, beta):
     made = _count_rate_makers(monkeypatch)
     verdict = check_reversibility(pentagon(), 3, pentagon_spec(32, 1, 2, beta=beta))
     assert verdict.kolmogorov.passed is not bool(beta) and verdict.steady_state.mode == "float"
-    assert sorted(made) == ["_make__floats", "_make_backward", "_make_forward"]
+    assert made == ["_make__floats"]
 
 
 def test_kolmogorov_report_passed_is_made_once(monkeypatch):
