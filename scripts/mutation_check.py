@@ -240,11 +240,21 @@ MUTANTS = (
     Mutant(
         "an uncoupled hop reads a coupled row",
         "src/redpow/ctmc.py",
-        "self._row = np.where(flags, np.cumsum(flags), 0)",
-        "self._row = np.cumsum(flags)",
+        " if p in coupling else 0 for p in hops]",
+        " if p in coupling else len(rows) - 1 for p in hops]",
         (
             "tests/test_ctmc.py::test_array_numerators_equal_eval_rate_on_the_suite_on_both_dtypes",
             "tests/test_ctmc.py::test_a_spec_gives_back_every_rate_it_was_given_on_both_dtypes",
+        ),
+    ),
+    Mutant(
+        "a coupled hop reads another vector's row",
+        "src/redpow/ctmc.py",
+        "rows.setdefault(scaled(coupling[p]), len(rows))",
+        "rows.setdefault(scaled(coupling[p]), len(rows) - 1)",
+        (
+            "tests/test_ctmc.py::test_a_shared_coupling_vector_is_one_row_on_the_2380_state_potential_models",
+            "tests/test_ctmc.py::test_a_spec_keeps_one_row_per_distinct_coupling_vector",
         ),
     ),
     Mutant(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -174,11 +174,11 @@ class RateSpec:
     over one common denominator ``_den``, per hop: hop ``2e`` leaves the
     lower end ``i`` of base edge ``e = (i, j)`` of ``graph.pairs``, and
     hop ``2e + 1`` leaves ``j``. ``_nums[h]`` is hop ``h``'s base numerator
-    and ``_rows[_row[h]]`` its coupling numerators: row 0 is the one zero
-    row every uncoupled hop reads, and each coupled hop has a row of its
-    own. The arrays are int64 when every numerator is below 2^63 in
-    magnitude, else object arrays of Python ints. The accessors build
-    ``Fraction``s on demand, and every uncoupled pair reads one zero vector.
+    and ``_rows[_row[h]]`` its coupling numerators: one row per distinct
+    coupling vector, row 0 the zero one, which every uncoupled hop reads.
+    Both hold Python ints at every width (:func:`_numerators` picks the
+    chain's). The accessors build ``Fraction``s on demand, and every
+    uncoupled pair reads one zero vector.
     """
 
     __slots__ = ("graph", "_den", "_nums", "_row", "_rows", "_zero")
@@ -213,20 +213,17 @@ class RateSpec:
                 raise ModelError(f"coupling vector for {pair} must have {v} entries")
             coupling[pair] = tuple(_rate(graph, pair, c, "coupling entry") for c in coeffs)
         rates = {pair: _rate(graph, pair, base[pair], "base rate") for pair in sorted(directed)}
-        coupled = {pair: c for pair, c in coupling.items() if any(c)}
-        every = [*rates.values(), *(q for c in coupled.values() for q in c)]
+        every = [*rates.values(), *(q for c in coupling.values() for q in c)]
         self._den = den = math.lcm(*(q.denominator for q in every))
         self.graph = graph
 
         def scaled(qs):
-            return [q.numerator * (den // q.denominator) for q in qs]
+            return tuple(q.numerator * (den // q.denominator) for q in qs)
 
-        nums = scaled(map(rates.get, hops))
-        rows = [[0] * v, *(scaled(coupled[p]) for p in hops if p in coupled)]
-        dtype = np.int64 if max(map(abs, chain(nums, *rows)), default=0) < 2**63 else object
-        self._nums, self._rows = np.array(nums, dtype=dtype), np.array(rows, dtype=dtype)
-        flags = np.array([p in coupled for p in hops], dtype=bool)
-        self._row = np.where(flags, np.cumsum(flags), 0)
+        rows = {(0,) * v: 0}  # scaled vector -> its row; row 0 is the zero vector
+        row = [rows.setdefault(scaled(coupling[p]), len(rows)) if p in coupling else 0 for p in hops]
+        self._nums = np.array(scaled(map(rates.get, hops)), dtype=object)
+        self._rows, self._row = np.array(list(rows), dtype=object), np.array(row, dtype=np.int64)
         self._zero = (Fraction(0),) * v
 
     def _hop(self, i: int, j: int) -> int:
@@ -391,9 +388,9 @@ def _numerators(rp: ReducedPowerGraph, spec: RateSpec) -> np.ndarray:
     tokens, each at ``B[h] + (S @ C.T)[s, R[h]]``, with ``B``, ``R`` and
     ``C`` the spec's ``_nums``, ``_row`` and ``_rows``. Each of the
     ``k - 1`` stay tokens adds at most ``top_c`` in magnitude, so every
-    value on the way is at most ``k * (top_b + (k - 1) * top_c)``: when
-    that and every coupling entry (``top_c``, read even at k = 1) are
-    below 2^63 the arrays are int64, otherwise object arrays of Python ints.
+    value on the way is at most ``k * (top_b + (k - 1) * top_c)``. Only here
+    is a width picked: when that and every coupling entry (``top_c``, read
+    at k = 1 too) are below 2^63 the arrays are int64, else Python ints.
     """
     moves, counts, k = rp._moves, rp._stay_counts, rp.k
     top_b, top_c = (int(np.abs(a).max(initial=0)) for a in (spec._nums, spec._rows))

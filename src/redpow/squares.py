@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -146,7 +145,7 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
         warnings.warn("no Cartesian squares exist for k < 2", stacklevel=4)
         return 0, np.empty((0, 5), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
     v = g.num_vertices
-    stays = np.array(list(combinations_with_replacement(range(v), k - 2)), np.int64, ndmin=2)
+    stays = np.array(_insert_ranks(v, k - 1)[0], np.int64, ndmin=2)  # the (k-2)-words
     ranks = _word_ranks(np.array(t.order, dtype=np.int64)[stays], v)
     tops = stays.max(axis=1, initial=0)
     levels = [ranks[tops <= j] for j in range(1, v)]  # at tree-order positions 1, 2, ...

@@ -2187,6 +2187,83 @@ def test_a_spec_gives_back_every_rate_it_was_given_on_both_dtypes():
             )
 
 
+def _shared_coupling_spec(g, rng, reversible, wide):
+    """Rates i->j = phi(j) + c (k - 1): every hop coupled by one shared nonzero vector (c, ..., c).
+
+    The irreversible variant gives one hop a second vector of its own.
+    """
+    v = g.num_vertices
+    phi = [_rational(rng, wide) for _ in range(v)]
+    shared = (_rational(rng, wide),) * v
+    base, coupling = {}, {}
+    for i, j in g.edges:
+        for a, b in ((i, j), (j, i)):
+            base[(a, b)], coupling[(a, b)] = phi[b], shared
+    if not reversible:
+        coupling[rng.choice(sorted(base))] = tuple(shared[0] * (l + 1) for l in range(v))
+    return RateSpec(g, base, coupling)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_shared_coupling_vector_is_one_row_on_the_2380_state_potential_models(wide):
+    """The (14,10,3) base has 46 hops; the record keeps the zero row and one per distinct vector."""
+    g = random_connected_graph(14, 10, 3)
+    rp = build_reduced_power(g, 4)
+    assert rp.num_states == 2380
+    rng = random.Random(5001 + wide)
+    for reversible, rows in ((True, 2), (False, 3)):
+        spec = _shared_coupling_spec(g, rng, reversible, wide)
+        assert len(spec._rows) == rows
+        expected = [rate * spec._den for rate, *_ in _eval_rate_transitions(rp, spec)]
+        assert ctmc._numerators(rp, spec).dtype == (object if wide else np.int64)
+        assert MasterChain(rp, spec)._ints == (tuple(expected[0::2]), tuple(expected[1::2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_spec_keeps_one_row_per_distinct_coupling_vector(data):
+    """Each hop draws its coupling from a pool: none, the zero vector, and two vectors each in several forms."""
+    from decimal import Decimal
+
+    g = data.draw(st.sampled_from(generator_suite()))
+    v = g.num_vertices
+    entries = st.lists(st.integers(-3, 3), min_size=v, max_size=v).filter(any)
+    ints, quarters = data.draw(entries), data.draw(entries)
+    pool = [
+        None,
+        (0,) * v,
+        tuple(map(Decimal, (0,) * v)),
+        tuple(ints),
+        tuple(map(F, ints)),
+        tuple(map(Decimal, ints)),
+        tuple(F(n, 4) for n in quarters),
+        tuple(Decimal(n) / 4 for n in quarters),
+    ]
+    pairs = [pair for i, j in g.edges for pair in ((i, j), (j, i))]
+    drawn = {pair: data.draw(st.sampled_from(pool)) for pair in pairs}
+    coupling = {pair: vec for pair, vec in drawn.items() if vec is not None}
+    values = {pair: tuple(map(F, vec)) for pair, vec in coupling.items() if any(vec)}
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    base = {pair: _rational(rng, False) for pair in pairs}
+    for scale in (1, _M89):
+        spec = RateSpec(g, {pair: scale * q for pair, q in base.items()}, coupling)
+        assert len(spec._rows) == 1 + len(set(values.values()))
+        for pair in pairs:
+            if pair in values:
+                assert spec.coupling_vector(*pair) == values[pair]
+            else:
+                assert spec.coupling_vector(*pair) is spec._zero
+        assert spec.is_uncoupled() == (not values)
+        doc = json.loads(json.dumps(model_to_dict(g, 1, spec)))
+        assert model_to_dict(*model_from_dict(doc)) == doc
+        for k in (1, 2, 3):
+            rp = build_reduced_power(g, k)
+            expected = [rate * spec._den for rate, *_ in _eval_rate_transitions(rp, spec)]
+            nums = ctmc._numerators(rp, spec)
+            assert nums.dtype == (np.int64 if scale == 1 else object)
+            assert nums.tolist() == expected
+
+
 @pytest.mark.parametrize("top, c", [(2**62, 0), (2**61, 2**61)])
 def test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path(top, c):
     """Two tokens on a two-vertex path: k (max|B| + (k - 1) max|C|) is 2^63, and one less is int64."""
