@@ -265,6 +265,33 @@ MUTANTS = (
         ("tests/test_ctmc.py::test_a_spec_one_unit_past_the_int64_bound_takes_the_object_path",),
     ),
     Mutant(
+        "the exact tree potential reads the parent-to-child rate for both directions",
+        "src/redpow/ctmc.py",
+        "bottom[x] * nums[t ^ 1]",
+        "bottom[x] * nums[t]",
+        ("tests/test_ctmc.py::test_tree_potential_equals_sparse_elimination_on_reversible_chains",),
+    ),
+    Mutant(
+        "the float tree potential takes the log of the parent-to-child rate twice",
+        "src/redpow/ctmc.py",
+        "np.log(rates[t]) - np.log(rates[t ^ 1])",
+        "np.log(rates[t]) - np.log(rates[t])",
+        (
+            "tests/test_ctmc.py::test_float_tree_potential_equals_the_dense_law_on_reversible_chains",
+            "tests/test_ctmc.py::test_the_float_tree_potential_equals_its_per_edge_form_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "a tree step's direction bit is set for a parent below its child",
+        "src/redpow/ctmc.py",
+        "+ (parents > children)",
+        "+ (parents < children)",
+        (
+            "tests/test_ctmc.py::test_tree_potential_equals_sparse_elimination_on_reversible_chains",
+            "tests/test_ctmc.py::test_each_tree_step_is_the_transition_from_the_parent_to_the_child",
+        ),
+    ),
+    Mutant(
         "the float rates divide rounded floats, rounding twice past 2^53",
         "src/redpow/ctmc.py",
         "np.fromiter(map(int.__truediv__, nums, repeat(den)), np.float64, len(nums))",

@@ -22,12 +22,14 @@ residual is summed from per-transition flows in O(E).
 The exact kernels work on integers. A :class:`RateSpec` lowers its rates
 once, to integers over one common denominator, and a master chain
 computes every transition's numerator in one array pass over the power's
-moves. The exact steady-state route is integer end to end: each chain's
-rates are read once as numerators over that same denominator; the tree
-potential, the irreversible solve, the verification of pi Q = 0 and the
-exact balance test all run on them, with pi as integer numerators over
-one common denominator, and one ``Fraction`` per state is built at the
-end (per violating edge, two flows). The cycle check multiplies those
+moves and keeps them once, in transition order (``t = 2e`` along edge
+``e``, ``t ^ 1`` back; ``_ints``, one tuple per direction, is a view built
+on read), so each kernel reads a transition and its reverse by id. The
+exact steady-state route is integer end to end: the tree potential, the
+irreversible solve, the verification of pi Q = 0 and the exact balance
+test all run on those numerators, with pi as integer numerators over one
+common denominator, and one ``Fraction`` per state is built at the end
+(per violating edge, two flows). The cycle check multiplies the
 numerators along each basis cycle and compares the two products exactly;
 it builds its ``Fraction``s only when its checks are read. Each float rate
 is its numerator over the denominator in one correctly rounded int
@@ -296,14 +298,14 @@ class MasterChain(_BuiltOnRead):
     keeps the chain irreducible on the connected state space. The
     constructor computes their integer numerators over the spec's
     ``_den`` in one array pass over the power's moves
-    (:func:`_numerators`), and keeps them as ``_ints``, one tuple per
-    direction, for the exact checks and solves: every equation they test
-    is homogeneous in the rates, so the common denominator cancels. The
-    floats ``_floats`` and the rates are built from them on first read;
-    the rates serve the public reads and the exact violation flows.
+    (:func:`_numerators`), and keeps them once, as ``_tints`` in transition order
+    (``t = 2e`` along edge ``e``, ``t ^ 1`` back), for the exact checks and solves:
+    every equation they test is homogeneous in the rates, so the common denominator
+    cancels. Their per-direction slices ``_ints``, the floats ``_floats`` and the
+    rates are built from them on first read; the rates serve the public reads and the exact violation flows.
     """
 
-    __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints")
+    __slots__ = ("rp", "spec", "forward", "backward", "_floats", "_ints", "_tints")
 
     def __init__(self, rp: ReducedPowerGraph, spec: RateSpec):
         if spec.graph != rp.base:
@@ -319,7 +321,10 @@ class MasterChain(_BuiltOnRead):
             )
         self.rp = rp
         self.spec = spec
-        self._ints = (tuple(nums[0::2].tolist()), tuple(nums[1::2].tolist()))
+        self._tints = tuple(nums.tolist())
+
+    def _make__ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._tints[0::2], self._tints[1::2]
 
     def _make_forward(self) -> tuple[Fraction, ...]:
         return self._fractions(self._ints[0])
@@ -337,8 +342,7 @@ class MasterChain(_BuiltOnRead):
 
         Each is ``num / spec._den`` in int division, correctly rounded at every size as ``float(Fraction)`` is.
         """
-        den, nums = self.spec._den, [None] * (2 * len(self._ints[0]))
-        nums[0::2], nums[1::2] = self._ints
+        den, nums = self.spec._den, self._tints
         try:
             floats = np.fromiter(map(int.__truediv__, nums, repeat(den)), np.float64, len(nums))
         except OverflowError:
@@ -481,20 +485,18 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
     cycle basis, because log-rate ratios are additive over F2 sums of
     oriented cycles. Products are exact, taken along the steps of the
     basis's one trace (``CycleBasis._trace``) on the chain's integer
-    numerators (``mc._ints``): every rate is over the spec's ``_den``, so
+    numerators (``mc._tints``): every rate is over the spec's ``_den``, so
     a walk of m steps agrees exactly when its two numerator products do,
     and its check's products are those over ``_den**m``.
     """
     if host_graph(basis.host) != mc.rp.graph:
         raise ModelError("cycle basis lives on a different state graph")
     starts, edge, against = basis._trace
-    # transition 2e runs along edge e, 2e + 1 against it; each step's factor
-    # is gathered by index and multiplied out walk by walk (every walk of a
-    # basis has at least three steps), on the chain's own ints laid out in
-    # transition order, as exact products need and without a copy of each
+    # transition 2e runs along edge e, 2e + 1 against it; each step's factor is
+    # gathered by index and multiplied out walk by walk (every walk of a basis
+    # has at least three steps), on the chain's own ints, as exact products need
     step = 2 * edge + against
-    nums = np.empty(2 * mc.rp.num_edges, dtype=object)
-    nums[0::2], nums[1::2] = mc._ints
+    nums = np.array(mc._tints, dtype=object)
     fwd, bwd = (
         np.multiply.reduceat(nums[t], starts) if len(starts) else nums[:0]
         for t in (step, step ^ 1)
@@ -871,16 +873,17 @@ def _half_euclid(r0: int, r1: int, bound: int, most: int) -> tuple[int, int] | N
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _tree_steps(mc: MasterChain) -> tuple[list[int], list[int], list[int]]:
-    """Each state but 0 in BFS order of a spanning tree rooted there, its parent, their edge.
+def _tree_steps(mc: MasterChain) -> tuple[list[int], list[int], np.ndarray]:
+    """Each state but 0 in BFS order of a spanning tree rooted there, its parent, and the transition between.
 
-    The tree edges are found in one search over the sorted edge array.
+    The transitions, an array, run from parent to child: ``2e + (parent > child)``
+    for their edge ``e``, found in one search over the sorted edge array.
     """
     tree = bfs_spanning_tree(mc.rp.graph)
-    children = list(tree.order[1:])
-    parents = [tree.parent[y] for y in children]
-    ids = _edge_ids(mc.rp.graph, np.array(children), np.array(parents)).tolist()
-    return children, parents, ids
+    children = np.array(tree.order[1:], dtype=np.int64)
+    parents = np.array([tree.parent[y] for y in tree.order[1:]], dtype=np.int64)
+    steps = 2 * _edge_ids(mc.rp.graph, children, parents) + (parents > children)
+    return children.tolist(), parents.tolist(), steps
 
 
 def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
@@ -893,23 +896,22 @@ def reversible_steady_state(mc: MasterChain) -> SteadyState | None:
     none; when every edge holds, pi is stationary, and by irreducibility
     the unique stationary law. O(E) integer operations: each potential is
     a reduced numerator over a denominator, the rates are read as
-    integers (``mc._ints``), every edge is tested by
+    integers (q(x,y) / q(y,x) as ``mc._tints[t] / mc._tints[t ^ 1]`` for the tree's
+    transition ``t`` from x to y, ``mc._ints`` per edge), every edge is tested by
     cross-multiplying, and only a balanced pi is put over one common
     denominator. The tree is :func:`_tree_steps`'s. The cycle basis is
     never read, so this stays independent of :func:`kolmogorov_check`.
     """
-    children, parents, ids = _tree_steps(mc)
-    fwd, bwd = mc._ints
+    children, parents, steps = _tree_steps(mc)
+    nums = mc._tints
     top = [0] * mc.num_states  # pi_x = top[x] / bottom[x] in lowest terms
     bottom = [1] * mc.num_states
     top[0] = 1
-    for y, x, e in zip(children, parents, ids):
-        # q(x, y) / q(y, x): edge e runs forward from its lower end
-        a, b = (fwd[e], bwd[e]) if x < y else (bwd[e], fwd[e])
-        p, q = top[x] * a, bottom[x] * b
+    for y, x, t in zip(children, parents, steps.tolist()):
+        p, q = top[x] * nums[t], bottom[x] * nums[t ^ 1]
         g = math.gcd(p, q)
         top[y], bottom[y] = p // g, q // g
-    for (x, y), a, b in zip(mc.rp.graph.edges, fwd, bwd):
+    for (x, y), a, b in zip(mc.rp.graph.edges, *mc._ints):
         if top[x] * bottom[y] * a != top[y] * bottom[x] * b:
             return None
     common = math.lcm(*bottom)
@@ -922,13 +924,13 @@ def _float_tree_potential(mc: MasterChain) -> SteadyState | None:
 
     The float counterpart of :func:`reversible_steady_state`: along the
     same tree, ``log pi_y = log pi_x + log q(x,y) - log q(y,x)`` on the
-    float rates (``mc._floats``), then pi is exponentiated against
-    its largest entry and normalised. It is returned only as the dense
-    float law would be: up to ``_FLOAT_STATE_LIMIT`` states, and with the
-    checks of :func:`_checked_float` at the dense solve's ``_FLOAT_TOL``;
-    any other outcome, a rate outside the float range too, is None. It is
-    the chain's law where the float balance test
-    (:func:`detailed_balance_check`) passes on every edge.
+    float rates (``mc._floats``) at the tree's transition ``t`` from x to y
+    and at ``t ^ 1``, then pi is exponentiated against its largest entry
+    and normalised. It is returned only as the dense float law would be:
+    up to ``_FLOAT_STATE_LIMIT`` states, and with the checks of
+    :func:`_checked_float` at the dense solve's ``_FLOAT_TOL``; any other
+    outcome, a rate outside the float range too, is None. It is the
+    chain's law where the float balance test (:func:`detailed_balance_check`) passes on every edge.
     """
     if mc.num_states > _FLOAT_STATE_LIMIT:
         return None
@@ -936,12 +938,9 @@ def _float_tree_potential(mc: MasterChain) -> SteadyState | None:
         rates = mc._floats
     except SolverError:
         return None
-    children, parents, ids = _tree_steps(mc)  # log pi stays 0 at the root
-    # log q(x,y) / q(y,x) per edge, x its lower end; a child below its parent takes the negative
-    ratio = np.log(rates[0::2]) - np.log(rates[1::2])
-    steps = np.where(np.array(parents) < np.array(children), 1.0, -1.0) * ratio[ids]
+    children, parents, t = _tree_steps(mc)  # log pi stays 0 at the root
     log_pi = [0.0] * mc.num_states
-    for y, x, step in zip(children, parents, steps.tolist()):
+    for y, x, step in zip(children, parents, (np.log(rates[t]) - np.log(rates[t ^ 1])).tolist()):
         log_pi[y] = log_pi[x] + step
     pi = np.exp(np.array(log_pi) - max(log_pi))
     pi /= pi.sum()
@@ -989,20 +988,20 @@ def _balance_rows(mc: MasterChain) -> tuple[dict[int, dict[int, int]], dict[int,
 
     Unknowns are pi_1..pi_{n-1}; row y, the balance of state y, is a
     column -> integer dict with its diagonal first. The rates are read as
-    integers over the spec's ``_den`` (``mc._ints``), which leaves
-    the homogeneous system unchanged, and each row is made primitive.
+    integers over the spec's ``_den`` in transition order (``mc._tints``), which
+    leaves the homogeneous system unchanged, and each row is made primitive.
     """
     n = mc.num_states
     rows: dict[int, dict[int, int]] = {y: {y: 0} for y in range(1, n)}
     rhs = dict.fromkeys(range(1, n), 0)
-    for (x0, y0), fwd, bwd in zip(mc.rp.graph.edges, *mc._ints):
-        for x, y, q in ((x0, y0, fwd), (y0, x0, bwd)):  # transitions() order
-            if x == 0:
-                rhs[y] -= q
-                continue
-            rows[x][x] -= q
-            if y:
-                rows[y][x] = q
+    src, dst = _transition_ends(mc)
+    for x, y, q in zip(src.tolist(), dst.tolist(), mc._tints):
+        if x == 0:
+            rhs[y] -= q
+            continue
+        rows[x][x] -= q
+        if y:
+            rows[y][x] = q
     for y, row in rows.items():
         rhs[y] = _primitive(row, rhs[y])
     return rows, rhs

@@ -854,6 +854,56 @@ def test_float_tree_potential_refuses_what_the_dense_solve_refuses(monkeypatch):
     assert _float_tree_potential(build_master(pentagon(), 3, pentagon_spec(33, 1, 2))) is None
 
 
+# --- the tree potentials read each tree transition by its id ---
+
+
+def _tree_chains(wide):
+    """Potential chains on every suite base at k = 1..3, and the (14,10,3) one at k = 4 (2380 states)."""
+    rng = random.Random(5100 + wide)
+    chains = [_potential_chain(g, k, rng, wide) for g in generator_suite() for k in (1, 2, 3)]
+    return chains + [_potential_chain(random_connected_graph(14, 10, 3), 4, rng, wide)]
+
+
+def test_each_tree_step_is_the_transition_from_the_parent_to_the_child():
+    for mc in _tree_chains(wide=False):
+        tree = bfs_spanning_tree(mc.rp.graph)
+        children, parents, steps = ctmc._tree_steps(mc)
+        assert children == list(tree.order[1:]) and parents == [tree.parent[y] for y in children]
+        src, dst = ctmc._transition_ends(mc)
+        assert src[steps].tolist() == parents and dst[steps].tolist() == children
+
+
+def _per_edge_float_potential(mc):
+    """The float tree potential's law as its per-edge form reads it: the ratio along x < y, negated for a child below its parent."""
+    rates = mc._floats
+    ratio = np.log(rates[0::2]) - np.log(rates[1::2])
+    tree = bfs_spanning_tree(mc.rp.graph)
+    log_pi = [0.0] * mc.num_states
+    for y in tree.order[1:]:
+        x = tree.parent[y]
+        e = mc.rp.graph.edge_index[(x, y) if x < y else (y, x)]
+        log_pi[y] = log_pi[x] + (1.0 if x < y else -1.0) * float(ratio[e])
+    pi = np.exp(np.array(log_pi) - max(log_pi))
+    return pi / pi.sum()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_the_float_tree_potential_equals_its_per_edge_form_bit_for_bit(wide):
+    rng = random.Random(5110 + wide)
+    chains = _tree_chains(wide) + [_ring_chain(n, k, rng, True, wide) for n, k in ((5, 2), (4, 3), (6, 3))]
+    for mc in chains:
+        ss = _float_tree_potential(mc)
+        assert ss is not None and _bits(ss.probabilities) == _bits(_per_edge_float_potential(mc))
+
+
+def test_both_tree_potentials_refuse_a_disconnected_chain_naming_the_first_unreached_state():
+    g = Graph("abcd", [("a", "b"), ("c", "d")])
+    mc = build_master(g, 1, RateSpec(g, {pair: F(1) for i, j in g.edges for pair in ((i, j), (j, i))}))
+    for potential in (reversible_steady_state, _float_tree_potential):
+        with pytest.raises(GraphError, match="^graph must be connected: vertex 'c' is unreachable$"):
+            potential(mc)
+
+
 def test_float_steady_state_refuses_a_failed_solve(monkeypatch):
     mc = build_master(pentagon(), 2, pentagon_spec(32, 1, 2))
 

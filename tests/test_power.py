@@ -1225,3 +1225,75 @@ def test_the_public_constructor_names_the_first_faulty_annotation_and_takes_a_co
     # consistency with the graph is not checked: a valid move on the wrong edge is taken
     swapped = public((ann[1],) + tuple(ann[1:]))
     assert swapped == built and swapped.annotations == (ann[1],) + tuple(ann[1:]) != built.annotations
+
+
+# --- structural facts of the reduced power: connected, k times the diameter, bipartite as its base ---
+
+
+def _distances(g: Graph, source: int) -> list[int | None]:
+    """BFS distance from ``source`` to every vertex of ``g``, None where it is unreached."""
+    dist: list[int | None] = [None] * g.num_vertices
+    dist[source], frontier = 0, [source]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for y in g.adjacency(x):
+                if dist[y] is None:
+                    dist[y] = dist[x] + 1
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
+def _diameter(g: Graph) -> int:
+    return max(max(_distances(g, x)) for x in range(g.num_vertices))
+
+
+def _bipartite(g: Graph) -> bool:
+    """Connected ``g`` is bipartite when every edge joins vertices at distances of unequal parity from vertex 0."""
+    dist = _distances(g, 0)
+    return all((dist[x] - dist[y]) % 2 for x, y in g.edges)
+
+
+@st.composite
+def _structural_bases(draw) -> Graph:
+    """A suite base, or a random tree on 2..7 vertices plus chords: any, across its 2-colouring, or with a triangle."""
+    kind = draw(st.sampled_from(["suite", "connected", "bipartite", "triangle"]))
+    if kind == "suite":
+        return draw(st.sampled_from(generator_suite()))
+    v = draw(st.integers(3 if kind == "triangle" else 2, 7))
+    edges, side = set(), [0] * v
+    for i in range(1, v):
+        parent = draw(st.integers(0, i - 1))
+        edges.add((parent, i))
+        side[i] = 1 - side[parent]
+    pool = [
+        (i, j)
+        for i in range(v)
+        for j in range(i + 1, v)
+        if (i, j) not in edges and (kind != "bipartite" or side[i] != side[j])
+    ]
+    if pool:
+        edges.update(draw(st.lists(st.sampled_from(pool), max_size=4)))
+    if kind == "triangle":
+        a, b, c = sorted(draw(st.permutations(range(v)))[:3])
+        edges.update({(a, b), (a, c), (b, c)})
+    labels = [f"s{i}" for i in range(v)]
+    g = Graph(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+    assert kind not in ("bipartite", "triangle") or _bipartite(g) == (kind == "bipartite")
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structural_bases())
+def test_a_power_is_connected_with_k_times_the_base_diameter_and_bipartite_exactly_when_its_base_is(g):
+    """And a state's degree is the sum of the base degrees of its occupied vertices."""
+    diameter, bipartite = _diameter(g), _bipartite(g)
+    for k in (1, 2, 3):
+        rp = build_reduced_power(g, k)
+        power = rp.graph
+        assert None not in _distances(power, 0)
+        assert _diameter(power) == k * diameter
+        assert _bipartite(power) is bipartite
+        for x, state in enumerate(rp.states):
+            assert power.degree(x) == sum(g.degree(i) for i, m in enumerate(state.exponents) if m)
