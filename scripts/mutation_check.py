@@ -384,6 +384,31 @@ MUTANTS = (
         "        i, j, f = entry\n        if False:\n",
         ("tests/test_power.py::test_the_public_constructor_refuses_an_annotation_that_is_no_triple_naming_it",),
     ),
+    Mutant(
+        "the float balance report swaps its two flow columns",
+        "src/redpow/ctmc.py",
+        "tuple(lhs[bad].tolist()), tuple(rhs[bad].tolist())",
+        "tuple(rhs[bad].tolist()), tuple(lhs[bad].tolist())",
+        ("tests/test_ctmc.py::test_balance_report_columns_equal_the_per_violation_reference",),
+    ),
+    Mutant(
+        "parse_rational's int path reads n/d as n",
+        "src/redpow/ctmc.py",
+        'return Fraction(read(num), read(den or "1"))',
+        'return Fraction(read(num), read("1"))',
+        # the worked values first: under -x they stop the run before hypothesis shrinks its sweep
+        (
+            "tests/test_ctmc.py::test_parse_rational",
+            "tests/test_ctmc.py::test_parse_rational_reads_a_plain_number_as_decimal_does",
+        ),
+    ),
+    Mutant(
+        "the loader's per-document memo hands one string's rational to another string",
+        "src/redpow/ctmc.py",
+        "        q = parsed.get(value)\n",
+        "        q = next(iter(parsed.values()), None)\n",
+        ("tests/test_ctmc.py::test_model_from_dict_reads_each_value_string_once_as_parse_rational_does",),
+    ),
 )
 
 

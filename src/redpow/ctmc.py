@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -93,9 +93,10 @@ __all__ = [
 # would spell a longer number than digits may, and Fraction expands it in full
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
-# A plain 'n' or 'n/d' is parsed through Decimal, which has no digit limit,
-# so that the loader reads the long integers model_to_dict writes. Up to a
-# 4300-digit mantissa times a 4300-digit power of ten spells that many digits.
+# A plain 'n' or 'n/d' is read by int, and past Python's int-string digit
+# limit through Decimal, which has none, so that the loader reads the long
+# integers model_to_dict writes. Up to a 4300-digit mantissa times a
+# 4300-digit power of ten spells that many digits.
 _MAX_DIGITS = 2 * _MAX_EXPONENT
 _PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*\Z")
 # Python's current int-string digit limit; 0 is none, as before 3.10.7
@@ -120,7 +121,9 @@ def parse_rational(value: object, where: str) -> Fraction:
                     raise ModelError(
                         f"{where}: {digits}-digit number exceeds {_MAX_DIGITS} digits"
                     )
-                return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+                limit = _str_digit_limit()
+                read = int if not limit or digits <= limit else lambda text: int(Decimal(text))
+                return Fraction(read(num), read(den or "1"))
             refused = _past_exponent_bound(value)
             if refused:
                 raise ModelError(f"{where}: {refused}")
@@ -258,10 +261,13 @@ def _arc(graph: Graph, pair: tuple[int, int]) -> str:
 def _rate(graph: Graph, pair: tuple[int, int], value: object, what: str) -> Fraction:
     """``Fraction(value)``: :class:`RateSpec`'s one rule for a base rate and a coupling entry.
 
-    A string whose exponent passes ``_MAX_EXPONENT`` is refused first, as
+    A ``Fraction``, as the loader hands over, is taken as it is. A string
+    whose exponent passes ``_MAX_EXPONENT`` is refused first, as
     :func:`parse_rational` refuses it, and a ``Decimal`` whose ``str``
     form's exponent does, which ``Fraction`` would expand in full too.
     """
+    if type(value) is Fraction:
+        return value
     try:
         refused = isinstance(value, (str, Decimal)) and _past_exponent_bound(str(value))
         if refused:
@@ -1106,26 +1112,47 @@ class BalanceViolation:
     flow_xy: object
     flow_yx: object
 
-    def as_dict(self) -> dict:
-        """The flows as text: a float flow by ``repr``, an exact one by :func:`_rational_str`."""
-        xy, yx = (repr(f) if isinstance(f, float) else _rational_str(f) for f in (self.flow_xy, self.flow_yx))
-        return {"x": self.x, "y": self.y, "flow_xy": xy, "flow_yx": yx}
-
 
 @dataclass(frozen=True)
-class BalanceReport:
-    """Detailed-balance verdict of a steady state."""
+class BalanceReport(_BuiltOnRead):
+    """Detailed-balance verdict of a steady state.
+
+    The violations are held as four columns, ``_columns``: x labels, y
+    labels, flows x -> y and flows y -> x. :func:`detailed_balance_check`
+    makes a report from its columns, and ``violations``, one
+    :class:`BalanceViolation` per row, is built from them on first read
+    (:class:`~redpow.graph._BuiltOnRead`); a report made by the
+    constructor builds its columns from ``violations`` on first read.
+    :meth:`as_dict` writes each row from the columns, every flow by one
+    rule: :func:`_rational_str` in an exact report, ``repr`` in a float one.
+    """
 
     balanced: bool
     mode: str
     violations: tuple[BalanceViolation, ...]
 
+    def _make_violations(self) -> tuple[BalanceViolation, ...]:
+        return tuple(map(BalanceViolation, *self._columns))
+
+    def _make__columns(self) -> tuple[tuple, tuple, tuple, tuple]:
+        return _transposed((v.x, v.y, v.flow_xy, v.flow_yx) for v in self.violations)
+
     def as_dict(self) -> dict:
+        text = _rational_str if self.mode == "exact" else repr
+        xs, ys, xy, yx = self._columns
         return {
             "balanced": self.balanced,
             "mode": self.mode,
-            "violations": [v.as_dict() for v in self.violations],
+            "violations": [
+                {"x": x, "y": y, "flow_xy": a, "flow_yx": b}
+                for x, y, a, b in zip(xs, ys, map(text, xy), map(text, yx))
+            ],
         }
+
+
+def _transposed(rows: Iterable[tuple]) -> tuple[tuple, tuple, tuple, tuple]:
+    """The four columns of ``rows`` of four."""
+    return tuple(zip(*rows)) or ((), (), (), ())
 
 
 def detailed_balance_check(
@@ -1138,12 +1165,14 @@ def detailed_balance_check(
     violation's flows are built as ``Fraction``s. Their entries must be
     ints or Fractions (a ModelError otherwise). Float ones use a relative
     tolerance on the larger flow, with the chain's float rates (a
-    SolverError if one lies outside the float range).
+    SolverError if one lies outside the float range), on all edges at
+    once. Either way the report holds its violations as columns
+    (:class:`BalanceReport`) and builds no :class:`BalanceViolation`
+    until they are read.
     """
     if len(ss.probabilities) != mc.num_states:
         raise ModelError("steady state does not match the chain's state count")
     labels = mc.rp.graph.labels
-    violations = []
     if ss.mode == "exact":
         pi = ss.probabilities
         for x, p in enumerate(pi):
@@ -1154,10 +1183,11 @@ def detailed_balance_check(
                 )
         common = math.lcm(*(p.denominator for p in pi))
         num = [p.numerator * (common // p.denominator) for p in pi]
+        rows = []
         for e, ((x, y), a, b) in enumerate(zip(mc.rp.graph.edges, *mc._ints)):
             if num[x] * a != num[y] * b:
-                flows = pi[x] * mc.forward[e], pi[y] * mc.backward[e]
-                violations.append(BalanceViolation(labels[x], labels[y], *flows))
+                rows.append((labels[x], labels[y], pi[x] * mc.forward[e], pi[y] * mc.backward[e]))
+        columns = _transposed(rows)
     else:
         # the float test elementwise over all edges, in the same float64 operations
         rates = mc._floats
@@ -1166,12 +1196,10 @@ def detailed_balance_check(
         lhs, rhs = flow[0::2], flow[1::2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
         bad = np.flatnonzero(~(np.abs(lhs - rhs) <= rel_tol * scale))
-        for e, flow_xy, flow_yx in zip(bad.tolist(), lhs[bad].tolist(), rhs[bad].tolist()):
-            x, y = mc.rp.graph.edges[e]
-            violations.append(BalanceViolation(labels[x], labels[y], flow_xy, flow_yx))
-    return BalanceReport(
-        balanced=not violations, mode=ss.mode, violations=tuple(violations)
-    )
+        xs, ys = (tuple(map(labels.__getitem__, ends)) for ends in mc.rp.graph.pairs[bad].T.tolist())
+        columns = xs, ys, tuple(lhs[bad].tolist()), tuple(rhs[bad].tolist())
+    fields = dict(balanced=not columns[0], mode=ss.mode, _columns=columns)
+    return _built_on_read(BalanceReport, fields)
 
 
 # --- model serialization ---
@@ -1203,6 +1231,17 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
     coupling: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     v = graph.num_vertices
     labels = set(graph.labels)
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value: object, where: Callable[[], str]) -> Fraction:
+        """``parse_rational(value, where())``, each distinct string parsed once per document."""
+        if type(value) is not str:
+            return parse_rational(value, where())
+        q = parsed.get(value)
+        if q is None:
+            q = parsed[value] = parse_rational(value, where())
+        return q
+
     for key, entry in rates_doc.items():
         shown = _shown(key)
         if not isinstance(key, str) or "->" not in key:
@@ -1217,15 +1256,15 @@ def model_from_dict(data: object) -> tuple[Graph, int, RateSpec]:
             raise ModelError(f"rate key {shown} does not name an edge")
         if not isinstance(entry, dict) or "base" not in entry:
             raise ModelError(f"rate entry {shown} must be an object with 'base'")
-        base[pair] = parse_rational(entry["base"], f"rates[{shown}].base")
+        base[pair] = rational(entry["base"], lambda: f"rates[{shown}].base")
         if "coupling" in entry:  # RateSpec keeps only the vectors with a nonzero entry
             coupling_doc = entry["coupling"]
             if not isinstance(coupling_doc, dict):
                 raise ModelError(f"rates[{shown}].coupling must be an object")
             coeffs = [Fraction(0)] * v
             for lab, val in coupling_doc.items():
-                coeffs[_vertex(graph, lab, f"rates[{shown}].coupling")] = parse_rational(
-                    val, f"rates[{shown}].coupling[{_shown(lab)}]"
+                coeffs[_vertex(graph, lab, f"rates[{shown}].coupling")] = rational(
+                    val, lambda: f"rates[{shown}].coupling[{_shown(lab)}]"
                 )
             coupling[pair] = tuple(coeffs)
         for extra in entry:

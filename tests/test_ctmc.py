@@ -6,7 +6,9 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,50 @@ def test_parse_rational():
         parse_rational(True, "x")
     with pytest.raises(ModelError, match="expected an int or string"):
         parse_rational(None, "x")
+
+
+def _decimal_rational(text: str) -> Fraction:
+    """A plain 'n' or 'n/d', with spaces around it, read through Decimal: the reference of parse_rational."""
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+_DIGITS = st.builds(
+    lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 10**40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    num=_DIGITS,
+    den=st.none() | _DIGITS,
+    ends=st.tuples(*[st.text(" \t\n\r\x0b\x0c\u00a0\u2003", max_size=2)] * 2),
+)
+def test_parse_rational_reads_a_plain_number_as_decimal_does(sign, num, den, ends):
+    text = ends[0] + sign + num + ("" if den is None else "/" + den) + ends[1]
+    try:
+        expected = _decimal_rational(text)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ModelError) as info:
+            parse_rational(text, "x")
+        assert str(info.value) == f"x: cannot parse rational {text!r}: {exc}"
+    else:
+        assert parse_rational(text, "x") == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit")
+def test_parse_rational_reads_plain_numbers_at_and_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for digits in (640, 641):
+            for sign in ("", "-", "+"):
+                n, d = sign + "7" + "3" * (digits - 1), "9" * digits
+                for text in (n, f"{n}/{d}", f"{n}/7", f"{sign}5/{d}", f" {n}/{d}\n"):
+                    assert parse_rational(text, "x") == _decimal_rational(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- rate specifications ---
@@ -632,6 +678,71 @@ def test_model_from_dict_names_the_field_of_an_unknown_vertex():
             model_from_dict(doc)
         assert type(caught.value) is ModelError
         assert str(caught.value) == message
+
+
+def test_model_from_dict_reads_each_value_string_once_as_parse_rational_does(monkeypatch):
+    doc = model_doc()
+    values = ["1/2", "2/4", "0.5", " 1/2", 3, "3", "1/2", "7/3", "1/2", "2/4"]
+    pairs = [tuple(key.split("->")) for key in doc["rates"]]
+    for (src, dst), value in zip(pairs, values):
+        doc["rates"][f"{src}->{dst}"]["base"] = value
+    doc["rates"]["a->b"]["coupling"] = {"a": "7/3", "b": "1/2", "c": "-2/4", "e": 3}
+    calls = []
+    parse = ctmc.parse_rational
+    monkeypatch.setattr(ctmc, "parse_rational", lambda v, where: calls.append(v) or parse(v, where))
+    g, _, spec = model_from_dict(doc)
+    # each distinct string once; each int every time
+    assert calls == ["1/2", "7/3", "-2/4", 3, "2/4", "0.5", " 1/2", 3, "3"]
+    for (src, dst), value in zip(pairs, values):
+        assert spec.base_rate(g.index_of(src), g.index_of(dst)) == parse(value, "x")
+    assert spec.coupling_vector(0, 1) == (F(7, 3), F(1, 2), F(-1, 2), F(0), F(3))
+
+
+def test_model_from_dict_names_the_first_faulty_entry_of_a_repeated_value():
+    doc = model_doc()
+    for key in ("b->a", "c->b", "d->e", "e->a"):
+        doc["rates"][key]["base"] = "2/3"
+    doc["rates"]["a->b"]["coupling"] = {"a": "2/3", "b": "2/3", "c": 1, "d": True}
+    bad = [
+        ("d->c", "2/0", "rates['d->c'].base: cannot parse rational '2/0': Fraction(2, 0)"),
+        (
+            "c->b",
+            "2/3x",
+            "rates['c->b'].base: cannot parse rational '2/3x': Invalid literal for Fraction: '2/3x'",
+        ),
+    ]
+    with pytest.raises(ModelError) as info:
+        model_from_dict(doc)
+    assert str(info.value) == "rates['a->b'].coupling['d']: booleans are not rates"
+    doc["rates"]["a->b"]["coupling"]["d"] = 1
+    # the faulty value also stands in later entries; the first one in document order is named
+    for key, value, message in bad:
+        for later in ("d->e", "e->d", "a->e"):
+            doc["rates"][later]["base"] = value
+        doc["rates"][key]["base"] = value
+        with pytest.raises(ModelError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == message
+
+
+def test_model_from_dict_keeps_a_bounded_coupling_label_in_its_errors():
+    long = "x" * 250
+    cut = "'" + "x" * 12 + "..." + "x" * 13
+    doc = {
+        "graph": {"vertices": ["a", "b", long], "edges": [["a", "b"], ["b", long]]},
+        "k": 2,
+        "rates": {"a->b": {"base": "1"}, "b->a": {"base": "1"},
+                  f"b->{long}": {"base": "1"}, f"{long}->b": {"base": "1"}},
+    }
+    for coupling, message in (
+        ({long: "1/0"}, f"rates['a->b'].coupling[{cut}']: cannot parse rational '1/0': Fraction(1, 0)"),
+        ({long: True}, f"rates['a->b'].coupling[{cut}']: booleans are not rates"),
+        ({long + "y": "1"}, f"rates['a->b'].coupling: unknown vertex label {cut[:-1]}y'"),
+    ):
+        doc["rates"]["a->b"]["coupling"] = coupling
+        with pytest.raises(ModelError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == message
 
 
 # --- exact-rate kernels against their spec-level definitions ---
@@ -1604,6 +1715,103 @@ def test_exact_detailed_balance_equals_the_fraction_reference():
         counts.append(len(bad))
     assert min(counts[:3]) > 0 and counts[3] == counts[5] == 0
     assert 0 < counts[4] <= len(mc.rp.graph.adjacency(7))
+
+
+# --- a balance report holds its violations as columns ---
+
+
+def _c7_potential_doc(rng):
+    """A narrow irreversible C7 model at k = 4 (210 states), as the float ladder draws them.
+
+    Rates i->j are phi(j) plus one coupling c shared by every vertex, but
+    the directed edge p0->p1 has pairwise distinct couplings.
+    """
+    labels = [f"p{i}" for i in range(7)]
+    edges = [[a, labels[(i + 1) % 7]] for i, a in enumerate(labels)]
+    phi = [str(F(rng.randint(1, 20), rng.randint(1, 6))) for _ in labels]
+    c = F(rng.randint(1, 4), rng.randint(1, 6))
+    rates = {}
+    for a, b in edges:
+        for src, dst in ((a, b), (b, a)):
+            coupling = {lab: str(c) for lab in labels}
+            rates[f"{src}->{dst}"] = {"base": phi[labels.index(dst)], "coupling": coupling}
+    order = rng.sample(range(7), 7)
+    rates["p0->p1"]["coupling"] = {lab: str(c + c * order[i]) for i, lab in enumerate(labels)}
+    return {"graph": {"vertices": labels, "edges": edges}, "k": 4, "rates": rates}
+
+
+def _old_flow_text(flow):
+    """A flow as each violation once wrote it: ``repr`` for a float, ``_rational_str`` otherwise."""
+    return repr(flow) if isinstance(flow, float) else ctmc._rational_str(flow)
+
+
+def test_balance_report_columns_equal_the_per_violation_reference():
+    rng = random.Random(5252)
+    chains = [_ring_chain(6, 3, rng, rev, wide) for rev in (True, False) for wide in (False, True)]
+    chains.append(_random_chain(random_connected_graph(5, 3, 6), 3, rng, wide=True))
+    chains.append(build_master(*model_from_dict(_c7_potential_doc(rng))))
+    counts = []
+    for mc in chains:
+        for mode in ("float", "exact"):
+            ss = steady_state(mc, mode=mode)
+            rep = detailed_balance_check(ss, mc)
+            if mode == "float":
+                bad = [(x, y, float(a), float(b)) for x, y, a, b in _float_balance_reference(ss, mc)[1]]
+            else:
+                bad = _exact_balance_reference(ss, mc)
+            rows = [(v.x, v.y, v.flow_xy, v.flow_yx) for v in rep.violations]
+            assert rows == bad and rep.balanced == (not bad) and rep.mode == mode
+            assert {type(flow) for row in rows for flow in row[2:]} <= {float if mode == "float" else F}
+            assert rep.as_dict() == {
+                "balanced": not bad,
+                "mode": mode,
+                "violations": [
+                    {"x": x, "y": y, "flow_xy": _old_flow_text(a), "flow_yx": _old_flow_text(b)}
+                    for x, y, a, b in bad
+                ],
+            }
+            counts.append(len(bad))
+    assert counts[:4] == [0, 0, 0, 0] and min(counts[4:]) > 0
+    assert counts[-2] == counts[-1] == chains[-1].rp.num_edges == 588  # every C7 edge fails
+
+
+def test_a_balance_report_made_by_replace_keeps_its_violations_and_its_text():
+    import dataclasses
+
+    mc = build_master(*model_from_dict(_c7_potential_doc(random.Random(5253))))
+    for mode in ("float", "exact"):
+        rep = detailed_balance_check(steady_state(mc, mode=mode), mc)
+        copy, flipped = dataclasses.replace(rep), dataclasses.replace(rep, balanced=True)
+        assert copy == rep and copy.violations == rep.violations and not rep.balanced
+        assert json.dumps(copy.as_dict()) == json.dumps(rep.as_dict())
+        assert json.dumps(flipped.as_dict()) == json.dumps({**rep.as_dict(), "balanced": True})
+    empty = ctmc.BalanceReport(balanced=True, mode="float", violations=())
+    assert empty.as_dict() == {"balanced": True, "mode": "float", "violations": []}
+
+
+def test_a_refuted_float_run_builds_balance_violations_only_when_read(tmp_path, monkeypatch):
+    from redpow import cli
+
+    doc = _c7_potential_doc(random.Random(5254))
+    model, out = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps(doc))
+    made = []
+    init = ctmc.BalanceViolation.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ctmc.BalanceViolation, "__init__", recording)
+    assert cli.main(["check-reversibility", "--model", str(model), "--out", str(out)]) == 2
+    written = json.loads(out.read_text())["detailed_balance"]
+    assert written["mode"] == "float" and len(written["violations"]) == 588
+    assert made == []
+    balance = cli.check_reversibility(*model_from_dict(doc)).balance
+    assert made == []
+    violations = balance.violations
+    assert balance.violations is violations and len(made) == len(violations) == 588
+    assert [v.flow_xy for v in violations] == [float(w["flow_xy"]) for w in written["violations"]]
 
 
 def test_exact_detailed_balance_refuses_an_entry_that_is_not_exact():
