@@ -70,7 +70,10 @@ MUTANTS = (
         "src/redpow/ctmc.py",
         "for t in (step, step ^ 1)",
         "for t in (step, step)",
-        ("tests/test_ctmc.py",),
+        (
+            "tests/test_ctmc.py::test_single_automaton_check",
+            "tests/test_ctmc.py::test_kolmogorov_verdict_is_basis_independent",
+        ),
     ),
     Mutant(
         "the array verdict passes a walk whose products differ",
@@ -304,6 +307,33 @@ MUTANTS = (
         "    if commas.count(k - 1) != n:\n",
         "    if False:\n",
         ("tests/test_power.py::test_the_quotient_names_the_first_label_of_the_wrong_shape",),
+    ),
+    Mutant(
+        "the quotient's tuple lookup takes the vertex found without comparing its label",
+        "src/redpow/power.py",
+        "        if (at < 0).any() or list(map(labels.__getitem__, at.tolist())) != texts:\n",
+        "        if (at < 0).any():\n",
+        (
+            "tests/test_power.py::test_quotient_rejects_repeated_tuples",
+            "tests/test_power.py::test_the_quotient_of_a_product_with_a_stale_label_index_is_the_power",
+        ),
+    ),
+    Mutant(
+        "the quotient writes each found tuple's digits at the tuple's code, not at the vertex found",
+        "src/redpow/power.py",
+        "        digits[found, pos] = code // v ** (k - 1 - pos) % v\n",
+        "        digits[code, pos] = code // v ** (k - 1 - pos) % v\n",
+        (
+            "tests/test_power.py::test_the_tuple_lookup_gives_the_parsed_digits_and_parses_only_on_a_miss",
+            "tests/test_power.py::test_the_quotient_of_a_product_listed_in_another_vertex_order_is_the_power",
+        ),
+    ),
+    Mutant(
+        "the quotient's one-coordinate count accepts an edge that changes several",
+        "src/redpow/power.py",
+        "    if not (changes == 1).all():\n",
+        "    if not (changes >= 1).all():\n",
+        ("tests/test_power.py::test_the_quotient_refuses_an_edge_that_changes_two_coordinates_among_valid_ones",),
     ),
     Mutant(
         "a kept quotient edge's moved pair is not put in ascending order",

@@ -21,7 +21,7 @@ import operator
 import reprlib
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -142,11 +142,11 @@ class Graph(_BuiltOnRead):
             raise GraphError(f"edge pair {first} needs 0 <= i < j < {n}")
         keys = i * n + j
         if (keys[1:] < keys[:-1]).any():
-            order = np.argsort(keys)
+            order = np.argsort(keys, kind="stable")  # timsort: builders pass long sorted runs
             pairs, keys = pairs[order], keys[order]
-        repeat = keys[1:] == keys[:-1]
-        if repeat.any():
-            raise GraphError(f"duplicate edge pair {tuple(pairs[repeat.argmax()].tolist())}")
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            raise GraphError(f"duplicate edge pair {tuple(pairs[repeated.argmax()].tolist())}")
         pairs = pairs.view()  # read-only, so no holder can change the hash or the views
         pairs.flags.writeable = False
         self.labels: tuple[str, ...] = labels
@@ -251,6 +251,15 @@ def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(key.shape, -1, dtype=np.int64)
     pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
     return np.where(keys[pos] == key, pos, -1)
+
+
+def _label_ids(g: Graph, texts: Sequence[str]) -> np.ndarray:
+    """Vertex index of each label text, or -1 where it is no label of ``g``.
+
+    Read off the index built with the labels, so a caller that may hold a
+    graph whose ``labels`` were written over compares them at each index found.
+    """
+    return np.fromiter(map(g._label_index.get, texts, repeat(-1)), np.int64, len(texts))
 
 
 def _index(

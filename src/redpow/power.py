@@ -27,9 +27,10 @@ its moves off two of its columns.
 
 The independent oracle, :func:`cartesian_power` followed by
 :func:`quotient_by_symmetry`, runs as array kernels: the product's edges
-come from arithmetic on mixed-radix vertex indices, its labels are read
-in one pass, and each quotient check is one array operation, over all
-product edges or over the kept quotient edges alone. Both builders hand
+come from arithmetic on mixed-radix vertex indices, each product
+vertex's tuple is found by looking the joined tuple up among its labels,
+and each quotient check runs on arrays, over all product edges or over
+the kept quotient edges alone. Both builders hand
 their graphs to ``Graph`` as index-pair arrays, never as label pairs, and
 the quotient reads the product's pair array, so the product never builds
 its Python edge tuples, adjacency or edge index.
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, islice, product, repeat
 from math import comb, factorial
 
 import numpy as np
 
 from .errors import PowerError
-from .graph import Graph, _BuiltOnRead, _built_on_read, _edge_ids, _index, _shown
+from .graph import Graph, _BuiltOnRead, _built_on_read, _edge_ids, _index, _label_ids, _shown
 
 __all__ = [
     "Monomial",
@@ -510,13 +511,14 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     graph. Raises PowerError if ``power`` is not the k-fold Cartesian
     power of ``base`` produced by :func:`cartesian_power`.
 
-    The labels are parsed into one digit row per product vertex in one
-    pass: each label's commas are counted, then the parts of the joined
-    labels are looked up, a slice of labels at a time. That each product
-    edge changes one coordinate is one array check over all of them; the
-    distinct quotient edges are then found, and only for those are the
-    moved pair and the stay word derived and the move checked to run along
-    a base edge.
+    Each product vertex gets the digit row of its tuple by lookup
+    (:func:`_tuple_digits`): each label's commas are counted, then every
+    tuple of base labels is joined and found among the product's labels,
+    and the labels are split and parsed only when one is not found. That
+    each product edge changes one coordinate is checked one digit column
+    at a time over all of them; the distinct quotient edges are then
+    found, and only for those are the moved pair and the stay word derived
+    and the move checked to run along a base edge.
     """
     k = _count(k)
     v = base.num_vertices
@@ -526,7 +528,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     if n != v**k:
         raise PowerError(f"power has {n} vertices, expected {v}^{k} = {v**k}")
 
-    digits = _label_digits(power.labels, base, k)
+    digits = _tuple_digits(power, base, k)
     covered = np.zeros(n, dtype=bool)
     covered[_codes(digits, v)] = True
     if not covered.all():  # n codes below n cover them all exactly when distinct
@@ -538,8 +540,12 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
             f"power has {power.num_edges} edges, expected {expected_edges}"
         )
     src, dst = power.pairs.T
-    if not (np.count_nonzero(digits[src] != digits[dst], axis=1) == 1).all():
+    changes = np.zeros(len(src), dtype=np.min_scalar_type(k))
+    for column in digits.T:  # one column at a time: no (edges, k) temporaries
+        changes += column[src] != column[dst]
+    if not (changes == 1).all():
         raise PowerError("product edge changes more than one coordinate")
+    del changes
 
     # An edge moving a token a -> b joins the distinct words S+a and S+b; edges
     # joining the same two words share e_a - e_b up to sign, so {a, b} and then
@@ -575,27 +581,57 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     )
 
 
-# Labels parsed per slice by _label_digits: the parts of one slice, a str each,
-# are the parse's largest transient (about 56 bytes a part), and the process
-# keeps the heap they spread over. Six benchmark basis-audit rounds, three of
-# them with a B(8,3) k = 5 quotient, peaked at 67-68 MiB RSS with 16384 labels
-# a slice and at 57-59 MiB with 256 to 4096; 1024 parsed fastest.
+# Tuples joined and looked up per slice by _tuple_digits, and labels parsed per
+# slice by _label_digits: the texts or parts of one slice, a str each, are
+# their largest transient (about 56 bytes a part), and the process keeps the
+# heap they spread over. Six benchmark basis-audit rounds, three of them with a
+# B(8,3) k = 5 quotient, peaked at 67-68 MiB RSS with 16384 labels a slice and
+# at 57-59 MiB with 256 to 4096; 1024 parsed fastest. That quotient's lookup,
+# alone in a process, left 49.4 MiB RSS at 256 or 1024 tuples a slice, 49.7 at
+# 4096 and 50.7 in one slice, in about the same time.
 _PARSE_SLICE = 1024
 
 
-def _label_digits(labels: tuple[str, ...], base: Graph, k: int) -> np.ndarray:
-    """The ``(n, k)`` base-vertex digits of labels that join k base labels by commas.
+def _tuple_digits(power: Graph, base: Graph, k: int) -> np.ndarray:
+    """The ``(n, k)`` base-vertex digits of the product's labels, found by lookup.
 
-    Raises PowerError naming the first label without ``k - 1`` commas,
-    else the base's GraphError for the first part that is no base label.
-    With every label's commas counted, each slice's labels are joined and
-    split again, and their parts come out label after label.
+    Raises PowerError naming the first label without ``k - 1`` commas.
+    Then the tuples of base labels are joined in code order, a slice at a
+    time, and looked up among the labels; the vertex found must carry
+    exactly that text, as ``labels`` may be newer than the index. A text
+    found so has a label's ``k - 1`` commas, so its base labels have none
+    and distinct tuples are found on distinct vertices: the n tuples land
+    on all n. The first miss hands the labels to :func:`_label_digits`,
+    which parses them and raises on a label that is no tuple.
     """
-    n, v = len(labels), base.num_vertices
+    labels, n, v = power.labels, power.num_vertices, base.num_vertices
     commas = list(map(str.count, labels, repeat(",")))
     if commas.count(k - 1) != n:
         lab = next(lab for lab, c in zip(labels, commas) if c != k - 1)
         raise PowerError(f"vertex label {lab!r} is not a {k}-tuple of base labels")
+    found = np.empty(n, dtype=np.int64)
+    tuples = product(base.labels, repeat=k)
+    for start in range(0, n, _PARSE_SLICE):
+        texts = list(map(",".join, islice(tuples, _PARSE_SLICE)))
+        at = _label_ids(power, texts)
+        if (at < 0).any() or list(map(labels.__getitem__, at.tolist())) != texts:
+            return _label_digits(labels, base, k)
+        found[start : start + len(texts)] = at
+    digits = np.empty((n, k), dtype=np.min_scalar_type(v))
+    code = np.arange(n)
+    for pos in range(k):
+        digits[found, pos] = code // v ** (k - 1 - pos) % v
+    return digits
+
+
+def _label_digits(labels: tuple[str, ...], base: Graph, k: int) -> np.ndarray:
+    """The ``(n, k)`` base-vertex digits of labels of ``k - 1`` commas each, parsed.
+
+    Raises the base's GraphError for the first part that is no base label.
+    Each slice's labels are joined and split again, and their parts come
+    out label after label.
+    """
+    n, v = len(labels), base.num_vertices
     digit_of = dict(zip(base.labels, range(v)))
     digits = np.empty(n * k, dtype=np.min_scalar_type(v))
     for start in range(0, n, _PARSE_SLICE):

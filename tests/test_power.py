@@ -26,7 +26,7 @@ from redpow import (
     quotient_by_symmetry,
     vertex_count,
 )
-from redpow.power import _LABEL_COORDS, _assemble
+from redpow.power import _LABEL_COORDS, _assemble, _label_digits, _tuple_digits
 
 from conftest import (
     COUNT_KINDS,
@@ -1083,6 +1083,78 @@ def test_the_quotient_of_a_32768_tuple_product_peaks_below_the_label_by_label_pa
         tracemalloc.stop()
     assert peak <= 16.6 * 2**20
     assert oracle == build_reduced_power(g, 5) and oracle.annotations == build_reduced_power(g, 5).annotations
+
+
+# --- each product vertex's tuple found by lookup, and the stable pair sort ---
+
+
+def _listed(power: Graph, where: list[int]) -> Graph:
+    """``power`` with tuple ``t`` listed as vertex ``where[t]``, its edges moved along."""
+    labels = [""] * power.num_vertices
+    for t, at in enumerate(where):
+        labels[at] = power.labels[t]
+    return Graph._from_pairs(labels, np.sort(np.array(where)[power.pairs], axis=1))
+
+
+def _stale(g: Graph) -> Graph:
+    """``g`` with the labels and pairs of ``g`` but the label index of its reversed labels."""
+    stale = Graph._from_pairs(g.labels[::-1], g.pairs)
+    stale.labels = g.labels  # written over after the build, so the index predates them
+    return stale
+
+
+def _orders(power: Graph) -> dict[str, list[int]]:
+    import random
+
+    n = power.num_vertices
+    return {
+        "canonical": list(range(n)),
+        "reversed": list(range(n))[::-1],
+        "random": random.Random(n).sample(range(n), n),
+    }
+
+
+def test_the_tuple_lookup_gives_the_parsed_digits_and_parses_only_on_a_miss(monkeypatch):
+    from redpow import power as power_module
+
+    parses = []
+    parsed = power_module._label_digits
+    monkeypatch.setattr(power_module, "_label_digits", lambda *a: parses.append(1) or parsed(*a))
+    for g in generator_suite():
+        for k in (1, 2, 3):
+            power = cartesian_power(g, k)
+            for order, where in _orders(power).items():
+                listed = _listed(power, where)
+                expected = _label_digits(listed.labels, g, k)
+                parses.clear()
+                assert np.array_equal(_tuple_digits(listed, g, k), expected), (g, k, order)
+                assert parses == []  # every tuple found: the labels are not parsed
+                assert np.array_equal(_tuple_digits(_stale(listed), g, k), expected), (g, k, order)
+                assert parses == [1]
+
+
+def test_the_quotient_of_a_product_with_a_stale_label_index_is_the_power():
+    for g in generator_suite():
+        for k in (1, 2, 3):
+            power, direct = cartesian_power(g, k), build_reduced_power(g, k)
+            for order, where in _orders(power).items():
+                for listed in (_listed(power, where), _stale(_listed(power, where))):
+                    oracle = quotient_by_symmetry(listed, g, k)
+                    assert oracle == direct and oracle.annotations == direct.annotations, (g, k, order)
+                    assert np.array_equal(oracle._moves, direct._moves)
+
+
+def test_fill_sorts_shuffled_pairs_as_an_unstable_sort_does():
+    rng = np.random.default_rng(5)
+    for g in generator_suite():
+        for k in (1, 2, 3):
+            power = cartesian_power(g, k)
+            n = power.num_vertices
+            for pairs in (power.pairs, power.pairs[::-1], rng.permutation(power.pairs)):
+                reference = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1], kind="quicksort")]
+                filled = Graph._from_pairs(power.labels, pairs.copy())
+                assert filled.pairs.dtype == reference.dtype
+                assert np.array_equal(filled.pairs, reference) and np.array_equal(filled.pairs, power.pairs)
 
 
 # --- one record of the moves: annotations and stay counts read from it ---
