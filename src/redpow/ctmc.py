@@ -93,10 +93,9 @@ __all__ = [
 # would spell a longer number than digits may, and Fraction expands it in full
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
-# A plain 'n' or 'n/d' is read by int, and past Python's int-string digit
-# limit through Decimal, which has none, so that the loader reads the long
-# integers model_to_dict writes. Up to a 4300-digit mantissa times a
-# 4300-digit power of ten spells that many digits.
+# A plain 'n' or 'n/d' is parsed through Decimal, which has no digit limit,
+# so that the loader reads the long integers model_to_dict writes. Up to a
+# 4300-digit mantissa times a 4300-digit power of ten spells that many digits.
 _MAX_DIGITS = 2 * _MAX_EXPONENT
 _PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*\Z")
 # Python's current int-string digit limit; 0 is none, as before 3.10.7
@@ -121,9 +120,7 @@ def parse_rational(value: object, where: str) -> Fraction:
                     raise ModelError(
                         f"{where}: {digits}-digit number exceeds {_MAX_DIGITS} digits"
                     )
-                limit = _str_digit_limit()
-                read = int if not limit or digits <= limit else lambda text: int(Decimal(text))
-                return Fraction(read(num), read(den or "1"))
+                return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
             refused = _past_exponent_bound(value)
             if refused:
                 raise ModelError(f"{where}: {refused}")
@@ -272,6 +269,8 @@ def _rate(graph: Graph, pair: tuple[int, int], value: object, what: str) -> Frac
         refused = isinstance(value, (str, Decimal)) and _past_exponent_bound(str(value))
         if refused:
             raise ModelError(f"{what} for {_arc(graph, pair)}: {refused}")
+        if isinstance(value, str) and "_" in value:  # Fraction reads underscores from 3.11 on only
+            raise ValueError
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):  # ArithmeticError: '1/0' or an infinity
         raise ModelError(f"{what} for {_arc(graph, pair)} is {_shown(value)}, not a rational") from None

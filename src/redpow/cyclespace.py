@@ -465,13 +465,6 @@ def total_length(basis: CycleBasis) -> int:
     return basis.total_length
 
 
-def _basis_of_bitsets(host, kind: str, minimum: bool, bitsets: Iterable[int], tag: str) -> CycleBasis:
-    """The basis of the simple cycles ``bitsets``, walked here; the constructor takes their traced edges."""
-    cycles = tuple(cycle_decomposition(EdgeVector._traced(host, bits))[0] for bits in bitsets)
-    info = tuple(ElementInfo(tag=tag) for _ in cycles)
-    return CycleBasis(host, None, kind, cycles, minimum, info)
-
-
 def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     """Fundamental cycle basis of a spanning tree.
 
@@ -487,8 +480,10 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     path = [0] * g.num_vertices
     for v in sorted(tree.parent, key=tree.depths().__getitem__):  # parents first
         path[v] = path[tree.parent[v]] | 1 << g.edge_position(v, tree.parent[v])
-    cycles = (path[i] ^ path[j] | 1 << e for e, (i, j) in enumerate(g.edges) if (i, j) not in tree_pairs)
-    return _basis_of_bitsets(host, "fundamental", False, cycles, "fundamental")
+    bitsets = (path[i] ^ path[j] | 1 << e for e, (i, j) in enumerate(g.edges) if (i, j) not in tree_pairs)
+    cycles = tuple(cycle_decomposition(EdgeVector._traced(host, bits))[0] for bits in bitsets)
+    info = tuple(ElementInfo(tag="fundamental") for _ in cycles)
+    return CycleBasis(host, None, "fundamental", cycles, False, info)
 
 
 # greedy_mcb takes its sources in blocks: a block's tree and edge tables,

@@ -131,7 +131,8 @@ class Graph(_BuiltOnRead):
         """Store the pairs in the canonical (sorted) order; raise on a bad or repeated one.
 
         A bad pair is reported before any repeat, the first one in sorted
-        order. Valid pairs sort by ``i * n + j``, which orders them as tuples.
+        order. Valid pairs sort by ``i * n + j``, which orders them as
+        tuples; unsorted ones are rebuilt from their sorted keys.
         """
         n = len(labels)
         pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -142,8 +143,8 @@ class Graph(_BuiltOnRead):
             raise GraphError(f"edge pair {first} needs 0 <= i < j < {n}")
         keys = i * n + j
         if (keys[1:] < keys[:-1]).any():
-            order = np.argsort(keys, kind="stable")  # timsort: builders pass long sorted runs
-            pairs, keys = pairs[order], keys[order]
+            keys.sort(kind="stable")  # timsort: builders pass long sorted runs
+            pairs = np.column_stack(np.divmod(keys, n))
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
             raise GraphError(f"duplicate edge pair {tuple(pairs[repeated.argmax()].tolist())}")

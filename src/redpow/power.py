@@ -629,18 +629,16 @@ def _label_digits(labels: tuple[str, ...], base: Graph, k: int) -> np.ndarray:
 
     Raises the base's GraphError for the first part that is no base label.
     Each slice's labels are joined and split again, and their parts come
-    out label after label.
+    out label after label, looked up by :func:`~redpow.graph._label_ids`.
     """
     n, v = len(labels), base.num_vertices
-    digit_of = dict(zip(base.labels, range(v)))
     digits = np.empty(n * k, dtype=np.min_scalar_type(v))
     for start in range(0, n, _PARSE_SLICE):
         parts = ",".join(labels[start : start + _PARSE_SLICE]).split(",")
-        try:
-            digits[start * k : (start + _PARSE_SLICE) * k] = list(map(digit_of.__getitem__, parts))
-        except KeyError:
-            for part in parts:
-                base.index_of(part)  # raises GraphError on the first part that is no base label
+        at = _label_ids(base, parts)
+        if (at < 0).any():
+            base.index_of(parts[at.argmin()])  # raises GraphError: argmin finds the first -1
+        digits[start * k : (start + _PARSE_SLICE) * k] = at
     return digits.reshape(n, k)
 
 

@@ -2376,6 +2376,21 @@ def test_rate_spec_refuses_an_exponent_past_the_bound_before_expanding_it():
         assert parse_rational(text, "w") == value
 
 
+def test_rate_spec_refuses_an_underscore_on_every_python():
+    # Fraction reads PEP 515 underscores from Python 3.11 on; RateSpec refuses them on every version, as the loader does
+    g = Graph(["a", "b"], [("a", "b")])
+    for text in ("1_000", "1_0/3", "1e4_3"):
+        for base, coupling, what in (
+            ({(0, 1): text, (1, 0): 1}, {}, "base rate for 'a->b'"),
+            ({(0, 1): 1, (1, 0): 1}, {(1, 0): (0, text)}, "coupling entry for 'b->a'"),
+        ):
+            with pytest.raises(ModelError) as info:
+                RateSpec(g, base, coupling)
+            assert str(info.value) == f"{what} is {text!r}, not a rational"
+        with pytest.raises(ModelError, match="underscores are not allowed"):
+            parse_rational(text, "w")
+
+
 # --- transition numerators in one array pass ---
 
 
