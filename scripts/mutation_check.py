@@ -336,13 +336,12 @@ MUTANTS = (
         ("tests/test_power.py::test_the_quotient_refuses_an_edge_that_changes_two_coordinates_among_valid_ones",),
     ),
     Mutant(
-        "a kept quotient edge's moved pair is not put in ascending order",
+        "the move record reads its base edge's ends high end first",
         "src/redpow/power.py",
-        "    lo, hi = np.minimum(a, b), np.maximum(a, b)\n",
-        "    lo, hi = a, b\n",
-        (
-            "tests/test_power.py::test_the_quotient_of_a_product_listed_in_another_vertex_order_is_the_power",
-        ),
+        "base.pairs[moves[:, 3]]",
+        "base.pairs[moves[:, 3]][:, ::-1]",
+        # the oracle's tests cannot catch it: the oracle and the direct build share this line
+        ("tests/test_power.py::test_rank_numbered_power_equals_the_dict_reference",),
     ),
     Mutant(
         "the public constructor's lowering takes a move along no base edge",
@@ -380,6 +379,13 @@ MUTANTS = (
         ("tests/test_graph.py::test_the_label_index_names_the_first_fault_as_the_label_by_label_loop_did",),
     ),
     Mutant(
+        "the square families take a tree whose order is not depth-ordered",
+        "src/redpow/squares.py",
+        "    if any(depth[a] > depth[b] for a, b in zip(t.order, t.order[1:])):\n",
+        "    if False:\n",
+        ("tests/test_squares.py::test_families_reject_depth_violating_tree",),
+    ),
+    Mutant(
         "a square corner keeps its stay token on c where it moved to d",
         "src/redpow/squares.py",
         "rows[:, [2, 2, 3, 3]]",
@@ -413,6 +419,13 @@ MUTANTS = (
         "        try:\n            i, j, f = entry\n        except (TypeError, ValueError):\n",
         "        i, j, f = entry\n        if False:\n",
         ("tests/test_power.py::test_the_public_constructor_refuses_an_annotation_that_is_no_triple_naming_it",),
+    ),
+    Mutant(
+        "a steady state writes an exact law as floats",
+        "src/redpow/ctmc.py",
+        '        text = _rational_str if self.mode == "exact" else float\n',
+        "        text = float\n",
+        ("tests/test_cli.py::test_check_reversibility_exact_writes_values_past_the_int_digit_limit",),
     ),
     Mutant(
         "the float balance report swaps its two flow columns",

@@ -554,7 +554,7 @@ def single_automaton_check(base: Graph, spec: RateSpec) -> KolmogorovReport:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary distribution with solve diagnostics."""
+    """Stationary distribution with solve diagnostics; ``as_dict`` writes each probability by the mode."""
 
     probabilities: tuple
     mode: str
@@ -562,12 +562,10 @@ class SteadyState:
     sum_abs_error: float
 
     def as_dict(self) -> dict:
-        probs = [
-            _rational_str(p) if isinstance(p, Fraction) else float(p) for p in self.probabilities
-        ]
+        text = _rational_str if self.mode == "exact" else float
         return {
             "mode": self.mode,
-            "probabilities": probs,
+            "probabilities": list(map(text, self.probabilities)),
             "residual_inf": self.residual_inf,
             "sum_abs_error": self.sum_abs_error,
         }

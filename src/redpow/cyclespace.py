@@ -475,10 +475,10 @@ def fundamental_cycles(host, tree: RootedTree) -> CycleBasis:
     read off that bitset by :func:`cycle_decomposition`.
     """
     g = host_graph(host)
-    check_spanning_tree(g, tree)
+    depth = check_spanning_tree(g, tree)
     tree_pairs = tree.tree_pairs()
     path = [0] * g.num_vertices
-    for v in sorted(tree.parent, key=tree.depths().__getitem__):  # parents first
+    for v in sorted(tree.parent, key=depth.__getitem__):  # parents first
         path[v] = path[tree.parent[v]] | 1 << g.edge_position(v, tree.parent[v])
     bitsets = (path[i] ^ path[j] | 1 << e for e, (i, j) in enumerate(g.edges) if (i, j) not in tree_pairs)
     cycles = tuple(cycle_decomposition(EdgeVector._traced(host, bits))[0] for bits in bitsets)

@@ -448,12 +448,12 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     )
 
 
-def check_spanning_tree(g: Graph, t: RootedTree) -> None:
-    """Raise GraphError unless ``t`` is a spanning tree of ``g``.
+def check_spanning_tree(g: Graph, t: RootedTree) -> tuple[int, ...]:
+    """Raise GraphError unless ``t`` is a spanning tree of ``g``; return its depths.
 
     The order must start at the root and contain every vertex once;
     every parent edge must exist in the graph. Acyclicity follows from
-    the depth computation, which rejects cyclic parent maps.
+    :meth:`RootedTree.depths`, which rejects cyclic parent maps.
     """
     t._check_indices(g.num_vertices)
     if not t.order or t.order[0] != t.root:
@@ -467,7 +467,7 @@ def check_spanning_tree(g: Graph, t: RootedTree) -> None:
             raise GraphError(
                 f"tree edge {g.labels[child]!r}-{g.labels[par]!r} is not a graph edge"
             )
-    t.depths()  # raises on a vertex the root does not reach
+    return t.depths()  # raises on a vertex the root does not reach
 
 
 # --- serialization ---

@@ -15,6 +15,8 @@ exactly.
 
 A power keeps one record of its moves, ``ReducedPowerGraph._moves`` and
 ``_stays``; its other views of them are made from it on first read.
+Each builder names a move's base edge ``b`` alone, and the record's
+ends ``(i, j)`` are read off ``base.pairs[b]`` in one place.
 A state is keyed by its word, the sorted tuple of the vertex indices
 its tokens occupy; ``Monomial`` is the public view (``states`` is built
 on first read). No state is looked up by its word: its
@@ -288,22 +290,22 @@ def orbit_size(m: Monomial) -> int:
 def build_reduced_power(base: Graph, k: int) -> ReducedPowerGraph:
     """Construct the k-th reduced power directly from monomials.
 
-    The move of base edge ``(i, j)`` under stay word ``f`` joins states
+    The move of base edge ``b = (i, j)`` under stay word ``f`` joins states
     ``f * i`` and ``f * j``, columns ``i`` and ``j`` of the rank array of
-    :func:`_insert_ranks`; since ``i < j``, ``f * i`` ranks lower.
+    :func:`_insert_ranks`; since ``i < j``, ``f * i`` ranks lower. Its row
+    ``(f * i, f * j, f, b)`` names no ends: they are ``base.pairs[b]``.
     """
     k = _count(k)
     v = base.num_vertices
     _check_state_budget("power", v, k)
     stays, ranks = _insert_ranks(v, k)
     ends = base.pairs
-    moves = np.empty((len(stays), len(ends), 6), dtype=np.int64)  # per stay word and base edge
+    moves = np.empty((len(stays), len(ends), 4), dtype=np.int64)  # per stay word and base edge
     moves[..., 0], moves[..., 1] = ranks[:, ends[:, 0]], ranks[:, ends[:, 1]]
-    moves[..., 2:4] = ends
-    moves[..., 4] = np.arange(len(stays))[:, None]
-    moves[..., 5] = np.arange(len(ends))
+    moves[..., 2] = np.arange(len(stays))[:, None]
+    moves[..., 3] = np.arange(len(ends))
     words = list(combinations_with_replacement(range(v), k))
-    return _from_moves(base, k, words, stays, moves.reshape(-1, 6))
+    return _from_moves(base, k, words, stays, moves.reshape(-1, 4))
 
 
 def _word_ranks(words: np.ndarray, v: int) -> np.ndarray:
@@ -327,8 +329,7 @@ def _rank_table(v: int, k: int) -> tuple[int, np.ndarray]:
     table = np.array(
         [[comb(v + k - 2 - w - j, k - j) for j in range(k)] for w in range(v)], dtype=np.int64
     ).reshape(v, k)
-    table.flags.writeable = False
-    return comb(v + k - 1, k) - 1, table
+    return comb(v + k - 1, k) - 1, _read_only(table)
 
 
 def _insert_ranks(v: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -354,9 +355,7 @@ def _insert_table(v: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarr
     joined = np.empty((len(stays), v, k), dtype=np.int64)
     joined[:, :, :-1] = np.array(stays, dtype=np.int64).reshape(len(stays), 1, k - 1)
     joined[:, :, -1] = np.arange(v)
-    ranks = _word_ranks(joined, v)
-    ranks.flags.writeable = False
-    return stays, ranks
+    return stays, _read_only(_word_ranks(joined, v))
 
 
 def _state_labels(
@@ -427,10 +426,10 @@ def _assemble(base: Graph, k: int, words: list, moves: dict) -> ReducedPowerGrap
     stays = sorted({fw for _, _, fw in moves.values()})
     stay_index = {fw: s for s, fw in enumerate(stays)}
     rows = np.array(
-        [(x, y, i, j, stay_index[fw]) for (x, y), (i, j, fw) in moves.items()], dtype=np.int64
+        [(x, y, stay_index[fw], i, j) for (x, y), (i, j, fw) in moves.items()], dtype=np.int64
     ).reshape(-1, 5)
-    rows = np.column_stack([rows, _edge_ids(base, rows[:, 2], rows[:, 3])])
-    return _from_moves(base, k, words, stays, rows)
+    rows[:, 3] = _edge_ids(base, rows[:, 3], rows[:, 4])
+    return _from_moves(base, k, words, stays, rows[:, :4])
 
 
 def _from_moves(
@@ -438,15 +437,16 @@ def _from_moves(
 ) -> ReducedPowerGraph:
     """Power from its state words, stay words and moves, one move per row.
 
-    Row ``(x, y, i, j, s, b)`` joins states ``x < y``: one token crosses
-    base edge ``b = (i, j)`` while the tokens of ``stays[s]`` stay put. One
+    Row ``(x, y, s, b)`` joins states ``x < y``: one token crosses base
+    edge ``b`` while the tokens of ``stays[s]`` stay put. The record's
+    ``(i, j, s, b)`` reads the ends ``(i, j)`` off ``base.pairs[b]``. One
     ``Monomial`` is built per stay word; ``states`` is built on first read.
     """
     v = base.num_vertices
     labels = _state_labels(base, None, words)
     moves = moves[np.argsort(moves[:, 0] * len(words) + moves[:, 1], kind="stable")]
     graph = Graph._from_pairs(labels, moves[:, :2])
-    moved = _read_only(moves[:, 2:].copy())  # a copy: the rows' state ends are not kept
+    moved = _read_only(np.column_stack([base.pairs[moves[:, 3]], moves[:, 2:]]))
     fields = dict(base=base, k=k, graph=graph, _moves=moved, _stays=tuple(Monomial._of_words(stays, v)))
     return _built_on_read(ReducedPowerGraph, fields, states=lambda: tuple(Monomial._of_words(words, v)))
 
@@ -565,10 +565,8 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
     # per edge, in edge order.
     tx, ty = digits[src[kept]], digits[dst[kept]]
     changed = tx != ty
-    a, b = tx[changed].astype(np.int64), ty[changed].astype(np.int64)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
     stays = np.sort(tx[~changed].reshape(len(kept), k - 1), axis=1)
-    edge = _edge_ids(base, lo, hi)
+    edge = _edge_ids(base, tx[changed].astype(np.int64), ty[changed].astype(np.int64))
     if (edge < 0).any():
         raise PowerError("product edge does not project onto a base edge")
     _, stay_first, stay = np.unique(_codes(stays, v), return_index=True, return_inverse=True)
@@ -577,7 +575,7 @@ def quotient_by_symmetry(power: Graph, base: Graph, k: int) -> ReducedPowerGraph
         k,
         [tuple(w) for w in words[first].tolist()],
         [tuple(fw) for fw in stays[stay_first].tolist()],
-        np.column_stack([*np.divmod(pairs[kept], num_states), lo, hi, stay, edge]),
+        np.column_stack([*np.divmod(pairs[kept], num_states), stay, edge]),
     )
 
 

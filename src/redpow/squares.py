@@ -137,8 +137,8 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
     those whose largest letter, read as a tree-order position, is at most
     the child's.
     """
-    check_spanning_tree(g, t)
-    if not t.is_depth_ordered():
+    depth = check_spanning_tree(g, t)
+    if any(depth[a] > depth[b] for a, b in zip(t.order, t.order[1:])):
         raise GraphError("tree order must be non-decreasing in depth")
     k = _count(k)
     if k < 2:

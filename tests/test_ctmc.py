@@ -431,6 +431,12 @@ def test_steady_state_modes_agree():
         assert abs(float(pe) - pf) < 1e-12
 
 
+def test_a_steady_state_writes_each_probability_by_its_mode():
+    assert SteadyState((1,), "exact", 0.0, 0.0).as_dict()["probabilities"] == ["1"]
+    assert SteadyState((F(1, 3), F(2, 3)), "exact", 0.0, 0.0).as_dict()["probabilities"] == ["1/3", "2/3"]
+    assert SteadyState((F(1, 2), F(1, 2)), "float", 0.0, 0.0).as_dict()["probabilities"] == [0.5, 0.5]
+
+
 def test_steady_state_rejects_unknown_mode_and_large_exact():
     mc = build_master(pentagon(), 1, pentagon_spec(1, 1, 1))
     with pytest.raises(SolverError, match="unknown steady-state mode"):

@@ -719,3 +719,26 @@ def test_a_decomposition_basis_does_not_depend_on_the_powers_stay_order(suite):
             ours, theirs = _decomposition_on(public, tree), _decomposition_on(built, tree)
             assert (ours.cycles, ours.info, ours._tags) == (theirs.cycles, theirs.info, theirs._tags), (g, k)
             assert all(map(np.array_equal, ours._trace, theirs._trace))
+
+
+def test_each_tree_check_walks_the_tree_once(monkeypatch):
+    """The families and the fundamental basis read the depths their tree check returns."""
+    calls = []
+    depths = RootedTree.depths
+
+    def spied(tree):
+        calls.append(tree)
+        return depths(tree)
+
+    monkeypatch.setattr(RootedTree, "depths", spied)
+    for g in (cycle_graph(5), complete_graph(4), random_connected_graph(7, 4, seed=2)):
+        rp = build_reduced_power(g, 2)
+        runs = (
+            lambda: decomposition_basis(g, 3),
+            lambda: verify_square_space(g, bfs_spanning_tree(g, 1), 3),
+            lambda: fundamental_cycles(rp, bfs_spanning_tree(rp.graph)),
+        )
+        for run in runs:
+            calls.clear()
+            run()
+            assert len(calls) == 1, g
