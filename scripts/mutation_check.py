@@ -388,9 +388,23 @@ MUTANTS = (
     Mutant(
         "a square corner keeps its stay token on c where it moved to d",
         "src/redpow/squares.py",
-        "rows[:, [2, 2, 3, 3]]",
-        "rows[:, [2, 2, 3, 2]]",
+        "stay[:, [0, 0, 2, 2]]",
+        "stay[:, [0, 0, 2, 0]]",
         ("tests/test_squares.py::test_structured_cycles_name_the_states_the_token_rows_rank",),
+    ),
+    Mutant(
+        "a square's first step reads the stay w + d where it should read w + c",
+        "src/redpow/squares.py",
+        "rp._edge_of[stay * base.num_edges + ",
+        "rp._edge_of[stay[:, [2, 1, 2, 3]] * base.num_edges + ",
+        ("tests/test_squares.py::test_a_decomposition_basis_traces_its_squares_as_the_edge_search_does",),
+    ),
+    Mutant(
+        "the move-record check lets a missing slot through",
+        "src/redpow/power.py",
+        "        if len(moves) and edge_of.min() < 0:",
+        "        if False:",
+        ("tests/test_squares.py::test_a_move_record_with_a_slot_missing_or_a_move_between_other_states_is_refused_untraced",),
     ),
     Mutant(
         "a square walk is reversed when it is already canonical",

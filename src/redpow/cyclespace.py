@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CycleSpaceError
-from .graph import Graph, RootedTree, _bfs, _edge_ids, _index, betti, check_spanning_tree
+from .graph import Graph, RootedTree, _bfs, _edge_ids, _index, betti, check_spanning_tree, is_connected
 from .graph import _BuiltOnRead, _built_on_read
 from .power import Monomial, ReducedPowerGraph
 
@@ -204,23 +204,37 @@ def _trace_walks(g: Graph, walks: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     return _trace_flat(g, src, lengths)
 
 
-def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+def _trace_flat(
+    g: Graph, src: np.ndarray, lengths: np.ndarray, gathered: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """:func:`_trace_walks` of the walks laid end to end in the int64 array ``src``.
 
     Walk ``w`` has ``lengths[w]`` vertices. One search finds every step's
-    edge. Array checks then find every walk that is no simple cycle of
-    ``g`` (fewer than three vertices, a repeated vertex, a step that is no
-    edge), and the first of them raises its own :func:`cycle_edge_vector`
-    error, as a walk-by-walk check would, on its vertices read back from
-    ``src``; for a walk of integers that is the message the walk as given
-    raises. :func:`_walk_bitsets` makes bitsets of the traced walks.
+    edge, but for the last ``len(gathered)`` steps, whose edges the caller
+    gathered: each of those is compared with its step's ends, and one that
+    differs counts as a step that is no edge. Array checks then find every
+    walk that is no simple cycle of ``g`` (fewer than three vertices, a
+    repeated vertex, a step that is no edge), and the first of them raises
+    its own :func:`cycle_edge_vector` error, as a walk-by-walk check would,
+    on its vertices read back from ``src``; for a walk of integers that is
+    the message the walk as given raises. A simple cycle one of whose
+    gathered edges does not join its step's ends raises a CycleSpaceError
+    naming the walk.
+    :func:`_walk_bitsets` makes bitsets of the traced walks.
     """
     starts = np.cumsum(lengths) - lengths
     nxt = np.arange(1, len(src) + 1)
     closing = lengths > 0
     nxt[(starts + lengths - 1)[closing]] = starts[closing]
     dst = src[nxt]
-    edge = _edge_ids(g, src, dst)
+    if gathered is None:
+        edge = _edge_ids(g, src, dst)
+    else:
+        ahead = len(src) - len(gathered)
+        ends = g.pairs[gathered]
+        lo, hi = np.minimum(src[ahead:], dst[ahead:]), np.maximum(src[ahead:], dst[ahead:])
+        checked = np.where((ends[:, 0] == lo) & (ends[:, 1] == hi), gathered, -1)
+        edge = np.concatenate([_edge_ids(g, src[:ahead], dst[:ahead]), checked])
     n = g.num_vertices
     owner = np.repeat(np.arange(len(lengths)), lengths)
     bad = lengths < 3
@@ -231,6 +245,7 @@ def _trace_flat(g: Graph, src: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
     if bad.any():
         w = int(np.argmax(bad))
         cycle_edge_vector(g, src[starts[w] : starts[w] + lengths[w]].tolist())
+        raise CycleSpaceError(f"walk {w} is a simple cycle, but an edge gathered for a step of it is another's")
     return starts, edge, src > dst
 
 
@@ -384,7 +399,7 @@ class CycleBasis(_BuiltOnRead):
     def __post_init__(self):
         g = host_graph(self.host)
         n = len(self.cycles if self.elements is None else self.elements)
-        _check_dimension(g, n)
+        _check_dimension(self.host, n)
         if len(self.cycles) != n:
             raise CycleSpaceError("every element needs a vertex sequence")
         if len(self.info) != n:
@@ -413,19 +428,22 @@ class CycleBasis(_BuiltOnRead):
 
     @classmethod
     def _of_walks(
-        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info, tags=None
+        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info, tags=None,
+        gathered: np.ndarray | None = None,
     ) -> "CycleBasis":
         """The basis of the walks laid end to end in ``vertices``, ``lengths[w]`` each.
 
         Checks, as the constructor does, that there are as many walks as
-        the cycle space's dimension, that each traces a simple cycle, and
-        that they are independent. The elements are the traced bitsets, the
+        the cycle space's dimension (:func:`_cycle_rank`), that each traces
+        a simple cycle, and that they are independent. The edges of the last
+        ``len(gathered)`` steps, if given, are checked, not searched
+        (:func:`_trace_flat`). The elements are the traced bitsets, the
         cycles the walks as tuples, ``info()`` gives the info records and
         ``tags()``, if given, their tags without them.
         """
         g = host_graph(host)
-        _check_dimension(g, len(lengths))
-        trace = _trace_flat(g, vertices, lengths)
+        _check_dimension(host, len(lengths))
+        trace = _trace_flat(g, vertices, lengths, gathered)
         _check_independent(trace, len(lengths))
         starts, edge, _ = trace
 
@@ -448,9 +466,23 @@ class CycleBasis(_BuiltOnRead):
         return len(self._trace[1])
 
 
-def _check_dimension(g: Graph, n: int) -> None:
-    """Raise unless ``n`` elements are as many as the dimension of ``g``'s cycle space."""
-    dim = betti(g)
+def _cycle_rank(host) -> int:
+    """The dimension of the cycle space of ``host``'s graph, which must be connected.
+
+    A power whose move record checks out (``_edge_of``, a builder's power)
+    has every move of the reduced power, so it is connected when its base
+    is: the base's breadth-first search proves that, and the power's own is
+    not run. Any other host's graph is searched, and so is the power of a
+    base in pieces, whose search names the state it does not reach.
+    """
+    if isinstance(host, ReducedPowerGraph) and host._edge_of is not None and is_connected(host.base):
+        return host.num_edges - host.num_states + 1
+    return betti(host_graph(host))
+
+
+def _check_dimension(host, n: int) -> None:
+    """Raise unless ``n`` elements are as many as :func:`_cycle_rank` of ``host``."""
+    dim = _cycle_rank(host)
     if n != dim:
         raise CycleSpaceError(f"basis has {n} elements, cycle space has dimension {dim}")
 
@@ -622,7 +654,7 @@ def greedy_mcb(host) -> CycleBasis:
     first read.
     """
     g = host_graph(host)
-    dim = betti(g)
+    dim = _cycle_rank(host)
     if dim == 0:
         return CycleBasis(host, (), "greedy-mcb", (), certified_minimum=True, info=())
 

@@ -453,21 +453,33 @@ def check_spanning_tree(g: Graph, t: RootedTree) -> tuple[int, ...]:
 
     The order must start at the root and contain every vertex once;
     every parent edge must exist in the graph. Acyclicity follows from
-    :meth:`RootedTree.depths`, which rejects cyclic parent maps.
+    :meth:`RootedTree.depths`, which rejects cyclic parent maps. Its one
+    pass checks the indices of a spanning tree once; a fault is named as
+    the checks in this order name it: indices, root, parent count, edges,
+    then a vertex the root does not reach.
     """
-    t._check_indices(g.num_vertices)
+    n = g.num_vertices
+    if len(t.order) != n:
+        t._check_indices(n)  # raises: an order of another length cannot list the n vertices once
+    try:
+        depth, unreached = t.depths(), None
+    except GraphError as error:  # an index fault, raised again here, or a vertex the root misses
+        t._check_indices(n)
+        depth, unreached = None, error
     if not t.order or t.order[0] != t.root:
         raise GraphError("tree order must start at the root")
     if t.root in t.parent:
         raise GraphError("root must not have a parent")
-    if len(t.parent) != g.num_vertices - 1:
+    if len(t.parent) != n - 1:
         raise GraphError("parent map must cover every non-root vertex")
     for child, par in t.parent.items():
         if not g.has_edge(child, par):
             raise GraphError(
                 f"tree edge {g.labels[child]!r}-{g.labels[par]!r} is not a graph edge"
             )
-    return t.depths()  # raises on a vertex the root does not reach
+    if unreached is not None:
+        raise unreached
+    return depth
 
 
 # --- serialization ---

@@ -143,10 +143,16 @@ class ReducedPowerGraph(_BuiltOnRead):
     (i, j, f)``, made on first read, ``annotation(e)``, and ``_stay_counts``,
     the exponents of ``_stays`` stacked. This constructor lowers
     ``annotations`` into it.
+
+    ``_edge_of``, made on first read, is the edge of each (stay rank, base
+    edge) slot; the bases read a square's edges off it. This constructor
+    lists its stays in order of first use, not by rank, so its
+    ``_edge_of`` is None.
     """
 
     __slots__ = (
-        "base", "k", "states", "graph", "annotations", "_make_states", "_moves", "_stays", "_stay_counts"
+        "base", "k", "states", "graph", "annotations", "_make_states", "_moves", "_stays", "_stay_counts",
+        "_edge_of",
     )
 
     def __init__(
@@ -168,6 +174,42 @@ class ReducedPowerGraph(_BuiltOnRead):
     def _make_annotations(self) -> tuple[tuple[int, int, Monomial], ...]:
         fs = self._stays
         return tuple((i, j, fs[s]) for i, j, s, _ in self._moves.tolist())
+
+    def _make__edge_of(self) -> np.ndarray | None:
+        """``edge_of[s * E + b]``, the edge moving a token along base edge ``b`` under stay rank ``s``.
+
+        None for a power of the public constructor, the one kind handed its
+        ``states``; the builders make theirs on read and list the stays by
+        rank. One scatter of the record's ``(s, b)`` columns, checked in one
+        array pass: a PowerError names the first fault unless the power has the
+        ``C(v+k-1, k)`` states and ``S`` stays of the k-th power, ``S`` being
+        the count of (k-1)-words, each of the ``S * E`` slots holds one
+        move, and each move ``(i, j, s, b)`` joins ``into[s, i]`` and
+        ``into[s, j]`` (:func:`_insert_ranks`). Such a record has every move of
+        the k-th power, so the power is connected when its base is.
+        """
+        try:
+            object.__getattribute__(self, "_make_states")
+        except AttributeError:
+            return None
+        base, moves = self.base, self._moves
+        v, e = base.num_vertices, base.num_edges
+        into = _insert_table(v, self.k)[1]
+        sizes = (self.graph.num_vertices, len(self._stays), len(moves))
+        power = (comb(v + self.k - 1, self.k), len(into), len(into) * e)
+        if sizes != power:
+            raise PowerError(f"move record: {sizes} states, stays and moves, the k = {self.k} power has {power}")
+        edge_of = np.full(len(moves), -1, dtype=np.int64)
+        edge_of[moves[:, 2] * e + moves[:, 3]] = np.arange(len(moves))
+        if len(moves) and edge_of.min() < 0:  # as many moves as slots: each is filled once when every one is
+            s, b = divmod(int(edge_of.argmin()), e)
+            raise PowerError(f"move record: no move along base edge {b} under stay {s}")
+        wrong = self.graph.pairs != into[moves[:, 2:3], moves[:, :2]]
+        if wrong.any():
+            m = int(wrong.any(axis=1).argmax())
+            s, b = moves[m, 2:].tolist()
+            raise PowerError(f"move {m} along base edge {b} under stay {s} joins other states")
+        return _read_only(edge_of)
 
     def _make__stay_counts(self) -> np.ndarray:
         exponents = [f.exponents for f in self._stays]
@@ -428,7 +470,11 @@ def _assemble(base: Graph, k: int, words: list, moves: dict) -> ReducedPowerGrap
     rows = np.array(
         [(x, y, stay_index[fw], i, j) for (x, y), (i, j, fw) in moves.items()], dtype=np.int64
     ).reshape(-1, 5)
-    rows[:, 3] = _edge_ids(base, rows[:, 3], rows[:, 4])
+    edge = _edge_ids(base, rows[:, 3], rows[:, 4])
+    if (edge < 0).any():
+        x, y, _, i, j = rows[edge.argmin()].tolist()
+        raise PowerError(f"move {(x, y)}: ({i}, {j}) is no base edge")
+    rows[:, 3] = edge
     return _from_moves(base, k, words, stays, rows[:, :4])
 
 

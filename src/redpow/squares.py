@@ -27,10 +27,15 @@ the basis visits, a square corner or a parked base cycle vertex, is read
 off :func:`~redpow.power._insert_ranks` tables, not ranked from a token
 row. With both edges sorted a square's least corner comes first, so its
 canonical walk needs only a direction check. The walks leave untraced,
-as one int64 vertex array: the one walk tracer of :mod:`redpow.cyclespace`
-finds their power edges, for the basis and for the square-space check
-alike, and both prove independence by peeling the traced walks. The
-basis builds its per-element objects only when they are read.
+as one int64 vertex array. A square's four power edges are arithmetic
+too: on a builder's power they are read off its slot table of (stay
+rank, base edge), which checks the move record, and the one walk tracer
+of :mod:`redpow.cyclespace` checks each against its step and searches
+only the embedded cycles' steps, for the basis and for the square-space
+check alike. Both prove independence by peeling the traced walks, and
+both read the power's cycle-space dimension off its checked move record,
+with no breadth-first search of the power. The basis builds its
+per-element objects only when they are read.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .cyclespace import (
     EdgeVector,
     ElementInfo,
     _base_mcb,
+    _cycle_rank,
     _trace_flat,
     _walk_rank,
     cycle_edge_vector,
@@ -135,7 +141,9 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
     in rank order. Checks the tree once; for k < 2 it warns and returns no
     squares. Each tree edge is oriented (parent, child); its stay words are
     those whose largest letter, read as a tree-order position, is at most
-    the child's.
+    the child's. The rows are whole arrays read off one mask, tree edge
+    by stay word, in row order: its true entries give each chord's rows,
+    and those under every shallower tree edge the tree pair rows.
     """
     depth = check_spanning_tree(g, t)
     if any(depth[a] > depth[b] for a, b in zip(t.order, t.order[1:])):
@@ -147,32 +155,17 @@ def _square_words(g: Graph, t: RootedTree, k: int) -> tuple[int, np.ndarray, np.
     v = g.num_vertices
     stays = np.array(_insert_ranks(v, k - 1)[0], np.int64, ndmin=2)  # the (k-2)-words
     ranks = _word_ranks(np.array(t.order, dtype=np.int64)[stays], v)
-    tops = stays.max(axis=1, initial=0)
-    levels = [ranks[tops <= j] for j in range(1, v)]  # at tree-order positions 1, 2, ...
-    if not levels:
-        return 0, np.empty((0, 5), dtype=np.int64), stays
-    tree_edges = np.array([(t.parent[c], c) for c in t.order[1:]], dtype=np.int64)
-
-    def block(first: np.ndarray, second: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Rows pairing edge rows ``first`` and ``second`` with stay ranks ``ws``."""
-        return np.column_stack([first, second, ws]).reshape(-1, 5)
-
-    rows = [
-        block(
-            np.repeat(tree_edges[:j], len(ws), axis=0),
-            np.broadcast_to(tree_edges[j], (j * len(ws), 2)),
-            np.tile(ws, j),
-        )
-        for j, ws in enumerate(levels)
-    ]
-    n_tree = sum(map(len, rows))
-    level_edges = np.repeat(tree_edges, list(map(len, levels)), axis=0)
-    level_words = np.concatenate(levels)
+    # tree edge j, whose child sits at tree-order position j + 1, takes the words of top at most j + 1
+    fits = stays.max(axis=1, initial=0) <= np.arange(1, v)[:, None]
+    level, word = np.nonzero(fits)
+    deeper, shallower, tree_word = np.nonzero(np.tri(v - 1, k=-1, dtype=bool)[:, :, None] & fits[:, None, :])
+    tree_edges = np.array([(t.parent[c], c) for c in t.order[1:]], dtype=np.int64).reshape(-1, 2)
+    tree_rows = np.column_stack([tree_edges[shallower], tree_edges[deeper], ranks[tree_word]])
     tree_pairs = t.tree_pairs()
-    for chord in g.edges:
-        if chord not in tree_pairs:
-            rows.append(block(np.broadcast_to(chord, level_edges.shape), level_edges, level_words))
-    return n_tree, np.concatenate(rows), stays
+    chords = np.array([e for e in g.edges if e not in tree_pairs], dtype=np.int64).reshape(-1, 2)
+    level_rows = np.column_stack([tree_edges[level], ranks[word]])
+    chord_rows = np.column_stack([np.repeat(chords, len(level), axis=0), np.tile(level_rows, (len(chords), 1))])
+    return len(tree_rows), np.concatenate([tree_rows, chord_rows]), stays
 
 
 def _family(g: Graph, t: RootedTree, k: int, tag: str) -> list[CartesianSquare]:
@@ -228,7 +221,14 @@ def embed_cycle(rp: ReducedPowerGraph, cycle: tuple[int, ...], f: Monomial) -> E
 
 
 def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The structured cycles of the power ``rp``: squares, and walks untraced as arrays.
+    """The squares, walk vertices and walk lengths of :func:`_structured_walks`, without its edges."""
+    return _structured_walks(rp, tree)[:3]
+
+
+def _structured_walks(
+    rp: ReducedPowerGraph, tree: RootedTree
+) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The structured cycles of the power ``rp``: squares, walks untraced as arrays, and the squares' edges.
 
     The squares are :func:`_square_words`'s count, rows (each edge pair
     sorted) and stay words. The walks are first one embedded copy of a
@@ -238,6 +238,13 @@ def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, 
     lengths; :func:`~redpow.cyclespace._trace_flat` traces them. States are
     read off :func:`~redpow.power._insert_ranks` tables: corner ``w + p + q``
     is ``into[onto[w, p], q]``, parked vertex ``c`` is ``into[root^(k-1), c]``.
+
+    The squares' steps, four a square, are read off the power's checked
+    slot table ``_edge_of`` by arithmetic, or None when it has none (a power
+    of the public constructor). Square ``(a, b, c, d, w)`` steps from
+    ``w + c + a`` along ``ab`` under stay ``w + c``, along ``cd`` under
+    ``w + b``, along ``ab`` under ``w + d`` and along ``cd`` under ``w + a``;
+    a walk turned to its canonical direction takes them in reverse order.
     """
     base, k, v = rp.base, rp.k, rp.base.num_vertices
     n_tree, rows, stays = _square_words(base, tree, k)
@@ -246,16 +253,23 @@ def _structured_cycles(rp: ReducedPowerGraph, tree: RootedTree) -> tuple[tuple, 
     parked = into[_word_ranks(np.full(k - 1, tree.root), v)]
     embedded = [parked[list(seq)] for seq in _base_mcb(base).cycles]
     # corner w + p + q; with a < b and c < d, w + c + a is the pointwise least word, so it leads
-    rows[:, :2].sort(axis=1)
-    rows[:, 2:4].sort(axis=1)
+    first, second = rows[:, 0:4:2], rows[:, 1:4:2]  # (a, c) and (b, d)
+    first[...], second[...] = np.minimum(first, second), np.maximum(first, second)
     # (k-2)-word w plus x: (k-1)-word onto[w, x], w in the order of stays; k = 1 has neither
     onto = _insert_ranks(v, k - 1)[1] if len(rows) else np.empty((0, 0), np.int64)
-    walks = into[onto[rows[:, 4:], rows[:, [2, 2, 3, 3]]], rows[:, [0, 1, 1, 0]]]
+    stay = onto[rows[:, 4:], rows[:, [2, 1, 3, 0]]]  # w + c, w + b, w + d, w + a
+    walks = into[stay[:, [0, 0, 2, 2]], rows[:, [0, 1, 1, 0]]]
     flip = walks[:, 3] < walks[:, 1]
-    walks[flip] = walks[flip][:, [0, 3, 2, 1]]
+    walks = np.where(flip[:, None], walks[:, [0, 3, 2, 1]], walks)
     vertices = np.concatenate([*embedded, walks.ravel()])
     lengths = np.concatenate([np.array(list(map(len, embedded)), np.int64), np.full(len(rows), 4)])
-    return (n_tree, rows, stays), vertices, lengths
+    steps = None
+    if rp._edge_of is not None:
+        # both edge pairs are sorted, so each is found among the base's sorted pairs by its key i * v + j
+        moved = np.searchsorted(base.pairs @ (v, 1), first * v + second)  # ab, cd
+        steps = rp._edge_of[stay * base.num_edges + moved[:, [0, 1, 0, 1]]]
+        steps = np.where(flip[:, None], steps[:, ::-1], steps).ravel()
+    return (n_tree, rows, stays), vertices, lengths, steps
 
 
 def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
@@ -274,9 +288,16 @@ def decomposition_basis(base: Graph, k: int, root: int = 0) -> CycleBasis:
 
 
 def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
-    """:func:`decomposition_basis` on the power ``rp`` already built, from ``tree`` of its base."""
+    """:func:`decomposition_basis` on the power ``rp`` already built, from ``tree`` of its base.
+
+    A builder's power has its square edges gathered (:func:`_structured_walks`)
+    and its dimension read off its checked move record; the embedded base
+    cycles alone are searched. A power from the public constructor, whose
+    stays are not in rank order, has every walk searched and its graph
+    searched breadth-first.
+    """
     base, k = rp.base, rp.k
-    (n_tree, rows, stays), vertices, lengths = _structured_cycles(rp, tree)
+    (n_tree, rows, stays), vertices, lengths, gathered = _structured_walks(rp, tree)
 
     n_embedded = len(lengths) - len(rows)
 
@@ -294,7 +315,8 @@ def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
         )
         return tuple(infos)
 
-    return CycleBasis._of_walks(rp, "decomposition", not has_triangles(base), vertices, lengths, info, tags)
+    certified = not has_triangles(base)
+    return CycleBasis._of_walks(rp, "decomposition", certified, vertices, lengths, info, tags, gathered)
 
 
 @dataclass(frozen=True)
@@ -338,21 +360,26 @@ def verify_square_space(base: Graph, tree: RootedTree, k: int) -> SquareSpaceRep
     an embedded base MCB they span the full cycle space of the power.
     Both ranks come from peeling the traced walks
     (:func:`~redpow.cyclespace._walk_rank`), so bitsets are built only for
-    walks the peel leaves.
+    walks the peel leaves; the squares are peeled on their own only when
+    the walks together are dependent. The squares' edges are gathered
+    (:func:`_structured_walks`), and the power's cycle-space dimension is read
+    off its checked move record (:func:`~redpow.cyclespace._cycle_rank`),
+    with no search of the power but the embedded cycles' steps.
     """
     rp = build_reduced_power(base, k)
     k = rp.k
-    (n_tree, rows, _), vertices, lengths = _structured_cycles(rp, tree)
-    starts, edge, _ = _trace_flat(rp.graph, vertices, lengths)
+    (n_tree, rows, _), vertices, lengths, steps = _structured_walks(rp, tree)
+    starts, edge, _ = _trace_flat(rp.graph, vertices, lengths, steps)
     n_chord, n_embedded = len(rows) - n_tree, len(lengths) - len(rows)
     beta_base = betti(base)
-    beta_power = betti(rp.graph)
+    beta_power = _cycle_rank(rp)
     tsq_formula = tree_square_count(base.num_vertices, k)
     csq_formula = chord_square_count(beta_base, base.num_vertices, k)
 
     walks = np.arange(len(lengths))  # the embedded base MCB first, then the squares
-    rank_squares = _walk_rank(starts, edge, walks[n_embedded:])
     rank_all = _walk_rank(starts, edge, walks)
+    # all the walks independent makes the squares among them independent: no second peel
+    rank_squares = len(rows) if rank_all == len(walks) else _walk_rank(starts, edge, walks[n_embedded:])
     # a square projects to zero when the base edges its four power edges
     # cross (by the power's moves) pair up
     square_edges = edge[len(edge) - 4 * len(rows) :].reshape(-1, 4)  # the walks' last steps

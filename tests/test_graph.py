@@ -641,6 +641,20 @@ def test_a_root_with_a_parent_is_refused_before_its_depths_are_read():
         check_spanning_tree(triangle, tree)
 
 
+def test_a_tree_check_checks_the_tree_s_indices_once(monkeypatch):
+    checked = []
+    check = RootedTree._check_indices
+
+    def spied(tree, n):
+        checked.append(n)
+        return check(tree, n)
+
+    monkeypatch.setattr(RootedTree, "_check_indices", spied)
+    g = cycle_graph(5)
+    assert check_spanning_tree(g, bfs_spanning_tree(g, 0)) == (0, 1, 2, 2, 1)
+    assert checked == [5]
+
+
 # --- the published edge array ---
 
 

@@ -1369,3 +1369,11 @@ def test_a_power_is_connected_with_k_times_the_base_diameter_and_bipartite_exact
         assert _bipartite(power) is bipartite
         for x, state in enumerate(rp.states):
             assert power.degree(x) == sum(g.degree(i) for i, m in enumerate(state.exponents) if m)
+
+
+def test_assemble_refuses_a_move_along_no_base_edge_naming_it():
+    g = cycle_graph(5)
+    words = [(i,) for i in range(5)]
+    with pytest.raises(PowerError) as info:
+        _assemble(g, 1, words, {(0, 1): (0, 1, ()), (0, 2): (0, 2, ())})
+    assert str(info.value) == "move (0, 2): (0, 2) is no base edge"

@@ -742,3 +742,152 @@ def test_each_tree_check_walks_the_tree_once(monkeypatch):
             calls.clear()
             run()
             assert len(calls) == 1, g
+
+
+# --- square edges gathered from the power's slot table ---
+
+
+def _gather_cases(suite):
+    """(power, tree) over the suite at k = 2..4, roots 0 and n - 1, and the (14,10,3) base at k = 4."""
+    for g in list(suite):
+        for k in (2, 3, 4):
+            rp = build_reduced_power(g, k)
+            for root in sorted({0, g.num_vertices - 1}):
+                yield rp, bfs_spanning_tree(g, root)
+    g = random_connected_graph(14, 10, seed=3)
+    yield build_reduced_power(g, 4), bfs_spanning_tree(g, 0)
+
+
+def test_a_decomposition_basis_traces_its_squares_as_the_edge_search_does(suite):
+    from redpow.cyclespace import _trace_flat
+
+    for rp, tree in _gather_cases(suite):
+        _, vertices, lengths = _structured_cycles(rp, tree)
+        searched = _trace_flat(rp.graph, vertices, lengths)
+        traced = _decomposition_on(rp, tree)._trace
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(traced, searched)), (rp, tree.root)
+
+
+def test_the_square_space_check_reads_the_power_s_dimension_without_searching_it(suite, monkeypatch):
+    """Neither the basis nor the square check runs a breadth-first search of a built power."""
+    from redpow import cartesian_power, cyclespace, graph, quotient_by_symmetry
+
+    searched = []
+    bfs = graph._bfs
+
+    def counted(g, root=0):
+        searched.append(g)
+        return bfs(g, root)
+
+    for g in list(suite) + [random_connected_graph(14, 10, seed=3)]:
+        for k in (2, 3, 4) if g.num_vertices < 14 else (4,):
+            tree = bfs_spanning_tree(g, g.num_vertices - 1)
+            expected = betti(build_reduced_power(g, k).graph)
+            for module in (graph, cyclespace):
+                monkeypatch.setattr(module, "_bfs", counted)
+            searched.clear()
+            report = verify_square_space(g, tree, k)
+            powers = [build_reduced_power(g, k)]
+            if g.num_vertices ** k <= 4096:
+                powers.append(quotient_by_symmetry(cartesian_power(g, k), g, k))
+            bases = [_decomposition_on(rp, tree) for rp in powers]
+            for module in (graph, cyclespace):
+                monkeypatch.setattr(module, "_bfs", bfs)
+            assert report.betti_power == expected and report.passed, (g, k)
+            assert all(len(basis.cycles) == expected for basis in bases)
+            assert all(h.num_vertices == g.num_vertices for h in searched), (g, k)
+
+
+def _record_rows(rp) -> np.ndarray:
+    """The ``(x, y, s, b)`` rows a builder hands ``power._from_moves`` for the power ``rp``."""
+    return np.column_stack([rp.graph.pairs, rp._moves[:, 2:]])
+
+
+def _power_of_rows(g, k, rows):
+    from itertools import combinations_with_replacement
+
+    from redpow.power import _from_moves, _insert_ranks
+
+    words = list(combinations_with_replacement(range(g.num_vertices), k))
+    return _from_moves(g, k, words, _insert_ranks(g.num_vertices, k)[0], rows)
+
+
+def test_a_move_record_with_a_slot_missing_or_a_move_between_other_states_is_refused_untraced(monkeypatch):
+    from redpow import cyclespace
+
+    g, k = cycle_graph(5), 3
+    tree = bfs_spanning_tree(g, 0)
+    rows = _record_rows(build_reduced_power(g, k))
+    e = g.num_edges
+    dropped = rows[1:]
+    retagged = rows.copy()
+    s, b = retagged[7, 2:].tolist()
+    retagged[7, 2] = (s + 1) % 15  # another stay: slot (s, b) is left empty, (s + 1, b) filled twice
+    swapped = rows.copy()
+    first, second = np.flatnonzero((rows[:, 3] == rows[7, 3]) & (rows[:, 2] != rows[7, 2]))[0], 7
+    swapped[[first, second], 2] = swapped[[second, first], 2]  # each slot filled once, two moves' ends wrong
+    searched = []
+    search = cyclespace._edge_ids
+    monkeypatch.setattr(cyclespace, "_edge_ids", lambda h, x, y: searched.append(h) or search(h, x, y))
+    cases = (
+        (dropped, rf"^move record: \(35, 15, {15 * e - 1}\) states, stays and moves, the k = 3 power has "),
+        (retagged, rf"^move record: no move along base edge {b} under stay {s}$"),
+        (swapped, rf"^move {min(first, second)} along base edge {rows[7, 3]} under stay "),
+    )
+    for broken, message in cases:
+        rp = _power_of_rows(g, k, broken)
+        with pytest.raises(PowerError, match=message):
+            _decomposition_on(rp, tree)
+        assert rp.graph not in searched  # refused before any walk of the power is traced
+    assert _power_of_rows(g, k, rows)._edge_of is not None  # the rows as given pass
+
+
+def test_a_power_of_the_public_constructor_keeps_the_searched_trace_and_its_basis(suite, monkeypatch):
+    from redpow import ReducedPowerGraph, cyclespace, graph
+    from redpow.cyclespace import _trace_flat
+
+    for g in suite:
+        for k in (2, 3):
+            built = build_reduced_power(g, k)
+            public = ReducedPowerGraph(g, k, built.states, built.graph, built.annotations)
+            assert public._edge_of is None and built._edge_of is not None
+            tree = bfs_spanning_tree(g, 0)
+            _, vertices, lengths = _structured_cycles(public, tree)
+            steps, searched_powers = [], []
+            search, bfs = cyclespace._edge_ids, graph._bfs
+            monkeypatch.setattr(cyclespace, "_edge_ids", lambda h, x, y: steps.append(len(x)) or search(h, x, y))
+            monkeypatch.setattr(graph, "_bfs", lambda h, root=0: searched_powers.append(h) or bfs(h, root))
+            basis = _decomposition_on(public, tree)
+            monkeypatch.setattr(cyclespace, "_edge_ids", search)
+            monkeypatch.setattr(graph, "_bfs", bfs)
+            assert steps == [int(lengths.sum())]  # every step of every walk searched
+            assert built.graph in searched_powers
+            assert all(map(np.array_equal, basis._trace, _trace_flat(built.graph, vertices, lengths)))
+            assert basis.cycles == _decomposition_on(built, tree).cycles
+
+
+def test_a_gathered_edge_is_checked_against_its_step():
+    from redpow import CycleSpaceError
+    from redpow.cyclespace import _trace_flat
+
+    g = cycle_graph(5)
+    vertices, lengths = np.array([0, 1, 2, 3, 4]), np.array([5])
+    good = _trace_flat(g, vertices, lengths)
+    assert all(map(np.array_equal, _trace_flat(g, vertices, lengths, good[1][2:]), good))
+    wrong = good[1][2:].copy()
+    wrong[0] = good[1][0]  # an edge of the walk, not of this step
+    with pytest.raises(CycleSpaceError, match="^walk 0 is a simple cycle, but an edge gathered for a step of it is another.s$"):
+        _trace_flat(g, vertices, lengths, wrong)
+    with pytest.raises(GraphError, match="^no edge between 'v2' and 'v4'$"):  # step 2 -> 4, gathered as edge 3
+        _trace_flat(g, np.array([0, 1, 2, 4]), np.array([4]), np.array([3, 1]))
+
+
+def test_the_power_of_a_base_in_pieces_is_searched_and_named_by_its_state():
+    """The move record proves a power connected only through its base: a base in pieces is searched."""
+    from redpow import CycleBasis
+
+    rp = build_reduced_power(Graph("abc", [("a", "b")]), 2)
+    assert rp._edge_of is not None
+    for build in (lambda: greedy_mcb(rp), lambda: CycleBasis(rp, (), "test", (), False, ())):
+        with pytest.raises(GraphError, match="^graph must be connected: vertex 'ac' is unreachable$"):
+            build()
