@@ -400,6 +400,20 @@ MUTANTS = (
         ("tests/test_squares.py::test_a_decomposition_basis_traces_its_squares_as_the_edge_search_does",),
     ),
     Mutant(
+        "a structured basis's info reads the first square's stay word shifted by one",
+        "src/redpow/squares.py",
+        "__getitem__, rows[:, 4].tolist())",
+        "__getitem__, np.r_[rows[:1, 4] ^ 1, rows[1:, 4]].tolist())",
+        ("tests/test_squares.py::test_each_walk_of_a_structured_basis_has_as_f_what_all_its_states_share",),
+    ),
+    Mutant(
+        "a structured basis's family ids start one walk late",
+        "src/redpow/squares.py",
+        "return new.cumsum() - 1,",
+        "return np.r_[0, new.cumsum()[:-1] - 1],",
+        ("tests/test_squares.py::test_each_walk_of_a_structured_basis_has_its_info_without_f_as_its_family",),
+    ),
+    Mutant(
         "the move-record check lets a missing slot through",
         "src/redpow/power.py",
         "        if len(moves) and edge_of.min() < 0:",

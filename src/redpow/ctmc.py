@@ -515,7 +515,7 @@ def kolmogorov_check(mc: MasterChain, basis: CycleBasis) -> KolmogorovReport:
 
 
 def _cycle_checks(mc, basis, fwd, bwd, lengths) -> tuple[CycleCheck, ...]:
-    """The check of each walk of ``basis``: its ``lengths`` and numerator products ``fwd``, ``bwd``."""
+    """The check of each walk of ``basis``: its ``lengths``, numerator products ``fwd``, ``bwd`` and family."""
     labels, base_labels, den = mc.rp.graph.labels, mc.rp.base.labels, mc.spec._den
     made: dict[tuple[int, int], Fraction] = {}
 
@@ -525,24 +525,14 @@ def _cycle_checks(mc, basis, fwd, bwd, lengths) -> tuple[CycleCheck, ...]:
             q = made[num, m] = Fraction(num, den**m)
         return q
 
-    named: dict[tuple[tuple[int, int], ...], tuple[tuple[str, str], ...]] = {}
+    # a walk's tag and base edges are its family's in the basis's family record, each named once
+    ids, families = basis._families
+    named = [(x.tag, tuple((base_labels[i], base_labels[j]) for i, j in x.base_edges)) for x in families]
     checks = []
-    rows = zip(basis.cycles, basis.info, fwd.tolist(), bwd.tolist(), lengths.tolist())
-    for idx, (seq, info, fn, bn, m) in enumerate(rows):
-        pairs = info.base_edges
-        base_edges = named.get(pairs)
-        if base_edges is None:
-            base_edges = named[pairs] = tuple((base_labels[i], base_labels[j]) for i, j in pairs)
-        checks.append(
-            CycleCheck(
-                index=idx,
-                tag=info.tag,
-                vertices=tuple(map(labels.__getitem__, seq)),
-                forward=exact(fn, m),
-                backward=exact(bn, m),
-                base_edges=base_edges,
-            )
-        )
+    rows = zip(basis.cycles, map(named.__getitem__, ids.tolist()), fwd.tolist(), bwd.tolist(), lengths.tolist())
+    for idx, (seq, (tag, base_edges), fn, bn, m) in enumerate(rows):
+        vertices = tuple(map(labels.__getitem__, seq))
+        checks.append(CycleCheck(idx, tag, vertices, exact(fn, m), exact(bn, m), base_edges))
     return tuple(checks)
 
 

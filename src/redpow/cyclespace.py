@@ -355,11 +355,11 @@ def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ElementInfo:
-    """Construction record for one basis element.
+    """Construction record for one basis element, or, with ``f`` None, for a family of them.
 
-    ``tag`` names the family the element came from; ``base_edges``
-    lists the base-graph edges involved (square generators only);
-    ``f`` is the stationary monomial for embedded or square elements.
+    ``tag`` names the family's kind; ``base_edges`` lists the base-graph
+    edges involved (square families only); ``f`` is the stationary
+    monomial of an embedded or square element.
     """
 
     tag: str
@@ -384,8 +384,10 @@ class CycleBasis(_BuiltOnRead):
     A basis made by :meth:`_of_walks`, from walk arrays, is checked the
     same way on the trace alone; its ``elements``, ``cycles`` and ``info``
     are built on first read and kept (:class:`~redpow.graph._BuiltOnRead`).
-    ``_tags``, each element's ``info.tag``, is too; such a basis makes it
-    without ``info``.
+    Every basis builds its family record ``_families`` on read: an int64
+    family id per element, a family's elements contiguous, and the families,
+    each an :class:`ElementInfo` with ``f`` None (one per element, read off
+    ``info``, in a constructor basis). ``_tags`` is read off the record.
     """
 
     host: object
@@ -423,13 +425,17 @@ class CycleBasis(_BuiltOnRead):
             raise CycleSpaceError("vertex sequence does not trace its element")
         object.__setattr__(self, "_trace", trace)
 
+    def _make__families(self) -> tuple[np.ndarray, tuple[ElementInfo, ...]]:
+        return np.arange(len(self.info)), tuple(ElementInfo(x.tag, x.base_edges) for x in self.info)
+
     def _make__tags(self) -> tuple[str, ...]:
-        return tuple(record.tag for record in self.info)
+        ids, families = self._families
+        return tuple(np.array([x.tag for x in families], dtype=object)[ids].tolist())
 
     @classmethod
     def _of_walks(
-        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info, tags=None,
-        gathered: np.ndarray | None = None,
+        cls, host, kind: str, certified_minimum: bool, vertices: np.ndarray, lengths: np.ndarray, info,
+        families=None, gathered: np.ndarray | None = None,
     ) -> "CycleBasis":
         """The basis of the walks laid end to end in ``vertices``, ``lengths[w]`` each.
 
@@ -439,7 +445,7 @@ class CycleBasis(_BuiltOnRead):
         ``len(gathered)`` steps, if given, are checked, not searched
         (:func:`_trace_flat`). The elements are the traced bitsets, the
         cycles the walks as tuples, ``info()`` gives the info records and
-        ``tags()``, if given, their tags without them.
+        ``families()``, if given, the family record without them.
         """
         g = host_graph(host)
         _check_dimension(host, len(lengths))
@@ -456,8 +462,8 @@ class CycleBasis(_BuiltOnRead):
 
         fields = dict(host=host, kind=kind, certified_minimum=certified_minimum, _trace=trace)
         made = dict(elements=elements, cycles=cycles, info=info)
-        if tags is not None:
-            made["_tags"] = tags
+        if families is not None:
+            made["_families"] = families
         return _built_on_read(cls, fields, **made)
 
     @property
@@ -678,7 +684,8 @@ def greedy_mcb(host) -> CycleBasis:
     def info() -> tuple[ElementInfo, ...]:
         return (ElementInfo(tag="greedy"),) * dim
 
-    return CycleBasis._of_walks(host, "greedy-mcb", True, vertices, lengths, info, lambda: ("greedy",) * dim)
+    one_family = lambda: (np.zeros(dim, np.int64), info()[:1])  # noqa: E731
+    return CycleBasis._of_walks(host, "greedy-mcb", True, vertices, lengths, info, one_family)
 
 
 @functools.lru_cache(maxsize=1)

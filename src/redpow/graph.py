@@ -247,10 +247,10 @@ def _edge_ids(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = g.num_vertices
     keys = g._pairs[:, 0] * n + g._pairs[:, 1]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
-    key = np.where((lo >= 0) & (hi < n) & (lo < hi), lo * n + hi, -1)
     if not len(keys):
-        return np.full(key.shape, -1, dtype=np.int64)
-    pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        return np.full(lo.shape, -1, dtype=np.int64)
+    key = np.where((lo < 0) | (hi >= n), -1, lo * n + hi)  # two equal ends hit no edge's key
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
     return np.where(keys[pos] == key, pos, -1)
 
 

@@ -40,6 +40,7 @@ per-element objects only when they are read.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import asdict, dataclass
 from math import comb
@@ -50,6 +51,7 @@ from .errors import GraphError, PowerError
 from .graph import (
     Graph,
     RootedTree,
+    _edge_ids,
     _index,
     betti,
     bfs_spanning_tree,
@@ -265,8 +267,7 @@ def _structured_walks(
     lengths = np.concatenate([np.array(list(map(len, embedded)), np.int64), np.full(len(rows), 4)])
     steps = None
     if rp._edge_of is not None:
-        # both edge pairs are sorted, so each is found among the base's sorted pairs by its key i * v + j
-        moved = np.searchsorted(base.pairs @ (v, 1), first * v + second)  # ab, cd
+        moved = _edge_ids(base, first, second)  # ab, cd
         steps = rp._edge_of[stay * base.num_edges + moved[:, [0, 1, 0, 1]]]
         steps = np.where(flip[:, None], steps[:, ::-1], steps).ravel()
     return (n_tree, rows, stays), vertices, lengths, steps
@@ -294,29 +295,35 @@ def _decomposition_on(rp: ReducedPowerGraph, tree: RootedTree) -> CycleBasis:
     and its dimension read off its checked move record; the embedded base
     cycles alone are searched. A power from the public constructor, whose
     stays are not in rank order, has every walk searched and its graph
-    searched breadth-first.
+    searched breadth-first. The family record is built on read: the embedded
+    walks are one family, and each square edge pair one, its rows contiguous
+    in :func:`_square_words`' order; ``info`` reads it.
     """
     base, k = rp.base, rp.k
     (n_tree, rows, stays), vertices, lengths, gathered = _structured_walks(rp, tree)
 
     n_embedded = len(lengths) - len(rows)
 
-    def tags() -> tuple[str, ...]:
-        n_chord = len(rows) - n_tree
-        return ("embedded",) * n_embedded + ("tree-square",) * n_tree + ("chord-square",) * n_chord
+    @functools.cache
+    def families() -> tuple[np.ndarray, tuple[ElementInfo, ...]]:
+        # a walk's key: -1 for the embedded walks, one family, else its square's edge pair read in base v
+        key = np.concatenate([np.full(n_embedded, -1), rows[:, :4] @ base.num_vertices ** np.arange(3, -1, -1)])
+        new = np.diff(key, prepend=-2) != 0  # a family's walks are contiguous: it starts where the key changes
+        firsts = new.nonzero()[0]
+        kinds = np.searchsorted([n_embedded, n_embedded + n_tree], firsts, "right").tolist()
+        pairs = [((a, b), (c, d)) for a, b, c, d in rows[firsts[firsts >= n_embedded] - n_embedded, :4].tolist()]
+        tags = map(("embedded", "tree-square", "chord-square").__getitem__, kinds)
+        made = map(ElementInfo, tags, [()] * (len(firsts) - len(pairs)) + pairs)  # the embedded family has none
+        return new.cumsum() - 1, tuple(made)
 
     def info() -> tuple[ElementInfo, ...]:
-        fs = Monomial._of_words(stays.tolist(), base.num_vertices)
-        parked = Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)
-        infos = [ElementInfo(tag="embedded", f=parked)] * n_embedded
-        infos.extend(
-            ElementInfo(tag=tag, base_edges=((a, b), (c, d)), f=fs[w])
-            for tag, (a, b, c, d, w) in zip(tags()[n_embedded:], rows.tolist())
-        )
-        return tuple(infos)
+        ids, fam = families()
+        fs = [Monomial.from_word((tree.root,) * (k - 1), base.num_vertices)] * n_embedded
+        fs += map(Monomial._of_words(stays.tolist(), base.num_vertices).__getitem__, rows[:, 4].tolist())
+        return tuple(ElementInfo(x.tag, x.base_edges, f) for x, f in zip(map(fam.__getitem__, ids.tolist()), fs))
 
     certified = not has_triangles(base)
-    return CycleBasis._of_walks(rp, "decomposition", certified, vertices, lengths, info, tags, gathered)
+    return CycleBasis._of_walks(rp, "decomposition", certified, vertices, lengths, info, families, gathered)
 
 
 @dataclass(frozen=True)

@@ -2611,3 +2611,62 @@ def test_rate_spec_refuses_a_decimal_past_the_exponent_bound_before_expanding_it
             assert str(info.value) == f"{what}: exponent of {str(value)!r} exceeds 4300 in magnitude"
     spec = RateSpec(g, {(0, 1): Decimal("2.5e3"), (1, 0): Decimal("1e-4300")})
     assert (spec.base_rate(0, 1), spec.base_rate(1, 0)) == (2500, F(1, 10**4300))
+
+
+# --- a refuted criterion reads each walk's tag and base edges off its basis's family record ---
+
+
+def _bases_with_info(g, k):
+    """A decomposition, greedy, fundamental and constructor basis of the k-th power of ``g``, with its info.
+
+    The constructor basis has the decomposition's walks and its own info:
+    three tags taken in turn, and each walk's base edges one base edge or none.
+    """
+    from redpow import CycleBasis, ElementInfo
+
+    decomposition = decomposition_basis(g, k)
+    rp = decomposition.host
+    own = tuple(
+        ElementInfo(f"own-{i % 3}", (g.edges[i % g.num_edges],) * (i % 2)) for i in range(len(decomposition.cycles))
+    )
+    made = [
+        decomposition,
+        greedy_mcb(rp),
+        fundamental_cycles(rp, bfs_spanning_tree(rp.graph, 0)),
+        CycleBasis(rp, None, "own", decomposition.cycles, False, own),
+    ]
+    # the lazy bases' info is read from fresh copies, so their criteria run with it unread
+    infos = [decomposition_basis(g, k).info, greedy_mcb(rp).info, made[2].info, own]
+    return made, infos
+
+
+def test_each_check_of_a_refuted_criterion_has_its_walks_tag_and_base_edges():
+    for g, k, spec in (
+        (pentagon(), 2, pentagon_spec(32, 1, 2, alpha=1, beta=1, gamma=2, delta=1, eps=1)),
+        (pentagon(), 3, pentagon_spec(7, 1, 2, alpha=0, beta=3, gamma=1, delta=0, eps=2)),
+    ):
+        mc = build_master(g, k, spec)
+        labels = g.labels
+        for basis, info in zip(*_bases_with_info(g, k)):
+            report = kolmogorov_check(mc, basis)
+            assert not report.passed and len(report.checks) == len(info), basis.kind
+            assert "info" not in vars(basis) or basis.kind in ("fundamental", "own")  # the criterion reads no info
+            for check, record in zip(report.checks, info):
+                assert check.tag == record.tag, (basis.kind, check.index)
+                assert check.base_edges == tuple((labels[i], labels[j]) for i, j in record.base_edges)
+
+
+def test_a_refuted_c7_k_4_criterion_builds_one_element_info_per_family(monkeypatch):
+    from redpow import ElementInfo
+
+    g = cycle_graph(7)
+    coupling = (F(1), F(0), F(3), F(0), F(2), F(0), F(1))
+    base = {pair: F(1 + pair[0] % 2) for i, j in g.edges for pair in ((i, j), (j, i))}
+    mc = build_master(g, 4, RateSpec(g, base, {(0, 1): coupling}))
+    basis = decomposition_basis(g, 4)
+    made = []
+    init = ElementInfo.__init__
+    monkeypatch.setattr(ElementInfo, "__init__", lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+    report = kolmogorov_check(mc, basis)
+    assert not report.passed and len(report.checks) == 379
+    assert len(made) == 22 == len({(c.tag, c.base_edges) for c in report.checks})

@@ -891,3 +891,40 @@ def test_the_power_of_a_base_in_pieces_is_searched_and_named_by_its_state():
     for build in (lambda: greedy_mcb(rp), lambda: CycleBasis(rp, (), "test", (), False, ())):
         with pytest.raises(GraphError, match="^graph must be connected: vertex 'ac' is unreachable$"):
             build()
+
+
+# --- the family record: a family id per walk, one ElementInfo with f None per family ---
+
+
+def _family_cases(suite):
+    """(base, k, root): the suite at k = 2..4 from roots 0 and n - 1, and the 14-vertex base at k = 4."""
+    for g in suite:
+        for k in (2, 3, 4):
+            for root in (0, g.num_vertices - 1):
+                yield g, k, root
+    yield random_connected_graph(14, 10, 3), 4, 0
+
+
+def test_each_walk_of_a_structured_basis_has_its_info_without_f_as_its_family(suite):
+    from redpow.cyclespace import ElementInfo
+
+    for g, k, root in _family_cases(suite):
+        basis = decomposition_basis(g, k, root)
+        ids, families = basis._families
+        assert ids.dtype == np.int64 and len(ids) == len(basis.info), (g, k, root)
+        assert all(type(x) is ElementInfo and x.f is None for x in families)
+        assert [families[i] for i in ids.tolist()] == [ElementInfo(x.tag, x.base_edges) for x in basis.info]
+        # contiguous: the ids run 0, 1, 2, ... with no family met twice, and no two families alike
+        assert np.array_equal(ids, np.cumsum(np.diff(ids, prepend=0) != 0)), (g, k, root)
+        assert len(set(families)) == len(families) == len(np.unique(ids))
+
+
+def test_each_walk_of_a_structured_basis_has_as_f_what_all_its_states_share(suite):
+    """An embedded walk's states share the k - 1 tokens on the root, a square's the k - 2 of its f."""
+    for g, k, root in _family_cases(suite):
+        basis = decomposition_basis(g, k, root)
+        exponents = np.array([m.exponents for m in basis.host.states])
+        for seq, record in zip(basis.cycles, basis.info):
+            shared = exponents[list(seq)].min(axis=0)
+            assert tuple(shared.tolist()) == record.f.exponents, (g, k, root, seq, record)
+        assert {record.f.degree for record in basis.info} <= {k - 1, k - 2}
